@@ -7,7 +7,6 @@ config+seed) and one manifest recording the seed derivation.  Exit codes:
 """
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import math
@@ -15,6 +14,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.linalg
 
 from . import __version__
 from .core import check_functional_bounds, check_weak_metric_axioms
@@ -33,27 +33,6 @@ from .spaces import (euclidean_space, mobius_disk, mobius_circle_map,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
-
-
-def _threads() -> int:
-    raw = os.environ.get("HOROFLOW_THREADS", "0")
-    try:
-        t = int(raw)
-    except ValueError:
-        t = 0
-    return t if t > 0 else (os.cpu_count() or 1)
-
-
-def map_indexed(fn, count: int) -> list:
-    """fn(i) for i in range(count), optionally on a thread pool.
-
-    Results are merged by index, so output never depends on scheduling.
-    """
-    t = _threads()
-    if t <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=t) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def fmt(x) -> str:
@@ -98,13 +77,9 @@ def _hyperbolic_driver(cfg) -> ErgodicDriver:
 
 def _run_hyperbolic_walk(cfg):
     driver = _hyperbolic_driver(cfg)
-
-    def one(t):
-        return hyperbolic_walk_gap(driver, cfg["n"], cfg["probe_budget"], trial=t)
-
-    traces = map_indexed(one, cfg["trials"])
     rows = []
-    for t, tr in enumerate(traces):
+    for t in range(cfg["trials"]):
+        tr = hyperbolic_walk_gap(driver, cfg["n"], cfg["probe_budget"], trial=t)
         for k, gap in zip(tr.ks, tr.gaps):
             rows.append((t, k, gap))
     return ["trial", "k", "gap"], rows, 0
@@ -195,20 +170,17 @@ def _run_state_ratio(cfg):
 def _run_segal_sweep(cfg):
     dim = cfg["dim"]
     scale = float(cfg["scale"])
-
-    def one(i):
+    rows = []
+    for i in range(cfg["pairs"]):
         rng = trial_rng(cfg["seed"], i)
         u = rng.uniform(-scale, scale, size=(dim, dim))
         v = rng.uniform(-scale, scale, size=(dim, dim))
         u = 0.5 * (u + u.T)
         v = 0.5 * (v + v.T)
         lhs, rhs = segal_check(u, v)
-        import scipy.linalg
         path_gap = float(np.linalg.norm(scipy.linalg.expm(u + v)
                                         - expm_symmetric(u + v), 2))
-        return (i, lhs, rhs, rhs - lhs, path_gap)
-
-    rows = map_indexed(one, cfg["pairs"])
+        rows.append((i, lhs, rhs, rhs - lhs, path_gap))
     return ["pair", "lhs", "rhs", "slack", "path_gap"], rows, 0
 
 
@@ -298,12 +270,11 @@ def _run_jacobian_cocycle(cfg):
 # Registry
 
 class Experiment:
-    def __init__(self, name, description, runner, defaults, required=()):
+    def __init__(self, name, description, runner, defaults):
         self.name = name
         self.description = description
         self.runner = runner
         self.defaults = defaults
-        self.required = tuple(required)
 
 
 EXPERIMENTS = {e.name: e for e in [

@@ -136,24 +136,10 @@ def generate_orbit(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
     """
     if n < 1:
         raise DegenerateInputError("n must be >= 1")
-    gs = driver.elements(trial, n)
-    pts = []
-    if driver.order == LEFT:
-        y = x0
-        for k, g in enumerate(gs, start=1):
-            y = apply_element(g, y)
-            if not _in_domain(space, y):
-                return OrbitResult(points=pts, completed=k - 1, truncated=True)
-            pts.append(y)
-        return OrbitResult(points=pts, completed=n, truncated=False)
-    for k in range(1, n + 1):
-        y = x0
-        for i in range(k - 1, -1, -1):
-            y = apply_element(gs[i], y)
-        if not _in_domain(space, y):
-            return OrbitResult(points=pts, completed=k - 1, truncated=True)
-        pts.append(y)
-    return OrbitResult(points=pts, completed=n, truncated=False)
+    pts, cut = orbit_at(driver, space, x0, range(1, n + 1), trial)
+    completed = n if cut is None else cut - 1
+    return OrbitResult(points=[pts[k] for k in range(1, completed + 1)],
+                       completed=completed, truncated=cut is not None)
 
 
 def orbit_at(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
@@ -390,21 +376,6 @@ def mobius_matrix(a: complex) -> np.ndarray:
     return np.array([[s, s * a], [s * a.conjugate(), s]], dtype=complex)
 
 
-def _scaled_prefix_products(mats):
-    """Normalized right-increment prefix products with log scales."""
-    out = {}
-    P = np.eye(2, dtype=complex)
-    ls = 0.0
-    prods = []
-    for m in mats:
-        P = P @ m
-        s = float(np.max(np.abs(P)))
-        P = P / s
-        ls += math.log(s)
-        prods.append((P.copy(), ls))
-    return prods
-
-
 def _dist_origin(alpha_mag_log: float) -> float:
     """2 arccosh |alpha| from log|alpha|, stable for large |alpha|."""
     if alpha_mag_log > 20.0:
@@ -436,18 +407,22 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int,
         ks = sorted(set(int(k) for k in checkpoints))
         if not ks or ks[0] < 1 or ks[-1] > n:
             raise DegenerateInputError("checkpoints must lie in [1, n]")
-    prefix = _scaled_prefix_products(mats)
-
-    def a_of(k):
-        P, ls = prefix[k - 1]
-        return _dist_origin(ls + math.log(abs(P[0, 0])))
-
-    a_n = a_of(n)
-    # suffix products S_k = M_{k+1} ... M_n give d(u(k)0, u(n)0)
+    # prefix products P_k = M_1 ... M_k give a(k) = d(0, u(k)0), and suffix
+    # products S_k = M_{k+1} ... M_n give d(u(k)0, u(n)0)
+    want = set(ks) | {n}
+    a = {}
+    P = np.eye(2, dtype=complex)
+    ls = 0.0
+    for k, m in enumerate(mats, start=1):
+        P = P @ m
+        s = float(np.max(np.abs(P)))
+        P = P / s
+        ls += math.log(s)
+        if k in want:
+            a[k] = _dist_origin(ls + math.log(abs(P[0, 0])))
     suffix = {}
     S = np.eye(2, dtype=complex)
     ls = 0.0
-    want = set(ks)
     for j in range(n, 0, -1):
         if j in want:
             suffix[j] = _dist_origin(ls + math.log(abs(S[0, 0])))
@@ -455,10 +430,5 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int,
         s = float(np.max(np.abs(S)))
         S = S / s
         ls += math.log(s)
-    gaps = []
-    for k in ks:
-        a_k = a_of(k)
-        d_k_n = suffix[k] if k in suffix else 0.0
-        h_uk = d_k_n - a_n
-        gaps.append(abs(-h_uk / k - a_k / k))
+    gaps = [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks]
     return GapTrace(ks=ks, gaps=gaps, truncated=False)

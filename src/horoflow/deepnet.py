@@ -17,9 +17,8 @@ import numpy as np
 
 from .cocycle import ErgodicDriver, geometric_checkpoints
 from .core import DegenerateInputError
-from .spaces import CircleMap, NotDiffeomorphismError
-
-_TWO_PI = 2.0 * math.pi
+from .seeding import trial_rng
+from .spaces import _TWO_PI, CircleMap, NotDiffeomorphismError
 
 
 class NormConstraintError(ValueError):
@@ -187,7 +186,6 @@ def lipschitz_profile(layers: Sequence[LayerMap], pair_sampler, n_pairs: int,
     """
     if n_pairs < 1:
         raise DegenerateInputError("n_pairs must be >= 1")
-    from .seeding import trial_rng
     rng = trial_rng(seed, 0)
     n = len(layers)
     best = 0.0
@@ -219,15 +217,14 @@ class StretchReport:
 
 
 def max_stretch(driver: ErgodicDriver, n: int, grid: int, trial: int = 0,
-                scales=(1e-2, 1e-4), n_random_pairs: int = 0,
-                seed: int = 0) -> StretchReport:
+                scales=(1e-2, 1e-4)) -> StretchReport:
     """Maximal-stretch exponent of a cocycle of maps of the unit circle.
 
     Driver elements are complex maps z -> g(z) (vectorizable over numpy
     arrays) preserving the circle.  A fixed pair grid (near-diagonal pairs
-    at the given scales around equispaced midpoints, plus optional random
-    pairs) is re-evaluated against each incoming map; the per-step log of
-    the best sampled stretch accumulates into lambda_hat.
+    at the given scales around equispaced midpoints) is re-evaluated
+    against each incoming map; the per-step log of the best sampled
+    stretch accumulates into lambda_hat.
 
     Depth-n difference quotients saturate in double precision once the
     cumulative stretch exceeds (pair scale)/eps, so the estimate composes
@@ -241,14 +238,6 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int, trial: int = 0,
     for s in scales:
         xs.append(np.exp(1j * (mids - 0.5 * s)))
         ys.append(np.exp(1j * (mids + 0.5 * s)))
-    if n_random_pairs:
-        from .seeding import trial_rng
-        rng = trial_rng(seed, trial)
-        a = np.exp(1j * _TWO_PI * rng.random(n_random_pairs))
-        b = np.exp(1j * _TWO_PI * rng.random(n_random_pairs))
-        keep = np.abs(a - b) > 1e-9
-        xs.append(a[keep])
-        ys.append(b[keep])
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     base = np.abs(x - y)

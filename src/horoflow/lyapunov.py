@@ -31,13 +31,6 @@ class FiltrationProbeReport:
     clusters: list          # lists of probe indices, partitioning the probes
 
 
-def _positive_qr(z: np.ndarray):
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    s = np.where(d < 0.0, -1.0, 1.0)
-    return q * s, np.abs(d)
-
-
 def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> SpectrumEstimate:
     """All dim exponents of the cocycle by QR accumulation.
 

@@ -111,19 +111,6 @@ def sym_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def is_spd(m: np.ndarray, sym_tol: float = 1e-12) -> bool:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    if np.max(np.abs(m - m.T)) > sym_tol * max(1.0, np.max(np.abs(m))):
-        return False
-    try:
-        np.linalg.cholesky(sym_part(m))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _require_spd(m, label: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all() \
@@ -194,18 +181,16 @@ def funk_space(dim: int = 3) -> WeakMetricSpace:
 class SampledDistanceFunction:
     """A distance function evaluated on a fixed finite sample.
 
-    ``point_fn`` is the ambient distance function; ``transform`` is an
-    optional map applied to the sample points before evaluation, so that
-    pullbacks compose maps instead of materializing tables.  ``table_fn``
-    optionally evaluates the whole pairwise table from a point list in one
-    vectorized call; it must agree with ``point_fn`` entrywise.
+    ``table_fn`` evaluates the whole pairwise table from a point list in one
+    vectorized call; ``transform`` is an optional map applied to the sample
+    points before evaluation, so that pullbacks compose maps instead of
+    materializing tables.
     """
 
     sample: tuple
-    point_fn: Callable[[np.ndarray, np.ndarray], float]
+    table_fn: Callable
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    table_fn: Optional[Callable] = None
-    # sample and point_fn are fixed, so the table is computed at most once
+    # sample and table_fn are fixed, so the table is computed at most once
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _mapped(self, i: int):
@@ -217,30 +202,15 @@ class SampledDistanceFunction:
                     f"transform mapped sample point {i} outside the domain")
         return x
 
-    def values(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        v = float(self.point_fn(self._mapped(i), self._mapped(j)))
-        if not math.isfinite(v):
-            raise MetricDomainError(f"non-finite distance value at ({i}, {j})")
-        return v
-
     def matrix(self) -> np.ndarray:
         if "matrix" in self._cache:
             return self._cache["matrix"]
         n = len(self.sample)
-        pts = [self._mapped(i) for i in range(n)]
-        if self.table_fn is not None:
-            out = np.asarray(self.table_fn(pts), dtype=float)
-            if out.shape != (n, n) or not np.isfinite(out).all():
-                raise MetricDomainError("table_fn produced an invalid table")
-            np.fill_diagonal(out, 0.0)
-        else:
-            out = np.zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        out[i, j] = self.point_fn(pts[i], pts[j])
+        out = np.asarray(self.table_fn([self._mapped(i) for i in range(n)]),
+                         dtype=float)
+        if out.shape != (n, n) or not np.isfinite(out).all():
+            raise MetricDomainError("table_fn produced an invalid table")
+        np.fill_diagonal(out, 0.0)
         self._cache["matrix"] = out
         return out
 
@@ -266,8 +236,8 @@ def pullback(T: Callable, d: SampledDistanceFunction) -> SampledDistanceFunction
     else:
         def composed(x, _prev=prev, _T=T):
             return _prev(_T(x))
-    return SampledDistanceFunction(sample=d.sample, point_fn=d.point_fn,
-                                   transform=composed, table_fn=d.table_fn)
+    return SampledDistanceFunction(sample=d.sample, table_fn=d.table_fn,
+                                   transform=composed)
 
 
 def _default_stretch_sample(rng: np.random.Generator, n_points: int = 6):
@@ -289,20 +259,13 @@ def stretch_space(base_sample=None, seed: int = 12345) -> WeakMetricSpace:
         k = rng.normal(size=2)
         phase = rng.uniform(0.0, 2.0 * math.pi)
 
-        def point_fn(x, y, _a=a, _k=k, _p=phase):
-            phi_x = _a * math.sin(float(np.dot(_k, x)) + _p)
-            phi_y = _a * math.sin(float(np.dot(_k, y)) + _p)
-            return float(np.linalg.norm(np.asarray(x) - np.asarray(y))) \
-                * math.exp(0.5 * (phi_x + phi_y))
-
         def table_fn(pts, _a=a, _k=k, _p=phase):
             P = np.asarray(pts, dtype=float)
             gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
             phi = _a * np.sin(P @ _k + _p)
             return gaps * np.exp(0.5 * (phi[:, None] + phi[None, :]))
 
-        return SampledDistanceFunction(sample=base_sample, point_fn=point_fn,
-                                       table_fn=table_fn)
+        return SampledDistanceFunction(sample=base_sample, table_fn=table_fn)
 
     return WeakMetricSpace(name="stretch", dist=stretch_dist, sample_point=sample)
 
@@ -314,10 +277,7 @@ def ambient_norm_sdf(base_sample) -> SampledDistanceFunction:
         P = np.asarray(pts, dtype=float)
         return np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
 
-    return SampledDistanceFunction(
-        sample=base_sample,
-        point_fn=lambda x, y: float(np.linalg.norm(np.asarray(x) - np.asarray(y))),
-        table_fn=table_fn)
+    return SampledDistanceFunction(sample=base_sample, table_fn=table_fn)
 
 
 # ---------------------------------------------------------------------------

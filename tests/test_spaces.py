@@ -136,7 +136,8 @@ def _square_sample():
 def test_stretch_of_scaled_metric_is_log_scale():
     base = ambient_norm_sdf(_square_sample())
     scaled = SampledDistanceFunction(
-        sample=base.sample, point_fn=lambda x, y: 3.0 * euclidean_dist(x, y))
+        sample=base.sample,
+        table_fn=lambda pts: [[3.0 * euclidean_dist(x, y) for y in pts] for x in pts])
     assert stretch_dist(base, scaled) == pytest.approx(math.log(3.0))
     assert stretch_dist(scaled, base) == pytest.approx(-math.log(3.0))
 
