@@ -25,7 +25,7 @@ from .deepnet import (LayerMap, jacobian_cocycle_dist, lipschitz_profile,
                       make_layer, max_stretch, resnet_drift, spectral_normalize)
 from .lyapunov import filtration_probe, qr_spectrum
 from .operator_cone import expm_symmetric, segal_check, state_ratio_check, tau_estimate
-from .seeding import GENERATOR_NAME, trial_rng, trial_seed
+from .seeding import GENERATOR_NAME, trial_rng
 from .spaces import (euclidean_space, mobius_disk, mobius_circle_map,
                      poincare_space, registered_basepoints, registered_spaces,
                      rotation_circle_map, sine_circle_map)
@@ -405,14 +405,12 @@ def run(config: dict) -> int:
                                          else x)
                                      for c, x in zip(columns, row)},
                                     sort_keys=True) + "\n")
-    trials = int(cfg.get("trials", 1))
     manifest = {
         "config": {k: v for k, v in cfg.items()},
         "generator": GENERATOR_NAME,
         "artifact_version": __version__,
         "started": started,
         "finished": finished,
-        "per_trial_seeds": [trial_seed(cfg["seed"], t) for t in range(trials)],
         "truncations": truncations,
         "data_file": os.path.basename(data_path),
     }

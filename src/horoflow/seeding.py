@@ -1,30 +1,16 @@
 """Deterministic per-trial seed derivation.
 
 Every stochastic routine in the package draws from a numpy PCG64 stream
-whose seed is derived from (master_seed, trial_index) by one round of
-SplitMix64 applied to master_seed XOR trial_index.  Trials are therefore
-reproducible and independent of execution order.
+seeded by ``SeedSequence([master_seed, trial])``.  The seed sequence
+hashes the whole pair, so distinct (master_seed, trial) pairs give
+distinct streams, trials are reproducible and independent of execution
+order, and sweeping master seeds gives independent replicates.
 """
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
-GENERATOR_NAME = "pcg64(splitmix64(master_seed xor trial))"
-
-
-def splitmix64(x: int) -> int:
-    """One output of the SplitMix64 mixing function (portable 64-bit)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def trial_seed(master_seed: int, trial: int) -> int:
-    return splitmix64((int(master_seed) ^ int(trial)) & _MASK64)
+GENERATOR_NAME = "pcg64(seedsequence([master_seed, trial]))"
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(trial_seed(master_seed, trial)))
+    return np.random.default_rng([master_seed, trial])

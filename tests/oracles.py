@@ -2,11 +2,12 @@
 
 Each oracle recomputes a quantity by a route different from the package
 implementation: quadrature of the hyperbolic line element, radial limits
-of anchored functionals, direct optimization of Rayleigh quotients, and
-SVD for operator norms.
+of anchored functionals, direct optimization of Rayleigh quotients, SVD
+for operator norms, and exact rational arithmetic for matrix products.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
@@ -64,3 +65,58 @@ def rayleigh_sup(p: np.ndarray, q: np.ndarray, rng: np.random.Generator) -> floa
 
 def operator_norm_svd(m: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)[0])
+
+
+def _is_positive_definite(m) -> bool:
+    """Sylvester's criterion for an exact symmetric matrix, by elimination."""
+    m = [row[:] for row in m]
+    d = len(m)
+    for k in range(d):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, d):
+            f = m[i][k] / m[k][k]
+            for j in range(k, d):
+                m[i][j] -= f * m[k][j]
+    return True
+
+
+def exact_log_gram_norm(factors, rel: float = 1e-15) -> float:
+    """||log(v^T v)||_2 for v = factors[-1] ... factors[1] factors[0].
+
+    The float factors are converted to exact rationals, so the product and
+    its Gram matrix g carry no rounding however ill-conditioned v is.  The
+    extreme eigenvalues of g are bisected to relative precision rel: x lies
+    below lambda_min iff g - x*I is positive definite, and below lambda_max
+    iff x*I - g is not.
+    """
+    mats = [[[Fraction(x) for x in row] for row in np.asarray(f, dtype=float).tolist()]
+            for f in factors]
+    d = len(mats[0])
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)]
+                for i in range(d)]
+
+    v = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for g in mats:
+        v = mul(g, v)
+    gram = mul([list(col) for col in zip(*v)], v)
+
+    def shifted(x, sign):
+        return [[sign * (gram[i][j] - (x if i == j else 0)) for j in range(d)]
+                for i in range(d)]
+
+    def root(below):
+        lo, hi = Fraction(0), sum(gram[i][i] for i in range(d))
+        while hi - lo > rel * hi:
+            mid = (lo + hi) / 2
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    lam_min = root(lambda x: _is_positive_definite(shifted(x, 1)))
+    lam_max = root(lambda x: not _is_positive_definite(shifted(x, -1)))
+    return max(math.log(lam_max), -math.log(lam_min))

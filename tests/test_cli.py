@@ -7,7 +7,7 @@ import pytest
 
 from horoflow.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRUNCATION, EXPERIMENTS,
                           fmt, list_experiments, main, run, validate)
-from horoflow.seeding import GENERATOR_NAME, trial_seed
+from horoflow.seeding import GENERATOR_NAME
 
 
 def test_registry_is_complete_and_sorted():
@@ -55,7 +55,6 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert len(lines) == 3
     manifest = json.loads((tmp_path / "top-exponent-1.manifest.json").read_text())
     assert manifest["generator"] == GENERATOR_NAME
-    assert manifest["per_trial_seeds"] == [trial_seed(1, 0), trial_seed(1, 1)]
     assert manifest["truncations"] == 0
     assert manifest["data_file"] == "top-exponent-1.csv"
 

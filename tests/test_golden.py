@@ -28,15 +28,15 @@ GOLDEN_SHA256 = {
     "max-stretch":
         "405e58c4c44cc0b77090b1de27a9fa662575ca0518c56e63307ec858850c1eb8",
     "metric-axioms":
-        "e8ea7a5fdbc228c2b81e009912e848ff3ce8bac847d4b567efa4c4344b06f502",
+        "63842dc9ccb29c009ef1a91821b6fb32aabca59576f166726923225015e89c3e",
     "operator-tau":
         "a267052b5fc970dd352f0e4d619e9103f1a7a6136c8f1b6b2bc7400e5205e19f",
     "oseledets-spectrum":
         "e6cbc89efa26f2af236bd4fa5caf360146beec7dc828830edd42a8eb469cd8b7",
     "resnet-drift":
-        "3e7d2445226fcd1decc68039f3d44ae0ec7b3ec500b9564970dbe9fbb0ece8c8",
+        "d2aada1a55a1b6567865f265e7bd89d8881e5ec12dec74a061105cd2bc6736a7",
     "segal-sweep":
-        "bff35f95ebb188894371c098c28aa19759133d311fe9edbcb05d85ae04718b49",
+        "8b3fbce1d6a235d533aabc66c5087252244093dca8f1c107baa030353e444dd4",
     "state-ratio":
         "076f7bc2da0dc66abbf87d7ae12868c0ff48d2c6bf7b7d9f331fe54cf088c2fa",
     "top-exponent":

@@ -1,17 +1,6 @@
 """Seed derivation: portability and trial independence."""
 
-from horoflow.seeding import GENERATOR_NAME, splitmix64, trial_rng, trial_seed
-
-
-def test_splitmix64_reference_values():
-    # reference outputs of the SplitMix64 mixing function
-    assert splitmix64(0) == 0xE220A8397B1DCDAF
-    assert splitmix64(1) == 0x910A2DEC89025CC1
-
-
-def test_trial_seed_is_xor_then_mix():
-    assert trial_seed(5, 3) == splitmix64(5 ^ 3)
-    assert trial_seed(5, 3) != trial_seed(5, 4)
+from horoflow.seeding import trial_rng
 
 
 def test_trial_rng_streams_are_reproducible_and_distinct():
@@ -22,5 +11,8 @@ def test_trial_rng_streams_are_reproducible_and_distinct():
     assert (a != c).any()
 
 
-def test_generator_name_is_pinned():
-    assert GENERATOR_NAME == "pcg64(splitmix64(master_seed xor trial))"
+def test_distinct_seed_trial_pairs_give_distinct_streams():
+    # a seed derived from master_seed XOR trial would collapse this grid
+    # to 64 streams: (s, t) and (s ^ t, 0) would coincide
+    firsts = {trial_rng(s, t).random() for s in range(64) for t in range(64)}
+    assert len(firsts) == 64 * 64
