@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from . import __version__
-from .core import check_functional_bounds, check_weak_metric_axioms
+from .core import (DegenerateInputError, MetricDomainError,
+                   check_functional_bounds, check_weak_metric_axioms)
 from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
                       estimate_top_exponent, hyperbolic_walk_gap,
                       mobius_matrix)
@@ -106,7 +107,7 @@ def _run_top_exponent(cfg):
                                  seed=cfg["seed"])
         x0 = 0j
     else:
-        raise ValueError(f"unknown preset {preset!r}")
+        raise DegenerateInputError(f"unknown preset {preset!r}")
     est = estimate_top_exponent(driver, space, x0, cfg["n"], cfg["trials"])
     rows = [(t, v, est.lambda_hat, est.std_error, est.tail_slope)
             for t, v in enumerate(est.per_trial)]
@@ -130,7 +131,7 @@ def _matrix_driver(cfg) -> ErgodicDriver:
     if preset == "sl2_pair":
         return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
                              maps=_SL2_PAIR, weights=(0.5, 0.5))
-    raise ValueError(f"unknown preset {preset!r}")
+    raise DegenerateInputError(f"unknown preset {preset!r}")
 
 
 def _run_oseledets_spectrum(cfg):
@@ -233,7 +234,7 @@ def _stretch_driver(cfg) -> ErgodicDriver:
         a = float(cfg["mobius_a"])
         return constant_driver(lambda z, _a=a: (z + _a) / (1.0 + _a * z),
                                seed=cfg["seed"])
-    raise ValueError(f"unknown preset {preset!r}")
+    raise DegenerateInputError(f"unknown preset {preset!r}")
 
 
 def _run_max_stretch(cfg):
@@ -257,7 +258,7 @@ def _circle_driver(cfg) -> ErgodicDriver:
     if preset == "mobius":
         return constant_driver(mobius_circle_map(float(cfg["mobius_a"])),
                                seed=cfg["seed"])
-    raise ValueError(f"unknown preset {preset!r}")
+    raise DegenerateInputError(f"unknown preset {preset!r}")
 
 
 def _run_jacobian_cocycle(cfg):
@@ -390,6 +391,9 @@ def run(config: dict) -> int:
     except EstimationError as e:
         print(f"truncation error: {e}", file=sys.stderr)
         return EXIT_TRUNCATION
+    except (DegenerateInputError, MetricDomainError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     stem = os.path.join(out_dir, f"{exp.name}-{cfg['seed']}")
     data_path = f"{stem}.{out_format}"

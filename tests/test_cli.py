@@ -68,9 +68,17 @@ def test_run_writes_jsonl(tmp_path):
     assert float(rows[0]["lambda_hat"]) == 1.0
 
 
-def test_run_rejects_bad_config(tmp_path):
-    assert run({"experiment": "nope", "seed": 0}) == EXIT_CONFIG
-    assert run(_tiny_config(tmp_path, output_format="xml")) == EXIT_CONFIG
+def test_run_rejects_bad_config(tmp_path, capsys):
+    for bad in ({"experiment": "nope", "seed": 0},
+                _tiny_config(tmp_path, output_format="xml"),
+                _tiny_config(tmp_path, preset="nope"),
+                {"experiment": "hyperbolic-walk", "seed": 1, "mobius_a": 1.5,
+                 "output_dir": str(tmp_path)}):
+        assert run(bad) == EXIT_CONFIG
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(bad))
+        assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("config error:") == 2
 
 
 def test_run_truncation_exit_code(tmp_path):
