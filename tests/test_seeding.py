@@ -1,6 +1,6 @@
 """Seed derivation: portability and trial independence."""
 
-from horoflow.seeding import trial_rng
+from horoflow.seeding import GENERATOR_NAME, trial_rng
 
 
 def test_trial_rng_streams_are_reproducible_and_distinct():
@@ -16,3 +16,7 @@ def test_distinct_seed_trial_pairs_give_distinct_streams():
     # to 64 streams: (s, t) and (s ^ t, 0) would coincide
     firsts = {trial_rng(s, t).random() for s in range(64) for t in range(64)}
     assert len(firsts) == 64 * 64
+
+
+def test_generator_name_is_pinned():
+    assert GENERATOR_NAME == "pcg64(seedsequence([master_seed, trial]))"
