@@ -81,12 +81,12 @@ def _is_positive_definite(m) -> bool:
     return True
 
 
-def exact_log_gram_norm(factors, rel: float = 1e-15) -> float:
+def exact_log_gram_norm(factors) -> float:
     """||log(v^T v)||_2 for v = factors[-1] ... factors[1] factors[0].
 
     The float factors are converted to exact rationals, so the product and
     its Gram matrix g carry no rounding however ill-conditioned v is.  The
-    extreme eigenvalues of g are bisected to relative precision rel: x lies
+    extreme eigenvalues of g are bisected to relative precision 1e-15: x lies
     below lambda_min iff g - x*I is positive definite, and below lambda_max
     iff x*I - g is not.
     """
@@ -109,7 +109,7 @@ def exact_log_gram_norm(factors, rel: float = 1e-15) -> float:
 
     def root(below):
         lo, hi = Fraction(0), sum(gram[i][i] for i in range(d))
-        while hi - lo > rel * hi:
+        while hi - lo > 1e-15 * hi:
             mid = (lo + hi) / 2
             if below(mid):
                 lo = mid
