@@ -3,7 +3,10 @@
 Each experiment runs at criterion 11's small config with seed 5, and the
 SHA-256 of its CSV must match the pinned value.  A refactor preserves
 behaviour only if every digest still matches; a deliberate change of
-output re-pins the digests and says why.  The digests hold for one
+output re-pins the digests and says why.  Most small configs are
+deterministic (one-map walks, constant matrices), so a second table pins
+configs whose trials draw from their streams: random matrix products,
+walks on two maps, and their state ratios.  The digests hold for one
 floating-point build (pinned with numpy 2.4.6 and scipy 1.17.1); another
 BLAS or LAPACK may differ in the last bits.
 """
@@ -44,14 +47,43 @@ GOLDEN_SHA256 = {
 }
 
 
+# label -> (experiment, config overrides, digest), seed 5 like the rest
+STOCHASTIC_SHA256 = {
+    "operator-tau-sl2_pair": (
+        "operator-tau", {"preset": "sl2_pair", "n": 50, "trials": 4},
+        "3c1145dc81e4b27eaab70c5608d625c8c45b9c6ee8e916cdf3baa14c485446f8"),
+    "operator-tau-rotation": (
+        "operator-tau", {"preset": "rotation", "n": 50, "trials": 2},
+        "fe88382e01c3a4c479a07abb32f5036211ee037ab915bfdfbc6691375280340d"),
+    "state-ratio-sl2_pair": (
+        "state-ratio", {"preset": "sl2_pair", "N": 50, "checkpoints": [10, 30, 50]},
+        "0c85e60213e3e822dd89353e2600eddc44ed5882f6c25a993949c24c9e5542d4"),
+    "top-exponent-pm1_walk": (
+        "top-exponent", {"preset": "pm1_walk", "n": 50, "trials": 3},
+        "cb2bf258b2db119b9c6cadebe26bb803fba1e29c5a3704c5cb8bb7fc0d457376"),
+    "hyperbolic-walk-two_maps": (
+        "hyperbolic-walk", {"n": 200, "trials": 2, "mobius_a2": "0.3+0.2j"},
+        "d0a25186040f1d7b190f01e2b7124005521e87d6a375abd73358e1b28adb898c"),
+}
+
+
+def _digest(name, overrides, tmp_path):
+    cfg = {"experiment": name, "seed": 5, "output_dir": str(tmp_path)}
+    cfg.update(overrides)
+    assert run(cfg) == EXIT_OK
+    return hashlib.sha256((tmp_path / f"{name}-5.csv").read_bytes()).hexdigest()
+
+
 def test_every_experiment_is_pinned():
     assert sorted(GOLDEN_SHA256) == sorted(_SMALL_CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_golden_digest(name, tmp_path):
-    cfg = {"experiment": name, "seed": 5, "output_dir": str(tmp_path)}
-    cfg.update(_SMALL_CONFIGS[name])
-    assert run(cfg) == EXIT_OK
-    digest = hashlib.sha256((tmp_path / f"{name}-5.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_SHA256[name]
+    assert _digest(name, _SMALL_CONFIGS[name], tmp_path) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("label", sorted(STOCHASTIC_SHA256))
+def test_stochastic_golden_digest(label, tmp_path):
+    name, overrides, digest = STOCHASTIC_SHA256[label]
+    assert _digest(name, overrides, tmp_path) == digest
