@@ -83,19 +83,28 @@ class ErgodicDriver:
     def rng(self, trial: int) -> np.random.Generator:
         return trial_rng(self.seed, trial)
 
-    def elements(self, trial: int, n: int) -> list:
-        """The first n emitted maps g(omega), g(T omega), ..., deterministically."""
+    def indices(self, trial: int, n: int) -> np.ndarray:
+        """Positions in ``maps`` of the first n emitted maps, deterministically.
+
+        Only finite and rotation drivers choose among ``maps``; parametric
+        drivers raise ValueError.
+        """
+        if self.kind == "iid_parametric":
+            raise ValueError("iid_parametric drivers draw maps, not indices")
         rng = self.rng(trial)
         if self.kind == "iid_finite":
-            idx = rng.choice(len(self.maps), size=n, p=np.asarray(self.weights))
-            return [self.maps[i] for i in idx]
-        if self.kind == "iid_parametric":
-            return [self.sampler(rng) for _ in range(n)]
+            return rng.choice(len(self.maps), size=n, p=np.asarray(self.weights))
         theta0 = rng.random()
         pos = (theta0 + self.angle * np.arange(n)) % 1.0
         idx = np.searchsorted(np.asarray(self.breakpoints), pos, side="right")
-        idx = np.minimum(idx, len(self.maps) - 1)
-        return [self.maps[i] for i in idx]
+        return np.minimum(idx, len(self.maps) - 1)
+
+    def elements(self, trial: int, n: int) -> list:
+        """The first n emitted maps g(omega), g(T omega), ..., deterministically."""
+        if self.kind == "iid_parametric":
+            rng = self.rng(trial)
+            return [self.sampler(rng) for _ in range(n)]
+        return [self.maps[i] for i in self.indices(trial, n)]
 
 
 def constant_driver(element, seed: int = 0, order: str = RIGHT) -> ErgodicDriver:

@@ -64,40 +64,58 @@ def accumulate_product(driver: ErgodicDriver, n: int, trial: int = 0) -> ScaledP
     """Left-increment product v(n) with per-step spectral-norm extraction."""
     if n < 1:
         raise DegenerateInputError("n must be >= 1")
-    return _accumulate(driver.elements(trial, n))
+    return _fold(driver, n, [trial], [n])[n][0]
 
 
-def _accumulate(mats, checkpoints=()):
-    """Fold matrices into a ScaledProduct; optionally snapshot at checkpoints."""
-    dim = np.asarray(mats[0]).shape[0]
-    fwd = np.eye(dim)
-    ls = 0.0
-    inv = np.eye(dim)
-    ils = 0.0
+def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
+    """:func:`_accumulate` over the first n matrices of each listed trial."""
+    if driver.kind == "iid_parametric":
+        # every drawn matrix is its own entry in the stack
+        mats = np.asarray([driver.elements(t, n) for t in trials], dtype=float)
+        mats = mats.reshape(-1, *mats.shape[-2:])
+        idx = np.arange(len(mats)).reshape(-1, n)
+    else:
+        mats = np.asarray(driver.maps, dtype=float)
+        idx = np.array([driver.indices(t, n) for t in trials])
+    return _accumulate(mats, idx, checkpoints)
+
+
+def _accumulate(mats, idx, checkpoints) -> dict:
+    """Fold all trials' products at once; {k: [ScaledProduct of each trial]}.
+
+    ``mats`` is an (m, d, d) stack and row t of the (trials, n) array
+    ``idx`` lists the stack positions trial t multiplies in step order.
+    Each distinct matrix is checked and inverted once.  The forward and
+    inverse tracks of every trial share one (2, trials, d, d) array, and
+    each step divides every track by its spectral norm.
+    """
+    used = np.unique(idx)
+    if np.any(np.abs(np.linalg.det(mats[used])) <= 1e-12):
+        raise DegenerateInputError("singular step matrix")
+    invs = np.empty_like(mats)
+    invs[used] = np.linalg.inv(mats[used])
+    trials, n = idx.shape
+    dim = mats.shape[-1]
+    tracks = np.empty((2, trials, dim, dim))
+    tracks[:] = np.eye(dim)
+    # log scales, forward tracks first; summed with math.log one element at
+    # a time, since numpy's vectorized log may differ from libm in the last bit
+    scales = [0.0] * (2 * trials)
     want = set(checkpoints)
     snaps = {}
-    k = 0
-    for a in mats:
-        a = np.asarray(a, dtype=float)
-        if abs(np.linalg.det(a)) <= 1e-12:
-            raise DegenerateInputError("singular step matrix")
-        fwd = a @ fwd
-        s = _spec_norm(fwd)
-        fwd = fwd / s
-        ls += math.log(s)
-        inv = inv @ np.linalg.inv(a)
-        s2 = _spec_norm(inv)
-        inv = inv / s2
-        ils += math.log(s2)
-        k += 1
+    for k in range(1, n + 1):
+        step = idx[:, k - 1]
+        tracks[0] = mats[step] @ tracks[0]
+        tracks[1] = tracks[1] @ invs[step]
+        s = np.linalg.svd(tracks, compute_uv=False)[..., 0]
+        tracks /= s[..., None, None]
+        scales = [a + math.log(b) for a, b in zip(scales, s.ravel().tolist())]
         if k in want:
-            snaps[k] = ScaledProduct(forward=fwd.copy(), log_scale=ls,
-                                     inverse=inv.copy(), inv_log_scale=ils, n=k)
-    final = ScaledProduct(forward=fwd, log_scale=ls, inverse=inv,
-                          inv_log_scale=ils, n=k)
-    if checkpoints:
-        return final, snaps
-    return final
+            snaps[k] = [ScaledProduct(forward=tracks[0, t].copy(), log_scale=scales[t],
+                                      inverse=tracks[1, t].copy(),
+                                      inv_log_scale=scales[trials + t], n=k)
+                        for t in range(trials)]
+    return snaps
 
 
 def squared_positive_part_lognorm(p: ScaledProduct) -> float:
@@ -127,15 +145,11 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
     """Per-trial (1/n) ||log(v(n)^T v(n))||, averaged across seeded trials."""
     if n < 10 or trials < 1:
         raise DegenerateInputError("need n >= 10 and trials >= 1")
-    per_trial = np.empty(trials)
     tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
-    tail_vals = None
-    for t in range(trials):
-        final, snaps = _accumulate(driver.elements(t, n), checkpoints=tail_ks)
-        per_trial[t] = squared_positive_part_lognorm(final) / n
-        if t == 0:
-            tail_vals = np.array([squared_positive_part_lognorm(snaps[k]) / k
-                                  for k in tail_ks])
+    snaps = _fold(driver, n, range(trials), tail_ks)
+    per_trial = np.array([squared_positive_part_lognorm(p) / n for p in snaps[n]])
+    tail_vals = np.array([squared_positive_part_lognorm(snaps[k][0]) / k
+                          for k in tail_ks])
     lam = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail_vals)
@@ -183,7 +197,7 @@ def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > N:
         raise DegenerateInputError("checkpoints must lie in [1, N]")
     ks = sorted(set(checkpoints + [N]))
-    _, snaps = _accumulate(driver.elements(trial, N), checkpoints=ks)
+    snaps = {k: ps[0] for k, ps in _fold(driver, N, [trial], ks).items()}
     y_N = log_squared_positive_part(snaps[N])
     tau_hat = squared_positive_part_lognorm(snaps[N]) / N
     xi = extract_vector_state(y_N, eps=1e-9).xi

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity by a route different from the package
 implementation: quadrature of the hyperbolic line element, radial limits
 of anchored functionals, direct optimization of Rayleigh quotients, SVD
-for operator norms, and exact rational arithmetic for matrix products.
+for operator norms, exact rational arithmetic for matrix products, and a
+one-trial, one-step-at-a-time fold of scaled operator products.
 """
 
 import math
@@ -11,6 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
+
+from horoflow.core import DegenerateInputError
+from horoflow.operator_cone import ScaledProduct
 
 
 def radial_poincare_length(r: float) -> float:
@@ -120,3 +124,40 @@ def exact_log_gram_norm(factors) -> float:
     lam_min = root(lambda x: _is_positive_definite(shifted(x, 1)))
     lam_max = root(lambda x: not _is_positive_definite(shifted(x, -1)))
     return max(math.log(lam_max), -math.log(lam_min))
+
+
+def loop_accumulate(mats, checkpoints=()):
+    """Scaled forward and inverse tracks of v(n) = mats[-1] ... mats[0], one
+    matrix at a time, each step checking det, inverting and dividing both
+    tracks by their spectral norms.  Returns (final, {k: snapshot}).
+
+    The batched fold in :mod:`horoflow.operator_cone` must agree with this
+    loop bit for bit: it performs the same floating-point operations.
+    """
+    dim = np.asarray(mats[0]).shape[0]
+    fwd = np.eye(dim)
+    ls = 0.0
+    inv = np.eye(dim)
+    ils = 0.0
+    want = set(checkpoints)
+    snaps = {}
+    k = 0
+    for a in mats:
+        a = np.asarray(a, dtype=float)
+        if abs(np.linalg.det(a)) <= 1e-12:
+            raise DegenerateInputError("singular step matrix")
+        fwd = a @ fwd
+        s = float(np.linalg.norm(fwd, 2))
+        fwd = fwd / s
+        ls += math.log(s)
+        inv = inv @ np.linalg.inv(a)
+        s2 = float(np.linalg.norm(inv, 2))
+        inv = inv / s2
+        ils += math.log(s2)
+        k += 1
+        if k in want:
+            snaps[k] = ScaledProduct(forward=fwd.copy(), log_scale=ls,
+                                     inverse=inv.copy(), inv_log_scale=ils, n=k)
+    final = ScaledProduct(forward=fwd, log_scale=ls, inverse=inv,
+                          inv_log_scale=ils, n=k)
+    return final, snaps

@@ -44,6 +44,20 @@ def test_elements_deterministic_per_trial():
     assert drv.elements(1, 50) != first  # overwhelmingly likely and fixed by seed
 
 
+def test_elements_are_the_maps_at_indices():
+    finite = ErgodicDriver(kind="iid_finite", seed=4, maps=("a", "b", "c"),
+                           weights=(0.2, 0.3, 0.5))
+    rotation = ErgodicDriver(kind="rotation", seed=4, maps=("a", "b"),
+                             breakpoints=(0.3, 1.0))
+    for drv in (finite, rotation):
+        for t in (0, 3):
+            assert drv.elements(t, 200) == [drv.maps[i] for i in drv.indices(t, 200)]
+    parametric = ErgodicDriver(kind="iid_parametric", seed=4,
+                               sampler=lambda rng: rng.random())
+    with pytest.raises(ValueError):
+        parametric.indices(0, 5)
+
+
 def test_rotation_driver_hits_interval_frequencies():
     drv = ErgodicDriver(kind="rotation", seed=0, maps=("a", "b"),
                         breakpoints=(0.25, 1.0))

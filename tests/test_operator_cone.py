@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from horoflow.cocycle import ErgodicDriver, constant_driver
+from horoflow.cli import _matrix_driver
+from horoflow.cocycle import (ErgodicDriver, _tail_slope, constant_driver,
+                              geometric_checkpoints)
 from horoflow.core import DegenerateInputError
 from horoflow.operator_cone import (SymmetryError, accumulate_product,
                                     expm_symmetric, extract_vector_state,
@@ -17,7 +19,7 @@ from horoflow.operator_cone import (SymmetryError, accumulate_product,
 from horoflow.seeding import trial_rng
 from horoflow.spaces import sym_log
 
-from oracles import exact_log_gram_norm
+from oracles import exact_log_gram_norm, loop_accumulate
 
 
 def _random_driver(seed=3, spread=0.5):
@@ -59,6 +61,32 @@ def test_lognorm_is_thompson_distance_from_identity():
     p = accumulate_product(drv, 8)
     assert squared_positive_part_lognorm(p) == pytest.approx(
         exact_log_gram_norm(drv.elements(0, 8)), abs=1e-9)
+
+
+@pytest.mark.parametrize("driver, n, trials", [
+    (_matrix_driver({"preset": "sl2_pair", "seed": 7}), 250, 30),
+    (_matrix_driver({"preset": "rotation", "seed": 7}), 60, 3),
+    (_random_driver(), 40, 5)], ids=["sl2_pair", "rotation", "random_3x3"])
+def test_batched_tau_equals_the_step_loop(driver, n, trials):
+    # every trial folded at once gives the one-trial loop's values exactly
+    est = tau_estimate(driver, n, trials)
+    ref = [squared_positive_part_lognorm(loop_accumulate(driver.elements(t, n))[0]) / n
+           for t in range(trials)]
+    assert est.per_trial.tolist() == ref
+    tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
+    _, snaps = loop_accumulate(driver.elements(0, n), tail_ks)
+    tail = [squared_positive_part_lognorm(snaps[k]) / k for k in tail_ks]
+    assert est.tail_slope == _tail_slope(np.asarray(tail_ks, dtype=float), np.array(tail))
+
+
+def test_parametric_product_equals_the_step_loop():
+    drv = ErgodicDriver(kind="iid_parametric", seed=2,
+                        sampler=lambda rng: np.eye(3) + 0.4 * rng.normal(size=(3, 3)))
+    p = accumulate_product(drv, 40, trial=3)
+    q, _ = loop_accumulate(drv.elements(3, 40))
+    assert np.array_equal(p.forward, q.forward)
+    assert np.array_equal(p.inverse, q.inverse)
+    assert (p.log_scale, p.inv_log_scale, p.n) == (q.log_scale, q.inv_log_scale, q.n)
 
 
 def test_tau_constant_diagonal_is_exact():
