@@ -22,8 +22,9 @@ from .core import (DegenerateInputError, MetricDomainError,
 from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
                       estimate_top_exponent, hyperbolic_walk_gap,
                       mobius_matrix)
-from .deepnet import (LayerMap, jacobian_cocycle_dist, lipschitz_profile,
-                      make_layer, max_stretch, resnet_drift, spectral_normalize)
+from .deepnet import (ACTIVATIONS, LayerMap, jacobian_cocycle_dist,
+                      lipschitz_profile, make_layer, max_stretch, resnet_drift,
+                      spectral_normalize)
 from .lyapunov import filtration_probe, qr_spectrum
 from .operator_cone import expm_symmetric, segal_check, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
@@ -125,7 +126,12 @@ def _matrix_driver(cfg) -> ErgodicDriver:
         return constant_driver(np.diag(np.asarray(cfg["diag"], dtype=float)),
                                seed=cfg["seed"])
     if preset == "rotation":
-        th = float(cfg.get("rotation_angle", math.pi / 4))
+        try:
+            th = float(cfg.get("rotation_angle", math.pi / 4))
+        except (TypeError, ValueError):
+            th = math.nan
+        if not math.isfinite(th):
+            raise DegenerateInputError("rotation_angle must be a finite number")
         m = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         return constant_driver(m, seed=cfg["seed"])
     if preset == "sl2_pair":
@@ -188,6 +194,8 @@ def _run_segal_sweep(cfg):
 def _layer_driver(cfg) -> ErgodicDriver:
     d = cfg["d"]
     activation = cfg["activation"]
+    if activation not in ACTIVATIONS:
+        raise DegenerateInputError(f"unknown activation {activation!r}")
     support = np.asarray([float(b) for b in cfg["b_support"]])
     # normalize the shared weight once; per-sample only the bias is drawn
     W, cert = spectral_normalize(np.eye(d))
@@ -352,7 +360,7 @@ def validate(config: dict) -> list:
         diags.append("seed: must be a nonnegative integer")
     exp = EXPERIMENTS[name]
     merged = {**exp.defaults, **config}
-    for field, lo in (("n", 1), ("trials", 1)):
+    for field, lo in (("n", 1), ("trials", 1), ("trial", 0)):
         if field in merged:
             v = merged[field]
             if not isinstance(v, int) or v < lo:

@@ -44,12 +44,14 @@ def power_iteration_norm(W) -> float:
     """Operator norm by power iteration on W^T W (two deterministic starts,
     relative tolerance 1e-12, at most 1000 iterations)."""
     W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.size == 0:
+        raise DegenerateInputError("weight must be a nonempty matrix")
     if not np.all(np.isfinite(W)):
         raise DegenerateInputError("non-finite weight entries")
     d = W.shape[1]
     gram = W.T @ W
     starts = [np.ones(d) / math.sqrt(d)]
-    col = int(np.argmax(np.linalg.norm(W, axis=0))) if W.size else 0
+    col = int(np.argmax(np.linalg.norm(W, axis=0)))
     e = np.zeros(d)
     e[col] = 1.0
     starts.append(e)
@@ -186,6 +188,8 @@ def lipschitz_profile(layers: Sequence[LayerMap], pair_sampler, n_pairs: int,
     """
     if n_pairs < 1:
         raise DegenerateInputError("n_pairs must be >= 1")
+    if not layers:
+        raise DegenerateInputError("need at least one layer")
     rng = trial_rng(seed, 0)
     n = len(layers)
     best = 0.0
@@ -231,8 +235,8 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int, trial: int = 0,
     per-step sampled suprema instead; for constant and rotation drivers the
     two notions coincide.  Refining the grid never decreases lambda_hat.
     """
-    if n < 1:
-        raise DegenerateInputError("n must be >= 1")
+    if n < 1 or grid < 1:
+        raise DegenerateInputError("n and grid must be >= 1")
     mids = _TWO_PI * np.arange(grid) / grid
     xs, ys = [], []
     for s in scales:

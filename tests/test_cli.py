@@ -72,8 +72,15 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     for bad in ({"experiment": "nope", "seed": 0},
                 _tiny_config(tmp_path, output_format="xml"),
                 _tiny_config(tmp_path, preset="nope"),
-                {"experiment": "hyperbolic-walk", "seed": 1, "mobius_a": 1.5,
-                 "output_dir": str(tmp_path)}):
+                {"experiment": "hyperbolic-walk", "mobius_a": 1.5},
+                {"experiment": "oseledets-spectrum", "trial": -1},
+                {"experiment": "operator-tau", "preset": "rotation",
+                 "rotation_angle": "x"},
+                {"experiment": "resnet-drift", "activation": "foo"},
+                {"experiment": "resnet-drift", "d": 0},
+                {"experiment": "max-stretch", "grid": 0},
+                {"experiment": "lipschitz-profile", "depth": 0}):
+        bad = {"seed": 1, "output_dir": str(tmp_path), **bad}
         assert run(bad) == EXIT_CONFIG
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(bad))
