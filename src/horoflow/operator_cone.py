@@ -111,7 +111,8 @@ def _accumulate(mats, idx, checkpoints) -> dict:
         tracks /= s[..., None, None]
         scales = [a + math.log(b) for a, b in zip(scales, s.ravel().tolist())]
         if k in want:
-            snaps[k] = [ScaledProduct(forward=tracks[0, t].copy(), log_scale=scales[t],
+            snaps[k] = [ScaledProduct(forward=tracks[0, t].copy(),
+                                      log_scale=scales[t],
                                       inverse=tracks[1, t].copy(),
                                       inv_log_scale=scales[trials + t], n=k)
                         for t in range(trials)]
