@@ -6,7 +6,8 @@ behaviour only if every digest still matches; a deliberate change of
 output re-pins the digests and says why.  Most small configs are
 deterministic (one-map walks, constant matrices), so a second table pins
 configs whose trials draw from their streams: random matrix products,
-walks on two maps, and their state ratios.  The digests hold for one
+walks on two maps, their state ratios, a tanh chain whose profile is not
+0, and a drift in two dimensions.  The digests hold for one
 floating-point build (pinned with numpy 2.4.6 and scipy 1.17.1); another
 BLAS or LAPACK may differ in the last bits.
 """
@@ -64,6 +65,12 @@ STOCHASTIC_SHA256 = {
     "hyperbolic-walk-two_maps": (
         "hyperbolic-walk", {"n": 200, "trials": 2, "mobius_a2": "0.3+0.2j"},
         "d0a25186040f1d7b190f01e2b7124005521e87d6a375abd73358e1b28adb898c"),
+    "lipschitz-profile-tanh": (
+        "lipschitz-profile", {"activation": "tanh", "depth": 5, "n_pairs": 20},
+        "7cf3db1b349cde45cb5134ffc3ce473c36219f0e9c633e9306107e147e9819e8"),
+    "resnet-drift-tanh_d2": (
+        "resnet-drift", {"d": 2, "activation": "tanh", "n": 50, "trials": 3},
+        "9dd6fb1744cba2a84132572e956b469a175922f2610183ef7bcde08e6e5c8d64"),
 }
 
 
