@@ -22,9 +22,8 @@ from .core import (DegenerateInputError, MetricDomainError,
 from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
                       estimate_top_exponent, hyperbolic_walk_gap,
                       mobius_matrix)
-from .deepnet import (ACTIVATIONS, LayerMap, jacobian_cocycle_dist,
-                      lipschitz_profile, make_layer, max_stretch, resnet_drift,
-                      spectral_normalize)
+from .deepnet import (jacobian_cocycle_dist, lipschitz_profile, make_layer,
+                      max_stretch, resnet_drift, spectral_normalize)
 from .lyapunov import filtration_probe, qr_spectrum
 from .operator_cone import expm_symmetric, segal_check, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
@@ -78,12 +77,10 @@ def _hyperbolic_driver(cfg) -> ErgodicDriver:
 
 
 def _run_hyperbolic_walk(cfg):
-    driver = _hyperbolic_driver(cfg)
-    rows = []
-    for t in range(cfg["trials"]):
-        tr = hyperbolic_walk_gap(driver, cfg["n"], cfg["probe_budget"], trial=t)
-        for k, gap in zip(tr.ks, tr.gaps):
-            rows.append((t, k, gap))
+    traces = hyperbolic_walk_gap(_hyperbolic_driver(cfg), cfg["n"], cfg["trials"],
+                                 cfg["probe_budget"])
+    rows = [(t, k, gap) for t, tr in enumerate(traces)
+            for k, gap in zip(tr.ks, tr.gaps)]
     return ["trial", "k", "gap"], rows, 0
 
 
@@ -191,28 +188,19 @@ def _run_segal_sweep(cfg):
     return ["pair", "lhs", "rhs", "slack", "path_gap"], rows, 0
 
 
-def _layer_driver(cfg) -> ErgodicDriver:
-    d = cfg["d"]
-    activation = cfg["activation"]
-    if activation not in ACTIVATIONS:
-        raise DegenerateInputError(f"unknown activation {activation!r}")
-    support = np.asarray([float(b) for b in cfg["b_support"]])
-    # normalize the shared weight once; per-sample only the bias is drawn
-    W, cert = spectral_normalize(np.eye(d))
-
-    def sampler(rng, _W=W, _s=support, _act=activation, _c=cert):
-        b = np.full(d, _s[rng.integers(_s.size)])
-        return LayerMap(W=_W, b=b, activation=_act, certified_norm=_c)
-
-    return ErgodicDriver(kind="iid_parametric", seed=cfg["seed"], sampler=sampler)
-
-
 def _run_resnet_drift(cfg):
-    rep = resnet_drift(_layer_driver(cfg), np.zeros(cfg["d"]),
-                       cfg["n"], cfg["trials"])
+    d, n, trials = cfg["d"], cfg["n"], cfg["trials"]
+    support = np.asarray([float(b) for b in cfg["b_support"]])
+    # one shared normalized weight; each layer draws one bias value for
+    # every coordinate
+    W, _ = spectral_normalize(np.eye(d))
+    picks = np.array([trial_rng(cfg["seed"], t).integers(support.size, size=n)
+                      for t in range(trials)])
+    biases = np.repeat(support[picks][:, :, None], d, axis=2)
+    rep = resnet_drift(W, cfg["activation"], biases, np.zeros(d), n, trials)
     rows = []
-    for t in range(cfg["trials"]):
-        for c in range(cfg["d"]):
+    for t in range(trials):
+        for c in range(d):
             rows.append((t, c, rep.v_hat[t, c], rep.per_coordinate_se[c]))
     return ["trial", "coord", "v_hat", "se"], rows, 0
 

@@ -107,6 +107,23 @@ class ErgodicDriver:
         return [self.maps[i] for i in self.indices(trial, n)]
 
 
+def element_stack(driver: ErgodicDriver, trials, n: int, dtype=float):
+    """(mats, idx): the first n elements of each listed trial as positions
+    in one stack.
+
+    ``mats`` is an (m, d, d) array and row t of the (len(trials), n) array
+    ``idx`` lists the positions of trial t's elements in step order.  Finite
+    and rotation drivers stack their ``maps`` and index them with
+    :meth:`ErgodicDriver.indices`; parametric drivers stack every draw.
+    """
+    if driver.kind == "iid_parametric":
+        mats = np.asarray([driver.elements(t, n) for t in trials], dtype=dtype)
+        mats = mats.reshape(-1, *mats.shape[-2:])
+        return mats, np.arange(len(mats)).reshape(-1, n)
+    return (np.asarray(driver.maps, dtype=dtype),
+            np.array([driver.indices(t, n) for t in trials]))
+
+
 def constant_driver(element, seed: int = 0, order: str = RIGHT) -> ErgodicDriver:
     return ErgodicDriver(kind="iid_finite", seed=seed, order=order,
                          maps=(element,), weights=(1.0,))
@@ -395,49 +412,69 @@ def _dist_origin(alpha_mag_log: float) -> float:
     return 2.0 * math.acosh(x)
 
 
-def hyperbolic_walk_gap(driver: ErgodicDriver, n: int,
-                        probe_budget: int = 16, trial: int = 0,
-                        checkpoints=None) -> GapTrace:
+def checkpoint_list(checkpoints, n: int) -> list:
+    """Sorted distinct integer checkpoints, each in [1, n]."""
+    try:
+        ks = sorted(set(int(k) for k in checkpoints))
+    except (TypeError, ValueError):
+        raise DegenerateInputError("checkpoints must be a list of integers") from None
+    if not ks or ks[0] < 1 or ks[-1] > n:
+        raise DegenerateInputError(f"checkpoints must lie in [1, {n}]")
+    return ks
+
+
+def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
+                        probe_budget: int = 16, checkpoints=None) -> list:
     """Boundary-safe version of :func:`functional_gap` for disk Mobius drivers.
 
     Driver elements must be unit-determinant 2x2 complex matrices (see
     :func:`mobius_matrix`).  Distances between orbit points are computed
     from suffix products, so no disk coordinate ever reaches |z| = 1.
-    Note gap(n) vanishes by construction (the functional is anchored at
-    u(n)x0); pass explicit interior ``checkpoints`` for a nondegenerate
-    diagnostic.
+    Returns one :class:`GapTrace` per trial 0 .. trials-1; all trials step
+    together on stacked arrays.  Note gap(n) vanishes by construction (the
+    functional is anchored at u(n)x0); pass explicit interior
+    ``checkpoints`` for a nondegenerate diagnostic.
     """
-    if n < 10:
-        raise DegenerateInputError("n must be >= 10")
-    mats = driver.elements(trial, n)
+    if n < 10 or trials < 1:
+        raise DegenerateInputError("need n >= 10 and trials >= 1")
     if checkpoints is None:
         ks = geometric_checkpoints(n, count=probe_budget)
     else:
-        ks = sorted(set(int(k) for k in checkpoints))
-        if not ks or ks[0] < 1 or ks[-1] > n:
-            raise DegenerateInputError("checkpoints must lie in [1, n]")
+        ks = checkpoint_list(checkpoints, n)
+    mats, idx = element_stack(driver, range(trials), n, dtype=complex)
     # prefix products P_k = M_1 ... M_k give a(k) = d(0, u(k)0), and suffix
-    # products S_k = M_{k+1} ... M_n give d(u(k)0, u(n)0)
+    # products S_k = M_{k+1} ... M_n give d(u(k)0, u(n)0); each step divides
+    # every product by its largest entry modulus.  Log scales are summed with
+    # math.log one element at a time, since numpy's vectorized log may differ
+    # from libm in the last bit.
     want = set(ks) | {n}
+
+    def dist(ls, prods):
+        return [_dist_origin(l + math.log(abs(p[0, 0]))) for l, p in zip(ls, prods)]
+
+    def rescale(prods, ls):
+        s = np.abs(prods).max(axis=(1, 2))
+        prods /= s[:, None, None]
+        return [a + math.log(b) for a, b in zip(ls, s.tolist())]
+
     a = {}
-    P = np.eye(2, dtype=complex)
-    ls = 0.0
-    for k, m in enumerate(mats, start=1):
-        P = P @ m
-        s = float(np.max(np.abs(P)))
-        P = P / s
-        ls += math.log(s)
+    P = np.empty((trials, 2, 2), dtype=complex)
+    P[:] = np.eye(2)
+    ls = [0.0] * trials
+    for k in range(1, n + 1):
+        P = P @ mats[idx[:, k - 1]]
+        ls = rescale(P, ls)
         if k in want:
-            a[k] = _dist_origin(ls + math.log(abs(P[0, 0])))
+            a[k] = dist(ls, P)
     suffix = {}
-    S = np.eye(2, dtype=complex)
-    ls = 0.0
+    S = np.empty((trials, 2, 2), dtype=complex)
+    S[:] = np.eye(2)
+    ls = [0.0] * trials
     for j in range(n, 0, -1):
         if j in want:
-            suffix[j] = _dist_origin(ls + math.log(abs(S[0, 0])))
-        S = mats[j - 1] @ S
-        s = float(np.max(np.abs(S)))
-        S = S / s
-        ls += math.log(s)
-    gaps = [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks]
-    return GapTrace(ks=ks, gaps=gaps, truncated=False)
+            suffix[j] = dist(ls, S)
+        S = mats[idx[:, j - 1]] @ S
+        ls = rescale(S, ls)
+    return [GapTrace(ks=ks, gaps=[abs(-(suffix[k][t] - a[n][t]) / k - a[k][t] / k)
+                                  for k in ks], truncated=False)
+            for t in range(trials)]

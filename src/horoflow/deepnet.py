@@ -96,7 +96,10 @@ class LayerMap:
     certified_norm: float = 1.0
 
     def apply(self, x):
-        z = ACTIVATIONS[self.activation](self.W @ x + self.b)
+        """The layer at a point x of shape (d,), or at each column of x of
+        shape (..., d, k)."""
+        b = self.b if np.ndim(x) == 1 else self.b[:, None]
+        z = ACTIVATIONS[self.activation](self.W @ x + b)
         if self.form == RESNET_ADJOINT:
             return self.W.T @ z
         return z
@@ -128,7 +131,11 @@ def make_layer(W, b, activation: str, form: str = RESNET_ADJOINT,
 
 
 def apply_chain(layers: Sequence[LayerMap], x0):
-    """Apply layers with the first layer outermost: T1(T2(...Tn(x0)))."""
+    """Apply layers with the first layer outermost: T1(T2(...Tn(x0))).
+
+    x0 is one point of shape (d,) or a stack of points of shape (k, d, 1)
+    (see :meth:`LayerMap.apply`).
+    """
     y = np.asarray(x0, dtype=float)
     for layer in reversed(layers):
         y = layer.apply(y)
@@ -147,35 +154,45 @@ class DriftReport:
         return np.mean(self.v_hat, axis=0)
 
 
-def resnet_drift(driver: ErgodicDriver, x0, n: int, trials: int) -> DriftReport:
+def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftReport:
     """Normalized deep-chain outputs u(n)x0 / n across seeded trials.
 
-    The cross-input gap compares against the shifted input x0 + e1; by
-    nonexpansiveness it is bounded by ||x0 - x0'|| / n, the assertable form
-    of input independence of the drift vector.
+    Every layer is T(x) = W^T act(Wx + b) with the shared weight W, whose
+    operator norm must be at most 1; ``biases`` has shape (trials, n, d) and
+    trial t's chain is T_1(T_2(... T_n(x0))) with T_k using biases[t, k-1].
+    All trials step together.  The cross-input gap compares against the
+    shifted input x0 + e1; by nonexpansiveness it is bounded by
+    ||x0 - x0'|| / n, the assertable form of input independence of the
+    drift vector.
     """
+    if n < 1 or trials < 1:
+        raise DegenerateInputError("need n >= 1 and trials >= 1")
+    if activation not in ACTIVATIONS:
+        raise DegenerateInputError(f"unknown activation {activation!r}")
+    act = ACTIVATIONS[activation]
+    W = np.asarray(W, dtype=float)
+    norm = power_iteration_norm(W)
+    if norm > 1.0 + 1e-9:
+        raise NormConstraintError(f"weight operator norm {norm:.6g} > 1")
     x0 = np.asarray(x0, dtype=float)
-    x1 = x0.copy()
-    x1[0] += 1.0
-    v_hat = np.empty((trials, x0.shape[0]))
-    gap = 0.0
-    for t in range(trials):
-        layers = driver.elements(t, n)
-        for i, layer in enumerate(layers):
-            if layer.certified_norm > 1.0 + 1e-9:
-                raise NormConstraintError(
-                    f"trial {t}: layer {i} has operator norm "
-                    f"{layer.certified_norm:.6g} > 1")
-        # both inputs ride through the chain together (first layer outermost)
-        X = np.stack([x0, x1], axis=1)
-        for layer in reversed(layers):
-            Z = ACTIVATIONS[layer.activation](layer.W @ X + layer.b[:, None])
-            X = layer.W.T @ Z if layer.form == RESNET_ADJOINT else Z
-        u, u2 = X[:, 0], X[:, 1]
-        v_hat[t] = u / n
-        gap = max(gap, float(np.linalg.norm(u - u2)) / n)
+    d = x0.shape[0]
+    biases = np.asarray(biases, dtype=float)
+    if biases.shape != (trials, n, d):
+        raise DegenerateInputError(
+            f"biases have shape {biases.shape}, expected {(trials, n, d)}")
+    # both inputs ride through every trial's chain together (first layer
+    # outermost): X[t] holds trial t's images of x0 and x0 + e1 as columns
+    X = np.empty((trials, d, 2))
+    X[:, :, 0] = x0
+    X[:, :, 1] = x0
+    X[:, 0, 1] += 1.0
+    for k in range(n - 1, -1, -1):
+        X = W.T @ act(W @ X + biases[:, k, :, None])
+    v_hat = X[:, :, 0] / n
+    # one norm per difference vector, as a 1-D dot product
+    gap = max(float(np.linalg.norm(r)) / n for r in X[:, :, 0] - X[:, :, 1])
     se = np.std(v_hat, axis=0, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(x0.shape[0])
+        else np.zeros(d)
     return DriftReport(v_hat=v_hat, n=n, cross_input_gap=gap, per_coordinate_se=se)
 
 
@@ -184,30 +201,32 @@ def lipschitz_profile(layers: Sequence[LayerMap], pair_sampler, n_pairs: int,
     """max over sampled pairs of ||u(n)x - u(n)y|| / (n ||x - y||).
 
     For certified nonexpansive chains this is at most 1/n, quantifying how
-    close the normalized composition is to a constant function.
+    close the normalized composition is to a constant function.  Pairs are
+    drawn in order from one stream, and every point of every non-coincident
+    pair goes through the chain in one (points, d, 1) stack.
     """
     if n_pairs < 1:
         raise DegenerateInputError("n_pairs must be >= 1")
     if not layers:
         raise DegenerateInputError("need at least one layer")
     rng = trial_rng(seed, 0)
-    n = len(layers)
-    best = 0.0
-    used = 0
+    xs, ys, bases = [], [], []
     for _ in range(n_pairs):
         x, y = pair_sampler(rng)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         base = float(np.linalg.norm(x - y))
-        if base == 0.0:
-            continue
-        ratio = float(np.linalg.norm(apply_chain(layers, x) - apply_chain(layers, y))) \
-            / (n * base)
-        best = max(best, ratio)
-        used += 1
-    if used == 0:
+        if base != 0.0:
+            xs.append(x)
+            ys.append(y)
+            bases.append(base)
+    if not bases:
         raise DegenerateInputError("all sampled pairs were coincident")
-    return best
+    out = apply_chain(layers, np.stack(xs + ys)[:, :, None])
+    diff = out[:len(xs)] - out[len(xs):]
+    n = len(layers)
+    # one norm per difference vector, as a 1-D dot product
+    return max(float(np.linalg.norm(r)) / (n * base) for r, base in zip(diff, bases))
 
 
 # ---------------------------------------------------------------------------

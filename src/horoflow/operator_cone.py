@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .cocycle import (DegenerateInputError, ErgodicDriver, LyapunovEstimate,
-                      geometric_checkpoints, _tail_slope)
+                      checkpoint_list, element_stack, geometric_checkpoints,
+                      _tail_slope)
 from .spaces import sym_part
 
 
@@ -69,15 +70,7 @@ def accumulate_product(driver: ErgodicDriver, n: int, trial: int = 0) -> ScaledP
 
 def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
     """:func:`_accumulate` over the first n matrices of each listed trial."""
-    if driver.kind == "iid_parametric":
-        # every drawn matrix is its own entry in the stack
-        mats = np.asarray([driver.elements(t, n) for t in trials], dtype=float)
-        mats = mats.reshape(-1, *mats.shape[-2:])
-        idx = np.arange(len(mats)).reshape(-1, n)
-    else:
-        mats = np.asarray(driver.maps, dtype=float)
-        idx = np.array([driver.indices(t, n) for t in trials])
-    return _accumulate(mats, idx, checkpoints)
+    return _accumulate(*element_stack(driver, trials, n), checkpoints)
 
 
 def _accumulate(mats, idx, checkpoints) -> dict:
@@ -194,9 +187,7 @@ def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0
     (l, ratio, tau_hat).  For constant diagonal drivers the ratio equals
     tau_hat exactly at every l; in general the table is a report.
     """
-    checkpoints = sorted(set(int(l) for l in checkpoints))
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > N:
-        raise DegenerateInputError("checkpoints must lie in [1, N]")
+    checkpoints = checkpoint_list(checkpoints, N)
     ks = sorted(set(checkpoints + [N]))
     snaps = {k: ps[0] for k, ps in _fold(driver, N, [trial], ks).items()}
     y_N = log_squared_positive_part(snaps[N])

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity by a route different from the package
 implementation: quadrature of the hyperbolic line element, radial limits
 of anchored functionals, direct optimization of Rayleigh quotients, SVD
-for operator norms, exact rational arithmetic for matrix products, and a
-one-trial, one-step-at-a-time fold of scaled operator products.
+for operator norms, exact rational arithmetic for matrix products, and
+one-trial, one-step-at-a-time loops for the kernels that step all trials
+together (scaled operator products, disk walks, layer chains).
 """
 
 import math
@@ -13,8 +14,11 @@ from fractions import Fraction
 import numpy as np
 import scipy.integrate
 
+from horoflow.cocycle import _dist_origin
 from horoflow.core import DegenerateInputError
+from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT
 from horoflow.operator_cone import ScaledProduct
+from horoflow.seeding import trial_rng
 
 
 def radial_poincare_length(r: float) -> float:
@@ -161,3 +165,85 @@ def loop_accumulate(mats, checkpoints=()):
     final = ScaledProduct(forward=fwd, log_scale=ls, inverse=inv,
                           inv_log_scale=ils, n=k)
     return final, snaps
+
+
+def loop_walk_gaps(mats, ks):
+    """gap(k) at each checkpoint k of one disk walk on the unit-determinant
+    2x2 matrices ``mats``: the prefix products, then the suffix products,
+    one matrix at a time, each divided by its largest entry modulus.
+
+    The batched :func:`horoflow.cocycle.hyperbolic_walk_gap` must agree with
+    this loop bit for bit.
+    """
+    n = len(mats)
+    want = set(ks) | {n}
+    a = {}
+    P = np.eye(2, dtype=complex)
+    ls = 0.0
+    for k, m in enumerate(mats, start=1):
+        P = P @ m
+        s = float(np.max(np.abs(P)))
+        P = P / s
+        ls += math.log(s)
+        if k in want:
+            a[k] = _dist_origin(ls + math.log(abs(P[0, 0])))
+    suffix = {}
+    S = np.eye(2, dtype=complex)
+    ls = 0.0
+    for j in range(n, 0, -1):
+        if j in want:
+            suffix[j] = _dist_origin(ls + math.log(abs(S[0, 0])))
+        S = mats[j - 1] @ S
+        s = float(np.max(np.abs(S)))
+        S = S / s
+        ls += math.log(s)
+    return [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks]
+
+
+def _chain(layers, X):
+    """T1(T2(...Tn(X))) for the LayerMaps ``layers``, one layer at a time;
+    X holds points as columns, or is one point."""
+    for layer in reversed(layers):
+        b = layer.b if X.ndim == 1 else layer.b[:, None]
+        Z = ACTIVATIONS[layer.activation](layer.W @ X + b)
+        X = layer.W.T @ Z if layer.form == RESNET_ADJOINT else Z
+    return X
+
+
+def loop_resnet_drift(chains, x0):
+    """(v_hat, cross_input_gap) of the drift, one trial's chain at a time.
+
+    ``chains[t]`` lists trial t's LayerMaps, first layer outermost; x0 and
+    x0 + e1 ride through each chain as the two columns of one matrix.  The
+    batched :func:`horoflow.deepnet.resnet_drift` must agree bit for bit.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    x1 = x0.copy()
+    x1[0] += 1.0
+    v_hat = np.empty((len(chains), x0.shape[0]))
+    gap = 0.0
+    for t, layers in enumerate(chains):
+        n = len(layers)
+        X = _chain(layers, np.stack([x0, x1], axis=1))
+        v_hat[t] = X[:, 0] / n
+        gap = max(gap, float(np.linalg.norm(X[:, 0] - X[:, 1])) / n)
+    return v_hat, gap
+
+
+def loop_lipschitz_profile(layers, pair_sampler, n_pairs, seed):
+    """The Lipschitz profile with each point of each pair sent through the
+    chain on its own; the batched
+    :func:`horoflow.deepnet.lipschitz_profile` must agree bit for bit."""
+    rng = trial_rng(seed, 0)
+    n = len(layers)
+    best = 0.0
+    for _ in range(n_pairs):
+        x, y = pair_sampler(rng)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        base = float(np.linalg.norm(x - y))
+        if base == 0.0:
+            continue
+        ratio = float(np.linalg.norm(_chain(layers, x) - _chain(layers, y))) / (n * base)
+        best = max(best, ratio)
+    return best

@@ -16,7 +16,7 @@ from horoflow.cli import EXIT_OK, run as cli_run
 from horoflow.cocycle import (ErgodicDriver, constant_driver,
                               hyperbolic_walk_gap, mobius_matrix)
 from horoflow.core import check_functional_bounds, check_weak_metric_axioms
-from horoflow.deepnet import LayerMap, max_stretch, resnet_drift, spectral_normalize
+from horoflow.deepnet import max_stretch, resnet_drift, spectral_normalize
 from horoflow.lyapunov import qr_spectrum, vector_growth_rate
 from horoflow.operator_cone import segal_check, state_ratio_check, tau_estimate
 from horoflow.operator_cone import expm_symmetric
@@ -158,33 +158,28 @@ def test_criterion_07_segal_sweep(capsys):
                 f"time={el:.1f}s/<{budget:.0f}s")
 
 
-def _relu_bias_driver(seed: int) -> ErgodicDriver:
-    w, cert = spectral_normalize(np.eye(1))
+def _relu_bias_drift(seed: int, n: int, trials: int):
+    # trial t draws each layer's bias from {0.5, 1.5} on its own stream
+    w, _ = spectral_normalize(np.eye(1))
     support = np.array([0.5, 1.5])
-
-    def sampler(rng):
-        b = np.full(1, support[rng.integers(2)])
-        return LayerMap(W=w, b=b, activation="relu", certified_norm=cert)
-
-    return ErgodicDriver(kind="iid_parametric", seed=seed, sampler=sampler)
+    biases = np.array([support[trial_rng(seed, t).integers(2, size=n)]
+                       for t in range(trials)])[:, :, None]
+    return resnet_drift(w, "relu", biases, np.zeros(1), n, trials)
 
 
 def test_criterion_08_resnet_drift(capsys):
     budget = 60.0
     t0 = time.perf_counter()
-    rep = resnet_drift(_relu_bias_driver(0), np.zeros(1), 10_000, 100)
+    rep = _relu_bias_drift(0, 10_000, 100)
     mean_err = abs(rep.mean_v_hat[0] - 1.0)
     se = float(rep.per_coordinate_se[0])
     gap_ok = rep.cross_input_gap <= 1.0 / 10_000
     # tanh chains: ||v_hat|| <= sqrt(d)/n without any tolerance
     rng = trial_rng(1, 0)
-    d, n = 3, 100
-    w, cert = spectral_normalize(rng.normal(size=(d, d)))
-    drv = ErgodicDriver(kind="iid_parametric", seed=1,
-                        sampler=lambda r: LayerMap(W=w, b=r.normal(size=d),
-                                                   activation="tanh",
-                                                   certified_norm=cert))
-    tanh_rep = resnet_drift(drv, rng.normal(size=d), n, 10)
+    d, n, trials = 3, 100, 10
+    w, _ = spectral_normalize(rng.normal(size=(d, d)))
+    biases = np.array([trial_rng(1, t).normal(size=(n, d)) for t in range(trials)])
+    tanh_rep = resnet_drift(w, "tanh", biases, rng.normal(size=d), n, trials)
     tanh_ok = bool(np.all(np.linalg.norm(tanh_rep.v_hat, axis=1) <= math.sqrt(d) / n))
     el = time.perf_counter() - t0
     ok = mean_err <= 3.0 * se and gap_ok and tanh_ok and el < budget
@@ -197,13 +192,12 @@ def test_criterion_09_functional_convergence_gap(capsys):
     budget = 60.0
     t0 = time.perf_counter()
     const = constant_driver(mobius_matrix(0.5))
-    const_gap = max(hyperbolic_walk_gap(const, 2000).gaps)
+    const_gap = max(hyperbolic_walk_gap(const, 2000)[0].gaps)
     drv = ErgodicDriver(kind="iid_finite", seed=7,
                         maps=(mobius_matrix(0.5), mobius_matrix(0.3 + 0.2j)),
                         weights=(0.5, 0.5))
     # gap(2000) against the anchor at u(4000)0, averaged over 20 trials
-    gaps = [hyperbolic_walk_gap(drv, 4000, trial=t, checkpoints=[2000]).gaps[0]
-            for t in range(20)]
+    gaps = [tr.gaps[0] for tr in hyperbolic_walk_gap(drv, 4000, 20, checkpoints=[2000])]
     mean_gap = float(np.mean(gaps))
     el = time.perf_counter() - t0
     ok = const_gap <= 1e-9 and mean_gap < 0.05 and el < budget

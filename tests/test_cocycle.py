@@ -14,6 +14,8 @@ from horoflow.cocycle import (ErgodicDriver, EstimationError, GOLDEN_ROTATION,
 from horoflow.core import DegenerateInputError
 from horoflow.spaces import euclidean_space, mobius_disk, poincare_space
 
+from oracles import loop_walk_gaps
+
 
 # ---------------------------------------------------------------------------
 # Drivers
@@ -241,17 +243,42 @@ def test_mobius_matrix_properties():
 
 def test_hyperbolic_walk_gap_constant_driver():
     drv = constant_driver(mobius_matrix(0.5))
-    tr = hyperbolic_walk_gap(drv, 2000)
+    [tr] = hyperbolic_walk_gap(drv, 2000)
     assert max(tr.gaps) <= 1e-9
     assert tr.ks[-1] == 2000
 
 
+def _two_map_walk(seed=7):
+    return ErgodicDriver(kind="iid_finite", seed=seed,
+                         maps=(mobius_matrix(0.5), mobius_matrix(0.3 + 0.2j)),
+                         weights=(0.5, 0.5))
+
+
 def test_hyperbolic_walk_interior_checkpoints():
-    drv = ErgodicDriver(kind="iid_finite", seed=7,
-                        maps=(mobius_matrix(0.5), mobius_matrix(0.3 + 0.2j)),
-                        weights=(0.5, 0.5))
-    tr = hyperbolic_walk_gap(drv, 4000, checkpoints=[2000])
+    drv = _two_map_walk()
+    [tr] = hyperbolic_walk_gap(drv, 4000, checkpoints=[2000])
     assert tr.ks == [2000]
     assert tr.gaps[0] < 0.05
-    with pytest.raises(DegenerateInputError):
-        hyperbolic_walk_gap(drv, 100, checkpoints=[500])
+    for bad in ([500], [], 5, ["x"]):
+        with pytest.raises(DegenerateInputError):
+            hyperbolic_walk_gap(drv, 100, checkpoints=bad)
+
+
+_PARAMETRIC_WALK = ErgodicDriver(
+    kind="iid_parametric", seed=4,
+    sampler=lambda r: mobius_matrix(complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6))))
+
+
+@pytest.mark.parametrize("driver", [constant_driver(mobius_matrix(0.5)),
+                                    _two_map_walk(11), _PARAMETRIC_WALK],
+                         ids=["constant", "two_maps", "parametric"])
+@pytest.mark.parametrize("checkpoints", [None, [1, 50, 120, 299, 300]])
+def test_batched_walk_equals_the_step_loop(driver, checkpoints):
+    # every trial stepped at once gives the one-trial loop's gaps exactly
+    n, trials = 300, 4
+    traces = hyperbolic_walk_gap(driver, n, trials, checkpoints=checkpoints)
+    ks = checkpoints or geometric_checkpoints(n, count=16)
+    assert len(traces) == trials
+    for t, tr in enumerate(traces):
+        assert tr.ks == ks
+        assert tr.gaps == loop_walk_gaps(driver.elements(t, n), ks)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.cocycle import ErgodicDriver, constant_driver
+from horoflow.cocycle import constant_driver
 from horoflow.core import DegenerateInputError
 from horoflow.deepnet import (LayerMap, NormConstraintError, apply_chain,
                               jacobian_cocycle_dist, lipschitz_profile,
@@ -16,7 +16,7 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError,
                              mobius_circle_map, rotation_circle_map,
                              sine_circle_map)
 
-from oracles import operator_norm_svd
+from oracles import loop_lipschitz_profile, loop_resnet_drift, operator_norm_svd
 
 
 # ---------------------------------------------------------------------------
@@ -75,27 +75,42 @@ def test_layer_forms():
 # ---------------------------------------------------------------------------
 # Drift
 
-def _bias_driver(seed, d=1, activation="relu"):
-    w, cert = spectral_normalize(np.eye(d))
+def _relu_biases(seed, n, trials, d=1):
+    # each layer draws one bias value from {0.5, 1.5} for every coordinate
     support = np.array([0.5, 1.5])
-
-    def sampler(rng):
-        b = np.full(d, support[rng.integers(2)])
-        return LayerMap(W=w, b=b, activation=activation, certified_norm=cert)
-
-    return ErgodicDriver(kind="iid_parametric", seed=seed, sampler=sampler)
+    picks = np.array([trial_rng(seed, t).integers(2, size=n) for t in range(trials)])
+    return np.repeat(support[picks][:, :, None], d, axis=2)
 
 
 def test_resnet_drift_matches_apply_chain():
-    drv = _bias_driver(2)
-    rep = resnet_drift(drv, np.zeros(1), 7, 3)
+    w, _ = spectral_normalize(np.eye(1))
+    biases = _relu_biases(2, 7, 3)
+    rep = resnet_drift(w, "relu", biases, np.zeros(1), 7, 3)
     for t in range(3):
-        layers = drv.elements(t, 7)
+        layers = [LayerMap(W=w, b=b, activation="relu") for b in biases[t]]
         assert np.allclose(rep.v_hat[t], apply_chain(layers, np.zeros(1)) / 7)
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_batched_drift_equals_the_trial_loop(activation, d):
+    # every trial stepped at once gives the one-trial loop's values exactly
+    rng = trial_rng(12, d)
+    n, trials = 40, 5
+    w, _ = spectral_normalize(rng.normal(size=(d, d)))
+    biases = rng.normal(size=(trials, n, d))
+    x0 = rng.normal(size=d)
+    rep = resnet_drift(w, activation, biases, x0, n, trials)
+    chains = [[LayerMap(W=w, b=b, activation=activation) for b in biases[t]]
+              for t in range(trials)]
+    v_hat, gap = loop_resnet_drift(chains, x0)
+    assert np.array_equal(rep.v_hat, v_hat)
+    assert rep.cross_input_gap == gap
+
+
 def test_drift_mean_for_relu_bias_chain():
-    rep = resnet_drift(_bias_driver(5), np.zeros(1), 500, 20)
+    w, _ = spectral_normalize(np.eye(1))
+    rep = resnet_drift(w, "relu", _relu_biases(5, 500, 20), np.zeros(1), 500, 20)
     # mean bias is 1 and relu(x + b) = x + b along the positive orbit
     assert rep.mean_v_hat[0] == pytest.approx(1.0, abs=5 * rep.per_coordinate_se[0] + 1e-3)
     assert rep.cross_input_gap <= 1.0 / 500 + 1e-15
@@ -103,26 +118,26 @@ def test_drift_mean_for_relu_bias_chain():
 
 def test_tanh_chain_drift_is_bounded_by_sqrt_d_over_n():
     rng = trial_rng(6, 0)
-    d, n = 3, 50
-    w, cert = spectral_normalize(rng.normal(size=(d, d)))
-
-    def sampler(r):
-        return LayerMap(W=w, b=r.normal(size=d), activation="tanh",
-                        certified_norm=cert)
-
-    drv = ErgodicDriver(kind="iid_parametric", seed=1, sampler=sampler)
-    rep = resnet_drift(drv, rng.normal(size=d), n, 5)
+    d, n, trials = 3, 50, 5
+    w, _ = spectral_normalize(rng.normal(size=(d, d)))
+    biases = np.array([trial_rng(1, t).normal(size=(n, d)) for t in range(trials)])
+    rep = resnet_drift(w, "tanh", biases, rng.normal(size=d), n, trials)
     assert np.all(np.linalg.norm(rep.v_hat, axis=1) <= math.sqrt(d) / n)
 
 
 def test_resnet_drift_rejects_uncertified_layers():
-    def sampler(rng):
-        return LayerMap(W=2.0 * np.eye(1), b=np.zeros(1), activation="relu",
-                        certified_norm=2.0)
-
-    drv = ErgodicDriver(kind="iid_parametric", seed=0, sampler=sampler)
     with pytest.raises(NormConstraintError):
-        resnet_drift(drv, np.zeros(1), 5, 1)
+        resnet_drift(2.0 * np.eye(1), "relu", np.zeros((1, 5, 1)), np.zeros(1), 5, 1)
+
+
+def test_resnet_drift_rejects_bad_inputs():
+    w = np.eye(2)
+    with pytest.raises(DegenerateInputError):
+        resnet_drift(w, "softplus", np.zeros((1, 5, 2)), np.zeros(2), 5, 1)
+    with pytest.raises(DegenerateInputError):
+        resnet_drift(w, "relu", np.zeros((1, 4, 2)), np.zeros(2), 5, 1)
+    with pytest.raises(DegenerateInputError):
+        resnet_drift(w, "relu", np.zeros((0, 5, 2)), np.zeros(2), 5, 0)
 
 
 def test_lipschitz_profile_bound():
@@ -144,6 +159,27 @@ def test_lipschitz_profile_bound():
 
     with pytest.raises(DegenerateInputError):
         lipschitz_profile(layers, coincident, 5)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("d", [2, 5])
+def test_batched_profile_equals_the_pair_loop(activation, d):
+    # all pairs through the chain as one stack give the per-point loop's value
+    rng = trial_rng(8, d)
+    layers = [make_layer(rng.normal(size=(d, d)), rng.normal(size=d), activation)
+              for _ in range(12)]
+
+    def pairs(r):
+        return r.normal(size=d), r.normal(size=d)
+
+    def some_coincident(r):
+        x, y = pairs(r)
+        return (x, x) if r.random() < 0.3 else (x, y)
+
+    for sampler in (pairs, some_coincident):
+        prof = lipschitz_profile(layers, sampler, 30, seed=3)
+        assert prof > 0.0
+        assert prof == loop_lipschitz_profile(layers, sampler, 30, seed=3)
 
 
 # ---------------------------------------------------------------------------
