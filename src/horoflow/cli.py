@@ -66,12 +66,28 @@ def _run_metric_axioms(cfg):
     return cols, rows, 0
 
 
+def _numbers(cfg, key) -> list:
+    """cfg[key] as a nonempty list of finite floats."""
+    try:
+        vals = [float(v) for v in cfg[key]]
+    except (TypeError, ValueError):
+        vals = []
+    if not vals or not all(math.isfinite(v) for v in vals):
+        raise DegenerateInputError(f"{key} must be a nonempty list of finite numbers")
+    return vals
+
+
 def _hyperbolic_driver(cfg) -> ErgodicDriver:
     m1 = mobius_matrix(complex(cfg["mobius_a"]))
     if cfg.get("mobius_a2") is None:
         return constant_driver(m1, seed=cfg["seed"])
     m2 = mobius_matrix(complex(cfg["mobius_a2"]))
-    w = float(cfg.get("weight", 0.5))
+    try:
+        w = float(cfg.get("weight", 0.5))
+    except (TypeError, ValueError):
+        w = math.nan
+    if not 0.0 <= w <= 1.0:
+        raise DegenerateInputError("weight must be a number in [0, 1]")
     return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
                          maps=(m1, m2), weights=(w, 1.0 - w))
 
@@ -120,8 +136,7 @@ _SL2_PAIR = (np.array([[2.0, 1.0], [1.0, 1.0]]),
 def _matrix_driver(cfg) -> ErgodicDriver:
     preset = cfg.get("preset", "diag")
     if preset == "diag":
-        return constant_driver(np.diag(np.asarray(cfg["diag"], dtype=float)),
-                               seed=cfg["seed"])
+        return constant_driver(np.diag(_numbers(cfg, "diag")), seed=cfg["seed"])
     if preset == "rotation":
         try:
             th = float(cfg.get("rotation_angle", math.pi / 4))
@@ -146,7 +161,7 @@ def _run_oseledets_spectrum(cfg):
 
 
 def _run_filtration_probe(cfg):
-    A = np.diag(np.asarray(cfg["diag"], dtype=float))
+    A = np.diag(_numbers(cfg, "diag"))
     dim = A.shape[0]
     probes = [np.eye(dim)[i] for i in range(dim)] + [np.ones(dim)]
     rep = filtration_probe(A, probes, cfg["n"], cfg.get("cluster_tol"))
@@ -190,7 +205,7 @@ def _run_segal_sweep(cfg):
 
 def _run_resnet_drift(cfg):
     d, n, trials = cfg["d"], cfg["n"], cfg["trials"]
-    support = np.asarray([float(b) for b in cfg["b_support"]])
+    support = np.asarray(_numbers(cfg, "b_support"))
     # one shared normalized weight; each layer draws one bias value for
     # every coordinate
     W, _ = spectral_normalize(np.eye(d))
@@ -348,7 +363,8 @@ def validate(config: dict) -> list:
         diags.append("seed: must be a nonnegative integer")
     exp = EXPERIMENTS[name]
     merged = {**exp.defaults, **config}
-    for field, lo in (("n", 1), ("trials", 1), ("trial", 0)):
+    for field, lo in (("n", 1), ("trials", 1), ("trial", 0), ("dim", 1),
+                      ("pairs", 1), ("probe_budget", 1)):
         if field in merged:
             v = merged[field]
             if not isinstance(v, int) or v < lo:

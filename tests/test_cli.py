@@ -79,7 +79,15 @@ def test_run_rejects_bad_config(tmp_path, capsys):
                 {"experiment": "resnet-drift", "activation": "foo"},
                 {"experiment": "resnet-drift", "d": 0},
                 {"experiment": "max-stretch", "grid": 0},
-                {"experiment": "lipschitz-profile", "depth": 0}):
+                {"experiment": "lipschitz-profile", "depth": 0},
+                {"experiment": "hyperbolic-walk", "mobius_a2": 0.3, "weight": 2.0},
+                {"experiment": "hyperbolic-walk", "probe_budget": 0},
+                {"experiment": "resnet-drift", "b_support": []},
+                {"experiment": "resnet-drift", "b_support": ["x"]},
+                {"experiment": "operator-tau", "diag": ["a", 1]},
+                {"experiment": "state-ratio", "checkpoints": 5},
+                {"experiment": "segal-sweep", "dim": 0},
+                {"experiment": "segal-sweep", "pairs": 0}):
         bad = {"seed": 1, "output_dir": str(tmp_path), **bad}
         assert run(bad) == EXIT_CONFIG
         cfg_path = tmp_path / "bad.json"
