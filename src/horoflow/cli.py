@@ -211,7 +211,7 @@ def _run_resnet_drift(cfg):
     W, _ = spectral_normalize(np.eye(d))
     picks = np.array([trial_rng(cfg["seed"], t).integers(support.size, size=n)
                       for t in range(trials)])
-    biases = np.repeat(support[picks][:, :, None], d, axis=2)
+    biases = np.broadcast_to(support[picks][:, :, None], (trials, n, d))
     rep = resnet_drift(W, cfg["activation"], biases, np.zeros(d), n, trials)
     rows = []
     for t in range(trials):
