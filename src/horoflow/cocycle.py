@@ -442,39 +442,34 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
     else:
         ks = checkpoint_list(checkpoints, n)
     mats, idx = element_stack(driver, range(trials), n, dtype=complex)
-    # prefix products P_k = M_1 ... M_k give a(k) = d(0, u(k)0), and suffix
-    # products S_k = M_{k+1} ... M_n give d(u(k)0, u(n)0); each step divides
-    # every product by its largest entry modulus.  Log scales are summed with
-    # math.log one element at a time, since numpy's vectorized log may differ
-    # from libm in the last bit.
+    # track 0 holds the prefix products P_k = M_1 ... M_k, which give
+    # a(k) = d(0, u(k)0); track 1 the suffix products S_j = M_{j+1} ... M_n,
+    # which give d(u(j)0, u(n)0).  Step k extends P_{k-1} by M_k and S_j by
+    # M_j for j = n-k+1, then divides every product by its largest entry
+    # modulus.  Log scales, track 0 first, are summed with math.log one
+    # element at a time, since numpy's vectorized log may differ from libm
+    # in the last bit.
     want = set(ks) | {n}
+    steps = idx.T
+    T = np.empty((2, trials, 2, 2), dtype=complex)
+    T[:] = np.eye(2)
+    ls = [0.0] * (2 * trials)
 
-    def dist(ls, prods):
-        return [_dist_origin(l + math.log(abs(p[0, 0]))) for l, p in zip(ls, prods)]
+    def dist(scales, prods):
+        return [_dist_origin(l + math.log(abs(p[0, 0]))) for l, p in zip(scales, prods)]
 
-    def rescale(prods, ls):
-        s = np.abs(prods).max(axis=(1, 2))
-        prods /= s[:, None, None]
-        return [a + math.log(b) for a, b in zip(ls, s.tolist())]
-
-    a = {}
-    P = np.empty((trials, 2, 2), dtype=complex)
-    P[:] = np.eye(2)
-    ls = [0.0] * trials
+    a, suffix = {}, {}
     for k in range(1, n + 1):
-        P = P @ mats[idx[:, k - 1]]
-        ls = rescale(P, ls)
-        if k in want:
-            a[k] = dist(ls, P)
-    suffix = {}
-    S = np.empty((trials, 2, 2), dtype=complex)
-    S[:] = np.eye(2)
-    ls = [0.0] * trials
-    for j in range(n, 0, -1):
+        j = n - k + 1
         if j in want:
-            suffix[j] = dist(ls, S)
-        S = mats[idx[:, j - 1]] @ S
-        ls = rescale(S, ls)
+            suffix[j] = dist(ls[trials:], T[1])
+        T[0] = T[0] @ mats.take(steps[k - 1], axis=0)
+        T[1] = mats.take(steps[j - 1], axis=0) @ T[1]
+        s = np.abs(T).max(axis=(2, 3))
+        T /= s[..., None, None]
+        ls = [x + math.log(y) for x, y in zip(ls, s.ravel().tolist())]
+        if k in want:
+            a[k] = dist(ls, T[0])
     return [GapTrace(ks=ks, gaps=[abs(-(suffix[k][t] - a[n][t]) / k - a[k][t] / k)
                                   for k in ks], truncated=False)
             for t in range(trials)]
