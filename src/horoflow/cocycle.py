@@ -206,6 +206,8 @@ def geometric_checkpoints(n: int, count: int = 16, start: int = 1) -> list:
     """count roughly geometrically spaced integers from start to n, inclusive."""
     if n < start:
         raise DegenerateInputError("n must be >= start")
+    if count < 1:
+        raise DegenerateInputError("count must be >= 1")
     ks = np.unique(np.geomspace(start, n, num=count).round().astype(int))
     ks = ks[(ks >= start) & (ks <= n)]
     if ks[-1] != n:

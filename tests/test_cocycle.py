@@ -120,6 +120,8 @@ def test_geometric_checkpoints_shape():
     assert ks == sorted(set(ks))
     with pytest.raises(DegenerateInputError):
         geometric_checkpoints(5, start=10)
+    with pytest.raises(DegenerateInputError):
+        geometric_checkpoints(5, count=0)
 
 
 # ---------------------------------------------------------------------------
