@@ -5,7 +5,8 @@ implementation: quadrature of the hyperbolic line element, radial limits
 of anchored functionals, direct optimization of Rayleigh quotients, SVD
 for operator norms, exact rational arithmetic for matrix products, and
 one-trial, one-step-at-a-time loops for the kernels that step all trials
-together (scaled operator products, disk walks, layer chains).
+together (scaled operator products, disk walks, layer chains), and
+one-sample-at-a-time loops for the metric property suites.
 """
 
 import math
@@ -15,7 +16,8 @@ import numpy as np
 import scipy.integrate
 
 from horoflow.cocycle import _dist_origin
-from horoflow.core import DegenerateInputError
+from horoflow.core import (AxiomReport, DegenerateInputError,
+                           FunctionalBoundReport, symmetrize)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT
 from horoflow.operator_cone import ScaledProduct
 from horoflow.seeding import trial_rng
@@ -247,3 +249,49 @@ def loop_lipschitz_profile(layers, pair_sampler, n_pairs, seed):
         ratio = float(np.linalg.norm(_chain(layers, x) - _chain(layers, y))) / (n * base)
         best = max(best, ratio)
     return best
+
+
+def loop_weak_metric_axioms(space, n_triples, seed=0):
+    """The axiom suite one triple at a time, each distance through
+    ``space.distance``; :func:`horoflow.core.check_weak_metric_axioms` must
+    agree field for field."""
+    rng = trial_rng(seed, 0)
+    max_id = 0.0
+    max_tri = 0.0
+    min_pair = math.inf
+    for _ in range(n_triples):
+        x = space.sample_point(rng)
+        y = space.sample_point(rng)
+        z = space.sample_point(rng)
+        max_id = max(max_id, abs(space.distance(x, x)))
+        dxy = space.distance(x, y)
+        dxz = space.distance(x, z)
+        dzy = space.distance(z, y)
+        scale = max(1.0, abs(dxy), abs(dxz), abs(dzy))
+        max_tri = max(max_tri, (dxy - dxz - dzy) / scale)
+        min_pair = min(min_pair, dxy + space.distance(y, x))
+    return AxiomReport(space=space.name, n_triples=n_triples,
+                       max_identity_error=max_id,
+                       max_triangle_violation=max_tri,
+                       min_pair_symmetrization=min_pair)
+
+
+def loop_functional_bounds(space, x0, n_samples, seed=0):
+    """The functional-bound suite one sample at a time;
+    :func:`horoflow.core.check_functional_bounds` must agree field for field."""
+    rng = trial_rng(seed, 0)
+    low = up = cont = 0.0
+    for _ in range(n_samples):
+        anchor = space.sample_point(rng)
+        y = space.sample_point(rng)
+        z = space.sample_point(rng)
+        dxa = space.distance(x0, anchor)
+        hy = space.distance(y, anchor) - dxa
+        hz = space.distance(z, anchor) - dxa
+        low = max(low, -space.distance(x0, y) - hy)
+        up = max(up, hy - space.distance(y, x0))
+        cont = max(cont, abs(hy - hz) - symmetrize(space, y, z))
+    return FunctionalBoundReport(space=space.name, n_samples=n_samples,
+                                 max_lower_violation=low,
+                                 max_upper_violation=up,
+                                 max_continuity_violation=cont)

@@ -7,9 +7,9 @@ output re-pins the digests and says why.  Most small configs are
 deterministic (one-map walks, constant matrices), so a second table pins
 configs whose trials draw from their streams: random matrix products,
 walks on two maps, their state ratios, a tanh chain whose profile is not
-0, and a drift in two dimensions.  The digests hold for one
-floating-point build (pinned with numpy 2.4.6 and scipy 1.17.1); another
-BLAS or LAPACK may differ in the last bits.
+0, a drift in two dimensions, and the metric suites in dimension 3.  The
+digests hold for one floating-point build (pinned with numpy 2.4.6 and
+scipy 1.17.1); another BLAS or LAPACK may differ in the last bits.
 """
 
 import hashlib
@@ -71,6 +71,9 @@ STOCHASTIC_SHA256 = {
     "resnet-drift-tanh_d2": (
         "resnet-drift", {"d": 2, "activation": "tanh", "n": 50, "trials": 3},
         "9dd6fb1744cba2a84132572e956b469a175922f2610183ef7bcde08e6e5c8d64"),
+    "metric-axioms-dim3": (
+        "metric-axioms", {"dim": 3, "samples": 200},
+        "3a43b6e0f4f0c00d2749a28c6636086f9967bf43e2a39921dcb0b50bd517f943"),
 }
 
 

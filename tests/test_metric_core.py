@@ -9,7 +9,10 @@ from horoflow.core import (DegenerateInputError, MetricDomainError,
                            WeakMetricSpace, certify_nonexpansive,
                            check_functional_bounds, check_weak_metric_axioms,
                            eval_metric_functional, functional_table, symmetrize)
-from horoflow.spaces import euclidean_space, funk_space
+from horoflow.spaces import (euclidean_space, funk_space, registered_basepoints,
+                             registered_spaces)
+
+from oracles import loop_functional_bounds, loop_weak_metric_axioms
 
 
 def test_distance_rejects_nonfinite():
@@ -112,3 +115,18 @@ def test_functional_bounds_euclidean():
     assert rep.max_lower_violation <= 1e-12
     assert rep.max_upper_violation <= 1e-12
     assert rep.max_continuity_violation <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_suites_equal_the_sample_loop(dim, seed):
+    spaces = registered_spaces(dim)
+    bps = registered_basepoints(spaces)
+    for name, sp in spaces.items():
+        for rep, ref in ((check_weak_metric_axioms(sp, 60, seed=seed),
+                          loop_weak_metric_axioms(sp, 60, seed=seed)),
+                         (check_functional_bounds(sp, bps[name], 60, seed=seed + 1),
+                          loop_functional_bounds(sp, bps[name], 60, seed=seed + 1))):
+            assert rep == ref
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(rep) == repr(ref)
