@@ -18,6 +18,9 @@ from .seeding import trial_rng
 
 IDENTITY_TOL = 1e-12
 INEQUALITY_TOL = 1e-9
+# samples per batched evaluation in the property suites; bounds the points
+# and distance temporaries held at once
+_BLOCK = 64
 
 
 class MetricDomainError(ValueError):
@@ -34,7 +37,10 @@ class WeakMetricSpace:
 
     ``sample_point`` draws a random point from the domain given an rng; it is
     required by the sampled axiom/certification suites.  ``in_domain`` is an
-    optional membership predicate used for orbit truncation.
+    optional membership predicate used for orbit truncation.  ``dist_many``
+    is an optional batched kernel: ``dist_many(points, i, j)`` returns the
+    array of ``dist(points[i[k]], points[j[k]])``, doing per-point work once
+    per point.
     """
 
     name: str
@@ -42,14 +48,33 @@ class WeakMetricSpace:
     separates_points: bool = True
     sample_point: Optional[Callable[[np.random.Generator], Any]] = None
     in_domain: Optional[Callable[[Any], bool]] = None
+    dist_many: Optional[Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def distance(self, x, y) -> float:
         v = float(self.dist(x, y))
         if not math.isfinite(v):
-            raise MetricDomainError(
-                f"{self.name}: non-finite distance {v!r} for pair ({x!r}, {y!r})"
-            )
+            raise self._non_finite(v, x, y)
         return v
+
+    def distances(self, points: Sequence, i, j) -> np.ndarray:
+        """d(points[i[k]], points[j[k]]) for every k, as one float array.
+
+        Uses ``dist_many`` when the space has one, else loops over ``dist``.
+        """
+        if self.dist_many is not None:
+            v = np.asarray(self.dist_many(points, i, j), dtype=float)
+        else:
+            v = np.array([self.dist(points[a], points[b]) for a, b in zip(i, j)],
+                         dtype=float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            k = bad[0]
+            raise self._non_finite(float(v[k]), points[i[k]], points[j[k]])
+        return v
+
+    def _non_finite(self, v, x, y) -> MetricDomainError:
+        return MetricDomainError(
+            f"{self.name}: non-finite distance {v!r} for pair ({x!r}, {y!r})")
 
 
 @dataclass(frozen=True)
@@ -131,31 +156,54 @@ class AxiomReport:
     min_pair_symmetrization: float
 
 
+def _fold_max(start: float, values: np.ndarray) -> float:
+    """max(start, *values) as Python folds it: the first of equal values wins,
+    so a -0.0 never replaces a 0.0 start."""
+    return max(start, float(values[np.argmax(values)]))
+
+
+def _fold_min(start: float, values: np.ndarray) -> float:
+    """min(start, *values) as Python folds it."""
+    return min(start, float(values[np.argmin(values)]))
+
+
+def _point_blocks(space: WeakMetricSpace, n: int, seed: int):
+    """Lists of sampled points, three per sample and at most ``_BLOCK``
+    samples each, drawn in order from one stream."""
+    if space.sample_point is None:
+        raise DegenerateInputError(f"{space.name}: no point sampler registered")
+    if n < 1:
+        raise DegenerateInputError("the sample count must be >= 1")
+    rng = trial_rng(seed, 0)
+    return ([space.sample_point(rng) for _ in range(3 * min(_BLOCK, n - start))]
+            for start in range(0, n, _BLOCK))
+
+
 def check_weak_metric_axioms(space: WeakMetricSpace, n_triples: int,
                              seed: int = 0) -> AxiomReport:
     """Sample triples and measure the worst-case axiom defects.
 
     Triangle violations are reported relative to the magnitude of the
     distances involved, since transcendental distance formulas accumulate
-    rounding proportional to their size.
+    rounding proportional to their size.  Triples are drawn in blocks, in
+    the order x, y, z of each triple; every distance of a block is one
+    batched evaluation.
     """
-    if space.sample_point is None:
-        raise DegenerateInputError(f"{space.name}: no point sampler registered")
-    rng = trial_rng(seed, 0)
     max_id = 0.0
     max_tri = 0.0
     min_pair = math.inf
-    for _ in range(n_triples):
-        x = space.sample_point(rng)
-        y = space.sample_point(rng)
-        z = space.sample_point(rng)
-        max_id = max(max_id, abs(space.distance(x, x)))
-        dxy = space.distance(x, y)
-        dxz = space.distance(x, z)
-        dzy = space.distance(z, y)
-        scale = max(1.0, abs(dxy), abs(dxz), abs(dzy))
-        max_tri = max(max_tri, (dxy - dxz - dzy) / scale)
-        min_pair = min(min_pair, dxy + space.distance(y, x))
+    for points in _point_blocks(space, n_triples, seed):
+        x = np.arange(0, len(points), 3)
+        y = x + 1
+        z = x + 2
+        dxx, dxy, dxz, dzy, dyx = space.distances(
+            points, np.concatenate([x, x, x, z, y]),
+            np.concatenate([x, y, z, y, x])).reshape(5, -1)
+        scale = np.maximum(np.maximum(np.maximum(1.0, np.abs(dxy)), np.abs(dxz)),
+                           np.abs(dzy))
+        max_id = _fold_max(max_id, np.abs(dxx))
+        max_tri = _fold_max(max_tri, (dxy - dxz - dzy) / scale)
+        min_pair = _fold_min(min_pair, dxy + dyx)
     return AxiomReport(space=space.name, n_triples=n_triples,
                        max_identity_error=max_id,
                        max_triangle_violation=max_tri,
@@ -173,21 +221,28 @@ class FunctionalBoundReport:
 
 def check_functional_bounds(space: WeakMetricSpace, x0, n_samples: int,
                             seed: int = 0) -> FunctionalBoundReport:
-    """Worst-case defects of the metric-functional bounds on random samples."""
-    if space.sample_point is None:
-        raise DegenerateInputError(f"{space.name}: no point sampler registered")
-    rng = trial_rng(seed, 0)
+    """Worst-case defects of the metric-functional bounds on random samples.
+
+    Samples are drawn in blocks, in the order anchor, y, z of each sample;
+    every distance of a block, x0 included, is one batched evaluation.
+    """
     low = up = cont = 0.0
-    for _ in range(n_samples):
-        anchor = space.sample_point(rng)
-        y = space.sample_point(rng)
-        z = space.sample_point(rng)
-        dxa = space.distance(x0, anchor)
-        hy = space.distance(y, anchor) - dxa
-        hz = space.distance(z, anchor) - dxa
-        low = max(low, -space.distance(x0, y) - hy)
-        up = max(up, hy - space.distance(y, x0))
-        cont = max(cont, abs(hy - hz) - symmetrize(space, y, z))
+    for points in _point_blocks(space, n_samples, seed):
+        a = np.arange(0, len(points), 3)
+        y = a + 1
+        z = a + 2
+        x = np.full(a.size, len(points))
+        points.append(x0)
+        dxa, dya, dza, dxy, dyx, dyz, dzy = space.distances(
+            points, np.concatenate([x, y, z, x, y, y, z]),
+            np.concatenate([a, a, a, y, x, z, y])).reshape(7, -1)
+        hy = dya - dxa
+        hz = dza - dxa
+        # symmetrize's max(d(y,z), d(z,y)): the first wins a tie
+        sym = np.where(dzy > dyz, dzy, dyz)
+        low = _fold_max(low, -dxy - hy)
+        up = _fold_max(up, hy - dyx)
+        cont = _fold_max(cont, np.abs(hy - hz) - sym)
     return FunctionalBoundReport(space=space.name, n_samples=n_samples,
                                  max_lower_violation=low,
                                  max_upper_violation=up,

@@ -19,6 +19,11 @@ import scipy.linalg
 
 from .core import MetricDomainError, DegenerateInputError, WeakMetricSpace
 
+# index arrays of the one pair (points[0], points[1]), for the one-pair
+# distances built on the batched kernels
+_FIRST = np.array([0])
+_SECOND = np.array([1])
+
 
 class NotSpdError(ValueError):
     """Matrix is not symmetric positive definite."""
@@ -111,34 +116,70 @@ def sym_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _require_spd(m, label: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all() \
-            or abs(m - m.T).max() > 1e-12 * max(1.0, abs(m).max()):
-        raise NotSpdError(f"{label} is not symmetric positive definite")
-    m = 0.5 * (m + m.T)
+def _spd_stack(points) -> np.ndarray:
+    """The points as one symmetrized (m, d, d) stack.
+
+    Raises NotSpdError unless every point is a finite, symmetric (to
+    rounding) positive-definite matrix, and MetricDomainError when their
+    sizes differ.
+    """
+    mats = [np.asarray(p, dtype=float) for p in points]
+    for k, m in enumerate(mats):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise NotSpdError(f"point {k} is not symmetric positive definite")
+    if len({m.shape for m in mats}) > 1:
+        raise MetricDomainError(f"dimension mismatch: {sorted({m.shape for m in mats})}")
+    s = np.stack(mats)
+    size = np.abs(s).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        bad = ~np.isfinite(s).all(axis=(1, 2)) \
+            | (np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * np.maximum(1.0, size))
+    if bad.any():
+        raise NotSpdError(f"point {np.argmax(bad)} is not symmetric positive definite")
+    s = 0.5 * (s + s.swapaxes(1, 2))
     try:
-        np.linalg.cholesky(m)
+        np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        raise NotSpdError(f"{label} is not symmetric positive definite") from None
-    return m
+        raise NotSpdError("a point is not positive definite") from None
+    return s
 
 
 def sym_log(m: np.ndarray) -> np.ndarray:
     """Matrix logarithm of an SPD matrix via symmetric eigendecomposition."""
-    m = _require_spd(m, "argument of sym_log")
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(_spd_stack([m])[0])
     return (v * np.log(w)) @ v.T
 
 
-def _pencil_log_eigs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """log of the generalized eigenvalues of (q, p), both SPD."""
-    p = _require_spd(p, "p")
-    q = _require_spd(q, "q")
-    if p.shape != q.shape:
-        raise MetricDomainError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    # finiteness was already vetted by the SPD checks above
-    return np.log(scipy.linalg.eigh(q, p, eigvals_only=True, check_finite=False))
+_SYGVD = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
+
+
+def _cone_log_eigs(points, i, j) -> np.ndarray:
+    """log of the generalized eigenvalues of (points[j[k]], points[i[k]]),
+    one row per k.
+
+    The stack is checked once; each pencil is one LAPACK ``sygvd`` call
+    (itype 1, eigenvalues only, lower triangle), the routine
+    ``scipy.linalg.eigh(q, p, eigvals_only=True)`` uses.
+    """
+    s = _spd_stack(points)
+    w = np.empty((len(i), s.shape[-1]))
+    for k, (a, b) in enumerate(zip(np.asarray(i).tolist(), np.asarray(j).tolist())):
+        w[k], _, info = _SYGVD(s[b], s[a], itype=1, jobz="N", uplo="L")
+        if info > s.shape[-1]:
+            raise NotSpdError(f"point {a} is not positive definite")
+        if info:
+            raise np.linalg.LinAlgError(f"sygvd failed with info {info}")
+    return np.log(w)
+
+
+def thompson_dist_many(points, i, j) -> np.ndarray:
+    """thompson_dist(points[i[k]], points[j[k]]) for every k."""
+    return np.abs(_cone_log_eigs(points, i, j)).max(axis=1)
+
+
+def funk_dist_many(points, i, j) -> np.ndarray:
+    """funk_dist(points[i[k]], points[j[k]]) for every k."""
+    return _cone_log_eigs(points, i, j).max(axis=1)
 
 
 def thompson_dist(p, q) -> float:
@@ -146,7 +187,7 @@ def thompson_dist(p, q) -> float:
 
     Equals sup over unit vectors v of |log (qv,v)/(pv,v)|.
     """
-    return float(np.max(np.abs(_pencil_log_eigs(p, q))))
+    return float(thompson_dist_many((p, q), _FIRST, _SECOND)[0])
 
 
 def funk_dist(p, q) -> float:
@@ -155,7 +196,7 @@ def funk_dist(p, q) -> float:
     Asymmetric half of the Thompson metric:
     max(funk(p,q), funk(q,p)) = thompson(p,q).
     """
-    return float(np.max(_pencil_log_eigs(p, q)))
+    return float(funk_dist_many((p, q), _FIRST, _SECOND)[0])
 
 
 def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -166,11 +207,13 @@ def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def thompson_space(dim: int = 3) -> WeakMetricSpace:
     return WeakMetricSpace(name=f"thompson{dim}", dist=thompson_dist,
+                           dist_many=thompson_dist_many,
                            sample_point=lambda rng: random_spd(rng, dim))
 
 
 def funk_space(dim: int = 3) -> WeakMetricSpace:
     return WeakMetricSpace(name=f"funk{dim}", dist=funk_dist,
+                           dist_many=funk_dist_many,
                            sample_point=lambda rng: random_spd(rng, dim))
 
 
@@ -215,17 +258,22 @@ class SampledDistanceFunction:
         return out
 
 
+def stretch_dist_many(points, i, j) -> np.ndarray:
+    """stretch_dist(points[i[k]], points[j[k]]) for every k; each point's
+    table is read once."""
+    if len({len(p.sample) for p in points}) > 1:
+        raise DegenerateInputError("distance functions sampled on different sets")
+    n = len(points[0].sample)
+    off = ~np.eye(n, dtype=bool)
+    tables = np.stack([p.matrix()[off] for p in points])
+    if np.any(tables <= 0.0):
+        raise DegenerateInputError("zero or negative off-diagonal distance value")
+    return np.log(np.max(tables[j] / tables[i], axis=1))
+
+
 def stretch_dist(d1: SampledDistanceFunction, d2: SampledDistanceFunction) -> float:
     """log of the max sampled ratio d2(x,y)/d1(x,y) over x != y; may be negative."""
-    if len(d1.sample) != len(d2.sample):
-        raise DegenerateInputError("distance functions sampled on different sets")
-    m1 = d1.matrix()
-    m2 = d2.matrix()
-    n = len(d1.sample)
-    off = ~np.eye(n, dtype=bool)
-    if np.any(m1[off] <= 0.0) or np.any(m2[off] <= 0.0):
-        raise DegenerateInputError("zero or negative off-diagonal distance value")
-    return float(np.log(np.max(m2[off] / m1[off])))
+    return float(stretch_dist_many((d1, d2), _FIRST, _SECOND)[0])
 
 
 def pullback(T: Callable, d: SampledDistanceFunction) -> SampledDistanceFunction:
@@ -267,7 +315,8 @@ def stretch_space(base_sample=None, seed: int = 12345) -> WeakMetricSpace:
 
         return SampledDistanceFunction(sample=base_sample, table_fn=table_fn)
 
-    return WeakMetricSpace(name="stretch", dist=stretch_dist, sample_point=sample)
+    return WeakMetricSpace(name="stretch", dist=stretch_dist,
+                           dist_many=stretch_dist_many, sample_point=sample)
 
 
 def ambient_norm_sdf(base_sample) -> SampledDistanceFunction:
@@ -352,16 +401,26 @@ def mobius_circle_map(a: float) -> CircleMap:
     return CircleMap(f=f, derivative=df)
 
 
-def jacobian_dist(f: CircleMap, g: CircleMap, grid: int = 256) -> float:
-    """max over the grid of |log(g'(theta)/f'(theta))|; symmetric."""
+def jacobian_dist_many(points, i, j, grid: int = 256) -> np.ndarray:
+    """jacobian_dist(points[i[k]], points[j[k]], grid) for every k; each
+    map's derivative is evaluated on the grid once."""
     if grid < 16:
         raise DegenerateInputError("grid must be >= 16")
     theta = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    df = f.deriv(theta)
-    dg = g.deriv(theta)
-    if np.any(df <= 0.0) or np.any(dg <= 0.0):
+    derivs = np.empty((len(points), grid))
+    for k, f in enumerate(points):
+        derivs[k] = f.deriv(theta)
+    if np.any(derivs <= 0.0):
         raise NotDiffeomorphismError("nonpositive derivative on the grid")
-    return float(np.max(np.abs(np.log(dg / df))))
+    # one (pairs, grid) array, worked in place
+    ratio = derivs[j]
+    ratio /= derivs[i]
+    return np.abs(np.log(ratio, out=ratio), out=ratio).max(axis=1)
+
+
+def jacobian_dist(f: CircleMap, g: CircleMap, grid: int = 256) -> float:
+    """max over the grid of |log(g'(theta)/f'(theta))|; symmetric."""
+    return float(jacobian_dist_many((f, g), _FIRST, _SECOND, grid)[0])
 
 
 def jacobian_space(grid: int = 128) -> WeakMetricSpace:
@@ -372,6 +431,7 @@ def jacobian_space(grid: int = 128) -> WeakMetricSpace:
 
     return WeakMetricSpace(name="jacobian",
                            dist=lambda f, g: jacobian_dist(f, g, grid),
+                           dist_many=lambda pts, i, j: jacobian_dist_many(pts, i, j, grid),
                            sample_point=sample)
 
 

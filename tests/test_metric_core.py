@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.core import (DegenerateInputError, MetricDomainError,
+from horoflow.core import (_BLOCK, DegenerateInputError, MetricDomainError,
                            WeakMetricSpace, certify_nonexpansive,
                            check_functional_bounds, check_weak_metric_axioms,
                            eval_metric_functional, functional_table, symmetrize)
@@ -19,6 +19,18 @@ def test_distance_rejects_nonfinite():
     sp = WeakMetricSpace(name="bad", dist=lambda x, y: float("inf"))
     with pytest.raises(MetricDomainError):
         sp.distance(0.0, 1.0)
+    with pytest.raises(MetricDomainError):
+        sp.distances([0.0, 1.0], [0], [1])
+    batched = WeakMetricSpace(name="bad", dist=lambda x, y: 0.0,
+                              dist_many=lambda pts, i, j: np.array([0.0, math.nan]))
+    with pytest.raises(MetricDomainError):
+        batched.distances([0.0, 1.0], [0, 1], [1, 0])
+
+
+def test_distances_loop_over_dist_without_a_kernel():
+    sp = WeakMetricSpace(name="oneside", dist=lambda x, y: y - x)
+    d = sp.distances([1.0, 4.0, 2.0], np.array([0, 1, 2]), np.array([1, 2, 2]))
+    assert d.tolist() == [3.0, -2.0, 0.0]
 
 
 def test_symmetrize_is_max_and_nonnegative():
@@ -110,6 +122,15 @@ def test_axiom_suite_needs_sampler():
         check_functional_bounds(sp, 0.0, 10)
 
 
+def test_suites_reject_sample_count_below_one():
+    sp = euclidean_space(2)
+    for n in (0, -1):
+        with pytest.raises(DegenerateInputError):
+            check_weak_metric_axioms(sp, n)
+        with pytest.raises(DegenerateInputError):
+            check_functional_bounds(sp, np.zeros(2), n)
+
+
 def test_functional_bounds_euclidean():
     rep = check_functional_bounds(euclidean_space(3), np.zeros(3), 500, seed=1)
     assert rep.max_lower_violation <= 1e-12
@@ -122,11 +143,12 @@ def test_functional_bounds_euclidean():
 def test_suites_equal_the_sample_loop(dim, seed):
     spaces = registered_spaces(dim)
     bps = registered_basepoints(spaces)
+    n = 2 * _BLOCK + 22   # three evaluation blocks, the last one partial
     for name, sp in spaces.items():
-        for rep, ref in ((check_weak_metric_axioms(sp, 60, seed=seed),
-                          loop_weak_metric_axioms(sp, 60, seed=seed)),
-                         (check_functional_bounds(sp, bps[name], 60, seed=seed + 1),
-                          loop_functional_bounds(sp, bps[name], 60, seed=seed + 1))):
+        for rep, ref in ((check_weak_metric_axioms(sp, n, seed=seed),
+                          loop_weak_metric_axioms(sp, n, seed=seed)),
+                         (check_functional_bounds(sp, bps[name], n, seed=seed + 1),
+                          loop_functional_bounds(sp, bps[name], n, seed=seed + 1))):
             assert rep == ref
             # repr tells -0.0 from 0.0, which == does not
             assert repr(rep) == repr(ref)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from horoflow.core import MetricDomainError, DegenerateInputError
 from horoflow.seeding import trial_rng
@@ -121,6 +122,19 @@ def test_spd_validation():
         funk_dist(-np.eye(2), np.eye(2))
     with pytest.raises(NotSpdError):
         sym_log(np.diag([1.0, -1.0]))
+    with pytest.raises(MetricDomainError):
+        thompson_dist(np.eye(2), np.eye(3))
+
+
+def test_cone_distances_equal_scipy_eigh():
+    rng = trial_rng(8, 0)
+    for _ in range(500):
+        d = int(rng.integers(2, 6))
+        p = random_spd(rng, d)
+        q = random_spd(rng, d)
+        logs = np.log(scipy.linalg.eigh(q, p, eigvals_only=True))
+        assert thompson_dist(p, q) == np.max(np.abs(logs))
+        assert funk_dist(p, q) == np.max(logs)
 
 
 def test_sym_log_diagonal():
@@ -214,3 +228,22 @@ def test_registered_spaces_and_basepoints_align():
     assert sorted(bps) == sorted(spaces)
     for name, sp in spaces.items():
         assert sp.distance(bps[name], bps[name]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_batched_distances_keep_the_error_types():
+    spaces = registered_spaces(2)
+    for name in ("thompson", "funk"):
+        with pytest.raises(NotSpdError):
+            spaces[name].distances([np.eye(2), np.diag([1.0, -1.0])], [0, 1], [1, 0])
+        with pytest.raises(MetricDomainError):
+            spaces[name].distances([np.eye(2), np.eye(3)], [0], [1])
+        # the generalized eigenvalue underflows to 0, its log to -inf
+        with pytest.raises(MetricDomainError), np.errstate(divide="ignore"):
+            spaces[name].distances([1e300 * np.eye(2), 1e-300 * np.eye(2)], [0], [1])
+    folding = CircleMap(f=lambda t: np.cos(np.asarray(t, dtype=float)))
+    with pytest.raises(NotDiffeomorphismError):
+        spaces["jacobian"].distances([identity_circle_map(), folding], [0], [1])
+    base = ambient_norm_sdf(_square_sample())
+    with pytest.raises(DegenerateInputError):
+        spaces["stretch"].distances([base, ambient_norm_sdf(_square_sample()[:3])],
+                                    [0], [1])
