@@ -98,8 +98,8 @@ def _accumulate(mats, idx, checkpoints) -> dict:
     snaps = {}
     for k in range(1, n + 1):
         step = idx[:, k - 1]
-        tracks[0] = mats[step] @ tracks[0]
-        tracks[1] = tracks[1] @ invs[step]
+        tracks[0] = mats.take(step, axis=0) @ tracks[0]
+        tracks[1] = tracks[1] @ invs.take(step, axis=0)
         s = np.linalg.svd(tracks, compute_uv=False)[..., 0]
         tracks /= s[..., None, None]
         scales = [a + math.log(b) for a, b in zip(scales, s.ravel().tolist())]
