@@ -27,9 +27,9 @@ from .deepnet import (jacobian_cocycle_dist, lipschitz_profile, make_layer,
 from .lyapunov import filtration_probe, qr_spectrum
 from .operator_cone import expm_symmetric, segal_check, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
-from .spaces import (euclidean_space, mobius_disk, mobius_circle_map,
-                     poincare_space, registered_basepoints, registered_spaces,
-                     rotation_circle_map, sine_circle_map)
+from .spaces import (NotDiffeomorphismError, euclidean_space, mobius_disk,
+                     mobius_circle_map, poincare_space, registered_basepoints,
+                     registered_spaces, rotation_circle_map, sine_circle_map)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,6 +66,17 @@ def _run_metric_axioms(cfg):
     return cols, rows, 0
 
 
+def _number(cfg, key, default=None) -> float:
+    """cfg[key] (default if absent) as a finite float."""
+    try:
+        v = float(cfg.get(key, default))
+    except (TypeError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise DegenerateInputError(f"{key} must be a finite number")
+    return v
+
+
 def _numbers(cfg, key) -> list:
     """cfg[key] as a nonempty list of finite floats."""
     try:
@@ -82,10 +93,7 @@ def _hyperbolic_driver(cfg) -> ErgodicDriver:
     if cfg.get("mobius_a2") is None:
         return constant_driver(m1, seed=cfg["seed"])
     m2 = mobius_matrix(complex(cfg["mobius_a2"]))
-    try:
-        w = float(cfg.get("weight", 0.5))
-    except (TypeError, ValueError):
-        w = math.nan
+    w = _number(cfg, "weight", 0.5)
     if not 0.0 <= w <= 1.0:
         raise DegenerateInputError("weight must be a number in [0, 1]")
     return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
@@ -138,12 +146,7 @@ def _matrix_driver(cfg) -> ErgodicDriver:
     if preset == "diag":
         return constant_driver(np.diag(_numbers(cfg, "diag")), seed=cfg["seed"])
     if preset == "rotation":
-        try:
-            th = float(cfg.get("rotation_angle", math.pi / 4))
-        except (TypeError, ValueError):
-            th = math.nan
-        if not math.isfinite(th):
-            raise DegenerateInputError("rotation_angle must be a finite number")
+        th = _number(cfg, "rotation_angle", math.pi / 4)
         m = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         return constant_driver(m, seed=cfg["seed"])
     if preset == "sl2_pair":
@@ -188,7 +191,7 @@ def _run_state_ratio(cfg):
 
 def _run_segal_sweep(cfg):
     dim = cfg["dim"]
-    scale = float(cfg["scale"])
+    scale = _number(cfg, "scale")
     rows = []
     for i in range(cfg["pairs"]):
         rng = trial_rng(cfg["seed"], i)
@@ -242,7 +245,7 @@ def _stretch_driver(cfg) -> ErgodicDriver:
         phase = complex(math.cos(1.0), math.sin(1.0))
         return constant_driver(lambda z, _p=phase: _p * z, seed=cfg["seed"])
     if preset == "mobius":
-        a = float(cfg["mobius_a"])
+        a = _number(cfg, "mobius_a")
         return constant_driver(lambda z, _a=a: (z + _a) / (1.0 + _a * z),
                                seed=cfg["seed"])
     raise DegenerateInputError(f"unknown preset {preset!r}")
@@ -264,10 +267,10 @@ def _circle_driver(cfg) -> ErgodicDriver:
     if preset == "rotation":
         return constant_driver(rotation_circle_map(1.0), seed=cfg["seed"])
     if preset == "sine":
-        return constant_driver(sine_circle_map(float(cfg["amplitude"])),
+        return constant_driver(sine_circle_map(_number(cfg, "amplitude")),
                                seed=cfg["seed"])
     if preset == "mobius":
-        return constant_driver(mobius_circle_map(float(cfg["mobius_a"])),
+        return constant_driver(mobius_circle_map(_number(cfg, "mobius_a")),
                                seed=cfg["seed"])
     raise DegenerateInputError(f"unknown preset {preset!r}")
 
@@ -364,7 +367,7 @@ def validate(config: dict) -> list:
     exp = EXPERIMENTS[name]
     merged = {**exp.defaults, **config}
     for field, lo in (("n", 1), ("trials", 1), ("trial", 0), ("dim", 1),
-                      ("pairs", 1), ("probe_budget", 1)):
+                      ("pairs", 1), ("probe_budget", 1), ("samples", 1)):
         if field in merged:
             v = merged[field]
             if not isinstance(v, int) or v < lo:
@@ -403,7 +406,7 @@ def run(config: dict) -> int:
     except EstimationError as e:
         print(f"truncation error: {e}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (DegenerateInputError, MetricDomainError) as e:
+    except (DegenerateInputError, MetricDomainError, NotDiffeomorphismError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()

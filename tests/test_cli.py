@@ -87,7 +87,14 @@ def test_run_rejects_bad_config(tmp_path, capsys):
                 {"experiment": "operator-tau", "diag": ["a", 1]},
                 {"experiment": "state-ratio", "checkpoints": 5},
                 {"experiment": "segal-sweep", "dim": 0},
-                {"experiment": "segal-sweep", "pairs": 0}):
+                {"experiment": "segal-sweep", "pairs": 0},
+                {"experiment": "segal-sweep", "scale": "x"},
+                {"experiment": "metric-axioms", "samples": 0},
+                {"experiment": "metric-axioms", "samples": -1},
+                {"experiment": "metric-axioms", "samples": "x"},
+                {"experiment": "metric-axioms", "samples": 2.5},
+                {"experiment": "jacobian-cocycle", "mobius_a": 1.5},
+                {"experiment": "jacobian-cocycle", "preset": "sine", "amplitude": 2.0}):
         bad = {"seed": 1, "output_dir": str(tmp_path), **bad}
         assert run(bad) == EXIT_CONFIG
         cfg_path = tmp_path / "bad.json"
