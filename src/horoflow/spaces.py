@@ -19,11 +19,6 @@ import scipy.linalg
 
 from .core import MetricDomainError, DegenerateInputError, WeakMetricSpace
 
-# index arrays of the one pair (points[0], points[1]), for the one-pair
-# distances built on the batched kernels
-_FIRST = np.array([0])
-_SECOND = np.array([1])
-
 
 class NotSpdError(ValueError):
     """Matrix is not symmetric positive definite."""
@@ -130,10 +125,10 @@ def _spd_stack(points) -> np.ndarray:
     if len({m.shape for m in mats}) > 1:
         raise MetricDomainError(f"dimension mismatch: {sorted({m.shape for m in mats})}")
     s = np.stack(mats)
-    size = np.abs(s).max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite point
+        asym = np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
         bad = ~np.isfinite(s).all(axis=(1, 2)) \
-            | (np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * np.maximum(1.0, size))
+            | (asym > 1e-12 * np.maximum(1.0, np.abs(s).max(axis=(1, 2))))
     if bad.any():
         raise NotSpdError(f"point {np.argmax(bad)} is not symmetric positive definite")
     s = 0.5 * (s + s.swapaxes(1, 2))
@@ -187,7 +182,7 @@ def thompson_dist(p, q) -> float:
 
     Equals sup over unit vectors v of |log (qv,v)/(pv,v)|.
     """
-    return float(thompson_dist_many((p, q), _FIRST, _SECOND)[0])
+    return float(thompson_dist_many((p, q), [0], [1])[0])
 
 
 def funk_dist(p, q) -> float:
@@ -196,7 +191,7 @@ def funk_dist(p, q) -> float:
     Asymmetric half of the Thompson metric:
     max(funk(p,q), funk(q,p)) = thompson(p,q).
     """
-    return float(funk_dist_many((p, q), _FIRST, _SECOND)[0])
+    return float(funk_dist_many((p, q), [0], [1])[0])
 
 
 def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -273,7 +268,7 @@ def stretch_dist_many(points, i, j) -> np.ndarray:
 
 def stretch_dist(d1: SampledDistanceFunction, d2: SampledDistanceFunction) -> float:
     """log of the max sampled ratio d2(x,y)/d1(x,y) over x != y; may be negative."""
-    return float(stretch_dist_many((d1, d2), _FIRST, _SECOND)[0])
+    return float(stretch_dist_many((d1, d2), [0], [1])[0])
 
 
 def pullback(T: Callable, d: SampledDistanceFunction) -> SampledDistanceFunction:
@@ -420,7 +415,7 @@ def jacobian_dist_many(points, i, j, grid: int = 256) -> np.ndarray:
 
 def jacobian_dist(f: CircleMap, g: CircleMap, grid: int = 256) -> float:
     """max over the grid of |log(g'(theta)/f'(theta))|; symmetric."""
-    return float(jacobian_dist_many((f, g), _FIRST, _SECOND, grid)[0])
+    return float(jacobian_dist_many((f, g), [0], [1], grid)[0])
 
 
 def jacobian_space(grid: int = 128) -> WeakMetricSpace:

@@ -235,6 +235,8 @@ def test_batched_distances_keep_the_error_types():
     for name in ("thompson", "funk"):
         with pytest.raises(NotSpdError):
             spaces[name].distances([np.eye(2), np.diag([1.0, -1.0])], [0, 1], [1, 0])
+        with pytest.raises(NotSpdError):
+            spaces[name].distances([np.eye(2), np.diag([1.0, np.inf])], [0], [1])
         with pytest.raises(MetricDomainError):
             spaces[name].distances([np.eye(2), np.eye(3)], [0], [1])
         # the generalized eigenvalue underflows to 0, its log to -inf
