@@ -356,31 +356,28 @@ class GapTrace:
 
 
 def functional_gap(driver: ErgodicDriver, space: WeakMetricSpace, x0,
-                   n: int, probe_budget: int = 16, trial: int = 0,
-                   functional: Optional[Callable[[Any], float]] = None) -> GapTrace:
+                   n: int, probe_budget: int = 16, trial: int = 0) -> GapTrace:
     """gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| at geometric checkpoints.
 
-    By default h is the anchor-backed functional at the final orbit point
-    u(n)x0; a closed-form functional (e.g. a disk boundary functional) may
-    be supplied instead.  The gap is reported, not asserted to vanish.
+    h is the anchor-backed functional at the final orbit point u(n)x0.  The
+    gap is reported, not asserted to vanish.
     """
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
     ks = geometric_checkpoints(n, count=probe_budget)
     pts, cut = orbit_at(driver, space, x0, ks, trial=trial)
     truncated = cut is not None
-    if functional is None:
-        if n not in pts:
-            raise EstimationError("orbit truncated before the anchor point")
-        anchor = pts[n]
-        dx0a = space.distance(x0, anchor)
-        functional = lambda y: space.distance(y, anchor) - dx0a
+    if n not in pts:
+        raise EstimationError("orbit truncated before the anchor point")
+    anchor = pts[n]
+    dx0a = space.distance(x0, anchor)
     out_ks, out_gaps = [], []
     for k in ks:
         if k not in pts:
             continue
         p = pts[k]
-        gap = abs(-functional(p) / k - space.distance(x0, p) / k)
+        h = space.distance(p, anchor) - dx0a
+        gap = abs(-h / k - space.distance(x0, p) / k)
         out_ks.append(k)
         out_gaps.append(gap)
     return GapTrace(ks=out_ks, gaps=out_gaps, truncated=truncated)

@@ -45,7 +45,6 @@ class WeakMetricSpace:
 
     name: str
     dist: Callable[[Any, Any], float]
-    separates_points: bool = True
     sample_point: Optional[Callable[[np.random.Generator], Any]] = None
     in_domain: Optional[Callable[[Any], bool]] = None
     dist_many: Optional[Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]] = None
@@ -117,8 +116,7 @@ def functional_table(space: WeakMetricSpace, x0, anchor, probes: Sequence) -> Me
 
 def certify_nonexpansive(space: WeakMetricSpace, map_fn: Callable,
                          pair_sampler: Callable[[np.random.Generator], tuple],
-                         n_samples: int, tol: float = INEQUALITY_TOL,
-                         seed: int = 0) -> NonexpansiveReport:
+                         n_samples: int, seed: int = 0) -> NonexpansiveReport:
     """Sampled nonexpansiveness check under the symmetrized metric.
 
     The ratio D(f x, f y) / D(x, y) uses the symmetrization D so it stays

@@ -109,11 +109,11 @@ class LayerMap:
 
 
 def make_layer(W, b, activation: str, form: str = RESNET_ADJOINT,
-               normalize: bool = True, audit: bool = False) -> LayerMap:
+               audit: bool = False) -> LayerMap:
     """Build a layer, either projecting W onto the norm ball or auditing it.
 
-    With ``normalize`` the weight is divided by its norm when above 1; with
-    ``audit`` instead a violating weight is rejected.
+    The weight is divided by its norm when above 1; with ``audit`` instead a
+    violating weight is rejected.
     """
     if activation not in ACTIVATIONS:
         raise DegenerateInputError(f"unknown activation {activation!r}")
@@ -124,7 +124,7 @@ def make_layer(W, b, activation: str, form: str = RESNET_ADJOINT,
     norm = power_iteration_norm(W)
     if audit and norm > 1.0 + 1e-9:
         raise NormConstraintError(f"weight operator norm {norm:.6g} exceeds 1")
-    if normalize and norm > 1.0:
+    if norm > 1.0:
         W = W / norm
         norm = 1.0
     return LayerMap(W=W, b=b, activation=activation, form=form, certified_norm=norm)
@@ -239,13 +239,13 @@ class StretchReport:
     z_hat: complex
 
 
-def max_stretch(driver: ErgodicDriver, n: int, grid: int, trial: int = 0,
-                scales=(1e-2, 1e-4)) -> StretchReport:
+def max_stretch(driver: ErgodicDriver, n: int, grid: int,
+                trial: int = 0) -> StretchReport:
     """Maximal-stretch exponent of a cocycle of maps of the unit circle.
 
     Driver elements are complex maps z -> g(z) (vectorizable over numpy
     arrays) preserving the circle.  A fixed pair grid (near-diagonal pairs
-    at the given scales around equispaced midpoints) is re-evaluated
+    at the scales 1e-2 and 1e-4 around equispaced midpoints) is re-evaluated
     against each incoming map; the per-step log of the best sampled
     stretch accumulates into lambda_hat.
 
@@ -258,7 +258,7 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int, trial: int = 0,
         raise DegenerateInputError("n and grid must be >= 1")
     mids = _TWO_PI * np.arange(grid) / grid
     xs, ys = [], []
-    for s in scales:
+    for s in (1e-2, 1e-4):
         xs.append(np.exp(1j * (mids - 0.5 * s)))
         ys.append(np.exp(1j * (mids + 0.5 * s)))
     x = np.concatenate(xs)

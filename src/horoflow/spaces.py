@@ -287,15 +287,13 @@ def _default_stretch_sample(rng: np.random.Generator, n_points: int = 6):
     return tuple(rng.normal(size=2) for _ in range(n_points))
 
 
-def stretch_space(base_sample=None, seed: int = 12345) -> WeakMetricSpace:
+def stretch_space() -> WeakMetricSpace:
     """Stretch metric over random conformal-factor perturbations of the norm.
 
     Sampled points are distance functions ||x-y|| * exp((phi(x)+phi(y))/2)
     for a random bounded field phi, all bi-Lipschitz to the ambient norm.
     """
-    if base_sample is None:
-        base_sample = _default_stretch_sample(np.random.Generator(np.random.PCG64(seed)))
-    base_sample = tuple(np.asarray(p, dtype=float) for p in base_sample)
+    base_sample = _default_stretch_sample(np.random.Generator(np.random.PCG64(12345)))
 
     def sample(rng):
         a = rng.uniform(-1.0, 1.0)
@@ -418,7 +416,9 @@ def jacobian_dist(f: CircleMap, g: CircleMap, grid: int = 256) -> float:
     return float(jacobian_dist_many((f, g), [0], [1], grid)[0])
 
 
-def jacobian_space(grid: int = 128) -> WeakMetricSpace:
+def jacobian_space() -> WeakMetricSpace:
+    grid = 128
+
     def sample(rng):
         return sine_circle_map(amplitude=rng.uniform(-0.8, 0.8),
                                phase=rng.uniform(0.0, _TWO_PI),
