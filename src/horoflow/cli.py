@@ -22,8 +22,8 @@ from .core import (DegenerateInputError, MetricDomainError,
 from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
                       estimate_top_exponent, hyperbolic_walk_gap,
                       mobius_matrix)
-from .deepnet import (jacobian_cocycle_dist, lipschitz_profile, make_layer,
-                      max_stretch, resnet_drift, spectral_normalize)
+from .deepnet import (ACTIVATIONS, jacobian_cocycle_dist, lipschitz_profile,
+                      make_layer, max_stretch, resnet_drift, spectral_normalize)
 from .lyapunov import filtration_probe, qr_spectrum
 from .operator_cone import expm_symmetric, segal_check, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
@@ -47,7 +47,91 @@ def fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Runners: each returns (columns, rows, truncation_count)
+# Parameter domains: each takes a config value and returns it checked and
+# typed for the runner, or raises ValueError with the diagnostic.  A JSON
+# boolean is never a number.
+
+_MISSING = object()   # default of a parameter every config must set
+
+
+def _finite(v):
+    """v as a finite float, or None."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    # false for nan and inf, and for an int too large for a float
+    return float(v) if abs(v) <= sys.float_info.max else None
+
+
+def _integer(lo):
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+            raise ValueError(f"must be an integer >= {lo}")
+        return v
+    return check
+
+
+def _real(lo=-math.inf, hi=math.inf, closed=True):
+    """A finite real in [lo, hi], or in (lo, hi) unless closed."""
+    left, right = "[]" if closed else "()"
+    message = f"must be a finite real in {left}{lo:g}, {hi:g}{right}"
+
+    def check(v):
+        x = _finite(v)
+        if x is None or not (lo <= x <= hi if closed else lo < x < hi):
+            raise ValueError(message)
+        return x
+    return check
+
+
+def _disk(v):
+    """A complex number inside the open unit disk; JSON has no complex type,
+    so strings such as "0.3+0.2j" are accepted."""
+    try:
+        z = math.nan if isinstance(v, bool) else complex(v)
+    except (TypeError, ValueError, OverflowError):
+        z = math.nan
+    if not abs(z) < 1.0:
+        raise ValueError("must be a complex number inside the unit disk")
+    return z
+
+
+def _choice(*names):
+    def check(v):
+        if not isinstance(v, str) or v not in names:
+            raise ValueError(f"must be one of {', '.join(names)}")
+        return v
+    return check
+
+
+def _reals(v):
+    vals = [_finite(x) for x in v] if isinstance(v, (list, tuple)) else []
+    if not vals or None in vals:
+        raise ValueError("must be a nonempty list of finite reals")
+    return vals
+
+
+def _counts(v):
+    if not isinstance(v, (list, tuple)) or not v or any(
+            isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in v):
+        raise ValueError("must be a nonempty list of integers >= 1")
+    return list(v)
+
+
+def _text(v):
+    if not isinstance(v, str) or not v:
+        raise ValueError("must be a nonempty string")
+    return v
+
+
+_COUNT = _integer(1)
+_TRIAL = (0, _integer(0))
+_ACTIVATION = ("relu", _choice(*ACTIVATIONS))
+_OPEN_UNIT = _real(-1.0, 1.0, closed=False)
+
+
+# ---------------------------------------------------------------------------
+# Runners: each takes the checked parameters and returns
+# (columns, rows, truncation_count)
 
 def _run_metric_axioms(cfg):
     samples = cfg["samples"]
@@ -66,36 +150,12 @@ def _run_metric_axioms(cfg):
     return cols, rows, 0
 
 
-def _number(cfg, key, default=None) -> float:
-    """cfg[key] (default if absent) as a finite float."""
-    try:
-        v = float(cfg.get(key, default))
-    except (TypeError, ValueError):
-        v = math.nan
-    if not math.isfinite(v):
-        raise DegenerateInputError(f"{key} must be a finite number")
-    return v
-
-
-def _numbers(cfg, key) -> list:
-    """cfg[key] as a nonempty list of finite floats."""
-    try:
-        vals = [float(v) for v in cfg[key]]
-    except (TypeError, ValueError):
-        vals = []
-    if not vals or not all(math.isfinite(v) for v in vals):
-        raise DegenerateInputError(f"{key} must be a nonempty list of finite numbers")
-    return vals
-
-
 def _hyperbolic_driver(cfg) -> ErgodicDriver:
-    m1 = mobius_matrix(complex(cfg["mobius_a"]))
-    if cfg.get("mobius_a2") is None:
+    m1 = mobius_matrix(cfg["mobius_a"])
+    if cfg["mobius_a2"] is None:
         return constant_driver(m1, seed=cfg["seed"])
-    m2 = mobius_matrix(complex(cfg["mobius_a2"]))
-    w = _number(cfg, "weight", 0.5)
-    if not 0.0 <= w <= 1.0:
-        raise DegenerateInputError("weight must be a number in [0, 1]")
+    m2 = mobius_matrix(cfg["mobius_a2"])
+    w = cfg["weight"]
     return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
                          maps=(m1, m2), weights=(w, 1.0 - w))
 
@@ -106,9 +166,6 @@ def _run_hyperbolic_walk(cfg):
     rows = [(t, k, gap) for t, tr in enumerate(traces)
             for k, gap in zip(tr.ks, tr.gaps)]
     return ["trial", "k", "gap"], rows, 0
-
-
-_TOP_EXPONENT_PRESETS = ("translation", "pm1_walk", "disk_mobius")
 
 
 def _run_top_exponent(cfg):
@@ -123,13 +180,10 @@ def _run_top_exponent(cfg):
                                maps=(lambda x: x + 1.0, lambda x: x - 1.0),
                                weights=(0.5, 0.5))
         x0 = np.zeros(1)
-    elif preset == "disk_mobius":
+    else:  # preset == "disk_mobius"
         space = poincare_space()
-        driver = constant_driver(mobius_disk(complex(cfg["mobius_a"])),
-                                 seed=cfg["seed"])
+        driver = constant_driver(mobius_disk(cfg["mobius_a"]), seed=cfg["seed"])
         x0 = 0j
-    else:
-        raise DegenerateInputError(f"unknown preset {preset!r}")
     est = estimate_top_exponent(driver, space, x0, cfg["n"], cfg["trials"])
     rows = [(t, v, est.lambda_hat, est.std_error, est.tail_slope)
             for t, v in enumerate(est.per_trial)]
@@ -141,33 +195,39 @@ _SL2_PAIR = (np.array([[2.0, 1.0], [1.0, 1.0]]),
              np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
+def _matrix_params(diag) -> dict:
+    """The parameters _matrix_driver reads, with diag's default."""
+    return {"preset": ("diag", _choice("diag", "rotation", "sl2_pair")),
+            "diag": (diag, _reals),
+            "rotation_angle": (math.pi / 4, _real())}
+
+
 def _matrix_driver(cfg) -> ErgodicDriver:
-    preset = cfg.get("preset", "diag")
+    preset = cfg["preset"]
     if preset == "diag":
-        return constant_driver(np.diag(_numbers(cfg, "diag")), seed=cfg["seed"])
+        return constant_driver(np.diag(cfg["diag"]), seed=cfg["seed"])
     if preset == "rotation":
-        th = _number(cfg, "rotation_angle", math.pi / 4)
+        th = cfg["rotation_angle"]
         m = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         return constant_driver(m, seed=cfg["seed"])
-    if preset == "sl2_pair":
-        return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
-                             maps=_SL2_PAIR, weights=(0.5, 0.5))
-    raise DegenerateInputError(f"unknown preset {preset!r}")
+    # preset == "sl2_pair"
+    return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
+                         maps=_SL2_PAIR, weights=(0.5, 0.5))
 
 
 def _run_oseledets_spectrum(cfg):
     driver = _matrix_driver(cfg)
     dim = np.asarray(driver.maps[0]).shape[0]
-    est = qr_spectrum(driver, dim, cfg["n"], trial=cfg.get("trial", 0))
+    est = qr_spectrum(driver, dim, cfg["n"], trial=cfg["trial"])
     rows = [(i, est.exponents[i], est.resid[i]) for i in range(dim)]
     return ["index", "exponent", "resid"], rows, 0
 
 
 def _run_filtration_probe(cfg):
-    A = np.diag(_numbers(cfg, "diag"))
+    A = np.diag(cfg["diag"])
     dim = A.shape[0]
     probes = [np.eye(dim)[i] for i in range(dim)] + [np.ones(dim)]
-    rep = filtration_probe(A, probes, cfg["n"], cfg.get("cluster_tol"))
+    rep = filtration_probe(A, probes, cfg["n"], cfg["cluster_tol"])
     cluster_of = {}
     for c, members in enumerate(rep.clusters):
         for i in members:
@@ -185,13 +245,12 @@ def _run_operator_tau(cfg):
 
 def _run_state_ratio(cfg):
     rows = state_ratio_check(_matrix_driver(cfg), cfg["N"],
-                             cfg["checkpoints"], trial=cfg.get("trial", 0))
+                             cfg["checkpoints"], trial=cfg["trial"])
     return ["l", "ratio", "tau_hat"], rows, 0
 
 
 def _run_segal_sweep(cfg):
-    dim = cfg["dim"]
-    scale = _number(cfg, "scale")
+    dim, scale = cfg["dim"], cfg["scale"]
     rows = []
     for i in range(cfg["pairs"]):
         rng = trial_rng(cfg["seed"], i)
@@ -208,7 +267,7 @@ def _run_segal_sweep(cfg):
 
 def _run_resnet_drift(cfg):
     d, n, trials = cfg["d"], cfg["n"], cfg["trials"]
-    support = np.asarray(_numbers(cfg, "b_support"))
+    support = np.asarray(cfg["b_support"])
     # one shared normalized weight; each layer draws one bias value for
     # every coordinate
     W, _ = spectral_normalize(np.eye(d))
@@ -244,16 +303,15 @@ def _stretch_driver(cfg) -> ErgodicDriver:
     if preset == "rotation":
         phase = complex(math.cos(1.0), math.sin(1.0))
         return constant_driver(lambda z, _p=phase: _p * z, seed=cfg["seed"])
-    if preset == "mobius":
-        a = _number(cfg, "mobius_a")
-        return constant_driver(lambda z, _a=a: (z + _a) / (1.0 + _a * z),
-                               seed=cfg["seed"])
-    raise DegenerateInputError(f"unknown preset {preset!r}")
+    # preset == "mobius"
+    a = cfg["mobius_a"]
+    return constant_driver(lambda z, _a=a: (z + _a) / (1.0 + _a * z),
+                           seed=cfg["seed"])
 
 
 def _run_max_stretch(cfg):
     rep = max_stretch(_stretch_driver(cfg), cfg["n"], cfg["grid"],
-                      trial=cfg.get("trial", 0))
+                      trial=cfg["trial"])
     rows = []
     for depth, (x, y) in rep.argmax_trace:
         rows.append((depth, x.real, x.imag, y.real, y.imag,
@@ -267,17 +325,15 @@ def _circle_driver(cfg) -> ErgodicDriver:
     if preset == "rotation":
         return constant_driver(rotation_circle_map(1.0), seed=cfg["seed"])
     if preset == "sine":
-        return constant_driver(sine_circle_map(_number(cfg, "amplitude")),
+        return constant_driver(sine_circle_map(cfg["amplitude"]),
                                seed=cfg["seed"])
-    if preset == "mobius":
-        return constant_driver(mobius_circle_map(_number(cfg, "mobius_a")),
-                               seed=cfg["seed"])
-    raise DegenerateInputError(f"unknown preset {preset!r}")
+    # preset == "mobius"
+    return constant_driver(mobius_circle_map(cfg["mobius_a"]), seed=cfg["seed"])
 
 
 def _run_jacobian_cocycle(cfg):
     rows = jacobian_cocycle_dist(_circle_driver(cfg), cfg["n"], cfg["grid"],
-                                 trial=cfg.get("trial", 0))
+                                 trial=cfg["trial"])
     return ["k", "a", "ratio"], rows, 0
 
 
@@ -285,124 +341,146 @@ def _run_jacobian_cocycle(cfg):
 # Registry
 
 class Experiment:
-    def __init__(self, name, description, runner, defaults):
+    def __init__(self, name, description, runner, params):
         self.name = name
         self.description = description
         self.runner = runner
-        self.defaults = defaults
+        self.params = params    # every key the runner reads: (default, domain)
 
+
+# every experiment takes these; a config must set the seed
+COMMON = {"seed": (_MISSING, _integer(0)),
+          "output_dir": (".", _text),
+          "output_format": ("csv", _choice("csv", "jsonl"))}
 
 EXPERIMENTS = {e.name: e for e in [
     Experiment("hyperbolic-walk",
                "metric-functional convergence gap for disk Mobius walks",
                _run_hyperbolic_walk,
-               {"n": 1000, "trials": 1, "probe_budget": 16,
-                "mobius_a": 0.5, "mobius_a2": None, "weight": 0.5}),
+               {"n": (1000, _integer(10)), "trials": (1, _COUNT),
+                "probe_budget": (16, _COUNT), "mobius_a": (0.5, _disk),
+                "mobius_a2": (None, _disk),
+                "weight": (0.5, _real(0.0, 1.0))}),
     Experiment("top-exponent",
                "top exponent a(n)/n of a nonexpansive cocycle",
                _run_top_exponent,
-               {"preset": "translation", "n": 1000, "trials": 10, "mobius_a": 0.5}),
+               {"preset": ("translation",
+                           _choice("translation", "pm1_walk", "disk_mobius")),
+                "n": (1000, _integer(10)), "trials": (10, _COUNT),
+                "mobius_a": (0.5, _disk)}),
     Experiment("oseledets-spectrum",
                "full Lyapunov spectrum by QR accumulation",
                _run_oseledets_spectrum,
-               {"preset": "diag", "diag": [3.0, 1.0], "n": 100000, "trials": 1}),
+               {**_matrix_params([3.0, 1.0]), "n": (100000, _integer(10)),
+                "trial": _TRIAL}),
     Experiment("filtration-probe",
                "growth-rate clustering of probe vectors under a constant matrix",
                _run_filtration_probe,
-               {"diag": [2.0, 0.5], "n": 1000, "cluster_tol": None, "trials": 1}),
+               {"diag": ([2.0, 0.5], _reals), "n": (1000, _integer(100)),
+                "cluster_tol": (None, _real(0.0))}),
     Experiment("operator-tau",
                "exponent of ||log(v^T v)|| for matrix products",
                _run_operator_tau,
-               {"preset": "diag", "diag": [2.0, 0.5], "n": 100, "trials": 10}),
+               {**_matrix_params([2.0, 0.5]), "n": (100, _integer(10)),
+                "trials": (10, _COUNT)}),
     Experiment("state-ratio",
                "vector-state ratios against the operator exponent",
                _run_state_ratio,
-               {"preset": "diag", "diag": [2.0, 0.5], "N": 200,
-                "checkpoints": [10, 100, 200], "trials": 1, "n": 200}),
+               {**_matrix_params([2.0, 0.5]), "N": (200, _COUNT),
+                "checkpoints": ([10, 100, 200], _counts), "trial": _TRIAL}),
     Experiment("segal-sweep",
                "exp(u+v) vs exp(u/2)exp(v)exp(u/2) norm inequality sweep",
                _run_segal_sweep,
-               {"pairs": 1000, "dim": 3, "scale": 2.0, "n": 1, "trials": 1}),
+               {"pairs": (1000, _COUNT), "dim": (3, _COUNT), "scale": (2.0, _real())}),
     Experiment("resnet-drift",
                "normalized deep-chain drift across random layers",
                _run_resnet_drift,
-               {"d": 1, "n": 10000, "trials": 100, "activation": "relu",
-                "b_support": [0.5, 1.5]}),
+               {"d": (1, _COUNT), "n": (10000, _COUNT), "trials": (100, _COUNT),
+                "activation": _ACTIVATION, "b_support": ([0.5, 1.5], _reals)}),
     Experiment("lipschitz-profile",
                "normalized Lipschitz profile of a certified chain",
                _run_lipschitz_profile,
-               {"depth": 100, "d": 4, "activation": "relu", "n_pairs": 200,
-                "n": 1, "trials": 1}),
+               {"depth": (100, _COUNT), "d": (4, _COUNT), "activation": _ACTIVATION,
+                "n_pairs": (200, _COUNT)}),
     Experiment("max-stretch",
                "maximal stretch exponent for circle diffeomorphism cocycles",
                _run_max_stretch,
-               {"preset": "mobius", "mobius_a": 0.5, "n": 50, "grid": 1024,
-                "trials": 1}),
+               {"preset": ("mobius", _choice("identity", "rotation", "mobius")),
+                "mobius_a": (0.5, _OPEN_UNIT), "n": (50, _COUNT),
+                "grid": (1024, _COUNT), "trial": _TRIAL}),
     Experiment("jacobian-cocycle",
                "sup-log-Jacobian distance cocycle for circle maps",
                _run_jacobian_cocycle,
-               {"preset": "mobius", "mobius_a": 0.5, "amplitude": 0.5,
-                "n": 200, "grid": 512, "trials": 1}),
+               {"preset": ("mobius", _choice("rotation", "sine", "mobius")),
+                "mobius_a": (0.5, _OPEN_UNIT), "amplitude": (0.5, _OPEN_UNIT),
+                "n": (200, _COUNT), "grid": (512, _integer(16)), "trial": _TRIAL}),
     Experiment("metric-axioms",
                "weak-metric axiom and functional-bound property suite",
                _run_metric_axioms,
-               {"samples": 2000, "dim": 3, "n": 1, "trials": 1}),
+               {"samples": (2000, _COUNT), "dim": (3, _COUNT)}),
 ]}
+
+
+def _check(config):
+    """(diagnostics, parameters) of a config document.
+
+    The parameters are every declared key of the experiment, checked and
+    typed; run starts only when the diagnostics are empty.
+    """
+    if not isinstance(config, dict):
+        return ["config: must be a JSON object"], None
+    name = config.get("experiment")
+    if not name:
+        return ["experiment: missing"], None
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        return [f"experiment: unknown name {name!r}"], None
+    declared = {**COMMON, **EXPERIMENTS[name].params}
+    diags = [f"{key}: unknown parameter" for key in config
+             if key != "experiment" and key not in declared]
+    params = {}
+    for key, (default, domain) in declared.items():
+        value = config.get(key, default)
+        if value is _MISSING:
+            diags.append(f"{key}: missing")
+        elif value is None and default is None:   # an optional parameter, unset
+            params[key] = None
+        else:
+            try:
+                params[key] = domain(value)
+            except ValueError as e:
+                diags.append(f"{key}: {e}")
+    return diags, params
 
 
 def validate(config: dict) -> list:
     """Diagnostics for a config document; empty list iff run would start."""
-    diags = []
-    name = config.get("experiment")
-    if not name:
-        diags.append("experiment: missing")
-        return diags
-    if name not in EXPERIMENTS:
-        diags.append(f"experiment: unknown name {name!r}")
-        return diags
-    if "seed" not in config:
-        diags.append("seed: missing")
-    elif not isinstance(config["seed"], int) or config["seed"] < 0:
-        diags.append("seed: must be a nonnegative integer")
-    exp = EXPERIMENTS[name]
-    merged = {**exp.defaults, **config}
-    for field, lo in (("n", 1), ("trials", 1), ("trial", 0), ("dim", 1),
-                      ("pairs", 1), ("probe_budget", 1), ("samples", 1)):
-        if field in merged:
-            v = merged[field]
-            if not isinstance(v, int) or v < lo:
-                diags.append(f"{field}: must be an integer >= {lo}")
-    return diags
+    return _check(config)[0]
 
 
 def list_experiments():
-    """Stable (name, required-parameter, description) listing."""
+    """Stable (name, parameters with their defaults, description) listing."""
     rows = []
     for name in sorted(EXPERIMENTS):
         exp = EXPERIMENTS[name]
-        params = ", ".join(sorted(exp.defaults))
+        params = ", ".join(f"{key}={json.dumps(default)}"
+                           for key, (default, _) in sorted(exp.params.items()))
         rows.append((name, params, exp.description))
     return rows
 
 
 def run(config: dict) -> int:
     """Execute one experiment; writes data table + manifest, returns exit code."""
-    diags = validate(config)
+    diags, params = _check(config)
     if diags:
         for d in diags:
             print(f"config error: {d}", file=sys.stderr)
         return EXIT_CONFIG
     exp = EXPERIMENTS[config["experiment"]]
-    cfg = {**exp.defaults, **config}
-    out_dir = cfg.get("output_dir", ".")
-    out_format = cfg.get("output_format", "csv")
-    if out_format not in ("csv", "jsonl"):
-        print("config error: output_format: must be csv or jsonl", file=sys.stderr)
-        return EXIT_CONFIG
+    out_dir, out_format = params["output_dir"], params["output_format"]
     os.makedirs(out_dir, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
-        columns, rows, truncations = exp.runner(cfg)
+        columns, rows, truncations = exp.runner(params)
     except EstimationError as e:
         print(f"truncation error: {e}", file=sys.stderr)
         return EXIT_TRUNCATION
@@ -410,7 +488,7 @@ def run(config: dict) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    stem = os.path.join(out_dir, f"{exp.name}-{cfg['seed']}")
+    stem = os.path.join(out_dir, f"{exp.name}-{params['seed']}")
     data_path = f"{stem}.{out_format}"
     if out_format == "csv":
         with open(data_path, "w", newline="") as fh:
@@ -425,7 +503,7 @@ def run(config: dict) -> int:
                                      for c, x in zip(columns, row)},
                                     sort_keys=True) + "\n")
     manifest = {
-        "config": {k: v for k, v in cfg.items()},
+        "config": {"experiment": exp.name, **params},
         "generator": GENERATOR_NAME,
         "artifact_version": __version__,
         "started": started,
@@ -467,6 +545,9 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             print(f"config error: cannot parse {args.config}: {e}", file=sys.stderr)
             return EXIT_CONFIG
+        if not isinstance(config, dict):
+            print(f"config error: {args.config}: must be a JSON object", file=sys.stderr)
+            return EXIT_CONFIG
     if args.experiment:
         config["experiment"] = args.experiment
     if args.seed is not None:
@@ -483,7 +564,8 @@ def main(argv=None) -> int:
         return EXIT_OK if not diags else EXIT_CONFIG
 
     code = run(config)
-    if code == EXIT_CONFIG and config.get("experiment") not in EXPERIMENTS:
+    name = config.get("experiment")
+    if code == EXIT_CONFIG and not (isinstance(name, str) and name in EXPERIMENTS):
         print("registered experiments:", file=sys.stderr)
         for name, params, desc in list_experiments():
             print(f"  {name}: {desc}", file=sys.stderr)

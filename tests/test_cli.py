@@ -37,7 +37,9 @@ def test_validate_diagnostics():
     assert any(d.startswith("seed:") for d in diags)
     diags = validate({"experiment": "top-exponent", "seed": 0, "n": 0})
     assert any(d.startswith("n:") for d in diags)
-    assert validate({"experiment": "top-exponent", "seed": 0}) == []
+    # every declared default lies in its domain
+    for name in EXPERIMENTS:
+        assert validate({"experiment": name, "seed": 0}) == []
 
 
 def _tiny_config(tmp_path, **extra):
@@ -94,13 +96,34 @@ def test_run_rejects_bad_config(tmp_path, capsys):
                 {"experiment": "metric-axioms", "samples": "x"},
                 {"experiment": "metric-axioms", "samples": 2.5},
                 {"experiment": "jacobian-cocycle", "mobius_a": 1.5},
-                {"experiment": "jacobian-cocycle", "preset": "sine", "amplitude": 2.0}):
+                {"experiment": "jacobian-cocycle", "preset": "sine", "amplitude": 2.0},
+                {"experiment": "top-exponent", "nn": 5},
+                {"experiment": "hyperbolic-walk", "mobius_a": "x"},
+                {"experiment": "top-exponent", "preset": "disk_mobius", "mobius_a": "x"},
+                {"experiment": "filtration-probe", "cluster_tol": "x"},
+                {"experiment": "filtration-probe", "cluster_tol": -1.0},
+                {"experiment": "max-stretch", "mobius_a": 1.5},
+                {"experiment": "max-stretch", "grid": 2.5},
+                {"experiment": "segal-sweep", "pairs": True},
+                {"experiment": "segal-sweep", "seed": True},
+                {"experiment": "segal-sweep", "n": 1},
+                {"experiment": "segal-sweep", "output_dir": 5}):
         bad = {"seed": 1, "output_dir": str(tmp_path), **bad}
         assert run(bad) == EXIT_CONFIG
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(bad))
         assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.count("config error:") == 2
+        assert main(["--config", str(cfg_path), "--validate-only"]) == EXIT_CONFIG
+        assert capsys.readouterr().out
+    # a config document that is not a JSON object
+    cfg_path.write_text("[1, 2]")
+    assert run([1, 2]) == EXIT_CONFIG
+    assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+    assert main(["--config", str(cfg_path), "--validate-only"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("config error:") == 3
+    # no run wrote a table or a manifest
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_run_truncation_exit_code(tmp_path):
@@ -123,6 +146,9 @@ def test_main_list_and_validate(tmp_path, capsys):
     assert main(["--list"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "top-exponent" in out
+    listed = {line.split()[0]: line for line in out.splitlines()}
+    assert "rotation_angle=" in listed["operator-tau"]
+    assert "trials" not in listed["segal-sweep"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": "top-exponent", "seed": 0}))
     assert main(["--config", str(cfg_path), "--validate-only"]) == EXIT_OK

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from horoflow.cli import _matrix_driver
+from horoflow.cli import EXPERIMENTS, _matrix_driver
 from horoflow.cocycle import (ErgodicDriver, _tail_slope, constant_driver,
                               geometric_checkpoints)
 from horoflow.core import DegenerateInputError
@@ -63,9 +63,14 @@ def test_lognorm_is_thompson_distance_from_identity():
         exact_log_gram_norm(drv.elements(0, 8)), abs=1e-9)
 
 
+# the parameters operator-tau declares, at their defaults
+_TAU_DEFAULTS = {key: default
+                 for key, (default, _) in EXPERIMENTS["operator-tau"].params.items()}
+
+
 @pytest.mark.parametrize("driver, n, trials", [
-    (_matrix_driver({"preset": "sl2_pair", "seed": 7}), 250, 30),
-    (_matrix_driver({"preset": "rotation", "seed": 7}), 60, 3),
+    (_matrix_driver({**_TAU_DEFAULTS, "preset": "sl2_pair", "seed": 7}), 250, 30),
+    (_matrix_driver({**_TAU_DEFAULTS, "preset": "rotation", "seed": 7}), 60, 3),
     (_random_driver(), 40, 5)], ids=["sl2_pair", "rotation", "random_3x3"])
 def test_batched_tau_equals_the_step_loop(driver, n, trials):
     # every trial folded at once gives the one-trial loop's values exactly
