@@ -7,7 +7,8 @@ output re-pins the digests and says why.  Most small configs are
 deterministic (one-map walks, constant matrices), so a second table pins
 configs whose trials draw from their streams: random matrix products,
 walks on two maps, their state ratios, a tanh chain whose profile is not
-0, a drift in two dimensions, and the metric suites in dimension 3.  The
+0, a drift in two dimensions, and the metric suites in dimension 3; it
+also pins a disk Mobius top exponent and a random-product QR spectrum.  The
 digests hold for one floating-point build (pinned with numpy 2.4.6 and
 scipy 1.17.1); another BLAS or LAPACK may differ in the last bits.
 """
@@ -62,6 +63,12 @@ STOCHASTIC_SHA256 = {
     "top-exponent-pm1_walk": (
         "top-exponent", {"preset": "pm1_walk", "n": 50, "trials": 3},
         "cb2bf258b2db119b9c6cadebe26bb803fba1e29c5a3704c5cb8bb7fc0d457376"),
+    "top-exponent-disk_mobius": (
+        "top-exponent", {"preset": "disk_mobius", "n": 12, "trials": 2},
+        "409ed74d3a3019bd8d46e01c96ef33a93bbc04fa4a65b65850b2e6ec7291c2dc"),
+    "oseledets-spectrum-sl2_pair": (
+        "oseledets-spectrum", {"preset": "sl2_pair", "n": 2000},
+        "bf8619407c578f6127ca19bc141d1eb9093c8ef94aecdeb28aa741259b9e0473"),
     "hyperbolic-walk-two_maps": (
         "hyperbolic-walk", {"n": 200, "trials": 2, "mobius_a2": "0.3+0.2j"},
         "d0a25186040f1d7b190f01e2b7124005521e87d6a375abd73358e1b28adb898c"),
