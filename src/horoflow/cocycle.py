@@ -10,6 +10,7 @@ metric functional anchored at the final orbit point.
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+import bisect
 import math
 
 import numpy as np
@@ -45,6 +46,14 @@ class ErgodicDriver:
     ``order`` declares the composition convention: ``right_increment``
     appends new maps innermost (u(n) = g1 g2 ... gn), ``left_increment``
     outermost (v(n) = gn ... g2 g1).
+
+    Orbits apply each map to a stack of points along one leading axis
+    (the points of every trial and checkpoint that drew it), so a map
+    must act on each point of a stack as it acts on that point alone;
+    ``x + 1.0`` does.  numpy's complex multiply and divide round
+    differently from Python's, so a map of scalar complex points that
+    must round as Python does loops over the stack, as
+    :func:`horoflow.spaces.mobius_disk` does.
     """
 
     kind: str
@@ -130,10 +139,11 @@ def constant_driver(element, seed: int = 0, order: str = RIGHT) -> ErgodicDriver
 
 
 def apply_element(g, x):
-    """Apply a driver element to a point: callables act by call, arrays by matvec."""
+    """Apply a driver element to a point or to a stack of points along a
+    leading axis: callables act by call, arrays by matvec on each point."""
     if callable(g):
         return g(x)
-    return np.asarray(g) @ x
+    return (np.asarray(g) @ np.asarray(x)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +156,17 @@ class OrbitResult:
     truncated: bool
 
 
-def _in_domain(space: Optional[WeakMetricSpace], p) -> bool:
-    if space is None or space.in_domain is None:
-        return True
-    return space.in_domain(p)
+def _point(x0, p):
+    """p as a point of x0's kind: a Python scalar when x0 is a scalar."""
+    return p.item() if np.ndim(x0) == 0 else p
 
 
 def generate_orbit(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
                    x0, n: int, trial: int = 0) -> OrbitResult:
     """Orbit (u(1)x0, ..., u(n)x0) in the driver's declared order.
 
-    Right-increment orbits recompute each prefix fold (cost O(n^2) map
-    applications); use :func:`orbit_at` with checkpoints for long runs.
+    Right-increment orbits fold every prefix (O(n^2) point updates, in n
+    stacked steps); use :func:`orbit_at` with checkpoints for long runs.
     Leaving the space's domain truncates the orbit with a marker.
     """
     if n < 1:
@@ -172,34 +181,85 @@ def orbit_at(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
              x0, ks: Sequence[int], trial: int = 0):
     """Orbit points u(k)x0 at the requested indices only.
 
-    Returns (dict k -> point, truncated_at or None).  For right-increment
-    drivers each checkpoint costs one fold of length k, so geometric
-    checkpoint ladders stay O(sum k).
+    Returns (dict k -> point, truncated_at or None).  A right-increment
+    orbit is truncated at the first checkpoint whose point lies outside
+    the space's domain, a left-increment orbit at the first step that
+    leaves it; the dict holds the checkpoints before that.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
         raise DegenerateInputError("checkpoints must be >= 1")
+    pts, [cut] = _fold_orbits(driver, space, x0, ks, [trial])
+    return {k: _point(x0, pts[j, 0]) for j, k in enumerate(ks)
+            if cut is None or k < cut}, cut
+
+
+def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
+                 x0, ks: list, trials):
+    """Orbit points of every listed trial at the sorted checkpoints ks.
+
+    Returns (pts, cut): pts[j, t] is trial t's point u(ks[j])x0, in one
+    (len(ks), len(trials), *shape of x0) array, and cut[t] is where trial
+    t's orbit was truncated (see :func:`orbit_at`), or None.
+
+    Each step applies each drawn map once, to the stack of points that
+    drew it: finite and rotation drivers group the trials by map index,
+    parametric drivers go trial by trial.  A right-increment fold walks
+    the steps i = n-1 down to 0, and checkpoint k's rows join once i < k,
+    so each gets g_1(...g_k(x0)).  A left-increment orbit steps forward,
+    checks the domain after every step and stops moving a trial that left.
+    """
     n = ks[-1]
-    gs = driver.elements(trial, n)
-    out = {}
+    trials = list(trials)
+    x = np.asarray(x0)
+    pts = np.empty((len(ks), len(trials)) + x.shape,
+                   dtype=np.result_type(x, float))
+    pts[:] = x
+    if driver.kind == "iid_parametric":
+        gs = [driver.elements(t, n) for t in trials]
+
+        def groups(i):
+            return [(g[i], np.array([t])) for t, g in enumerate(gs)]
+    else:
+        idx = np.array([driver.indices(t, n) for t in trials])
+
+        def groups(i):
+            col = idx[:, i]
+            sels = [np.flatnonzero(col == m) for m in range(len(driver.maps))]
+            return [(g, sel) for g, sel in zip(driver.maps, sels) if sel.size]
+
+    def outside(p):
+        return not space.in_domain(_point(x0, p))
+
+    checked = space is not None and space.in_domain is not None
+    cut = [None] * len(trials)
     if driver.order == LEFT:
-        y = x0
-        want = set(ks)
-        for k, g in enumerate(gs, start=1):
-            y = apply_element(g, y)
-            if not _in_domain(space, y):
-                return out, k
-            if k in want:
-                out[k] = y
-        return out, None
-    for k in ks:
-        y = x0
-        for i in range(k - 1, -1, -1):
-            y = apply_element(gs[i], y)
-        if not _in_domain(space, y):
-            return out, k
-        out[k] = y
-    return out, None
+        y = pts[0].copy()
+        moving = np.ones(len(trials), dtype=bool)
+        rows = {k: j for j, k in enumerate(ks)}
+        for k in range(1, n + 1):
+            for g, sel in groups(k - 1):
+                sel = sel[moving[sel]]
+                if sel.size:
+                    y[sel] = apply_element(g, y[sel])
+            if checked:
+                for t in np.flatnonzero(moving):
+                    if outside(y[t]):
+                        cut[t] = k
+                        moving[t] = False
+            if k in rows:
+                pts[rows[k]] = y
+        return pts, cut
+    for i in range(n - 1, -1, -1):
+        first = bisect.bisect_right(ks, i)
+        for g, sel in groups(i):
+            block = pts[first:, sel]
+            pts[first:, sel] = apply_element(
+                g, block.reshape((-1,) + x.shape)).reshape(block.shape)
+    if checked:
+        for t in range(len(trials)):
+            cut[t] = next((k for j, k in enumerate(ks) if outside(pts[j, t])), None)
+    return pts, cut
 
 
 def geometric_checkpoints(n: int, count: int = 16, start: int = 1) -> list:
@@ -259,33 +319,32 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
                           x0, n: int, trials: int) -> LyapunovEstimate:
     """Monte-Carlo estimate of lim a(n)/n across independent seeded trials.
 
-    Truncated trials are excluded and counted; more than 10% truncation is
-    an estimation error.  tail_slope is the drift of the mean ratio a(k)/k
-    over checkpoints in [n/10, n], a convergence diagnostic.
+    Every trial and every tail checkpoint fold together on one stack of
+    points, so the driver's maps act on point stacks (see
+    :class:`ErgodicDriver`).  Truncated trials are excluded and counted;
+    more than 10% truncation is an estimation error.  tail_slope is the
+    drift of the mean ratio a(k)/k over checkpoints in [n/10, n], a
+    convergence diagnostic.
     """
     if trials < 1 or n < 10:
         raise DegenerateInputError("need trials >= 1 and n >= 10")
     tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
-    per_trial = []
-    tail_sum = np.zeros(len(tail_ks))
-    tail_cnt = 0
-    truncated = 0
-    for t in range(trials):
-        pts, cut = orbit_at(driver, space, x0, tail_ks, trial=t)
-        if cut is not None:
-            truncated += 1
-            continue
-        ratios = np.array([space.distance(x0, pts[k]) / k for k in tail_ks])
-        per_trial.append(ratios[-1])
-        tail_sum += ratios
-        tail_cnt += 1
+    pts, cut = _fold_orbits(driver, space, x0, tail_ks, range(trials))
+    kept = [t for t in range(trials) if cut[t] is None]
+    ratios = [np.array([space.distance(x0, _point(x0, pts[j, t])) / k
+                        for j, k in enumerate(tail_ks)]) for t in kept]
+    truncated = trials - len(kept)
     if truncated > 0.1 * trials:
         raise EstimationError(f"{truncated}/{trials} trials truncated")
-    per_trial = np.asarray(per_trial)
+    per_trial = np.array([r[-1] for r in ratios])
+    # summed one trial at a time, in trial order
+    tail_sum = np.zeros(len(tail_ks))
+    for r in ratios:
+        tail_sum += r
     lam = float(np.mean(per_trial))
     se = float(np.std(per_trial, ddof=1) / math.sqrt(len(per_trial))) \
         if len(per_trial) > 1 else 0.0
-    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail_sum / max(tail_cnt, 1))
+    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail_sum / len(kept))
     return LyapunovEstimate(lambda_hat=lam, n=n, trials=trials,
                             per_trial=per_trial, std_error=se,
                             tail_slope=slope, truncated_trials=truncated)

@@ -47,43 +47,50 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
                 raise DegenerateInputError("driver contains a singular matrix")
     mats = [np.asarray(a, dtype=float) for a in driver.elements(trial, n)]
     q = np.eye(dim)
-    sums = np.zeros(dim)
-    checkpoints = set(geometric_checkpoints(n, count=8, start=max(1, n // 10)))
-    snapshots = []
+    rdiag = np.empty((n, dim))
     # raw LAPACK factor/assemble keeps the per-step cost viable at n = 1e5
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (q,))
-    for k, a in enumerate(mats, start=1):
+    for k, a in enumerate(mats):
         packed, tau, _, _ = geqrf(a @ q, overwrite_a=True)
-        rdiag = np.diagonal(packed).copy()
-        # near-singular R means a singular step matrix slipped through
-        if np.any(np.abs(rdiag) < 1e-300):
-            raise FloatingPointError(f"rescaling fault at step {k}")
+        rdiag[k] = np.diagonal(packed)
         qmat, _, _ = orgqr(packed, tau)
-        q = np.where(rdiag < 0.0, -qmat, qmat)
-        sums += np.log(np.abs(rdiag))
-        if k in checkpoints:
-            snapshots.append(sums / k)
-    final = sums / n
-    resid = np.max(np.abs(np.asarray(snapshots) - final), axis=0) \
-        if snapshots else np.zeros(dim)
+        q = np.where(rdiag[k] < 0.0, -qmat, qmat)
+    # near-singular R means a singular step matrix slipped through
+    fault = np.flatnonzero(np.any(np.abs(rdiag) < 1e-300, axis=1))
+    if fault.size:
+        raise FloatingPointError(f"rescaling fault at step {fault[0] + 1}")
+    # running sums of log r_ii; a checkpoint's snapshot is its row over k
+    sums = np.cumsum(np.log(np.abs(rdiag)), axis=0)
+    ks = np.array(geometric_checkpoints(n, count=8, start=max(1, n // 10)))
+    final = sums[-1] / n
+    resid = np.max(np.abs(sums[ks - 1] / ks[:, None] - final), axis=0)
     order = np.argsort(-final)
     return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
 
 
 def vector_growth_rate(driver: ErgodicDriver, v, n: int, trial: int = 0) -> float:
     """(1/n) log ||A(n) v|| with per-step renormalization (no overflow)."""
+    return _growth_rates(driver, v, [n], trial)[0]
+
+
+def _growth_rates(driver: ErgodicDriver, v, ks: list, trial: int = 0) -> list:
+    """(1/k) log ||A(k) v|| at each ascending checkpoint k, all read off one
+    renormalized run of ks[-1] steps."""
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise DegenerateInputError("zero probe vector")
     w = v / nv
     rate = 0.0
-    for a in driver.elements(trial, n):
+    rates = []
+    for k, a in enumerate(driver.elements(trial, ks[-1]), start=1):
         w = np.asarray(a, dtype=float) @ w
         s = np.linalg.norm(w)
         rate += math.log(s)
         w = w / s
-    return rate / n
+        if k in ks:
+            rates.append(rate / k)
+    return rates
 
 
 def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> FiltrationProbeReport:
@@ -98,9 +105,10 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
         raise DegenerateInputError("probes must be nonempty")
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
-    drv = constant_driver(np.asarray(A, dtype=float))
-    rates = np.array([vector_growth_rate(drv, p, n) for p in probes])
-    half = np.array([vector_growth_rate(drv, p, n // 2) for p in probes])
+    A = np.asarray(A, dtype=float)
+    drv = constant_driver(A)
+    # each probe runs once; its n // 2 rate is a checkpoint of the same run
+    half, rates = np.array([_growth_rates(drv, p, [n // 2, n]) for p in probes]).T
     if cluster_tol is None:
         spread = float(np.max(np.abs(rates - half)))
         cluster_tol = max(10.0 * spread, 1e-9)

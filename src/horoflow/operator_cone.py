@@ -152,8 +152,11 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
 
 
 def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:
+    """y symmetrized, after checking each matrix of a (..., d, d) stack
+    against its own tolerance."""
     y = np.asarray(y, dtype=float)
-    if np.max(np.abs(y - y.T)) > tol * max(1.0, float(np.max(np.abs(y)))):
+    skew = np.max(np.abs(y - y.swapaxes(-1, -2)), axis=(-2, -1))
+    if np.any(skew > tol * np.maximum(1.0, np.max(np.abs(y), axis=(-2, -1)))):
         raise SymmetryError("input matrix is not symmetric")
     return sym_part(y)
 
@@ -201,23 +204,31 @@ def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0
 
 
 def expm_symmetric(u) -> np.ndarray:
-    """exp of a symmetric matrix via eigendecomposition (cross-check path)."""
+    """exp of a symmetric matrix, or of each matrix of a (..., d, d) stack,
+    via eigendecomposition (cross-check path)."""
     u = _check_symmetric(u)
     w, v = np.linalg.eigh(u)
-    return (v * np.exp(w)) @ v.T
+    return (v * np.exp(w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def segal_check(u, v):
     """(||exp(u+v)||, ||exp(u/2) exp(v) exp(u/2)||), both spectral norms.
 
-    Both exponentials use scaling-and-squaring; :func:`expm_symmetric`
-    provides the independent path for trust checks.
+    u and v are symmetric matrices or (..., d, d) stacks of them; a stack
+    gives one pair of norms per matrix pair.  Every exponential of the
+    stack comes from one scaling-and-squaring call; :func:`expm_symmetric`
+    provides the independent path for trust checks.  Raises
+    DegenerateInputError when an exponential overflows.
     """
     u = _check_symmetric(u)
     v = _check_symmetric(v)
     if u.shape != v.shape:
         raise DegenerateInputError("dimension mismatch")
-    lhs = _spec_norm(scipy.linalg.expm(u + v))
-    eu2 = scipy.linalg.expm(0.5 * u)
-    rhs = _spec_norm(eu2 @ scipy.linalg.expm(v) @ eu2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_sum, eu2, ev = scipy.linalg.expm(np.stack([u + v, 0.5 * u, v]))
+        e = np.stack([e_sum, eu2 @ ev @ eu2])
+    if not np.all(np.isfinite(e)):
+        raise DegenerateInputError(
+            "matrix exponential overflows: the scale of u and v is too large")
+    lhs, rhs = np.linalg.svd(e, compute_uv=False).max(axis=-1)
     return lhs, rhs

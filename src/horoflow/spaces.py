@@ -80,12 +80,18 @@ def busemann_disk(xi, z) -> float:
 
 
 def mobius_disk(a: complex) -> Callable[[complex], complex]:
-    """Disk automorphism z -> (z + a) / (1 + conj(a) z)."""
+    """Disk automorphism z -> (z + a) / (1 + conj(a) z), of one point or of
+    each point of an array."""
     a = complex(a)
     if abs(a) >= 1.0:
         raise MetricDomainError("Mobius parameter must lie inside the disk")
 
-    def f(z: complex) -> complex:
+    def f(z):
+        # a stack of points goes one point at a time through Python's
+        # complex arithmetic, which rounds differently from numpy's
+        if isinstance(z, np.ndarray):
+            return np.array([f(w) for w in z.ravel().tolist()],
+                            dtype=complex).reshape(z.shape)
         z = complex(z)
         return (z + a) / (1.0 + a.conjugate() * z)
 
@@ -107,8 +113,9 @@ def poincare_space() -> WeakMetricSpace:
 # Positive-definite cone: Thompson and Funk
 
 def sym_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 of a matrix, or of each matrix of a (..., d, d) stack."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _spd_stack(points) -> np.ndarray:

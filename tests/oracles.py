@@ -5,8 +5,9 @@ implementation: quadrature of the hyperbolic line element, radial limits
 of anchored functionals, direct optimization of Rayleigh quotients, SVD
 for operator norms, exact rational arithmetic for matrix products, and
 one-trial, one-step-at-a-time loops for the kernels that step all trials
-together (scaled operator products, disk walks, layer chains), and
-one-sample-at-a-time loops for the metric property suites.
+together (scaled operator products, disk walks, layer chains, orbit folds,
+Segal pairs), one-sample-at-a-time loops for the metric property suites,
+and step-at-a-time sums for the QR spectrum and the growth rates.
 """
 
 import math
@@ -14,12 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
-from horoflow.cocycle import _dist_origin
+from horoflow.cocycle import (LEFT, EstimationError, LyapunovEstimate,
+                              _dist_origin, _tail_slope, geometric_checkpoints)
 from horoflow.core import (AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, symmetrize)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT
-from horoflow.operator_cone import ScaledProduct
+from horoflow.lyapunov import SpectrumEstimate
+from horoflow.operator_cone import ScaledProduct, SymmetryError
 from horoflow.seeding import trial_rng
 
 
@@ -295,3 +299,140 @@ def loop_functional_bounds(space, x0, n_samples, seed=0):
                                  max_lower_violation=low,
                                  max_upper_violation=up,
                                  max_continuity_violation=cont)
+
+
+def loop_orbit_at(driver, space, x0, ks, trial=0):
+    """Orbit points u(k)x0 of one trial, one point and one map at a time:
+    a right-increment checkpoint k folds g_1(...g_k(x0)) on its own, and a
+    left-increment orbit checks the domain after every step.  Returns
+    (dict k -> point, truncated_at or None); the stacked fold in
+    :func:`horoflow.cocycle.orbit_at` must agree bit for bit."""
+    def apply(g, x):
+        return g(x) if callable(g) else np.asarray(g) @ x
+
+    def inside(p):
+        return space is None or space.in_domain is None or space.in_domain(p)
+
+    ks = sorted(set(int(k) for k in ks))
+    gs = driver.elements(trial, ks[-1])
+    out = {}
+    if driver.order == LEFT:
+        y = x0
+        for k, g in enumerate(gs, start=1):
+            y = apply(g, y)
+            if not inside(y):
+                return out, k
+            if k in ks:
+                out[k] = y
+        return out, None
+    for k in ks:
+        y = x0
+        for i in range(k - 1, -1, -1):
+            y = apply(gs[i], y)
+        if not inside(y):
+            return out, k
+        out[k] = y
+    return out, None
+
+
+def loop_top_exponent(driver, space, x0, n, trials):
+    """The top-exponent estimate one trial at a time through
+    :func:`loop_orbit_at`; :func:`horoflow.cocycle.estimate_top_exponent`
+    must agree field for field, and raise the same EstimationError."""
+    tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
+    per_trial = []
+    tail_sum = np.zeros(len(tail_ks))
+    tail_cnt = 0
+    truncated = 0
+    for t in range(trials):
+        pts, cut = loop_orbit_at(driver, space, x0, tail_ks, trial=t)
+        if cut is not None:
+            truncated += 1
+            continue
+        ratios = np.array([space.distance(x0, pts[k]) / k for k in tail_ks])
+        per_trial.append(ratios[-1])
+        tail_sum += ratios
+        tail_cnt += 1
+    if truncated > 0.1 * trials:
+        raise EstimationError(f"{truncated}/{trials} trials truncated")
+    per_trial = np.asarray(per_trial)
+    lam = float(np.mean(per_trial))
+    se = float(np.std(per_trial, ddof=1) / math.sqrt(len(per_trial))) \
+        if len(per_trial) > 1 else 0.0
+    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail_sum / max(tail_cnt, 1))
+    return LyapunovEstimate(lambda_hat=lam, n=n, trials=trials,
+                            per_trial=per_trial, std_error=se,
+                            tail_slope=slope, truncated_trials=truncated)
+
+
+def loop_qr_spectrum(driver, dim, n, trial=0):
+    """QR accumulation with the log of each step's R diagonal added to a
+    running sum as it is factored; :func:`horoflow.lyapunov.qr_spectrum`
+    must agree bit for bit."""
+    mats = [np.asarray(a, dtype=float) for a in driver.elements(trial, n)]
+    q = np.eye(dim)
+    sums = np.zeros(dim)
+    checkpoints = set(geometric_checkpoints(n, count=8, start=max(1, n // 10)))
+    snapshots = []
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (q,))
+    for k, a in enumerate(mats, start=1):
+        packed, tau, _, _ = geqrf(a @ q, overwrite_a=True)
+        rdiag = np.diagonal(packed).copy()
+        if np.any(np.abs(rdiag) < 1e-300):
+            raise FloatingPointError(f"rescaling fault at step {k}")
+        qmat, _, _ = orgqr(packed, tau)
+        q = np.where(rdiag < 0.0, -qmat, qmat)
+        sums += np.log(np.abs(rdiag))
+        if k in checkpoints:
+            snapshots.append(sums / k)
+    final = sums / n
+    resid = np.max(np.abs(np.asarray(snapshots) - final), axis=0)
+    order = np.argsort(-final)
+    return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
+
+
+def loop_growth_rates(driver, v, ks, trial=0):
+    """(1/k) log ||A(k) v|| for each k, each from its own renormalized run
+    of k steps; one run read at every checkpoint must agree bit for bit."""
+    rates = []
+    for k in ks:
+        w = np.asarray(v, dtype=float)
+        w = w / np.linalg.norm(w)
+        rate = 0.0
+        for a in driver.elements(trial, k):
+            w = np.asarray(a, dtype=float) @ w
+            s = np.linalg.norm(w)
+            rate += math.log(s)
+            w = w / s
+        rates.append(rate / k)
+    return rates
+
+
+def _symmetric(y, tol=1e-9):
+    y = np.asarray(y, dtype=float)
+    if np.max(np.abs(y - y.T)) > tol * max(1.0, float(np.max(np.abs(y)))):
+        raise SymmetryError("input matrix is not symmetric")
+    return 0.5 * (y + y.T)
+
+
+def loop_segal_sweep(seed, pairs, dim, scale):
+    """segal-sweep's rows (pair, lhs, rhs, slack, path_gap), one pair of
+    matrices at a time: each pair's exponentials, eigendecomposition and
+    spectral norms on their own.  The stacked sweep must agree bit for bit."""
+    def spec(m):
+        return float(np.linalg.norm(m, 2))
+
+    rows = []
+    for i in range(pairs):
+        rng = trial_rng(seed, i)
+        u = rng.uniform(-scale, scale, size=(dim, dim))
+        v = rng.uniform(-scale, scale, size=(dim, dim))
+        u = _symmetric(0.5 * (u + u.T))
+        v = _symmetric(0.5 * (v + v.T))
+        lhs = spec(scipy.linalg.expm(u + v))
+        eu2 = scipy.linalg.expm(0.5 * u)
+        rhs = spec(eu2 @ scipy.linalg.expm(v) @ eu2)
+        w, q = np.linalg.eigh(_symmetric(u + v))
+        path_gap = spec(scipy.linalg.expm(u + v) - (q * np.exp(w)) @ q.T)
+        rows.append((i, lhs, rhs, rhs - lhs, path_gap))
+    return rows

@@ -1,11 +1,12 @@
 """Drivers, orbits, the subadditive cocycle, and convergence diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from horoflow.cocycle import (ErgodicDriver, EstimationError, GOLDEN_ROTATION,
+from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTATION,
                               apply_element, check_integrability,
                               constant_driver, estimate_top_exponent,
                               functional_gap, generate_orbit,
@@ -14,7 +15,7 @@ from horoflow.cocycle import (ErgodicDriver, EstimationError, GOLDEN_ROTATION,
 from horoflow.core import DegenerateInputError
 from horoflow.spaces import euclidean_space, mobius_disk, poincare_space
 
-from oracles import loop_walk_gaps
+from oracles import loop_orbit_at, loop_top_exponent, loop_walk_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,9 @@ def test_apply_element_matrices_and_callables():
     assert apply_element(lambda x: x + 1.0, 1.0) == 2.0
     out = apply_element(np.diag([2.0, 3.0]), np.array([1.0, 1.0]))
     assert np.allclose(out, [2.0, 3.0])
+    # a stack of points along a leading axis, one matvec per point
+    out = apply_element(np.diag([2.0, 3.0]), np.array([[1.0, 1.0], [0.5, -1.0]]))
+    assert out.tolist() == [[2.0, 3.0], [1.0, -3.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +288,86 @@ def test_batched_walk_equals_the_step_loop(driver, checkpoints):
     for t, tr in enumerate(traces):
         assert tr.ks == ks
         assert tr.gaps == loop_walk_gaps(driver.elements(t, n), ks)
+
+
+# ---------------------------------------------------------------------------
+# The stacked orbit fold against the one-trial loop
+
+def _pm1_walk(seed, order="right_increment"):
+    return ErgodicDriver(kind="iid_finite", seed=seed, order=order,
+                         maps=(lambda x: x + 1.0, lambda x: x - 1.0),
+                         weights=(0.5, 0.5))
+
+
+def _shift_or_halve(order):
+    # leaves the disk on a long enough run of shifts: some trials truncate
+    return ErgodicDriver(kind="iid_finite", seed=3, order=order,
+                         maps=(lambda z: z + 0.3, lambda z: 0.5 * z),
+                         weights=(0.3, 0.7))
+
+
+def _random_shift(rng):
+    s = rng.uniform(-1.0, 1.0)
+    return lambda x, _s=s: x + _s
+
+
+_R1 = euclidean_space(1)
+_DISK = poincare_space()
+_MATRICES = ErgodicDriver(kind="rotation", seed=2,
+                          maps=(np.array([[0.9, 0.2], [-0.1, 0.8]]),
+                                np.array([[1.1, 0.0], [0.3, 0.7]])),
+                          breakpoints=(0.4, 1.0))
+
+# label -> (driver, space, x0, [(n, trials), ...])
+_FOLDS = {
+    "translation": (constant_driver(lambda x: x + 1.0), _R1, np.zeros(1),
+                    [(200, 3), (10, 1)]),
+    "pm1_walk": (_pm1_walk(11), _R1, np.zeros(1), [(500, 50), (4000, 10), (50, 3)]),
+    "disk_mobius": (constant_driver(mobius_disk(0.5), seed=5), _DISK, 0j,
+                    [(12, 2), (25, 1)]),
+    "disk_mobius_offset": (constant_driver(mobius_disk(0.3 + 0.2j)), _DISK, 0.3j,
+                           [(20, 3)]),
+    "truncating": (constant_driver(lambda z: z + 0.4), _DISK, 0j, [(100, 5), (10, 2)]),
+    "shift_or_halve": (_shift_or_halve("right_increment"), _DISK, 0j, [(12, 40)]),
+    "left_shift_or_halve": (_shift_or_halve(LEFT), _DISK, 0j, [(12, 40), (30, 10)]),
+    "left_pm1_walk": (_pm1_walk(4, LEFT), _R1, np.zeros(1), [(300, 7)]),
+    "parametric": (ErgodicDriver(kind="iid_parametric", seed=6, sampler=_random_shift),
+                   _R1, np.zeros(1), [(200, 6)]),
+    "matrices": (_MATRICES, euclidean_space(2), np.ones(2), [(60, 5)]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FOLDS))
+def test_stacked_top_exponent_equals_the_trial_loop(label):
+    driver, space, x0, sizes = _FOLDS[label]
+    for n, trials in sizes:
+        try:
+            want = loop_top_exponent(driver, space, x0, n, trials)
+        except EstimationError as e:
+            with pytest.raises(EstimationError, match=re.escape(str(e))):
+                estimate_top_exponent(driver, space, x0, n, trials)
+            continue
+        got = estimate_top_exponent(driver, space, x0, n, trials)
+        assert got.per_trial.tolist() == want.per_trial.tolist()
+        assert (got.lambda_hat, got.std_error, got.tail_slope, got.truncated_trials) \
+            == (want.lambda_hat, want.std_error, want.tail_slope, want.truncated_trials)
+
+
+@pytest.mark.parametrize("label", sorted(_FOLDS))
+def test_stacked_orbit_at_equals_the_point_loop(label):
+    driver, space, x0, _ = _FOLDS[label]
+    for ks, trial in (([1, 2, 5, 12], 0), ([3, 7, 30], 2), (range(1, 16), 1)):
+        got, cut = orbit_at(driver, space, x0, ks, trial)
+        want, want_cut = loop_orbit_at(driver, space, x0, ks, trial)
+        assert cut == want_cut
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert type(got[k]) is type(want[k])
+            assert np.asarray(got[k]).tolist() == np.asarray(want[k]).tolist()
+
+
+def test_fold_grid_truncates_some_trials_but_not_too_many():
+    # the shift-or-halve cases above exercise truncation counts inside the 10% limit
+    for order in ("right_increment", LEFT):
+        est = estimate_top_exponent(_shift_or_halve(order), _DISK, 0j, 12, 40)
+        assert 0 < est.truncated_trials <= 4

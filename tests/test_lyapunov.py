@@ -7,8 +7,11 @@ import pytest
 
 from horoflow.cocycle import ErgodicDriver, constant_driver
 from horoflow.core import DegenerateInputError
-from horoflow.lyapunov import filtration_probe, qr_spectrum, vector_growth_rate
+from horoflow.lyapunov import (_growth_rates, filtration_probe, qr_spectrum,
+                               vector_growth_rate)
 from horoflow.seeding import trial_rng
+
+from oracles import loop_growth_rates, loop_qr_spectrum
 
 
 def test_diagonal_spectrum_is_exact():
@@ -87,3 +90,65 @@ def test_filtration_probe_validation():
         filtration_probe(np.eye(2), [], 200)
     with pytest.raises(DegenerateInputError):
         filtration_probe(np.eye(2), [np.array([1.0, 0.0])], 50)
+
+
+def _random_pair(dim, seed):
+    rng = trial_rng(seed, 0)
+    a = rng.normal(size=(dim, dim)) + 2.0 * np.eye(dim)
+    b = rng.normal(size=(dim, dim)) + 2.0 * np.eye(dim)
+    return ErgodicDriver(kind="iid_finite", seed=seed, maps=(a, b), weights=(0.5, 0.5))
+
+
+_SL2_PAIR = ErgodicDriver(kind="iid_finite", seed=5,
+                          maps=(np.array([[2.0, 1.0], [1.0, 1.0]]),
+                                np.array([[1.0, 1.0], [1.0, 2.0]])),
+                          weights=(0.5, 0.5))
+_PARAMETRIC = ErgodicDriver(kind="iid_parametric", seed=2,
+                            sampler=lambda r: r.normal(size=(2, 2)) + 2.0 * np.eye(2))
+_COCYCLES = {
+    "sl2_pair": (_SL2_PAIR, 2),
+    "random_pair_3": (_random_pair(3, 18), 3),
+    "parametric": (_PARAMETRIC, 2),
+    "diag": (constant_driver(np.diag([3.0, 1.0, 0.5])), 3),
+    "rotation": (constant_driver(np.array([[0.6, -0.8], [0.8, 0.6]])), 2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_COCYCLES))
+def test_qr_spectrum_equals_the_running_sum_loop(label):
+    drv, dim = _COCYCLES[label]
+    for n, trial in ((10, 0), (2000, 0), (2000, 3), (20000, 1)):
+        got = qr_spectrum(drv, dim, n, trial)
+        want = loop_qr_spectrum(drv, dim, n, trial)
+        assert got.exponents.tolist() == want.exponents.tolist()
+        assert got.resid.tolist() == want.resid.tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_qr_spectrum_reports_the_faulting_step():
+    # a parametric driver is not screened for singular matrices up front
+    singular = ErgodicDriver(kind="iid_parametric", seed=0,
+                             sampler=lambda r: np.diag([1.0, float(r.random() > 0.2)]))
+    with pytest.raises(FloatingPointError) as want:
+        loop_qr_spectrum(singular, 2, 50)
+    with pytest.raises(FloatingPointError, match=f"^{want.value}$"):
+        qr_spectrum(singular, 2, 50)
+
+
+@pytest.mark.parametrize("label", sorted(_COCYCLES))
+def test_one_run_growth_rates_equal_separate_runs(label):
+    drv, dim = _COCYCLES[label]
+    rng = trial_rng(30, 0)
+    for ks in ([50, 100], [500], [1, 7, 600, 1000]):
+        v = rng.normal(size=dim)
+        assert _growth_rates(drv, v, ks, trial=1) == loop_growth_rates(drv, v, ks, trial=1)
+
+
+def test_filtration_probe_rates_equal_the_two_run_loop():
+    for A in (np.diag([2.0, 0.5]), np.diag([3.0, 1.0, 1.0]),
+              np.array([[1.0, 2.0], [0.5, 3.0]]), np.diag([1.0, 1.0 + 1e-9])):
+        dim = len(A)
+        probes = [np.eye(dim)[i] for i in range(dim)] + [np.ones(dim)]
+        rep = filtration_probe(A, probes, 1000)
+        assert rep.rates.tolist() == [loop_growth_rates(constant_driver(A), p, [1000])[0]
+                                      for p in probes]

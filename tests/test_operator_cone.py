@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from horoflow.cli import EXPERIMENTS, _matrix_driver
+from horoflow.cli import EXPERIMENTS, _matrix_driver, _run_segal_sweep
 from horoflow.cocycle import (ErgodicDriver, _tail_slope, constant_driver,
                               geometric_checkpoints)
 from horoflow.core import DegenerateInputError
-from horoflow.operator_cone import (SymmetryError, accumulate_product,
-                                    expm_symmetric, extract_vector_state,
+from horoflow.operator_cone import (SymmetryError, _check_symmetric,
+                                    accumulate_product, expm_symmetric,
+                                    extract_vector_state,
                                     log_squared_positive_part, segal_check,
                                     squared_positive_part_lognorm,
                                     state_ratio_check, tau_estimate)
 from horoflow.seeding import trial_rng
-from horoflow.spaces import sym_log
+from horoflow.spaces import sym_log, sym_part
 
-from oracles import exact_log_gram_norm, loop_accumulate
+from oracles import exact_log_gram_norm, loop_accumulate, loop_segal_sweep
 
 
 def _random_driver(seed=3, spread=0.5):
@@ -174,3 +175,46 @@ def test_expm_paths_agree():
         u = 0.5 * (u + u.T)
         gap = np.linalg.norm(scipy.linalg.expm(u) - expm_symmetric(u), 2)
         assert gap <= 1e-9
+
+
+def test_segal_check_stacks_pairs():
+    rng = trial_rng(12, 0)
+    u = sym_part(rng.uniform(-2.0, 2.0, size=(5, 3, 3)))
+    v = sym_part(rng.uniform(-2.0, 2.0, size=(5, 3, 3)))
+    lhs, rhs = segal_check(u, v)
+    assert lhs.shape == rhs.shape == (5,)
+    for i in range(5):
+        # a single pair is the stack-of-one case
+        assert segal_check(u[i], v[i]) == (lhs[i], rhs[i])
+        assert expm_symmetric(u[i]).tolist() == expm_symmetric(u)[i].tolist()
+
+
+def test_symmetry_tolerance_is_per_matrix():
+    skew = np.array([[0.0, 1e-7], [0.0, 0.0]])
+    big = 1e6 * np.eye(2) + skew    # within the tolerance of its own scale
+    _check_symmetric(big)
+    with pytest.raises(SymmetryError):
+        _check_symmetric(skew)
+    with pytest.raises(SymmetryError):
+        _check_symmetric(np.stack([big, skew]))
+    with pytest.raises(SymmetryError):
+        segal_check(np.stack([np.eye(2), skew]), np.stack([np.eye(2), np.eye(2)]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_segal_check_rejects_overflow():
+    with pytest.raises(DegenerateInputError, match="scale"):
+        segal_check(np.diag([400.0, 0.0, 1.0]), np.diag([400.0, 1.0, 0.0]))
+    with pytest.raises(DegenerateInputError, match="scale"):
+        segal_check(np.diag([800.0, 0.0]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("seed", [11, 0, 5, 7])
+def test_stacked_segal_sweep_equals_the_pair_loop(seed):
+    for dim in (2, 3, 4):
+        for scale in (1.0, 2.0, 3.0):
+            cfg = {"seed": seed, "pairs": 200, "dim": dim, "scale": scale}
+            assert _run_segal_sweep(cfg)[1] == loop_segal_sweep(seed, 200, dim, scale)
+    # more pairs than one stacked block holds
+    cfg = {"seed": seed, "pairs": 1100, "dim": 3, "scale": 2.0}
+    assert _run_segal_sweep(cfg)[1] == loop_segal_sweep(seed, 1100, 3, 2.0)
