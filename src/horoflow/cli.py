@@ -484,7 +484,11 @@ def run(config: dict) -> int:
         return EXIT_CONFIG
     exp = EXPERIMENTS[config["experiment"]]
     out_dir, out_format = params["output_dir"], params["output_format"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"config error: output_dir: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
         columns, rows, truncations = exp.runner(params)

@@ -106,6 +106,8 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
     A = np.asarray(A, dtype=float)
+    if abs(np.linalg.det(A)) <= 1e-12:
+        raise DegenerateInputError("singular matrix")
     drv = constant_driver(A)
     # each probe runs once; its n // 2 rate is a checkpoint of the same run
     half, rates = np.array([_growth_rates(drv, p, [n // 2, n]) for p in probes]).T

@@ -126,6 +126,27 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_run_reports_run_time_errors(tmp_path, capsys):
+    # values the schema accepts that fail only once the experiment runs:
+    # --validate-only passes them, run and main exit 2 with no table written
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = tmp_path / "out"
+    for bad in ({"experiment": "segal-sweep", "scale": 1e3, "pairs": 2},
+                {"experiment": "filtration-probe", "diag": [0.0, 1.0]},
+                {"experiment": "segal-sweep", "pairs": 2, "output_dir": str(afile)}):
+        bad = {"seed": 1, "output_dir": str(out), **bad}
+        assert run(bad) == EXIT_CONFIG
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(bad))
+        assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("config error:") == 2
+        assert main(["--config", str(cfg_path), "--validate-only"]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "bad.json", "out"]
+    assert afile.read_text() == ""
+
+
 def test_run_truncation_exit_code(tmp_path):
     # a constant hyperbolic map expels every disk orbit past the boundary
     cfg = {"experiment": "top-exponent", "seed": 0, "preset": "disk_mobius",

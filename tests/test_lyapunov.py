@@ -90,6 +90,8 @@ def test_filtration_probe_validation():
         filtration_probe(np.eye(2), [], 200)
     with pytest.raises(DegenerateInputError):
         filtration_probe(np.eye(2), [np.array([1.0, 0.0])], 50)
+    with pytest.raises(DegenerateInputError, match="singular"):
+        filtration_probe(np.diag([0.0, 1.0]), [np.array([1.0, 1.0])], 200)
 
 
 def _random_pair(dim, seed):
