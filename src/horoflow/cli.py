@@ -255,6 +255,10 @@ _SEGAL_BLOCK = 1024
 
 def _run_segal_sweep(cfg):
     dim, scale = cfg["dim"], cfg["scale"]
+    if math.isinf(2.0 * scale):
+        # the draw range itself overflows, and every exponential would
+        raise DegenerateInputError(
+            "matrix exponential overflows: the scale of u and v is too large")
     rows = []
     for start in range(0, cfg["pairs"], _SEGAL_BLOCK):
         pairs = range(start, min(start + _SEGAL_BLOCK, cfg["pairs"]))
@@ -501,18 +505,6 @@ def run(config: dict) -> int:
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     stem = os.path.join(out_dir, f"{exp.name}-{params['seed']}")
     data_path = f"{stem}.{out_format}"
-    if out_format == "csv":
-        with open(data_path, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(x) for x in row) + "\n")
-    else:
-        with open(data_path, "w", newline="") as fh:
-            for row in rows:
-                fh.write(json.dumps({c: (fmt(x) if isinstance(x, (float, np.floating))
-                                         else x)
-                                     for c, x in zip(columns, row)},
-                                    sort_keys=True) + "\n")
     manifest = {
         "config": {"experiment": exp.name, **params},
         "generator": GENERATOR_NAME,
@@ -522,9 +514,24 @@ def run(config: dict) -> int:
         "truncations": truncations,
         "data_file": os.path.basename(data_path),
     }
-    with open(f"{stem}.manifest.json", "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    try:
+        with open(data_path, "w", newline="") as fh:
+            if out_format == "csv":
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(fmt(x) for x in row) + "\n")
+            else:
+                for row in rows:
+                    fh.write(json.dumps({c: (fmt(x) if isinstance(x, (float, np.floating))
+                                             else x)
+                                         for c, x in zip(columns, row)},
+                                        sort_keys=True) + "\n")
+        with open(f"{stem}.manifest.json", "w", newline="") as fh:
+            json.dump(manifest, fh, indent=2, default=str)
+            fh.write("\n")
+    except OSError as e:
+        print(f"config error: output_dir: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {data_path}")
     return EXIT_OK
 

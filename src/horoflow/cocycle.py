@@ -74,8 +74,10 @@ class ErgodicDriver:
             if not self.maps:
                 raise ValueError("iid_finite driver needs maps")
             w = self.weights or tuple(1.0 / len(self.maps) for _ in self.maps)
-            if abs(sum(w) - 1.0) > 1e-12:
-                raise ValueError("probability weights must sum to 1")
+            if len(w) != len(self.maps):
+                raise ValueError("iid_finite driver needs one weight per map")
+            if not (all(x >= 0.0 for x in w) and abs(sum(w) - 1.0) <= 1e-12):
+                raise ValueError("probability weights must be nonnegative and sum to 1")
             object.__setattr__(self, "weights", tuple(w))
         if self.kind == "iid_parametric" and self.sampler is None:
             raise ValueError("iid_parametric driver needs a sampler")
@@ -92,45 +94,35 @@ class ErgodicDriver:
     def rng(self, trial: int) -> np.random.Generator:
         return trial_rng(self.seed, trial)
 
-    def indices(self, trial: int, n: int) -> np.ndarray:
-        """Positions in ``maps`` of the first n emitted maps, deterministically.
+    def draw(self, trials, n: int):
+        """(maps, idx): the first n emitted maps of each listed trial,
+        deterministically.
 
-        Only finite and rotation drivers choose among ``maps``; parametric
-        drivers raise ValueError.
+        Row t of the (len(trials), n) integer array ``idx`` lists the
+        positions in ``maps`` of trial t's maps, in step order.  Finite and
+        rotation drivers return their own ``maps``; a parametric driver
+        returns its draws, trial after trial, and ``idx`` counts them.
         """
+        trials = list(trials)
         if self.kind == "iid_parametric":
-            raise ValueError("iid_parametric drivers draw maps, not indices")
-        rng = self.rng(trial)
+            maps = [self.sampler(rng) for rng in map(self.rng, trials)
+                    for _ in range(n)]
+            return maps, np.arange(len(trials) * n).reshape(len(trials), n)
         if self.kind == "iid_finite":
-            return rng.choice(len(self.maps), size=n, p=np.asarray(self.weights))
-        theta0 = rng.random()
-        pos = (theta0 + self.angle * np.arange(n)) % 1.0
-        idx = np.searchsorted(np.asarray(self.breakpoints), pos, side="right")
-        return np.minimum(idx, len(self.maps) - 1)
+            p = np.asarray(self.weights)
+            idx = [self.rng(t).choice(len(self.maps), size=n, p=p) for t in trials]
+        else:
+            bp = np.asarray(self.breakpoints)
+            turns = self.angle * np.arange(n)
+            last = len(self.maps) - 1
+            idx = [np.minimum(np.searchsorted(bp, (self.rng(t).random() + turns) % 1.0,
+                                              side="right"), last) for t in trials]
+        return self.maps, np.array(idx, dtype=np.intp).reshape(len(trials), n)
 
     def elements(self, trial: int, n: int) -> list:
         """The first n emitted maps g(omega), g(T omega), ..., deterministically."""
-        if self.kind == "iid_parametric":
-            rng = self.rng(trial)
-            return [self.sampler(rng) for _ in range(n)]
-        return [self.maps[i] for i in self.indices(trial, n)]
-
-
-def element_stack(driver: ErgodicDriver, trials, n: int, dtype=float):
-    """(mats, idx): the first n elements of each listed trial as positions
-    in one stack.
-
-    ``mats`` is an (m, d, d) array and row t of the (len(trials), n) array
-    ``idx`` lists the positions of trial t's elements in step order.  Finite
-    and rotation drivers stack their ``maps`` and index them with
-    :meth:`ErgodicDriver.indices`; parametric drivers stack every draw.
-    """
-    if driver.kind == "iid_parametric":
-        mats = np.asarray([driver.elements(t, n) for t in trials], dtype=dtype)
-        mats = mats.reshape(-1, *mats.shape[-2:])
-        return mats, np.arange(len(mats)).reshape(-1, n)
-    return (np.asarray(driver.maps, dtype=dtype),
-            np.array([driver.indices(t, n) for t in trials]))
+        maps, [idx] = self.draw([trial], n)
+        return [maps[i] for i in idx]
 
 
 def constant_driver(element, seed: int = 0, order: str = RIGHT) -> ErgodicDriver:
@@ -203,11 +195,11 @@ def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
     t's orbit was truncated (see :func:`orbit_at`), or None.
 
     Each step applies each drawn map once, to the stack of points that
-    drew it: finite and rotation drivers group the trials by map index,
-    parametric drivers go trial by trial.  A right-increment fold walks
-    the steps i = n-1 down to 0, and checkpoint k's rows join once i < k,
-    so each gets g_1(...g_k(x0)).  A left-increment orbit steps forward,
-    checks the domain after every step and stops moving a trial that left.
+    drew it (a parametric draw is one trial's alone).  A right-increment
+    fold walks the steps i = n-1 down to 0, and checkpoint k's rows join
+    once i < k, so each gets g_1(...g_k(x0)).  A left-increment orbit
+    steps forward, checks the domain after every step and stops moving a
+    trial that left.
     """
     n = ks[-1]
     trials = list(trials)
@@ -215,18 +207,17 @@ def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
     pts = np.empty((len(ks), len(trials)) + x.shape,
                    dtype=np.result_type(x, float))
     pts[:] = x
-    if driver.kind == "iid_parametric":
-        gs = [driver.elements(t, n) for t in trials]
+    maps, idx = driver.draw(trials, n)
+    # one stable sort of every step's column up front; a step's groups are
+    # then the runs of equal positions, trials ascending within each
+    order = np.argsort(idx, axis=0, kind="stable")
+    drawn = np.take_along_axis(idx, order, axis=0)
+    heads = np.diff(drawn, axis=0, prepend=-1) != 0
 
-        def groups(i):
-            return [(g[i], np.array([t])) for t, g in enumerate(gs)]
-    else:
-        idx = np.array([driver.indices(t, n) for t in trials])
-
-        def groups(i):
-            col = idx[:, i]
-            sels = [np.flatnonzero(col == m) for m in range(len(driver.maps))]
-            return [(g, sel) for g, sel in zip(driver.maps, sels) if sel.size]
+    def groups(i):
+        starts = np.flatnonzero(heads[:, i]).tolist()
+        return [(maps[drawn[a, i]], order[a:b, i])
+                for a, b in zip(starts, starts[1:] + [len(trials)])]
 
     def outside(p):
         return not space.in_domain(_point(x0, p))
@@ -499,7 +490,8 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
         ks = geometric_checkpoints(n, count=probe_budget)
     else:
         ks = checkpoint_list(checkpoints, n)
-    mats, idx = element_stack(driver, range(trials), n, dtype=complex)
+    maps, idx = driver.draw(range(trials), n)
+    mats = np.asarray(maps, dtype=complex)
     # track 0 holds the prefix products P_k = M_1 ... M_k, which give
     # a(k) = d(0, u(k)0); track 1 the suffix products S_j = M_{j+1} ... M_n,
     # which give d(u(j)0, u(n)0).  Step k extends P_{k-1} by M_k and S_j by

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .cocycle import (DegenerateInputError, ErgodicDriver, LyapunovEstimate,
-                      checkpoint_list, element_stack, geometric_checkpoints,
+                      checkpoint_list, geometric_checkpoints,
                       _tail_slope)
 from .spaces import sym_part
 
@@ -69,19 +69,17 @@ def accumulate_product(driver: ErgodicDriver, n: int, trial: int = 0) -> ScaledP
 
 
 def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
-    """:func:`_accumulate` over the first n matrices of each listed trial."""
-    return _accumulate(*element_stack(driver, trials, n), checkpoints)
+    """Fold the first n matrices of each listed trial at once;
+    {k: [ScaledProduct of each trial]}.
 
-
-def _accumulate(mats, idx, checkpoints) -> dict:
-    """Fold all trials' products at once; {k: [ScaledProduct of each trial]}.
-
-    ``mats`` is an (m, d, d) stack and row t of the (trials, n) array
-    ``idx`` lists the stack positions trial t multiplies in step order.
-    Each distinct matrix is checked and inverted once.  The forward and
-    inverse tracks of every trial share one (2, trials, d, d) array, and
-    each step divides every track by its spectral norm.
+    The trials share the driver's drawn stack of matrices (see
+    :meth:`ErgodicDriver.draw`), so each distinct matrix is checked and
+    inverted once.  The forward and inverse tracks of every trial share
+    one (2, trials, d, d) array, and each step divides every track by its
+    spectral norm.
     """
+    maps, idx = driver.draw(trials, n)
+    mats = np.asarray(maps, dtype=float)
     used = np.unique(idx)
     if np.any(np.abs(np.linalg.det(mats[used])) <= 1e-12):
         raise DegenerateInputError("singular step matrix")

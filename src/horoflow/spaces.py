@@ -19,6 +19,8 @@ import scipy.linalg
 
 from .core import MetricDomainError, DegenerateInputError, WeakMetricSpace
 
+_TWO_PI = 2.0 * math.pi
+
 
 class NotSpdError(ValueError):
     """Matrix is not symmetric positive definite."""
@@ -101,7 +103,7 @@ def mobius_disk(a: complex) -> Callable[[complex], complex]:
 def poincare_space() -> WeakMetricSpace:
     def sample(rng):
         r = 0.95 * math.sqrt(rng.random())
-        theta = 2.0 * math.pi * rng.random()
+        theta = _TWO_PI * rng.random()
         return r * cmath.exp(1j * theta)
 
     return WeakMetricSpace(name="poincare", dist=poincare_dist,
@@ -305,7 +307,7 @@ def stretch_space() -> WeakMetricSpace:
     def sample(rng):
         a = rng.uniform(-1.0, 1.0)
         k = rng.normal(size=2)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
+        phase = rng.uniform(0.0, _TWO_PI)
 
         def table_fn(pts, _a=a, _k=k, _p=phase):
             P = np.asarray(pts, dtype=float)
@@ -331,9 +333,6 @@ def ambient_norm_sdf(base_sample) -> SampledDistanceFunction:
 
 # ---------------------------------------------------------------------------
 # Circle diffeomorphisms and the sup-log-Jacobian metric
-
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class CircleMap:

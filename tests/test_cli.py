@@ -134,6 +134,7 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
     afile.write_text("")
     out = tmp_path / "out"
     for bad in ({"experiment": "segal-sweep", "scale": 1e3, "pairs": 2},
+                {"experiment": "segal-sweep", "scale": 1e308, "pairs": 2},
                 {"experiment": "filtration-probe", "diag": [0.0, 1.0]},
                 {"experiment": "segal-sweep", "pairs": 2, "output_dir": str(afile)}):
         bad = {"seed": 1, "output_dir": str(out), **bad}
@@ -145,6 +146,21 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
         assert main(["--config", str(cfg_path), "--validate-only"]) == EXIT_OK
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "bad.json", "out"]
     assert afile.read_text() == ""
+
+
+def test_run_reports_unwritable_outputs(tmp_path, capsys):
+    # a directory where the data table or the manifest goes
+    for case, blocked in enumerate(("segal-sweep-1.csv", "segal-sweep-1.manifest.json")):
+        out = tmp_path / f"out{case}"
+        (out / blocked).mkdir(parents=True)
+        cfg = {"experiment": "segal-sweep", "pairs": 2, "seed": 1, "output_dir": str(out)}
+        assert run(cfg) == EXIT_CONFIG
+        cfg_path = tmp_path / f"cfg{case}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("config error: output_dir:") == 2
+        assert err.count("\n") == 2
 
 
 def test_run_truncation_exit_code(tmp_path):

@@ -29,6 +29,12 @@ def test_driver_validation():
     with pytest.raises(ValueError):
         ErgodicDriver(kind="iid_finite", seed=0, maps=(np.eye(2),) * 2,
                       weights=(0.5, 0.6))
+    with pytest.raises(ValueError):  # one weight short
+        ErgodicDriver(kind="iid_finite", seed=0, maps=(1.0, 2.0, 100.0),
+                      weights=(0.5, 0.5))
+    with pytest.raises(ValueError):  # negative weight, sum 1
+        ErgodicDriver(kind="iid_finite", seed=0, maps=(1.0, 2.0),
+                      weights=(1.5, -0.5))
     with pytest.raises(ValueError):
         ErgodicDriver(kind="iid_parametric", seed=0)  # no sampler
     with pytest.raises(ValueError):
@@ -52,13 +58,21 @@ def test_elements_are_the_maps_at_indices():
                            weights=(0.2, 0.3, 0.5))
     rotation = ErgodicDriver(kind="rotation", seed=4, maps=("a", "b"),
                              breakpoints=(0.3, 1.0))
-    for drv in (finite, rotation):
-        for t in (0, 3):
-            assert drv.elements(t, 200) == [drv.maps[i] for i in drv.indices(t, 200)]
     parametric = ErgodicDriver(kind="iid_parametric", seed=4,
                                sampler=lambda rng: rng.random())
-    with pytest.raises(ValueError):
-        parametric.indices(0, 5)
+    for drv in (finite, rotation, parametric):
+        maps, idx = drv.draw(range(5), 200)
+        assert idx.shape == (5, 200)
+        for t in (0, 3):
+            one_maps, [one] = drv.draw([t], 200)
+            # a trial's stream does not depend on the batch it is drawn in
+            assert [maps[i] for i in idx[t]] == [one_maps[i] for i in one]
+            assert drv.elements(t, 200) == [one_maps[i] for i in one]
+    assert finite.draw(range(5), 200)[0] is finite.maps
+    assert rotation.draw(range(5), 200)[0] is rotation.maps
+    maps, idx = parametric.draw(range(5), 200)
+    assert len(maps) == 1000
+    assert idx.tolist() == np.arange(1000).reshape(5, 200).tolist()
 
 
 def test_rotation_driver_hits_interval_frequencies():
