@@ -526,9 +526,14 @@ def run(config: dict) -> int:
                                              else x)
                                          for c, x in zip(columns, row)},
                                         sort_keys=True) + "\n")
-        with open(f"{stem}.manifest.json", "w", newline="") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
-            fh.write("\n")
+        try:
+            with open(f"{stem}.manifest.json", "w", newline="") as fh:
+                json.dump(manifest, fh, indent=2, default=str)
+                fh.write("\n")
+        except OSError:
+            # no table is left behind without its manifest
+            os.remove(data_path)
+            raise
     except OSError as e:
         print(f"config error: output_dir: {e}", file=sys.stderr)
         return EXIT_CONFIG

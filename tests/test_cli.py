@@ -161,6 +161,8 @@ def test_run_reports_unwritable_outputs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("config error: output_dir:") == 2
         assert err.count("\n") == 2
+        # a table whose manifest could not be written is removed
+        assert sorted(p.name for p in out.iterdir()) == [blocked]
 
 
 def test_run_truncation_exit_code(tmp_path):
