@@ -245,9 +245,9 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int,
 
     Driver elements are complex maps z -> g(z) (vectorizable over numpy
     arrays) preserving the circle.  A fixed pair grid (near-diagonal pairs
-    at the scales 1e-2 and 1e-4 around equispaced midpoints) is re-evaluated
-    against each incoming map; the per-step log of the best sampled
-    stretch accumulates into lambda_hat.
+    at the scales 1e-2 and 1e-4 around equispaced midpoints) is evaluated
+    once under each distinct drawn map; the log of the best sampled stretch
+    of each step's map accumulates, in step order, into lambda_hat.
 
     Depth-n difference quotients saturate in double precision once the
     cumulative stretch exceeds (pair scale)/eps, so the estimate composes
@@ -265,20 +265,31 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int,
     y = np.concatenate(ys)
     base = np.abs(x - y)
     checkpoints = set(geometric_checkpoints(n, count=12))
-    total = 0.0
-    trace = []
-    best_pair = None
-    for k, g in enumerate(driver.elements(trial, n), start=1):
+    maps, [idx] = driver.draw([trial], n)
+    steps = idx.tolist()
+    # each distinct drawn map is evaluated once, in order of its first step,
+    # so a map that leaves the chart is reported at its first drawn step
+    first = {}
+    for k, m in enumerate(steps, start=1):
+        first.setdefault(m, k)
+    log_best, best = {}, {}
+    for m, k in first.items():
+        g = maps[m]
         gx = g(x)
         gy = g(y)
         if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
             raise DegenerateInputError(f"map left the sampled chart at depth {k}")
         ratios = np.abs(gx - gy) / base
         i = int(np.argmax(ratios))
-        total += math.log(float(ratios[i]))
-        best_pair = (complex(x[i]), complex(y[i]))
+        log_best[m] = math.log(float(ratios[i]))
+        best[m] = (complex(x[i]), complex(y[i]))
+    total = 0.0
+    trace = []
+    for k, m in enumerate(steps, start=1):
+        total += log_best[m]
         if k in checkpoints:
-            trace.append((k, best_pair))
+            trace.append((k, best[m]))
+    best_pair = best[steps[-1]]
     z_hat = 0.5 * (best_pair[0] + best_pair[1])
     return StretchReport(lambda_hat=total / n, argmax_trace=trace, z_hat=z_hat)
 

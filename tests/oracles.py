@@ -6,8 +6,9 @@ of anchored functionals, direct optimization of Rayleigh quotients, SVD
 for operator norms, exact rational arithmetic for matrix products, and
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (scaled operator products, disk walks, layer chains, orbit folds,
-Segal pairs), one-sample-at-a-time loops for the metric property suites,
-and step-at-a-time sums for the QR spectrum and the growth rates.
+Segal pairs), a per-step loop for the maximal stretch, one-sample-at-a-time
+loops for the metric property suites, and step-at-a-time sums for the QR
+spectrum and the growth rates.
 """
 
 import math
@@ -21,7 +22,7 @@ from horoflow.cocycle import (LEFT, EstimationError, LyapunovEstimate,
                               _dist_origin, _tail_slope, geometric_checkpoints)
 from horoflow.core import (AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, symmetrize)
-from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT
+from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
 from horoflow.lyapunov import SpectrumEstimate
 from horoflow.operator_cone import ScaledProduct, SymmetryError
 from horoflow.seeding import trial_rng
@@ -204,6 +205,33 @@ def loop_walk_gaps(mats, ks):
         S = S / s
         ls += math.log(s)
     return [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks]
+
+
+def loop_max_stretch(driver, n, grid, trial=0):
+    """The maximal-stretch report with every step's map evaluated on the
+    whole pair grid, one step at a time; :func:`horoflow.deepnet.max_stretch`
+    must agree field for field."""
+    mids = 2.0 * math.pi * np.arange(grid) / grid
+    x = np.concatenate([np.exp(1j * (mids - 0.5 * s)) for s in (1e-2, 1e-4)])
+    y = np.concatenate([np.exp(1j * (mids + 0.5 * s)) for s in (1e-2, 1e-4)])
+    base = np.abs(x - y)
+    checkpoints = set(geometric_checkpoints(n, count=12))
+    total = 0.0
+    trace = []
+    best_pair = None
+    for k, g in enumerate(driver.elements(trial, n), start=1):
+        gx = g(x)
+        gy = g(y)
+        if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
+            raise DegenerateInputError(f"map left the sampled chart at depth {k}")
+        ratios = np.abs(gx - gy) / base
+        i = int(np.argmax(ratios))
+        total += math.log(float(ratios[i]))
+        best_pair = (complex(x[i]), complex(y[i]))
+        if k in checkpoints:
+            trace.append((k, best_pair))
+    z_hat = 0.5 * (best_pair[0] + best_pair[1])
+    return StretchReport(lambda_hat=total / n, argmax_trace=trace, z_hat=z_hat)
 
 
 def _chain(layers, X):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.cocycle import constant_driver
+from horoflow.cocycle import ErgodicDriver, constant_driver
 from horoflow.core import DegenerateInputError
 from horoflow.deepnet import (LayerMap, NormConstraintError, apply_chain,
                               jacobian_cocycle_dist, lipschitz_profile,
@@ -16,7 +16,8 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError,
                              mobius_circle_map, rotation_circle_map,
                              sine_circle_map)
 
-from oracles import loop_lipschitz_profile, loop_resnet_drift, operator_norm_svd
+from oracles import (loop_lipschitz_profile, loop_max_stretch, loop_resnet_drift,
+                     operator_norm_svd)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,45 @@ def test_max_stretch_rejects_escaping_maps():
     bad = constant_driver(lambda z: z * complex("nan"))
     with pytest.raises(DegenerateInputError):
         max_stretch(bad, 3, 32)
+
+
+def _disk_map(a):
+    return lambda z: (z + a) / (1.0 + np.conj(a) * z)
+
+
+_STRETCH_DRIVERS = {
+    "constant": constant_driver(_disk_map(0.5)),
+    "two_maps": ErgodicDriver(kind="iid_finite", seed=4,
+                              maps=(_disk_map(0.5), _disk_map(-0.3 + 0.2j)),
+                              weights=(0.3, 0.7)),
+    "parametric": ErgodicDriver(kind="iid_parametric", seed=4, sampler=lambda r: _disk_map(
+        complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRETCH_DRIVERS))
+def test_max_stretch_equals_the_step_loop(name):
+    # each distinct drawn map evaluated once gives the per-step loop's report
+    for trial in (0, 3):
+        rep = max_stretch(_STRETCH_DRIVERS[name], 300, 64, trial=trial)
+        ref = loop_max_stretch(_STRETCH_DRIVERS[name], 300, 64, trial=trial)
+        assert rep.lambda_hat == ref.lambda_hat
+        assert rep.argmax_trace == ref.argmax_trace
+        assert rep.z_hat == ref.z_hat
+
+
+def test_max_stretch_reports_the_first_step_that_leaves_the_chart():
+    # the bad map is the second distinct one drawn, at the first step it
+    # is drawn, as in the per-step loop
+    drv = ErgodicDriver(kind="iid_finite", seed=2,
+                        maps=(_disk_map(0.5), lambda z: z * complex("nan")),
+                        weights=(0.5, 0.5))
+    first = drv.elements(0, 50).index(drv.maps[1]) + 1
+    assert first > 1
+    for kernel in (max_stretch, loop_max_stretch):
+        with pytest.raises(DegenerateInputError,
+                           match=f"map left the sampled chart at depth {first}$"):
+            kernel(drv, 50, 32)
 
 
 # ---------------------------------------------------------------------------
