@@ -434,6 +434,128 @@ def functional_gap(driver: ErgodicDriver, space: WeakMetricSpace, x0,
 
 
 # ---------------------------------------------------------------------------
+# Scaled products in log depth
+#
+# A product of many matrices is formed by pairwise (tree) reduction, so each
+# factor passes through about log2 n multiplications.  A node of the tree is
+# a scaled product (hi, lo, exps): per trial, the matrix hi + lo times
+# 2**exps.  Every node is divided by the power of two at or above its largest
+# entry modulus, which is exact, so the exponents count the scale without
+# rounding.
+#
+# Subproducts of a long product are close to rank one.  A node whose two
+# factors are far from aligned amplifies the rounding of its product, so a
+# tree rounded to double at every node can lose to a one-step-at-a-time
+# loop, whose track meets one fresh factor at a time.  A product of real
+# matrices therefore carries each node as a double-double hi + lo (hi =
+# fl(hi + lo)) with error-free transformations (Dekker's product, Knuth's
+# sum; Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), to about
+# 2**-104.  A product of complex matrices has lo None and rounds hi at every
+# node: the disk walk still beats its step loop this way (see
+# tests/test_cocycle.py), several times faster than in double-double.
+
+# (trial, step) matrices gathered at once; bounds the temporaries
+_PRODUCT_BLOCK = 1 << 12
+# Veltkamp's constant: splits a double into two halves of 26 bits
+_SPLIT = 2.0 ** 27 + 1.0
+
+
+def _two_sum(a, b):
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _halves(a):
+    c = _SPLIT * a
+    big = c - (c - a)
+    return big, a - big
+
+
+def _dd_matmul(ah, al, bh, bl):
+    """(hi, lo) of (ah + al) @ (bh + bl) for real stacks with entries of
+    modulus at most 1."""
+    A, B = ah[..., :, :, None], bh[..., None, :, :]
+    a1, a2 = (h[..., :, :, None] for h in _halves(ah))
+    b1, b2 = (h[..., None, :, :] for h in _halves(bh))
+    p = A * B
+    e = a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)    # p + e == A * B
+    e += al[..., :, :, None] * B + A * bl[..., None, :, :]
+    hi, lo = p[..., 0, :], e.sum(axis=-2)
+    for k in range(1, p.shape[-2]):
+        hi, q = _two_sum(hi, p[..., k, :])
+        lo = lo + q
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+def _rescaled(hi, lo, exps):
+    e = np.frexp(np.abs(hi).max(axis=(-2, -1)))[1]
+    scale = np.ldexp(1.0, -e)[..., None, None]
+    return hi * scale, None if lo is None else lo * scale, exps + e
+
+
+def _part(node, index):
+    return [None if a is None else a[index] for a in node]
+
+
+def chain_product(first, then, later_left: bool = False):
+    """The scaled product of two scaled products: ``then`` after ``first``,
+    on the right of it, or on the left when ``later_left``."""
+    (xh, xl, xe), (yh, yl, ye) = (then, first) if later_left else (first, then)
+    if xl is None:
+        return _rescaled(xh @ yh, None, xe + ye)
+    return _rescaled(*_dd_matmul(xh, xl, yh, yl), xe + ye)
+
+
+def pairwise_product(mats: np.ndarray, idx, later_left: bool = False):
+    """Scaled per-trial products of ``mats[idx[t, 0]], mats[idx[t, 1]], ...``.
+
+    Later factors go on the right (M_1 M_2 ... M_L), or on the left when
+    ``later_left`` (M_L ... M_2 M_1).  idx is a (trials, L) integer array,
+    L >= 1.  Real factors are multiplied in double-double arithmetic.  Read
+    the result with :func:`scaled_matrices`.
+
+    The steps are gathered in aligned blocks of a power-of-two width that
+    keeps each gather within ``_PRODUCT_BLOCK`` matrices, and full blocks
+    merge as a binary counter, so the tree, and with it every rounding, is
+    the same whatever the width: each trial of a batch equals its one-trial
+    call bit for bit.
+    """
+    trials, steps = idx.shape
+    width = 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1
+    stack = []      # (steps covered, scaled product), aligned and decreasing
+    for start in range(0, steps, width):
+        x = mats[idx[:, start:start + width]]
+        node = _rescaled(x, None if np.iscomplexobj(x) else np.zeros_like(x),
+                         np.zeros(x.shape[:2], dtype=np.int64))
+        while node[0].shape[1] > 1:
+            m = node[0].shape[1] // 2 * 2
+            pair = chain_product(_part(node, np.s_[:, 0:m:2]),
+                                 _part(node, np.s_[:, 1:m:2]), later_left)
+            if m < node[0].shape[1]:    # an odd node carries to the next level
+                pair = [None if a is None else np.concatenate([a, b[:, m:]], axis=1)
+                        for a, b in zip(pair, node)]
+            node = pair
+        size, node = x.shape[1], _part(node, np.s_[:, 0])
+        while stack and stack[-1][0] == size:
+            node = chain_product(stack.pop()[1], node, later_left)
+            size *= 2
+        stack.append((size, node))
+    node = stack.pop()[1]
+    while stack:
+        node = chain_product(stack.pop()[1], node, later_left)
+    return node
+
+
+def scaled_matrices(node):
+    """(p, log_scale) of a scaled product: the (trials, d, d) stack p, each
+    with largest entry modulus in [1/2, 1), and the (trials,) logs, so that
+    p * exp(log_scale) is the product."""
+    return node[0], node[2] * math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
 # Boundary-safe hyperbolic walks
 #
 # Orbits of disk Mobius maps reach the floating-point boundary of the disk
@@ -492,34 +614,25 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
         ks = checkpoint_list(checkpoints, n)
     maps, idx = driver.draw(range(trials), n)
     mats = np.asarray(maps, dtype=complex)
-    # track 0 holds the prefix products P_k = M_1 ... M_k, which give
-    # a(k) = d(0, u(k)0); track 1 the suffix products S_j = M_{j+1} ... M_n,
-    # which give d(u(j)0, u(n)0).  Step k extends P_{k-1} by M_k and S_j by
-    # M_j for j = n-k+1, then divides every product by its largest entry
-    # modulus.  Log scales, track 0 first, are summed with math.log one
-    # element at a time, since numpy's vectorized log may differ from libm
-    # in the last bit.
-    want = set(ks) | {n}
-    steps = idx.T
-    T = np.empty((2, trials, 2, 2), dtype=complex)
-    T[:] = np.eye(2)
-    ls = [0.0] * (2 * trials)
+    # the segment products M_{b+1} ... M_c between consecutive bounds b < c,
+    # chained forward into the prefix products P_k = M_1 ... M_k, which give
+    # a(k) = d(0, u(k)0), and backward into the suffix products
+    # S_j = M_{j+1} ... M_n, which give d(u(j)0, u(n)0)
+    bounds = [0] + sorted(set(ks) | {n})
+    segs = [pairwise_product(mats, idx[:, b:c]) for b, c in zip(bounds, bounds[1:])]
 
-    def dist(scales, prods):
-        return [_dist_origin(l + math.log(abs(p[0, 0]))) for l, p in zip(scales, prods)]
+    def dist(node):
+        p, logs = scaled_matrices(node)
+        return [_dist_origin(x) for x in (logs + np.log(np.abs(p[:, 0, 0]))).tolist()]
 
-    a, suffix = {}, {}
-    for k in range(1, n + 1):
-        j = n - k + 1
-        if j in want:
-            suffix[j] = dist(ls[trials:], T[1])
-        T[0] = T[0] @ mats.take(steps[k - 1], axis=0)
-        T[1] = mats.take(steps[j - 1], axis=0) @ T[1]
-        s = np.abs(T).max(axis=(2, 3))
-        T /= s[..., None, None]
-        ls = [x + math.log(y) for x, y in zip(ls, s.ravel().tolist())]
-        if k in want:
-            a[k] = dist(ls, T[0])
+    a, suffix = {}, {n: [0.0] * trials}
+    prefix = suffix_prod = None
+    for c, seg in zip(bounds[1:], segs):
+        prefix = seg if prefix is None else chain_product(prefix, seg)
+        a[c] = dist(prefix)
+    for b, seg in zip(bounds[-2:0:-1], segs[:0:-1]):
+        suffix_prod = seg if suffix_prod is None else chain_product(seg, suffix_prod)
+        suffix[b] = dist(suffix_prod)
     return [GapTrace(ks=ks, gaps=[abs(-(suffix[k][t] - a[n][t]) / k - a[k][t] / k)
                                   for k in ks], truncated=False)
             for t in range(trials)]

@@ -1,8 +1,9 @@
 """Matrix products in the positive-definite cone.
 
-Long left-increment products v(n) are carried as two unit-spectral-norm
-tracks (forward and inverse) with extracted log scales, so both extreme
-log singular values stay available without overflow.  From these the
+Long left-increment products v(n) are carried as two tracks (forward and
+inverse), each formed by pairwise reduction and scaled by a power of two
+to largest entry modulus in [1/2, 1) with extracted log scales, so both
+extreme log singular values stay available without overflow.  From these the
 exponent tau = lim (1/n) ||log(v(n)^T v(n))|| is estimated, near-maximizing
 vector states are extracted, and the exponential-map inequality
 ||exp(u+v)|| <= ||exp(u/2) exp(v) exp(u/2)|| is checked by two independent
@@ -17,8 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from .cocycle import (DegenerateInputError, ErgodicDriver, LyapunovEstimate,
-                      checkpoint_list, geometric_checkpoints,
-                      _tail_slope)
+                      chain_product, checkpoint_list, geometric_checkpoints,
+                      pairwise_product, scaled_matrices, _tail_slope)
 from .spaces import sym_part
 
 
@@ -32,9 +33,9 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScaledProduct:
-    forward: np.ndarray     # unit spectral norm
+    forward: np.ndarray     # largest entry modulus in [1/2, 1)
     log_scale: float
-    inverse: np.ndarray     # unit spectral norm
+    inverse: np.ndarray     # largest entry modulus in [1/2, 1)
     inv_log_scale: float
     n: int
 
@@ -62,7 +63,8 @@ def _spec_norm(m: np.ndarray) -> float:
 
 
 def accumulate_product(driver: ErgodicDriver, n: int, trial: int = 0) -> ScaledProduct:
-    """Left-increment product v(n) with per-step spectral-norm extraction."""
+    """Left-increment product v(n) and its inverse as scaled tracks, each
+    formed by pairwise reduction (see :func:`_fold`)."""
     if n < 1:
         raise DegenerateInputError("n must be >= 1")
     return _fold(driver, n, [trial], [n])[n][0]
@@ -74,9 +76,11 @@ def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
 
     The trials share the driver's drawn stack of matrices (see
     :meth:`ErgodicDriver.draw`), so each distinct matrix is checked and
-    inverted once.  The forward and inverse tracks of every trial share
-    one (2, trials, d, d) array, and each step divides every track by its
-    spectral norm.
+    inverted once.  Each segment between consecutive sorted checkpoints is
+    formed by :func:`horoflow.cocycle.pairwise_product` in double-double
+    arithmetic, the forward track with later factors on the left and the
+    inverse track with them on the right; the segments are then chained in
+    order.
     """
     maps, idx = driver.draw(trials, n)
     mats = np.asarray(maps, dtype=float)
@@ -85,28 +89,18 @@ def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
         raise DegenerateInputError("singular step matrix")
     invs = np.empty_like(mats)
     invs[used] = np.linalg.inv(mats[used])
-    trials, n = idx.shape
-    dim = mats.shape[-1]
-    tracks = np.empty((2, trials, dim, dim))
-    tracks[:] = np.eye(dim)
-    # log scales, forward tracks first; summed with math.log one element at
-    # a time, since numpy's vectorized log may differ from libm in the last bit
-    scales = [0.0] * (2 * trials)
-    want = set(checkpoints)
+    bounds = [0] + sorted(set(checkpoints))
     snaps = {}
-    for k in range(1, n + 1):
-        step = idx[:, k - 1]
-        tracks[0] = mats.take(step, axis=0) @ tracks[0]
-        tracks[1] = tracks[1] @ invs.take(step, axis=0)
-        s = np.linalg.svd(tracks, compute_uv=False)[..., 0]
-        tracks /= s[..., None, None]
-        scales = [a + math.log(b) for a, b in zip(scales, s.ravel().tolist())]
-        if k in want:
-            snaps[k] = [ScaledProduct(forward=tracks[0, t].copy(),
-                                      log_scale=scales[t],
-                                      inverse=tracks[1, t].copy(),
-                                      inv_log_scale=scales[trials + t], n=k)
-                        for t in range(trials)]
+    fwd = inv = None
+    for b, c in zip(bounds, bounds[1:]):
+        seg, iseg = (pairwise_product(mats, idx[:, b:c], later_left=True),
+                     pairwise_product(invs, idx[:, b:c]))
+        fwd = seg if fwd is None else chain_product(fwd, seg, later_left=True)
+        inv = iseg if inv is None else chain_product(inv, iseg)
+        (f, lf), (g, lg) = scaled_matrices(fwd), scaled_matrices(inv)
+        snaps[c] = [ScaledProduct(forward=f[t], log_scale=float(lf[t]),
+                                  inverse=g[t], inv_log_scale=float(lg[t]), n=c)
+                    for t in range(idx.shape[0])]
     return snaps
 
 
@@ -122,15 +116,26 @@ def squared_positive_part_lognorm(p: ScaledProduct) -> float:
 
 
 def log_squared_positive_part(p: ScaledProduct) -> np.ndarray:
-    """log(v^T v) as a symmetric matrix: 2*log_scale*I + log(F^T F).
+    """log(v^T v) as a symmetric matrix: sum of 2 log s_i r_i r_i^T over
+    the singular values s_i and right singular vectors r_i of v.
 
-    Representable whenever the normalized track F^T F is itself not too
-    ill-conditioned (long products concentrate rank, so use with moderate n).
+    Each pair is read from the track where it is largest relative to the
+    track's top singular value: the forward track F = v e^{-log_scale}
+    holds the large s_i, and the inverse track G = v^{-1} e^{-inv_log_scale},
+    whose left singular vectors are the r_i with singular values 1/s_i,
+    holds the small ones, which a long product rounds away in F.  For
+    d > 2 a long product can round the middle singular values away in both.
     """
-    m = sym_part(p.forward.T @ p.forward)
-    w, v = np.linalg.eigh(m)
-    w = np.maximum(w, 1e-300)
-    return (v * (np.log(w) + 2.0 * p.log_scale)) @ v.T
+    _, sf, rf = np.linalg.svd(p.forward)
+    ri, si, _ = np.linalg.svd(p.inverse)
+    # both in the order of s_i, descending
+    si, ri = si[::-1], ri[:, ::-1].T
+    from_fwd = sf / sf[0] >= si / si[-1]
+    logs = np.empty_like(sf)
+    logs[from_fwd] = p.log_scale + np.log(sf[from_fwd])
+    logs[~from_fwd] = -(p.inv_log_scale + np.log(si[~from_fwd]))
+    r = np.where(from_fwd[:, None], rf, ri)
+    return sym_part((r.T * (2.0 * logs)) @ r)
 
 
 def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate:

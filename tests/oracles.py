@@ -3,17 +3,19 @@
 Each oracle recomputes a quantity by a route different from the package
 implementation: quadrature of the hyperbolic line element, radial limits
 of anchored functionals, direct optimization of Rayleigh quotients, SVD
-for operator norms, exact rational arithmetic for matrix products, and
+for operator norms, exact rational arithmetic for matrix products,
+50-digit products for the pairwise-reduced operator fold and disk walk
+(whose old one-step-at-a-time loops stay as the error baseline),
 one-trial, one-step-at-a-time loops for the kernels that step all trials
-together (scaled operator products, disk walks, layer chains, orbit folds,
-Segal pairs), a per-step loop for the maximal stretch, one-sample-at-a-time
-loops for the metric property suites, and step-at-a-time sums for the QR
-spectrum and the growth rates.
+together (layer chains, orbit folds, Segal pairs), a per-step loop for the
+maximal stretch, one-sample-at-a-time loops for the metric property
+suites, and step-at-a-time sums for the QR spectrum and the growth rates.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.linalg
@@ -142,8 +144,9 @@ def loop_accumulate(mats, checkpoints=()):
     matrix at a time, each step checking det, inverting and dividing both
     tracks by their spectral norms.  Returns (final, {k: snapshot}).
 
-    The batched fold in :mod:`horoflow.operator_cone` must agree with this
-    loop bit for bit: it performs the same floating-point operations.
+    This is the fold :mod:`horoflow.operator_cone` ran before it formed
+    its products by pairwise reduction; its error against
+    :func:`mp_log_gram_norms` is the baseline the pairwise fold must match.
     """
     dim = np.asarray(mats[0]).shape[0]
     fwd = np.eye(dim)
@@ -179,8 +182,9 @@ def loop_walk_gaps(mats, ks):
     2x2 matrices ``mats``: the prefix products, then the suffix products,
     one matrix at a time, each divided by its largest entry modulus.
 
-    The batched :func:`horoflow.cocycle.hyperbolic_walk_gap` must agree with
-    this loop bit for bit.
+    This is the walk :func:`horoflow.cocycle.hyperbolic_walk_gap` ran before
+    it formed its products by pairwise reduction; its error against
+    :func:`mp_walk_gaps` is the baseline the pairwise walk must match.
     """
     n = len(mats)
     want = set(ks) | {n}
@@ -205,6 +209,101 @@ def loop_walk_gaps(mats, ks):
         S = S / s
         ls += math.log(s)
     return [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks]
+
+
+# digits of the product oracles: a product of a few thousand factors keeps
+# far more than double precision
+_MP_DPS = 50
+
+
+def _mp(m):
+    """m as an object array of mpmath numbers; every double converts exactly."""
+    return np.vectorize(mpmath.mpmathify, otypes=[object])(np.asarray(m))
+
+
+def _mp_log_norm(v):
+    """log of the spectral norm of an object array."""
+    return mpmath.log(max(mpmath.mp.svd_r(mpmath.matrix(v.tolist()), compute_uv=False)))
+
+
+def mp_log_gram_norms(mats, ks):
+    """{k: (1/k) ||log(v(k)^T v(k))||_2} for v(k) = mats[k-1] ... mats[0], as
+    50-digit numbers.
+
+    The norm is 2 max(log ||v(k)||, log ||w(k)||), w(k) = inv(mats[0]) ...
+    inv(mats[k-1]), since the smallest singular value of a long product is
+    lost to cancellation in v(k) itself.  Each factor of w(k) is the
+    double-precision ``np.linalg.inv`` of a step matrix, the factor both
+    folds are given, so the oracle measures how a fold forms its products.
+    Every double converts exactly.
+    """
+    want = set(ks)
+    out = {}
+    with mpmath.workdps(_MP_DPS):
+        exact = {}
+        fwd = inv = _mp(np.eye(np.asarray(mats[0]).shape[0]))
+        for k, m in enumerate(mats, start=1):
+            if id(m) not in exact:
+                exact[id(m)] = _mp(m), _mp(np.linalg.inv(np.asarray(m, dtype=float)))
+            f, fi = exact[id(m)]
+            fwd = f @ fwd
+            inv = inv @ fi
+            if k in want:
+                out[k] = 2 * max(_mp_log_norm(fwd), _mp_log_norm(inv)) / k
+    return out
+
+
+def mp_state_ratios(mats, ls):
+    """{l: |(y_l xi, xi)| / l} for y_l = log(v(l)^T v(l)), v(l) = mats[l-1]
+    ... mats[0], and xi the unit eigenvector of y_N, N = max(ls), with the
+    eigenvalue of largest modulus (the larger on a tie).
+
+    The Gram matrices are formed and diagonalized with enough digits that
+    their smallest eigenvalue, at least prod ||mats[k]||^-4 of the largest
+    for unit-determinant factors, keeps 30 digits.
+    """
+    ls = sorted(set(ls))
+    mats = mats[:ls[-1]]
+    digits = 30 + int(4 * sum(math.log10(np.linalg.norm(m, 2)) for m in mats))
+    with mpmath.workdps(digits):
+        v = mpmath.eye(np.asarray(mats[0]).shape[0])
+        ys = {}
+        for k, m in enumerate(mats, start=1):
+            v = mpmath.matrix(np.asarray(m, dtype=float).tolist()) * v
+            if k in ls:
+                w, q = mpmath.eigsy(v.T * v)
+                ys[k] = q * mpmath.diag([mpmath.log(x) for x in w]) * q.T
+        w, q = mpmath.eigsy(ys[ls[-1]])
+        top = max(range(len(w)), key=lambda i: (abs(w[i]), w[i]))
+        xi = q[:, top]
+        return {l: abs((xi.T * ys[l] * xi)[0]) / l for l in ls}
+
+
+def mp_walk_gaps(mats, ks):
+    """(gaps, a(n)) of one disk walk on the 2x2 matrices ``mats``, as 50-digit
+    numbers: gap(k) at each checkpoint k, from the prefix and suffix
+    products formed one exact factor at a time."""
+    n = len(mats)
+    want = set(ks) | {n}
+
+    def dist(p):
+        return 2 * mpmath.acosh(max(abs(p[0, 0]), 1))
+
+    with mpmath.workdps(_MP_DPS):
+        exact = [_mp(m) for m in mats]
+        a = {}
+        P = _mp(np.eye(2, dtype=complex))
+        for k, m in enumerate(exact, start=1):
+            P = P @ m
+            if k in want:
+                a[k] = dist(P)
+        suffix = {n: mpmath.mpf(0)}
+        S = _mp(np.eye(2, dtype=complex))
+        for j in range(n, 1, -1):
+            S = exact[j - 1] @ S
+            if j - 1 in want:
+                suffix[j - 1] = dist(S)
+        return [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks], a[n]
 
 
 def loop_max_stretch(driver, n, grid, trial=0):

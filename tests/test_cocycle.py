@@ -15,7 +15,7 @@ from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTAT
 from horoflow.core import DegenerateInputError
 from horoflow.spaces import euclidean_space, mobius_disk, poincare_space
 
-from oracles import loop_orbit_at, loop_top_exponent, loop_walk_gaps
+from oracles import loop_orbit_at, loop_top_exponent, loop_walk_gaps, mp_walk_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +284,57 @@ def test_hyperbolic_walk_interior_checkpoints():
             hyperbolic_walk_gap(drv, 100, checkpoints=bad)
 
 
-_PARAMETRIC_WALK = ErgodicDriver(
-    kind="iid_parametric", seed=4,
-    sampler=lambda r: mobius_matrix(complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6))))
+def _parametric_walk(seed):
+    return ErgodicDriver(kind="iid_parametric", seed=seed, sampler=lambda r: mobius_matrix(
+        complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6))))
 
 
-@pytest.mark.parametrize("driver", [constant_driver(mobius_matrix(0.5)),
-                                    _two_map_walk(11), _PARAMETRIC_WALK],
-                         ids=["constant", "two_maps", "parametric"])
+_WALKS = {"constant": lambda seed: constant_driver(mobius_matrix(0.5), seed=seed),
+          "two_maps": _two_map_walk, "parametric": _parametric_walk}
+
+
+@pytest.mark.parametrize("name", ["two_maps", "parametric"])
+def test_walk_against_the_mpmath_product(name):
+    # gap(k) of the pairwise walk and of the old step loop against 50-digit
+    # prefix and suffix products; a checkpoint at 1, two length-1 segments,
+    # odd segment lengths, and at n = 2000 a walk of 4 trials, whose gather
+    # block (1024 steps) is shorter than its longest segment
+    new_errs, old_errs = [], []
+    for seed in range(1, 7):
+        driver = _WALKS[name](seed)
+        for n in (50, 300, 2000):
+            ks = [1, 2, 9, n // 3, n - 1, n]
+            trials = 4 if n == 2000 else 1
+            t = trials - 1
+            mats = driver.elements(t, n)
+            exact, a_n = mp_walk_gaps(mats, ks)
+            old = loop_walk_gaps(mats, ks)
+            new = hyperbolic_walk_gap(driver, n, trials, checkpoints=ks)[t].gaps
+            # gap(k) cancels terms of size a(n)
+            floor = 8 * np.finfo(float).eps * max(1.0, float(a_n))
+            for k, g_new, g_old, g in zip(ks, new, old, exact):
+                new_err, old_err = float(abs(g_new - g)), float(abs(g_old - g))
+                assert new_err <= max(old_err, floor), (seed, n, k, new_err, old_err)
+                new_errs.append(new_err)
+                old_errs.append(old_err)
+    assert max(new_errs) <= max(old_errs)
+
+
+@pytest.mark.parametrize("name", sorted(_WALKS))
 @pytest.mark.parametrize("checkpoints", [None, [1, 50, 120, 299, 300]])
-def test_batched_walk_equals_the_step_loop(driver, checkpoints):
-    # every trial stepped at once gives the one-trial loop's gaps exactly
-    n, trials = 300, 4
-    traces = hyperbolic_walk_gap(driver, n, trials, checkpoints=checkpoints)
+def test_each_trial_of_a_batch_equals_its_one_trial_walk(name, checkpoints):
+    # 200 trials gather 16 steps a block, so a segment spans several full
+    # blocks, 4 trials 1024 and one trial the whole walk: the tree and
+    # every rounding are the same
+    driver, n = _WALKS[name](11), 300
     ks = checkpoints or geometric_checkpoints(n, count=16)
-    assert len(traces) == trials
-    for t, tr in enumerate(traces):
-        assert tr.ks == ks
-        assert tr.gaps == loop_walk_gaps(driver.elements(t, n), ks)
+    batch = hyperbolic_walk_gap(driver, n, 200, checkpoints=checkpoints)
+    few = hyperbolic_walk_gap(driver, n, 4, checkpoints=checkpoints)
+    [one] = hyperbolic_walk_gap(driver, n, 1, checkpoints=checkpoints)
+    assert len(batch) == 200
+    assert all(tr.ks == ks for tr in batch)
+    assert [tr.gaps for tr in batch[:4]] == [tr.gaps for tr in few]
+    assert batch[0].gaps == one.gaps
 
 
 # ---------------------------------------------------------------------------

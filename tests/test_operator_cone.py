@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from horoflow.cli import EXPERIMENTS, _matrix_driver, _run_segal_sweep
-from horoflow.cocycle import (ErgodicDriver, _tail_slope, constant_driver,
-                              geometric_checkpoints)
+from horoflow.cli import _SL2_PAIR, EXPERIMENTS, _matrix_driver, _run_segal_sweep
+from horoflow.cocycle import ErgodicDriver, constant_driver, geometric_checkpoints
 from horoflow.core import DegenerateInputError
-from horoflow.operator_cone import (SymmetryError, _check_symmetric,
+from horoflow.operator_cone import (SymmetryError, _check_symmetric, _fold,
                                     accumulate_product, expm_symmetric,
                                     extract_vector_state,
                                     log_squared_positive_part, segal_check,
@@ -20,7 +19,8 @@ from horoflow.operator_cone import (SymmetryError, _check_symmetric,
 from horoflow.seeding import trial_rng
 from horoflow.spaces import sym_log, sym_part
 
-from oracles import exact_log_gram_norm, loop_accumulate, loop_segal_sweep
+from oracles import (exact_log_gram_norm, loop_accumulate, loop_segal_sweep,
+                     mp_log_gram_norms, mp_state_ratios)
 
 
 def _random_driver(seed=3, spread=0.5):
@@ -35,8 +35,9 @@ def test_scaled_product_tracks_are_consistent():
     drv = _random_driver()
     p = accumulate_product(drv, 20)
     assert p.n == 20
-    assert np.linalg.norm(p.forward, 2) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(p.inverse, 2) == pytest.approx(1.0, abs=1e-12)
+    # each track is scaled by a power of two to largest entry modulus in [1/2, 1)
+    assert 0.5 <= np.abs(p.forward).max() < 1.0
+    assert 0.5 <= np.abs(p.inverse).max() < 1.0
     assert p.reconstruction_defect() < 1e-8 * math.exp(p.log_scale + p.inv_log_scale)
 
 
@@ -69,30 +70,69 @@ _TAU_DEFAULTS = {key: default
                  for key, (default, _) in EXPERIMENTS["operator-tau"].params.items()}
 
 
-@pytest.mark.parametrize("driver, n, trials", [
-    (_matrix_driver({**_TAU_DEFAULTS, "preset": "sl2_pair", "seed": 7}), 250, 30),
-    (_matrix_driver({**_TAU_DEFAULTS, "preset": "rotation", "seed": 7}), 60, 3),
-    (_random_driver(), 40, 5)], ids=["sl2_pair", "rotation", "random_3x3"])
-def test_batched_tau_equals_the_step_loop(driver, n, trials):
-    # every trial folded at once gives the one-trial loop's values exactly
-    est = tau_estimate(driver, n, trials)
-    ref = [squared_positive_part_lognorm(loop_accumulate(driver.elements(t, n))[0]) / n
-           for t in range(trials)]
-    assert est.per_trial.tolist() == ref
-    tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
-    _, snaps = loop_accumulate(driver.elements(0, n), tail_ks)
-    tail = [squared_positive_part_lognorm(snaps[k]) / k for k in tail_ks]
-    assert est.tail_slope == _tail_slope(np.asarray(tail_ks, dtype=float), np.array(tail))
+_FOLD_DRIVERS = {
+    "sl2_pair": lambda seed: _matrix_driver({**_TAU_DEFAULTS, "preset": "sl2_pair",
+                                             "seed": seed}),
+    "random_3x3": _random_driver,
+    "parametric": lambda seed: ErgodicDriver(
+        kind="iid_parametric", seed=seed,
+        sampler=lambda rng: np.eye(3) + 0.4 * rng.normal(size=(3, 3))),
+    # a constant orthogonal matrix: tau is a few ulp from 0
+    "rotation": lambda seed: _matrix_driver({**_TAU_DEFAULTS, "preset": "rotation",
+                                             "seed": seed}),
+    "sl2_rotation": lambda seed: ErgodicDriver(kind="rotation", seed=seed, maps=_SL2_PAIR),
+}
 
 
-def test_parametric_product_equals_the_step_loop():
-    drv = ErgodicDriver(kind="iid_parametric", seed=2,
-                        sampler=lambda rng: np.eye(3) + 0.4 * rng.normal(size=(3, 3)))
-    p = accumulate_product(drv, 40, trial=3)
-    q, _ = loop_accumulate(drv.elements(3, 40))
-    assert np.array_equal(p.forward, q.forward)
-    assert np.array_equal(p.inverse, q.inverse)
-    assert (p.log_scale, p.inv_log_scale, p.n) == (q.log_scale, q.inv_log_scale, q.n)
+def _oracle_checkpoints(n):
+    # a checkpoint at 1, two length-1 segments and odd segment lengths
+    return [1, 2, 9, n // 3, n - 1, n]
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_DRIVERS))
+def test_fold_against_the_mpmath_product(name):
+    # tau(k) at each checkpoint of the pairwise fold and of the old step loop,
+    # against 50-digit products of the same factors; at n = 2000 the fold
+    # carries 4 trials, so its gather block (1024 steps) is shorter than its
+    # longest segment
+    new_errs, old_errs = [], []
+    for seed in range(1, 7):
+        driver = _FOLD_DRIVERS[name](seed)
+        for n in (50, 300, 2000):
+            ks = _oracle_checkpoints(n)
+            trials = 4 if n == 2000 else 1
+            t = trials - 1
+            mats = driver.elements(t, n)
+            exact = mp_log_gram_norms(mats, ks)
+            _, old = loop_accumulate(mats, ks)
+            snaps = _fold(driver, n, range(trials), ks)
+            for k in ks:
+                new_err = float(abs(squared_positive_part_lognorm(snaps[k][t]) / k - exact[k]))
+                old_err = float(abs(squared_positive_part_lognorm(old[k]) / k - exact[k]))
+                floor = 4 * math.ulp(float(exact[k]))
+                assert new_err <= max(old_err, floor), (seed, n, k, new_err, old_err)
+                new_errs.append(new_err)
+                old_errs.append(old_err)
+    assert max(new_errs) <= max(old_errs)
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_DRIVERS))
+def test_each_trial_of_a_batch_equals_its_one_trial_fold(name):
+    # 200 trials gather 16 steps a block, so a segment spans several full
+    # blocks, and one trial gathers the whole run: the tree and every
+    # rounding are the same
+    driver, n, trials = _FOLD_DRIVERS[name](3), 300, 200
+    ks = geometric_checkpoints(n, count=8, start=n // 10)
+    batch = _fold(driver, n, range(trials), ks)
+    for t in (0, 97, trials - 1):
+        [one] = _fold(driver, n, [t], ks)[n]
+        p = batch[n][t]
+        assert np.array_equal(p.forward, one.forward)
+        assert np.array_equal(p.inverse, one.inverse)
+        assert (p.log_scale, p.inv_log_scale, p.n) == (one.log_scale, one.inv_log_scale, one.n)
+    est = tau_estimate(driver, n, 5)
+    assert est.per_trial.tolist() == [squared_positive_part_lognorm(batch[n][t]) / n
+                                      for t in range(5)]
 
 
 def test_tau_constant_diagonal_is_exact():
@@ -141,6 +181,19 @@ def test_state_ratios_constant_diagonal_hit_tau_exactly():
         assert ratio == pytest.approx(tau, abs=1e-9)
     with pytest.raises(DegenerateInputError):
         state_ratio_check(drv, 100, [500])
+
+
+@pytest.mark.parametrize("N", [50, 200])
+def test_state_ratios_match_the_mpmath_product(N):
+    # the small singular value of a long sl2 product is read from the
+    # inverse track; from F^T F alone it is rounding noise, and its log
+    # can outweigh the top eigenvalue of y_N and pick the wrong xi
+    for seed in range(1, 7):
+        driver = _FOLD_DRIVERS["sl2_pair"](seed)
+        ls = [1, 10, N // 3, N]
+        exact = mp_state_ratios(driver.elements(0, N), ls)
+        for l, ratio, _ in state_ratio_check(driver, N, ls):
+            assert ratio == pytest.approx(float(exact[l]), rel=1e-14), (seed, l)
 
 
 def test_segal_equality_for_commuting_arguments():
