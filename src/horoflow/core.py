@@ -35,17 +35,19 @@ class DegenerateInputError(ValueError):
 class WeakMetricSpace:
     """A point domain plus a (possibly asymmetric, possibly negative) distance.
 
-    ``sample_point`` draws a random point from the domain given an rng; it is
-    required by the sampled axiom/certification suites.  ``in_domain`` is an
-    optional membership predicate used for orbit truncation.  ``dist_many``
-    is an optional batched kernel: ``dist_many(points, i, j)`` returns the
-    array of ``dist(points[i[k]], points[j[k]])``, doing per-point work once
-    per point.
+    ``sample_points(rng, m)`` draws m random points from the domain, in the
+    order m one-point draws would take them from the stream, as one sequence
+    (a stacked array where the points allow); it is required by the sampled
+    axiom and functional suites.  ``in_domain`` is an optional membership
+    predicate used for orbit truncation.  ``dist_many`` is an optional
+    batched kernel: ``dist_many(points, i, j)`` returns the array of
+    ``dist(points[i[k]], points[j[k]])``, doing per-point work once per
+    point.
     """
 
     name: str
     dist: Callable[[Any, Any], float]
-    sample_point: Optional[Callable[[np.random.Generator], Any]] = None
+    sample_points: Optional[Callable[[np.random.Generator, int], Sequence]] = None
     in_domain: Optional[Callable[[Any], bool]] = None
     dist_many: Optional[Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -166,15 +168,24 @@ def _fold_min(start: float, values: np.ndarray) -> float:
 
 
 def _point_blocks(space: WeakMetricSpace, n: int, seed: int):
-    """Lists of sampled points, three per sample and at most ``_BLOCK``
-    samples each, drawn in order from one stream."""
-    if space.sample_point is None:
+    """Blocks of sampled points, three per sample and at most ``_BLOCK``
+    samples each, drawn in order from one stream by one ``sample_points``
+    call a block."""
+    if space.sample_points is None:
         raise DegenerateInputError(f"{space.name}: no point sampler registered")
     if n < 1:
         raise DegenerateInputError("the sample count must be >= 1")
     rng = trial_rng(seed, 0)
-    return ([space.sample_point(rng) for _ in range(3 * min(_BLOCK, n - start))]
+    return (space.sample_points(rng, 3 * min(_BLOCK, n - start))
             for start in range(0, n, _BLOCK))
+
+
+def _with_point(points: Sequence, x) -> Sequence:
+    """The points followed by x: one stacked array when x has the shape of
+    a row of a stacked block, else a list."""
+    if isinstance(points, np.ndarray) and np.shape(x) == points.shape[1:]:
+        return np.concatenate((points, np.asarray(x)[None]))
+    return [*points, x]
 
 
 def check_weak_metric_axioms(space: WeakMetricSpace, n_triples: int,
@@ -230,7 +241,7 @@ def check_functional_bounds(space: WeakMetricSpace, x0, n_samples: int,
         y = a + 1
         z = a + 2
         x = np.full(a.size, len(points))
-        points.append(x0)
+        points = _with_point(points, x0)
         dxa, dya, dza, dxy, dyx, dyz, dzy = space.distances(
             points, np.concatenate([x, y, z, x, y, y, z]),
             np.concatenate([a, a, a, y, x, z, y])).reshape(7, -1)

@@ -41,12 +41,32 @@ def euclidean_dist(x, y) -> float:
     return float(np.linalg.norm(x - y))
 
 
-def euclidean_space(dim: int = 3) -> WeakMetricSpace:
-    def sample(rng):
-        return rng.normal(size=dim)
+def _point_rows(points) -> np.ndarray:
+    """The points as one float array with a (flattened) row per point.
 
+    Raises MetricDomainError when their shapes differ.
+    """
+    if not isinstance(points, np.ndarray):
+        shapes = {np.shape(p) for p in points}
+        if len(shapes) > 1:
+            raise MetricDomainError(f"dimension mismatch: {sorted(shapes)}")
+    rows = np.asarray(points, dtype=float)
+    return rows.reshape(len(rows), -1)
+
+
+def euclidean_dist_many(points, i, j) -> np.ndarray:
+    """euclidean_dist(points[i[k]], points[j[k]]) for every k."""
+    rows = _point_rows(points)
+    d = rows[i] - rows[j]
+    # each row's dot product, summed as np.linalg.norm sums one vector;
+    # norm(d, axis=1) sums in another order
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+
+
+def euclidean_space(dim: int = 3) -> WeakMetricSpace:
     return WeakMetricSpace(name=f"euclidean{dim}", dist=euclidean_dist,
-                           sample_point=sample)
+                           dist_many=euclidean_dist_many,
+                           sample_points=lambda rng, m: rng.normal(size=(m, dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +121,18 @@ def mobius_disk(a: complex) -> Callable[[complex], complex]:
 
 
 def poincare_space() -> WeakMetricSpace:
-    def sample(rng):
-        r = 0.95 * math.sqrt(rng.random())
-        theta = _TWO_PI * rng.random()
-        return r * cmath.exp(1j * theta)
+    def sample(rng, m):
+        # one (r, theta) draw pair a point; each point through Python's
+        # complex arithmetic
+        out = []
+        for u, v in rng.random(size=(m, 2)).tolist():
+            r = 0.95 * math.sqrt(u)
+            theta = _TWO_PI * v
+            out.append(r * cmath.exp(1j * theta))
+        return out
 
     return WeakMetricSpace(name="poincare", dist=poincare_dist,
-                           sample_point=sample,
+                           sample_points=sample,
                            in_domain=lambda z: abs(complex(z)) < 1.0)
 
 
@@ -127,13 +152,18 @@ def _spd_stack(points) -> np.ndarray:
     rounding) positive-definite matrix, and MetricDomainError when their
     sizes differ.
     """
-    mats = [np.asarray(p, dtype=float) for p in points]
-    for k, m in enumerate(mats):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotSpdError(f"point {k} is not symmetric positive definite")
-    if len({m.shape for m in mats}) > 1:
-        raise MetricDomainError(f"dimension mismatch: {sorted({m.shape for m in mats})}")
-    s = np.stack(mats)
+    if isinstance(points, np.ndarray) and points.ndim == 3:   # a stacked block
+        s = points.astype(float, copy=False)
+        if s.shape[1] != s.shape[2]:
+            raise NotSpdError("point 0 is not symmetric positive definite")
+    else:
+        mats = [np.asarray(p, dtype=float) for p in points]
+        for k, m in enumerate(mats):
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise NotSpdError(f"point {k} is not symmetric positive definite")
+        if len({m.shape for m in mats}) > 1:
+            raise MetricDomainError(f"dimension mismatch: {sorted({m.shape for m in mats})}")
+        s = np.stack(mats)
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite point
         asym = np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
         bad = ~np.isfinite(s).all(axis=(1, 2)) \
@@ -203,22 +233,35 @@ def funk_dist(p, q) -> float:
     return float(funk_dist_many((p, q), [0], [1])[0])
 
 
+def _random_spd_stack(rng: np.random.Generator, dim: int, m: int) -> np.ndarray:
+    """m random SPD matrices as one (m, dim, dim) stack.
+
+    Each matrix draws its normal (dim, dim) factor and then its scale; the
+    products are formed for the whole stack at once.
+    """
+    factors = []
+    scales = []
+    for _ in range(m):
+        factors.append(rng.normal(size=(dim, dim)))
+        scales.append(math.exp(rng.uniform(-1.0, 1.0)))
+    a = np.array(factors)
+    return np.array(scales)[:, None, None] * (a @ a.swapaxes(1, 2) + 0.05 * np.eye(dim))
+
+
 def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim))
-    scale = math.exp(rng.uniform(-1.0, 1.0))
-    return scale * (a @ a.T + 0.05 * np.eye(dim))
+    return _random_spd_stack(rng, dim, 1)[0]
 
 
 def thompson_space(dim: int = 3) -> WeakMetricSpace:
     return WeakMetricSpace(name=f"thompson{dim}", dist=thompson_dist,
                            dist_many=thompson_dist_many,
-                           sample_point=lambda rng: random_spd(rng, dim))
+                           sample_points=lambda rng, m: _random_spd_stack(rng, dim, m))
 
 
 def funk_space(dim: int = 3) -> WeakMetricSpace:
     return WeakMetricSpace(name=f"funk{dim}", dist=funk_dist,
                            dist_many=funk_dist_many,
-                           sample_point=lambda rng: random_spd(rng, dim))
+                           sample_points=lambda rng, m: _random_spd_stack(rng, dim, m))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +312,12 @@ def stretch_dist_many(points, i, j) -> np.ndarray:
         raise DegenerateInputError("distance functions sampled on different sets")
     n = len(points[0].sample)
     off = ~np.eye(n, dtype=bool)
-    tables = np.stack([p.matrix()[off] for p in points])
+    return _stretch_ratios(np.stack([p.matrix()[off] for p in points]), i, j)
+
+
+def _stretch_ratios(tables: np.ndarray, i, j) -> np.ndarray:
+    """log max(tables[j[k]] / tables[i[k]]) for every k; a row per point
+    holds its off-diagonal table values."""
     if np.any(tables <= 0.0):
         raise DegenerateInputError("zero or negative off-diagonal distance value")
     return np.log(np.max(tables[j] / tables[i], axis=1))
@@ -296,29 +344,54 @@ def _default_stretch_sample(rng: np.random.Generator, n_points: int = 6):
     return tuple(rng.normal(size=2) for _ in range(n_points))
 
 
+def _param_rows(points, width: int, kind: str) -> np.ndarray:
+    """Parameter-row points as one (m, width) array of finite values."""
+    rows = _point_rows(points)
+    if rows.shape[1] != width:
+        raise MetricDomainError(
+            f"{kind} points are rows of {width} parameters, got {rows.shape[1]}")
+    if not np.isfinite(rows).all():
+        raise MetricDomainError(f"{kind}: non-finite parameter in a point")
+    return rows
+
+
 def stretch_space() -> WeakMetricSpace:
     """Stretch metric over random conformal-factor perturbations of the norm.
 
     Sampled points are distance functions ||x-y|| * exp((phi(x)+phi(y))/2)
-    for a random bounded field phi, all bi-Lipschitz to the ambient norm.
+    on a fixed six-point sample of the plane, for the bounded field
+    phi(x) = a sin(k . x + phase); all are bi-Lipschitz to the ambient norm.
+    A point is its parameter row (a, k1, k2, phase); the zero row is the
+    ambient norm itself.
     """
-    base_sample = _default_stretch_sample(np.random.Generator(np.random.PCG64(12345)))
+    P = np.asarray(_default_stretch_sample(np.random.Generator(np.random.PCG64(12345))))
+    gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
+    off = ~np.eye(len(P), dtype=bool)
 
-    def sample(rng):
-        a = rng.uniform(-1.0, 1.0)
-        k = rng.normal(size=2)
-        phase = rng.uniform(0.0, _TWO_PI)
+    def sample(rng, m):
+        rows = np.empty((m, 4))
+        for row in rows:
+            row[0] = rng.uniform(-1.0, 1.0)
+            row[1:3] = rng.normal(size=2)
+            row[3] = rng.uniform(0.0, _TWO_PI)
+        return rows
 
-        def table_fn(pts, _a=a, _k=k, _p=phase):
-            P = np.asarray(pts, dtype=float)
-            gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-            phi = _a * np.sin(P @ _k + _p)
-            return gaps * np.exp(0.5 * (phi[:, None] + phi[None, :]))
+    def dist_many(points, i, j):
+        rows = _param_rows(points, 4, "stretch")
+        # P @ k of each row as one stacked matrix-vector product: K @ P.T
+        # would round differently
+        pk = np.matmul(P, rows[:, 1:3, None])[:, :, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = rows[:, :1] * np.sin(pk + rows[:, 3:])
+            tables = gaps * np.exp(0.5 * (phi[:, :, None] + phi[:, None, :]))
+        bad = ~np.isfinite(tables).all(axis=(1, 2))
+        if bad.any():
+            raise MetricDomainError(f"stretch: point {np.argmax(bad)} has a non-finite table")
+        return _stretch_ratios(tables[:, off], i, j)
 
-        return SampledDistanceFunction(sample=base_sample, table_fn=table_fn)
-
-    return WeakMetricSpace(name="stretch", dist=stretch_dist,
-                           dist_many=stretch_dist_many, sample_point=sample)
+    return WeakMetricSpace(name="stretch",
+                           dist=lambda x, y: float(dist_many((x, y), [0], [1])[0]),
+                           dist_many=dist_many, sample_points=sample)
 
 
 def ambient_norm_sdf(base_sample) -> SampledDistanceFunction:
@@ -409,6 +482,12 @@ def jacobian_dist_many(points, i, j, grid: int = 256) -> np.ndarray:
     derivs = np.empty((len(points), grid))
     for k, f in enumerate(points):
         derivs[k] = f.deriv(theta)
+    return _jacobian_ratios(derivs, i, j)
+
+
+def _jacobian_ratios(derivs: np.ndarray, i, j) -> np.ndarray:
+    """max |log(derivs[j[k]] / derivs[i[k]])| for every k; a row per map
+    holds its derivative on the grid."""
     if np.any(derivs <= 0.0):
         raise NotDiffeomorphismError("nonpositive derivative on the grid")
     # one (pairs, grid) array, worked in place
@@ -423,17 +502,24 @@ def jacobian_dist(f: CircleMap, g: CircleMap, grid: int = 256) -> float:
 
 
 def jacobian_space() -> WeakMetricSpace:
-    grid = 128
+    """sup-log-Jacobian metric over random sine circle maps.
 
-    def sample(rng):
-        return sine_circle_map(amplitude=rng.uniform(-0.8, 0.8),
-                               phase=rng.uniform(0.0, _TWO_PI),
-                               shift=rng.uniform(0.0, _TWO_PI))
+    A point is the parameter row (amplitude, phase, shift) of
+    ``sine_circle_map``; the zero row is the identity map.
+    """
+    theta = np.linspace(0.0, _TWO_PI, 128, endpoint=False)
 
-    return WeakMetricSpace(name="jacobian",
-                           dist=lambda f, g: jacobian_dist(f, g, grid),
-                           dist_many=lambda pts, i, j: jacobian_dist_many(pts, i, j, grid),
-                           sample_point=sample)
+    def dist_many(points, i, j):
+        rows = _param_rows(points, 3, "jacobian")
+        if np.any(np.abs(rows[:, 0]) >= 1.0):
+            raise NotDiffeomorphismError("|amplitude| must be < 1 for a diffeomorphism")
+        return _jacobian_ratios(1.0 + rows[:, :1] * np.cos(theta + rows[:, 1:2]), i, j)
+
+    return WeakMetricSpace(
+        name="jacobian", dist=lambda f, g: float(dist_many((f, g), [0], [1])[0]),
+        dist_many=dist_many,
+        sample_points=lambda rng, m: rng.uniform(
+            [-0.8, 0.0, 0.0], [0.8, _TWO_PI, _TWO_PI], size=(m, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +549,7 @@ def registered_basepoints(spaces: dict) -> dict:
             dim = int(sp.name.removeprefix(name))
             out[name] = np.eye(dim)
         elif name == "stretch":
-            probe = sp.sample_point(np.random.Generator(np.random.PCG64(0)))
-            out[name] = ambient_norm_sdf(probe.sample)
+            out[name] = np.zeros(4)   # the ambient norm
         elif name == "jacobian":
-            out[name] = identity_circle_map()
+            out[name] = np.zeros(3)   # the identity map
     return out

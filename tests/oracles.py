@@ -9,9 +9,12 @@ for operator norms, exact rational arithmetic for matrix products,
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), a per-step loop for the
 maximal stretch, one-sample-at-a-time loops for the metric property
-suites, and step-at-a-time sums for the QR spectrum and the growth rates.
+suites over the six metrics as they were before their points were drawn a
+block at a time, and step-at-a-time sums for the QR spectrum and the
+growth rates.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -23,11 +26,17 @@ import scipy.linalg
 from horoflow.cocycle import (LEFT, EstimationError, LyapunovEstimate,
                               _dist_origin, _tail_slope, geometric_checkpoints)
 from horoflow.core import (AxiomReport, DegenerateInputError,
-                           FunctionalBoundReport, symmetrize)
+                           FunctionalBoundReport, WeakMetricSpace, symmetrize)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
 from horoflow.lyapunov import SpectrumEstimate
 from horoflow.operator_cone import ScaledProduct, SymmetryError
 from horoflow.seeding import trial_rng
+from horoflow.spaces import (SampledDistanceFunction, ambient_norm_sdf,
+                             euclidean_dist, funk_dist, funk_dist_many,
+                             identity_circle_map, jacobian_dist,
+                             jacobian_dist_many, poincare_dist,
+                             sine_circle_map, stretch_dist, stretch_dist_many,
+                             thompson_dist, thompson_dist_many)
 
 
 def radial_poincare_length(r: float) -> float:
@@ -382,18 +391,100 @@ def loop_lipschitz_profile(layers, pair_sampler, n_pairs, seed):
     return best
 
 
+def _one_at_a_time(sample):
+    """A ``sample_points`` that draws m points by m calls of sample(rng)."""
+    return lambda rng, m: [sample(rng) for _ in range(m)]
+
+
+def _reference_stretch_sample():
+    rng = np.random.Generator(np.random.PCG64(12345))
+    return tuple(rng.normal(size=2) for _ in range(6))
+
+
+def reference_spaces(dim=3):
+    """The six registered metrics as they were before their points were
+    drawn a block at a time: one sampler call a point, each point built on
+    its own; stretch points are ``SampledDistanceFunction`` tables built by
+    closures, Jacobian points ``CircleMap`` closures, and the Euclidean
+    distances a loop over ``euclidean_dist``.  Keyed like
+    :func:`horoflow.spaces.registered_spaces`, whose suites, points and
+    distances must equal these bit for bit."""
+    def euclidean(rng):
+        return rng.normal(size=dim)
+
+    def disk(rng):
+        r = 0.95 * math.sqrt(rng.random())
+        theta = 2.0 * math.pi * rng.random()
+        return r * cmath.exp(1j * theta)
+
+    def spd(rng):
+        a = rng.normal(size=(dim, dim))
+        scale = math.exp(rng.uniform(-1.0, 1.0))
+        return scale * (a @ a.T + 0.05 * np.eye(dim))
+
+    base_sample = _reference_stretch_sample()
+
+    def distance_function(rng):
+        a = rng.uniform(-1.0, 1.0)
+        k = rng.normal(size=2)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+
+        def table_fn(pts, _a=a, _k=k, _p=phase):
+            P = np.asarray(pts, dtype=float)
+            gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
+            phi = _a * np.sin(P @ _k + _p)
+            return gaps * np.exp(0.5 * (phi[:, None] + phi[None, :]))
+
+        return SampledDistanceFunction(sample=base_sample, table_fn=table_fn)
+
+    def circle_map(rng):
+        return sine_circle_map(amplitude=rng.uniform(-0.8, 0.8),
+                               phase=rng.uniform(0.0, 2.0 * math.pi),
+                               shift=rng.uniform(0.0, 2.0 * math.pi))
+
+    grid = 128
+    return {
+        "euclidean": WeakMetricSpace(name=f"euclidean{dim}", dist=euclidean_dist,
+                                     sample_points=_one_at_a_time(euclidean)),
+        "poincare": WeakMetricSpace(name="poincare", dist=poincare_dist,
+                                    sample_points=_one_at_a_time(disk)),
+        "thompson": WeakMetricSpace(name=f"thompson{dim}", dist=thompson_dist,
+                                    dist_many=thompson_dist_many,
+                                    sample_points=_one_at_a_time(spd)),
+        "funk": WeakMetricSpace(name=f"funk{dim}", dist=funk_dist,
+                                dist_many=funk_dist_many,
+                                sample_points=_one_at_a_time(spd)),
+        "stretch": WeakMetricSpace(name="stretch", dist=stretch_dist,
+                                   dist_many=stretch_dist_many,
+                                   sample_points=_one_at_a_time(distance_function)),
+        "jacobian": WeakMetricSpace(
+            name="jacobian", dist=lambda f, g: jacobian_dist(f, g, grid),
+            dist_many=lambda pts, i, j: jacobian_dist_many(pts, i, j, grid),
+            sample_points=_one_at_a_time(circle_map)),
+    }
+
+
+def reference_basepoints(dim=3):
+    """Basepoints of :func:`reference_spaces`, keyed like them."""
+    return {"euclidean": np.zeros(dim), "poincare": 0j,
+            "thompson": np.eye(dim), "funk": np.eye(dim),
+            "stretch": ambient_norm_sdf(_reference_stretch_sample()),
+            "jacobian": identity_circle_map()}
+
+
 def loop_weak_metric_axioms(space, n_triples, seed=0):
-    """The axiom suite one triple at a time, each distance through
-    ``space.distance``; :func:`horoflow.core.check_weak_metric_axioms` must
-    agree field for field."""
+    """The axiom suite one triple at a time, each point drawn on its own and
+    each distance through ``space.distance``;
+    :func:`horoflow.core.check_weak_metric_axioms` must agree field for
+    field."""
     rng = trial_rng(seed, 0)
     max_id = 0.0
     max_tri = 0.0
     min_pair = math.inf
     for _ in range(n_triples):
-        x = space.sample_point(rng)
-        y = space.sample_point(rng)
-        z = space.sample_point(rng)
+        x, = space.sample_points(rng, 1)
+        y, = space.sample_points(rng, 1)
+        z, = space.sample_points(rng, 1)
         max_id = max(max_id, abs(space.distance(x, x)))
         dxy = space.distance(x, y)
         dxz = space.distance(x, z)
@@ -413,9 +504,9 @@ def loop_functional_bounds(space, x0, n_samples, seed=0):
     rng = trial_rng(seed, 0)
     low = up = cont = 0.0
     for _ in range(n_samples):
-        anchor = space.sample_point(rng)
-        y = space.sample_point(rng)
-        z = space.sample_point(rng)
+        anchor, = space.sample_points(rng, 1)
+        y, = space.sample_points(rng, 1)
+        z, = space.sample_points(rng, 1)
         dxa = space.distance(x0, anchor)
         hy = space.distance(y, anchor) - dxa
         hz = space.distance(z, anchor) - dxa

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from horoflow.core import (_BLOCK, DegenerateInputError, MetricDomainError,
-                           WeakMetricSpace, certify_nonexpansive,
+                           WeakMetricSpace, _with_point, certify_nonexpansive,
                            check_functional_bounds, check_weak_metric_axioms,
                            eval_metric_functional, functional_table, symmetrize)
+from horoflow.seeding import trial_rng
 from horoflow.spaces import (euclidean_space, funk_space, registered_basepoints,
                              registered_spaces)
 
-from oracles import loop_functional_bounds, loop_weak_metric_axioms
+from oracles import (loop_functional_bounds, loop_weak_metric_axioms,
+                     reference_basepoints, reference_spaces)
 
 
 def test_distance_rejects_nonfinite():
@@ -143,12 +145,48 @@ def test_functional_bounds_euclidean():
 def test_suites_equal_the_sample_loop(dim, seed):
     spaces = registered_spaces(dim)
     bps = registered_basepoints(spaces)
+    refs = reference_spaces(dim)
+    ref_bps = reference_basepoints(dim)
     n = 2 * _BLOCK + 22   # three evaluation blocks, the last one partial
     for name, sp in spaces.items():
-        for rep, ref in ((check_weak_metric_axioms(sp, n, seed=seed),
-                          loop_weak_metric_axioms(sp, n, seed=seed)),
-                         (check_functional_bounds(sp, bps[name], n, seed=seed + 1),
-                          loop_functional_bounds(sp, bps[name], n, seed=seed + 1))):
-            assert rep == ref
+        ref = refs[name]
+        for rep, want in ((check_weak_metric_axioms(sp, n, seed=seed),
+                           loop_weak_metric_axioms(ref, n, seed=seed)),
+                          (check_functional_bounds(sp, bps[name], n, seed=seed + 1),
+                           loop_functional_bounds(ref, ref_bps[name], n, seed=seed + 1))):
+            assert rep == want
             # repr tells -0.0 from 0.0, which == does not
-            assert repr(rep) == repr(ref)
+            assert repr(rep) == repr(want)
+
+
+def _suite_pairs(m):
+    """The (i, j) patterns of the axiom suite and of the functional suite on
+    a block of m samples; the functional suite's basepoint is point 3 * m."""
+    a = np.arange(0, 3 * m, 3)
+    b, c = a + 1, a + 2
+    x = np.full(m, 3 * m)
+    return ((np.concatenate([a, a, a, c, b]), np.concatenate([a, b, c, b, a])),
+            (np.concatenate([x, b, c, x, b, b, c]), np.concatenate([a, a, a, b, x, c, b])))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_distances_equal_the_reference_element_for_element(dim, seed):
+    # a suite keeps only maxima, which can stay put while most distances move
+    spaces = registered_spaces(dim)
+    bps = registered_basepoints(spaces)
+    refs = reference_spaces(dim)
+    ref_bps = reference_basepoints(dim)
+    for name, sp in spaces.items():
+        rng, ref_rng = trial_rng(seed, 0), trial_rng(seed, 0)
+        for m in (_BLOCK, _BLOCK, 22):
+            block = sp.sample_points(rng, 3 * m)
+            ref_block = refs[name].sample_points(ref_rng, 3 * m)
+            assert len(block) == len(ref_block) == 3 * m
+            if name not in ("stretch", "jacobian"):   # the same point types
+                assert np.asarray(block).tobytes() == np.asarray(ref_block).tobytes()
+            points = _with_point(block, bps[name])
+            ref_points = [*ref_block, ref_bps[name]]
+            for i, j in _suite_pairs(m):
+                got = sp.distances(points, i, j)
+                assert got.tobytes() == refs[name].distances(ref_points, i, j).tobytes(), name

@@ -13,11 +13,11 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              SampledDistanceFunction,
                              ambient_norm_sdf, busemann_disk, euclidean_dist,
                              funk_dist, identity_circle_map, jacobian_dist,
-                             mobius_circle_map, mobius_disk, poincare_dist,
-                             pullback, random_spd, registered_basepoints,
-                             registered_spaces, rotation_circle_map,
-                             sine_circle_map, stretch_dist, sym_log,
-                             thompson_dist)
+                             jacobian_dist_many, mobius_circle_map, mobius_disk,
+                             poincare_dist, pullback, random_spd,
+                             registered_basepoints, registered_spaces,
+                             rotation_circle_map, sine_circle_map, stretch_dist,
+                             stretch_dist_many, sym_log, thompson_dist)
 
 from oracles import busemann_radial_limit, radial_poincare_length, rayleigh_sup
 
@@ -242,10 +242,27 @@ def test_batched_distances_keep_the_error_types():
         # the generalized eigenvalue underflows to 0, its log to -inf
         with pytest.raises(MetricDomainError), np.errstate(divide="ignore"):
             spaces[name].distances([1e300 * np.eye(2), 1e-300 * np.eye(2)], [0], [1])
+    with pytest.raises(MetricDomainError):
+        spaces["euclidean"].distances([np.zeros(2), np.zeros(3)], [0], [1])
+    # stretch rows (a, k1, k2, phase): a table that overflows, one that
+    # underflows to 0, a short row and a non-finite one
+    zero = np.zeros(4)
+    with pytest.raises(MetricDomainError):
+        spaces["stretch"].distances([zero, [1e308, 1.0, 0.0, 0.0]], [0], [1])
+    with pytest.raises(DegenerateInputError):
+        spaces["stretch"].distances([zero, [2000.0, 0.0, 0.0, -0.5 * math.pi]], [0], [1])
+    with pytest.raises(MetricDomainError):
+        spaces["stretch"].distances([zero[:3], zero[:3]], [0], [1])
+    with pytest.raises(MetricDomainError):
+        spaces["stretch"].distances([zero, [math.nan, 0.0, 0.0, 0.0]], [0], [1])
+    # Jacobian rows (amplitude, phase, shift) need |amplitude| < 1
+    for amplitude in (1.0, -1.5):
+        with pytest.raises(NotDiffeomorphismError):
+            spaces["jacobian"].distances([np.zeros(3), [amplitude, 0.0, 0.0]], [0], [1])
+    # the kernels of user-built points
     folding = CircleMap(f=lambda t: np.cos(np.asarray(t, dtype=float)))
     with pytest.raises(NotDiffeomorphismError):
-        spaces["jacobian"].distances([identity_circle_map(), folding], [0], [1])
+        jacobian_dist_many([identity_circle_map(), folding], [0], [1])
     base = ambient_norm_sdf(_square_sample())
     with pytest.raises(DegenerateInputError):
-        spaces["stretch"].distances([base, ambient_norm_sdf(_square_sample()[:3])],
-                                    [0], [1])
+        stretch_dist_many([base, ambient_norm_sdf(_square_sample()[:3])], [0], [1])
