@@ -499,7 +499,8 @@ def run(config: dict) -> int:
     except EstimationError as e:
         print(f"truncation error: {e}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (DegenerateInputError, MetricDomainError, NotDiffeomorphismError) as e:
+    except (DegenerateInputError, MetricDomainError, NotDiffeomorphismError,
+            FloatingPointError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -308,7 +308,9 @@ def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int,
     pos = theta.copy()
     cumlog = np.zeros(grid)
     rows = []
-    for k, g in enumerate(driver.elements(trial, n), start=1):
+    maps, [idx] = driver.draw([trial], n)
+    for k, i in enumerate(idx.tolist(), start=1):
+        g = maps[i]
         d = g.deriv(pos)
         if np.any(d <= 0.0):
             raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")

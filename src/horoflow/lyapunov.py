@@ -2,8 +2,9 @@
 
 The full spectrum is accumulated by the standard re-orthonormalized QR
 scheme (no raw matrix product is ever formed); single-direction growth
-rates use per-step renormalization; filtration structure is probed by
-clustering the growth rates of a probe set under a constant matrix.
+rates use per-step renormalization, with every start vector and trial a
+row on one leading axis; filtration structure is probed by clustering the
+growth rates of a probe set under a constant matrix.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .cocycle import ErgodicDriver, constant_driver, geometric_checkpoints
+from .cocycle import ErgodicDriver, geometric_checkpoints
 from .core import DegenerateInputError
 
 
@@ -43,15 +44,16 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
         raise DegenerateInputError("n must be >= 10")
     if driver.kind in ("iid_finite", "rotation"):
         for a in driver.maps:
-            if abs(np.linalg.det(np.asarray(a, dtype=float))) <= 1e-12:
+            if _is_singular(a):
                 raise DegenerateInputError("driver contains a singular matrix")
-    mats = [np.asarray(a, dtype=float) for a in driver.elements(trial, n)]
+    maps, [idx] = driver.draw([trial], n)
+    mats = [np.asarray(a, dtype=float) for a in maps]
     q = np.eye(dim)
     rdiag = np.empty((n, dim))
     # raw LAPACK factor/assemble keeps the per-step cost viable at n = 1e5
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (q,))
-    for k, a in enumerate(mats):
-        packed, tau, _, _ = geqrf(a @ q, overwrite_a=True)
+    for k, i in enumerate(idx.tolist()):
+        packed, tau, _, _ = geqrf(mats[i] @ q, overwrite_a=True)
         rdiag[k] = np.diagonal(packed)
         qmat, _, _ = orgqr(packed, tau)
         q = np.where(rdiag[k] < 0.0, -qmat, qmat)
@@ -68,29 +70,63 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
 
 
+def _is_singular(a) -> bool:
+    # an overflowing determinant is not singular; the products that follow
+    # report a step past the double range
+    with np.errstate(over="ignore"):
+        return abs(np.linalg.det(np.asarray(a, dtype=float))) <= 1e-12
+
+
 def vector_growth_rate(driver: ErgodicDriver, v, n: int, trial: int = 0) -> float:
     """(1/n) log ||A(n) v|| with per-step renormalization (no overflow)."""
-    return _growth_rates(driver, v, [n], trial)[0]
+    if n < 1:
+        raise DegenerateInputError("n must be >= 1")
+    maps, idx = driver.draw([trial], n)
+    return float(_growth_rates(maps, idx, [v], [n])[0, 0])
 
 
-def _growth_rates(driver: ErgodicDriver, v, ks: list, trial: int = 0) -> list:
-    """(1/k) log ||A(k) v|| at each ascending checkpoint k, all read off one
-    renormalized run of ks[-1] steps."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise DegenerateInputError("zero probe vector")
-    w = v / nv
-    rate = 0.0
-    rates = []
-    for k, a in enumerate(driver.elements(trial, ks[-1]), start=1):
-        w = np.asarray(a, dtype=float) @ w
-        s = np.linalg.norm(w)
-        rate += math.log(s)
-        w = w / s
-        if k in ks:
-            rates.append(rate / k)
-    return rates
+def _growth_rates(mats, idx, V, ks) -> np.ndarray:
+    """(1/k) log ||A(k) v|| for each row at each ascending checkpoint k, all
+    read off one renormalized run of ks[-1] steps per row.
+
+    Row r starts at V[r], and its step i applies mats[idx[r, i]]; the rows
+    run together on a leading axis.  Returns a (rows, len(ks)) array.  A
+    step norm that is zero or past the double range is a rescaling fault.
+    """
+    mats = np.asarray(mats, dtype=float)
+    dim = mats.shape[-1]
+    try:
+        V = np.asarray(V, dtype=float)
+    except ValueError as e:     # rows of unequal lengths
+        raise DegenerateInputError(f"probe vectors must have length {dim}") from e
+    if V.ndim != 2 or V.shape[1] != dim:
+        raise DegenerateInputError(f"probe vectors must have length {dim}")
+    w = V[:, :, None]
+    with np.errstate(over="ignore"):
+        nv = np.sqrt(np.matmul(V[:, None, :], w))
+    # a nan or inf entry makes the norm nan or inf
+    if not np.all(np.isfinite(nv) & (nv > 0.0)):
+        raise DegenerateInputError("probe vector norm must be finite and nonzero")
+    w = w / nv
+    steps = np.asarray(idx).T
+    norms = np.empty(steps.shape)
+    with np.errstate(all="ignore"):
+        for i, col in enumerate(steps):
+            w = np.matmul(mats[col], w)
+            s = np.sqrt(np.matmul(w.transpose(0, 2, 1), w))
+            norms[i] = s[:, 0, 0]
+            w = w / s
+        fault = np.flatnonzero(~np.all(np.isfinite(norms) & (norms > 0.0), axis=1))
+    if fault.size:
+        raise FloatingPointError(f"rescaling fault at step {fault[0] + 1}")
+    # math.log, not np.log: numpy's SIMD log can differ in the last bit.
+    # The norms are read one at a time, not as a list, which would hold a
+    # Python float for every step of every row.  The running sums add in
+    # step order, as a scalar loop would, and overwrite the norms.
+    logs = np.fromiter(map(math.log, norms.flat), dtype=float, count=norms.size)
+    sums = np.cumsum(logs.reshape(norms.shape), axis=0, out=norms)
+    ks = np.asarray(ks)
+    return (sums[ks - 1] / ks[:, None]).T
 
 
 def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> FiltrationProbeReport:
@@ -101,16 +137,16 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
     1e-9 floor), since exact filtrations must be resolved at the available
     numerical resolution.
     """
-    if not probes:
+    if len(probes) == 0:
         raise DegenerateInputError("probes must be nonempty")
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
     A = np.asarray(A, dtype=float)
-    if abs(np.linalg.det(A)) <= 1e-12:
+    if _is_singular(A):
         raise DegenerateInputError("singular matrix")
-    drv = constant_driver(A)
-    # each probe runs once; its n // 2 rate is a checkpoint of the same run
-    half, rates = np.array([_growth_rates(drv, p, [n // 2, n]) for p in probes]).T
+    # every probe is a row of one run; its n // 2 rate is a checkpoint of it
+    idx = np.broadcast_to(np.intp(0), (len(probes), n))
+    half, rates = _growth_rates(A[None], idx, probes, [n // 2, n]).T
     if cluster_tol is None:
         spread = float(np.max(np.abs(rates - half)))
         cluster_tol = max(10.0 * spread, 1e-9)

@@ -136,6 +136,9 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
     for bad in ({"experiment": "segal-sweep", "scale": 1e3, "pairs": 2},
                 {"experiment": "segal-sweep", "scale": 1e308, "pairs": 2},
                 {"experiment": "filtration-probe", "diag": [0.0, 1.0]},
+                # step norms leave the double range, though neither matrix is singular
+                {"experiment": "filtration-probe", "diag": [1e155, 1.0], "n": 100},
+                {"experiment": "oseledets-spectrum", "diag": [1e-301, 1e301], "n": 100},
                 {"experiment": "segal-sweep", "pairs": 2, "output_dir": str(afile)}):
         bad = {"seed": 1, "output_dir": str(out), **bad}
         assert run(bad) == EXIT_CONFIG

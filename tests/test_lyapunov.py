@@ -67,6 +67,9 @@ def test_vector_growth_rates_pick_filtration_layers():
         math.log(2.0), abs=1e-3)
     with pytest.raises(DegenerateInputError):
         vector_growth_rate(drv, [0.0, 0.0], 100)
+    for n in (0, -1):
+        with pytest.raises(DegenerateInputError, match="n must be >= 1"):
+            vector_growth_rate(drv, [1.0, 0.0], n)
 
 
 def test_filtration_probe_clusters_rates():
@@ -77,6 +80,8 @@ def test_filtration_probe_clusters_rates():
     slow = [c for c in rep.clusters if 1 in c][0]
     assert slow == [1]  # only e2 lives in the slow layer
     assert rep.rates[1] == pytest.approx(-math.log(2.0))
+    # the probes may come as the rows of one array
+    assert filtration_probe(A, np.array(probes), 400).rates.tolist() == rep.rates.tolist()
 
 
 def test_filtration_probe_single_cluster_for_conformal():
@@ -86,12 +91,17 @@ def test_filtration_probe_single_cluster_for_conformal():
 
 
 def test_filtration_probe_validation():
-    with pytest.raises(DegenerateInputError):
-        filtration_probe(np.eye(2), [], 200)
+    for empty in ([], np.empty((0, 2))):
+        with pytest.raises(DegenerateInputError):
+            filtration_probe(np.eye(2), empty, 200)
     with pytest.raises(DegenerateInputError):
         filtration_probe(np.eye(2), [np.array([1.0, 0.0])], 50)
     with pytest.raises(DegenerateInputError, match="singular"):
         filtration_probe(np.diag([0.0, 1.0]), [np.array([1.0, 1.0])], 200)
+    for probes in ([np.ones(3)], [np.ones(2), np.ones(3)], [np.array([1.0, np.nan])],
+                   [np.array([1e200, 1e200])]):
+        with pytest.raises(DegenerateInputError, match="probe vector"):
+            filtration_probe(np.eye(2), probes, 200)
 
 
 def _random_pair(dim, seed):
@@ -139,11 +149,28 @@ def test_qr_spectrum_reports_the_faulting_step():
 
 @pytest.mark.parametrize("label", sorted(_COCYCLES))
 def test_one_run_growth_rates_equal_separate_runs(label):
+    # trials 0-5, two start vectors each, as the rows of one stacked run
     drv, dim = _COCYCLES[label]
     rng = trial_rng(30, 0)
     for ks in ([50, 100], [500], [1, 7, 600, 1000]):
-        v = rng.normal(size=dim)
-        assert _growth_rates(drv, v, ks, trial=1) == loop_growth_rates(drv, v, ks, trial=1)
+        maps, idx = drv.draw(range(6), ks[-1])
+        V = rng.normal(size=(12, dim))
+        got = _growth_rates(maps, np.repeat(idx, 2, axis=0), V, ks)
+        for r, v in enumerate(V):
+            assert got[r].tolist() == loop_growth_rates(drv, v, ks, trial=r // 2)
+
+
+def _loop_clusters(half, rates):
+    """filtration_probe's grouping at its default tolerance, in plain Python."""
+    tol = max(10.0 * max(abs(r - h) for r, h in zip(rates, half)), 1e-9)
+    order = sorted(range(len(rates)), key=rates.__getitem__)
+    clusters = [[order[0]]]
+    for prev, i in zip(order, order[1:]):
+        if rates[i] - rates[prev] < tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
 
 
 def test_filtration_probe_rates_equal_the_two_run_loop():
@@ -152,5 +179,7 @@ def test_filtration_probe_rates_equal_the_two_run_loop():
         dim = len(A)
         probes = [np.eye(dim)[i] for i in range(dim)] + [np.ones(dim)]
         rep = filtration_probe(A, probes, 1000)
-        assert rep.rates.tolist() == [loop_growth_rates(constant_driver(A), p, [1000])[0]
-                                      for p in probes]
+        half, rates = zip(*(loop_growth_rates(constant_driver(A), p, [500, 1000])
+                            for p in probes))
+        assert rep.rates.tolist() == list(rates)
+        assert rep.clusters == _loop_clusters(half, rates)
