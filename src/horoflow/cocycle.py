@@ -41,7 +41,8 @@ class ErgodicDriver:
       - ``iid_parametric``: ``sampler(rng)`` draws a fresh map each step;
       - ``rotation``: an irrational circle rotation by ``angle`` with the
         unit interval partitioned at ``breakpoints`` (ascending, last 1.0),
-        interval i labeled by maps[i].
+        interval i labeled by maps[i]; its ``weights`` are the interval
+        lengths.
 
     ``order`` declares the composition convention: ``right_increment``
     appends new maps innermost (u(n) = g1 g2 ... gn), ``left_increment``
@@ -90,6 +91,8 @@ class ErgodicDriver:
                     or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
                 raise ValueError("breakpoints must ascend to 1.0, one per map")
             object.__setattr__(self, "breakpoints", tuple(bp))
+            lengths = (b - a for a, b in zip((0.0,) + self.breakpoints, self.breakpoints))
+            object.__setattr__(self, "weights", tuple(lengths))
 
     def rng(self, trial: int) -> np.random.Generator:
         return trial_rng(self.seed, trial)
@@ -136,6 +139,29 @@ def apply_element(g, x):
     if callable(g):
         return g(x)
     return (np.asarray(g) @ np.asarray(x)[..., None])[..., 0]
+
+
+def screen_invertible(mats: np.ndarray, idx) -> np.ndarray:
+    """The distinct positions in idx, once each matrix they pick from the
+    (m, d, d) stack mats is finite with s_min > s_max * d * eps, the
+    scale-free rank test of np.linalg.matrix_rank (Golub and Van Loan,
+    Matrix Computations, 4th ed., 5.4).  Every matrix kernel screens its
+    draws this way before its first step."""
+    used = np.unique(idx)
+    drawn = mats[used]
+    # svd raises on a nan; d * eps first, so s_max near 1e308 cannot overflow
+    if np.all(np.isfinite(drawn)):
+        s = np.linalg.svd(drawn, compute_uv=False)
+        if np.all(s[:, -1] > s[:, 0] * (drawn.shape[-1] * np.finfo(float).eps)):
+            return used
+    raise DegenerateInputError("singular step matrix")
+
+
+def check_steps(values: np.ndarray) -> None:
+    """Raise a rescaling fault at the first step (row) with a zero or non-finite value."""
+    fault = np.flatnonzero(~np.all(np.isfinite(values) & (values != 0.0), axis=1))
+    if fault.size:
+        raise FloatingPointError(f"rescaling fault at step {fault[0] + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +332,22 @@ def _tail_slope(ks: np.ndarray, ratios: np.ndarray) -> float:
     return float(coef[0])
 
 
+def tail_checkpoints(n: int) -> list:
+    """The checkpoints in [n/10, n] at which an estimate's tail is read."""
+    return geometric_checkpoints(n, count=8, start=max(1, n // 10))
+
+
+def summarize_trials(per_trial: np.ndarray, tail, n: int, trials: int,
+                     truncated_trials: int = 0) -> LyapunovEstimate:
+    """Mean and standard error of the kept trials' final values; tail holds
+    the mean value at each of :func:`tail_checkpoints`."""
+    m = len(per_trial)
+    se = float(np.std(per_trial, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    slope = _tail_slope(np.asarray(tail_checkpoints(n), dtype=float), tail)
+    return LyapunovEstimate(float(np.mean(per_trial)), n, trials, per_trial, se, slope,
+                            truncated_trials)
+
+
 def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
                           x0, n: int, trials: int) -> LyapunovEstimate:
     """Monte-Carlo estimate of lim a(n)/n across independent seeded trials.
@@ -319,7 +361,7 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
     """
     if trials < 1 or n < 10:
         raise DegenerateInputError("need trials >= 1 and n >= 10")
-    tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
+    tail_ks = tail_checkpoints(n)
     pts, cut = _fold_orbits(driver, space, x0, tail_ks, range(trials))
     kept = [t for t in range(trials) if cut[t] is None]
     ratios = [np.array([space.distance(x0, _point(x0, pts[j, t])) / k
@@ -327,18 +369,10 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
     truncated = trials - len(kept)
     if truncated > 0.1 * trials:
         raise EstimationError(f"{truncated}/{trials} trials truncated")
-    per_trial = np.array([r[-1] for r in ratios])
-    # summed one trial at a time, in trial order
-    tail_sum = np.zeros(len(tail_ks))
-    for r in ratios:
-        tail_sum += r
-    lam = float(np.mean(per_trial))
-    se = float(np.std(per_trial, ddof=1) / math.sqrt(len(per_trial))) \
-        if len(per_trial) > 1 else 0.0
-    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail_sum / len(kept))
-    return LyapunovEstimate(lambda_hat=lam, n=n, trials=trials,
-                            per_trial=per_trial, std_error=se,
-                            tail_slope=slope, truncated_trials=truncated)
+    # the tail summed one trial at a time, in trial order
+    tail_sum = sum(ratios, np.zeros(len(tail_ks)))
+    return summarize_trials(np.array([r[-1] for r in ratios]), tail_sum / len(kept),
+                            n, trials, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +390,8 @@ def check_integrability(driver: ErgodicDriver, space: WeakMetricSpace,
     """Mean of |d(x0, g x0)| over the driver's one-step distribution.
 
     Finite-support and rotation drivers are integrated exactly over their
-    weights / interval lengths.  Parametric drivers are sampled, with a
-    heaviness flag raised when running means over doubling windows fail to
-    stabilize.
+    weights.  Parametric drivers are sampled, with a heaviness flag raised
+    when running means over doubling windows fail to stabilize.
     """
     def step(g) -> float:
         v = abs(space.distance(x0, apply_element(g, x0)))
@@ -366,14 +399,8 @@ def check_integrability(driver: ErgodicDriver, space: WeakMetricSpace,
             raise IntegrabilityError("non-finite one-step distance")
         return v
 
-    if driver.kind == "iid_finite":
+    if driver.kind != "iid_parametric":
         mean = sum(w * step(g) for g, w in zip(driver.maps, driver.weights))
-        return IntegrabilityReport(mean_step=mean, heavy_tail_flag=False,
-                                   samples_used=len(driver.maps))
-    if driver.kind == "rotation":
-        edges = (0.0,) + driver.breakpoints
-        mean = sum((edges[i + 1] - edges[i]) * step(g)
-                   for i, g in enumerate(driver.maps))
         return IntegrabilityReport(mean_step=mean, heavy_tail_flag=False,
                                    samples_used=len(driver.maps))
     if samples < 100:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .cocycle import ErgodicDriver, geometric_checkpoints
+from .cocycle import ErgodicDriver, check_steps, screen_invertible, tail_checkpoints
 from .core import DegenerateInputError
 
 
@@ -42,12 +42,9 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     """
     if n < 10:
         raise DegenerateInputError("n must be >= 10")
-    if driver.kind in ("iid_finite", "rotation"):
-        for a in driver.maps:
-            if _is_singular(a):
-                raise DegenerateInputError("driver contains a singular matrix")
     maps, [idx] = driver.draw([trial], n)
-    mats = [np.asarray(a, dtype=float) for a in maps]
+    mats = np.asarray(maps, dtype=float)
+    screen_invertible(mats, idx)
     q = np.eye(dim)
     rdiag = np.empty((n, dim))
     # raw LAPACK factor/assemble keeps the per-step cost viable at n = 1e5
@@ -57,28 +54,19 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
         rdiag[k] = np.diagonal(packed)
         qmat, _, _ = orgqr(packed, tau)
         q = np.where(rdiag[k] < 0.0, -qmat, qmat)
-    # near-singular R means a singular step matrix slipped through
-    fault = np.flatnonzero(np.any(np.abs(rdiag) < 1e-300, axis=1))
-    if fault.size:
-        raise FloatingPointError(f"rescaling fault at step {fault[0] + 1}")
+    check_steps(rdiag)
     # running sums of log r_ii; a checkpoint's snapshot is its row over k
     sums = np.cumsum(np.log(np.abs(rdiag)), axis=0)
-    ks = np.array(geometric_checkpoints(n, count=8, start=max(1, n // 10)))
+    ks = np.array(tail_checkpoints(n))
     final = sums[-1] / n
     resid = np.max(np.abs(sums[ks - 1] / ks[:, None] - final), axis=0)
     order = np.argsort(-final)
     return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
 
 
-def _is_singular(a) -> bool:
-    # an overflowing determinant is not singular; the products that follow
-    # report a step past the double range
-    with np.errstate(over="ignore"):
-        return abs(np.linalg.det(np.asarray(a, dtype=float))) <= 1e-12
-
-
 def vector_growth_rate(driver: ErgodicDriver, v, n: int, trial: int = 0) -> float:
-    """(1/n) log ||A(n) v|| with per-step renormalization (no overflow)."""
+    """(1/n) log ||A(n) v|| with per-step renormalization (no overflow).
+    Unscreened: v outside a singular matrix's kernel has a valid rate."""
     if n < 1:
         raise DegenerateInputError("n must be >= 1")
     maps, idx = driver.draw([trial], n)
@@ -116,9 +104,7 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
             s = np.sqrt(np.matmul(w.transpose(0, 2, 1), w))
             norms[i] = s[:, 0, 0]
             w = w / s
-        fault = np.flatnonzero(~np.all(np.isfinite(norms) & (norms > 0.0), axis=1))
-    if fault.size:
-        raise FloatingPointError(f"rescaling fault at step {fault[0] + 1}")
+    check_steps(norms)
     # math.log, not np.log: numpy's SIMD log can differ in the last bit.
     # The norms are read one at a time, not as a list, which would hold a
     # Python float for every step of every row.  The running sums add in
@@ -141,23 +127,18 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
         raise DegenerateInputError("probes must be nonempty")
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
-    A = np.asarray(A, dtype=float)
-    if _is_singular(A):
-        raise DegenerateInputError("singular matrix")
+    mats = np.asarray(A, dtype=float)[None]
+    screen_invertible(mats, [0])
     # every probe is a row of one run; its n // 2 rate is a checkpoint of it
     idx = np.broadcast_to(np.intp(0), (len(probes), n))
-    half, rates = _growth_rates(A[None], idx, probes, [n // 2, n]).T
+    half, rates = _growth_rates(mats, idx, probes, [n // 2, n]).T
     if cluster_tol is None:
-        spread = float(np.max(np.abs(rates - half)))
-        cluster_tol = max(10.0 * spread, 1e-9)
-    order = np.argsort(rates)
-    clusters = []
-    current = [int(order[0])]
-    for prev, idx in zip(order, order[1:]):
-        if rates[idx] - rates[prev] < cluster_tol:
-            current.append(int(idx))
+        cluster_tol = max(10.0 * float(np.max(np.abs(rates - half))), 1e-9)
+    order = np.argsort(rates).tolist()
+    clusters = [[order[0]]]
+    for prev, i in zip(order, order[1:]):
+        if rates[i] - rates[prev] < cluster_tol:
+            clusters[-1].append(i)
         else:
-            clusters.append(current)
-            current = [int(idx)]
-    clusters.append(current)
+            clusters.append([i])
     return FiltrationProbeReport(probes=list(probes), rates=rates, clusters=clusters)

@@ -18,8 +18,9 @@ import numpy as np
 import scipy.linalg
 
 from .cocycle import (DegenerateInputError, ErgodicDriver, LyapunovEstimate,
-                      chain_product, checkpoint_list, geometric_checkpoints,
-                      pairwise_product, scaled_matrices, _tail_slope)
+                      chain_product, checkpoint_list, pairwise_product,
+                      scaled_matrices, screen_invertible, summarize_trials,
+                      tail_checkpoints)
 from .spaces import sym_part
 
 
@@ -54,7 +55,6 @@ class StateReport:
     xi: np.ndarray
     achieved: float
     norm_y: float
-    eps: float
     s_flag: int = 1   # finite truncation forces the pure vector-state case
 
 
@@ -75,7 +75,7 @@ def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
     {k: [ScaledProduct of each trial]}.
 
     The trials share the driver's drawn stack of matrices (see
-    :meth:`ErgodicDriver.draw`), so each distinct matrix is checked and
+    :meth:`ErgodicDriver.draw`), so each distinct matrix is screened and
     inverted once.  Each segment between consecutive sorted checkpoints is
     formed by :func:`horoflow.cocycle.pairwise_product` in double-double
     arithmetic, the forward track with later factors on the left and the
@@ -84,9 +84,7 @@ def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
     """
     maps, idx = driver.draw(trials, n)
     mats = np.asarray(maps, dtype=float)
-    used = np.unique(idx)
-    if np.any(np.abs(np.linalg.det(mats[used])) <= 1e-12):
-        raise DegenerateInputError("singular step matrix")
+    used = screen_invertible(mats, idx)
     invs = np.empty_like(mats)
     invs[used] = np.linalg.inv(mats[used])
     bounds = [0] + sorted(set(checkpoints))
@@ -142,16 +140,12 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
     """Per-trial (1/n) ||log(v(n)^T v(n))||, averaged across seeded trials."""
     if n < 10 or trials < 1:
         raise DegenerateInputError("need n >= 10 and trials >= 1")
-    tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
+    tail_ks = tail_checkpoints(n)
     snaps = _fold(driver, n, range(trials), tail_ks)
     per_trial = np.array([squared_positive_part_lognorm(p) / n for p in snaps[n]])
     tail_vals = np.array([squared_positive_part_lognorm(snaps[k][0]) / k
                           for k in tail_ks])
-    lam = float(np.mean(per_trial))
-    se = float(np.std(per_trial, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail_vals)
-    return LyapunovEstimate(lambda_hat=lam, n=n, trials=trials,
-                            per_trial=per_trial, std_error=se, tail_slope=slope)
+    return summarize_trials(per_trial, tail_vals, n, trials)
 
 
 def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:
@@ -164,15 +158,13 @@ def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:
     return sym_part(y)
 
 
-def extract_vector_state(y, eps: float) -> StateReport:
+def extract_vector_state(y) -> StateReport:
     """Unit eigenvector xi of a symmetric y with |(y xi, xi)| = ||y||.
 
     Tie-break among eigenvalues: modulus descending, then value descending,
     then index; the sign of xi is fixed by making its first nonzero
     component positive.
     """
-    if eps <= 0.0:
-        raise DegenerateInputError("eps must be > 0")
     y = _check_symmetric(y)
     w, v = np.linalg.eigh(y)
     idx = sorted(range(len(w)), key=lambda i: (-abs(w[i]), -w[i], i))
@@ -182,8 +174,7 @@ def extract_vector_state(y, eps: float) -> StateReport:
     if nz.size and xi[nz[0]] < 0.0:
         xi = -xi
     achieved = abs(float(w[best]))
-    return StateReport(xi=xi, achieved=achieved, norm_y=float(np.max(np.abs(w))),
-                       eps=eps)
+    return StateReport(xi=xi, achieved=achieved, norm_y=float(np.max(np.abs(w))))
 
 
 def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0):
@@ -198,7 +189,7 @@ def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0
     snaps = {k: ps[0] for k, ps in _fold(driver, N, [trial], ks).items()}
     y_N = log_squared_positive_part(snaps[N])
     tau_hat = squared_positive_part_lognorm(snaps[N]) / N
-    xi = extract_vector_state(y_N, eps=1e-9).xi
+    xi = extract_vector_state(y_N).xi
     rows = []
     for l in checkpoints:
         y_l = log_squared_positive_part(snaps[l])

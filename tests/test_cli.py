@@ -1,6 +1,7 @@
 """Registry, config validation, output artifacts, and exit codes."""
 
 import json
+import math
 import os
 
 import pytest
@@ -136,9 +137,12 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
     for bad in ({"experiment": "segal-sweep", "scale": 1e3, "pairs": 2},
                 {"experiment": "segal-sweep", "scale": 1e308, "pairs": 2},
                 {"experiment": "filtration-probe", "diag": [0.0, 1.0]},
-                # step norms leave the double range, though neither matrix is singular
+                # numerically singular: the smallest singular value is at most
+                # 2 eps times the largest
                 {"experiment": "filtration-probe", "diag": [1e155, 1.0], "n": 100},
                 {"experiment": "oseledets-spectrum", "diag": [1e-301, 1e301], "n": 100},
+                # well conditioned, but the squared step norm leaves the double range
+                {"experiment": "filtration-probe", "diag": [1e155, 1e155], "n": 100},
                 {"experiment": "segal-sweep", "pairs": 2, "output_dir": str(afile)}):
         bad = {"seed": 1, "output_dir": str(out), **bad}
         assert run(bad) == EXIT_CONFIG
@@ -149,6 +153,58 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
         assert main(["--config", str(cfg_path), "--validate-only"]) == EXIT_OK
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "bad.json", "out"]
     assert afile.read_text() == ""
+
+
+_MATRIX_EXPERIMENTS = ("filtration-probe", "oseledets-spectrum", "operator-tau",
+                       "state-ratio")
+
+
+def _run_table(tmp_path, experiment, diag):
+    """The rows of a seed-1 run's table, as dicts of floats."""
+    cfg = {"experiment": experiment, "seed": 1, "diag": diag,
+           "output_dir": str(tmp_path)}
+    assert run(cfg) == EXIT_OK
+    lines = (tmp_path / f"{experiment}-1.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment", _MATRIX_EXPERIMENTS)
+def test_run_accepts_a_small_scaled_identity(tmp_path, experiment):
+    # the invertibility screen is scale-free: diag [1e-7, 1e-7] grows every
+    # vector at log 1e-7, and ||log(v(n)^T v(n))|| / n is twice its modulus
+    rows = _run_table(tmp_path, experiment, [1e-7, 1e-7])
+    rate = math.log(1e-7)
+    columns = {"filtration-probe": {"rate": rate},
+               "oseledets-spectrum": {"exponent": rate},
+               "operator-tau": {"per_trial": -2.0 * rate, "tau_hat": -2.0 * rate},
+               "state-ratio": {"ratio": -2.0 * rate, "tau_hat": -2.0 * rate}}
+    assert rows
+    for row in rows:
+        for column, want in columns[experiment].items():
+            assert row[column] == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_accepts_scaled_identities_at_the_double_range(tmp_path):
+    rows = _run_table(tmp_path, "oseledets-spectrum", [1e-301, 1e-301])
+    assert [row["exponent"] for row in rows] == pytest.approx(
+        [math.log(1e-301)] * 2, rel=1e-9, abs=0.0)
+    # the inverse of 1e308 is representable, so the operator tracks are too
+    assert len(_run_table(tmp_path, "operator-tau", [1e308, 1e308])) == 10
+    assert len(_run_table(tmp_path, "state-ratio", [1e308, 1e308])) == 3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment", _MATRIX_EXPERIMENTS)
+def test_run_refuses_singular_diag(tmp_path, capsys, experiment):
+    for diag in ([0.0, 1.0], [1e-301, 1e301]):
+        cfg = {"experiment": experiment, "seed": 1, "diag": diag,
+               "output_dir": str(tmp_path)}
+        assert run(cfg) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: singular step matrix\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_reports_unwritable_outputs(tmp_path, capsys):

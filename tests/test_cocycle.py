@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTATION,
-                              apply_element, check_integrability,
+                              apply_element, check_integrability, check_steps,
                               constant_driver, estimate_top_exponent,
                               functional_gap, generate_orbit,
                               geometric_checkpoints, hyperbolic_walk_gap,
-                              mobius_matrix, orbit_at, subadditive_trace)
+                              mobius_matrix, orbit_at, screen_invertible,
+                              subadditive_trace)
 from horoflow.core import DegenerateInputError
 from horoflow.spaces import euclidean_space, mobius_disk, poincare_space
 
@@ -226,6 +227,10 @@ def test_integrability_exact_for_rotation():
                         breakpoints=(0.5, 1.0))
     rep = check_integrability(drv, sp, np.zeros(1))
     assert rep.mean_step == pytest.approx(3.0)
+    # the interval lengths are the rotation's weights
+    drv = ErgodicDriver(kind="rotation", seed=0, maps=(lambda x: x + 1.0,) * 3,
+                        breakpoints=(0.1, 0.7, 1.0))
+    assert drv.weights == (0.1 - 0.0, 0.7 - 0.1, 1.0 - 0.7)
 
 
 def test_integrability_sampled_for_parametric():
@@ -241,6 +246,35 @@ def test_integrability_sampled_for_parametric():
     assert not rep.heavy_tail_flag
     with pytest.raises(DegenerateInputError):
         check_integrability(drv, sp, np.zeros(1), samples=10)
+
+
+# ---------------------------------------------------------------------------
+# Matrix cocycles
+
+@pytest.mark.filterwarnings("error")
+def test_screen_invertible_is_scale_free():
+    eps = np.finfo(float).eps
+    for scale in (1e-320, 1e-301, 1e-7, 1.0, 1e308):
+        mats = scale * np.stack([np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])])
+        assert screen_invertible(mats, [[1, 0, 1]]).tolist() == [0, 1]
+    # the threshold is s_min > s_max * d * eps
+    assert screen_invertible(np.diag([1.0, 2.0 * eps * 1.01])[None], [0]).tolist() == [0]
+    for bad in (np.diag([1.0, 2.0 * eps]), np.diag([1e-301, 1e301]), np.zeros((2, 2)),
+                np.diag([1.0, np.nan]), np.diag([np.inf, 1.0])):
+        with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
+            screen_invertible(np.stack([np.eye(2), bad]), [0, 1])
+    # a matrix that is never drawn is not screened
+    assert screen_invertible(np.stack([np.eye(2), np.zeros((2, 2))]), [0, 0]).tolist() == [0]
+
+
+def test_check_steps_names_the_first_fault():
+    check_steps(np.array([[1.0, -2.0], [1e-320, 1e308]]))
+    for bad in (0.0, -0.0, np.inf, np.nan):
+        values = np.ones((5, 3))
+        values[3, 1] = bad
+        values[4, 0] = 0.0
+        with pytest.raises(FloatingPointError, match="^rescaling fault at step 4$"):
+            check_steps(values)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from horoflow.cocycle import ErgodicDriver, constant_driver
 from horoflow.core import DegenerateInputError
 from horoflow.lyapunov import (_growth_rates, filtration_probe, qr_spectrum,
                                vector_growth_rate)
+from horoflow.operator_cone import accumulate_product
 from horoflow.seeding import trial_rng
 
 from oracles import loop_growth_rates, loop_qr_spectrum
@@ -137,14 +138,19 @@ def test_qr_spectrum_equals_the_running_sum_loop(label):
 
 
 @pytest.mark.filterwarnings("error")
-def test_qr_spectrum_reports_the_faulting_step():
-    # a parametric driver is not screened for singular matrices up front
+def test_singular_and_nan_draws_are_refused_up_front():
+    # every drawn matrix is screened before the first step, a parametric
+    # driver's draws too: a zero or a nan step is never reached
     singular = ErgodicDriver(kind="iid_parametric", seed=0,
                              sampler=lambda r: np.diag([1.0, float(r.random() > 0.2)]))
-    with pytest.raises(FloatingPointError) as want:
-        loop_qr_spectrum(singular, 2, 50)
-    with pytest.raises(FloatingPointError, match=f"^{want.value}$"):
-        qr_spectrum(singular, 2, 50)
+    with_nan = ErgodicDriver(kind="iid_parametric", seed=0,
+                             sampler=lambda r: np.diag([1.0, math.nan
+                                                        if r.random() < 0.2 else 1.0]))
+    for driver in (singular, with_nan):
+        with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
+            qr_spectrum(driver, 2, 50)
+        with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
+            accumulate_product(driver, 50)
 
 
 @pytest.mark.parametrize("label", sorted(_COCYCLES))

@@ -151,25 +151,23 @@ def test_accumulate_rejects_singular_steps():
 
 
 def test_extract_vector_state_achieves_the_norm():
-    rep = extract_vector_state(np.diag([3.0, -1.0, 0.5]), eps=1e-9)
+    rep = extract_vector_state(np.diag([3.0, -1.0, 0.5]))
     assert np.allclose(rep.xi, [1.0, 0.0, 0.0])
     assert rep.achieved == pytest.approx(3.0)
     assert rep.s_flag == 1
     # modulus tie: the positive eigenvalue wins
-    rep = extract_vector_state(np.diag([4.0, -4.0]), eps=1e-9)
+    rep = extract_vector_state(np.diag([4.0, -4.0]))
     assert np.allclose(rep.xi, [1.0, 0.0])
     # sign convention: first nonzero component positive
     y = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rep = extract_vector_state(y, eps=1e-9)
+    rep = extract_vector_state(y)
     assert rep.xi[0] > 0.0
     assert abs(float(rep.xi @ y @ rep.xi)) == pytest.approx(1.0)
 
 
 def test_extract_vector_state_validation():
     with pytest.raises(SymmetryError):
-        extract_vector_state(np.array([[0.0, 1.0], [0.0, 0.0]]), eps=1e-9)
-    with pytest.raises(DegenerateInputError):
-        extract_vector_state(np.eye(2), eps=0.0)
+        extract_vector_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_state_ratios_constant_diagonal_hit_tau_exactly():
