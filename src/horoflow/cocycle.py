@@ -142,18 +142,20 @@ def apply_element(g, x):
 
 
 def screen_invertible(mats: np.ndarray, idx) -> np.ndarray:
-    """The distinct positions in idx, once each matrix they pick from the
-    (m, d, d) stack mats is finite with s_min > s_max * d * eps, the
-    scale-free rank test of np.linalg.matrix_rank (Golub and Van Loan,
-    Matrix Computations, 4th ed., 5.4).  Every matrix kernel screens its
-    draws this way before its first step."""
+    """The inverses of the matrices idx draws from the (m, d, d) stack mats,
+    stacked like mats (nan where nothing is drawn).  A drawn matrix that is
+    non-finite or has no finite inverse for the inverse track is a singular
+    step matrix; any other runs, however badly conditioned, and a product
+    that leaves the double range faults at its step."""
     used = np.unique(idx)
-    drawn = mats[used]
-    # svd raises on a nan; d * eps first, so s_max near 1e308 cannot overflow
-    if np.all(np.isfinite(drawn)):
-        s = np.linalg.svd(drawn, compute_uv=False)
-        if np.all(s[:, -1] > s[:, 0] * (drawn.shape[-1] * np.finfo(float).eps)):
-            return used
+    invs = np.full(np.shape(mats), np.nan)
+    try:
+        invs[used] = np.linalg.inv(mats[used])
+    except np.linalg.LinAlgError:       # an exactly singular matrix
+        pass
+    # an infinite entry can still have a finite inverse
+    if np.all(np.isfinite(mats[used])) and np.all(np.isfinite(invs[used])):
+        return invs
     raise DegenerateInputError("singular step matrix")
 
 
@@ -337,13 +339,13 @@ def tail_checkpoints(n: int) -> list:
     return geometric_checkpoints(n, count=8, start=max(1, n // 10))
 
 
-def summarize_trials(per_trial: np.ndarray, tail, n: int, trials: int,
+def summarize_trials(per_trial: np.ndarray, tail_ks, tail, n: int, trials: int,
                      truncated_trials: int = 0) -> LyapunovEstimate:
     """Mean and standard error of the kept trials' final values; tail holds
-    the mean value at each of :func:`tail_checkpoints`."""
+    the mean value at each of the checkpoints tail_ks."""
     m = len(per_trial)
     se = float(np.std(per_trial, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    slope = _tail_slope(np.asarray(tail_checkpoints(n), dtype=float), tail)
+    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail)
     return LyapunovEstimate(float(np.mean(per_trial)), n, trials, per_trial, se, slope,
                             truncated_trials)
 
@@ -369,10 +371,12 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
     truncated = trials - len(kept)
     if truncated > 0.1 * trials:
         raise EstimationError(f"{truncated}/{trials} trials truncated")
-    # the tail summed one trial at a time, in trial order
-    tail_sum = sum(ratios, np.zeros(len(tail_ks)))
-    return summarize_trials(np.array([r[-1] for r in ratios]), tail_sum / len(kept),
-                            n, trials, truncated)
+    per_trial = np.array([r[-1] for r in ratios])
+    # summed one trial at a time, in trial order
+    tail_sum = np.zeros(len(tail_ks))
+    for r in ratios:
+        tail_sum += r
+    return summarize_trials(per_trial, tail_ks, tail_sum / len(kept), n, trials, truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -127,18 +127,22 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
         raise DegenerateInputError("probes must be nonempty")
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
-    mats = np.asarray(A, dtype=float)[None]
-    screen_invertible(mats, [0])
+    A = np.asarray(A, dtype=float)
+    screen_invertible(A[None], [0])
     # every probe is a row of one run; its n // 2 rate is a checkpoint of it
     idx = np.broadcast_to(np.intp(0), (len(probes), n))
-    half, rates = _growth_rates(mats, idx, probes, [n // 2, n]).T
+    half, rates = _growth_rates(A[None], idx, probes, [n // 2, n]).T
     if cluster_tol is None:
-        cluster_tol = max(10.0 * float(np.max(np.abs(rates - half))), 1e-9)
-    order = np.argsort(rates).tolist()
-    clusters = [[order[0]]]
-    for prev, i in zip(order, order[1:]):
-        if rates[i] - rates[prev] < cluster_tol:
-            clusters[-1].append(i)
+        spread = float(np.max(np.abs(rates - half)))
+        cluster_tol = max(10.0 * spread, 1e-9)
+    order = np.argsort(rates)
+    clusters = []
+    current = [int(order[0])]
+    for prev, idx in zip(order, order[1:]):
+        if rates[idx] - rates[prev] < cluster_tol:
+            current.append(int(idx))
         else:
-            clusters.append([i])
+            clusters.append(current)
+            current = [int(idx)]
+    clusters.append(current)
     return FiltrationProbeReport(probes=list(probes), rates=rates, clusters=clusters)

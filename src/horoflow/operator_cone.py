@@ -84,9 +84,7 @@ def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
     """
     maps, idx = driver.draw(trials, n)
     mats = np.asarray(maps, dtype=float)
-    used = screen_invertible(mats, idx)
-    invs = np.empty_like(mats)
-    invs[used] = np.linalg.inv(mats[used])
+    invs = screen_invertible(mats, idx)
     bounds = [0] + sorted(set(checkpoints))
     snaps = {}
     fwd = inv = None
@@ -145,7 +143,7 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
     per_trial = np.array([squared_positive_part_lognorm(p) / n for p in snaps[n]])
     tail_vals = np.array([squared_positive_part_lognorm(snaps[k][0]) / k
                           for k in tail_ks])
-    return summarize_trials(per_trial, tail_vals, n, trials)
+    return summarize_trials(per_trial, tail_ks, tail_vals, n, trials)
 
 
 def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:

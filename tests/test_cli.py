@@ -137,12 +137,10 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
     for bad in ({"experiment": "segal-sweep", "scale": 1e3, "pairs": 2},
                 {"experiment": "segal-sweep", "scale": 1e308, "pairs": 2},
                 {"experiment": "filtration-probe", "diag": [0.0, 1.0]},
-                # numerically singular: the smallest singular value is at most
-                # 2 eps times the largest
+                # step norms leave the double range, though each matrix has a
+                # finite inverse
                 {"experiment": "filtration-probe", "diag": [1e155, 1.0], "n": 100},
-                {"experiment": "oseledets-spectrum", "diag": [1e-301, 1e301], "n": 100},
-                # well conditioned, but the squared step norm leaves the double range
-                {"experiment": "filtration-probe", "diag": [1e155, 1e155], "n": 100},
+                {"experiment": "filtration-probe", "diag": [1e-301, 1e301], "n": 100},
                 {"experiment": "segal-sweep", "pairs": 2, "output_dir": str(afile)}):
         bad = {"seed": 1, "output_dir": str(out), **bad}
         assert run(bad) == EXIT_CONFIG
@@ -170,36 +168,44 @@ def _run_table(tmp_path, experiment, diag):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diag", ([1e-7, 1e-7], [1e8, 1e-8]))
 @pytest.mark.parametrize("experiment", _MATRIX_EXPERIMENTS)
-def test_run_accepts_a_small_scaled_identity(tmp_path, experiment):
-    # the invertibility screen is scale-free: diag [1e-7, 1e-7] grows every
-    # vector at log 1e-7, and ||log(v(n)^T v(n))|| / n is twice its modulus
-    rows = _run_table(tmp_path, experiment, [1e-7, 1e-7])
-    rate = math.log(1e-7)
-    columns = {"filtration-probe": {"rate": rate},
-               "oseledets-spectrum": {"exponent": rate},
-               "operator-tau": {"per_trial": -2.0 * rate, "tau_hat": -2.0 * rate},
-               "state-ratio": {"ratio": -2.0 * rate, "tau_hat": -2.0 * rate}}
-    assert rows
-    for row in rows:
-        for column, want in columns[experiment].items():
-            assert row[column] == pytest.approx(want, rel=1e-9, abs=0.0)
+def test_run_accepts_a_small_scaled_identity(tmp_path, experiment, diag):
+    # the screen refuses only a matrix with no finite inverse: a small scaled
+    # identity, and diag [1e8, 1e-8] of condition number 1e16, give exact
+    # rates; ||log(v(n)^T v(n))|| / n is twice the largest modulus
+    a, b = map(math.log, diag)
+    tau = 2.0 * max(abs(a), abs(b))
+    # probes e1, e2 and e1 + e2; the last, at n 1000, loses log(sqrt 2) / n
+    # to its weak direction when the entries differ
+    mixed = max(a, b) - (0.0 if a == b else math.log(2.0) / 2000)
+    columns = {"filtration-probe": {"rate": [a, b, mixed]},
+               "oseledets-spectrum": {"exponent": sorted((a, b), reverse=True)},
+               "operator-tau": {"per_trial": [tau] * 10, "tau_hat": [tau] * 10},
+               "state-ratio": {"ratio": [tau] * 3, "tau_hat": [tau] * 3}}
+    rows = _run_table(tmp_path, experiment, diag)
+    for column, want in columns[experiment].items():
+        assert [row[column] for row in rows] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_run_accepts_scaled_identities_at_the_double_range(tmp_path):
-    rows = _run_table(tmp_path, "oseledets-spectrum", [1e-301, 1e-301])
-    assert [row["exponent"] for row in rows] == pytest.approx(
-        [math.log(1e-301)] * 2, rel=1e-9, abs=0.0)
-    # the inverse of 1e308 is representable, so the operator tracks are too
-    assert len(_run_table(tmp_path, "operator-tau", [1e308, 1e308])) == 10
-    assert len(_run_table(tmp_path, "state-ratio", [1e308, 1e308])) == 3
+    for diag in ([1e-301, 1e-301], [1e-301, 1e301]):
+        rows = _run_table(tmp_path, "oseledets-spectrum", diag)
+        assert [row["exponent"] for row in rows] == pytest.approx(
+            sorted(map(math.log, diag), reverse=True), rel=1e-9, abs=0.0)
+    # the inverses of 1e308 and 1e-301 are representable, so the operator
+    # tracks are too
+    for diag in ([1e308, 1e308], [1e-301, 1e301]):
+        assert len(_run_table(tmp_path, "operator-tau", diag)) == 10
+        assert len(_run_table(tmp_path, "state-ratio", diag)) == 3
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("experiment", _MATRIX_EXPERIMENTS)
 def test_run_refuses_singular_diag(tmp_path, capsys, experiment):
-    for diag in ([0.0, 1.0], [1e-301, 1e301]):
+    # a zero entry, and one whose inverse leaves the double range
+    for diag in ([0.0, 1.0], [1e-310, 1.0]):
         cfg = {"experiment": experiment, "seed": 1, "diag": diag,
                "output_dir": str(tmp_path)}
         assert run(cfg) == EXIT_CONFIG

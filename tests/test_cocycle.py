@@ -252,19 +252,22 @@ def test_integrability_sampled_for_parametric():
 # Matrix cocycles
 
 @pytest.mark.filterwarnings("error")
-def test_screen_invertible_is_scale_free():
+def test_screen_invertible_refuses_only_matrices_without_a_finite_inverse():
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # any scale and any condition number whose inverse is representable
+    for scale in (1e-301, 1e-7, 1.0, 1e308):
+        mats = scale * np.stack([np.eye(2), rot])
+        assert np.array_equal(screen_invertible(mats, [[1, 0, 1]]), np.linalg.inv(mats))
     eps = np.finfo(float).eps
-    for scale in (1e-320, 1e-301, 1e-7, 1.0, 1e308):
-        mats = scale * np.stack([np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])])
-        assert screen_invertible(mats, [[1, 0, 1]]).tolist() == [0, 1]
-    # the threshold is s_min > s_max * d * eps
-    assert screen_invertible(np.diag([1.0, 2.0 * eps * 1.01])[None], [0]).tolist() == [0]
-    for bad in (np.diag([1.0, 2.0 * eps]), np.diag([1e-301, 1e301]), np.zeros((2, 2)),
-                np.diag([1.0, np.nan]), np.diag([np.inf, 1.0])):
+    for good in (np.diag([1e-301, 1e301]), np.diag([1e8, 1e-8]), np.diag([1.0, eps])):
+        assert np.array_equal(screen_invertible(good[None], [0]), np.linalg.inv(good[None]))
+    for bad in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                np.diag([1e-310, 1.0]), np.diag([1.0, np.nan]), np.diag([np.inf, 1.0])):
         with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
             screen_invertible(np.stack([np.eye(2), bad]), [0, 1])
-    # a matrix that is never drawn is not screened
-    assert screen_invertible(np.stack([np.eye(2), np.zeros((2, 2))]), [0, 0]).tolist() == [0]
+        # a matrix that is never drawn is not screened, and its inverse is nan
+        invs = screen_invertible(np.stack([2.0 * np.eye(2), bad]), [0, 0])
+        assert invs[0].tolist() == [[0.5, 0.0], [0.0, 0.5]] and np.all(np.isnan(invs[1]))
 
 
 def test_check_steps_names_the_first_fault():
