@@ -14,7 +14,6 @@ import os
 import sys
 
 import numpy as np
-import scipy.linalg
 
 from . import __version__
 from .core import (DegenerateInputError, MetricDomainError,
@@ -254,6 +253,7 @@ _SEGAL_BLOCK = 1024
 
 
 def _run_segal_sweep(cfg):
+    import scipy.linalg     # at first use: most experiments never load scipy
     dim, scale = cfg["dim"], cfg["scale"]
     if math.isinf(2.0 * scale):
         # the draw range itself overflows, and every exponential would

@@ -159,11 +159,12 @@ def screen_invertible(mats: np.ndarray, idx) -> np.ndarray:
     raise DegenerateInputError("singular step matrix")
 
 
-def check_steps(values: np.ndarray) -> None:
-    """Raise a rescaling fault at the first step (row) with a zero or non-finite value."""
+def check_steps(values: np.ndarray, first: int = 1) -> None:
+    """Raise a rescaling fault at the first step (row) with a zero or
+    non-finite value; row 0 is step ``first``."""
     fault = np.flatnonzero(~np.all(np.isfinite(values) & (values != 0.0), axis=1))
     if fault.size:
-        raise FloatingPointError(f"rescaling fault at step {fault[0] + 1}")
+        raise FloatingPointError(f"rescaling fault at step {first + fault[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +486,8 @@ def functional_gap(driver: ErgodicDriver, space: WeakMetricSpace, x0,
 # node: the disk walk still beats its step loop this way (see
 # tests/test_cocycle.py), several times faster than in double-double.
 
-# (trial, step) matrices gathered at once; bounds the temporaries
+# (trial, step) matrices gathered at once; bounds the temporaries.  Also
+# the steps a lyapunov kernel runs between two rescaling-fault checks
 _PRODUCT_BLOCK = 1 << 12
 # Veltkamp's constant: splits a double into two halves of 26 bits
 _SPLIT = 2.0 ** 27 + 1.0

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
 
-from .cocycle import ErgodicDriver, check_steps, screen_invertible, tail_checkpoints
+from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, check_steps, screen_invertible,
+                      tail_checkpoints)
 from .core import DegenerateInputError
 
 
@@ -39,7 +39,10 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     and re-factorized with the positive-diagonal convention; exponents are
     the time averages of log r_ii.  The stream is consumed as left
     increments (new matrix outermost), matching the operator convention.
+    Each block of ``_PRODUCT_BLOCK`` steps is checked for a rescaling
+    fault as it completes, so a fault ends the run within one block.
     """
+    import scipy.linalg     # at first use: most experiments never load scipy
     if n < 10:
         raise DegenerateInputError("n must be >= 10")
     maps, [idx] = driver.draw([trial], n)
@@ -49,12 +52,14 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     rdiag = np.empty((n, dim))
     # raw LAPACK factor/assemble keeps the per-step cost viable at n = 1e5
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (q,))
-    for k, i in enumerate(idx.tolist()):
-        packed, tau, _, _ = geqrf(mats[i] @ q, overwrite_a=True)
-        rdiag[k] = np.diagonal(packed)
-        qmat, _, _ = orgqr(packed, tau)
-        q = np.where(rdiag[k] < 0.0, -qmat, qmat)
-    check_steps(rdiag)
+    steps = idx.tolist()
+    for start in range(0, n, _PRODUCT_BLOCK):
+        for k in range(start, min(start + _PRODUCT_BLOCK, n)):
+            packed, tau, _, _ = geqrf(mats[steps[k]] @ q, overwrite_a=True)
+            rdiag[k] = np.diagonal(packed)
+            qmat, _, _ = orgqr(packed, tau)
+            q = np.where(rdiag[k] < 0.0, -qmat, qmat)
+        check_steps(rdiag[start:k + 1], start + 1)
     # running sums of log r_ii; a checkpoint's snapshot is its row over k
     sums = np.cumsum(np.log(np.abs(rdiag)), axis=0)
     ks = np.array(tail_checkpoints(n))
@@ -79,7 +84,8 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
 
     Row r starts at V[r], and its step i applies mats[idx[r, i]]; the rows
     run together on a leading axis.  Returns a (rows, len(ks)) array.  A
-    step norm that is zero or past the double range is a rescaling fault.
+    step norm that is zero or past the double range is a rescaling fault,
+    raised when its block of ``_PRODUCT_BLOCK`` steps completes.
     """
     mats = np.asarray(mats, dtype=float)
     dim = mats.shape[-1]
@@ -99,12 +105,13 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
     steps = np.asarray(idx).T
     norms = np.empty(steps.shape)
     with np.errstate(all="ignore"):
-        for i, col in enumerate(steps):
-            w = np.matmul(mats[col], w)
-            s = np.sqrt(np.matmul(w.transpose(0, 2, 1), w))
-            norms[i] = s[:, 0, 0]
-            w = w / s
-    check_steps(norms)
+        for start in range(0, len(steps), _PRODUCT_BLOCK):
+            for i in range(start, min(start + _PRODUCT_BLOCK, len(steps))):
+                w = np.matmul(mats[steps[i]], w)
+                s = np.sqrt(np.matmul(w.transpose(0, 2, 1), w))
+                norms[i] = s[:, 0, 0]
+                w = w / s
+            check_steps(norms[start:i + 1], start + 1)
     # math.log, not np.log: numpy's SIMD log can differ in the last bit.
     # The norms are read one at a time, not as a list, which would hold a
     # Python float for every step of every row.  The running sums add in

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .cocycle import (DegenerateInputError, ErgodicDriver, LyapunovEstimate,
                       chain_product, checkpoint_list, pairwise_product,
@@ -212,6 +211,7 @@ def segal_check(u, v):
     provides the independent path for trust checks.  Raises
     DegenerateInputError when an exponential overflows.
     """
+    import scipy.linalg     # at first use: most experiments never load scipy
     u = _check_symmetric(u)
     v = _check_symmetric(v)
     if u.shape != v.shape:

@@ -15,7 +15,6 @@ import cmath
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .core import MetricDomainError, DegenerateInputError, WeakMetricSpace
 
@@ -184,9 +183,6 @@ def sym_log(m: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.T
 
 
-_SYGVD = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
-
-
 def _cone_log_eigs(points, i, j) -> np.ndarray:
     """log of the generalized eigenvalues of (points[j[k]], points[i[k]]),
     one row per k.
@@ -195,10 +191,12 @@ def _cone_log_eigs(points, i, j) -> np.ndarray:
     (itype 1, eigenvalues only, lower triangle), the routine
     ``scipy.linalg.eigh(q, p, eigvals_only=True)`` uses.
     """
+    import scipy.linalg     # at first use: most experiments never load scipy
+    sygvd = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
     s = _spd_stack(points)
     w = np.empty((len(i), s.shape[-1]))
     for k, (a, b) in enumerate(zip(np.asarray(i).tolist(), np.asarray(j).tolist())):
-        w[k], _, info = _SYGVD(s[b], s[a], itype=1, jobz="N", uplo="L")
+        w[k], _, info = sygvd(s[b], s[a], itype=1, jobz="N", uplo="L")
         if info > s.shape[-1]:
             raise NotSpdError(f"point {a} is not positive definite")
         if info:

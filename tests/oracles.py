@@ -150,8 +150,10 @@ def exact_log_gram_norm(factors) -> float:
 
 def loop_accumulate(mats, checkpoints=()):
     """Scaled forward and inverse tracks of v(n) = mats[-1] ... mats[0], one
-    matrix at a time, each step checking det, inverting and dividing both
-    tracks by their spectral norms.  Returns (final, {k: snapshot}).
+    matrix at a time, each step inverting and dividing both tracks by their
+    spectral norms.  Returns (final, {k: snapshot}).  A non-finite matrix,
+    or one without a finite inverse, is a singular step matrix, as in
+    :func:`horoflow.cocycle.screen_invertible`.
 
     This is the fold :mod:`horoflow.operator_cone` ran before it formed
     its products by pairwise reduction; its error against
@@ -167,13 +169,17 @@ def loop_accumulate(mats, checkpoints=()):
     k = 0
     for a in mats:
         a = np.asarray(a, dtype=float)
-        if abs(np.linalg.det(a)) <= 1e-12:
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:       # an exactly singular matrix
+            a_inv = np.full_like(a, np.nan)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(a_inv))):
             raise DegenerateInputError("singular step matrix")
         fwd = a @ fwd
         s = float(np.linalg.norm(fwd, 2))
         fwd = fwd / s
         ls += math.log(s)
-        inv = inv @ np.linalg.inv(a)
+        inv = inv @ a_inv
         s2 = float(np.linalg.norm(inv, 2))
         inv = inv / s2
         ils += math.log(s2)
@@ -586,7 +592,8 @@ def loop_top_exponent(driver, space, x0, n, trials):
 def loop_qr_spectrum(driver, dim, n, trial=0):
     """QR accumulation with the log of each step's R diagonal added to a
     running sum as it is factored; :func:`horoflow.lyapunov.qr_spectrum`
-    must agree bit for bit."""
+    must agree bit for bit.  A zero or non-finite R diagonal entry is a
+    rescaling fault at its step."""
     mats = [np.asarray(a, dtype=float) for a in driver.elements(trial, n)]
     q = np.eye(dim)
     sums = np.zeros(dim)
@@ -596,7 +603,7 @@ def loop_qr_spectrum(driver, dim, n, trial=0):
     for k, a in enumerate(mats, start=1):
         packed, tau, _, _ = geqrf(a @ q, overwrite_a=True)
         rdiag = np.diagonal(packed).copy()
-        if np.any(np.abs(rdiag) < 1e-300):
+        if not all(math.isfinite(r) and r != 0.0 for r in rdiag.tolist()):
             raise FloatingPointError(f"rescaling fault at step {k}")
         qmat, _, _ = orgqr(packed, tau)
         q = np.where(rdiag < 0.0, -qmat, qmat)

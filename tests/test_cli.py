@@ -3,12 +3,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import horoflow
 from horoflow.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRUNCATION, EXPERIMENTS,
                           fmt, list_experiments, main, run, validate)
 from horoflow.seeding import GENERATOR_NAME
+
+from test_acceptance import _SMALL_CONFIGS
 
 
 def test_registry_is_complete_and_sorted():
@@ -280,3 +285,44 @@ def test_main_bad_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == EXIT_CONFIG
+
+
+# the experiments that call scipy: the QR spectrum, the cone metrics'
+# generalized eigenvalues, and the two matrix-exponential paths
+_SCIPY_EXPERIMENTS = ("metric-axioms", "oseledets-spectrum", "segal-sweep")
+
+# run in a fresh interpreter: argv[1] is the small configs as JSON,
+# argv[2] the output directory; prints, last, whether scipy was loaded
+# after each stage
+_STARTUP_PROBE = """
+import json, sys
+from horoflow.cli import EXPERIMENTS, main, run
+
+def scipy_loaded():
+    return "scipy" in sys.modules
+
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+loaded = {"import": scipy_loaded()}
+for name in EXPERIMENTS:
+    assert main(["--experiment", name, "--seed", "5", "--validate-only"]) == 0
+loaded["validate"] = scipy_loaded()
+for name, overrides in configs.items():
+    # each run starts without scipy, so each run that needs it loads it
+    for module in [m for m in sys.modules if m.partition(".")[0] == "scipy"]:
+        del sys.modules[module]
+    assert run({"experiment": name, "seed": 5, "output_dir": out, **overrides}) == 0
+    loaded[name] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_three_experiments_load_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(horoflow.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _STARTUP_PROBE,
+         json.dumps(_SMALL_CONFIGS), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": False, "validate": False,
+                      **{name: name in _SCIPY_EXPERIMENTS for name in EXPERIMENTS}}

@@ -278,6 +278,9 @@ def test_check_steps_names_the_first_fault():
         values[4, 0] = 0.0
         with pytest.raises(FloatingPointError, match="^rescaling fault at step 4$"):
             check_steps(values)
+        # a block that starts at step 101
+        with pytest.raises(FloatingPointError, match="^rescaling fault at step 104$"):
+            check_steps(values, 101)
 
 
 # ---------------------------------------------------------------------------

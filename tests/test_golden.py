@@ -10,7 +10,11 @@ walks on two maps, their state ratios, a tanh chain whose profile is not
 0, a drift in two dimensions, and the metric suites in dimension 3; it
 also pins a disk Mobius top exponent and a random-product QR spectrum.  The
 digests hold for one floating-point build (pinned with numpy 2.4.6 and
-scipy 1.17.1); another BLAS or LAPACK may differ in the last bits.
+scipy 1.17.1) and one choice of CPU kernels within it; another BLAS or
+LAPACK may differ in the last bits.  Both libraries pick their kernels for
+the CPU at run time, and the digests were pinned on an AVX512 host:
+OpenBLAS's SkylakeX kernels and numpy's AVX512 dispatch.  The same build
+on a CPU without AVX512 runs other kernels, and some digests differ there.
 
 The operator-tau, state-ratio and hyperbolic-walk digests, golden and
 stochastic, were re-pinned when the operator fold and the disk walk began

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from horoflow.cocycle import ErgodicDriver, constant_driver
+from horoflow.cocycle import _PRODUCT_BLOCK, ErgodicDriver, constant_driver
 from horoflow.core import DegenerateInputError
 from horoflow.lyapunov import (_growth_rates, filtration_probe, qr_spectrum,
                                vector_growth_rate)
@@ -135,6 +135,39 @@ def test_qr_spectrum_equals_the_running_sum_loop(label):
         want = loop_qr_spectrum(drv, dim, n, trial)
         assert got.exponents.tolist() == want.exponents.tolist()
         assert got.resid.tolist() == want.resid.tolist()
+
+
+@pytest.mark.parametrize("diag", [[1e-7, 1e-7], [1e-301, 1e-301], [1e-301, 1e301]])
+def test_qr_spectrum_equals_the_loop_at_tiny_and_huge_scales(diag):
+    # the loop refuses only what the kernel refuses, a zero or non-finite
+    # R diagonal entry, not a small one
+    drv = constant_driver(np.diag(diag))
+    for n in (10, 2000):
+        got = qr_spectrum(drv, 2, n)
+        want = loop_qr_spectrum(drv, 2, n)
+        assert got.exponents.tolist() == want.exponents.tolist()
+        assert got.resid.tolist() == want.resid.tolist()
+
+
+@pytest.mark.parametrize("step", [1, 1000, _PRODUCT_BLOCK, _PRODUCT_BLOCK + 1,
+                                  _PRODUCT_BLOCK + 1000])
+def test_a_rescaling_fault_ends_the_run_at_its_block(step):
+    # the squared norm of diag(1e155, 1) e1 overflows at the fault's step;
+    # every step after its block draws index 2, past the end of mats, so a
+    # run that went on would raise IndexError instead
+    end = -(-step // _PRODUCT_BLOCK) * _PRODUCT_BLOCK
+    idx = np.zeros((1, end + _PRODUCT_BLOCK), dtype=np.intp)
+    idx[0, step - 1] = 1
+    idx[0, end:] = 2
+    mats = [np.eye(2), np.diag([1e155, 1.0])]
+    with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
+        _growth_rates(mats, idx, [[1.0, 0.0]], [idx.shape[1]])
+    # finite, with a finite inverse, but the norm of its first column overflows
+    bad = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
+    draws = iter([bad if k == step else np.eye(2) for k in range(1, end + 1)])
+    drv = ErgodicDriver(kind="iid_parametric", seed=0, sampler=lambda r: next(draws))
+    with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
+        qr_spectrum(drv, 2, end)
 
 
 @pytest.mark.filterwarnings("error")
