@@ -18,7 +18,7 @@ import numpy as np
 from .cocycle import ErgodicDriver, geometric_checkpoints
 from .core import DegenerateInputError
 from .seeding import trial_rng
-from .spaces import _TWO_PI, CircleMap, NotDiffeomorphismError
+from .spaces import _TWO_PI, CircleMap, NotDiffeomorphismError, _wrap_angle
 
 
 class NormConstraintError(ValueError):
@@ -315,7 +315,7 @@ def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int,
         if np.any(d <= 0.0):
             raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")
         cumlog += np.log(d)
-        pos = np.asarray(g.f(pos), dtype=float) % _TWO_PI
+        pos = _wrap_angle(g.f(pos))
         a_k = float(np.max(np.abs(cumlog)))
         rows.append((k, a_k, a_k / k))
     return rows

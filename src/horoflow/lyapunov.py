@@ -36,8 +36,9 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     """All dim exponents of the cocycle by QR accumulation.
 
     At each step the new matrix is applied to the running orthonormal frame
-    and re-factorized with the positive-diagonal convention; exponents are
-    the time averages of log r_ii.  The stream is consumed as left
+    and re-factorized; exponents are the time averages of log |r_ii|.  The
+    frame's column signs are left as LAPACK returns them, because |r_ii|
+    does not depend on them.  The stream is consumed as left
     increments (new matrix outermost), matching the operator convention.
     Each block of ``_PRODUCT_BLOCK`` steps is checked for a rescaling
     fault as it completes, so a fault ends the run within one block.
@@ -53,12 +54,12 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     # raw LAPACK factor/assemble keeps the per-step cost viable at n = 1e5
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (q,))
     steps = idx.tolist()
+    views = list(mats)      # a list lookup a step, not an array index
     for start in range(0, n, _PRODUCT_BLOCK):
         for k in range(start, min(start + _PRODUCT_BLOCK, n)):
-            packed, tau, _, _ = geqrf(mats[steps[k]] @ q, overwrite_a=True)
-            rdiag[k] = np.diagonal(packed)
-            qmat, _, _ = orgqr(packed, tau)
-            q = np.where(rdiag[k] < 0.0, -qmat, qmat)
+            packed, tau, _, _ = geqrf(views[steps[k]] @ q, overwrite_a=True)
+            rdiag[k] = packed.diagonal()
+            q, _, _ = orgqr(packed, tau, overwrite_a=True)
         check_steps(rdiag[start:k + 1], start + 1)
     # running sums of log r_ii; a checkpoint's snapshot is its row over k
     sums = np.cumsum(np.log(np.abs(rdiag)), axis=0)
@@ -83,9 +84,13 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
     read off one renormalized run of ks[-1] steps per row.
 
     Row r starts at V[r], and its step i applies mats[idx[r, i]]; the rows
-    run together on a leading axis.  Returns a (rows, len(ks)) array.  A
-    step norm that is zero or past the double range is a rescaling fault,
-    raised when its block of ``_PRODUCT_BLOCK`` steps completes.
+    run together on a leading axis.  idx may instead be a single row, whose
+    step i then applies to every row.  Returns a (rows, len(ks)) array.
+
+    The steps are gathered in blocks that keep each gather within
+    ``_PRODUCT_BLOCK`` matrices, so a shared idx row gathers
+    ``_PRODUCT_BLOCK`` steps at once.  A step norm that is zero or past the
+    double range is a rescaling fault, raised when its block completes.
     """
     mats = np.asarray(mats, dtype=float)
     dim = mats.shape[-1]
@@ -103,15 +108,23 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
         raise DegenerateInputError("probe vector norm must be finite and nonzero")
     w = w / nv
     steps = np.asarray(idx).T
-    norms = np.empty(steps.shape)
+    n = len(steps)
+    norms = np.empty((n, len(V)))
+    # every step writes into the same buffers: u = A w, then its squared
+    # norm into the step's row of norms, then the sqrt, then w = u / norm
+    u = np.empty_like(w)
+    u_t = u.transpose(0, 2, 1)
+    step_norms = norms.reshape(n, len(V), 1, 1)
+    width = max(_PRODUCT_BLOCK // steps.shape[1], 1)
     with np.errstate(all="ignore"):
-        for start in range(0, len(steps), _PRODUCT_BLOCK):
-            for i in range(start, min(start + _PRODUCT_BLOCK, len(steps))):
-                w = np.matmul(mats[steps[i]], w)
-                s = np.sqrt(np.matmul(w.transpose(0, 2, 1), w))
-                norms[i] = s[:, 0, 0]
-                w = w / s
-            check_steps(norms[start:i + 1], start + 1)
+        for start in range(0, n, width):
+            stop = min(start + width, n)
+            for a, s in zip(mats[steps[start:stop]], step_norms[start:stop]):
+                np.matmul(a, w, out=u)
+                np.matmul(u_t, u, out=s)
+                np.sqrt(s, out=s)
+                np.divide(u, s, out=w)
+            check_steps(norms[start:stop], start + 1)
     # math.log, not np.log: numpy's SIMD log can differ in the last bit.
     # The norms are read one at a time, not as a list, which would hold a
     # Python float for every step of every row.  The running sums add in
@@ -136,8 +149,9 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
         raise DegenerateInputError("n must be >= 100")
     A = np.asarray(A, dtype=float)
     screen_invertible(A[None], [0])
-    # every probe is a row of one run; its n // 2 rate is a checkpoint of it
-    idx = np.broadcast_to(np.intp(0), (len(probes), n))
+    # every probe is a row of one run, all rows sharing one idx row; a
+    # probe's n // 2 rate is a checkpoint of its row
+    idx = np.zeros((1, n), dtype=np.intp)
     half, rates = _growth_rates(A[None], idx, probes, [n // 2, n]).T
     if cluster_tol is None:
         spread = float(np.max(np.abs(rates - half)))

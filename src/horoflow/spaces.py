@@ -423,6 +423,16 @@ class CircleMap:
         return (np.asarray(self.f(theta + h)) - np.asarray(self.f(theta - h))) / (2.0 * h)
 
 
+def _wrap_angle(t: np.ndarray) -> np.ndarray:
+    """t % 2pi, bit for bit, taking the remainder only of the entries it
+    can change: those with the sign bit set (-0 too), at or past 2pi, or
+    nan.  np.remainder is about 6x slower on a subnormal angle, which an
+    orbit contracting onto theta = 0 reaches and keeps."""
+    t = np.asarray(t, dtype=float)
+    wrap = np.signbit(t) | ~(t < _TWO_PI)
+    return np.remainder(t, _TWO_PI, out=t.copy(), where=wrap)
+
+
 def identity_circle_map() -> CircleMap:
     return CircleMap(f=lambda t: np.asarray(t, dtype=float),
                      derivative=lambda t: np.ones_like(np.asarray(t, dtype=float)))
@@ -462,7 +472,7 @@ def mobius_circle_map(a: float) -> CircleMap:
     def f(t, _a=a):
         t = np.asarray(t, dtype=float)
         z = np.exp(1j * t)
-        return np.angle((z + _a) / (1.0 + _a * z)) % _TWO_PI
+        return _wrap_angle(np.angle((z + _a) / (1.0 + _a * z)))
 
     def df(t, _a=a):
         t = np.asarray(t, dtype=float)

@@ -34,8 +34,8 @@ from horoflow.seeding import trial_rng
 from horoflow.spaces import (SampledDistanceFunction, ambient_norm_sdf,
                              euclidean_dist, funk_dist, funk_dist_many,
                              identity_circle_map, jacobian_dist,
-                             jacobian_dist_many, poincare_dist,
-                             sine_circle_map, stretch_dist, stretch_dist_many,
+                             jacobian_dist_many, NotDiffeomorphismError,
+                             poincare_dist, sine_circle_map, stretch_dist, stretch_dist_many,
                              thompson_dist, thompson_dist_many)
 
 
@@ -346,6 +346,25 @@ def loop_max_stretch(driver, n, grid, trial=0):
             trace.append((k, best_pair))
     z_hat = 0.5 * (best_pair[0] + best_pair[1])
     return StretchReport(lambda_hat=total / n, argmax_trace=trace, z_hat=z_hat)
+
+
+def loop_jacobian_cocycle(driver, n, grid, trial=0):
+    """The distance-from-identity cocycle with each step's map and its
+    derivative evaluated on the moving grid one step at a time, every
+    position wrapped by a plain remainder;
+    :func:`horoflow.deepnet.jacobian_cocycle_dist` must agree row for row."""
+    pos = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    cumlog = np.zeros(grid)
+    rows = []
+    for k, g in enumerate(driver.elements(trial, n), start=1):
+        d = g.deriv(pos)
+        if np.any(d <= 0.0):
+            raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")
+        cumlog += np.log(d)
+        pos = np.asarray(g.f(pos), dtype=float) % (2.0 * math.pi)
+        a = float(np.max(np.abs(cumlog)))
+        rows.append((k, a, a / k))
+    return rows
 
 
 def _chain(layers, X):

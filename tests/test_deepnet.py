@@ -16,8 +16,8 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError,
                              mobius_circle_map, rotation_circle_map,
                              sine_circle_map)
 
-from oracles import (loop_lipschitz_profile, loop_max_stretch, loop_resnet_drift,
-                     operator_norm_svd)
+from oracles import (loop_jacobian_cocycle, loop_lipschitz_profile, loop_max_stretch,
+                     loop_resnet_drift, operator_norm_svd)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +272,34 @@ def test_jacobian_cocycle_first_step_matches_metric():
     drv = constant_driver(sine_circle_map(0.5))
     rows = jacobian_cocycle_dist(drv, 1, 256)
     assert rows[0][1] == pytest.approx(math.log(2.0))
+
+
+_CIRCLE_DRIVERS = {
+    "mobius_0.5": constant_driver(mobius_circle_map(0.5)),
+    "mobius_-0.3": constant_driver(mobius_circle_map(-0.3)),
+    "sine": constant_driver(sine_circle_map(0.5)),
+    "rotation": constant_driver(rotation_circle_map(1.0)),
+    "mix": ErgodicDriver(kind="iid_finite", seed=7,
+                         maps=(mobius_circle_map(0.5), sine_circle_map(0.5),
+                               rotation_circle_map(1.0))),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_CIRCLE_DRIVERS))
+def test_jacobian_cocycle_equals_the_remainder_loop(label):
+    drv = _CIRCLE_DRIVERS[label]
+    got = jacobian_cocycle_dist(drv, 1000, 512)
+    assert got == loop_jacobian_cocycle(drv, 1000, 512)
+
+
+def test_mobius_orbit_reaches_subnormal_angles():
+    # the contracting Mobius orbit above takes grid angles below the
+    # smallest normal double, where a remainder is much slower than usual
+    g = mobius_circle_map(0.5)
+    pos = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    for _ in range(1000):
+        pos = g.f(pos)
+    assert np.any((pos > 0.0) & (pos < np.finfo(float).tiny))
 
 
 def test_jacobian_cocycle_validation():

@@ -118,8 +118,14 @@ _SL2_PAIR = ErgodicDriver(kind="iid_finite", seed=5,
                           weights=(0.5, 0.5))
 _PARAMETRIC = ErgodicDriver(kind="iid_parametric", seed=2,
                             sampler=lambda r: r.normal(size=(2, 2)) + 2.0 * np.eye(2))
+# unshifted Gaussian steps: the R diagonal's signs change from step to step
+# in mixed patterns, so the kernel's frame, whose column signs are left as
+# LAPACK returns them, differs from the loop's positive-diagonal frame
+_GAUSSIAN_4 = ErgodicDriver(kind="iid_parametric", seed=9,
+                            sampler=lambda r: r.normal(size=(4, 4)))
 _COCYCLES = {
     "sl2_pair": (_SL2_PAIR, 2),
+    "gaussian_4": (_GAUSSIAN_4, 4),
     "random_pair_3": (_random_pair(3, 18), 3),
     "parametric": (_PARAMETRIC, 2),
     "diag": (constant_driver(np.diag([3.0, 1.0, 0.5])), 3),

@@ -17,7 +17,8 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              poincare_dist, pullback, random_spd,
                              registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, stretch_dist,
-                             stretch_dist_many, sym_log, thompson_dist)
+                             stretch_dist_many, sym_log, thompson_dist,
+                             _TWO_PI, _wrap_angle)
 
 from oracles import busemann_radial_limit, radial_poincare_length, rayleigh_sup
 
@@ -205,6 +206,19 @@ def test_mobius_circle_map_derivative():
     numeric = CircleMap(f=g.f)
     theta = np.linspace(0.1, 6.0, 17)
     assert np.allclose(g.deriv(theta), numeric.deriv(theta), atol=1e-7)
+
+
+def test_wrap_angle_is_the_remainder_bit_for_bit():
+    edges = [-0.0, 5e-324, -5e-324, -1e-300, _TWO_PI, np.nextafter(_TWO_PI, 0.0),
+             math.pi, -math.pi, 7.0, -7.0, 1e300, math.inf, -math.inf]
+    draws = trial_rng(41, 0).uniform(-4.0 * math.pi, 4.0 * math.pi, 10000)
+    t = np.concatenate([edges, draws])
+    with np.errstate(invalid="ignore"):     # inf % 2pi is nan, as a remainder
+        got, want = _wrap_angle(t), t % _TWO_PI
+        nan_got, nan_want = _wrap_angle(np.array([math.nan])), np.array([math.nan]) % _TWO_PI
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert math.isnan(nan_got[0]) and math.isnan(nan_want[0])
+    assert t[0] == 0.0 and math.copysign(1.0, t[0]) == -1.0   # the input is kept
 
 
 def test_jacobian_rejects_bad_maps():
