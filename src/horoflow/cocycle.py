@@ -15,17 +15,13 @@ import math
 
 import numpy as np
 
-from .core import DegenerateInputError, WeakMetricSpace
+from .core import DegenerateInputError, WeakMetricSpace, _with_point
 from .seeding import trial_rng
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 
 RIGHT = "right_increment"
 LEFT = "left_increment"
-
-
-class IntegrabilityError(RuntimeError):
-    """A sampled step distance was non-finite."""
 
 
 class EstimationError(RuntimeError):
@@ -316,12 +312,17 @@ class LyapunovEstimate:
     truncated_trials: int = 0
 
 
+def _distances_from(space: WeakMetricSpace, x0, points) -> np.ndarray:
+    """d(x0, p) for each of the points, in one batched evaluation."""
+    m = len(points)
+    return space.distances(_with_point(points, x0), np.full(m, m), np.arange(m))
+
+
 def subadditive_trace(driver: ErgodicDriver, space: WeakMetricSpace,
                       x0, n: int, trial: int = 0) -> SubadditiveTrace:
     orbit = generate_orbit(driver, space, x0, n, trial)
     a = np.zeros(orbit.completed + 1)
-    for k, p in enumerate(orbit.points, start=1):
-        a[k] = space.distance(x0, p)
+    a[1:] = _distances_from(space, x0, orbit.points)
     return SubadditiveTrace(a=a, basepoint=x0, truncated=orbit.truncated)
 
 
@@ -367,15 +368,19 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
     tail_ks = tail_checkpoints(n)
     pts, cut = _fold_orbits(driver, space, x0, tail_ks, range(trials))
     kept = [t for t in range(trials) if cut[t] is None]
-    ratios = [np.array([space.distance(x0, _point(x0, pts[j, t])) / k
-                        for j, k in enumerate(tail_ks)]) for t in kept]
+    # checkpoint-major rows, one per kept trial; scalar points as Python scalars
+    points = pts[:, kept].reshape((-1,) + np.shape(x0))
+    if np.ndim(x0) == 0:
+        points = points.tolist()
+    ratios = _distances_from(space, x0, points).reshape(len(tail_ks), len(kept)) \
+        / np.array(tail_ks)[:, None]
     truncated = trials - len(kept)
     if truncated > 0.1 * trials:
         raise EstimationError(f"{truncated}/{trials} trials truncated")
-    per_trial = np.array([r[-1] for r in ratios])
+    per_trial = ratios[-1]
     # summed one trial at a time, in trial order
     tail_sum = np.zeros(len(tail_ks))
-    for r in ratios:
+    for r in ratios.T:
         tail_sum += r
     return summarize_trials(per_trial, tail_ks, tail_sum / len(kept), n, trials, truncated)
 
@@ -396,24 +401,20 @@ def check_integrability(driver: ErgodicDriver, space: WeakMetricSpace,
 
     Finite-support and rotation drivers are integrated exactly over their
     weights.  Parametric drivers are sampled, with a heaviness flag raised
-    when running means over doubling windows fail to stabilize.
+    when running means over doubling windows fail to stabilize.  A
+    non-finite step distance raises :class:`horoflow.core.MetricDomainError`.
     """
-    def step(g) -> float:
-        v = abs(space.distance(x0, apply_element(g, x0)))
-        if not math.isfinite(v):
-            raise IntegrabilityError("non-finite one-step distance")
-        return v
+    def steps(maps) -> np.ndarray:
+        return np.abs(_distances_from(space, x0, [apply_element(g, x0) for g in maps]))
 
     if driver.kind != "iid_parametric":
-        mean = sum(w * step(g) for g, w in zip(driver.maps, driver.weights))
+        mean = sum(w * v for w, v in zip(driver.weights, steps(driver.maps).tolist()))
         return IntegrabilityReport(mean_step=mean, heavy_tail_flag=False,
                                    samples_used=len(driver.maps))
     if samples < 100:
         raise DegenerateInputError("samples must be >= 100")
     rng = driver.rng(0)
-    vals = np.empty(samples)
-    for i in range(samples):
-        vals[i] = step(driver.sampler(rng))
+    vals = steps([driver.sampler(rng) for _ in range(samples)])
     cum = np.cumsum(vals)
     windows = [w for w in (100, 1000, 10000, 100000) if w <= samples]
     if windows[-1] != samples:
@@ -441,28 +442,26 @@ def functional_gap(driver: ErgodicDriver, space: WeakMetricSpace, x0,
                    n: int, probe_budget: int = 16, trial: int = 0) -> GapTrace:
     """gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| at geometric checkpoints.
 
-    h is the anchor-backed functional at the final orbit point u(n)x0.  The
-    gap is reported, not asserted to vanish.
+    h is the anchor-backed functional at the final orbit point u(n)x0, so
+    an orbit truncated before it is an estimation error.  The gap is
+    reported, not asserted to vanish.
     """
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
     ks = geometric_checkpoints(n, count=probe_budget)
     pts, cut = orbit_at(driver, space, x0, ks, trial=trial)
-    truncated = cut is not None
-    if n not in pts:
+    if cut is not None:
         raise EstimationError("orbit truncated before the anchor point")
-    anchor = pts[n]
-    dx0a = space.distance(x0, anchor)
-    out_ks, out_gaps = [], []
-    for k in ks:
-        if k not in pts:
-            continue
-        p = pts[k]
-        h = space.distance(p, anchor) - dx0a
-        gap = abs(-h / k - space.distance(x0, p) / k)
-        out_ks.append(k)
-        out_gaps.append(gap)
-    return GapTrace(ks=out_ks, gaps=out_gaps, truncated=truncated)
+    # d(p, anchor) for each orbit point p, then d(x0, p): point m - 1 is the
+    # anchor u(n)x0 and point m is x0
+    m = len(ks)
+    idx = np.arange(m)
+    d = space.distances(_with_point([pts[k] for k in ks], x0),
+                        np.concatenate([idx, np.full(m, m)]),
+                        np.concatenate([np.full(m, m - 1), idx]))
+    h = d[:m] - d[-1]
+    gaps = np.abs(-h / ks - d[m:] / ks)
+    return GapTrace(ks=ks, gaps=gaps.tolist(), truncated=False)
 
 
 # ---------------------------------------------------------------------------

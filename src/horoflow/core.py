@@ -35,38 +35,26 @@ class DegenerateInputError(ValueError):
 class WeakMetricSpace:
     """A point domain plus a (possibly asymmetric, possibly negative) distance.
 
-    ``sample_points(rng, m)`` draws m random points from the domain, in the
-    order m one-point draws would take them from the stream, as one sequence
-    (a stacked array where the points allow); it is required by the sampled
-    axiom and functional suites.  ``in_domain`` is an optional membership
-    predicate used for orbit truncation.  ``dist_many`` is an optional
-    batched kernel: ``dist_many(points, i, j)`` returns the array of
-    ``dist(points[i[k]], points[j[k]])``, doing per-point work once per
-    point.
+    ``dist_many(points, i, j)`` is the distance kernel: it returns the array
+    of d(points[i[k]], points[j[k]]) for every k, doing per-point work once
+    per point.  ``sample_points(rng, m)`` draws m random points from the
+    domain, in the order m one-point draws would take them from the stream,
+    as one sequence (a stacked array where the points allow); it is
+    required by the sampled axiom and functional suites.  ``in_domain`` is
+    an optional membership predicate used for orbit truncation.
     """
 
     name: str
-    dist: Callable[[Any, Any], float]
+    dist_many: Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]
     sample_points: Optional[Callable[[np.random.Generator, int], Sequence]] = None
     in_domain: Optional[Callable[[Any], bool]] = None
-    dist_many: Optional[Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def distance(self, x, y) -> float:
-        v = float(self.dist(x, y))
-        if not math.isfinite(v):
-            raise self._non_finite(v, x, y)
-        return v
+        return float(self.distances((x, y), [0], [1])[0])
 
     def distances(self, points: Sequence, i, j) -> np.ndarray:
-        """d(points[i[k]], points[j[k]]) for every k, as one float array.
-
-        Uses ``dist_many`` when the space has one, else loops over ``dist``.
-        """
-        if self.dist_many is not None:
-            v = np.asarray(self.dist_many(points, i, j), dtype=float)
-        else:
-            v = np.array([self.dist(points[a], points[b]) for a, b in zip(i, j)],
-                         dtype=float)
+        """d(points[i[k]], points[j[k]]) for every k, as one float array."""
+        v = np.asarray(self.dist_many(points, i, j), dtype=float)
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             k = bad[0]

@@ -63,8 +63,7 @@ def euclidean_dist_many(points, i, j) -> np.ndarray:
 
 
 def euclidean_space(dim: int = 3) -> WeakMetricSpace:
-    return WeakMetricSpace(name=f"euclidean{dim}", dist=euclidean_dist,
-                           dist_many=euclidean_dist_many,
+    return WeakMetricSpace(name=f"euclidean{dim}", dist_many=euclidean_dist_many,
                            sample_points=lambda rng, m: rng.normal(size=(m, dim)))
 
 
@@ -85,6 +84,13 @@ def poincare_dist(z, w) -> float:
     num = abs(z - w)
     den = abs(1.0 - z.conjugate() * w)
     return 2.0 * math.atanh(num / den)
+
+
+def poincare_dist_many(points, i, j) -> np.ndarray:
+    """poincare_dist(points[i[k]], points[j[k]]) for every k, one pair at a
+    time: each point keeps Python's complex rounding."""
+    return np.array([poincare_dist(points[a], points[b]) for a, b in zip(i, j)],
+                    dtype=float)
 
 
 def busemann_disk(xi, z) -> float:
@@ -130,7 +136,7 @@ def poincare_space() -> WeakMetricSpace:
             out.append(r * cmath.exp(1j * theta))
         return out
 
-    return WeakMetricSpace(name="poincare", dist=poincare_dist,
+    return WeakMetricSpace(name="poincare", dist_many=poincare_dist_many,
                            sample_points=sample,
                            in_domain=lambda z: abs(complex(z)) < 1.0)
 
@@ -251,14 +257,12 @@ def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def thompson_space(dim: int = 3) -> WeakMetricSpace:
-    return WeakMetricSpace(name=f"thompson{dim}", dist=thompson_dist,
-                           dist_many=thompson_dist_many,
+    return WeakMetricSpace(name=f"thompson{dim}", dist_many=thompson_dist_many,
                            sample_points=lambda rng, m: _random_spd_stack(rng, dim, m))
 
 
 def funk_space(dim: int = 3) -> WeakMetricSpace:
-    return WeakMetricSpace(name=f"funk{dim}", dist=funk_dist,
-                           dist_many=funk_dist_many,
+    return WeakMetricSpace(name=f"funk{dim}", dist_many=funk_dist_many,
                            sample_points=lambda rng, m: _random_spd_stack(rng, dim, m))
 
 
@@ -387,9 +391,7 @@ def stretch_space() -> WeakMetricSpace:
             raise MetricDomainError(f"stretch: point {np.argmax(bad)} has a non-finite table")
         return _stretch_ratios(tables[:, off], i, j)
 
-    return WeakMetricSpace(name="stretch",
-                           dist=lambda x, y: float(dist_many((x, y), [0], [1])[0]),
-                           dist_many=dist_many, sample_points=sample)
+    return WeakMetricSpace(name="stretch", dist_many=dist_many, sample_points=sample)
 
 
 def ambient_norm_sdf(base_sample) -> SampledDistanceFunction:
@@ -524,8 +526,7 @@ def jacobian_space() -> WeakMetricSpace:
         return _jacobian_ratios(1.0 + rows[:, :1] * np.cos(theta + rows[:, 1:2]), i, j)
 
     return WeakMetricSpace(
-        name="jacobian", dist=lambda f, g: float(dist_many((f, g), [0], [1])[0]),
-        dist_many=dist_many,
+        name="jacobian", dist_many=dist_many,
         sample_points=lambda rng, m: rng.uniform(
             [-0.8, 0.0, 0.0], [0.8, _TWO_PI, _TWO_PI], size=(m, 3)))
 

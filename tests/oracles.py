@@ -7,7 +7,9 @@ for operator norms, exact rational arithmetic for matrix products,
 50-digit products for the pairwise-reduced operator fold and disk walk
 (whose old one-step-at-a-time loops stay as the error baseline),
 one-trial, one-step-at-a-time loops for the kernels that step all trials
-together (layer chains, orbit folds, Segal pairs), a per-step loop for the
+together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
+loops over scalar distances for the batched distance kernels and the
+cocycle functions that take them in one call, a per-step loop for the
 maximal stretch, one-sample-at-a-time loops for the metric property
 suites over the six metrics as they were before their points were drawn a
 block at a time, and step-at-a-time sums for the QR spectrum and the
@@ -23,8 +25,9 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from horoflow.cocycle import (LEFT, EstimationError, LyapunovEstimate,
-                              _dist_origin, _tail_slope, geometric_checkpoints)
+from horoflow.cocycle import (LEFT, EstimationError, GapTrace, IntegrabilityReport,
+                              LyapunovEstimate, SubadditiveTrace, _dist_origin,
+                              _tail_slope, geometric_checkpoints)
 from horoflow.core import (AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, WeakMetricSpace, symmetrize)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
@@ -32,11 +35,10 @@ from horoflow.lyapunov import SpectrumEstimate
 from horoflow.operator_cone import ScaledProduct, SymmetryError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (SampledDistanceFunction, ambient_norm_sdf,
-                             euclidean_dist, funk_dist, funk_dist_many,
-                             identity_circle_map, jacobian_dist,
-                             jacobian_dist_many, NotDiffeomorphismError,
-                             poincare_dist, sine_circle_map, stretch_dist, stretch_dist_many,
-                             thompson_dist, thompson_dist_many)
+                             euclidean_dist, funk_dist, identity_circle_map,
+                             jacobian_dist, NotDiffeomorphismError,
+                             poincare_dist, sine_circle_map, stretch_dist,
+                             thompson_dist)
 
 
 def radial_poincare_length(r: float) -> float:
@@ -416,6 +418,14 @@ def loop_lipschitz_profile(layers, pair_sampler, n_pairs, seed):
     return best
 
 
+def pair_loop(dist):
+    """A distance kernel that calls the scalar ``dist`` one pair at a time."""
+    def dist_many(points, i, j):
+        return np.array([dist(points[a], points[b]) for a, b in zip(i, j)], dtype=float)
+
+    return dist_many
+
+
 def _one_at_a_time(sample):
     """A ``sample_points`` that draws m points by m calls of sample(rng)."""
     return lambda rng, m: [sample(rng) for _ in range(m)]
@@ -469,22 +479,20 @@ def reference_spaces(dim=3):
 
     grid = 128
     return {
-        "euclidean": WeakMetricSpace(name=f"euclidean{dim}", dist=euclidean_dist,
+        "euclidean": WeakMetricSpace(name=f"euclidean{dim}",
+                                     dist_many=pair_loop(euclidean_dist),
                                      sample_points=_one_at_a_time(euclidean)),
-        "poincare": WeakMetricSpace(name="poincare", dist=poincare_dist,
+        "poincare": WeakMetricSpace(name="poincare", dist_many=pair_loop(poincare_dist),
                                     sample_points=_one_at_a_time(disk)),
-        "thompson": WeakMetricSpace(name=f"thompson{dim}", dist=thompson_dist,
-                                    dist_many=thompson_dist_many,
+        "thompson": WeakMetricSpace(name=f"thompson{dim}",
+                                    dist_many=pair_loop(thompson_dist),
                                     sample_points=_one_at_a_time(spd)),
-        "funk": WeakMetricSpace(name=f"funk{dim}", dist=funk_dist,
-                                dist_many=funk_dist_many,
+        "funk": WeakMetricSpace(name=f"funk{dim}", dist_many=pair_loop(funk_dist),
                                 sample_points=_one_at_a_time(spd)),
-        "stretch": WeakMetricSpace(name="stretch", dist=stretch_dist,
-                                   dist_many=stretch_dist_many,
+        "stretch": WeakMetricSpace(name="stretch", dist_many=pair_loop(stretch_dist),
                                    sample_points=_one_at_a_time(distance_function)),
         "jacobian": WeakMetricSpace(
-            name="jacobian", dist=lambda f, g: jacobian_dist(f, g, grid),
-            dist_many=lambda pts, i, j: jacobian_dist_many(pts, i, j, grid),
+            name="jacobian", dist_many=pair_loop(lambda f, g: jacobian_dist(f, g, grid)),
             sample_points=_one_at_a_time(circle_map)),
     }
 
@@ -606,6 +614,55 @@ def loop_top_exponent(driver, space, x0, n, trials):
     return LyapunovEstimate(lambda_hat=lam, n=n, trials=trials,
                             per_trial=per_trial, std_error=se,
                             tail_slope=slope, truncated_trials=truncated)
+
+
+def loop_subadditive_trace(driver, space, dist, x0, n, trial=0):
+    """a(k) = dist(x0, u(k)x0) along one orbit of :func:`loop_orbit_at`, one
+    pair at a time through the scalar ``dist``;
+    :func:`horoflow.cocycle.subadditive_trace` must agree bit for bit."""
+    pts, cut = loop_orbit_at(driver, space, x0, range(1, n + 1), trial)
+    a = [0.0] + [dist(x0, pts[k]) for k in sorted(pts)]
+    return SubadditiveTrace(a=np.array(a), basepoint=x0, truncated=cut is not None)
+
+
+def loop_functional_gap(driver, space, dist, x0, n, probe_budget=16, trial=0):
+    """The gaps |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| one checkpoint and
+    one pair at a time through the scalar ``dist``;
+    :func:`horoflow.cocycle.functional_gap` must agree bit for bit, and
+    raise the same EstimationError."""
+    ks = geometric_checkpoints(n, count=probe_budget)
+    pts, cut = loop_orbit_at(driver, space, x0, ks, trial)
+    if n not in pts:
+        raise EstimationError("orbit truncated before the anchor point")
+    anchor = pts[n]
+    gaps = []
+    for k in sorted(pts):
+        h = dist(pts[k], anchor) - dist(x0, anchor)
+        gaps.append(abs(-h / k - dist(x0, pts[k]) / k))
+    return GapTrace(ks=sorted(pts), gaps=gaps, truncated=cut is not None)
+
+
+def loop_integrability(driver, dist, x0, samples=1000):
+    """The one-step mean |d(x0, g x0)| one map at a time through the scalar
+    ``dist``; :func:`horoflow.cocycle.check_integrability` must agree field
+    for field."""
+    def step(g):
+        return abs(dist(x0, g(x0) if callable(g) else np.asarray(g) @ x0))
+
+    if driver.kind != "iid_parametric":
+        mean = sum(w * step(g) for g, w in zip(driver.maps, driver.weights))
+        return IntegrabilityReport(mean_step=mean, heavy_tail_flag=False,
+                                   samples_used=len(driver.maps))
+    rng = driver.rng(0)
+    cum = np.cumsum([step(driver.sampler(rng)) for _ in range(samples)])
+    windows = [w for w in (100, 1000, 10000, 100000) if w <= samples]
+    if windows[-1] != samples:
+        windows.append(samples)
+    means = [cum[w - 1] / w for w in windows]
+    heavy = any(abs(m2 - m1) > 0.2 * max(abs(m1), 1e-12)
+                for m1, m2 in zip(means, means[1:]))
+    return IntegrabilityReport(mean_step=float(means[-1]), heavy_tail_flag=heavy,
+                               samples_used=samples)
 
 
 def loop_qr_spectrum(driver, dim, n, trial=0):

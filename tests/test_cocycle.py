@@ -13,10 +13,13 @@ from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTAT
                               geometric_checkpoints, hyperbolic_walk_gap,
                               mobius_matrix, orbit_at, screen_invertible,
                               subadditive_trace)
-from horoflow.core import DegenerateInputError
-from horoflow.spaces import euclidean_space, mobius_disk, poincare_space
+from horoflow.core import DegenerateInputError, MetricDomainError
+from horoflow.spaces import (euclidean_dist, euclidean_space, mobius_disk, poincare_dist,
+                             poincare_space)
 
-from oracles import loop_orbit_at, loop_top_exponent, loop_walk_gaps, mp_walk_gaps
+from oracles import (loop_functional_gap, loop_integrability, loop_orbit_at,
+                     loop_subadditive_trace, loop_top_exponent, loop_walk_gaps,
+                     mp_walk_gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,17 @@ def test_integrability_sampled_for_parametric():
         check_integrability(drv, sp, np.zeros(1), samples=10)
 
 
+def test_integrability_rejects_a_nonfinite_step():
+    sp = euclidean_space(1)
+    finite = ErgodicDriver(kind="iid_finite", seed=0,
+                           maps=(lambda x: x + 1.0, lambda x: x + math.inf))
+    parametric = ErgodicDriver(kind="iid_parametric", seed=0,
+                               sampler=lambda rng: (lambda x: x + math.inf))
+    for drv in (finite, parametric):
+        with pytest.raises(MetricDomainError, match="non-finite distance inf"):
+            check_integrability(drv, sp, np.zeros(1))
+
+
 # ---------------------------------------------------------------------------
 # Matrix cocycles
 
@@ -458,3 +472,37 @@ def test_fold_grid_truncates_some_trials_but_not_too_many():
     for order in ("right_increment", LEFT):
         est = estimate_top_exponent(_shift_or_halve(order), _DISK, 0j, 12, 40)
         assert 0 < est.truncated_trials <= 4
+
+
+# ---------------------------------------------------------------------------
+# Batched distances against the one-pair loops
+
+# label -> (driver, space, scalar distance, x0)
+_ORBITS = {
+    "pm1_walk": (_pm1_walk(11), _R1, euclidean_dist, np.zeros(1)),
+    "disk_mobius": (ErgodicDriver(kind="iid_finite", seed=5,
+                                  maps=(mobius_disk(0.05), mobius_disk(-0.03 + 0.04j))),
+                    _DISK, poincare_dist, 0.3j),
+    "truncating": (constant_driver(lambda z: z + 0.4), _DISK, poincare_dist, 0j),
+    "rotation": (_MATRICES, euclidean_space(2), euclidean_dist, np.ones(2)),
+    "parametric": (ErgodicDriver(kind="iid_parametric", seed=6, sampler=_random_shift),
+                   _R1, euclidean_dist, np.zeros(1)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ORBITS))
+def test_batched_cocycle_distances_equal_the_pair_loop(label):
+    driver, space, dist, x0 = _ORBITS[label]
+    for trial in (0, 3):
+        got = subadditive_trace(driver, space, x0, 40, trial)
+        want = loop_subadditive_trace(driver, space, dist, x0, 40, trial)
+        assert (got.a.tolist(), got.truncated) == (want.a.tolist(), want.truncated)
+        try:
+            want = loop_functional_gap(driver, space, dist, x0, 150, trial=trial)
+        except EstimationError as e:
+            with pytest.raises(EstimationError, match=re.escape(str(e))):
+                functional_gap(driver, space, x0, 150, trial=trial)
+            continue
+        assert functional_gap(driver, space, x0, 150, trial=trial) == want
+    assert check_integrability(driver, space, x0, samples=300) \
+        == loop_integrability(driver, dist, x0, samples=300)

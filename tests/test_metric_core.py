@@ -13,31 +13,25 @@ from horoflow.seeding import trial_rng
 from horoflow.spaces import (euclidean_space, funk_space, registered_basepoints,
                              registered_spaces)
 
-from oracles import (loop_functional_bounds, loop_weak_metric_axioms,
+from oracles import (loop_functional_bounds, loop_weak_metric_axioms, pair_loop,
                      reference_basepoints, reference_spaces)
 
 
 def test_distance_rejects_nonfinite():
-    sp = WeakMetricSpace(name="bad", dist=lambda x, y: float("inf"))
+    sp = WeakMetricSpace(name="bad", dist_many=pair_loop(lambda x, y: float("inf")))
     with pytest.raises(MetricDomainError):
         sp.distance(0.0, 1.0)
     with pytest.raises(MetricDomainError):
         sp.distances([0.0, 1.0], [0], [1])
-    batched = WeakMetricSpace(name="bad", dist=lambda x, y: 0.0,
+    batched = WeakMetricSpace(name="bad",
                               dist_many=lambda pts, i, j: np.array([0.0, math.nan]))
     with pytest.raises(MetricDomainError):
         batched.distances([0.0, 1.0], [0, 1], [1, 0])
 
 
-def test_distances_loop_over_dist_without_a_kernel():
-    sp = WeakMetricSpace(name="oneside", dist=lambda x, y: y - x)
-    d = sp.distances([1.0, 4.0, 2.0], np.array([0, 1, 2]), np.array([1, 2, 2]))
-    assert d.tolist() == [3.0, -2.0, 0.0]
-
-
 def test_symmetrize_is_max_and_nonnegative():
     # an asymmetric weak metric on the line: one-sided gap
-    sp = WeakMetricSpace(name="oneside", dist=lambda x, y: y - x)
+    sp = WeakMetricSpace(name="oneside", dist_many=pair_loop(lambda x, y: y - x))
     assert symmetrize(sp, 1.0, 4.0) == 3.0
     assert symmetrize(sp, 4.0, 1.0) == 3.0
     # negative-capable metrics still symmetrize to >= 0
@@ -117,7 +111,7 @@ def test_axiom_suite_euclidean_is_exact():
 
 
 def test_axiom_suite_needs_sampler():
-    sp = WeakMetricSpace(name="nosampler", dist=lambda x, y: 0.0)
+    sp = WeakMetricSpace(name="nosampler", dist_many=pair_loop(lambda x, y: 0.0))
     with pytest.raises(DegenerateInputError):
         check_weak_metric_axioms(sp, 10)
     with pytest.raises(DegenerateInputError):
