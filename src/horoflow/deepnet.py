@@ -1,15 +1,15 @@
 """Nonexpansive neural layers and diffeomorphism stretch experiments.
 
-Layer maps are affine-plus-activation with a certified operator-norm bound
-obtained by power iteration; chains of such layers are nonexpansive, their
+Layer maps are affine-plus-activation with an operator-norm bound
+certified by the SVD; chains of such layers are nonexpansive, their
 normalized outputs drift to an input-independent vector, and their
 normalized Lipschitz profile collapses like 1/n.  The module also hosts
 the maximal-stretch and log-Jacobian experiments for cocycles of circle
 diffeomorphisms.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import math
 
@@ -40,46 +40,30 @@ PLAIN = "plain"               # g(x) = act(Wx + b)
 RESNET_ADJOINT = "resnet_adjoint"  # T(x) = W^T act(Wx + b)
 
 
-def power_iteration_norm(W) -> float:
-    """Operator norm by power iteration on W^T W (two deterministic starts,
-    relative tolerance 1e-12, at most 1000 iterations)."""
-    W = np.asarray(W, dtype=float)
+def _operator_norm(W) -> float:
+    """Operator 2-norm of a float weight array: its largest singular value,
+    which the SVD gives to within a few ulps."""
     if W.ndim != 2 or W.size == 0:
         raise DegenerateInputError("weight must be a nonempty matrix")
     if not np.all(np.isfinite(W)):
         raise DegenerateInputError("non-finite weight entries")
-    d = W.shape[1]
-    gram = W.T @ W
-    starts = [np.ones(d) / math.sqrt(d)]
-    col = int(np.argmax(np.linalg.norm(W, axis=0)))
-    e = np.zeros(d)
-    e[col] = 1.0
-    starts.append(e)
-    best = 0.0
-    for v in starts:
-        lam = 0.0
-        for _ in range(1000):
-            w = gram @ v
-            new = float(np.linalg.norm(w))
-            if new == 0.0:
-                break
-            v = w / new
-            if abs(new - lam) <= 1e-12 * max(new, 1.0):
-                lam = new
-                break
-            lam = new
-        best = max(best, lam)
-    return math.sqrt(best)
+    return float(np.linalg.norm(W, 2))
+
+
+def _audit_norm(W) -> None:
+    """Refuse a weight whose operator norm exceeds 1 by more than 1e-9."""
+    norm = _operator_norm(W)
+    if norm > 1.0 + 1e-9:
+        raise NormConstraintError(f"weight operator norm {norm:.6g} exceeds 1")
 
 
 def spectral_normalize(W):
     """Scale W so its operator norm is at most 1; returns (W, certified_norm).
 
-    W is unchanged when its norm is already <= 1; see
-    :func:`power_iteration_norm` for the estimator.
+    W is unchanged when its norm is already <= 1.
     """
     W = np.asarray(W, dtype=float)
-    norm = power_iteration_norm(W)
+    norm = _operator_norm(W)
     if norm > 1.0:
         return W / norm, 1.0
     return W, norm
@@ -121,12 +105,9 @@ def make_layer(W, b, activation: str, form: str = RESNET_ADJOINT,
         raise DegenerateInputError(f"unknown layer form {form!r}")
     W = np.asarray(W, dtype=float)
     b = np.asarray(b, dtype=float)
-    norm = power_iteration_norm(W)
-    if audit and norm > 1.0 + 1e-9:
-        raise NormConstraintError(f"weight operator norm {norm:.6g} exceeds 1")
-    if norm > 1.0:
-        W = W / norm
-        norm = 1.0
+    if audit:
+        _audit_norm(W)
+    W, norm = spectral_normalize(W)
     return LayerMap(W=W, b=b, activation=activation, form=form, certified_norm=norm)
 
 
@@ -171,9 +152,7 @@ def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftRe
         raise DegenerateInputError(f"unknown activation {activation!r}")
     act = ACTIVATIONS[activation]
     W = np.asarray(W, dtype=float)
-    norm = power_iteration_norm(W)
-    if norm > 1.0 + 1e-9:
-        raise NormConstraintError(f"weight operator norm {norm:.6g} > 1")
+    _audit_norm(W)
     x0 = np.asarray(x0, dtype=float)
     d = x0.shape[0]
     biases = np.asarray(biases, dtype=float)

@@ -24,17 +24,21 @@ from oracles import (loop_jacobian_cocycle, loop_lipschitz_profile, loop_max_str
 # Spectral normalization and layers
 
 def test_spectral_normalize_matches_svd():
+    # the certified norm is the SVD norm to within a few ulps, so no
+    # normalized weight expands by more than 8 eps
+    eps = np.finfo(float).eps
     rng = trial_rng(31, 0)
     for _ in range(50):
         w = rng.normal(size=(5, 5))
         w2, cert = spectral_normalize(w)
         true = operator_norm_svd(w)
+        assert operator_norm_svd(w2) <= 1.0 + 8 * eps
         if true > 1.0:
             assert cert == 1.0
-            assert operator_norm_svd(w2) == pytest.approx(1.0, abs=1e-9)
+            assert operator_norm_svd(w2) >= 1.0 - 8 * eps
         else:
             assert np.array_equal(w2, w)
-            assert cert == pytest.approx(true, abs=1e-9)
+            assert abs(cert - true) <= 8 * eps * true
 
 
 def test_spectral_normalize_rejects_nonfinite():
