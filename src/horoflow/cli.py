@@ -22,7 +22,7 @@ from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
                       estimate_top_exponent, hyperbolic_walk_gap,
                       mobius_matrix)
 from .deepnet import (ACTIVATIONS, jacobian_cocycle_dist, lipschitz_profile,
-                      make_layer, max_stretch, resnet_drift, spectral_normalize)
+                      make_layer, max_stretch, resnet_drift)
 from .lyapunov import filtration_probe, qr_spectrum
 from .operator_cone import expm_symmetric, segal_check, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
@@ -279,13 +279,12 @@ def _run_segal_sweep(cfg):
 def _run_resnet_drift(cfg):
     d, n, trials = cfg["d"], cfg["n"], cfg["trials"]
     support = np.asarray(cfg["b_support"])
-    # one shared normalized weight; each layer draws one bias value for
-    # every coordinate
-    W, _ = spectral_normalize(np.eye(d))
-    picks = np.array([trial_rng(cfg["seed"], t).integers(support.size, size=n)
+    # one shared identity weight; each layer draws one bias value per
+    # coordinate, so at d = 1 the stream is one value per layer
+    picks = np.array([trial_rng(cfg["seed"], t).integers(support.size, size=(n, d))
                       for t in range(trials)])
-    biases = np.broadcast_to(support[picks][:, :, None], (trials, n, d))
-    rep = resnet_drift(W, cfg["activation"], biases, np.zeros(d), n, trials)
+    rep = resnet_drift(np.eye(d), cfg["activation"], support[picks], np.zeros(d),
+                       n, trials)
     rows = []
     for t in range(trials):
         for c in range(d):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from horoflow.cli import EXPERIMENTS, _run_resnet_drift
 from horoflow.cocycle import ErgodicDriver, constant_driver
 from horoflow.core import DegenerateInputError
 from horoflow.deepnet import (LayerMap, NormConstraintError, apply_chain,
@@ -128,6 +129,16 @@ def test_tanh_chain_drift_is_bounded_by_sqrt_d_over_n():
     biases = np.array([trial_rng(1, t).normal(size=(n, d)) for t in range(trials)])
     rep = resnet_drift(w, "tanh", biases, rng.normal(size=d), n, trials)
     assert np.all(np.linalg.norm(rep.v_hat, axis=1) <= math.sqrt(d) / n)
+
+
+def test_resnet_drift_experiment_draws_a_bias_per_coordinate():
+    # at d = 2 the coordinates see different biases, so some trial's
+    # normalized output has two different coordinates
+    cfg = {key: default for key, (default, _) in EXPERIMENTS["resnet-drift"].params.items()}
+    cfg.update(seed=5, d=2, n=50, trials=3, activation="tanh")
+    _, rows, _ = _run_resnet_drift(cfg)
+    v_hat = np.array([row[2] for row in rows]).reshape(3, 2)
+    assert np.any(v_hat[:, 0] != v_hat[:, 1])
 
 
 def test_resnet_drift_rejects_uncertified_layers():

@@ -23,7 +23,8 @@ from the old step loop and is checked instead against 50-digit products
 (``mp_log_gram_norms``, ``mp_walk_gaps`` and ``mp_state_ratios`` in
 ``tests/oracles.py``).  The tanh profile was re-pinned when layer weights
 began to be normalized by their SVD norm instead of a power-iteration
-estimate.
+estimate, and the two-dimensional drift when each layer began to draw one
+bias per coordinate instead of one bias for all.
 """
 
 import hashlib
@@ -90,7 +91,7 @@ STOCHASTIC_SHA256 = {
         "2405e78d194b7fd35aa8b1540b4a71b00eae0f2ca22afc816a4bc470ff5edde3"),
     "resnet-drift-tanh_d2": (
         "resnet-drift", {"d": 2, "activation": "tanh", "n": 50, "trials": 3},
-        "9dd6fb1744cba2a84132572e956b469a175922f2610183ef7bcde08e6e5c8d64"),
+        "047888ab3a6e65112d9e21393ae7aa9a9b8ba5d7553342c160cdb7d7f9e2282d"),
     "metric-axioms-dim3": (
         "metric-axioms", {"dim": 3, "samples": 200},
         "3a43b6e0f4f0c00d2749a28c6636086f9967bf43e2a39921dcb0b50bd517f943"),
