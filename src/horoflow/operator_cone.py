@@ -54,7 +54,6 @@ class StateReport:
     xi: np.ndarray
     achieved: float
     norm_y: float
-    s_flag: int = 1   # finite truncation forces the pure vector-state case
 
 
 def _spec_norm(m: np.ndarray) -> float:

@@ -10,7 +10,8 @@ import scipy.linalg
 from horoflow.cli import _SL2_PAIR, EXPERIMENTS, _matrix_driver, _run_segal_sweep
 from horoflow.cocycle import ErgodicDriver, constant_driver, geometric_checkpoints
 from horoflow.core import DegenerateInputError
-from horoflow.operator_cone import (SymmetryError, _check_symmetric, _fold,
+from horoflow.operator_cone import (ConsistencyError, ScaledProduct,
+                                    SymmetryError, _check_symmetric, _fold,
                                     accumulate_product, expm_symmetric,
                                     extract_vector_state,
                                     log_squared_positive_part, segal_check,
@@ -39,6 +40,16 @@ def test_scaled_product_tracks_are_consistent():
     assert 0.5 <= np.abs(p.forward).max() < 1.0
     assert 0.5 <= np.abs(p.inverse).max() < 1.0
     assert p.reconstruction_defect() < 1e-8 * math.exp(p.log_scale + p.inv_log_scale)
+
+
+def test_lognorm_refuses_inconsistent_tracks():
+    # forward 2I and inverse I are not inverses: v v^{-1} - I = I, whose
+    # defect sqrt(2) is far above the 8e-6 budget at scale 8
+    half = 0.5 * np.eye(2)
+    p = ScaledProduct(forward=half, log_scale=math.log(2.0), inverse=half,
+                      inv_log_scale=math.log(4.0), n=1)
+    with pytest.raises(ConsistencyError, match="defect 1.414e"):
+        squared_positive_part_lognorm(p)
 
 
 def test_lognorm_matches_direct_eigendecomposition():
@@ -154,7 +165,6 @@ def test_extract_vector_state_achieves_the_norm():
     rep = extract_vector_state(np.diag([3.0, -1.0, 0.5]))
     assert np.allclose(rep.xi, [1.0, 0.0, 0.0])
     assert rep.achieved == pytest.approx(3.0)
-    assert rep.s_flag == 1
     # modulus tie: the positive eigenvalue wins
     rep = extract_vector_state(np.diag([4.0, -4.0]))
     assert np.allclose(rep.xi, [1.0, 0.0])
