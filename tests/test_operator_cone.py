@@ -43,8 +43,9 @@ def test_scaled_product_tracks_are_consistent():
 
 
 def test_lognorm_refuses_inconsistent_tracks():
-    # forward 2I and inverse I are not inverses: v v^{-1} - I = I, whose
-    # defect sqrt(2) is far above the 8e-6 budget at scale 8
+    # the tracks give v = 2 (I/2) = I and v^{-1} = 4 (I/2) = 2I, which are
+    # not inverses: v v^{-1} - I = I, whose defect sqrt(2) is far above
+    # the 8e-6 budget at scale 8
     half = 0.5 * np.eye(2)
     p = ScaledProduct(forward=half, log_scale=math.log(2.0), inverse=half,
                       inv_log_scale=math.log(4.0), n=1)
