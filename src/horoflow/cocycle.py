@@ -326,14 +326,22 @@ def subadditive_trace(driver: ErgodicDriver, space: WeakMetricSpace,
     return SubadditiveTrace(a=a, basepoint=x0, truncated=orbit.truncated)
 
 
-def _tail_slope(ks: np.ndarray, ratios: np.ndarray) -> float:
-    """Least-squares slope of a(k)/k against log k over the last decade."""
+def _tail_slope(ks, ratios) -> float:
+    """Least-squares slope of a(k)/k against log k over the last decade.
+
+    The closed form sum(dx * dy) / sum(dx * dx) of the deviations from the
+    means, with math.log and math.fsum: no LAPACK call, whose rounding
+    follows the BLAS core, and exactly 0 for equal ratios.
+    """
     if len(ks) < 2:
         return 0.0
-    x = np.log(ks.astype(float))
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef = np.linalg.lstsq(A, ratios, rcond=None)[0]
-    return float(coef[0])
+    x = [math.log(k) for k in ks]
+    y = np.asarray(ratios, dtype=float).tolist()
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    return math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
 
 
 def tail_checkpoints(n: int) -> list:
@@ -346,10 +354,14 @@ def summarize_trials(per_trial: np.ndarray, tail_ks, tail, n: int, trials: int,
     """Mean and standard error of the kept trials' final values; tail holds
     the mean value at each of the checkpoints tail_ks."""
     m = len(per_trial)
-    se = float(np.std(per_trial, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail)
-    return LyapunovEstimate(float(np.mean(per_trial)), n, trials, per_trial, se, slope,
-                            truncated_trials)
+    # deviations from the first value, summed exactly: equal values give
+    # their value and a std error of exactly 0
+    dev = [v - per_trial[0] for v in per_trial.tolist()]
+    mean_dev = math.fsum(dev) / m
+    se = math.sqrt(math.fsum((d - mean_dev) ** 2 for d in dev) / (m - 1) / m) \
+        if m > 1 else 0.0
+    return LyapunovEstimate(float(per_trial[0] + mean_dev), n, trials, per_trial, se,
+                            _tail_slope(tail_ks, tail), truncated_trials)
 
 
 def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
@@ -368,10 +380,8 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
     tail_ks = tail_checkpoints(n)
     pts, cut = _fold_orbits(driver, space, x0, tail_ks, range(trials))
     kept = [t for t in range(trials) if cut[t] is None]
-    # checkpoint-major rows, one per kept trial; scalar points as Python scalars
+    # checkpoint-major rows, one per kept trial
     points = pts[:, kept].reshape((-1,) + np.shape(x0))
-    if np.ndim(x0) == 0:
-        points = points.tolist()
     ratios = _distances_from(space, x0, points).reshape(len(tail_ks), len(kept)) \
         / np.array(tail_ks)[:, None]
     truncated = trials - len(kept)

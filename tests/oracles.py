@@ -5,7 +5,8 @@ implementation: quadrature of the hyperbolic line element, radial limits
 of anchored functionals, direct optimization of Rayleigh quotients, SVD
 for operator norms, exact rational arithmetic for matrix products,
 50-digit products for the pairwise-reduced operator fold and disk walk
-(whose old one-step-at-a-time loops stay as the error baseline),
+(whose old one-step-at-a-time loops stay as the error baseline), the
+50-digit Mobius form of the disk distance,
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels and the
@@ -26,8 +27,8 @@ import scipy.integrate
 import scipy.linalg
 
 from horoflow.cocycle import (LEFT, EstimationError, GapTrace, IntegrabilityReport,
-                              LyapunovEstimate, SubadditiveTrace, _dist_origin,
-                              _tail_slope, geometric_checkpoints)
+                              SubadditiveTrace, _dist_origin, geometric_checkpoints,
+                              summarize_trials)
 from horoflow.core import (AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, WeakMetricSpace, symmetrize)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
@@ -323,6 +324,15 @@ def mp_walk_gaps(mats, ks):
         return [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks], a[n]
 
 
+def mp_poincare_dist(z, w):
+    """The disk distance 2 artanh(|z - w| / |1 - conj(z) w|) of two points, as
+    a 50-digit number: the Mobius form, not the kernel's conformal-factor
+    form.  Every double converts exactly."""
+    with mpmath.workdps(_MP_DPS):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        return 2 * mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w))
+
+
 def loop_max_stretch(driver, n, grid, trial=0):
     """The maximal-stretch report with every step's map evaluated on the
     whole pair grid, one step at a time; :func:`horoflow.deepnet.max_stretch`
@@ -440,10 +450,13 @@ def reference_spaces(dim=3):
     """The six registered metrics as they were before their points were
     drawn a block at a time: one sampler call a point, each point built on
     its own; stretch points are ``SampledDistanceFunction`` tables built by
-    closures, Jacobian points ``CircleMap`` closures, and the Euclidean
-    distances a loop over ``euclidean_dist``.  Keyed like
+    closures, Jacobian points ``CircleMap`` closures, and every distance
+    a loop over a scalar distance.  Keyed like
     :func:`horoflow.spaces.registered_spaces`, whose suites, points and
-    distances must equal these bit for bit."""
+    distances must equal these bit for bit.  ``euclidean_dist`` and
+    ``poincare_dist`` are one-pair calls of their spaces' kernels, so for
+    those two metrics the loop checks only that batching does not change
+    the bits; :func:`mp_poincare_dist` checks the disk's formula."""
     def euclidean(rng):
         return rng.normal(size=dim)
 
@@ -588,8 +601,10 @@ def loop_orbit_at(driver, space, x0, ks, trial=0):
 
 def loop_top_exponent(driver, space, x0, n, trials):
     """The top-exponent estimate one trial at a time through
-    :func:`loop_orbit_at`; :func:`horoflow.cocycle.estimate_top_exponent`
-    must agree field for field, and raise the same EstimationError."""
+    :func:`loop_orbit_at`, its per-trial values and mean tail summarized by
+    :func:`horoflow.cocycle.summarize_trials`;
+    :func:`horoflow.cocycle.estimate_top_exponent` must agree field for
+    field, and raise the same EstimationError."""
     tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
     per_trial = []
     tail_sum = np.zeros(len(tail_ks))
@@ -606,14 +621,8 @@ def loop_top_exponent(driver, space, x0, n, trials):
         tail_cnt += 1
     if truncated > 0.1 * trials:
         raise EstimationError(f"{truncated}/{trials} trials truncated")
-    per_trial = np.asarray(per_trial)
-    lam = float(np.mean(per_trial))
-    se = float(np.std(per_trial, ddof=1) / math.sqrt(len(per_trial))) \
-        if len(per_trial) > 1 else 0.0
-    slope = _tail_slope(np.asarray(tail_ks, dtype=float), tail_sum / max(tail_cnt, 1))
-    return LyapunovEstimate(lambda_hat=lam, n=n, trials=trials,
-                            per_trial=per_trial, std_error=se,
-                            tail_slope=slope, truncated_trials=truncated)
+    return summarize_trials(np.asarray(per_trial), tail_ks, tail_sum / tail_cnt,
+                            n, trials, truncated)
 
 
 def loop_subadditive_trace(driver, space, dist, x0, n, trial=0):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import statistics
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTAT
                               functional_gap, generate_orbit,
                               geometric_checkpoints, hyperbolic_walk_gap,
                               mobius_matrix, orbit_at, screen_invertible,
-                              subadditive_trace)
+                              subadditive_trace, summarize_trials, _tail_slope)
 from horoflow.core import DegenerateInputError, MetricDomainError
+from horoflow.seeding import trial_rng
 from horoflow.spaces import (euclidean_dist, euclidean_space, mobius_disk, poincare_dist,
                              poincare_space)
 
@@ -156,8 +158,35 @@ def test_translation_cocycle_is_linear():
     assert np.allclose(tr.a, np.arange(31, dtype=float))
     est = estimate_top_exponent(drv, sp, np.zeros(1), 200, 3)
     assert est.lambda_hat == pytest.approx(1.0, abs=1e-12)
-    assert abs(est.tail_slope) < 1e-12
+    assert est.tail_slope == 0.0
     assert est.std_error == 0.0
+
+
+def test_tail_slope_is_the_least_squares_fit():
+    rng = trial_rng(17, 0)
+    for size in (2, 3, 8):
+        ks = np.unique(rng.integers(1, 10000, size=size))
+        ratios = rng.normal(size=len(ks))
+        want = np.polyfit(np.log(ks), ratios, 1)[0]
+        assert _tail_slope(ks.tolist(), ratios) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert _tail_slope([5], [1.0]) == 0.0
+    assert _tail_slope([10, 20, 40, 80], [0.3] * 4) == 0.0
+
+
+def test_summary_is_the_sample_mean_and_standard_error():
+    rng = trial_rng(18, 0)
+    for m in (2, 3, 10):
+        values = rng.normal(1.0, 0.1, size=m)
+        est = summarize_trials(values, [1, 2], np.zeros(2), 50, m)
+        assert est.lambda_hat == pytest.approx(statistics.fmean(values), rel=1e-15)
+        assert est.std_error == pytest.approx(
+            statistics.stdev(values) / math.sqrt(m), rel=1e-12)
+    # equal values give their value and exactly 0; for three copies of
+    # this one, operator-tau's per-trial value, np.mean is 1 ulp lower and
+    # np.std gives a std error of 1.6e-16
+    for m in (1, 3, 7):
+        est = summarize_trials(np.full(m, 1.3862943611198904), [1, 2], np.zeros(2), 50, m)
+        assert (est.lambda_hat, est.std_error) == (1.3862943611198904, 0.0)
 
 
 def test_subadditivity_along_shifted_seeds():
@@ -305,6 +334,14 @@ def test_functional_gap_vanishes_for_translation():
     drv = constant_driver(lambda x: x + 1.0)
     tr = functional_gap(drv, sp, np.zeros(1), 256)
     assert not tr.truncated
+    assert max(tr.gaps) <= 1e-12
+
+
+@pytest.mark.parametrize("a, n", [(0.05, 350), (0.1, 200)])
+def test_functional_gap_vanishes_on_a_disk_geodesic(a, n):
+    # a constant Mobius orbit of 0 runs out along a geodesic, so the true
+    # gap is 0; u(n)0 ends within 1.2e-15 and 2.2e-16 of the circle
+    tr = functional_gap(constant_driver(mobius_disk(a)), poincare_space(), 0j, n)
     assert max(tr.gaps) <= 1e-12
 
 

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,13 +16,14 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              ambient_norm_sdf, busemann_disk, euclidean_dist,
                              funk_dist, identity_circle_map, jacobian_dist,
                              jacobian_dist_many, mobius_circle_map, mobius_disk,
-                             poincare_dist, pullback, random_spd,
+                             poincare_dist, poincare_dist_many, pullback, random_spd,
                              registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, stretch_dist,
                              stretch_dist_many, sym_log, thompson_dist,
-                             _TWO_PI, _wrap_angle)
+                             _TWO_PI, _disk_rooms, _wrap_angle)
 
-from oracles import busemann_radial_limit, radial_poincare_length, rayleigh_sup
+from oracles import (busemann_radial_limit, mp_poincare_dist, radial_poincare_length,
+                     rayleigh_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +47,71 @@ def test_poincare_mobius_invariance():
 def test_poincare_symmetric_and_domain_checked():
     assert poincare_dist(0.3 + 0.2j, -0.5j) == pytest.approx(
         poincare_dist(-0.5j, 0.3 + 0.2j))
-    with pytest.raises(MetricDomainError):
-        poincare_dist(1.0, 0.0)
+    # on the circle, just outside it, and not a point at all
+    for z in (1.0, -1j, 1.0 + 1e-16j, complex("nan"), complex("inf")):
+        with pytest.raises(MetricDomainError, match="not strictly inside"):
+            poincare_dist(z, 0.0)
+        with pytest.raises(MetricDomainError, match="not strictly inside"):
+            poincare_dist_many([0.5, 0j, z], [0, 1], [1, 0])
     with pytest.raises(MetricDomainError):
         mobius_disk(1.5)
+
+
+def _relative_error(got, want):
+    with mpmath.workdps(50):
+        return float(abs(got - want) / want)
+
+
+# the kernel's largest error against mp_poincare_dist was 2.3e-16 on the
+# radial pairs and 2.6e-16 on random pairs: within two ulps
+_DISK_REL_TOL = 2.0 * np.finfo(float).eps
+
+
+def test_poincare_against_the_mpmath_distance_out_to_the_circle():
+    # three angles at each radius 1 - 10^-k, the origin, 0.5 and the largest
+    # double below 1, every pair in one batch
+    pts = [(1.0 - 10.0 ** -k) * cmath.exp(1j * t)
+           for k in range(1, 16) for t in (0.3, 1.1, 2.0)]
+    pts += [0j, 0.5, 1.0 - 2.0 ** -53]
+    i, j = np.triu_indices(len(pts), 1)
+    got = poincare_dist_many(pts, i, j)
+    worst = max(_relative_error(d, mp_poincare_dist(pts[a], pts[b]))
+                for d, a, b in zip(got.tolist(), i.tolist(), j.tolist()))
+    assert worst <= _DISK_REL_TOL
+    z, w = pts[24], pts[25]     # radius 1 - 1e-9, angles 0.3 and 1.1
+    assert poincare_dist(z, w) == pytest.approx(40.946623899301, abs=1e-11)
+
+
+def _near_circle(rng, count):
+    """Points cos t + i sin t at random angles, each within about an ulp of
+    the circle, with the exact 1 - x^2 - y^2 of each."""
+    pts = [cmath.rect(1.0, t) for t in rng.uniform(0.0, _TWO_PI, size=count).tolist()]
+    return pts, [1 - Fraction(z.real) ** 2 - Fraction(z.imag) ** 2 for z in pts]
+
+
+def test_disk_room_is_the_exact_room_rounded_once():
+    rng = trial_rng(9, 0)
+    pts, rooms = _near_circle(rng, 2000)
+    inside = [z for z, r in zip(pts, rooms) if r > 0]
+    _, got = _disk_rooms(inside)
+    assert got.tolist() == [float(r) for r in rooms if r > 0]
+    for z, r in zip(pts, rooms):
+        if r <= 0:
+            with pytest.raises(MetricDomainError):
+                _disk_rooms([0j, z])
+
+
+def test_poincare_against_the_mpmath_distance_on_random_pairs():
+    rng = trial_rng(8, 0)
+    pts = [math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+           for _ in range(301)]
+    # and points within an ulp of the circle, whose rooms are below 1e-16
+    near, rooms = _near_circle(rng, 200)
+    pts += [z for z, r in zip(near, rooms) if r > 0]
+    got = poincare_dist_many(pts, np.arange(len(pts) - 1), np.arange(1, len(pts)))
+    worst = max(_relative_error(d, mp_poincare_dist(pts[a], pts[a + 1]))
+                for a, d in enumerate(got.tolist()))
+    assert worst <= _DISK_REL_TOL
 
 
 def test_busemann_known_values():
@@ -64,11 +128,12 @@ def test_busemann_is_radial_limit_of_functionals():
     for _ in range(20):
         xi = cmath.exp(2j * math.pi * rng.random())
         z = 0.8 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
-        # the anchor's truncation error grows like eps and the rounding of
-        # poincare_dist near the boundary like 1e-16/eps: at eps = 1e-9 the
-        # latter reaches 1.6e-6, at 1e-7 both stay below 2e-8
-        approx = busemann_radial_limit(poincare_dist, xi, z, eps=1e-7)
-        assert busemann_disk(xi, z) == pytest.approx(approx, abs=1e-6)
+        # the anchor's truncation error is of order eps^2 (the first-order
+        # terms of d(z, anchor) and d(0, anchor) cancel), and poincare_dist
+        # keeps its relative accuracy out to the circle: the largest error
+        # here is 2.1e-15
+        approx = busemann_radial_limit(poincare_dist, xi, z, eps=1e-9)
+        assert busemann_disk(xi, z) == pytest.approx(approx, abs=5e-15)
 
 
 # ---------------------------------------------------------------------------
