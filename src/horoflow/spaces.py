@@ -67,17 +67,17 @@ def euclidean_space(dim: int = 3) -> WeakMetricSpace:
 # ---------------------------------------------------------------------------
 # Poincare disk
 
-def _disk_rooms(points):
-    """(z, room): the points as one complex array, and 1 - |z|^2 of each.
+def _rooms(z: np.ndarray) -> np.ndarray:
+    """1 - |z|^2 of each point of the complex array z (not > 0 for a
+    non-finite point).
 
     Each room is the sum of 1 and the negated squares and cross terms of
     the Veltkamp halves of the point's real and imaginary parts, all of
     them exact.  Two error-free passes of Knuth's sum and then a plain sum
     (Ogita, Rump and Oishi's Sum3) are as accurate as a sum in triple
-    precision rounded once, out to the circle.  Raises MetricDomainError
-    unless every room is > 0.
+    precision rounded once, out to the circle.  A point is inside the disk
+    exactly when its room is > 0.
     """
-    z = np.asarray(points, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a far or non-finite point
         xh, xl = _halves(z.real)
         yh, yl = _halves(z.imag)
@@ -86,12 +86,40 @@ def _disk_rooms(points):
         for _ in range(2):
             for k in range(1, len(terms)):
                 terms[k], terms[k - 1] = _two_sum(terms[k - 1], terms[k])
-        room = terms[-1] + sum(terms[:-1])
+        return terms[-1] + sum(terms[:-1])
+
+
+def _disk_rooms(points):
+    """(z, room): the points as one complex array, and 1 - |z|^2 of each.
+
+    Raises MetricDomainError unless every room is > 0.
+    """
+    z = np.asarray(points, dtype=complex)
+    room = _rooms(z)
     outside = np.flatnonzero(~(room > 0.0))
     if outside.size:
         raise MetricDomainError(
             f"point {complex(z[outside[0]])!r} not strictly inside the unit disk")
     return z, room
+
+
+def _in_disk(z) -> bool:
+    """Whether the point z is strictly inside the disk, by the distance
+    kernel's own exact rule."""
+    return bool(_rooms(np.array([complex(z)]))[0] > 0.0)
+
+
+def _modulus(d: np.ndarray) -> np.ndarray:
+    """|d| of each value of the complex array d, as sqrt(x^2 + y^2).
+
+    x and y are first scaled by the power of two that brings the larger
+    into [0.5, 1), so the squares neither underflow nor overflow.  The
+    scaling is exact: wherever the unscaled squares are in range, the bits
+    are those of the unscaled formula.
+    """
+    _, e = np.frexp(np.maximum(np.abs(d.real), np.abs(d.imag)))
+    x, y = np.ldexp(d.real, -e), np.ldexp(d.imag, -e)
+    return np.ldexp(np.sqrt(x * x + y * y), e)
 
 
 def poincare_dist_many(points, i, j) -> np.ndarray:
@@ -103,8 +131,7 @@ def poincare_dist_many(points, i, j) -> np.ndarray:
     the bits do not depend on the CPU.
     """
     z, room = _disk_rooms(points)
-    d = z[i] - z[j]
-    ratio = np.sqrt(d.real * d.real + d.imag * d.imag) / np.sqrt(room[i] * room[j])
+    ratio = _modulus(z[i] - z[j]) / np.sqrt(room[i] * room[j])
     return 2.0 * np.fromiter(map(math.asinh, ratio.flat), dtype=float, count=ratio.size)
 
 
@@ -158,7 +185,7 @@ def poincare_space() -> WeakMetricSpace:
 
     return WeakMetricSpace(name="poincare", dist_many=poincare_dist_many,
                            sample_points=sample,
-                           in_domain=lambda z: abs(complex(z)) < 1.0)
+                           in_domain=_in_disk)
 
 
 # ---------------------------------------------------------------------------

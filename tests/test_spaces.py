@@ -16,7 +16,8 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              ambient_norm_sdf, busemann_disk, euclidean_dist,
                              funk_dist, identity_circle_map, jacobian_dist,
                              jacobian_dist_many, mobius_circle_map, mobius_disk,
-                             poincare_dist, poincare_dist_many, pullback, random_spd,
+                             poincare_dist, poincare_dist_many, poincare_space, pullback,
+                             random_spd,
                              registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, stretch_dist,
                              stretch_dist_many, sym_log, thompson_dist,
@@ -99,6 +100,9 @@ def test_disk_room_is_the_exact_room_rounded_once():
         if r <= 0:
             with pytest.raises(MetricDomainError):
                 _disk_rooms([0j, z])
+    # the orbit truncation test is the kernel's own rule
+    in_domain = poincare_space().in_domain
+    assert [in_domain(z) for z in pts] == [r > 0 for r in rooms]
 
 
 def test_poincare_against_the_mpmath_distance_on_random_pairs():
@@ -112,6 +116,17 @@ def test_poincare_against_the_mpmath_distance_on_random_pairs():
     worst = max(_relative_error(d, mp_poincare_dist(pts[a], pts[a + 1]))
                 for a, d in enumerate(got.tolist()))
     assert worst <= _DISK_REL_TOL
+
+
+def test_poincare_keeps_the_distance_of_very_close_points():
+    # |z - w| is scaled by a power of two before it is squared; unscaled,
+    # these squares underflow and every distance reads 0
+    assert poincare_dist(0j, 1e-170) == 2e-170
+    pairs = [(0j, 1e-170j), (0.5, 0.5 + 1e-170j), (1e-300j, -1e-300j),
+             (complex(0.9, 1e-200), complex(0.9, -1e-200)),
+             (complex(1e-160, 1e-160), complex(-1e-160, -2e-160))]
+    for z, w in pairs:
+        assert _relative_error(poincare_dist(z, w), mp_poincare_dist(z, w)) <= _DISK_REL_TOL
 
 
 def test_busemann_known_values():
