@@ -50,9 +50,12 @@ def euclidean_dist_many(points, i, j) -> np.ndarray:
     """euclidean_dist(points[i[k]], points[j[k]]) for every k."""
     rows = _point_rows(points)
     d = rows[i] - rows[j]
-    # each row's dot product, summed as np.linalg.norm sums one vector;
-    # norm(d, axis=1) sums in another order
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    # each row scaled by a power of two, as _modulus scales, so its squares
+    # neither underflow nor overflow; its dot product sums as np.linalg.norm
+    # sums one vector (norm(d, axis=1) sums in another order)
+    _, e = np.frexp(np.abs(d).max(axis=1, initial=0.0))
+    d = np.ldexp(d, -e[:, None])
+    return np.ldexp(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]), e)
 
 
 def euclidean_dist(x, y) -> float:
@@ -197,8 +200,9 @@ def sym_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _spd_stack(points) -> np.ndarray:
-    """The points as one symmetrized (m, d, d) stack.
+def _spd_stack(points):
+    """(s, l): the points as one symmetrized (m, d, d) stack, and the
+    Cholesky factor l[k] of each point, s[k] = l[k] l[k]^T.
 
     Raises NotSpdError unless every point is a finite, symmetric (to
     rounding) positive-definite matrix, and MetricDomainError when their
@@ -216,45 +220,37 @@ def _spd_stack(points) -> np.ndarray:
         if len({m.shape for m in mats}) > 1:
             raise MetricDomainError(f"dimension mismatch: {sorted({m.shape for m in mats})}")
         s = np.stack(mats)
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite point
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or far-off point
         asym = np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
         bad = ~np.isfinite(s).all(axis=(1, 2)) \
             | (asym > 1e-12 * np.maximum(1.0, np.abs(s).max(axis=(1, 2))))
     if bad.any():
         raise NotSpdError(f"point {np.argmax(bad)} is not symmetric positive definite")
-    s = 0.5 * (s + s.swapaxes(1, 2))
+    s = s + 0.5 * (s.swapaxes(1, 2) - s)     # s + s^T could overflow
     try:
-        np.linalg.cholesky(s)
+        return s, np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         raise NotSpdError("a point is not positive definite") from None
-    return s
 
 
 def sym_log(m: np.ndarray) -> np.ndarray:
     """Matrix logarithm of an SPD matrix via symmetric eigendecomposition."""
-    w, v = np.linalg.eigh(_spd_stack([m])[0])
+    w, v = np.linalg.eigh(_spd_stack([m])[0][0])
     return (v * np.log(w)) @ v.T
 
 
 def _cone_log_eigs(points, i, j) -> np.ndarray:
     """log of the generalized eigenvalues of (points[j[k]], points[i[k]]),
-    one row per k.
+    one row per k, in descending order.
 
-    The stack is checked once; each pencil is one LAPACK ``sygvd`` call
-    (itype 1, eigenvalues only, lower triangle), the routine
-    ``scipy.linalg.eigh(q, p, eigvals_only=True)`` uses.
+    With each point factored once, P = L L^T, they are the squared singular
+    values of L_P^-1 L_Q, from one stacked SVD: its relative error grows
+    with the condition of L_P^-1 L_Q, not with its square as in the
+    eigenvalues of L_P^-1 Q L_P^-T, and no eigenvalue itself is formed, so
+    none leaves the double range.
     """
-    import scipy.linalg     # at first use: most experiments never load scipy
-    sygvd = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
-    s = _spd_stack(points)
-    w = np.empty((len(i), s.shape[-1]))
-    for k, (a, b) in enumerate(zip(np.asarray(i).tolist(), np.asarray(j).tolist())):
-        w[k], _, info = sygvd(s[b], s[a], itype=1, jobz="N", uplo="L")
-        if info > s.shape[-1]:
-            raise NotSpdError(f"point {a} is not positive definite")
-        if info:
-            raise np.linalg.LinAlgError(f"sygvd failed with info {info}")
-    return np.log(w)
+    _, l = _spd_stack(points)
+    return 2.0 * np.log(np.linalg.svd(np.linalg.inv(l)[i] @ l[j], compute_uv=False))
 
 
 def thompson_dist_many(points, i, j) -> np.ndarray:

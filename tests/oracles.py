@@ -6,7 +6,8 @@ of anchored functionals, direct optimization of Rayleigh quotients, SVD
 for operator norms, exact rational arithmetic for matrix products,
 50-digit products for the pairwise-reduced operator fold and disk walk
 (whose old one-step-at-a-time loops stay as the error baseline), the
-50-digit Mobius form of the disk distance,
+50-digit Mobius form of the disk distance, 40-digit generalized
+eigenvalues of the cone's pencils,
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels and the
@@ -331,6 +332,19 @@ def mp_poincare_dist(z, w):
     with mpmath.workdps(_MP_DPS):
         z, w = mpmath.mpc(z), mpmath.mpc(w)
         return 2 * mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w))
+
+
+def mp_cone_log_eigs(p, q):
+    """log of the generalized eigenvalues of the pencil (q, p), ascending, as
+    40-digit numbers: the eigenvalues of L^-1 q L^-T for p = L L^T, by
+    mpmath's Cholesky factor and symmetric eigensolver.  Every double
+    converts exactly, and each matrix is taken as its symmetric part.
+    """
+    with mpmath.workdps(40):
+        p, q = (mpmath.matrix(np.asarray(m, dtype=float).tolist()) for m in (p, q))
+        li = mpmath.cholesky((p + p.T) / 2) ** -1
+        c = li * ((q + q.T) / 2) * li.T
+        return sorted(mpmath.log(w) for w in mpmath.eigsy((c + c.T) / 2, eigvals_only=True))
 
 
 def loop_max_stretch(driver, n, grid, trial=0):

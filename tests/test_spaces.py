@@ -21,10 +21,23 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, stretch_dist,
                              stretch_dist_many, sym_log, thompson_dist,
-                             _TWO_PI, _disk_rooms, _wrap_angle)
+                             _TWO_PI, _cone_log_eigs, _disk_rooms, _wrap_angle)
 
-from oracles import (busemann_radial_limit, mp_poincare_dist, radial_poincare_length,
-                     rayleigh_sup)
+from oracles import (busemann_radial_limit, mp_cone_log_eigs, mp_poincare_dist,
+                     radial_poincare_length, rayleigh_sup)
+
+
+# ---------------------------------------------------------------------------
+# Euclidean
+
+@pytest.mark.filterwarnings("error")
+def test_euclidean_keeps_the_double_range():
+    # each difference row is scaled by a power of two before it is squared;
+    # unscaled, 1e-170 squared underflows to 0 and 1e200 squared overflows
+    assert euclidean_dist([0.0], [1e-170]) == 1e-170
+    assert euclidean_dist([0.0], [1e200]) == 1e200
+    assert euclidean_dist([0.0, 0.0], [3e-170, 4e-170]) == pytest.approx(5e-170, rel=4e-16)
+    assert euclidean_dist([1e200, 0.0], [-2e200, 4e200]) == pytest.approx(5e200, rel=4e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +220,66 @@ def test_spd_validation():
         thompson_dist(np.eye(2), np.eye(3))
 
 
-def test_cone_distances_equal_scipy_eigh():
+def _pencils(kappa, d, count, rng):
+    """count pencils (p, q) of size d: both random_spd points, or, given a
+    condition number kappa, one of them (either side) of that condition,
+    with random eigenvectors and eigenvalues spaced evenly in log from 1."""
+    out = []
+    for _ in range(count):
+        p, q = random_spd(rng, d), random_spd(rng, d)
+        if kappa is not None:
+            u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            p = (u * np.logspace(0.0, -math.log10(kappa), d)) @ u.T
+            p = 0.5 * (p + p.T)
+            if rng.random() < 0.5:
+                p, q = q, p
+        out.append((p, q))
+    return out
+
+
+# the kernel's largest error against mp_cone_log_eigs, over the 120 pencils
+# of each family (sizes 2-5), in units of eps * max(1, |log eigenvalue|):
+# 23.9 on the suite's random_spd pencils, 0.033 kappa at kappa 1e6 and
+# 0.012 kappa at kappa 1e10 (at seeds 9-11 up to 38.6, 0.033 and 0.015
+# kappa).  The bounds are 2.7x, 3x and 4x the errors measured here; sygvd's
+# were 1930, 10 kappa and 0.91 kappa.
+_CONE_TOL = {"suite": (None, 64.0), "kappa1e6": (1e6, 0.1 * 1e6),
+             "kappa1e10": (1e10, 0.05 * 1e10)}
+
+
+@pytest.mark.parametrize("family", list(_CONE_TOL))
+def test_cone_log_eigs_against_the_mpmath_pencils(family):
+    kappa, tol = _CONE_TOL[family]
     rng = trial_rng(8, 0)
-    for _ in range(500):
-        d = int(rng.integers(2, 6))
-        p = random_spd(rng, d)
-        q = random_spd(rng, d)
-        logs = np.log(scipy.linalg.eigh(q, p, eigvals_only=True))
-        assert thompson_dist(p, q) == np.max(np.abs(logs))
-        assert funk_dist(p, q) == np.max(logs)
+    eps = np.finfo(float).eps
+    worst = worst_sygvd = worst_scaled = 0.0
+    for d in range(2, 6):
+        pencils = _pencils(kappa, d, 30, rng)
+        pts = [m for pencil in pencils for m in pencil]
+        got = np.sort(_cone_log_eigs(pts, np.arange(0, len(pts), 2),
+                                     np.arange(1, len(pts), 2)), axis=1)
+        for logs, (p, q) in zip(got.tolist(), pencils):
+            want = mp_cone_log_eigs(p, q)
+            # LAPACK's sygvd, the kernel this one replaced, as the baseline
+            old = np.log(scipy.linalg.eigh(q, p, eigvals_only=True))
+            for a, b, w in zip(logs, old.tolist(), want):
+                err = float(abs(a - w))
+                worst = max(worst, err)
+                worst_sygvd = max(worst_sygvd, float(abs(b - w)))
+                worst_scaled = max(worst_scaled, err / (eps * max(1.0, abs(float(w)))))
+    assert worst_scaled <= tol
+    assert worst <= worst_sygvd
+
+
+@pytest.mark.filterwarnings("error")
+def test_cone_distances_keep_the_double_range():
+    # 1e308 I (where p + p^T overflows) and the subnormal 1e-320 I against
+    # I: the log eigenvalue is -log c for Funk(c I, I) and log c the other way
+    for c in (1e308, 1e-320):
+        want = -math.log(c)
+        assert thompson_dist(c * np.eye(2), np.eye(2)) == pytest.approx(abs(want), rel=4e-16)
+        assert funk_dist(c * np.eye(2), np.eye(2)) == pytest.approx(want, rel=4e-16)
+        assert funk_dist(np.eye(2), c * np.eye(2)) == pytest.approx(-want, rel=4e-16)
 
 
 def test_sym_log_diagonal():
@@ -333,9 +397,13 @@ def test_batched_distances_keep_the_error_types():
             spaces[name].distances([np.eye(2), np.diag([1.0, np.inf])], [0], [1])
         with pytest.raises(MetricDomainError):
             spaces[name].distances([np.eye(2), np.eye(3)], [0], [1])
-        # the generalized eigenvalue underflows to 0, its log to -inf
-        with pytest.raises(MetricDomainError), np.errstate(divide="ignore"):
-            spaces[name].distances([1e300 * np.eye(2), 1e-300 * np.eye(2)], [0], [1])
+        # far apart but in range: log 1e-600 is taken as 2 log 1e-300
+        far = 600.0 * math.log(10.0)
+        got = spaces[name].distances([1e300 * np.eye(2), 1e-300 * np.eye(2)], [1, 0], [0, 1])
+        assert got == pytest.approx([far, far if name == "thompson" else -far], rel=4e-16)
+        # L_p^-1 L_q = 1e160 * 1e154 overflows, and its SVD is nan
+        with pytest.raises(MetricDomainError), np.errstate(over="ignore"):
+            spaces[name].distances([1e-320 * np.eye(2), 1e308 * np.eye(2)], [0], [1])
     with pytest.raises(MetricDomainError):
         spaces["euclidean"].distances([np.zeros(2), np.zeros(3)], [0], [1])
     # stretch rows (a, k1, k2, phase): a table that overflows, one that
