@@ -19,7 +19,9 @@ from .seeding import trial_rng
 IDENTITY_TOL = 1e-12
 INEQUALITY_TOL = 1e-9
 # samples per batched evaluation in the property suites; bounds the points
-# and distance temporaries held at once
+# and distance temporaries held at once.  Each block is one sample_points
+# draw, so it also fixes the draw order: changing it re-pins the
+# metric-axioms digests
 _BLOCK = 64
 
 
@@ -38,8 +40,7 @@ class WeakMetricSpace:
     ``dist_many(points, i, j)`` is the distance kernel: it returns the array
     of d(points[i[k]], points[j[k]]) for every k, doing per-point work once
     per point.  ``sample_points(rng, m)`` draws m random points from the
-    domain, in the order m one-point draws would take them from the stream,
-    as one sequence (a stacked array where the points allow); it is
+    domain as one sequence (a stacked array where the points allow); it is
     required by the sampled axiom and functional suites.  ``in_domain`` is
     an optional membership predicate used for orbit truncation.
     """

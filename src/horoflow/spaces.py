@@ -58,8 +58,14 @@ def euclidean_dist_many(points, i, j) -> np.ndarray:
     return np.ldexp(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]), e)
 
 
+def _one_pair(name: str, dist_many, x, y) -> float:
+    """dist_many's distance of the one pair (x, y); a non-finite one is
+    refused with MetricDomainError, as WeakMetricSpace.distances refuses it."""
+    return WeakMetricSpace(name=name, dist_many=dist_many).distance(x, y)
+
+
 def euclidean_dist(x, y) -> float:
-    return float(euclidean_dist_many((x, y), [0], [1])[0])
+    return _one_pair("euclidean", euclidean_dist_many, x, y)
 
 
 def euclidean_space(dim: int = 3) -> WeakMetricSpace:
@@ -140,7 +146,7 @@ def poincare_dist_many(points, i, j) -> np.ndarray:
 
 def poincare_dist(z, w) -> float:
     """The disk distance 2 asinh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2)))."""
-    return float(poincare_dist_many((z, w), [0], [1])[0])
+    return _one_pair("poincare", poincare_dist_many, z, w)
 
 
 def busemann_disk(xi, z) -> float:
@@ -195,9 +201,10 @@ def poincare_space() -> WeakMetricSpace:
 # Positive-definite cone: Thompson and Funk
 
 def sym_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2 of a matrix, or of each matrix of a (..., d, d) stack."""
+    """(m + m^T) / 2 of a matrix, or of each matrix of a (..., d, d) stack,
+    as m + (m^T - m) / 2: m + m^T could overflow."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    return m + 0.5 * (m.swapaxes(-1, -2) - m)
 
 
 def _spd_stack(points):
@@ -226,7 +233,7 @@ def _spd_stack(points):
             | (asym > 1e-12 * np.maximum(1.0, np.abs(s).max(axis=(1, 2))))
     if bad.any():
         raise NotSpdError(f"point {np.argmax(bad)} is not symmetric positive definite")
-    s = s + 0.5 * (s.swapaxes(1, 2) - s)     # s + s^T could overflow
+    s = sym_part(s)
     try:
         return s, np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
@@ -268,7 +275,7 @@ def thompson_dist(p, q) -> float:
 
     Equals sup over unit vectors v of |log (qv,v)/(pv,v)|.
     """
-    return float(thompson_dist_many((p, q), [0], [1])[0])
+    return _one_pair("thompson", thompson_dist_many, p, q)
 
 
 def funk_dist(p, q) -> float:
@@ -277,22 +284,18 @@ def funk_dist(p, q) -> float:
     Asymmetric half of the Thompson metric:
     max(funk(p,q), funk(q,p)) = thompson(p,q).
     """
-    return float(funk_dist_many((p, q), [0], [1])[0])
+    return _one_pair("funk", funk_dist_many, p, q)
 
 
 def _random_spd_stack(rng: np.random.Generator, dim: int, m: int) -> np.ndarray:
-    """m random SPD matrices as one (m, dim, dim) stack.
-
-    Each matrix draws its normal (dim, dim) factor and then its scale; the
-    products are formed for the whole stack at once.
+    """m random SPD matrices as one (m, dim, dim) stack: the normal
+    (dim, dim) factors of all m, then their m scales.  Each scale is
+    math.exp per value, not numpy's SIMD exp, so its bits do not depend on
+    the CPU.
     """
-    factors = []
-    scales = []
-    for _ in range(m):
-        factors.append(rng.normal(size=(dim, dim)))
-        scales.append(math.exp(rng.uniform(-1.0, 1.0)))
-    a = np.array(factors)
-    return np.array(scales)[:, None, None] * (a @ a.swapaxes(1, 2) + 0.05 * np.eye(dim))
+    a = rng.normal(size=(m, dim, dim))
+    scales = np.fromiter(map(math.exp, rng.uniform(-1.0, 1.0, size=m)), dtype=float, count=m)
+    return scales[:, None, None] * (a @ a.swapaxes(1, 2) + 0.05 * np.eye(dim))
 
 
 def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -370,7 +373,7 @@ def _stretch_ratios(tables: np.ndarray, i, j) -> np.ndarray:
 
 def stretch_dist(d1: SampledDistanceFunction, d2: SampledDistanceFunction) -> float:
     """log of the max sampled ratio d2(x,y)/d1(x,y) over x != y; may be negative."""
-    return float(stretch_dist_many((d1, d2), [0], [1])[0])
+    return _one_pair("stretch", stretch_dist_many, d1, d2)
 
 
 def pullback(T: Callable, d: SampledDistanceFunction) -> SampledDistanceFunction:
@@ -383,10 +386,6 @@ def pullback(T: Callable, d: SampledDistanceFunction) -> SampledDistanceFunction
             return _prev(_T(x))
     return SampledDistanceFunction(sample=d.sample, table_fn=d.table_fn,
                                    transform=composed)
-
-
-def _default_stretch_sample(rng: np.random.Generator, n_points: int = 6):
-    return tuple(rng.normal(size=2) for _ in range(n_points))
 
 
 def _param_rows(points, width: int, kind: str) -> np.ndarray:
@@ -409,17 +408,13 @@ def stretch_space() -> WeakMetricSpace:
     A point is its parameter row (a, k1, k2, phase); the zero row is the
     ambient norm itself.
     """
-    P = np.asarray(_default_stretch_sample(np.random.Generator(np.random.PCG64(12345))))
+    P = np.random.Generator(np.random.PCG64(12345)).normal(size=(6, 2))
     gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
     off = ~np.eye(len(P), dtype=bool)
 
     def sample(rng, m):
-        rows = np.empty((m, 4))
-        for row in rows:
-            row[0] = rng.uniform(-1.0, 1.0)
-            row[1:3] = rng.normal(size=2)
-            row[3] = rng.uniform(0.0, _TWO_PI)
-        return rows
+        return np.column_stack((rng.uniform(-1.0, 1.0, size=m), rng.normal(size=(m, 2)),
+                                rng.uniform(0.0, _TWO_PI, size=m)))
 
     def dist_many(points, i, j):
         rows = _param_rows(points, 4, "stretch")
@@ -551,7 +546,8 @@ def _jacobian_ratios(derivs: np.ndarray, i, j) -> np.ndarray:
 
 def jacobian_dist(f: CircleMap, g: CircleMap, grid: int = 256) -> float:
     """max over the grid of |log(g'(theta)/f'(theta))|; symmetric."""
-    return float(jacobian_dist_many((f, g), [0], [1], grid)[0])
+    return _one_pair("jacobian", lambda points, i, j: jacobian_dist_many(points, i, j, grid),
+                     f, g)
 
 
 def jacobian_space() -> WeakMetricSpace:

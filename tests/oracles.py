@@ -13,9 +13,8 @@ together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels and the
 cocycle functions that take them in one call, a per-step loop for the
 maximal stretch, one-sample-at-a-time loops for the metric property
-suites over the six metrics as they were before their points were drawn a
-block at a time, and step-at-a-time sums for the QR spectrum and the
-growth rates.
+suites over the six metrics with each point built on its own, and
+step-at-a-time sums for the QR spectrum and the growth rates.
 """
 
 import cmath
@@ -30,7 +29,7 @@ import scipy.linalg
 from horoflow.cocycle import (LEFT, EstimationError, GapTrace, IntegrabilityReport,
                               SubadditiveTrace, _dist_origin, geometric_checkpoints,
                               summarize_trials)
-from horoflow.core import (AxiomReport, DegenerateInputError,
+from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, WeakMetricSpace, symmetrize)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
 from horoflow.lyapunov import SpectrumEstimate
@@ -461,11 +460,13 @@ def _reference_stretch_sample():
 
 
 def reference_spaces(dim=3):
-    """The six registered metrics as they were before their points were
-    drawn a block at a time: one sampler call a point, each point built on
-    its own; stretch points are ``SampledDistanceFunction`` tables built by
-    closures, Jacobian points ``CircleMap`` closures, and every distance
-    a loop over a scalar distance.  Keyed like
+    """The six registered metrics with each point built on its own: the
+    Euclidean, disk and Jacobian samplers make one sampler call a point,
+    the cone and stretch samplers draw a block's parameters as the
+    registered ones do and then build each point from its own; stretch
+    points are ``SampledDistanceFunction`` tables built by closures,
+    Jacobian points ``CircleMap`` closures, and every distance a loop over
+    a scalar distance.  Keyed like
     :func:`horoflow.spaces.registered_spaces`, whose suites, points and
     distances must equal these bit for bit.  ``euclidean_dist`` and
     ``poincare_dist`` are one-pair calls of their spaces' kernels, so for
@@ -479,18 +480,21 @@ def reference_spaces(dim=3):
         theta = 2.0 * math.pi * rng.random()
         return r * cmath.exp(1j * theta)
 
-    def spd(rng):
-        a = rng.normal(size=(dim, dim))
-        scale = math.exp(rng.uniform(-1.0, 1.0))
-        return scale * (a @ a.T + 0.05 * np.eye(dim))
+    def spds(rng, m):
+        factors = rng.normal(size=(m, dim, dim))
+        scales = rng.uniform(-1.0, 1.0, size=m).tolist()
+        return [math.exp(s) * (a @ a.T + 0.05 * np.eye(dim))
+                for a, s in zip(factors, scales)]
 
     base_sample = _reference_stretch_sample()
 
-    def distance_function(rng):
-        a = rng.uniform(-1.0, 1.0)
-        k = rng.normal(size=2)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
+    def distance_functions(rng, m):
+        amplitudes = rng.uniform(-1.0, 1.0, size=m).tolist()
+        ks = rng.normal(size=(m, 2))
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=m).tolist()
+        return [distance_function(*row) for row in zip(amplitudes, ks, phases)]
 
+    def distance_function(a, k, phase):
         def table_fn(pts, _a=a, _k=k, _p=phase):
             P = np.asarray(pts, dtype=float)
             gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
@@ -513,11 +517,11 @@ def reference_spaces(dim=3):
                                     sample_points=_one_at_a_time(disk)),
         "thompson": WeakMetricSpace(name=f"thompson{dim}",
                                     dist_many=pair_loop(thompson_dist),
-                                    sample_points=_one_at_a_time(spd)),
+                                    sample_points=spds),
         "funk": WeakMetricSpace(name=f"funk{dim}", dist_many=pair_loop(funk_dist),
-                                sample_points=_one_at_a_time(spd)),
+                                sample_points=spds),
         "stretch": WeakMetricSpace(name="stretch", dist_many=pair_loop(stretch_dist),
-                                   sample_points=_one_at_a_time(distance_function)),
+                                   sample_points=distance_functions),
         "jacobian": WeakMetricSpace(
             name="jacobian", dist_many=pair_loop(lambda f, g: jacobian_dist(f, g, grid)),
             sample_points=_one_at_a_time(circle_map)),
@@ -532,19 +536,25 @@ def reference_basepoints(dim=3):
             "jacobian": identity_circle_map()}
 
 
-def loop_weak_metric_axioms(space, n_triples, seed=0):
-    """The axiom suite one triple at a time, each point drawn on its own and
-    each distance through ``space.distance``;
-    :func:`horoflow.core.check_weak_metric_axioms` must agree field for
-    field."""
+def _sample_triples(space, n, seed):
+    """The n sampled triples of a property suite, one at a time, from blocks
+    drawn as :func:`horoflow.core.check_weak_metric_axioms` draws them: one
+    ``sample_points`` call of up to ``_BLOCK`` triples a block."""
     rng = trial_rng(seed, 0)
+    for start in range(0, n, _BLOCK):
+        block = space.sample_points(rng, 3 * min(_BLOCK, n - start))
+        for t in range(0, len(block), 3):
+            yield block[t:t + 3]
+
+
+def loop_weak_metric_axioms(space, n_triples, seed=0):
+    """The axiom suite one triple at a time, each distance through
+    ``space.distance``; :func:`horoflow.core.check_weak_metric_axioms` must
+    agree field for field."""
     max_id = 0.0
     max_tri = 0.0
     min_pair = math.inf
-    for _ in range(n_triples):
-        x, = space.sample_points(rng, 1)
-        y, = space.sample_points(rng, 1)
-        z, = space.sample_points(rng, 1)
+    for x, y, z in _sample_triples(space, n_triples, seed):
         max_id = max(max_id, abs(space.distance(x, x)))
         dxy = space.distance(x, y)
         dxz = space.distance(x, z)
@@ -561,12 +571,8 @@ def loop_weak_metric_axioms(space, n_triples, seed=0):
 def loop_functional_bounds(space, x0, n_samples, seed=0):
     """The functional-bound suite one sample at a time;
     :func:`horoflow.core.check_functional_bounds` must agree field for field."""
-    rng = trial_rng(seed, 0)
     low = up = cont = 0.0
-    for _ in range(n_samples):
-        anchor, = space.sample_points(rng, 1)
-        y, = space.sample_points(rng, 1)
-        z, = space.sample_points(rng, 1)
+    for anchor, y, z in _sample_triples(space, n_samples, seed):
         dxa = space.distance(x0, anchor)
         hy = space.distance(y, anchor) - dxa
         hz = space.distance(z, anchor) - dxa

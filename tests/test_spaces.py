@@ -20,7 +20,7 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              random_spd,
                              registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, stretch_dist,
-                             stretch_dist_many, sym_log, thompson_dist,
+                             stretch_dist_many, sym_log, sym_part, thompson_dist,
                              _TWO_PI, _cone_log_eigs, _disk_rooms, _wrap_angle)
 
 from oracles import (busemann_radial_limit, mp_cone_log_eigs, mp_poincare_dist,
@@ -218,6 +218,21 @@ def test_spd_validation():
         sym_log(np.diag([1.0, -1.0]))
     with pytest.raises(MetricDomainError):
         thompson_dist(np.eye(2), np.eye(3))
+    # a one-pair distance refuses a non-finite result as distances does:
+    # L_p^-1 L_q = 1e160 * 1e154 overflows, and so does 1e308 - (-1e308)
+    with np.errstate(over="ignore"):
+        for dist in (thompson_dist, funk_dist):
+            with pytest.raises(MetricDomainError):
+                dist(1e-320 * np.eye(2), 1e308 * np.eye(2))
+        with pytest.raises(MetricDomainError):
+            euclidean_dist([1e308], [-1e308])
+
+
+@pytest.mark.filterwarnings("error")
+def test_sym_part_keeps_a_symmetric_input_near_the_double_range():
+    # (m + m^T) / 2 would overflow to inf on the diagonal
+    m = 1e308 * np.eye(2)
+    assert sym_part(m).tobytes() == m.tobytes()
 
 
 def _pencils(kappa, d, count, rng):
