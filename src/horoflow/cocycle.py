@@ -515,20 +515,29 @@ def _halves(a):
 
 
 def _dd_matmul(ah, al, bh, bl):
-    """(hi, lo) of (ah + al) @ (bh + bl) for real stacks with entries of
-    modulus at most 1."""
-    A, B = ah[..., :, :, None], bh[..., None, :, :]
-    a1, a2 = (h[..., :, :, None] for h in _halves(ah))
-    b1, b2 = (h[..., None, :, :] for h in _halves(bh))
+    """(hi, lo) of (ah + al) @ (bh + bl) for real stacks of one shape with
+    entries of modulus at most 1.
+
+    The stack axis is moved innermost, so every elementwise operation runs
+    over the whole stack rather than over rows of length d; each product is
+    still formed on its own, so the bits do not depend on the layout.  The
+    results are views in that layout, which the next call takes without a
+    copy when it chains them whole."""
+    shape, d = ah.shape, ah.shape[-1]
+    ah, al, bh, bl = (np.ascontiguousarray(x.reshape(-1, d, d).transpose(1, 2, 0))
+                      for x in (ah, al, bh, bl))
+    A, B = ah[:, :, None], bh[None]                 # (i, k, j, stack)
+    a1, a2 = (h[:, :, None] for h in _halves(ah))
+    b1, b2 = (h[None] for h in _halves(bh))
     p = A * B
     e = a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)    # p + e == A * B
-    e += al[..., :, :, None] * B + A * bl[..., None, :, :]
-    hi, lo = p[..., 0, :], e.sum(axis=-2)
-    for k in range(1, p.shape[-2]):
-        hi, q = _two_sum(hi, p[..., k, :])
+    e += al[:, :, None] * B + A * bl[None]
+    hi, lo = p[:, 0], e.sum(axis=1)
+    for k in range(1, d):
+        hi, q = _two_sum(hi, p[:, k])
         lo = lo + q
     s = hi + lo
-    return s, lo - (s - hi)
+    return tuple(x.transpose(2, 0, 1).reshape(shape) for x in (s, lo - (s - hi)))
 
 
 def _rescaled(hi, lo, exps):
@@ -594,7 +603,8 @@ def scaled_matrices(node):
     """(p, log_scale) of a scaled product: the (trials, d, d) stack p, each
     with largest entry modulus in [1/2, 1), and the (trials,) logs, so that
     p * exp(log_scale) is the product."""
-    return node[0], node[2] * math.log(2.0)
+    # C order again: _dd_matmul leaves its results as transposed views
+    return np.ascontiguousarray(node[0]), node[2] * math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -289,12 +289,12 @@ def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int,
     rows = []
     maps, [idx] = driver.draw([trial], n)
     for k, i in enumerate(idx.tolist(), start=1):
-        g = maps[i]
-        d = g.deriv(pos)
-        if np.any(d <= 0.0):
-            raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")
+        f, d = maps[i].f_and_deriv(pos)
+        if not (d.min() > 0.0 and d.max() < math.inf):     # nan fails the first
+            raise NotDiffeomorphismError(
+                f"nonpositive or non-finite composed derivative at step {k}")
         cumlog += np.log(d)
-        pos = _wrap_angle(g.f(pos))
+        pos = _wrap_angle(f)
         a_k = float(np.max(np.abs(cumlog)))
         rows.append((k, a_k, a_k / k))
     return rows

@@ -451,16 +451,27 @@ class CircleMap:
 
     ``f`` and ``derivative`` must accept numpy arrays of angles.  If no
     derivative is supplied a central difference with step 1e-6 is used.
+    ``f_and_derivative``, if supplied, returns ``(f(theta), derivative(theta))``
+    from one call that shares their common work, bit for bit the same.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f_and_derivative: Optional[Callable[[np.ndarray], tuple]] = None
 
     def deriv(self, theta: np.ndarray) -> np.ndarray:
         if self.derivative is not None:
             return np.asarray(self.derivative(theta), dtype=float)
         h = 1e-6
         return (np.asarray(self.f(theta + h)) - np.asarray(self.f(theta - h))) / (2.0 * h)
+
+    def f_and_deriv(self, theta: np.ndarray) -> tuple:
+        """(f(theta), deriv(theta)) in one call; by default deriv, then f."""
+        if self.f_and_derivative is not None:
+            f, d = self.f_and_derivative(theta)
+            return f, np.asarray(d, dtype=float)
+        d = self.deriv(theta)
+        return self.f(theta), d
 
 
 def _wrap_angle(t: np.ndarray) -> np.ndarray:
@@ -509,16 +520,22 @@ def mobius_circle_map(a: float) -> CircleMap:
     if abs(a) >= 1.0:
         raise NotDiffeomorphismError("|a| must be < 1")
 
-    def f(t, _a=a):
-        t = np.asarray(t, dtype=float)
-        z = np.exp(1j * t)
-        return _wrap_angle(np.angle((z + _a) / (1.0 + _a * z)))
+    def z_and_w(t):     # z = e^{i theta} and w = 1 + a z, shared by f and df
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        return z, 1.0 + a * z
 
-    def df(t, _a=a):
-        t = np.asarray(t, dtype=float)
-        return (1.0 - _a * _a) / np.abs(1.0 + _a * np.exp(1j * t)) ** 2
+    def f_of(z, w):
+        return _wrap_angle(np.angle((z + a) / w))
 
-    return CircleMap(f=f, derivative=df)
+    def df_of(w):
+        return (1.0 - a * a) / np.abs(w) ** 2
+
+    def f_and_df(t):
+        z, w = z_and_w(t)
+        return f_of(z, w), df_of(w)
+
+    return CircleMap(f=lambda t: f_of(*z_and_w(t)), derivative=lambda t: df_of(z_and_w(t)[1]),
+                     f_and_derivative=f_and_df)
 
 
 def jacobian_dist_many(points, i, j, grid: int = 256) -> np.ndarray:

@@ -6,7 +6,8 @@ of anchored functionals, direct optimization of Rayleigh quotients, SVD
 for operator norms, exact rational arithmetic for matrix products,
 50-digit products for the pairwise-reduced operator fold and disk walk
 (whose old one-step-at-a-time loops stay as the error baseline), the
-50-digit Mobius form of the disk distance, 40-digit generalized
+batch-first double-double product that the stack-innermost one replaced,
+the 50-digit Mobius form of the disk distance, 40-digit generalized
 eigenvalues of the cone's pencils,
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
@@ -27,8 +28,8 @@ import scipy.integrate
 import scipy.linalg
 
 from horoflow.cocycle import (LEFT, EstimationError, GapTrace, IntegrabilityReport,
-                              SubadditiveTrace, _dist_origin, geometric_checkpoints,
-                              summarize_trials)
+                              SubadditiveTrace, _dist_origin, _halves, _two_sum,
+                              geometric_checkpoints, summarize_trials)
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, WeakMetricSpace, symmetrize)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
@@ -227,6 +228,28 @@ def loop_walk_gaps(mats, ks):
         S = S / s
         ls += math.log(s)
     return [abs(-(suffix[k] - a[n]) / k - a[k] / k) for k in ks]
+
+
+def batch_first_dd_matmul(ah, al, bh, bl):
+    """(hi, lo) of (ah + al) @ (bh + bl) with the stack axes leading and
+    every elementwise operation broadcast over (..., d, d, d).
+
+    This is the double-double product :func:`horoflow.cocycle._dd_matmul`
+    ran before it moved the stack axis innermost; the two must agree bit
+    for bit.
+    """
+    A, B = ah[..., :, :, None], bh[..., None, :, :]
+    a1, a2 = (h[..., :, :, None] for h in _halves(ah))
+    b1, b2 = (h[..., None, :, :] for h in _halves(bh))
+    p = A * B
+    e = a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)    # p + e == A * B
+    e += al[..., :, :, None] * B + A * bl[..., None, :, :]
+    hi, lo = p[..., 0, :], e.sum(axis=-2)
+    for k in range(1, p.shape[-2]):
+        hi, q = _two_sum(hi, p[..., k, :])
+        lo = lo + q
+    s = hi + lo
+    return s, lo - (s - hi)
 
 
 # digits of the product oracles: a product of a few thousand factors keeps

@@ -13,15 +13,16 @@ from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTAT
                               functional_gap, generate_orbit,
                               geometric_checkpoints, hyperbolic_walk_gap,
                               mobius_matrix, orbit_at, screen_invertible,
-                              subadditive_trace, summarize_trials, _tail_slope)
+                              subadditive_trace, summarize_trials, _dd_matmul,
+                              _tail_slope)
 from horoflow.core import DegenerateInputError, MetricDomainError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (euclidean_dist, euclidean_space, mobius_disk, poincare_dist,
                              poincare_space)
 
-from oracles import (loop_functional_gap, loop_integrability, loop_orbit_at,
-                     loop_subadditive_trace, loop_top_exponent, loop_walk_gaps,
-                     mp_walk_gaps)
+from oracles import (batch_first_dd_matmul, loop_functional_gap, loop_integrability,
+                     loop_orbit_at, loop_subadditive_trace, loop_top_exponent,
+                     loop_walk_gaps, mp_walk_gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +427,35 @@ def test_each_trial_of_a_batch_equals_its_one_trial_walk(name, checkpoints):
     assert all(tr.ks == ks for tr in batch)
     assert [tr.gaps for tr in batch[:4]] == [tr.gaps for tr in few]
     assert batch[0].gaps == one.gaps
+
+
+def _dd_stack(rng, shape, kinds):
+    """(hi, lo) pairs with |hi| <= 1 and lo below hi's last bit; of every
+    ``kinds`` entries, about one is 0, one -0 and one scaled near 1e-300."""
+    hi = rng.uniform(-1.0, 1.0, shape)
+    lo = hi * rng.uniform(-1.0, 1.0, shape) * 2.0 ** -53
+    kind = rng.integers(0, kinds, shape)
+    for x in (hi, lo):
+        x[kind == 0] = 0.0
+        x[kind == 1] = -0.0
+        x[kind == 2] *= 1e-300
+    return hi, lo
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_dd_matmul_equals_the_batch_first_product(d):
+    # the stack-innermost kernel forms every product and sum as the
+    # batch-first one did, so the bits, signed zeros and underflows
+    # included, are the same
+    rng = np.random.default_rng(40 + d)
+    for trials, steps in [(1, 1), (3, 1), (1, 2), (2, 7), (5, 33), (1, 2048)]:
+        for kinds in (3, 10):       # every entry 0, -0 or tiny; or three in ten
+            shape = (trials, steps, d, d)
+            args = _dd_stack(rng, shape, kinds) + _dd_stack(rng, shape, kinds)
+            for got, want in zip(_dd_matmul(*args), batch_first_dd_matmul(*args)):
+                assert got.shape == shape
+                assert got.tobytes() == want.tobytes(), (trials, steps, kinds)
 
 
 # ---------------------------------------------------------------------------

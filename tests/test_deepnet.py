@@ -317,6 +317,37 @@ def test_mobius_orbit_reaches_subnormal_angles():
     assert np.any((pos > 0.0) & (pos < np.finfo(float).tiny))
 
 
+@pytest.mark.filterwarnings("error")
+def test_fused_step_equals_the_map_and_its_derivative():
+    # the Mobius map's one call shares e^{i theta} and 1 + a e^{i theta};
+    # the others take the default, deriv and then f.  Checked along the
+    # contracting Mobius orbit, whose angles turn subnormal
+    pos = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    maps = [mobius_circle_map(0.5), mobius_circle_map(-0.3), sine_circle_map(0.5),
+            rotation_circle_map(1.0),
+            CircleMap(f=lambda t: np.asarray(t, dtype=float) + 0.1 * np.sin(t))]
+    subnormal = False
+    for _ in range(1000):
+        for g in maps:
+            f, d = g.f_and_deriv(pos)
+            assert f.tobytes() == np.asarray(g.f(pos)).tobytes()
+            assert d.tobytes() == g.deriv(pos).tobytes()
+        pos = maps[0].f(pos)
+        subnormal |= bool(np.any((pos > 0.0) & (pos < np.finfo(float).tiny)))
+    assert subnormal
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_jacobian_cocycle_refuses_a_non_finite_derivative(bad):
+    # a map whose derivative is nan or inf past theta = 3 once gave rows of
+    # nan or inf; the first step already meets such angles
+    g = CircleMap(f=lambda t: np.asarray(t, dtype=float) + 0.5,
+                  derivative=lambda t: np.where(np.asarray(t) > 3.0, bad, 1.0))
+    with pytest.raises(NotDiffeomorphismError, match="at step 1$"):
+        jacobian_cocycle_dist(constant_driver(g), 10, 64)
+
+
 def test_jacobian_cocycle_validation():
     drv = constant_driver(rotation_circle_map(1.0))
     with pytest.raises(DegenerateInputError):
