@@ -1,14 +1,16 @@
 """Ergodic cocycles of nonexpansive maps.
 
-Drivers emit seeded sequences of maps (or matrices); the engine evaluates
-orbits u(n)x0 in a declared composition order, the subadditive distance
-cocycle a(n) = d(x0, u(n)x0), the top exponent lim a(n)/n, and a
-convergence diagnostic comparing -h(u(n)x0)/n against a(n)/n for the
-metric functional anchored at the final orbit point.
+Drivers emit seeded sequences of maps (or matrices); the engine folds
+orbits u(n)x0 in a declared composition order and estimates the top
+exponent lim a(n)/n of the subadditive distance cocycle
+a(n) = d(x0, u(n)x0).  Long disk Mobius walks are carried as scaled
+matrix products, from which a convergence diagnostic compares
+-h(u(n)x0)/n against a(n)/n for the metric functional anchored at the
+final orbit point.
 """
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 import bisect
 import math
@@ -166,49 +168,9 @@ def check_steps(values: np.ndarray, first: int = 1) -> None:
 # ---------------------------------------------------------------------------
 # Orbits
 
-@dataclass(frozen=True)
-class OrbitResult:
-    points: list          # u(1)x0 ... u(m)x0, m = completed
-    completed: int
-    truncated: bool
-
-
 def _point(x0, p):
     """p as a point of x0's kind: a Python scalar when x0 is a scalar."""
     return p.item() if np.ndim(x0) == 0 else p
-
-
-def generate_orbit(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
-                   x0, n: int, trial: int = 0) -> OrbitResult:
-    """Orbit (u(1)x0, ..., u(n)x0) in the driver's declared order.
-
-    Right-increment orbits fold every prefix (O(n^2) point updates, in n
-    stacked steps); use :func:`orbit_at` with checkpoints for long runs.
-    Leaving the space's domain truncates the orbit with a marker.
-    """
-    if n < 1:
-        raise DegenerateInputError("n must be >= 1")
-    pts, cut = orbit_at(driver, space, x0, range(1, n + 1), trial)
-    completed = n if cut is None else cut - 1
-    return OrbitResult(points=[pts[k] for k in range(1, completed + 1)],
-                       completed=completed, truncated=cut is not None)
-
-
-def orbit_at(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
-             x0, ks: Sequence[int], trial: int = 0):
-    """Orbit points u(k)x0 at the requested indices only.
-
-    Returns (dict k -> point, truncated_at or None).  A right-increment
-    orbit is truncated at the first checkpoint whose point lies outside
-    the space's domain, a left-increment orbit at the first step that
-    leaves it; the dict holds the checkpoints before that.
-    """
-    ks = sorted(set(int(k) for k in ks))
-    if not ks or ks[0] < 1:
-        raise DegenerateInputError("checkpoints must be >= 1")
-    pts, [cut] = _fold_orbits(driver, space, x0, ks, [trial])
-    return {k: _point(x0, pts[j, 0]) for j, k in enumerate(ks)
-            if cut is None or k < cut}, cut
 
 
 def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
@@ -217,7 +179,10 @@ def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
 
     Returns (pts, cut): pts[j, t] is trial t's point u(ks[j])x0, in one
     (len(ks), len(trials), *shape of x0) array, and cut[t] is where trial
-    t's orbit was truncated (see :func:`orbit_at`), or None.
+    t's orbit was truncated, or None.  A right-increment orbit is truncated
+    at the first checkpoint whose point lies outside the space's domain, a
+    left-increment orbit at the first step that leaves it; the points from
+    the cut on are not orbit points.
 
     Each step applies each drawn map once, to the stack of points that
     drew it (a parametric draw is one trial's alone).  A right-increment
@@ -295,13 +260,6 @@ def geometric_checkpoints(n: int, count: int = 16, start: int = 1) -> list:
 # Subadditive cocycle and the top exponent
 
 @dataclass(frozen=True)
-class SubadditiveTrace:
-    a: np.ndarray          # a[0] = 0, a[k] = d(x0, u(k)x0)
-    basepoint: Any
-    truncated: bool
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
     lambda_hat: float
     n: int
@@ -316,14 +274,6 @@ def _distances_from(space: WeakMetricSpace, x0, points) -> np.ndarray:
     """d(x0, p) for each of the points, in one batched evaluation."""
     m = len(points)
     return space.distances(_with_point(points, x0), np.full(m, m), np.arange(m))
-
-
-def subadditive_trace(driver: ErgodicDriver, space: WeakMetricSpace,
-                      x0, n: int, trial: int = 0) -> SubadditiveTrace:
-    orbit = generate_orbit(driver, space, x0, n, trial)
-    a = np.zeros(orbit.completed + 1)
-    a[1:] = _distances_from(space, x0, orbit.points)
-    return SubadditiveTrace(a=a, basepoint=x0, truncated=orbit.truncated)
 
 
 def _tail_slope(ks, ratios) -> float:
@@ -393,85 +343,6 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
     for r in ratios.T:
         tail_sum += r
     return summarize_trials(per_trial, tail_ks, tail_sum / len(kept), n, trials, truncated)
-
-
-# ---------------------------------------------------------------------------
-# Integrability
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    mean_step: float
-    heavy_tail_flag: bool
-    samples_used: int
-
-
-def check_integrability(driver: ErgodicDriver, space: WeakMetricSpace,
-                        x0, samples: int = 1000) -> IntegrabilityReport:
-    """Mean of |d(x0, g x0)| over the driver's one-step distribution.
-
-    Finite-support and rotation drivers are integrated exactly over their
-    weights.  Parametric drivers are sampled, with a heaviness flag raised
-    when running means over doubling windows fail to stabilize.  A
-    non-finite step distance raises :class:`horoflow.core.MetricDomainError`.
-    """
-    def steps(maps) -> np.ndarray:
-        return np.abs(_distances_from(space, x0, [apply_element(g, x0) for g in maps]))
-
-    if driver.kind != "iid_parametric":
-        mean = sum(w * v for w, v in zip(driver.weights, steps(driver.maps).tolist()))
-        return IntegrabilityReport(mean_step=mean, heavy_tail_flag=False,
-                                   samples_used=len(driver.maps))
-    if samples < 100:
-        raise DegenerateInputError("samples must be >= 100")
-    rng = driver.rng(0)
-    vals = steps([driver.sampler(rng) for _ in range(samples)])
-    cum = np.cumsum(vals)
-    windows = [w for w in (100, 1000, 10000, 100000) if w <= samples]
-    if windows[-1] != samples:
-        windows.append(samples)
-    means = [cum[w - 1] / w for w in windows]
-    heavy = False
-    for m1, m2 in zip(means, means[1:]):
-        if abs(m2 - m1) > 0.2 * max(abs(m1), 1e-12):
-            heavy = True
-    return IntegrabilityReport(mean_step=float(means[-1]),
-                               heavy_tail_flag=heavy, samples_used=samples)
-
-
-# ---------------------------------------------------------------------------
-# Metric-functional convergence diagnostic
-
-@dataclass(frozen=True)
-class GapTrace:
-    ks: list
-    gaps: list
-    truncated: bool
-
-
-def functional_gap(driver: ErgodicDriver, space: WeakMetricSpace, x0,
-                   n: int, probe_budget: int = 16, trial: int = 0) -> GapTrace:
-    """gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| at geometric checkpoints.
-
-    h is the anchor-backed functional at the final orbit point u(n)x0, so
-    an orbit truncated before it is an estimation error.  The gap is
-    reported, not asserted to vanish.
-    """
-    if n < 100:
-        raise DegenerateInputError("n must be >= 100")
-    ks = geometric_checkpoints(n, count=probe_budget)
-    pts, cut = orbit_at(driver, space, x0, ks, trial=trial)
-    if cut is not None:
-        raise EstimationError("orbit truncated before the anchor point")
-    # d(p, anchor) for each orbit point p, then d(x0, p): point m - 1 is the
-    # anchor u(n)x0 and point m is x0
-    m = len(ks)
-    idx = np.arange(m)
-    d = space.distances(_with_point([pts[k] for k in ks], x0),
-                        np.concatenate([idx, np.full(m, m)]),
-                        np.concatenate([np.full(m, m - 1), idx]))
-    h = d[:m] - d[-1]
-    gaps = np.abs(-h / ks - d[m:] / ks)
-    return GapTrace(ks=ks, gaps=gaps.tolist(), truncated=False)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +487,12 @@ def scaled_matrices(node):
 # for a unit-determinant disk isometry g = [[alpha, beta], [conj beta,
 # conj alpha]], d(0, g.0) = 2 arccosh |alpha|.
 
+@dataclass(frozen=True)
+class GapTrace:
+    ks: list
+    gaps: list
+
+
 def mobius_matrix(a: complex) -> np.ndarray:
     """Unit-determinant matrix of the disk automorphism z -> (z+a)/(1+conj(a)z)."""
     a = complex(a)
@@ -648,7 +525,8 @@ def checkpoint_list(checkpoints, n: int) -> list:
 
 def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
                         probe_budget: int = 16, checkpoints=None) -> list:
-    """Boundary-safe version of :func:`functional_gap` for disk Mobius drivers.
+    """gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| of a disk Mobius walk
+    from x0 = 0, for the metric functional h anchored at u(n)x0.
 
     Driver elements must be unit-determinant 2x2 complex matrices (see
     :func:`mobius_matrix`).  Distances between orbit points are computed
@@ -686,5 +564,5 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
         suffix_prod = seg if suffix_prod is None else chain_product(seg, suffix_prod)
         suffix[b] = dist(suffix_prod)
     return [GapTrace(ks=ks, gaps=[abs(-(suffix[k][t] - a[n][t]) / k - a[k][t] / k)
-                                  for k in ks], truncated=False)
+                                  for k in ks])
             for t in range(trials)]

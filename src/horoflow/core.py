@@ -2,9 +2,10 @@
 
 A weak metric is a distance function with d(x, x) = 0 and the triangle
 inequality, but possibly asymmetric and possibly negative.  This module
-defines the space contract, symmetrization, metric functionals
-h(y) = d(y, anchor) - d(x0, anchor), and sampled nonexpansiveness
-certification.  Concrete spaces live in :mod:`horoflow.spaces`.
+defines the space contract and the sampled property suites: the metric
+axioms, and the bounds of the metric functionals
+h(y) = d(y, anchor) - d(x0, anchor).  Concrete spaces live in
+:mod:`horoflow.spaces`.
 """
 
 from dataclasses import dataclass
@@ -65,75 +66,6 @@ class WeakMetricSpace:
     def _non_finite(self, v, x, y) -> MetricDomainError:
         return MetricDomainError(
             f"{self.name}: non-finite distance {v!r} for pair ({x!r}, {y!r})")
-
-
-@dataclass(frozen=True)
-class MetricFunctionalTable:
-    """A metric functional sampled on a finite probe set, normalized at x0."""
-
-    basepoint: Any
-    anchor: Any
-    probes: tuple
-    values: tuple
-
-
-@dataclass(frozen=True)
-class NonexpansiveReport:
-    max_ratio: float
-    worst_pair: tuple
-    samples_used: int
-
-    def passes(self, tol: float = INEQUALITY_TOL) -> bool:
-        return self.max_ratio <= 1.0 + tol
-
-
-def symmetrize(space: WeakMetricSpace, x, y) -> float:
-    """max{d(x,y), d(y,x)}; nonnegative for any weak metric."""
-    return max(space.distance(x, y), space.distance(y, x))
-
-
-def eval_metric_functional(space: WeakMetricSpace, x0, anchor, probe) -> float:
-    """h_anchor(probe) = d(probe, anchor) - d(x0, anchor)."""
-    return space.distance(probe, anchor) - space.distance(x0, anchor)
-
-
-def functional_table(space: WeakMetricSpace, x0, anchor, probes: Sequence) -> MetricFunctionalTable:
-    if len(probes) == 0:
-        raise DegenerateInputError("probes must be nonempty")
-    values = tuple(eval_metric_functional(space, x0, anchor, p) for p in probes)
-    return MetricFunctionalTable(basepoint=x0, anchor=anchor,
-                                 probes=tuple(probes), values=values)
-
-
-def certify_nonexpansive(space: WeakMetricSpace, map_fn: Callable,
-                         pair_sampler: Callable[[np.random.Generator], tuple],
-                         n_samples: int, seed: int = 0) -> NonexpansiveReport:
-    """Sampled nonexpansiveness check under the symmetrized metric.
-
-    The ratio D(f x, f y) / D(x, y) uses the symmetrization D so it stays
-    well defined when d itself may be nonpositive.  Coincident pairs
-    (D(x, y) = 0) are skipped; if every pair is skipped the sampler is
-    rejected.
-    """
-    if n_samples < 1:
-        raise DegenerateInputError("n_samples must be >= 1")
-    rng = trial_rng(seed, 0)
-    max_ratio = -math.inf
-    worst = None
-    used = 0
-    for _ in range(n_samples):
-        x, y = pair_sampler(rng)
-        dxy = symmetrize(space, x, y)
-        if dxy <= 0.0:
-            continue
-        ratio = symmetrize(space, map_fn(x), map_fn(y)) / dxy
-        used += 1
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = (x, y)
-    if used == 0:
-        raise DegenerateInputError("all sampled pairs were coincident")
-    return NonexpansiveReport(max_ratio=max_ratio, worst_pair=worst, samples_used=used)
 
 
 @dataclass(frozen=True)
@@ -236,7 +168,7 @@ def check_functional_bounds(space: WeakMetricSpace, x0, n_samples: int,
             np.concatenate([a, a, a, y, x, z, y])).reshape(7, -1)
         hy = dya - dxa
         hz = dza - dxa
-        # symmetrize's max(d(y,z), d(z,y)): the first wins a tie
+        # the symmetrization max(d(y,z), d(z,y)), as Python's max: the first wins a tie
         sym = np.where(dzy > dyz, dzy, dyz)
         low = _fold_max(low, -dxy - hy)
         up = _fold_max(up, hy - dyx)

@@ -70,15 +70,6 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
 
 
-def vector_growth_rate(driver: ErgodicDriver, v, n: int, trial: int = 0) -> float:
-    """(1/n) log ||A(n) v|| with per-step renormalization (no overflow).
-    Unscreened: v outside a singular matrix's kernel has a valid rate."""
-    if n < 1:
-        raise DegenerateInputError("n must be >= 1")
-    maps, idx = driver.draw([trial], n)
-    return float(_growth_rates(maps, idx, [v], [n])[0, 0])
-
-
 def _growth_rates(mats, idx, V, ks) -> np.ndarray:
     """(1/k) log ||A(k) v|| for each row at each ascending checkpoint k, all
     read off one renormalized run of ks[-1] steps per row.

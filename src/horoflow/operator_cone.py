@@ -60,14 +60,6 @@ def _spec_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def accumulate_product(driver: ErgodicDriver, n: int, trial: int = 0) -> ScaledProduct:
-    """Left-increment product v(n) and its inverse as scaled tracks, each
-    formed by pairwise reduction (see :func:`_fold`)."""
-    if n < 1:
-        raise DegenerateInputError("n must be >= 1")
-    return _fold(driver, n, [trial], [n])[n][0]
-
-
 def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
     """Fold the first n matrices of each listed trial at once;
     {k: [ScaledProduct of each trial]}.

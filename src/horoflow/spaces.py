@@ -27,7 +27,7 @@ class NotSpdError(ValueError):
 
 
 class NotDiffeomorphismError(ValueError):
-    """Circle map has a nonpositive derivative on the evaluation grid."""
+    """Circle map has a nonpositive or non-finite derivative on the evaluation grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +240,6 @@ def _spd_stack(points):
         raise NotSpdError("a point is not positive definite") from None
 
 
-def sym_log(m: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix via symmetric eigendecomposition."""
-    w, v = np.linalg.eigh(_spd_stack([m])[0][0])
-    return (v * np.log(w)) @ v.T
-
-
 def _cone_log_eigs(points, i, j) -> np.ndarray:
     """log of the generalized eigenvalues of (points[j[k]], points[i[k]]),
     one row per k, in descending order.
@@ -320,32 +314,19 @@ class SampledDistanceFunction:
     """A distance function evaluated on a fixed finite sample.
 
     ``table_fn`` evaluates the whole pairwise table from a point list in one
-    vectorized call; ``transform`` is an optional map applied to the sample
-    points before evaluation, so that pullbacks compose maps instead of
-    materializing tables.
+    vectorized call.
     """
 
     sample: tuple
     table_fn: Callable
-    transform: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # sample and table_fn are fixed, so the table is computed at most once
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def _mapped(self, i: int):
-        x = self.sample[i]
-        if self.transform is not None:
-            x = self.transform(x)
-            if not np.all(np.isfinite(np.asarray(x, dtype=float))):
-                raise MetricDomainError(
-                    f"transform mapped sample point {i} outside the domain")
-        return x
 
     def matrix(self) -> np.ndarray:
         if "matrix" in self._cache:
             return self._cache["matrix"]
         n = len(self.sample)
-        out = np.asarray(self.table_fn([self._mapped(i) for i in range(n)]),
-                         dtype=float)
+        out = np.asarray(self.table_fn(list(self.sample)), dtype=float)
         if out.shape != (n, n) or not np.isfinite(out).all():
             raise MetricDomainError("table_fn produced an invalid table")
         np.fill_diagonal(out, 0.0)
@@ -374,18 +355,6 @@ def _stretch_ratios(tables: np.ndarray, i, j) -> np.ndarray:
 def stretch_dist(d1: SampledDistanceFunction, d2: SampledDistanceFunction) -> float:
     """log of the max sampled ratio d2(x,y)/d1(x,y) over x != y; may be negative."""
     return _one_pair("stretch", stretch_dist_many, d1, d2)
-
-
-def pullback(T: Callable, d: SampledDistanceFunction) -> SampledDistanceFunction:
-    """(T*d)(x, y) := d(Tx, Ty), composed lazily."""
-    prev = d.transform
-    if prev is None:
-        composed = T
-    else:
-        def composed(x, _prev=prev, _T=T):
-            return _prev(_T(x))
-    return SampledDistanceFunction(sample=d.sample, table_fn=d.table_fn,
-                                   transform=composed)
 
 
 def _param_rows(points, width: int, kind: str) -> np.ndarray:
@@ -432,16 +401,6 @@ def stretch_space() -> WeakMetricSpace:
     return WeakMetricSpace(name="stretch", dist_many=dist_many, sample_points=sample)
 
 
-def ambient_norm_sdf(base_sample) -> SampledDistanceFunction:
-    base_sample = tuple(np.asarray(p, dtype=float) for p in base_sample)
-
-    def table_fn(pts):
-        P = np.asarray(pts, dtype=float)
-        return np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-
-    return SampledDistanceFunction(sample=base_sample, table_fn=table_fn)
-
-
 # ---------------------------------------------------------------------------
 # Circle diffeomorphisms and the sup-log-Jacobian metric
 
@@ -449,21 +408,17 @@ def ambient_norm_sdf(base_sample) -> SampledDistanceFunction:
 class CircleMap:
     """Orientation-preserving circle map with an explicit derivative.
 
-    ``f`` and ``derivative`` must accept numpy arrays of angles.  If no
-    derivative is supplied a central difference with step 1e-6 is used.
+    ``f`` and ``derivative`` must accept numpy arrays of angles.
     ``f_and_derivative``, if supplied, returns ``(f(theta), derivative(theta))``
     from one call that shares their common work, bit for bit the same.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    derivative: Callable[[np.ndarray], np.ndarray]
     f_and_derivative: Optional[Callable[[np.ndarray], tuple]] = None
 
     def deriv(self, theta: np.ndarray) -> np.ndarray:
-        if self.derivative is not None:
-            return np.asarray(self.derivative(theta), dtype=float)
-        h = 1e-6
-        return (np.asarray(self.f(theta + h)) - np.asarray(self.f(theta - h))) / (2.0 * h)
+        return np.asarray(self.derivative(theta), dtype=float)
 
     def f_and_deriv(self, theta: np.ndarray) -> tuple:
         """(f(theta), deriv(theta)) in one call; by default deriv, then f."""
@@ -482,11 +437,6 @@ def _wrap_angle(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     wrap = np.signbit(t) | ~(t < _TWO_PI)
     return np.remainder(t, _TWO_PI, out=t.copy(), where=wrap)
-
-
-def identity_circle_map() -> CircleMap:
-    return CircleMap(f=lambda t: np.asarray(t, dtype=float),
-                     derivative=lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def rotation_circle_map(angle: float) -> CircleMap:
@@ -553,8 +503,8 @@ def jacobian_dist_many(points, i, j, grid: int = 256) -> np.ndarray:
 def _jacobian_ratios(derivs: np.ndarray, i, j) -> np.ndarray:
     """max |log(derivs[j[k]] / derivs[i[k]])| for every k; a row per map
     holds its derivative on the grid."""
-    if np.any(derivs <= 0.0):
-        raise NotDiffeomorphismError("nonpositive derivative on the grid")
+    if not np.all((derivs > 0.0) & (derivs < math.inf)):    # nan fails both
+        raise NotDiffeomorphismError("nonpositive or non-finite derivative on the grid")
     # one (pairs, grid) array, worked in place
     ratio = derivs[j]
     ratio /= derivs[i]

@@ -11,11 +11,10 @@ the 50-digit Mobius form of the disk distance, 40-digit generalized
 eigenvalues of the cone's pencils,
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
-loops over scalar distances for the batched distance kernels and the
-cocycle functions that take them in one call, a per-step loop for the
-maximal stretch, one-sample-at-a-time loops for the metric property
-suites over the six metrics with each point built on its own, and
-step-at-a-time sums for the QR spectrum and the growth rates.
+loops over scalar distances for the batched distance kernels, a per-step
+loop for the maximal stretch, one-sample-at-a-time loops for the metric
+property suites over the six metrics with each point built on its own,
+and step-at-a-time sums for the QR spectrum and the growth rates.
 """
 
 import cmath
@@ -27,17 +26,15 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from horoflow.cocycle import (LEFT, EstimationError, GapTrace, IntegrabilityReport,
-                              SubadditiveTrace, _dist_origin, _halves, _two_sum,
+from horoflow.cocycle import (LEFT, EstimationError, _dist_origin, _halves, _two_sum,
                               geometric_checkpoints, summarize_trials)
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
-                           FunctionalBoundReport, WeakMetricSpace, symmetrize)
+                           FunctionalBoundReport, WeakMetricSpace)
 from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
 from horoflow.lyapunov import SpectrumEstimate
 from horoflow.operator_cone import ScaledProduct, SymmetryError
 from horoflow.seeding import trial_rng
-from horoflow.spaces import (SampledDistanceFunction, ambient_norm_sdf,
-                             euclidean_dist, funk_dist, identity_circle_map,
+from horoflow.spaces import (SampledDistanceFunction, euclidean_dist, funk_dist,
                              jacobian_dist, NotDiffeomorphismError,
                              poincare_dist, sine_circle_map, stretch_dist,
                              thompson_dist)
@@ -482,6 +479,18 @@ def _reference_stretch_sample():
     return tuple(rng.normal(size=2) for _ in range(6))
 
 
+def _reference_distance_function(sample, a, k, phase):
+    """||x-y|| * exp((phi(x)+phi(y))/2), phi(x) = a sin(k . x + phase), on the
+    sample, as a table built by a closure; a = 0 gives the norm itself."""
+    def table_fn(pts):
+        P = np.asarray(pts, dtype=float)
+        gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
+        phi = a * np.sin(P @ k + phase)
+        return gaps * np.exp(0.5 * (phi[:, None] + phi[None, :]))
+
+    return SampledDistanceFunction(sample=sample, table_fn=table_fn)
+
+
 def reference_spaces(dim=3):
     """The six registered metrics with each point built on its own: the
     Euclidean, disk and Jacobian samplers make one sampler call a point,
@@ -515,16 +524,8 @@ def reference_spaces(dim=3):
         amplitudes = rng.uniform(-1.0, 1.0, size=m).tolist()
         ks = rng.normal(size=(m, 2))
         phases = rng.uniform(0.0, 2.0 * math.pi, size=m).tolist()
-        return [distance_function(*row) for row in zip(amplitudes, ks, phases)]
-
-    def distance_function(a, k, phase):
-        def table_fn(pts, _a=a, _k=k, _p=phase):
-            P = np.asarray(pts, dtype=float)
-            gaps = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-            phi = _a * np.sin(P @ _k + _p)
-            return gaps * np.exp(0.5 * (phi[:, None] + phi[None, :]))
-
-        return SampledDistanceFunction(sample=base_sample, table_fn=table_fn)
+        return [_reference_distance_function(base_sample, *row)
+                for row in zip(amplitudes, ks, phases)]
 
     def circle_map(rng):
         return sine_circle_map(amplitude=rng.uniform(-0.8, 0.8),
@@ -552,11 +553,15 @@ def reference_spaces(dim=3):
 
 
 def reference_basepoints(dim=3):
-    """Basepoints of :func:`reference_spaces`, keyed like them."""
+    """Basepoints of :func:`reference_spaces`, keyed like them: the points
+    that the registered zero rows stand for, the ambient norm (amplitude 0,
+    whose table is exactly the norm's) and the identity map (amplitude 0,
+    whose derivative is exactly 1.0)."""
     return {"euclidean": np.zeros(dim), "poincare": 0j,
             "thompson": np.eye(dim), "funk": np.eye(dim),
-            "stretch": ambient_norm_sdf(_reference_stretch_sample()),
-            "jacobian": identity_circle_map()}
+            "stretch": _reference_distance_function(_reference_stretch_sample(),
+                                                    0.0, np.zeros(2), 0.0),
+            "jacobian": sine_circle_map(0.0)}
 
 
 def _sample_triples(space, n, seed):
@@ -601,7 +606,8 @@ def loop_functional_bounds(space, x0, n_samples, seed=0):
         hz = space.distance(z, anchor) - dxa
         low = max(low, -space.distance(x0, y) - hy)
         up = max(up, hy - space.distance(y, x0))
-        cont = max(cont, abs(hy - hz) - symmetrize(space, y, z))
+        sym = max(space.distance(y, z), space.distance(z, y))
+        cont = max(cont, abs(hy - hz) - sym)
     return FunctionalBoundReport(space=space.name, n_samples=n_samples,
                                  max_lower_violation=low,
                                  max_upper_violation=up,
@@ -613,7 +619,7 @@ def loop_orbit_at(driver, space, x0, ks, trial=0):
     a right-increment checkpoint k folds g_1(...g_k(x0)) on its own, and a
     left-increment orbit checks the domain after every step.  Returns
     (dict k -> point, truncated_at or None); the stacked fold in
-    :func:`horoflow.cocycle.orbit_at` must agree bit for bit."""
+    :func:`horoflow.cocycle._fold_orbits` must agree bit for bit."""
     def apply(g, x):
         return g(x) if callable(g) else np.asarray(g) @ x
 
@@ -666,55 +672,6 @@ def loop_top_exponent(driver, space, x0, n, trials):
         raise EstimationError(f"{truncated}/{trials} trials truncated")
     return summarize_trials(np.asarray(per_trial), tail_ks, tail_sum / tail_cnt,
                             n, trials, truncated)
-
-
-def loop_subadditive_trace(driver, space, dist, x0, n, trial=0):
-    """a(k) = dist(x0, u(k)x0) along one orbit of :func:`loop_orbit_at`, one
-    pair at a time through the scalar ``dist``;
-    :func:`horoflow.cocycle.subadditive_trace` must agree bit for bit."""
-    pts, cut = loop_orbit_at(driver, space, x0, range(1, n + 1), trial)
-    a = [0.0] + [dist(x0, pts[k]) for k in sorted(pts)]
-    return SubadditiveTrace(a=np.array(a), basepoint=x0, truncated=cut is not None)
-
-
-def loop_functional_gap(driver, space, dist, x0, n, probe_budget=16, trial=0):
-    """The gaps |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| one checkpoint and
-    one pair at a time through the scalar ``dist``;
-    :func:`horoflow.cocycle.functional_gap` must agree bit for bit, and
-    raise the same EstimationError."""
-    ks = geometric_checkpoints(n, count=probe_budget)
-    pts, cut = loop_orbit_at(driver, space, x0, ks, trial)
-    if n not in pts:
-        raise EstimationError("orbit truncated before the anchor point")
-    anchor = pts[n]
-    gaps = []
-    for k in sorted(pts):
-        h = dist(pts[k], anchor) - dist(x0, anchor)
-        gaps.append(abs(-h / k - dist(x0, pts[k]) / k))
-    return GapTrace(ks=sorted(pts), gaps=gaps, truncated=cut is not None)
-
-
-def loop_integrability(driver, dist, x0, samples=1000):
-    """The one-step mean |d(x0, g x0)| one map at a time through the scalar
-    ``dist``; :func:`horoflow.cocycle.check_integrability` must agree field
-    for field."""
-    def step(g):
-        return abs(dist(x0, g(x0) if callable(g) else np.asarray(g) @ x0))
-
-    if driver.kind != "iid_parametric":
-        mean = sum(w * step(g) for g, w in zip(driver.maps, driver.weights))
-        return IntegrabilityReport(mean_step=mean, heavy_tail_flag=False,
-                                   samples_used=len(driver.maps))
-    rng = driver.rng(0)
-    cum = np.cumsum([step(driver.sampler(rng)) for _ in range(samples)])
-    windows = [w for w in (100, 1000, 10000, 100000) if w <= samples]
-    if windows[-1] != samples:
-        windows.append(samples)
-    means = [cum[w - 1] / w for w in windows]
-    heavy = any(abs(m2 - m1) > 0.2 * max(abs(m1), 1e-12)
-                for m1, m2 in zip(means, means[1:]))
-    return IntegrabilityReport(mean_step=float(means[-1]), heavy_tail_flag=heavy,
-                               samples_used=samples)
 
 
 def loop_qr_spectrum(driver, dim, n, trial=0):

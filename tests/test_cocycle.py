@@ -1,4 +1,4 @@
-"""Drivers, orbits, the subadditive cocycle, and convergence diagnostics."""
+"""Drivers, orbits, the top exponent, and the hyperbolic walk's gap."""
 
 import math
 import re
@@ -8,20 +8,17 @@ import numpy as np
 import pytest
 
 from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTATION,
-                              apply_element, check_integrability, check_steps,
-                              constant_driver, estimate_top_exponent,
-                              functional_gap, generate_orbit,
-                              geometric_checkpoints, hyperbolic_walk_gap,
-                              mobius_matrix, orbit_at, screen_invertible,
-                              subadditive_trace, summarize_trials, _dd_matmul,
-                              _tail_slope)
-from horoflow.core import DegenerateInputError, MetricDomainError
+                              apply_element, check_steps, constant_driver,
+                              estimate_top_exponent, geometric_checkpoints,
+                              hyperbolic_walk_gap, mobius_matrix, screen_invertible,
+                              summarize_trials, _dd_matmul, _distances_from,
+                              _fold_orbits, _tail_slope)
+from horoflow.core import DegenerateInputError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (euclidean_dist, euclidean_space, mobius_disk, poincare_dist,
                              poincare_space)
 
-from oracles import (batch_first_dd_matmul, loop_functional_gap, loop_integrability,
-                     loop_orbit_at, loop_subadditive_trace, loop_top_exponent,
+from oracles import (batch_first_dd_matmul, loop_orbit_at, loop_top_exponent,
                      loop_walk_gaps, mp_walk_gaps)
 
 
@@ -90,6 +87,10 @@ def test_rotation_driver_hits_interval_frequencies():
     # equidistribution of the golden rotation
     assert frac_a == pytest.approx(0.25, abs=0.01)
     assert drv.angle == GOLDEN_ROTATION
+    # the interval lengths are the rotation's weights
+    drv = ErgodicDriver(kind="rotation", seed=0, maps=(lambda x: x + 1.0,) * 3,
+                        breakpoints=(0.1, 0.7, 1.0))
+    assert drv.weights == (0.1 - 0.0, 0.7 - 0.1, 1.0 - 0.7)
 
 
 def test_apply_element_matrices_and_callables():
@@ -104,39 +105,35 @@ def test_apply_element_matrices_and_callables():
 # ---------------------------------------------------------------------------
 # Orbits and composition order
 
+def _orbit(driver, space, x0, ks, trial=0):
+    """One trial's orbit points at the sorted checkpoints ks, up to its cut:
+    (dict k -> point, cut), as :func:`oracles.loop_orbit_at` returns them."""
+    pts, [cut] = _fold_orbits(driver, space, x0, ks, [trial])
+    return {k: pts[j, 0] for j, k in enumerate(ks) if cut is None or k < cut}, cut
+
+
 def test_orbit_order_contract():
     f = lambda x: x + 1.0
     g = lambda x: 2.0 * x
     drv = ErgodicDriver(kind="iid_finite", seed=5, maps=(f, g),
                         weights=(0.5, 0.5))
     gs = drv.elements(0, 3)
-    right = generate_orbit(drv, None, 1.0, 3).points
-    assert right[0] == gs[0](1.0)
-    assert right[1] == gs[0](gs[1](1.0))
-    assert right[2] == gs[0](gs[1](gs[2](1.0)))
+    right, _ = _orbit(drv, None, 1.0, [1, 2, 3])
+    assert right[1] == gs[0](1.0)
+    assert right[2] == gs[0](gs[1](1.0))
+    assert right[3] == gs[0](gs[1](gs[2](1.0)))
     drv_left = ErgodicDriver(kind="iid_finite", seed=5, maps=(f, g),
                              weights=(0.5, 0.5), order="left_increment")
-    left = generate_orbit(drv_left, None, 1.0, 3).points
-    assert left[2] == gs[2](gs[1](gs[0](1.0)))
-
-
-def test_orbit_at_matches_generate_orbit():
-    drv = ErgodicDriver(kind="iid_finite", seed=9,
-                        maps=(lambda x: x + 1.0, lambda x: 0.5 * x),
-                        weights=(0.5, 0.5))
-    full = generate_orbit(drv, None, 1.0, 20, trial=2).points
-    pts, cut = orbit_at(drv, None, 1.0, [1, 7, 20], trial=2)
-    assert cut is None
-    for k in (1, 7, 20):
-        assert pts[k] == full[k - 1]
+    left, _ = _orbit(drv_left, None, 1.0, [1, 2, 3])
+    assert left[3] == gs[2](gs[1](gs[0](1.0)))
 
 
 def test_orbit_truncates_outside_domain():
     sp = poincare_space()
     drv = constant_driver(lambda z: z + 0.4)  # not an isometry; exits the disk
-    res = generate_orbit(drv, sp, 0j, 10)
-    assert res.truncated
-    assert res.completed == 2  # 0.8 still inside, 1.2 outside
+    pts, cut = _orbit(drv, sp, 0j, list(range(1, 11)))
+    assert cut == 3  # 0.8 still inside, 1.2 outside
+    assert sorted(pts) == [1, 2]
 
 
 def test_geometric_checkpoints_shape():
@@ -155,8 +152,6 @@ def test_geometric_checkpoints_shape():
 def test_translation_cocycle_is_linear():
     sp = euclidean_space(1)
     drv = constant_driver(lambda x: x + 1.0)
-    tr = subadditive_trace(drv, sp, np.zeros(1), 30)
-    assert np.allclose(tr.a, np.arange(31, dtype=float))
     est = estimate_top_exponent(drv, sp, np.zeros(1), 200, 3)
     assert est.lambda_hat == pytest.approx(1.0, abs=1e-12)
     assert est.tail_slope == 0.0
@@ -241,58 +236,6 @@ def test_basepoint_shift_does_not_move_the_exponent():
 
 
 # ---------------------------------------------------------------------------
-# Integrability
-
-def test_integrability_exact_for_finite_support():
-    sp = euclidean_space(1)
-    drv = ErgodicDriver(kind="iid_finite", seed=0,
-                        maps=(lambda x: x + 1.0, lambda x: x + 3.0),
-                        weights=(0.25, 0.75))
-    rep = check_integrability(drv, sp, np.zeros(1))
-    assert rep.mean_step == pytest.approx(0.25 * 1.0 + 0.75 * 3.0)
-    assert not rep.heavy_tail_flag
-
-
-def test_integrability_exact_for_rotation():
-    sp = euclidean_space(1)
-    drv = ErgodicDriver(kind="rotation", seed=0,
-                        maps=(lambda x: x + 1.0, lambda x: x + 5.0),
-                        breakpoints=(0.5, 1.0))
-    rep = check_integrability(drv, sp, np.zeros(1))
-    assert rep.mean_step == pytest.approx(3.0)
-    # the interval lengths are the rotation's weights
-    drv = ErgodicDriver(kind="rotation", seed=0, maps=(lambda x: x + 1.0,) * 3,
-                        breakpoints=(0.1, 0.7, 1.0))
-    assert drv.weights == (0.1 - 0.0, 0.7 - 0.1, 1.0 - 0.7)
-
-
-def test_integrability_sampled_for_parametric():
-    sp = euclidean_space(1)
-
-    def sampler(rng):
-        s = rng.uniform(0.0, 2.0)
-        return lambda x, _s=s: x + _s
-
-    drv = ErgodicDriver(kind="iid_parametric", seed=1, sampler=sampler)
-    rep = check_integrability(drv, sp, np.zeros(1), samples=2000)
-    assert rep.mean_step == pytest.approx(1.0, abs=0.1)
-    assert not rep.heavy_tail_flag
-    with pytest.raises(DegenerateInputError):
-        check_integrability(drv, sp, np.zeros(1), samples=10)
-
-
-def test_integrability_rejects_a_nonfinite_step():
-    sp = euclidean_space(1)
-    finite = ErgodicDriver(kind="iid_finite", seed=0,
-                           maps=(lambda x: x + 1.0, lambda x: x + math.inf))
-    parametric = ErgodicDriver(kind="iid_parametric", seed=0,
-                               sampler=lambda rng: (lambda x: x + math.inf))
-    for drv in (finite, parametric):
-        with pytest.raises(MetricDomainError, match="non-finite distance inf"):
-            check_integrability(drv, sp, np.zeros(1))
-
-
-# ---------------------------------------------------------------------------
 # Matrix cocycles
 
 @pytest.mark.filterwarnings("error")
@@ -328,23 +271,7 @@ def test_check_steps_names_the_first_fault():
 
 
 # ---------------------------------------------------------------------------
-# Convergence diagnostics
-
-def test_functional_gap_vanishes_for_translation():
-    sp = euclidean_space(1)
-    drv = constant_driver(lambda x: x + 1.0)
-    tr = functional_gap(drv, sp, np.zeros(1), 256)
-    assert not tr.truncated
-    assert max(tr.gaps) <= 1e-12
-
-
-@pytest.mark.parametrize("a, n", [(0.05, 350), (0.1, 200)])
-def test_functional_gap_vanishes_on_a_disk_geodesic(a, n):
-    # a constant Mobius orbit of 0 runs out along a geodesic, so the true
-    # gap is 0; u(n)0 ends within 1.2e-15 and 2.2e-16 of the circle
-    tr = functional_gap(constant_driver(mobius_disk(a)), poincare_space(), 0j, n)
-    assert max(tr.gaps) <= 1e-12
-
+# The hyperbolic walk's convergence diagnostic
 
 def test_mobius_matrix_properties():
     m = mobius_matrix(0.5)
@@ -524,13 +451,12 @@ def test_stacked_top_exponent_equals_the_trial_loop(label):
 @pytest.mark.parametrize("label", sorted(_FOLDS))
 def test_stacked_orbit_at_equals_the_point_loop(label):
     driver, space, x0, _ = _FOLDS[label]
-    for ks, trial in (([1, 2, 5, 12], 0), ([3, 7, 30], 2), (range(1, 16), 1)):
-        got, cut = orbit_at(driver, space, x0, ks, trial)
+    for ks, trial in (([1, 2, 5, 12], 0), ([3, 7, 30], 2), (list(range(1, 16)), 1)):
+        got, cut = _orbit(driver, space, x0, ks, trial)
         want, want_cut = loop_orbit_at(driver, space, x0, ks, trial)
         assert cut == want_cut
         assert sorted(got) == sorted(want)
         for k in want:
-            assert type(got[k]) is type(want[k])
             assert np.asarray(got[k]).tolist() == np.asarray(want[k]).tolist()
 
 
@@ -559,17 +485,14 @@ _ORBITS = {
 
 @pytest.mark.parametrize("label", sorted(_ORBITS))
 def test_batched_cocycle_distances_equal_the_pair_loop(label):
+    # a(k) = d(x0, u(k)x0) up to the orbit's cut: the stacked fold's points
+    # in one batched call, as the top exponent takes them, against the
+    # loop's points one pair at a time through the scalar distance
     driver, space, dist, x0 = _ORBITS[label]
+    ks = list(range(1, 41))
     for trial in (0, 3):
-        got = subadditive_trace(driver, space, x0, 40, trial)
-        want = loop_subadditive_trace(driver, space, dist, x0, 40, trial)
-        assert (got.a.tolist(), got.truncated) == (want.a.tolist(), want.truncated)
-        try:
-            want = loop_functional_gap(driver, space, dist, x0, 150, trial=trial)
-        except EstimationError as e:
-            with pytest.raises(EstimationError, match=re.escape(str(e))):
-                functional_gap(driver, space, x0, 150, trial=trial)
-            continue
-        assert functional_gap(driver, space, x0, 150, trial=trial) == want
-    assert check_integrability(driver, space, x0, samples=300) \
-        == loop_integrability(driver, dist, x0, samples=300)
+        want_pts, want_cut = loop_orbit_at(driver, space, x0, ks, trial)
+        want = [dist(x0, want_pts[k]) for k in sorted(want_pts)]
+        pts, cut = _fold_orbits(driver, space, x0, ks, [trial])
+        assert cut == [want_cut]
+        assert _distances_from(space, x0, pts[:len(want), 0]).tolist() == want

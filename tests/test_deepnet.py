@@ -325,7 +325,8 @@ def test_fused_step_equals_the_map_and_its_derivative():
     pos = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     maps = [mobius_circle_map(0.5), mobius_circle_map(-0.3), sine_circle_map(0.5),
             rotation_circle_map(1.0),
-            CircleMap(f=lambda t: np.asarray(t, dtype=float) + 0.1 * np.sin(t))]
+            CircleMap(f=lambda t: np.asarray(t, dtype=float) + 0.1 * np.sin(t),
+                      derivative=lambda t: 1.0 + 0.1 * np.cos(t))]
     subnormal = False
     for _ in range(1000):
         for g in maps:
@@ -352,6 +353,6 @@ def test_jacobian_cocycle_validation():
     drv = constant_driver(rotation_circle_map(1.0))
     with pytest.raises(DegenerateInputError):
         jacobian_cocycle_dist(drv, 10, 8)
-    folding = CircleMap(f=lambda t: np.cos(np.asarray(t, dtype=float)))
+    folding = CircleMap(f=np.cos, derivative=lambda t: -np.sin(t))
     with pytest.raises(NotDiffeomorphismError):
         jacobian_cocycle_dist(constant_driver(folding), 5, 64)

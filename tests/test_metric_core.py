@@ -1,4 +1,4 @@
-"""Contracts of the weak-metric core: symmetrization, functionals, certification."""
+"""Contracts of the weak-metric core: the distance kernel and the property suites."""
 
 import math
 
@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from horoflow.core import (_BLOCK, DegenerateInputError, MetricDomainError,
-                           WeakMetricSpace, _with_point, certify_nonexpansive,
-                           check_functional_bounds, check_weak_metric_axioms,
-                           eval_metric_functional, functional_table, symmetrize)
+                           WeakMetricSpace, _with_point, check_functional_bounds,
+                           check_weak_metric_axioms)
 from horoflow.seeding import trial_rng
-from horoflow.spaces import (euclidean_space, funk_space, registered_basepoints,
-                             registered_spaces)
+from horoflow.spaces import euclidean_space, registered_basepoints, registered_spaces
 
 from oracles import (loop_functional_bounds, loop_weak_metric_axioms, pair_loop,
                      reference_basepoints, reference_spaces)
@@ -27,80 +25,6 @@ def test_distance_rejects_nonfinite():
                               dist_many=lambda pts, i, j: np.array([0.0, math.nan]))
     with pytest.raises(MetricDomainError):
         batched.distances([0.0, 1.0], [0, 1], [1, 0])
-
-
-def test_symmetrize_is_max_and_nonnegative():
-    # an asymmetric weak metric on the line: one-sided gap
-    sp = WeakMetricSpace(name="oneside", dist_many=pair_loop(lambda x, y: y - x))
-    assert symmetrize(sp, 1.0, 4.0) == 3.0
-    assert symmetrize(sp, 4.0, 1.0) == 3.0
-    # negative-capable metrics still symmetrize to >= 0
-    fk = funk_space(2)
-    p = np.eye(2)
-    q = 0.5 * np.eye(2)
-    assert fk.distance(p, q) < 0.0
-    assert symmetrize(fk, p, q) == pytest.approx(math.log(2.0))
-
-
-def test_metric_functional_euclidean_values():
-    sp = euclidean_space(2)
-    x0 = np.zeros(2)
-    anchor = np.array([3.0, 0.0])
-    h = eval_metric_functional(sp, x0, anchor, np.array([1.0, 0.0]))
-    assert h == pytest.approx(-1.0)  # moving toward the anchor
-    h = eval_metric_functional(sp, x0, anchor, np.array([-1.0, 0.0]))
-    assert h == pytest.approx(1.0)
-    assert eval_metric_functional(sp, x0, anchor, x0) == 0.0
-
-
-def test_functional_table_fields_and_empty_probes():
-    sp = euclidean_space(2)
-    x0 = np.zeros(2)
-    anchor = np.array([2.0, 0.0])
-    probes = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    tab = functional_table(sp, x0, anchor, probes)
-    assert len(tab.values) == 2
-    assert tab.values[0] == pytest.approx(-1.0)
-    with pytest.raises(DegenerateInputError):
-        functional_table(sp, x0, anchor, [])
-
-
-def _pair_sampler(rng):
-    return rng.normal(size=2), rng.normal(size=2)
-
-
-def test_certify_nonexpansive_accepts_contraction():
-    sp = euclidean_space(2)
-    rep = certify_nonexpansive(sp, lambda x: 0.5 * x, _pair_sampler, 200)
-    assert rep.passes()
-    assert rep.max_ratio == pytest.approx(0.5)
-    assert rep.samples_used == 200
-
-
-def test_certify_nonexpansive_rejects_expansion():
-    sp = euclidean_space(2)
-    rep = certify_nonexpansive(sp, lambda x: 2.0 * x, _pair_sampler, 200)
-    assert not rep.passes()
-    assert rep.max_ratio == pytest.approx(2.0)
-
-
-def test_certify_nonexpansive_deterministic_in_seed():
-    sp = euclidean_space(2)
-    f = lambda x: 0.9 * x + 0.1
-    r1 = certify_nonexpansive(sp, f, _pair_sampler, 50, seed=7)
-    r2 = certify_nonexpansive(sp, f, _pair_sampler, 50, seed=7)
-    assert r1.max_ratio == r2.max_ratio
-
-
-def test_certify_nonexpansive_all_coincident_raises():
-    sp = euclidean_space(2)
-
-    def same(rng):
-        x = rng.normal(size=2)
-        return x, x
-
-    with pytest.raises(DegenerateInputError):
-        certify_nonexpansive(sp, lambda x: x, same, 10)
 
 
 def test_axiom_suite_euclidean_is_exact():
