@@ -24,7 +24,7 @@ from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
 from .deepnet import (ACTIVATIONS, jacobian_cocycle_dist, lipschitz_profile,
                       make_layer, max_stretch, resnet_drift)
 from .lyapunov import filtration_probe, qr_spectrum
-from .operator_cone import expm_symmetric, segal_check, state_ratio_check, tau_estimate
+from .operator_cone import _segal_sides, expm_taylor, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
 from .spaces import (NotDiffeomorphismError, euclidean_space, mobius_disk,
                      mobius_circle_map, poincare_space, registered_basepoints,
@@ -253,7 +253,6 @@ _SEGAL_BLOCK = 1024
 
 
 def _run_segal_sweep(cfg):
-    import scipy.linalg     # at first use: most experiments never load scipy
     dim, scale = cfg["dim"], cfg["scale"]
     if math.isinf(2.0 * scale):
         # the draw range itself overflows, and every exponential would
@@ -268,8 +267,10 @@ def _run_segal_sweep(cfg):
             uv[:, j] = trial_rng(cfg["seed"], i).uniform(-scale, scale,
                                                          size=(2, dim, dim))
         u, v = 0.5 * (uv + uv.swapaxes(-1, -2))
-        lhs, rhs = segal_check(u, v)
-        path_gap = np.linalg.svd(scipy.linalg.expm(u + v) - expm_symmetric(u + v),
+        # path_gap: exp(u+v) from the eigendecomposition behind lhs against
+        # the Taylor path, which shares no step with it
+        lhs, rhs, e_sum = _segal_sides(u, v)
+        path_gap = np.linalg.svd(e_sum - expm_taylor(u + v),
                                  compute_uv=False).max(axis=-1)
         rows += [(i, a, b, b - a, g) for i, a, b, g in
                  zip(pairs, lhs.tolist(), rhs.tolist(), path_gap.tolist())]

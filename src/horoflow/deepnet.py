@@ -18,7 +18,7 @@ import numpy as np
 from .cocycle import ErgodicDriver, geometric_checkpoints
 from .core import DegenerateInputError
 from .seeding import trial_rng
-from .spaces import _TWO_PI, CircleMap, NotDiffeomorphismError, _wrap_angle
+from .spaces import _TWO_PI, NotDiffeomorphismError, _wrap_angle
 
 
 class NormConstraintError(ValueError):
@@ -277,9 +277,9 @@ def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int,
                           trial: int = 0):
     """Distance-from-identity cocycle in the sup-log-Jacobian metric.
 
-    Driver elements are :class:`CircleMap` objects composed as left
-    increments; derivatives along the composition accumulate by the chain
-    rule on the grid.  Returns rows (k, a(k), a(k)/k).
+    Driver elements are :class:`horoflow.spaces.CircleMap` objects composed
+    as left increments; derivatives along the composition accumulate by the
+    chain rule on the grid.  Returns rows (k, a(k), a(k)/k).
     """
     if grid < 16:
         raise DegenerateInputError("grid must be >= 16")

@@ -185,33 +185,78 @@ def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0
     return rows
 
 
+def _exp_eig(w, q) -> np.ndarray:
+    """exp of the symmetric matrices with eigenvalues w and orthonormal
+    eigenvectors q (the columns of each matrix of q)."""
+    return (q * np.exp(w)[..., None, :]) @ q.swapaxes(-1, -2)
+
+
 def expm_symmetric(u) -> np.ndarray:
     """exp of a symmetric matrix, or of each matrix of a (..., d, d) stack,
-    via eigendecomposition (cross-check path)."""
+    as q exp(w) q^T from one stacked eigendecomposition.
+
+    This is the path :func:`segal_check` takes; :func:`expm_taylor`, which
+    shares no step with it, is its cross-check.
+    """
+    return _exp_eig(*np.linalg.eigh(_check_symmetric(u)))
+
+
+# Taylor degree of expm_taylor: for ||a||_1 < 1 the first omitted term is
+# below 1/19! ~ 8e-18, under half an ulp of the identity term
+_TAYLOR_DEGREE = 18
+
+
+def expm_taylor(a) -> np.ndarray:
+    """exp of a matrix, or of each matrix of a (..., d, d) stack, by Taylor
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+
+    Each matrix is scaled by 2^-s, with s from the exponent of its 1-norm so
+    that the scaled norm is below 1 (np.ldexp, exact), put through the
+    degree-18 Taylor polynomial in Horner form and squared s times.  It uses
+    no eigendecomposition, so it checks :func:`expm_symmetric`
+    independently.
+    """
+    a = np.asarray(a, dtype=float)
+    _, s = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))
+    s = np.maximum(s, 0)
+    a = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    e = eye + a / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        e = eye + (a @ e) / k
+    for i in range(int(np.max(s, initial=0))):
+        e = np.where((s > i)[..., None, None], e @ e, e)
+    return e
+
+
+def _segal_sides(u, v):
+    """:func:`segal_check`'s two norms, and exp(u+v) from the
+    eigendecomposition that gives the first."""
     u = _check_symmetric(u)
-    w, v = np.linalg.eigh(u)
-    return (v * np.exp(w)[..., None, :]) @ v.swapaxes(-1, -2)
+    v = _check_symmetric(v)
+    if u.shape != v.shape:
+        raise DegenerateInputError("dimension mismatch")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, q = np.linalg.eigh(u + v)
+        e_sum = _exp_eig(w, q)
+        eu2, ev = expm_symmetric(np.stack([0.5 * u, v]))
+        p = eu2 @ ev @ eu2
+    if not (np.all(np.isfinite(e_sum)) and np.all(np.isfinite(p))):
+        raise DegenerateInputError(
+            "matrix exponential overflows: the scale of u and v is too large")
+    return np.exp(w[..., -1]), np.linalg.eigvalsh(p)[..., -1], e_sum
 
 
 def segal_check(u, v):
     """(||exp(u+v)||, ||exp(u/2) exp(v) exp(u/2)||), both spectral norms.
 
     u and v are symmetric matrices or (..., d, d) stacks of them; a stack
-    gives one pair of norms per matrix pair.  Every exponential of the
-    stack comes from one scaling-and-squaring call; :func:`expm_symmetric`
-    provides the independent path for trust checks.  Raises
-    DegenerateInputError when an exponential overflows.
+    gives one pair of norms per matrix pair.  The left side is exp of the
+    top eigenvalue of u+v, from one stacked eigendecomposition; the right
+    side is the top eigenvalue of the positive-definite product
+    exp(u/2) exp(v) exp(u/2), with both factors from
+    :func:`expm_symmetric`.  Raises DegenerateInputError when an
+    exponential overflows.
     """
-    import scipy.linalg     # at first use: most experiments never load scipy
-    u = _check_symmetric(u)
-    v = _check_symmetric(v)
-    if u.shape != v.shape:
-        raise DegenerateInputError("dimension mismatch")
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_sum, eu2, ev = scipy.linalg.expm(np.stack([u + v, 0.5 * u, v]))
-        e = np.stack([e_sum, eu2 @ ev @ eu2])
-    if not np.all(np.isfinite(e)):
-        raise DegenerateInputError(
-            "matrix exponential overflows: the scale of u and v is too large")
-    lhs, rhs = np.linalg.svd(e, compute_uv=False).max(axis=-1)
+    lhs, rhs, _ = _segal_sides(u, v)
     return lhs, rhs

@@ -8,7 +8,8 @@ for operator norms, exact rational arithmetic for matrix products,
 (whose old one-step-at-a-time loops stay as the error baseline), the
 batch-first double-double product that the stack-innermost one replaced,
 the 50-digit Mobius form of the disk distance, 40-digit generalized
-eigenvalues of the cone's pencils,
+eigenvalues of the cone's pencils, 50-digit exponentials for the Segal
+check (whose old ``scipy.linalg.expm`` loop stays as the error baseline),
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels, a per-step
@@ -725,24 +726,92 @@ def _symmetric(y, tol=1e-9):
     return 0.5 * (y + y.T)
 
 
+def sweep_pair(seed, i, dim, scale):
+    """segal-sweep's pair i: u, then v, drawn from the pair's own stream
+    and symmetrized."""
+    rng = trial_rng(seed, i)
+    u = rng.uniform(-scale, scale, size=(dim, dim))
+    v = rng.uniform(-scale, scale, size=(dim, dim))
+    return _symmetric(0.5 * (u + u.T)), _symmetric(0.5 * (v + v.T))
+
+
+def _spec(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def _eig_expm(a):
+    """(eigenvalues, q exp(w) q^T) of one symmetric matrix."""
+    w, q = np.linalg.eigh(_symmetric(a))
+    return w, (q * np.exp(w)) @ q.T
+
+
+def loop_expm_taylor(a):
+    """exp of one matrix by the degree-18 Taylor polynomial at a 2^-s,
+    s from the exponent of its 1-norm, squared s times in a Python loop;
+    :func:`horoflow.operator_cone.expm_taylor` on a stack must agree bit for
+    bit."""
+    s = max(math.frexp(float(np.abs(a).sum(axis=0).max()))[1], 0)
+    a = a * 2.0 ** -s
+    eye = np.eye(len(a))
+    e = eye + a / 18
+    for k in range(17, 0, -1):
+        e = eye + (a @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def loop_segal_sweep(seed, pairs, dim, scale):
     """segal-sweep's rows (pair, lhs, rhs, slack, path_gap), one pair of
-    matrices at a time: each pair's exponentials, eigendecomposition and
-    spectral norms on their own.  The stacked sweep must agree bit for bit."""
-    def spec(m):
-        return float(np.linalg.norm(m, 2))
-
+    matrices at a time: lhs = exp of the top eigenvalue of u+v, rhs = the top
+    eigenvalue of exp(u/2) exp(v) exp(u/2) with each factor from its own
+    eigendecomposition, and path_gap between exp(u+v) from that of u+v and
+    :func:`loop_expm_taylor`.  The stacked sweep must agree bit for bit."""
     rows = []
     for i in range(pairs):
-        rng = trial_rng(seed, i)
-        u = rng.uniform(-scale, scale, size=(dim, dim))
-        v = rng.uniform(-scale, scale, size=(dim, dim))
-        u = _symmetric(0.5 * (u + u.T))
-        v = _symmetric(0.5 * (v + v.T))
-        lhs = spec(scipy.linalg.expm(u + v))
-        eu2 = scipy.linalg.expm(0.5 * u)
-        rhs = spec(eu2 @ scipy.linalg.expm(v) @ eu2)
-        w, q = np.linalg.eigh(_symmetric(u + v))
-        path_gap = spec(scipy.linalg.expm(u + v) - (q * np.exp(w)) @ q.T)
+        u, v = sweep_pair(seed, i, dim, scale)
+        w, e_sum = _eig_expm(u + v)
+        eu2, ev = _eig_expm(0.5 * u)[1], _eig_expm(v)[1]
+        lhs = float(np.exp(w[-1]))
+        rhs = float(np.linalg.eigvalsh(eu2 @ ev @ eu2)[-1])
+        path_gap = _spec(e_sum - loop_expm_taylor(u + v))
         rows.append((i, lhs, rhs, rhs - lhs, path_gap))
     return rows
+
+
+def scipy_segal_sweep(seed, pairs, dim, scale):
+    """segal-sweep's rows as the sweep computed them before it dropped
+    scipy, one pair at a time: both norms as SVD norms of
+    ``scipy.linalg.expm`` results, and path_gap between ``expm(u+v)`` and
+    the eigendecomposition path.  The error baseline of :func:`mp_segal`."""
+    rows = []
+    for i in range(pairs):
+        u, v = sweep_pair(seed, i, dim, scale)
+        lhs = _spec(scipy.linalg.expm(u + v))
+        eu2 = scipy.linalg.expm(0.5 * u)
+        rhs = _spec(eu2 @ scipy.linalg.expm(v) @ eu2)
+        path_gap = _spec(scipy.linalg.expm(u + v) - _eig_expm(u + v)[1])
+        rows.append((i, lhs, rhs, rhs - lhs, path_gap))
+    return rows
+
+
+def mp_segal(u, v):
+    """(||exp(u+v)||, ||exp(u/2) exp(v) exp(u/2)||, exp(u+v)) at 50 digits:
+    the exponentials by ``mpmath.expm``, the norms as top eigenvalues by
+    ``mpmath.eigsy``; exp(u+v) is an mpmath matrix."""
+    with mpmath.workdps(50):
+        a, b = mpmath.matrix(u.tolist()), mpmath.matrix(v.tolist())
+        e_sum = mpmath.expm(a + b)
+        eu2 = mpmath.expm(a / 2)
+        p = eu2 * mpmath.expm(b) * eu2
+        lhs = mpmath.exp(max(mpmath.eigsy(a + b, eigvals_only=True)))
+        rhs = max(mpmath.eigsy((p + p.T) / 2, eigvals_only=True))
+    return lhs, rhs, e_sum
+
+
+def mp_distance(m, exact):
+    """Spectral norm of the float matrix m minus an mpmath matrix, with the
+    difference formed at 50 digits."""
+    with mpmath.workdps(50):
+        diff = mpmath.matrix(np.asarray(m).tolist()) - exact
+        return _spec(np.array(diff.tolist(), dtype=float))

@@ -287,17 +287,19 @@ def test_main_bad_config_file(tmp_path):
     assert main(["--config", str(bad)]) == EXIT_CONFIG
 
 
-# the experiments that call scipy: the QR spectrum and the two
-# matrix-exponential paths of the Segal check (the cone metrics take their
-# generalized eigenvalues from numpy's SVD, so metric-axioms loads none)
-_SCIPY_EXPERIMENTS = ("oseledets-spectrum", "segal-sweep")
+# the one experiment that calls scipy: the QR spectrum's LAPACK loop (the
+# Segal check takes its exponentials from numpy's eigh and a numpy Taylor
+# path, and the cone metrics their generalized eigenvalues from numpy's
+# SVD, so segal-sweep and metric-axioms load none)
+_SCIPY_EXPERIMENTS = ("oseledets-spectrum",)
 
 # run in a fresh interpreter: argv[1] is the small configs as JSON,
 # argv[2] the output directory; prints, last, whether scipy was loaded
-# after each stage
+# after each stage (a direct Segal check among them)
 _STARTUP_PROBE = """
 import json, sys
 from horoflow.cli import EXPERIMENTS, main, run
+from horoflow.operator_cone import segal_check
 
 def scipy_loaded():
     return "scipy" in sys.modules
@@ -307,6 +309,8 @@ loaded = {"import": scipy_loaded()}
 for name in EXPERIMENTS:
     assert main(["--experiment", name, "--seed", "5", "--validate-only"]) == 0
 loaded["validate"] = scipy_loaded()
+segal_check([[1.0, 0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]])
+loaded["segal_check"] = scipy_loaded()
 for name, overrides in configs.items():
     # each run starts without scipy, so each run that needs it loads it
     for module in [m for m in sys.modules if m.partition(".")[0] == "scipy"]:
@@ -317,7 +321,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_two_experiments_load_scipy(tmp_path):
+def test_only_oseledets_spectrum_loads_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(horoflow.__file__))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _STARTUP_PROBE,
@@ -325,5 +329,5 @@ def test_only_two_experiments_load_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import": False, "validate": False,
+    assert loaded == {"import": False, "validate": False, "segal_check": False,
                       **{name: name in _SCIPY_EXPERIMENTS for name in EXPERIMENTS}}

@@ -45,7 +45,14 @@ all its matrices, then their scales; all amplitudes, then wave vectors,
 then phases) instead of one point's parameters after another's: the
 suites sample other cone and stretch points, so only those three rows
 move, and the Euclidean, disk and Jacobian rows, whose block draws take
-the stream in the one-point order, keep their bits.
+the stream in the one-point order, keep their bits.  Golden segal-sweep was
+re-pinned when the Segal check stopped calling ``scipy.linalg.expm``: the
+left side became exp of the top ``eigh`` eigenvalue of u+v, the right side
+the top ``eigvalsh`` eigenvalue of exp(u/2) exp(v) exp(u/2) with factors
+from ``expm_symmetric``, and path_gap compares that eigendecomposition's
+exp(u+v) with a numpy Taylor scaling and squaring; all three are checked
+against 50-digit exponentials (``mp_segal``), where each errs no more than
+the scipy path (``scipy_segal_sweep``) did.
 """
 
 import hashlib
@@ -76,7 +83,7 @@ GOLDEN_SHA256 = {
     "resnet-drift":
         "d2aada1a55a1b6567865f265e7bd89d8881e5ec12dec74a061105cd2bc6736a7",
     "segal-sweep":
-        "8b3fbce1d6a235d533aabc66c5087252244093dca8f1c107baa030353e444dd4",
+        "4365be6b5d05bc26cbd1ea437a54bf9b93f99c55d7ed6e7f18fe7bd8e0df6ed8",
     "state-ratio":
         "d7ec07b5ba0c40d72376477cea6d2d48c9a55a1e6e6a7cd31f5a76e651adb8aa",
     "top-exponent":

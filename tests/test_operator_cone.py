@@ -12,7 +12,7 @@ from horoflow.cocycle import ErgodicDriver, constant_driver, geometric_checkpoin
 from horoflow.core import DegenerateInputError
 from horoflow.operator_cone import (ConsistencyError, ScaledProduct,
                                     SymmetryError, _check_symmetric, _fold,
-                                    expm_symmetric,
+                                    expm_symmetric, expm_taylor,
                                     extract_vector_state,
                                     log_squared_positive_part, segal_check,
                                     squared_positive_part_lognorm,
@@ -20,8 +20,9 @@ from horoflow.operator_cone import (ConsistencyError, ScaledProduct,
 from horoflow.seeding import trial_rng
 from horoflow.spaces import sym_part
 
-from oracles import (exact_log_gram_norm, loop_accumulate, loop_segal_sweep,
-                     mp_log_gram_norms, mp_state_ratios)
+from oracles import (exact_log_gram_norm, loop_accumulate, loop_expm_taylor,
+                     loop_segal_sweep, mp_distance, mp_log_gram_norms, mp_segal,
+                     mp_state_ratios, scipy_segal_sweep, sweep_pair)
 
 
 def _random_driver(seed=3, spread=0.5):
@@ -236,8 +237,19 @@ def test_expm_paths_agree():
     for _ in range(50):
         u = rng.uniform(-2.0, 2.0, size=(3, 3))
         u = 0.5 * (u + u.T)
-        gap = np.linalg.norm(scipy.linalg.expm(u) - expm_symmetric(u), 2)
-        assert gap <= 1e-9
+        for e in (expm_symmetric(u), expm_taylor(u)):
+            assert np.linalg.norm(scipy.linalg.expm(u) - e, 2) <= 1e-9
+
+
+def test_stacked_expm_taylor_equals_the_matrix_loop():
+    rng = trial_rng(13, 0)
+    # 1-norms from below 1 (no squaring) to a few hundred, mixed in one stack
+    a = rng.uniform(-1.0, 1.0, size=(40, 3, 3)) * np.geomspace(0.01, 100.0, 40)[:, None, None]
+    e = expm_taylor(a)
+    for i in range(len(a)):
+        assert e[i].tolist() == loop_expm_taylor(a[i]).tolist()
+        assert expm_taylor(a[i]).tolist() == e[i].tolist()
+    assert expm_taylor(np.zeros((2, 2))).tolist() == np.eye(2).tolist()
 
 
 def test_segal_check_stacks_pairs():
@@ -281,3 +293,28 @@ def test_stacked_segal_sweep_equals_the_pair_loop(seed):
     # more pairs than one stacked block holds
     cfg = {"seed": seed, "pairs": 1100, "dim": 3, "scale": 2.0}
     assert _run_segal_sweep(cfg)[1] == loop_segal_sweep(seed, 1100, 3, 2.0)
+
+
+def test_segal_sweep_against_the_mpmath_oracle():
+    # sweep pairs at the default scale, against 50-digit exponentials: the
+    # eigendecomposition sides and the Taylor path are each no worse, at
+    # their worst pair, than the scipy path the sweep used before
+    seed, pairs, scale = 5, 25, 2.0
+    for dim in (2, 3, 4):
+        rows = _run_segal_sweep({"seed": seed, "pairs": pairs, "dim": dim, "scale": scale})[1]
+        old_rows = scipy_segal_sweep(seed, pairs, dim, scale)
+        err = {key: [] for key in ("lhs", "rhs", "path", "gap")}
+        old = {key: [] for key in err}
+        for (i, lhs, rhs, _, gap), (_, old_lhs, old_rhs, _, old_gap) in zip(rows, old_rows):
+            u, v = sweep_pair(seed, i, dim, scale)
+            exact_lhs, exact_rhs, exact_sum = mp_segal(u, v)
+            err["lhs"].append(float(abs(lhs - exact_lhs) / exact_lhs))
+            old["lhs"].append(float(abs(old_lhs - exact_lhs) / exact_lhs))
+            err["rhs"].append(float(abs(rhs - exact_rhs) / exact_rhs))
+            old["rhs"].append(float(abs(old_rhs - exact_rhs) / exact_rhs))
+            err["path"].append(mp_distance(expm_taylor(u + v), exact_sum))
+            old["path"].append(mp_distance(scipy.linalg.expm(u + v), exact_sum))
+            err["gap"].append(gap)
+            old["gap"].append(old_gap)
+        for key in err:
+            assert max(err[key]) <= max(old[key]), (dim, key, max(err[key]), max(old[key]))
