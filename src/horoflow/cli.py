@@ -24,7 +24,7 @@ from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
 from .deepnet import (ACTIVATIONS, jacobian_cocycle_dist, lipschitz_profile,
                       make_layer, max_stretch, resnet_drift)
 from .lyapunov import filtration_probe, qr_spectrum
-from .operator_cone import _segal_sides, expm_taylor, state_ratio_check, tau_estimate
+from .operator_cone import expm_taylor, segal_check, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
 from .spaces import (NotDiffeomorphismError, euclidean_space, mobius_disk,
                      mobius_circle_map, poincare_space, registered_basepoints,
@@ -155,7 +155,7 @@ def _hyperbolic_driver(cfg) -> ErgodicDriver:
         return constant_driver(m1, seed=cfg["seed"])
     m2 = mobius_matrix(cfg["mobius_a2"])
     w = cfg["weight"]
-    return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
+    return ErgodicDriver(seed=cfg["seed"],
                          maps=(m1, m2), weights=(w, 1.0 - w))
 
 
@@ -175,7 +175,7 @@ def _run_top_exponent(cfg):
         x0 = np.zeros(1)
     elif preset == "pm1_walk":
         space = euclidean_space(1)
-        driver = ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
+        driver = ErgodicDriver(seed=cfg["seed"],
                                maps=(lambda x: x + 1.0, lambda x: x - 1.0),
                                weights=(0.5, 0.5))
         x0 = np.zeros(1)
@@ -210,7 +210,7 @@ def _matrix_driver(cfg) -> ErgodicDriver:
         m = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         return constant_driver(m, seed=cfg["seed"])
     # preset == "sl2_pair"
-    return ErgodicDriver(kind="iid_finite", seed=cfg["seed"],
+    return ErgodicDriver(seed=cfg["seed"],
                          maps=_SL2_PAIR, weights=(0.5, 0.5))
 
 
@@ -269,7 +269,7 @@ def _run_segal_sweep(cfg):
         u, v = 0.5 * (uv + uv.swapaxes(-1, -2))
         # path_gap: exp(u+v) from the eigendecomposition behind lhs against
         # the Taylor path, which shares no step with it
-        lhs, rhs, e_sum = _segal_sides(u, v)
+        lhs, rhs, e_sum = segal_check(u, v)
         path_gap = np.linalg.svd(e_sum - expm_taylor(u + v),
                                  compute_uv=False).max(axis=-1)
         rows += [(i, a, b, b - a, g) for i, a, b, g in

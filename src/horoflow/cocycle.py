@@ -1,16 +1,15 @@
 """Ergodic cocycles of nonexpansive maps.
 
 Drivers emit seeded sequences of maps (or matrices); the engine folds
-orbits u(n)x0 in a declared composition order and estimates the top
-exponent lim a(n)/n of the subadditive distance cocycle
-a(n) = d(x0, u(n)x0).  Long disk Mobius walks are carried as scaled
-matrix products, from which a convergence diagnostic compares
--h(u(n)x0)/n against a(n)/n for the metric functional anchored at the
-final orbit point.
+orbits u(n)x0 = g1(g2(...gn(x0))) and estimates the top exponent
+lim a(n)/n of the subadditive distance cocycle a(n) = d(x0, u(n)x0).
+Long disk Mobius walks are carried as scaled matrix products, from which
+a convergence diagnostic compares -h(u(n)x0)/n against a(n)/n for the
+metric functional anchored at the final orbit point.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Optional
 
 import bisect
 import math
@@ -20,11 +19,6 @@ import numpy as np
 from .core import DegenerateInputError, WeakMetricSpace, _with_point
 from .seeding import trial_rng
 
-GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
-
-RIGHT = "right_increment"
-LEFT = "left_increment"
-
 
 class EstimationError(RuntimeError):
     """Too many trials were truncated for a trustworthy estimate."""
@@ -32,19 +26,11 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ErgodicDriver:
-    """A seeded generator of map sequences.
+    """A seeded i.i.d. choice among ``maps`` with probabilities ``weights``
+    (uniform when empty), each trial from its own stream.
 
-    kind:
-      - ``iid_finite``: i.i.d. choice among ``maps`` with ``weights``;
-      - ``iid_parametric``: ``sampler(rng)`` draws a fresh map each step;
-      - ``rotation``: an irrational circle rotation by ``angle`` with the
-        unit interval partitioned at ``breakpoints`` (ascending, last 1.0),
-        interval i labeled by maps[i]; its ``weights`` are the interval
-        lengths.
-
-    ``order`` declares the composition convention: ``right_increment``
-    appends new maps innermost (u(n) = g1 g2 ... gn), ``left_increment``
-    outermost (v(n) = gn ... g2 g1).
+    The orbit fold and the disk walk compose right increments, a new map
+    innermost: u(n) = g1 g2 ... gn.
 
     Orbits apply each map to a stack of points along one leading axis
     (the points of every trial and checkpoint that drew it), so a map
@@ -55,69 +41,32 @@ class ErgodicDriver:
     :func:`horoflow.spaces.mobius_disk` does.
     """
 
-    kind: str
     seed: int
-    order: str = RIGHT
-    maps: tuple = ()
+    maps: tuple
     weights: tuple = ()
-    sampler: Optional[Callable[[np.random.Generator], Any]] = None
-    angle: float = GOLDEN_ROTATION
-    breakpoints: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("iid_finite", "iid_parametric", "rotation"):
-            raise ValueError(f"unknown driver kind {self.kind!r}")
-        if self.order not in (RIGHT, LEFT):
-            raise ValueError(f"unknown composition order {self.order!r}")
-        if self.kind == "iid_finite":
-            if not self.maps:
-                raise ValueError("iid_finite driver needs maps")
-            w = self.weights or tuple(1.0 / len(self.maps) for _ in self.maps)
-            if len(w) != len(self.maps):
-                raise ValueError("iid_finite driver needs one weight per map")
-            if not (all(x >= 0.0 for x in w) and abs(sum(w) - 1.0) <= 1e-12):
-                raise ValueError("probability weights must be nonnegative and sum to 1")
-            object.__setattr__(self, "weights", tuple(w))
-        if self.kind == "iid_parametric" and self.sampler is None:
-            raise ValueError("iid_parametric driver needs a sampler")
-        if self.kind == "rotation":
-            if not self.maps:
-                raise ValueError("rotation driver needs maps")
-            bp = self.breakpoints or tuple((i + 1) / len(self.maps)
-                                           for i in range(len(self.maps)))
-            if len(bp) != len(self.maps) or abs(bp[-1] - 1.0) > 1e-12 \
-                    or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-                raise ValueError("breakpoints must ascend to 1.0, one per map")
-            object.__setattr__(self, "breakpoints", tuple(bp))
-            lengths = (b - a for a, b in zip((0.0,) + self.breakpoints, self.breakpoints))
-            object.__setattr__(self, "weights", tuple(lengths))
-
-    def rng(self, trial: int) -> np.random.Generator:
-        return trial_rng(self.seed, trial)
+        if not self.maps:
+            raise ValueError("driver needs maps")
+        w = self.weights or tuple(1.0 / len(self.maps) for _ in self.maps)
+        if len(w) != len(self.maps):
+            raise ValueError("driver needs one weight per map")
+        if not (all(x >= 0.0 for x in w) and abs(sum(w) - 1.0) <= 1e-12):
+            raise ValueError("probability weights must be nonnegative and sum to 1")
+        object.__setattr__(self, "weights", tuple(w))
 
     def draw(self, trials, n: int):
         """(maps, idx): the first n emitted maps of each listed trial,
         deterministically.
 
-        Row t of the (len(trials), n) integer array ``idx`` lists the
-        positions in ``maps`` of trial t's maps, in step order.  Finite and
-        rotation drivers return their own ``maps``; a parametric driver
-        returns its draws, trial after trial, and ``idx`` counts them.
+        ``maps`` is the driver's own; row t of the (len(trials), n) integer
+        array ``idx`` lists the positions in ``maps`` of trial t's maps, in
+        step order.
         """
         trials = list(trials)
-        if self.kind == "iid_parametric":
-            maps = [self.sampler(rng) for rng in map(self.rng, trials)
-                    for _ in range(n)]
-            return maps, np.arange(len(trials) * n).reshape(len(trials), n)
-        if self.kind == "iid_finite":
-            p = np.asarray(self.weights)
-            idx = [self.rng(t).choice(len(self.maps), size=n, p=p) for t in trials]
-        else:
-            bp = np.asarray(self.breakpoints)
-            turns = self.angle * np.arange(n)
-            last = len(self.maps) - 1
-            idx = [np.minimum(np.searchsorted(bp, (self.rng(t).random() + turns) % 1.0,
-                                              side="right"), last) for t in trials]
+        p = np.asarray(self.weights)
+        idx = [trial_rng(self.seed, t).choice(len(self.maps), size=n, p=p)
+               for t in trials]
         return self.maps, np.array(idx, dtype=np.intp).reshape(len(trials), n)
 
     def elements(self, trial: int, n: int) -> list:
@@ -126,9 +75,8 @@ class ErgodicDriver:
         return [maps[i] for i in idx]
 
 
-def constant_driver(element, seed: int = 0, order: str = RIGHT) -> ErgodicDriver:
-    return ErgodicDriver(kind="iid_finite", seed=seed, order=order,
-                         maps=(element,), weights=(1.0,))
+def constant_driver(element, seed: int = 0) -> ErgodicDriver:
+    return ErgodicDriver(seed=seed, maps=(element,), weights=(1.0,))
 
 
 def apply_element(g, x):
@@ -178,18 +126,14 @@ def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
     """Orbit points of every listed trial at the sorted checkpoints ks.
 
     Returns (pts, cut): pts[j, t] is trial t's point u(ks[j])x0, in one
-    (len(ks), len(trials), *shape of x0) array, and cut[t] is where trial
-    t's orbit was truncated, or None.  A right-increment orbit is truncated
-    at the first checkpoint whose point lies outside the space's domain, a
-    left-increment orbit at the first step that leaves it; the points from
-    the cut on are not orbit points.
+    (len(ks), len(trials), *shape of x0) array, and cut[t] is the first
+    checkpoint whose point lies outside the space's domain, where trial
+    t's orbit is truncated, or None; the points from the cut on are not
+    orbit points.
 
     Each step applies each drawn map once, to the stack of points that
-    drew it (a parametric draw is one trial's alone).  A right-increment
-    fold walks the steps i = n-1 down to 0, and checkpoint k's rows join
-    once i < k, so each gets g_1(...g_k(x0)).  A left-increment orbit
-    steps forward, checks the domain after every step and stops moving a
-    trial that left.
+    drew it.  The fold walks the steps i = n-1 down to 0, and checkpoint
+    k's rows join once i < k, so each gets g_1(...g_k(x0)).
     """
     n = ks[-1]
     trials = list(trials)
@@ -203,43 +147,19 @@ def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
     order = np.argsort(idx, axis=0, kind="stable")
     drawn = np.take_along_axis(idx, order, axis=0)
     heads = np.diff(drawn, axis=0, prepend=-1) != 0
-
-    def groups(i):
-        starts = np.flatnonzero(heads[:, i]).tolist()
-        return [(maps[drawn[a, i]], order[a:b, i])
-                for a, b in zip(starts, starts[1:] + [len(trials)])]
-
-    def outside(p):
-        return not space.in_domain(_point(x0, p))
-
-    checked = space is not None and space.in_domain is not None
-    cut = [None] * len(trials)
-    if driver.order == LEFT:
-        y = pts[0].copy()
-        moving = np.ones(len(trials), dtype=bool)
-        rows = {k: j for j, k in enumerate(ks)}
-        for k in range(1, n + 1):
-            for g, sel in groups(k - 1):
-                sel = sel[moving[sel]]
-                if sel.size:
-                    y[sel] = apply_element(g, y[sel])
-            if checked:
-                for t in np.flatnonzero(moving):
-                    if outside(y[t]):
-                        cut[t] = k
-                        moving[t] = False
-            if k in rows:
-                pts[rows[k]] = y
-        return pts, cut
     for i in range(n - 1, -1, -1):
         first = bisect.bisect_right(ks, i)
-        for g, sel in groups(i):
+        starts = np.flatnonzero(heads[:, i]).tolist()
+        for a, b in zip(starts, starts[1:] + [len(trials)]):
+            sel = order[a:b, i]
             block = pts[first:, sel]
             pts[first:, sel] = apply_element(
-                g, block.reshape((-1,) + x.shape)).reshape(block.shape)
-    if checked:
+                maps[drawn[a, i]], block.reshape((-1,) + x.shape)).reshape(block.shape)
+    cut = [None] * len(trials)
+    if space is not None and space.in_domain is not None:
         for t in range(len(trials)):
-            cut[t] = next((k for j, k in enumerate(ks) if outside(pts[j, t])), None)
+            cut[t] = next((k for j, k in enumerate(ks)
+                           if not space.in_domain(_point(x0, pts[j, t]))), None)
     return pts, cut
 
 

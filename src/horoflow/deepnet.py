@@ -36,9 +36,6 @@ def _sigmoid(t):
 # each activation is 1-Lipschitz componentwise
 ACTIVATIONS = {"relu": _relu, "tanh": np.tanh, "sigmoid": _sigmoid}
 
-PLAIN = "plain"               # g(x) = act(Wx + b)
-RESNET_ADJOINT = "resnet_adjoint"  # T(x) = W^T act(Wx + b)
-
 
 def _operator_norm(W) -> float:
     """Operator 2-norm of a float weight array: its largest singular value,
@@ -71,44 +68,28 @@ def spectral_normalize(W):
 
 @dataclass(frozen=True)
 class LayerMap:
-    """Affine-plus-activation layer with a certified operator-norm bound."""
+    """The layer T(x) = W^T act(Wx + b) with a certified operator-norm bound."""
 
     W: np.ndarray
     b: np.ndarray
     activation: str
-    form: str = RESNET_ADJOINT
     certified_norm: float = 1.0
 
     def apply(self, x):
         """The layer at a point x of shape (d,), or at each column of x of
         shape (..., d, k)."""
         b = self.b if np.ndim(x) == 1 else self.b[:, None]
-        z = ACTIVATIONS[self.activation](self.W @ x + b)
-        if self.form == RESNET_ADJOINT:
-            return self.W.T @ z
-        return z
-
-    def __call__(self, x):
-        return self.apply(x)
+        return self.W.T @ ACTIVATIONS[self.activation](self.W @ x + b)
 
 
-def make_layer(W, b, activation: str, form: str = RESNET_ADJOINT,
-               audit: bool = False) -> LayerMap:
-    """Build a layer, either projecting W onto the norm ball or auditing it.
-
-    The weight is divided by its norm when above 1; with ``audit`` instead a
-    violating weight is rejected.
-    """
+def make_layer(W, b, activation: str) -> LayerMap:
+    """Build a layer, projecting W onto the norm ball: the weight is divided
+    by its norm when above 1."""
     if activation not in ACTIVATIONS:
         raise DegenerateInputError(f"unknown activation {activation!r}")
-    if form not in (PLAIN, RESNET_ADJOINT):
-        raise DegenerateInputError(f"unknown layer form {form!r}")
-    W = np.asarray(W, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if audit:
-        _audit_norm(W)
     W, norm = spectral_normalize(W)
-    return LayerMap(W=W, b=b, activation=activation, form=form, certified_norm=norm)
+    return LayerMap(W=W, b=np.asarray(b, dtype=float), activation=activation,
+                    certified_norm=norm)
 
 
 def apply_chain(layers: Sequence[LayerMap], x0):
@@ -144,7 +125,8 @@ def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftRe
     All trials step together.  The cross-input gap compares against the
     shifted input x0 + e1; by nonexpansiveness it is bounded by
     ||x0 - x0'|| / n, the assertable form of input independence of the
-    drift vector.
+    drift vector.  An output, the gap or a standard error that leaves the
+    double range raises DegenerateInputError.
     """
     if n < 1 or trials < 1:
         raise DegenerateInputError("need n >= 1 and trials >= 1")
@@ -165,13 +147,19 @@ def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftRe
     X[:, :, 0] = x0
     X[:, :, 1] = x0
     X[:, 0, 1] += 1.0
-    for k in range(n - 1, -1, -1):
-        X = W.T @ act(W @ X + biases[:, k, :, None])
-    v_hat = X[:, :, 0] / n
-    # one norm per difference vector, as a 1-D dot product
-    gap = max(float(np.linalg.norm(r)) / n for r in X[:, :, 0] - X[:, :, 1])
-    se = np.std(v_hat, axis=0, ddof=1) / math.sqrt(trials) if trials > 1 \
-        else np.zeros(d)
+    # tanh and sigmoid take an overflowed pre-activation to their limits;
+    # any other overflow leaves a non-finite value, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1, -1, -1):
+            X = W.T @ act(W @ X + biases[:, k, :, None])
+        v_hat = X[:, :, 0] / n
+        # one norm per difference vector, as a 1-D dot product
+        gap = max(float(np.linalg.norm(r)) / n for r in X[:, :, 0] - X[:, :, 1])
+        se = np.std(v_hat, axis=0, ddof=1) / math.sqrt(trials) if trials > 1 \
+            else np.zeros(d)
+    if not (np.all(np.isfinite(v_hat)) and math.isfinite(gap) and np.all(np.isfinite(se))):
+        raise DegenerateInputError(
+            "resnet drift leaves the double range: the biases are too large")
     return DriftReport(v_hat=v_hat, n=n, cross_input_gap=gap, per_coordinate_se=se)
 
 

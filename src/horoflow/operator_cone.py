@@ -229,9 +229,19 @@ def expm_taylor(a) -> np.ndarray:
     return e
 
 
-def _segal_sides(u, v):
-    """:func:`segal_check`'s two norms, and exp(u+v) from the
-    eigendecomposition that gives the first."""
+def segal_check(u, v):
+    """(||exp(u+v)||, ||exp(u/2) exp(v) exp(u/2)||, exp(u+v)): both norms
+    spectral, and the exponential from the eigendecomposition that gives
+    the first.
+
+    u and v are symmetric matrices or (..., d, d) stacks of them; a stack
+    gives one pair of norms and one exponential per matrix pair.  The left
+    side is exp of the top eigenvalue of u+v, from one stacked
+    eigendecomposition; the right side is the top eigenvalue of the
+    positive-definite product exp(u/2) exp(v) exp(u/2), with both factors
+    from :func:`expm_symmetric`.  Raises DegenerateInputError when an
+    exponential overflows.
+    """
     u = _check_symmetric(u)
     v = _check_symmetric(v)
     if u.shape != v.shape:
@@ -245,18 +255,3 @@ def _segal_sides(u, v):
         raise DegenerateInputError(
             "matrix exponential overflows: the scale of u and v is too large")
     return np.exp(w[..., -1]), np.linalg.eigvalsh(p)[..., -1], e_sum
-
-
-def segal_check(u, v):
-    """(||exp(u+v)||, ||exp(u/2) exp(v) exp(u/2)||), both spectral norms.
-
-    u and v are symmetric matrices or (..., d, d) stacks of them; a stack
-    gives one pair of norms per matrix pair.  The left side is exp of the
-    top eigenvalue of u+v, from one stacked eigendecomposition; the right
-    side is the top eigenvalue of the positive-definite product
-    exp(u/2) exp(v) exp(u/2), with both factors from
-    :func:`expm_symmetric`.  Raises DegenerateInputError when an
-    exponential overflows.
-    """
-    lhs, rhs, _ = _segal_sides(u, v)
-    return lhs, rhs

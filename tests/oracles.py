@@ -15,7 +15,9 @@ together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels, a per-step
 loop for the maximal stretch, one-sample-at-a-time loops for the metric
 property suites over the six metrics with each point built on its own,
-and step-at-a-time sums for the QR spectrum and the growth rates.
+and step-at-a-time sums for the QR spectrum and the growth rates.  Two
+stand-in drivers, a fresh sampled map a step and a circle rotation's
+labels, give kernel tests inputs that the one finite driver does not.
 """
 
 import cmath
@@ -27,11 +29,11 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from horoflow.cocycle import (LEFT, EstimationError, _dist_origin, _halves, _two_sum,
+from horoflow.cocycle import (EstimationError, _dist_origin, _halves, _two_sum,
                               geometric_checkpoints, summarize_trials)
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, WeakMetricSpace)
-from horoflow.deepnet import ACTIVATIONS, RESNET_ADJOINT, StretchReport
+from horoflow.deepnet import ACTIVATIONS, StretchReport
 from horoflow.lyapunov import SpectrumEstimate
 from horoflow.operator_cone import ScaledProduct, SymmetryError
 from horoflow.seeding import trial_rng
@@ -418,8 +420,7 @@ def _chain(layers, X):
     X holds points as columns, or is one point."""
     for layer in reversed(layers):
         b = layer.b if X.ndim == 1 else layer.b[:, None]
-        Z = ACTIVATIONS[layer.activation](layer.W @ X + b)
-        X = layer.W.T @ Z if layer.form == RESNET_ADJOINT else Z
+        X = layer.W.T @ ACTIVATIONS[layer.activation](layer.W @ X + b)
     return X
 
 
@@ -615,10 +616,52 @@ def loop_functional_bounds(space, x0, n_samples, seed=0):
                                  max_continuity_violation=cont)
 
 
+class FixedDraws:
+    """A stand-in driver for kernel tests, which take their maps from
+    ``draw`` alone: ``draw(trials, n)`` is ``rule(trials, n)``, a fixed
+    ``(maps, idx)`` as :meth:`horoflow.cocycle.ErgodicDriver.draw` returns
+    them, and ``elements`` lists one trial's maps in step order."""
+
+    def __init__(self, rule):
+        self.draw = rule
+
+    def elements(self, trial, n):
+        maps, [idx] = self.draw([trial], n)
+        return [maps[i] for i in idx]
+
+
+def sampled_draws(seed, sampler):
+    """Draws of a fresh map a step, ``sampler(rng)`` on each trial's own
+    stream: the maps of the listed trials, trial after trial, with idx
+    counting them."""
+    def rule(trials, n):
+        trials = list(trials)
+        maps = [sampler(rng) for rng in (trial_rng(seed, t) for t in trials)
+                for _ in range(n)]
+        return maps, np.arange(len(trials) * n).reshape(len(trials), n)
+    return FixedDraws(rule)
+
+
+def rotation_draws(seed, maps, breakpoints=None):
+    """Draws along an orbit of the circle rotation by the golden ratio's
+    fractional part, from a start point on each trial's own stream: the
+    unit interval is cut at the ascending ``breakpoints`` (the last 1.0;
+    equal parts by default), and the orbit's interval i draws maps[i]."""
+    bp = np.asarray(breakpoints or [(i + 1) / len(maps) for i in range(len(maps))])
+    angle = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def rule(trials, n):
+        trials = list(trials)
+        turns = angle * np.arange(n)
+        idx = [np.minimum(np.searchsorted(bp, (trial_rng(seed, t).random() + turns) % 1.0,
+                                          side="right"), len(maps) - 1) for t in trials]
+        return maps, np.array(idx, dtype=np.intp).reshape(len(trials), n)
+    return FixedDraws(rule)
+
+
 def loop_orbit_at(driver, space, x0, ks, trial=0):
     """Orbit points u(k)x0 of one trial, one point and one map at a time:
-    a right-increment checkpoint k folds g_1(...g_k(x0)) on its own, and a
-    left-increment orbit checks the domain after every step.  Returns
+    each checkpoint k folds g_1(...g_k(x0)) on its own.  Returns
     (dict k -> point, truncated_at or None); the stacked fold in
     :func:`horoflow.cocycle._fold_orbits` must agree bit for bit."""
     def apply(g, x):
@@ -630,15 +673,6 @@ def loop_orbit_at(driver, space, x0, ks, trial=0):
     ks = sorted(set(int(k) for k in ks))
     gs = driver.elements(trial, ks[-1])
     out = {}
-    if driver.order == LEFT:
-        y = x0
-        for k, g in enumerate(gs, start=1):
-            y = apply(g, y)
-            if not inside(y):
-                return out, k
-            if k in ks:
-                out[k] = y
-        return out, None
     for k in ks:
         y = x0
         for i in range(k - 1, -1, -1):

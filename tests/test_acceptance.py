@@ -97,7 +97,7 @@ def test_criterion_05_two_estimator_agreement(capsys):
     t0 = time.perf_counter()
     pair = (np.array([[2.0, 1.0], [1.0, 1.0]]),
             np.array([[1.0, 1.0], [1.0, 2.0]]))
-    drv = ErgodicDriver(kind="iid_finite", seed=3, maps=pair, weights=(0.5, 0.5))
+    drv = ErgodicDriver(seed=3, maps=pair, weights=(0.5, 0.5))
     n, trials = 10_000, 100
     qr_top = np.array([qr_spectrum(drv, 2, n, trial=t).exponents[0]
                        for t in range(trials)])
@@ -139,7 +139,7 @@ def test_criterion_07_segal_sweep(capsys):
         v = rng.uniform(-2.0, 2.0, size=(3, 3))
         u = 0.5 * (u + u.T)
         v = 0.5 * (v + v.T)
-        lhs, rhs = segal_check(u, v)
+        lhs, rhs, _ = segal_check(u, v)
         worst_slack = max(worst_slack, lhs - rhs)
         sums.append(u + v)
         sizes.append(max(1.0, lhs))
@@ -191,7 +191,7 @@ def test_criterion_09_functional_convergence_gap(capsys):
     t0 = time.perf_counter()
     const = constant_driver(mobius_matrix(0.5))
     const_gap = max(hyperbolic_walk_gap(const, 2000)[0].gaps)
-    drv = ErgodicDriver(kind="iid_finite", seed=7,
+    drv = ErgodicDriver(seed=7,
                         maps=(mobius_matrix(0.5), mobius_matrix(0.3 + 0.2j)),
                         weights=(0.5, 0.5))
     # gap(2000) against the anchor at u(4000)0, averaged over 20 trials

@@ -146,6 +146,12 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
                 # finite inverse
                 {"experiment": "filtration-probe", "diag": [1e155, 1.0], "n": 100},
                 {"experiment": "filtration-probe", "diag": [1e-301, 1e301], "n": 100},
+                # the relu chain overflows; then the spread of the trials'
+                # finite outputs does
+                {"experiment": "resnet-drift", "b_support": [1e308, 1e308], "n": 3,
+                 "trials": 2},
+                {"experiment": "resnet-drift", "b_support": [1e307, -1e307], "n": 1,
+                 "trials": 4},
                 {"experiment": "segal-sweep", "pairs": 2, "output_dir": str(afile)}):
         bad = {"seed": 1, "output_dir": str(out), **bad}
         assert run(bad) == EXIT_CONFIG

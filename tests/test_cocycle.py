@@ -7,8 +7,8 @@ import statistics
 import numpy as np
 import pytest
 
-from horoflow.cocycle import (LEFT, ErgodicDriver, EstimationError, GOLDEN_ROTATION,
-                              apply_element, check_steps, constant_driver,
+from horoflow.cocycle import (ErgodicDriver, EstimationError, apply_element,
+                              check_steps, constant_driver,
                               estimate_top_exponent, geometric_checkpoints,
                               hyperbolic_walk_gap, mobius_matrix, screen_invertible,
                               summarize_trials, _dd_matmul, _distances_from,
@@ -19,7 +19,7 @@ from horoflow.spaces import (euclidean_dist, euclidean_space, mobius_disk, poinc
                              poincare_space)
 
 from oracles import (batch_first_dd_matmul, loop_orbit_at, loop_top_exponent,
-                     loop_walk_gaps, mp_walk_gaps)
+                     loop_walk_gaps, mp_walk_gaps, rotation_draws, sampled_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -27,70 +27,32 @@ from oracles import (batch_first_dd_matmul, loop_orbit_at, loop_top_exponent,
 
 def test_driver_validation():
     with pytest.raises(ValueError):
-        ErgodicDriver(kind="markov", seed=0)
+        ErgodicDriver(seed=0, maps=())
     with pytest.raises(ValueError):
-        ErgodicDriver(kind="iid_finite", seed=0)  # no maps
-    with pytest.raises(ValueError):
-        ErgodicDriver(kind="iid_finite", seed=0, maps=(np.eye(2),) * 2,
-                      weights=(0.5, 0.6))
+        ErgodicDriver(seed=0, maps=(np.eye(2),) * 2, weights=(0.5, 0.6))
     with pytest.raises(ValueError):  # one weight short
-        ErgodicDriver(kind="iid_finite", seed=0, maps=(1.0, 2.0, 100.0),
-                      weights=(0.5, 0.5))
+        ErgodicDriver(seed=0, maps=(1.0, 2.0, 100.0), weights=(0.5, 0.5))
     with pytest.raises(ValueError):  # negative weight, sum 1
-        ErgodicDriver(kind="iid_finite", seed=0, maps=(1.0, 2.0),
-                      weights=(1.5, -0.5))
-    with pytest.raises(ValueError):
-        ErgodicDriver(kind="iid_parametric", seed=0)  # no sampler
-    with pytest.raises(ValueError):
-        ErgodicDriver(kind="rotation", seed=0, maps=(np.eye(2),) * 2,
-                      breakpoints=(0.8, 0.7))
-    with pytest.raises(ValueError):
-        ErgodicDriver(kind="iid_finite", seed=0, maps=(np.eye(2),),
-                      order="sideways")
+        ErgodicDriver(seed=0, maps=(1.0, 2.0), weights=(1.5, -0.5))
 
 
 def test_elements_deterministic_per_trial():
-    drv = ErgodicDriver(kind="iid_finite", seed=11, maps=("a", "b"),
-                        weights=(0.5, 0.5))
+    drv = ErgodicDriver(seed=11, maps=("a", "b"), weights=(0.5, 0.5))
     first = drv.elements(0, 50)
     assert drv.elements(0, 50) == first
     assert drv.elements(1, 50) != first  # overwhelmingly likely and fixed by seed
 
 
 def test_elements_are_the_maps_at_indices():
-    finite = ErgodicDriver(kind="iid_finite", seed=4, maps=("a", "b", "c"),
-                           weights=(0.2, 0.3, 0.5))
-    rotation = ErgodicDriver(kind="rotation", seed=4, maps=("a", "b"),
-                             breakpoints=(0.3, 1.0))
-    parametric = ErgodicDriver(kind="iid_parametric", seed=4,
-                               sampler=lambda rng: rng.random())
-    for drv in (finite, rotation, parametric):
-        maps, idx = drv.draw(range(5), 200)
-        assert idx.shape == (5, 200)
-        for t in (0, 3):
-            one_maps, [one] = drv.draw([t], 200)
-            # a trial's stream does not depend on the batch it is drawn in
-            assert [maps[i] for i in idx[t]] == [one_maps[i] for i in one]
-            assert drv.elements(t, 200) == [one_maps[i] for i in one]
-    assert finite.draw(range(5), 200)[0] is finite.maps
-    assert rotation.draw(range(5), 200)[0] is rotation.maps
-    maps, idx = parametric.draw(range(5), 200)
-    assert len(maps) == 1000
-    assert idx.tolist() == np.arange(1000).reshape(5, 200).tolist()
-
-
-def test_rotation_driver_hits_interval_frequencies():
-    drv = ErgodicDriver(kind="rotation", seed=0, maps=("a", "b"),
-                        breakpoints=(0.25, 1.0))
-    labels = drv.elements(0, 20000)
-    frac_a = labels.count("a") / 20000
-    # equidistribution of the golden rotation
-    assert frac_a == pytest.approx(0.25, abs=0.01)
-    assert drv.angle == GOLDEN_ROTATION
-    # the interval lengths are the rotation's weights
-    drv = ErgodicDriver(kind="rotation", seed=0, maps=(lambda x: x + 1.0,) * 3,
-                        breakpoints=(0.1, 0.7, 1.0))
-    assert drv.weights == (0.1 - 0.0, 0.7 - 0.1, 1.0 - 0.7)
+    drv = ErgodicDriver(seed=4, maps=("a", "b", "c"), weights=(0.2, 0.3, 0.5))
+    maps, idx = drv.draw(range(5), 200)
+    assert maps is drv.maps
+    assert idx.shape == (5, 200)
+    for t in (0, 3):
+        one_maps, [one] = drv.draw([t], 200)
+        # a trial's stream does not depend on the batch it is drawn in
+        assert [maps[i] for i in idx[t]] == [one_maps[i] for i in one]
+        assert drv.elements(t, 200) == [one_maps[i] for i in one]
 
 
 def test_apply_element_matrices_and_callables():
@@ -103,7 +65,7 @@ def test_apply_element_matrices_and_callables():
 
 
 # ---------------------------------------------------------------------------
-# Orbits and composition order
+# Orbits
 
 def _orbit(driver, space, x0, ks, trial=0):
     """One trial's orbit points at the sorted checkpoints ks, up to its cut:
@@ -115,17 +77,12 @@ def _orbit(driver, space, x0, ks, trial=0):
 def test_orbit_order_contract():
     f = lambda x: x + 1.0
     g = lambda x: 2.0 * x
-    drv = ErgodicDriver(kind="iid_finite", seed=5, maps=(f, g),
-                        weights=(0.5, 0.5))
+    drv = ErgodicDriver(seed=5, maps=(f, g), weights=(0.5, 0.5))
     gs = drv.elements(0, 3)
     right, _ = _orbit(drv, None, 1.0, [1, 2, 3])
     assert right[1] == gs[0](1.0)
     assert right[2] == gs[0](gs[1](1.0))
     assert right[3] == gs[0](gs[1](gs[2](1.0)))
-    drv_left = ErgodicDriver(kind="iid_finite", seed=5, maps=(f, g),
-                             weights=(0.5, 0.5), order="left_increment")
-    left, _ = _orbit(drv_left, None, 1.0, [1, 2, 3])
-    assert left[3] == gs[2](gs[1](gs[0](1.0)))
 
 
 def test_orbit_truncates_outside_domain():
@@ -189,7 +146,7 @@ def test_subadditivity_along_shifted_seeds():
     # a(n+m) <= a(n) + a(m) o T^n for i.i.d. +-1 translations: check the
     # sampled inequality on the realized sequence itself.
     sp = euclidean_space(1)
-    drv = ErgodicDriver(kind="iid_finite", seed=21,
+    drv = ErgodicDriver(seed=21,
                         maps=(lambda x: x + 1.0, lambda x: x - 1.0),
                         weights=(0.5, 0.5))
     gs = drv.elements(0, 40)
@@ -204,7 +161,7 @@ def test_subadditivity_along_shifted_seeds():
 
 def test_pm1_walk_exponent_is_small():
     sp = euclidean_space(1)
-    drv = ErgodicDriver(kind="iid_finite", seed=13,
+    drv = ErgodicDriver(seed=13,
                         maps=(lambda x: x + 1.0, lambda x: x - 1.0),
                         weights=(0.5, 0.5))
     est = estimate_top_exponent(drv, sp, np.zeros(1), 4000, 10)
@@ -288,7 +245,7 @@ def test_hyperbolic_walk_gap_constant_driver():
 
 
 def _two_map_walk(seed=7):
-    return ErgodicDriver(kind="iid_finite", seed=seed,
+    return ErgodicDriver(seed=seed,
                          maps=(mobius_matrix(0.5), mobius_matrix(0.3 + 0.2j)),
                          weights=(0.5, 0.5))
 
@@ -304,7 +261,7 @@ def test_hyperbolic_walk_interior_checkpoints():
 
 
 def _parametric_walk(seed):
-    return ErgodicDriver(kind="iid_parametric", seed=seed, sampler=lambda r: mobius_matrix(
+    return sampled_draws(seed, lambda r: mobius_matrix(
         complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6))))
 
 
@@ -388,17 +345,14 @@ def test_dd_matmul_equals_the_batch_first_product(d):
 # ---------------------------------------------------------------------------
 # The stacked orbit fold against the one-trial loop
 
-def _pm1_walk(seed, order="right_increment"):
-    return ErgodicDriver(kind="iid_finite", seed=seed, order=order,
-                         maps=(lambda x: x + 1.0, lambda x: x - 1.0),
+def _pm1_walk(seed):
+    return ErgodicDriver(seed=seed, maps=(lambda x: x + 1.0, lambda x: x - 1.0),
                          weights=(0.5, 0.5))
 
 
-def _shift_or_halve(order):
-    # leaves the disk on a long enough run of shifts: some trials truncate
-    return ErgodicDriver(kind="iid_finite", seed=3, order=order,
-                         maps=(lambda z: z + 0.3, lambda z: 0.5 * z),
-                         weights=(0.3, 0.7))
+# leaves the disk on a long enough run of shifts: some trials truncate
+_SHIFT_OR_HALVE = ErgodicDriver(seed=3, maps=(lambda z: z + 0.3, lambda z: 0.5 * z),
+                                weights=(0.3, 0.7))
 
 
 def _random_shift(rng):
@@ -408,10 +362,8 @@ def _random_shift(rng):
 
 _R1 = euclidean_space(1)
 _DISK = poincare_space()
-_MATRICES = ErgodicDriver(kind="rotation", seed=2,
-                          maps=(np.array([[0.9, 0.2], [-0.1, 0.8]]),
-                                np.array([[1.1, 0.0], [0.3, 0.7]])),
-                          breakpoints=(0.4, 1.0))
+_MATRICES = rotation_draws(2, (np.array([[0.9, 0.2], [-0.1, 0.8]]),
+                               np.array([[1.1, 0.0], [0.3, 0.7]])), (0.4, 1.0))
 
 # label -> (driver, space, x0, [(n, trials), ...])
 _FOLDS = {
@@ -423,11 +375,8 @@ _FOLDS = {
     "disk_mobius_offset": (constant_driver(mobius_disk(0.3 + 0.2j)), _DISK, 0.3j,
                            [(20, 3)]),
     "truncating": (constant_driver(lambda z: z + 0.4), _DISK, 0j, [(100, 5), (10, 2)]),
-    "shift_or_halve": (_shift_or_halve("right_increment"), _DISK, 0j, [(12, 40)]),
-    "left_shift_or_halve": (_shift_or_halve(LEFT), _DISK, 0j, [(12, 40), (30, 10)]),
-    "left_pm1_walk": (_pm1_walk(4, LEFT), _R1, np.zeros(1), [(300, 7)]),
-    "parametric": (ErgodicDriver(kind="iid_parametric", seed=6, sampler=_random_shift),
-                   _R1, np.zeros(1), [(200, 6)]),
+    "shift_or_halve": (_SHIFT_OR_HALVE, _DISK, 0j, [(12, 40)]),
+    "parametric": (sampled_draws(6, _random_shift), _R1, np.zeros(1), [(200, 6)]),
     "matrices": (_MATRICES, euclidean_space(2), np.ones(2), [(60, 5)]),
 }
 
@@ -461,10 +410,9 @@ def test_stacked_orbit_at_equals_the_point_loop(label):
 
 
 def test_fold_grid_truncates_some_trials_but_not_too_many():
-    # the shift-or-halve cases above exercise truncation counts inside the 10% limit
-    for order in ("right_increment", LEFT):
-        est = estimate_top_exponent(_shift_or_halve(order), _DISK, 0j, 12, 40)
-        assert 0 < est.truncated_trials <= 4
+    # the shift-or-halve case above exercises truncation counts inside the 10% limit
+    est = estimate_top_exponent(_SHIFT_OR_HALVE, _DISK, 0j, 12, 40)
+    assert 0 < est.truncated_trials <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +421,12 @@ def test_fold_grid_truncates_some_trials_but_not_too_many():
 # label -> (driver, space, scalar distance, x0)
 _ORBITS = {
     "pm1_walk": (_pm1_walk(11), _R1, euclidean_dist, np.zeros(1)),
-    "disk_mobius": (ErgodicDriver(kind="iid_finite", seed=5,
+    "disk_mobius": (ErgodicDriver(seed=5,
                                   maps=(mobius_disk(0.05), mobius_disk(-0.03 + 0.04j))),
                     _DISK, poincare_dist, 0.3j),
     "truncating": (constant_driver(lambda z: z + 0.4), _DISK, poincare_dist, 0j),
     "rotation": (_MATRICES, euclidean_space(2), euclidean_dist, np.ones(2)),
-    "parametric": (ErgodicDriver(kind="iid_parametric", seed=6, sampler=_random_shift),
-                   _R1, euclidean_dist, np.zeros(1)),
+    "parametric": (sampled_draws(6, _random_shift), _R1, euclidean_dist, np.zeros(1)),
 }
 
 

@@ -18,7 +18,7 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError,
                              sine_circle_map)
 
 from oracles import (loop_jacobian_cocycle, loop_lipschitz_profile, loop_max_stretch,
-                     loop_resnet_drift, operator_norm_svd)
+                     loop_resnet_drift, operator_norm_svd, sampled_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -52,30 +52,27 @@ def test_make_layer_modes():
     layer = make_layer(w, np.zeros(2), "relu")
     assert layer.certified_norm <= 1.0
     assert operator_norm_svd(layer.W) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(NormConstraintError):
-        make_layer(w, np.zeros(2), "relu", audit=True)
     with pytest.raises(DegenerateInputError):
         make_layer(w, np.zeros(2), "softplus")
-    with pytest.raises(DegenerateInputError):
-        make_layer(w, np.zeros(2), "relu", form="conv")
 
 
 def test_apply_chain_puts_first_layer_outermost():
-    l1 = make_layer(np.eye(1), np.array([1.0]), "relu", form="plain")
-    l2 = make_layer(0.5 * np.eye(1), np.zeros(1), "relu", form="plain")
-    # l1(l2(x)) = 0.5 x + 1 for x >= 0
+    l1 = make_layer(np.eye(1), np.array([1.0]), "relu")
+    l2 = make_layer(0.5 * np.eye(1), np.zeros(1), "relu")
+    # l1(l2(x)) = x / 4 + 1 for x >= 0, and l2(l1(x)) = (x + 1) / 4
     out = apply_chain([l1, l2], np.array([4.0]))
-    assert out[0] == pytest.approx(3.0)
+    assert out[0] == pytest.approx(2.0)
 
 
 def test_layer_forms():
+    # T(x) = W^T act(Wx + b) at a point, and at each column of a stack
     w, _ = spectral_normalize(np.array([[0.6, 0.2], [0.1, 0.5]]))
     b = np.array([0.3, -0.2])
     x = np.array([1.0, 2.0])
-    plain = make_layer(w, b, "tanh", form="plain")
-    res = make_layer(w, b, "tanh")
-    assert np.allclose(plain(x), np.tanh(w @ x + b))
-    assert np.allclose(res(x), w.T @ np.tanh(w @ x + b))
+    layer = make_layer(w, b, "tanh")
+    assert np.allclose(layer.apply(x), w.T @ np.tanh(w @ x + b))
+    cols = layer.apply(np.stack([x, -x], axis=1)[None])
+    assert np.allclose(cols[0, :, 1], w.T @ np.tanh(w @ -x + b))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +229,10 @@ def _disk_map(a):
 
 _STRETCH_DRIVERS = {
     "constant": constant_driver(_disk_map(0.5)),
-    "two_maps": ErgodicDriver(kind="iid_finite", seed=4,
+    "two_maps": ErgodicDriver(seed=4,
                               maps=(_disk_map(0.5), _disk_map(-0.3 + 0.2j)),
                               weights=(0.3, 0.7)),
-    "parametric": ErgodicDriver(kind="iid_parametric", seed=4, sampler=lambda r: _disk_map(
+    "parametric": sampled_draws(4, lambda r: _disk_map(
         complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6)))),
 }
 
@@ -254,7 +251,7 @@ def test_max_stretch_equals_the_step_loop(name):
 def test_max_stretch_reports_the_first_step_that_leaves_the_chart():
     # the bad map is the second distinct one drawn, at the first step it
     # is drawn, as in the per-step loop
-    drv = ErgodicDriver(kind="iid_finite", seed=2,
+    drv = ErgodicDriver(seed=2,
                         maps=(_disk_map(0.5), lambda z: z * complex("nan")),
                         weights=(0.5, 0.5))
     first = drv.elements(0, 50).index(drv.maps[1]) + 1
@@ -294,7 +291,7 @@ _CIRCLE_DRIVERS = {
     "mobius_-0.3": constant_driver(mobius_circle_map(-0.3)),
     "sine": constant_driver(sine_circle_map(0.5)),
     "rotation": constant_driver(rotation_circle_map(1.0)),
-    "mix": ErgodicDriver(kind="iid_finite", seed=7,
+    "mix": ErgodicDriver(seed=7,
                          maps=(mobius_circle_map(0.5), sine_circle_map(0.5),
                                rotation_circle_map(1.0))),
 }

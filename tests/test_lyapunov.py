@@ -11,7 +11,7 @@ from horoflow.lyapunov import _growth_rates, filtration_probe, qr_spectrum
 from horoflow.operator_cone import _fold
 from horoflow.seeding import trial_rng
 
-from oracles import loop_growth_rates, loop_qr_spectrum
+from oracles import loop_growth_rates, loop_qr_spectrum, sampled_draws
 
 
 def test_diagonal_spectrum_is_exact():
@@ -36,8 +36,7 @@ def test_spectrum_sum_rule():
     rng = trial_rng(18, 0)
     a = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     b = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
-    drv = ErgodicDriver(kind="iid_finite", seed=4, maps=(a, b),
-                        weights=(0.5, 0.5))
+    drv = ErgodicDriver(seed=4, maps=(a, b), weights=(0.5, 0.5))
     est = qr_spectrum(drv, 3, 2000, trial=0)
     gs = drv.elements(0, 2000)
     mean_logdet = np.mean([math.log(abs(np.linalg.det(g))) for g in gs])
@@ -108,20 +107,18 @@ def _random_pair(dim, seed):
     rng = trial_rng(seed, 0)
     a = rng.normal(size=(dim, dim)) + 2.0 * np.eye(dim)
     b = rng.normal(size=(dim, dim)) + 2.0 * np.eye(dim)
-    return ErgodicDriver(kind="iid_finite", seed=seed, maps=(a, b), weights=(0.5, 0.5))
+    return ErgodicDriver(seed=seed, maps=(a, b), weights=(0.5, 0.5))
 
 
-_SL2_PAIR = ErgodicDriver(kind="iid_finite", seed=5,
+_SL2_PAIR = ErgodicDriver(seed=5,
                           maps=(np.array([[2.0, 1.0], [1.0, 1.0]]),
                                 np.array([[1.0, 1.0], [1.0, 2.0]])),
                           weights=(0.5, 0.5))
-_PARAMETRIC = ErgodicDriver(kind="iid_parametric", seed=2,
-                            sampler=lambda r: r.normal(size=(2, 2)) + 2.0 * np.eye(2))
+_PARAMETRIC = sampled_draws(2, lambda r: r.normal(size=(2, 2)) + 2.0 * np.eye(2))
 # unshifted Gaussian steps: the R diagonal's signs change from step to step
 # in mixed patterns, so the kernel's frame, whose column signs are left as
 # LAPACK returns them, differs from the loop's positive-diagonal frame
-_GAUSSIAN_4 = ErgodicDriver(kind="iid_parametric", seed=9,
-                            sampler=lambda r: r.normal(size=(4, 4)))
+_GAUSSIAN_4 = sampled_draws(9, lambda r: r.normal(size=(4, 4)))
 _COCYCLES = {
     "sl2_pair": (_SL2_PAIR, 2),
     "gaussian_4": (_GAUSSIAN_4, 4),
@@ -170,20 +167,18 @@ def test_a_rescaling_fault_ends_the_run_at_its_block(step):
     # finite, with a finite inverse, but the norm of its first column overflows
     bad = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
     draws = iter([bad if k == step else np.eye(2) for k in range(1, end + 1)])
-    drv = ErgodicDriver(kind="iid_parametric", seed=0, sampler=lambda r: next(draws))
+    drv = sampled_draws(0, lambda r: next(draws))
     with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
         qr_spectrum(drv, 2, end)
 
 
 @pytest.mark.filterwarnings("error")
 def test_singular_and_nan_draws_are_refused_up_front():
-    # every drawn matrix is screened before the first step, a parametric
-    # driver's draws too: a zero or a nan step is never reached
-    singular = ErgodicDriver(kind="iid_parametric", seed=0,
-                             sampler=lambda r: np.diag([1.0, float(r.random() > 0.2)]))
-    with_nan = ErgodicDriver(kind="iid_parametric", seed=0,
-                             sampler=lambda r: np.diag([1.0, math.nan
-                                                        if r.random() < 0.2 else 1.0]))
+    # every drawn matrix is screened before the first step, a fresh
+    # matrix a step too: a zero or a nan step is never reached
+    singular = sampled_draws(0, lambda r: np.diag([1.0, float(r.random() > 0.2)]))
+    with_nan = sampled_draws(0, lambda r: np.diag([1.0, math.nan
+                                                  if r.random() < 0.2 else 1.0]))
     for driver in (singular, with_nan):
         with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
             qr_spectrum(driver, 2, 50)

@@ -22,15 +22,15 @@ from horoflow.spaces import sym_part
 
 from oracles import (exact_log_gram_norm, loop_accumulate, loop_expm_taylor,
                      loop_segal_sweep, mp_distance, mp_log_gram_norms, mp_segal,
-                     mp_state_ratios, scipy_segal_sweep, sweep_pair)
+                     mp_state_ratios, rotation_draws, sampled_draws,
+                     scipy_segal_sweep, sweep_pair)
 
 
 def _random_driver(seed=3, spread=0.5):
     rng = trial_rng(seed, 0)
     a = np.eye(3) + spread * rng.normal(size=(3, 3))
     b = np.eye(3) + spread * rng.normal(size=(3, 3))
-    return ErgodicDriver(kind="iid_finite", seed=seed, maps=(a, b),
-                         weights=(0.5, 0.5))
+    return ErgodicDriver(seed=seed, maps=(a, b), weights=(0.5, 0.5))
 
 
 def test_scaled_product_tracks_are_consistent():
@@ -88,13 +88,12 @@ _FOLD_DRIVERS = {
     "sl2_pair": lambda seed: _matrix_driver({**_TAU_DEFAULTS, "preset": "sl2_pair",
                                              "seed": seed}),
     "random_3x3": _random_driver,
-    "parametric": lambda seed: ErgodicDriver(
-        kind="iid_parametric", seed=seed,
-        sampler=lambda rng: np.eye(3) + 0.4 * rng.normal(size=(3, 3))),
+    "parametric": lambda seed: sampled_draws(
+        seed, lambda rng: np.eye(3) + 0.4 * rng.normal(size=(3, 3))),
     # a constant orthogonal matrix: tau is a few ulp from 0
     "rotation": lambda seed: _matrix_driver({**_TAU_DEFAULTS, "preset": "rotation",
                                              "seed": seed}),
-    "sl2_rotation": lambda seed: ErgodicDriver(kind="rotation", seed=seed, maps=_SL2_PAIR),
+    "sl2_rotation": lambda seed: rotation_draws(seed, _SL2_PAIR),
 }
 
 
@@ -210,7 +209,7 @@ def test_state_ratios_match_the_mpmath_product(N):
 def test_segal_equality_for_commuting_arguments():
     u = np.diag([1.0, -0.5])
     v = np.diag([0.3, 0.7])
-    lhs, rhs = segal_check(u, v)
+    lhs, rhs, _ = segal_check(u, v)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -221,7 +220,7 @@ def test_segal_inequality_random_pairs():
         v = rng.uniform(-2.0, 2.0, size=(3, 3))
         u = 0.5 * (u + u.T)
         v = 0.5 * (v + v.T)
-        lhs, rhs = segal_check(u, v)
+        lhs, rhs, _ = segal_check(u, v)
         assert lhs <= rhs + 1e-10
 
 
@@ -256,11 +255,14 @@ def test_segal_check_stacks_pairs():
     rng = trial_rng(12, 0)
     u = sym_part(rng.uniform(-2.0, 2.0, size=(5, 3, 3)))
     v = sym_part(rng.uniform(-2.0, 2.0, size=(5, 3, 3)))
-    lhs, rhs = segal_check(u, v)
+    lhs, rhs, e_sum = segal_check(u, v)
     assert lhs.shape == rhs.shape == (5,)
+    assert e_sum.shape == (5, 3, 3)
     for i in range(5):
         # a single pair is the stack-of-one case
-        assert segal_check(u[i], v[i]) == (lhs[i], rhs[i])
+        one_lhs, one_rhs, one_sum = segal_check(u[i], v[i])
+        assert (one_lhs, one_rhs) == (lhs[i], rhs[i])
+        assert one_sum.tolist() == e_sum[i].tolist()
         assert expm_symmetric(u[i]).tolist() == expm_symmetric(u)[i].tolist()
 
 
