@@ -93,7 +93,8 @@ def screen_invertible(mats: np.ndarray, idx) -> np.ndarray:
     non-finite or has no finite inverse for the inverse track is a singular
     step matrix; any other runs, however badly conditioned, and a product
     that leaves the double range faults at its step."""
-    used = np.unique(idx)
+    # the drawn indices in order, by a count rather than np.unique's sort
+    used = np.flatnonzero(np.bincount(np.ravel(idx), minlength=len(mats)))
     invs = np.full(np.shape(mats), np.nan)
     try:
         invs[used] = np.linalg.inv(mats[used])

@@ -2,9 +2,10 @@
 
 The full spectrum is accumulated by the standard re-orthonormalized QR
 scheme (no raw matrix product is ever formed); single-direction growth
-rates use per-step renormalization, with every start vector and trial a
-row on one leading axis; filtration structure is probed by clustering the
-growth rates of a probe set under a constant matrix.
+rates run every start vector and trial as a row on one leading axis,
+rescaled by an exact power of two once a block of steps; filtration
+structure is probed by clustering the growth rates of a probe set under a
+constant matrix.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ import numpy as np
 from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, check_steps, screen_invertible,
                       tail_checkpoints)
 from .core import DegenerateInputError
+
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -70,18 +73,40 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
 
 
+def _rescale(w):
+    """Scale each row of the (rows, d, 1) stack w in place by the power of
+    two that puts its largest modulus in [0.5, 1).  Returns the (rows,)
+    largest moduli before the scaling and the exponents taken out; a row
+    whose largest modulus is zero or not finite keeps its entries, with
+    exponent 0."""
+    top = np.max(np.abs(w), axis=(1, 2))
+    exps = np.frexp(top)[1]
+    np.ldexp(w, -exps[:, None, None], out=w)
+    return top, exps
+
+
 def _growth_rates(mats, idx, V, ks) -> np.ndarray:
     """(1/k) log ||A(k) v|| for each row at each ascending checkpoint k, all
-    read off one renormalized run of ks[-1] steps per row.
+    read off one run of ks[-1] steps per row.
 
     Row r starts at V[r], and its step i applies mats[idx[r, i]]; the rows
     run together on a leading axis.  idx may instead be a single row, whose
     step i then applies to every row.  Returns a (rows, len(ks)) array.
 
-    The steps are gathered in blocks that keep each gather within
-    ``_PRODUCT_BLOCK`` matrices, so a shared idx row gathers
-    ``_PRODUCT_BLOCK`` steps at once.  A step norm that is zero or past the
-    double range is a rescaling fault, raised when its block completes.
+    Each step is one stacked matmul.  The rows are rescaled only at the end
+    of a block of steps, by the power of two that puts a row's largest
+    modulus in [0.5, 1), and the exponents taken out are summed exactly as
+    integers; power-of-two scaling is exact, so where a block ends moves no
+    bit.  A block is short enough that no row can overflow or reach the
+    subnormals inside it: its width times log2 of the largest infinity
+    norm of a drawn matrix or of its inverse is at most 960.  Blocks also
+    end at every checkpoint, where the rate is (log ||w|| - log ||w_0|| +
+    E log 2) / k from the rescaled row w, the rescaled start w_0 and the
+    exponent sum E.  A gather stays within ``_PRODUCT_BLOCK`` matrices.  A
+    row whose largest modulus is zero or past the double range at a block
+    end is a rescaling fault at the block's last step.  Only a block of one
+    step can fault (a matrix whose norm, or whose inverse's, is past 2^960
+    makes every block one step long), so the step named is exact.
     """
     mats = np.asarray(mats, dtype=float)
     dim = mats.shape[-1]
@@ -91,39 +116,41 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
         raise DegenerateInputError(f"probe vectors must have length {dim}") from e
     if V.ndim != 2 or V.shape[1] != dim:
         raise DegenerateInputError(f"probe vectors must have length {dim}")
-    w = V[:, :, None]
+    w = V[:, :, None].copy()
+    top, _ = _rescale(w)
+    if not np.all(np.isfinite(top) & (top > 0.0)):
+        raise DegenerateInputError("probe vectors must be finite and nonzero")
+    invs = screen_invertible(mats, idx)
+    drawn = ~np.isnan(invs[:, 0, 0])    # an undrawn matrix's inverse is nan
     with np.errstate(over="ignore"):
-        nv = np.sqrt(np.matmul(V[:, None, :], w))
-    # a nan or inf entry makes the norm nan or inf
-    if not np.all(np.isfinite(nv) & (nv > 0.0)):
-        raise DegenerateInputError("probe vector norm must be finite and nonzero")
-    w = w / nv
+        bound = max(float(np.abs(mats[drawn]).sum(axis=-1).max()),
+                    float(np.abs(invs[drawn]).sum(axis=-1).max()), 2.0)
     steps = np.asarray(idx).T
-    n = len(steps)
-    norms = np.empty((n, len(V)))
-    # every step writes into the same buffers: u = A w, then its squared
-    # norm into the step's row of norms, then the sqrt, then w = u / norm
+    width = min(max(int(960 // math.log2(bound)), 1),
+                max(_PRODUCT_BLOCK // steps.shape[1], 1))
+    rows = len(V)
+    # math.log, not np.log: numpy's SIMD log can differ in the last bit
+    logs0 = [math.log(math.hypot(*row)) for row in w[:, :, 0].tolist()]
+    total = np.zeros(rows, dtype=np.int64)
+    rates = np.empty((rows, len(ks)))
+    # every step writes into the other buffer, then the two swap
     u = np.empty_like(w)
-    u_t = u.transpose(0, 2, 1)
-    step_norms = norms.reshape(n, len(V), 1, 1)
-    width = max(_PRODUCT_BLOCK // steps.shape[1], 1)
+    start = 0
     with np.errstate(all="ignore"):
-        for start in range(0, n, width):
-            stop = min(start + width, n)
-            for a, s in zip(mats[steps[start:stop]], step_norms[start:stop]):
-                np.matmul(a, w, out=u)
-                np.matmul(u_t, u, out=s)
-                np.sqrt(s, out=s)
-                np.divide(u, s, out=w)
-            check_steps(norms[start:stop], start + 1)
-    # math.log, not np.log: numpy's SIMD log can differ in the last bit.
-    # The norms are read one at a time, not as a list, which would hold a
-    # Python float for every step of every row.  The running sums add in
-    # step order, as a scalar loop would, and overwrite the norms.
-    logs = np.fromiter(map(math.log, norms.flat), dtype=float, count=norms.size)
-    sums = np.cumsum(logs.reshape(norms.shape), axis=0, out=norms)
-    ks = np.asarray(ks)
-    return (sums[ks - 1] / ks[:, None]).T
+        for j, k in enumerate(ks):
+            while start < k:
+                stop = min(start + width, k)
+                for a in mats[steps[start:stop]]:
+                    np.matmul(a, w, out=u)
+                    w, u = u, w
+                top, exps = _rescale(w)
+                check_steps(top[None], stop)
+                total += exps
+                start = stop
+            rates[:, j] = [(math.log(math.hypot(*row)) - log0 + e * _LOG2) / k
+                           for row, log0, e in zip(w[:, :, 0].tolist(), logs0,
+                                                   total.tolist())]
+    return rates
 
 
 def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> FiltrationProbeReport:
@@ -139,7 +166,6 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
     if n < 100:
         raise DegenerateInputError("n must be >= 100")
     A = np.asarray(A, dtype=float)
-    screen_invertible(A[None], [0])
     # every probe is a row of one run, all rows sharing one idx row; a
     # probe's n // 2 rate is a checkpoint of its row
     idx = np.zeros((1, n), dtype=np.intp)

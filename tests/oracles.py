@@ -736,9 +736,41 @@ def loop_qr_spectrum(driver, dim, n, trial=0):
     return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
 
 
+def _pow2_rescale(w):
+    """(w scaled by the power of two that puts its largest modulus in
+    [0.5, 1), the exponent taken out)."""
+    e = math.frexp(float(np.max(np.abs(w))))[1]
+    return np.ldexp(w, -e), e
+
+
 def loop_growth_rates(driver, v, ks, trial=0):
-    """(1/k) log ||A(k) v|| for each k, each from its own renormalized run
-    of k steps; one run read at every checkpoint must agree bit for bit."""
+    """(1/k) log ||A(k) v|| for each k, each from its own run of k steps
+    that rescales w by a power of two after every step and sums the
+    exponents as an integer E: the rate is (log ||w|| - log ||w_0|| +
+    E log 2) / k.  :func:`horoflow.lyapunov._growth_rates`, which rescales
+    once a block and reads one run at every checkpoint, must agree bit for
+    bit.  A zero or non-finite largest modulus is a rescaling fault at its
+    step."""
+    rates = []
+    for k in ks:
+        w, _ = _pow2_rescale(np.asarray(v, dtype=float))
+        log0 = math.log(math.hypot(*w.tolist()))
+        total = 0
+        for step, a in enumerate(driver.elements(trial, k), start=1):
+            w = np.asarray(a, dtype=float) @ w
+            top = float(np.max(np.abs(w)))
+            if not (math.isfinite(top) and top > 0.0):
+                raise FloatingPointError(f"rescaling fault at step {step}")
+            w, e = _pow2_rescale(w)
+            total += e
+        rates.append((math.log(math.hypot(*w.tolist())) - log0 + total * math.log(2.0)) / k)
+    return rates
+
+
+def sqrt_loop_growth_rates(driver, v, ks, trial=0):
+    """The same rates from the older scheme, which divides w by its norm
+    sqrt(w^T w) after every step and sums the logs of the norms; the
+    reference that ``mp_growth_rates`` measures the kernel against."""
     rates = []
     for k in ks:
         w = np.asarray(v, dtype=float)
@@ -751,6 +783,23 @@ def loop_growth_rates(driver, v, ks, trial=0):
             w = w / s
         rates.append(rate / k)
     return rates
+
+
+def mp_growth_rates(driver, v, ks, trial=0):
+    """{k: (1/k) log(||A(k) v|| / ||v||)} from one 50-digit product of the
+    driver's first max(ks) steps; every double converts exactly."""
+    want = set(ks)
+    out = {}
+    maps, [idx] = driver.draw([trial], max(ks))
+    with mpmath.workdps(_MP_DPS):
+        exact = [mpmath.matrix(np.asarray(m, dtype=float).tolist()) for m in maps]
+        w = mpmath.matrix(np.asarray(v, dtype=float).tolist())
+        log0 = mpmath.log(mpmath.norm(w))
+        for k, i in enumerate(idx.tolist(), start=1):
+            w = exact[i] * w
+            if k in want:
+                out[k] = (mpmath.log(mpmath.norm(w)) - log0) / k
+    return out
 
 
 def _symmetric(y, tol=1e-9):

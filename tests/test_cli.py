@@ -142,10 +142,6 @@ def test_run_reports_run_time_errors(tmp_path, capsys):
     for bad in ({"experiment": "segal-sweep", "scale": 1e3, "pairs": 2},
                 {"experiment": "segal-sweep", "scale": 1e308, "pairs": 2},
                 {"experiment": "filtration-probe", "diag": [0.0, 1.0]},
-                # step norms leave the double range, though each matrix has a
-                # finite inverse
-                {"experiment": "filtration-probe", "diag": [1e155, 1.0], "n": 100},
-                {"experiment": "filtration-probe", "diag": [1e-301, 1e301], "n": 100},
                 # the relu chain overflows; then the spread of the trials'
                 # finite outputs does
                 {"experiment": "resnet-drift", "b_support": [1e308, 1e308], "n": 3,
@@ -205,6 +201,15 @@ def test_run_accepts_scaled_identities_at_the_double_range(tmp_path):
         rows = _run_table(tmp_path, "oseledets-spectrum", diag)
         assert [row["exponent"] for row in rows] == pytest.approx(
             sorted(map(math.log, diag), reverse=True), rel=1e-9, abs=0.0)
+    # growth rates rescale by powers of two, so a step norm past the square
+    # root of the double range runs: e1 and e2 grow at the log of their
+    # diagonal entry, and e1 + e2 as in test_run_accepts_a_small_scaled_identity
+    for diag in ([1e-301, 1e-301], [1e-301, 1e301], [1e155, 1.0]):
+        a, b = map(math.log, diag)
+        mixed = max(a, b) - (0.0 if a == b else math.log(2.0) / 2000)
+        rows = _run_table(tmp_path, "filtration-probe", diag)
+        assert [row["rate"] for row in rows] == pytest.approx([a, b, mixed], rel=1e-9,
+                                                              abs=0.0)
     # the inverses of 1e308 and 1e-301 are representable, so the operator
     # tracks are too
     for diag in ([1e308, 1e308], [1e-301, 1e301]):

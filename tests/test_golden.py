@@ -52,7 +52,12 @@ the top ``eigvalsh`` eigenvalue of exp(u/2) exp(v) exp(u/2) with factors
 from ``expm_symmetric``, and path_gap compares that eigendecomposition's
 exp(u+v) with a numpy Taylor scaling and squaring; all three are checked
 against 50-digit exponentials (``mp_segal``), where each errs no more than
-the scipy path (``scipy_segal_sweep``) did.
+the scipy path (``scipy_segal_sweep``) did.  Golden filtration-probe was
+re-pinned when growth rates stopped dividing by sqrt(w^T w) and summing a
+log a step, and began to rescale by an exact power of two once a block and
+take one log a checkpoint: e1 and e2 now read log 2 to the last bit, and
+every rate errs no more than the old loop's against 50-digit products
+(``mp_growth_rates``).
 """
 
 import hashlib
@@ -65,7 +70,7 @@ from test_acceptance import _SMALL_CONFIGS
 
 GOLDEN_SHA256 = {
     "filtration-probe":
-        "9d68033dd35457e7fa04a80c31b8d2e92c6ae82afb243b2327661b3f34d0abcd",
+        "f059ed65073fc2d8075080532da76e1da87c191f996bb8e92c22ef27f14258aa",
     "hyperbolic-walk":
         "ad24732ab4d030801735f1f8f1218d4fad2128521cc171a6d8dfb73b2e0199f2",
     "jacobian-cocycle":

@@ -11,7 +11,8 @@ from horoflow.lyapunov import _growth_rates, filtration_probe, qr_spectrum
 from horoflow.operator_cone import _fold
 from horoflow.seeding import trial_rng
 
-from oracles import loop_growth_rates, loop_qr_spectrum, sampled_draws
+from oracles import (loop_growth_rates, loop_qr_spectrum, mp_growth_rates, sampled_draws,
+                     sqrt_loop_growth_rates)
 
 
 def test_diagonal_spectrum_is_exact():
@@ -98,9 +99,11 @@ def test_filtration_probe_validation():
     with pytest.raises(DegenerateInputError, match="singular"):
         filtration_probe(np.diag([0.0, 1.0]), [np.array([1.0, 1.0])], 200)
     for probes in ([np.ones(3)], [np.ones(2), np.ones(3)], [np.array([1.0, np.nan])],
-                   [np.array([1e200, 1e200])]):
+                   [np.zeros(2)]):
         with pytest.raises(DegenerateInputError, match="probe vector"):
             filtration_probe(np.eye(2), probes, 200)
+    # a probe whose squared norm overflows is still a probe
+    assert filtration_probe(np.eye(2), [np.array([1e200, 1e200])], 200).rates.tolist() == [0.0]
 
 
 def _random_pair(dim, seed):
@@ -154,16 +157,15 @@ def test_qr_spectrum_equals_the_loop_at_tiny_and_huge_scales(diag):
 @pytest.mark.parametrize("step", [1, 1000, _PRODUCT_BLOCK, _PRODUCT_BLOCK + 1,
                                   _PRODUCT_BLOCK + 1000])
 def test_a_rescaling_fault_ends_the_run_at_its_block(step):
-    # the squared norm of diag(1e155, 1) e1 overflows at the fault's step;
-    # every step after its block draws index 2, past the end of mats, so a
-    # run that went on would raise IndexError instead
+    # the first entry of [[1e308, 1e308], [0, 1]] (0.99, 0.99) overflows at
+    # the fault's step; a matrix of norm past 2^960 makes every block one
+    # step long, so the fault names its own step
     end = -(-step // _PRODUCT_BLOCK) * _PRODUCT_BLOCK
     idx = np.zeros((1, end + _PRODUCT_BLOCK), dtype=np.intp)
     idx[0, step - 1] = 1
-    idx[0, end:] = 2
-    mats = [np.eye(2), np.diag([1e155, 1.0])]
+    mats = [np.eye(2), np.array([[1e308, 1e308], [0.0, 1.0]])]
     with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
-        _growth_rates(mats, idx, [[1.0, 0.0]], [idx.shape[1]])
+        _growth_rates(mats, idx, [[0.99, 0.99]], [idx.shape[1]])
     # finite, with a finite inverse, but the norm of its first column overflows
     bad = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
     draws = iter([bad if k == step else np.eye(2) for k in range(1, end + 1)])
@@ -222,3 +224,46 @@ def test_filtration_probe_rates_equal_the_two_run_loop():
                             for p in probes))
         assert rep.rates.tolist() == list(rates)
         assert rep.clusters == _loop_clusters(half, rates)
+
+
+def _errors(got, want):
+    return [abs(g - float(want[k])) for g, k in zip(got, sorted(want))]
+
+
+@pytest.mark.parametrize("label", sorted(_COCYCLES) + ["diag_2_half"])
+def test_growth_rate_error_is_at_most_the_sqrt_loops(label):
+    # against a 50-digit product, the power-of-two kernel errs no more than
+    # the older loop that divides by sqrt(w^T w) every step and sums logs
+    if label == "diag_2_half":      # filtration-probe's benchmark call
+        drv, dim, ks = constant_driver(np.diag([2.0, 0.5])), 2, [6250, 12500]
+        V = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    else:
+        (drv, dim), ks = _COCYCLES[label], [200, 1000, 2000]
+        V = trial_rng(31, 0).normal(size=(2, dim)).tolist()
+    maps, idx = drv.draw([0], ks[-1])
+    got = _growth_rates(maps, idx, V, ks)
+    new = old = 0.0
+    for row, v in zip(got, V):
+        want = mp_growth_rates(drv, v, ks)
+        new = max(new, *_errors(row, want))
+        old = max(old, *_errors(sqrt_loop_growth_rates(drv, v, ks), want))
+    assert new <= old
+
+
+def test_growth_rates_do_not_see_a_power_of_two_on_the_start():
+    drv, dim = _COCYCLES["random_pair_3"]
+    maps, idx = drv.draw([0], 1000)
+    V = trial_rng(32, 0).normal(size=(4, dim))
+    ks = [1, 10, 1000]
+    got = _growth_rates(maps, idx, V, ks)
+    assert _growth_rates(maps, idx, V * 2.0 ** 600, ks).tolist() == got.tolist()
+    assert _growth_rates(maps, idx, V * 2.0 ** -600, ks).tolist() == got.tolist()
+
+
+def test_growth_rates_of_a_diagonal_at_a_large_power_of_two():
+    n = 5000
+    idx = np.zeros((1, n), dtype=np.intp)
+    got = _growth_rates(np.diag([2.0 ** 40, 2.0 ** -40])[None], idx,
+                        [[1.0, 0.0], [0.0, 1.0]], [n // 2, n])
+    want = 40.0 * math.log(2.0)
+    assert got.ravel() == pytest.approx([want, want, -want, -want], rel=1e-15, abs=0.0)
