@@ -380,7 +380,7 @@ EXPERIMENTS = {e.name: e for e in [
                 "n": (1000, _integer(10)), "trials": (10, _COUNT),
                 "mobius_a": (0.5, _disk)}),
     Experiment("oseledets-spectrum",
-               "full Lyapunov spectrum by QR accumulation",
+               "full Lyapunov spectrum by exterior-power growth rates",
                _run_oseledets_spectrum,
                {**_matrix_params([3.0, 1.0]), "n": (100000, _integer(10)),
                 "trial": _TRIAL}),

@@ -306,6 +306,15 @@ def _halves(a):
     return big, a - big
 
 
+def _two_prod(a, b):
+    """(p, q) with p + q == a * b exactly, for entries of modulus at most 1
+    whose product is not subnormal (Dekker's product)."""
+    a1, a2 = _halves(a)
+    b1, b2 = _halves(b)
+    p = a * b
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
 def _dd_matmul(ah, al, bh, bl):
     """(hi, lo) of (ah + al) @ (bh + bl) for real stacks of one shape with
     entries of modulus at most 1.

@@ -3,24 +3,26 @@
 Each oracle recomputes a quantity by a route different from the package
 implementation: quadrature of the hyperbolic line element, radial limits
 of anchored functionals, direct optimization of Rayleigh quotients, SVD
-for operator norms, exact rational arithmetic for matrix products,
-50-digit products for the pairwise-reduced operator fold and disk walk
-(whose old one-step-at-a-time loops stay as the error baseline), the
-batch-first double-double product that the stack-innermost one replaced,
-the 50-digit Mobius form of the disk distance, 40-digit generalized
-eigenvalues of the cone's pencils, 50-digit exponentials for the Segal
-check (whose old ``scipy.linalg.expm`` loop stays as the error baseline),
+for operator norms, exact rational arithmetic for matrix products and
+determinants, 50-digit products for the pairwise-reduced operator fold
+and disk walk (whose old one-step-at-a-time loops stay as the error
+baseline), the batch-first double-double product that the
+stack-innermost one replaced, the 50-digit Mobius form of the disk
+distance, 40-digit generalized eigenvalues of the cone's pencils,
+50-digit exponentials for the Segal check (whose old ``scipy.linalg.expm`` loop stays as the error baseline),
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels, a per-step
 loop for the maximal stretch, one-sample-at-a-time loops for the metric
 property suites over the six metrics with each point built on its own,
-and step-at-a-time sums for the QR spectrum and the growth rates.  Two
+step-at-a-time sums for the growth rates, and 50-digit Gram-Schmidt for
+the QR spectrum (whose old LAPACK loop stays as the error baseline).  Two
 stand-in drivers, a fresh sampled map a step and a circle rotation's
 labels, give kernel tests inputs that the one finite driver does not.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -150,6 +152,20 @@ def exact_log_gram_norm(factors) -> float:
     lam_min = root(lambda x: _is_positive_definite(shifted(x, 1)))
     lam_max = root(lambda x: not _is_positive_definite(shifted(x, -1)))
     return max(math.log(lam_max), -math.log(lam_min))
+
+
+def fraction_det(m):
+    """The determinant of the square matrix m, exactly: Leibniz's sum of
+    signed products of Fractions, every double converting exactly."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(m, dtype=float).tolist()]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
 
 
 def loop_accumulate(mats, checkpoints=()):
@@ -709,11 +725,13 @@ def loop_top_exponent(driver, space, x0, n, trials):
                             n, trials, truncated)
 
 
-def loop_qr_spectrum(driver, dim, n, trial=0):
-    """QR accumulation with the log of each step's R diagonal added to a
-    running sum as it is factored; :func:`horoflow.lyapunov.qr_spectrum`
-    must agree bit for bit.  A zero or non-finite R diagonal entry is a
-    rescaling fault at its step."""
+def lapack_qr_spectrum(driver, dim, n, trial=0):
+    """The QR accumulation :func:`horoflow.lyapunov.qr_spectrum` ran before
+    it read exponent sums as exterior-power growth rates: LAPACK's
+    ``geqrf``/``orgqr`` a step, the log of each step's R diagonal added to a
+    running sum as it is factored.  The reference that ``mp_qr_spectrum``
+    measures the kernel against.  A zero or non-finite R diagonal entry is
+    a rescaling fault at its step."""
     mats = [np.asarray(a, dtype=float) for a in driver.elements(trial, n)]
     q = np.eye(dim)
     sums = np.zeros(dim)
@@ -736,6 +754,32 @@ def loop_qr_spectrum(driver, dim, n, trial=0):
     return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
 
 
+def mp_qr_spectrum(driver, dim, n, trial=0):
+    """The exponents (1/n) sum_k log r_ii(k) of QR accumulation over the
+    driver's first n steps, sorted descending, as 50-digit numbers: every
+    step factors A_k q by modified Gram-Schmidt in mpmath.  Every double
+    converts exactly."""
+    maps, [idx] = driver.draw([trial], n)
+    with mpmath.workdps(_MP_DPS):
+        exact = {}
+        q = [[mpmath.mpf(int(r == c)) for r in range(dim)] for c in range(dim)]  # columns
+        sums = [mpmath.mpf(0)] * dim
+        for i in idx.tolist():
+            if i not in exact:
+                exact[i] = [[mpmath.mpf(x) for x in row]
+                            for row in np.asarray(maps[i], dtype=float).tolist()]
+            ys = [[mpmath.fdot(row, col) for row in exact[i]] for col in q]
+            for c in range(dim):
+                r = mpmath.sqrt(mpmath.fdot(ys[c], ys[c]))
+                sums[c] += mpmath.log(r)
+                ys[c] = [y / r for y in ys[c]]
+                for later in range(c + 1, dim):
+                    h = mpmath.fdot(ys[c], ys[later])
+                    ys[later] = [y - h * x for x, y in zip(ys[c], ys[later])]
+            q = ys
+        return sorted((s / n for s in sums), reverse=True)
+
+
 def _pow2_rescale(w):
     """(w scaled by the power of two that puts its largest modulus in
     [0.5, 1), the exponent taken out)."""
@@ -743,19 +787,16 @@ def _pow2_rescale(w):
     return np.ldexp(w, -e), e
 
 
-def loop_growth_rates(driver, v, ks, trial=0):
-    """(1/k) log ||A(k) v|| for each k, each from its own run of k steps
-    that rescales w by a power of two after every step and sums the
-    exponents as an integer E: the rate is (log ||w|| - log ||w_0|| +
-    E log 2) / k.  :func:`horoflow.lyapunov._growth_rates`, which rescales
-    once a block and reads one run at every checkpoint, must agree bit for
-    bit.  A zero or non-finite largest modulus is a rescaling fault at its
-    step."""
-    rates = []
+def loop_log_norms(driver, v, ks, trial=0):
+    """[(log ||w||, E)] for each k, each from its own run of k steps from
+    v that rescales w by a power of two after every step and sums the
+    exponents as an integer E, so that log ||A(k) v|| = log ||w|| + E log 2.
+    :func:`horoflow.lyapunov._log_norms`, which rescales once a block and
+    reads one run at every checkpoint, must agree bit for bit.  A zero or
+    non-finite largest modulus is a rescaling fault at its step."""
+    out = []
     for k in ks:
-        w, _ = _pow2_rescale(np.asarray(v, dtype=float))
-        log0 = math.log(math.hypot(*w.tolist()))
-        total = 0
+        w, total = np.asarray(v, dtype=float), 0
         for step, a in enumerate(driver.elements(trial, k), start=1):
             w = np.asarray(a, dtype=float) @ w
             top = float(np.max(np.abs(w)))
@@ -763,8 +804,18 @@ def loop_growth_rates(driver, v, ks, trial=0):
                 raise FloatingPointError(f"rescaling fault at step {step}")
             w, e = _pow2_rescale(w)
             total += e
-        rates.append((math.log(math.hypot(*w.tolist())) - log0 + total * math.log(2.0)) / k)
-    return rates
+        out.append((math.log(math.hypot(*w.tolist())), total))
+    return out
+
+
+def loop_growth_rates(driver, v, ks, trial=0):
+    """(1/k) log ||A(k) v|| for each k from :func:`loop_log_norms` started
+    at v rescaled to w_0: the rate is (log ||w|| - log ||w_0|| + E log 2) / k.
+    :func:`horoflow.lyapunov._growth_rates` must agree bit for bit."""
+    w0, _ = _pow2_rescale(np.asarray(v, dtype=float))
+    log0 = math.log(math.hypot(*w0.tolist()))
+    return [(log_w - log0 + total * math.log(2.0)) / k
+            for (log_w, total), k in zip(loop_log_norms(driver, w0, ks, trial), ks)]
 
 
 def sqrt_loop_growth_rates(driver, v, ks, trial=0):

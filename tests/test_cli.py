@@ -164,10 +164,10 @@ _MATRIX_EXPERIMENTS = ("filtration-probe", "oseledets-spectrum", "operator-tau",
                        "state-ratio")
 
 
-def _run_table(tmp_path, experiment, diag):
+def _run_table(tmp_path, experiment, diag, **overrides):
     """The rows of a seed-1 run's table, as dicts of floats."""
     cfg = {"experiment": experiment, "seed": 1, "diag": diag,
-           "output_dir": str(tmp_path)}
+           "output_dir": str(tmp_path), **overrides}
     assert run(cfg) == EXIT_OK
     lines = (tmp_path / f"{experiment}-1.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -197,10 +197,18 @@ def test_run_accepts_a_small_scaled_identity(tmp_path, experiment, diag):
 
 @pytest.mark.filterwarnings("error")
 def test_run_accepts_scaled_identities_at_the_double_range(tmp_path):
-    for diag in ([1e-301, 1e-301], [1e-301, 1e301]):
-        rows = _run_table(tmp_path, "oseledets-spectrum", diag)
+    # up to dim 3 the spectrum multiplies only the steps and their inverse
+    # transposes, so every diag the screen passes runs.  The exponent 0 of
+    # [1e-301, 1, 1e301] is the second row, which steps by the rounded
+    # inverse of 1e301 where the first steps by 1e-301: it reads about
+    # -9e-17.  Past the default n's two, n 2000 keeps the run short: each
+    # step of these is a one-step block
+    for diag, n in (([1e-301, 1e-301], 100000), ([1e-301, 1e301], 100000),
+                    ([1e200, 1e200, 1e-300], 2000), ([1e-300, 1e200, 1e200], 2000),
+                    ([1e-301, 1.0, 1e301], 2000), ([1.7e308, 1e-308], 2000)):
+        rows = _run_table(tmp_path, "oseledets-spectrum", diag, n=n)
         assert [row["exponent"] for row in rows] == pytest.approx(
-            sorted(map(math.log, diag), reverse=True), rel=1e-9, abs=0.0)
+            sorted(map(math.log, diag), reverse=True), rel=1e-9, abs=1e-15)
     # growth rates rescale by powers of two, so a step norm past the square
     # root of the double range runs: e1 and e2 grow at the log of their
     # diagonal entry, and e1 + e2 as in test_run_accepts_a_small_scaled_identity
@@ -215,6 +223,23 @@ def test_run_accepts_scaled_identities_at_the_double_range(tmp_path):
     for diag in ([1e308, 1e308], [1e-301, 1e301]):
         assert len(_run_table(tmp_path, "operator-tau", diag)) == 10
         assert len(_run_table(tmp_path, "state-ratio", diag)) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_oseledets_refuses_a_middle_compound_past_the_double_range(tmp_path, capsys):
+    # from dim 4 the spectrum's middle sums step by compounds: 2 x 2 minors
+    # scaled by one power of two a matrix.  Beside the minor 1e400 of
+    # [1, 1, 1e200, 1e200], the minor 1 falls below the double range; the
+    # same entries with dim 2 or 3 run
+    cfg = {"experiment": "oseledets-spectrum", "seed": 1, "diag": [1.0, 1.0, 1e200, 1e200],
+           "output_dir": str(tmp_path)}
+    assert run(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: exterior power 2 of a step matrix leaves the double range\n"
+    assert list(tmp_path.iterdir()) == []
+    rows = _run_table(tmp_path, "oseledets-spectrum", [1.0, 2.0, 1e100, 1e-100], n=2000)
+    assert [row["exponent"] for row in rows] == pytest.approx(
+        [math.log(1e100), math.log(2.0), 0.0, math.log(1e-100)], rel=1e-9, abs=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
@@ -298,11 +323,10 @@ def test_main_bad_config_file(tmp_path):
     assert main(["--config", str(bad)]) == EXIT_CONFIG
 
 
-# the one experiment that calls scipy: the QR spectrum's LAPACK loop (the
-# Segal check takes its exponentials from numpy's eigh and a numpy Taylor
-# path, and the cone metrics their generalized eigenvalues from numpy's
-# SVD, so segal-sweep and metric-axioms load none)
-_SCIPY_EXPERIMENTS = ("oseledets-spectrum",)
+# no experiment loads scipy: the Segal check takes its exponentials from
+# numpy's eigh and a numpy Taylor path, the cone metrics their generalized
+# eigenvalues from numpy's SVD, and the QR spectrum reads its exponent sums
+# from growth rates and double-double determinants
 
 # run in a fresh interpreter: argv[1] is the small configs as JSON,
 # argv[2] the output directory; prints, last, whether scipy was loaded
@@ -323,16 +347,13 @@ loaded["validate"] = scipy_loaded()
 segal_check([[1.0, 0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]])
 loaded["segal_check"] = scipy_loaded()
 for name, overrides in configs.items():
-    # each run starts without scipy, so each run that needs it loads it
-    for module in [m for m in sys.modules if m.partition(".")[0] == "scipy"]:
-        del sys.modules[module]
     assert run({"experiment": name, "seed": 5, "output_dir": out, **overrides}) == 0
     loaded[name] = scipy_loaded()
 print(json.dumps(loaded))
 """
 
 
-def test_only_oseledets_spectrum_loads_scipy(tmp_path):
+def test_no_experiment_loads_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(horoflow.__file__))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _STARTUP_PROBE,
@@ -341,4 +362,4 @@ def test_only_oseledets_spectrum_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == {"import": False, "validate": False, "segal_check": False,
-                      **{name: name in _SCIPY_EXPERIMENTS for name in EXPERIMENTS}}
+                      **{name: False for name in EXPERIMENTS}}

@@ -10,9 +10,9 @@ walks on two maps, their state ratios, a tanh chain whose profile is not
 0, a drift in two dimensions, and the metric suites in dimension 3; it
 also pins a disk Mobius top exponent and a random-product QR spectrum.  The
 digests hold for one floating-point build (pinned with numpy 2.4.6 and
-scipy 1.17.1) and one choice of CPU kernels within it; another BLAS or
-LAPACK may differ in the last bits.  Both libraries pick their kernels for
-the CPU at run time, and the digests were pinned on an AVX512 host:
+its bundled OpenBLAS; no experiment calls scipy) and one choice of CPU
+kernels within it; another BLAS or LAPACK may differ in the last bits.
+numpy and OpenBLAS pick their kernels for the CPU at run time, and the digests were pinned on an AVX512 host:
 OpenBLAS's SkylakeX kernels and numpy's AVX512 dispatch.  The same build
 on a CPU without AVX512 runs other kernels, and some digests differ there.
 
@@ -57,7 +57,18 @@ re-pinned when growth rates stopped dividing by sqrt(w^T w) and summing a
 log a step, and began to rescale by an exact power of two once a block and
 take one log a checkpoint: e1 and e2 now read log 2 to the last bit, and
 every rate errs no more than the old loop's against 50-digit products
-(``mp_growth_rates``).
+(``mp_growth_rates``).  Golden oseledets-spectrum and stochastic
+oseledets-spectrum-sl2_pair were re-pinned when the QR spectrum stopped
+factoring each step with LAPACK's ``geqrf``/``orgqr`` and summing log
+|r_ii| a step, and began to read the sum of its top j exponents as a
+power-of-two growth rate of the j-th exterior power (with Hodge duality
+past dim/2) and the full sum as count-weighted logs of double-double
+determinants, carried exactly and rounded once per exponent: diag [3, 1]
+now reads log 3 to the last bit (the loop was 2.8e-14 off) and its zero
+exponent as 2.5e-17, the rounding of log 0.75 (the loop's 0 came from an
+exact R diagonal), the sl2_pair exponents are exact negatives of each other, and
+every exponent errs no more than the loop's against 50-digit Gram-Schmidt
+QR (``mp_qr_spectrum``).  Both hold under OpenBLAS's Haswell kernels.
 """
 
 import hashlib
@@ -84,7 +95,7 @@ GOLDEN_SHA256 = {
     "operator-tau":
         "d00c427a5ae58491c10d74662c3119a193375a94d9f7ccddbd1f792af444f4fb",
     "oseledets-spectrum":
-        "e6cbc89efa26f2af236bd4fa5caf360146beec7dc828830edd42a8eb469cd8b7",
+        "3bd5134b7f3b90a709e5cb0da2868415aa98a676485d00833bb1ab744f037bbb",
     "resnet-drift":
         "d2aada1a55a1b6567865f265e7bd89d8881e5ec12dec74a061105cd2bc6736a7",
     "segal-sweep":
@@ -115,7 +126,7 @@ STOCHASTIC_SHA256 = {
         "55675bdd56b5b73fc4375e94dfbf885462b7e35c2fe8a489b09588ece48d7e7f"),
     "oseledets-spectrum-sl2_pair": (
         "oseledets-spectrum", {"preset": "sl2_pair", "n": 2000},
-        "bf8619407c578f6127ca19bc141d1eb9093c8ef94aecdeb28aa741259b9e0473"),
+        "85906177ddce1169332a6e3c9138fdc06da3fbc613876a15c2be4246cff0788b"),
     "hyperbolic-walk-two_maps": (
         "hyperbolic-walk", {"n": 200, "trials": 2, "mobius_a2": "0.3+0.2j"},
         "826327a36db6300893bd35efd826c84af741aa97eb8ff6eb321ae090b86a897b"),

@@ -1,17 +1,22 @@
 """QR spectra, single-direction growth rates, and filtration probing."""
 
+import decimal
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from horoflow.cocycle import _PRODUCT_BLOCK, ErgodicDriver, constant_driver
+from horoflow.cocycle import _PRODUCT_BLOCK, ErgodicDriver, constant_driver, tail_checkpoints
 from horoflow.core import DegenerateInputError
-from horoflow.lyapunov import _growth_rates, filtration_probe, qr_spectrum
+from horoflow.lyapunov import (_compound, _dd_det, _exponent_sums, _growth_rates,
+                               filtration_probe, qr_spectrum)
 from horoflow.operator_cone import _fold
 from horoflow.seeding import trial_rng
 
-from oracles import (loop_growth_rates, loop_qr_spectrum, mp_growth_rates, sampled_draws,
+from oracles import (FixedDraws, fraction_det, lapack_qr_spectrum, loop_growth_rates,
+                     loop_log_norms, mp_growth_rates, mp_qr_spectrum, sampled_draws,
                      sqrt_loop_growth_rates)
 
 
@@ -56,6 +61,8 @@ def test_spectrum_rejects_bad_input():
         qr_spectrum(constant_driver(np.diag([1.0, 0.0])), 2, 100)
     with pytest.raises(DegenerateInputError):
         qr_spectrum(constant_driver(np.eye(2)), 2, 5)
+    with pytest.raises(DegenerateInputError, match="^step matrices must be 2 x 2$"):
+        qr_spectrum(constant_driver(np.eye(3)), 2, 100)
 
 
 def test_vector_growth_rates_pick_filtration_layers():
@@ -119,8 +126,7 @@ _SL2_PAIR = ErgodicDriver(seed=5,
                           weights=(0.5, 0.5))
 _PARAMETRIC = sampled_draws(2, lambda r: r.normal(size=(2, 2)) + 2.0 * np.eye(2))
 # unshifted Gaussian steps: the R diagonal's signs change from step to step
-# in mixed patterns, so the kernel's frame, whose column signs are left as
-# LAPACK returns them, differs from the loop's positive-diagonal frame
+# in mixed patterns, and dim 4 steps its second sum by a 6 x 6 compound
 _GAUSSIAN_4 = sampled_draws(9, lambda r: r.normal(size=(4, 4)))
 _COCYCLES = {
     "sl2_pair": (_SL2_PAIR, 2),
@@ -132,26 +138,127 @@ _COCYCLES = {
 }
 
 
+# log 2 to 40 digits, the value the exponent sums carry
+_LN2 = Fraction(decimal.Context(prec=40).ln(2))
+
+
+def _assert_sums_equal_the_loop(drv, dim, n, trial):
+    """Each exponent sum S_j of qr_spectrum is the running-sum loop's log
+    norm and exponent total on the j-th compound of the steps, started at
+    the first basis vector; past dim/2 it is S_dim plus the loop on the
+    (dim-j)-th compound of their inverse transposes, started at the last.
+    The compounds' power-of-two scales count once a step."""
+    maps, idx = drv.draw([trial], n)
+    mats = np.asarray(maps, dtype=float)
+    ks = tail_checkpoints(n)
+    sums = _exponent_sums(mats, idx, ks)
+    for j in range(1, dim):
+        dual = 2 * j > dim
+        order = dim - j if dual else j
+        # C order, as the kernel's stack is: a transposed view's matvec
+        # rounds differently
+        steps = np.ascontiguousarray(np.linalg.inv(mats).transpose(0, 2, 1)) if dual else mats
+        stack, shifts = ((steps, np.zeros(len(steps), dtype=np.int64)) if order == 1
+                         else _compound(steps, order))
+        start = np.eye(stack.shape[-1])[-1 if dual else 0]
+        pieces = loop_log_norms(FixedDraws(lambda trials, n: (stack, idx[:, :n])), start, ks)
+        for c, (k, (log_w, total)) in enumerate(zip(ks, pieces)):
+            want = Fraction(log_w) + (total + int(shifts[idx[0, :k]].sum())) * _LN2
+            assert sums[j][c] == want + (sums[dim][c] if dual else 0)
+
+
 @pytest.mark.parametrize("label", sorted(_COCYCLES))
 def test_qr_spectrum_equals_the_running_sum_loop(label):
     drv, dim = _COCYCLES[label]
-    for n, trial in ((10, 0), (2000, 0), (2000, 3), (20000, 1)):
-        got = qr_spectrum(drv, dim, n, trial)
-        want = loop_qr_spectrum(drv, dim, n, trial)
-        assert got.exponents.tolist() == want.exponents.tolist()
-        assert got.resid.tolist() == want.resid.tolist()
+    for n, trial in ((10, 0), (2000, 3)):
+        _assert_sums_equal_the_loop(drv, dim, n, trial)
 
 
 @pytest.mark.parametrize("diag", [[1e-7, 1e-7], [1e-301, 1e-301], [1e-301, 1e301]])
 def test_qr_spectrum_equals_the_loop_at_tiny_and_huge_scales(diag):
-    # the loop refuses only what the kernel refuses, a zero or non-finite
-    # R diagonal entry, not a small one
-    drv = constant_driver(np.diag(diag))
     for n in (10, 2000):
-        got = qr_spectrum(drv, 2, n)
-        want = loop_qr_spectrum(drv, 2, n)
-        assert got.exponents.tolist() == want.exponents.tolist()
-        assert got.resid.tolist() == want.resid.tolist()
+        _assert_sums_equal_the_loop(constant_driver(np.diag(diag)), 2, n, 0)
+
+
+@pytest.mark.parametrize("label", sorted(_COCYCLES) + ["diag_wide"])
+def test_qr_spectrum_error_is_at_most_the_lapack_loops(label):
+    # against 50-digit Gram-Schmidt QR of the same factors, the exponents
+    # read from exact sums err no more than the LAPACK loop's running sums
+    drv, dim = ((constant_driver(np.diag([1e-301, 1e301])), 2) if label == "diag_wide"
+                else _COCYCLES[label])
+    n = 2000
+    want = mp_qr_spectrum(drv, dim, n)
+
+    def error(est):
+        return max(abs(g - w) for g, w in zip(est.exponents.tolist(), want))
+
+    assert error(qr_spectrum(drv, dim, n)) <= error(lapack_qr_spectrum(drv, dim, n))
+
+
+def test_diagonal_exponents_are_the_logs_of_the_entries():
+    # log determinants and growth-rate rows, summed exactly and rounded
+    # once: log 2, log 3 and log 0.5 to the last bit.  The middle exponent
+    # of [3, 1, 0.5] carries the rounding of log 0.75 (det 1.5 is 0.75 * 2),
+    # at most 2.8e-17, and of the 3^k row's steps, about 1e-18
+    for n in (10, 1000, 100000):
+        assert qr_spectrum(constant_driver(np.diag([2.0])), 1, n).exponents.tolist() == \
+            [math.log(2.0)]
+        top, middle, low = qr_spectrum(constant_driver(np.diag([3.0, 1.0, 0.5])), 3,
+                                       n).exponents.tolist()
+        assert (top, low) == (math.log(3.0), math.log(0.5))
+        assert abs(middle) <= math.ulp(math.log(3.0)) / 4
+
+
+def test_sl2_pair_exponents_sum_to_zero():
+    # both steps have determinant 1, whose log is exactly 0, so the second
+    # exponent is the first negated
+    for n, trial in ((10, 0), (2000, 1), (20000, 2)):
+        top, low = qr_spectrum(_SL2_PAIR, 2, n, trial).exponents.tolist()
+        assert top + low == 0.0
+
+
+def _term_moduli(m):
+    """The sum of the moduli of the terms of det m, exactly."""
+    rows = [[abs(Fraction(x)) for x in row] for row in m.tolist()]
+    return sum(math.prod(row[c] for row, c in zip(rows, perm))
+               for perm in itertools.permutations(range(len(rows))))
+
+
+def test_dd_determinant_is_the_exact_determinant():
+    # entries over the whole double range, with exact zeros: (hi + lo) 2^e
+    # is within 2^-100 of the sum of the moduli of the determinant's terms,
+    # and a zero determinant is exactly 0
+    rng = trial_rng(33, 0)
+    cases = [np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1e300, 0.0], [1e300, 1e-300]])]
+    for k in (1, 2, 3, 4):
+        a = rng.normal(size=(40, k, k)) * 2.0 ** rng.integers(-1000, 1000, size=(40, k, k))
+        a[:10] *= rng.random(size=(10, k, k)) < 0.5
+        cases += list(a)
+    for m in cases:
+        [hi], [lo], [e] = _dd_det(m[None])
+        exact = fraction_det(m)
+        assert (hi == 0.0) == (exact == 0)
+        if exact:
+            got = (Fraction(float(hi)) + Fraction(float(lo))) * Fraction(2) ** int(e)
+            assert abs(got - exact) <= _term_moduli(m) * Fraction(2) ** -100
+
+
+def test_compound_entries_are_the_minors():
+    # each entry, times 2^s, is its exact minor rounded once, to within
+    # 2^-100 of the minor's term moduli; the largest lies in [1/2, 1)
+    rng = trial_rng(34, 0)
+    a = rng.normal(size=(5, 4, 4)) * 1e150
+    M, s = _compound(a, 2)
+    pairs = list(itertools.combinations(range(4), 2))
+    for m, got, shift in zip(a, M, s):
+        for r, row in zip(pairs, got.tolist()):
+            for c, x in zip(pairs, row):
+                minor = m[np.ix_(r, c)]
+                exact = fraction_det(minor)
+                err = abs(Fraction(x) * Fraction(2) ** int(shift) - exact)
+                assert err <= abs(exact) * Fraction(2) ** -53 + \
+                    _term_moduli(minor) * Fraction(2) ** -100
+        assert 0.5 <= np.max(np.abs(got)) < 1.0
 
 
 @pytest.mark.parametrize("step", [1, 1000, _PRODUCT_BLOCK, _PRODUCT_BLOCK + 1,
@@ -166,12 +273,21 @@ def test_a_rescaling_fault_ends_the_run_at_its_block(step):
     mats = [np.eye(2), np.array([[1e308, 1e308], [0.0, 1.0]])]
     with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
         _growth_rates(mats, idx, [[0.99, 0.99]], [idx.shape[1]])
-    # finite, with a finite inverse, but the norm of its first column overflows
-    bad = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
-    draws = iter([bad if k == step else np.eye(2) for k in range(1, end + 1)])
-    drv = sampled_draws(0, lambda r: next(draws))
-    with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
-        qr_spectrum(drv, 2, end)
+    # the QR spectrum's first row starts at e1, which a finite step maps to
+    # its finite first column; so the fault needs the step before it to
+    # turn e1 into (0.99, 0.99), and a first step cannot fault.  The old
+    # fault case, whose first column's norm overflows, now runs
+    turn = np.array([[0.99, 0.0], [0.99, 1.0]])
+    big = np.array([[1.5e308, 0.0], [1.5e308, 1.0]])
+    for bad in (big, mats[1]):
+        draws = iter([turn if k == step - 1 else bad if k == step else np.eye(2)
+                      for k in range(1, end + 1)])
+        drv = sampled_draws(0, lambda r: next(draws))
+        if bad is big or step == 1:
+            assert np.all(np.isfinite(qr_spectrum(drv, 2, end).exponents))
+        else:
+            with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
+                qr_spectrum(drv, 2, end)
 
 
 @pytest.mark.filterwarnings("error")
