@@ -328,10 +328,8 @@ def _dd_matmul(ah, al, bh, bl):
     ah, al, bh, bl = (np.ascontiguousarray(x.reshape(-1, d, d).transpose(1, 2, 0))
                       for x in (ah, al, bh, bl))
     A, B = ah[:, :, None], bh[None]                 # (i, k, j, stack)
-    a1, a2 = (h[:, :, None] for h in _halves(ah))
-    b1, b2 = (h[None] for h in _halves(bh))
-    p = A * B
-    e = a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)    # p + e == A * B
+    # the broadcast views are split before they broadcast, d^2 entries each
+    p, e = _two_prod(A, B)
     e += al[:, :, None] * B + A * bl[None]
     hi, lo = p[:, 0], e.sum(axis=1)
     for k in range(1, d):

@@ -22,6 +22,11 @@ from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, _halves, _two_prod, _two_su
 from .core import DegenerateInputError
 
 _LOG2 = math.log(2.0)
+# the largest dimension qr_spectrum runs: past it the middle compound's
+# C(d, d // 2) rows a step, and its Laplace minors, cost more than a QR
+# step of the d x d frame (fresh Gaussian steps, n 5000: d 5 about 9x,
+# d 6 about 50x the old LAPACK loop's time, and 1 GB at d 6)
+_MAX_DIM = 4
 # the exponent _dd_det gives a zero: far below that of any nonzero product
 _ZERO_EXP = -(1 << 40)
 
@@ -51,10 +56,12 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     sums are carried exactly and each exponent is rounded once.  ``resid``
     is an exponent's largest drift over the tail checkpoints from its value
     at n.  A step that takes a growth-rate row out of the double range is
-    a rescaling fault at that step.
+    a rescaling fault at that step.  dim must be at most 4 (``_MAX_DIM``).
     """
     if n < 10:
         raise DegenerateInputError("n must be >= 10")
+    if dim > _MAX_DIM:
+        raise DegenerateInputError(f"the spectrum runs up to dimension {_MAX_DIM}, not {dim}")
     maps, idx = driver.draw([trial], n)
     mats = np.asarray(maps, dtype=float)
     if mats.shape[1:] != (dim, dim):
@@ -80,18 +87,18 @@ def _exponent_sums(mats, idx, ks) -> list:
       determinant is formed once (:func:`_dd_det`) and weighted by its
       count.
     - For j <= d/2, S_j is a growth-rate row of the j-th compound of the
-      steps (for j = 1 the step matrices themselves) started at the first
-      basis vector, e_1 ^ ... ^ e_j.
+      steps (for j = 1 the step matrices) started at the first basis
+      vector, e_1 ^ ... ^ e_j.
     - For j > d/2, Hodge duality, L^j A = det A L^(d-j)(A^-T), makes S_j
       S_d plus a row of the (d-j)-th compound of the inverse transposes
       started at the last basis vector, e_(j+1) ^ ... ^ e_d.
 
     Each row is run by :func:`_log_norms`, the compounds of one order in
     one run.  Up to d = 3 the rows multiply only the steps and their
-    inverse transposes, both in range whenever the screen passes.  A true
-    middle compound (d >= 4) has its minors scaled by a power of two per
-    matrix, added back as an exact integer sum; one whose scaled minors
-    leave the double range is refused.
+    inverse transposes, both in range whenever the screen passes.  The
+    middle compound of d = 4 has its minors scaled by a power of two per
+    matrix, added back as an exact integer sum (:func:`_compound`); one
+    whose scaled minors leave the double range is refused.
     """
     # at first use: no other kernel needs exact sums
     import decimal
@@ -168,19 +175,21 @@ def _dd_det(a):
     hi, or hi = lo = 0 for a zero determinant.
 
     Laplace expansion along the rows in turn, each minor of the leading
-    rows formed once from those of one row fewer.  Entries are split by
-    np.frexp into fractions and exponents, and a minor is carried as a
-    double-double fraction with an integer exponent, so no product or sum
-    leaves the double range: a fraction times a minor is ``_two_prod``
-    plus the low part's product, and the terms of a minor are aligned to
-    the largest exponent and added with ``_two_sum``.
+    rows formed once from those of one row fewer, starting from the first
+    row's entries.  Entries are split by np.frexp into fractions and
+    exponents, and a minor is carried as a double-double fraction with an
+    integer exponent, so no product or sum leaves the double range: a
+    fraction times a minor is ``_two_prod`` plus the low part's product,
+    and the terms of a minor are aligned to the largest exponent and added
+    with ``_two_sum``.
     """
     frac, ex = np.frexp(a)
     ex = np.where(frac == 0.0, _ZERO_EXP, ex.astype(np.int64))
     k = a.shape[-1]
-    one = np.ones(a.shape[:-2])
-    minors = {(): (one, 0.0 * one, np.zeros(one.shape, dtype=np.int64))}
-    for r in range(k):
+    # the first row's minors are its entries, already normalized
+    minors = {(c,): (frac[..., 0, c], np.zeros(a.shape[:-2]), ex[..., 0, c])
+              for c in range(k)}
+    for r in range(1, k):
         new = {}
         for cols in itertools.combinations(range(k), r + 1):
             terms = []
@@ -211,6 +220,25 @@ def _dd_normalized_sum(terms):
     return np.ldexp(s, -g), np.ldexp(lo, -g), np.where(s == 0.0, _ZERO_EXP, top + g)
 
 
+def _balanced(a, inv):
+    """(a 2^-s, inv 2^s, s): each matrix of the (m, d, d) stack a, and its
+    inverse in inv, scaled by the power of two that brings their infinity
+    norms together (s is half the difference of the norms' binary
+    exponents), where every nonzero entry of a 2^-s stays a finite normal
+    double, so that the scaling is exact; s = 0 otherwise.
+    :func:`_log_norms`'s blocks shorten with the larger of the two norms,
+    so a scaled identity runs in full-width blocks."""
+    frac, e = np.frexp(a)
+    nonzero = frac != 0.0
+    top = np.max(np.where(nonzero, e, -(1 << 20)), axis=(1, 2))
+    low = np.min(np.where(nonzero, e, 1 << 20), axis=(1, 2))
+    with np.errstate(over="ignore"):
+        ea, ei = (np.frexp(np.abs(x).sum(axis=-1).max(axis=-1))[1] for x in (a, inv))
+        s = (ea - ei) // 2
+        s = np.where((top - s <= 1024) & (low - s >= -1021), s, 0).astype(np.int64)
+        return np.ldexp(a, -s[:, None, None]), np.ldexp(inv, s[:, None, None]), s
+
+
 def _compound(a, j):
     """(M, s): the j-th compound of each matrix of the (m, d, d) stack a,
     its entries the j x j minors on the lexicographically ordered j-subsets
@@ -218,7 +246,11 @@ def _compound(a, j):
     that puts its largest entry modulus in [1/2, 1).  A minor more than
     2^1100 below the largest is 0."""
     subsets = np.array(list(itertools.combinations(range(a.shape[-1]), j)))
-    hi, _, e = _dd_det(a[:, subsets[:, None, :, None], subsets[None, :, None, :]])
+    rows, cols = subsets[:, None, :, None], subsets[None, :, None, :]
+    # a gather of at most 2^16 entries at a time bounds the temporaries
+    chunk = max((1 << 16) // (len(subsets) * j) ** 2, 1)
+    parts = [_dd_det(a[i:i + chunk][:, rows, cols])[::2] for i in range(0, len(a), chunk)]
+    hi, e = (np.concatenate(c) for c in zip(*parts))
     s = np.max(e, axis=(1, 2))
     return np.ldexp(hi, np.maximum(e - s[:, None, None], -1100).astype(np.int32)), s
 
@@ -249,10 +281,12 @@ def _log_norms(mats, invs, idx, w, ks):
     of a block of steps, by the power of two that puts a row's largest
     modulus in [0.5, 1), and the exponents taken out are summed exactly as
     integers; power-of-two scaling is exact, so where a block ends moves no
-    bit.  A block is short enough that no row can overflow or reach the
+    bit.  The matrices are first balanced against their inverses by exact
+    powers of two (:func:`_balanced`), whose exponents count once a step.
+    A block is short enough that no row can overflow or reach the
     subnormals inside it: its width times log2 of the largest infinity
-    norm of a drawn matrix or of its inverse is at most 960.  Blocks also
-    end at every checkpoint.  A gather stays within ``_PRODUCT_BLOCK``
+    norm of a balanced drawn matrix or of its inverse is at most 960.
+    Blocks also end at every checkpoint.  A gather stays within ``_PRODUCT_BLOCK``
     matrices.  A row whose largest modulus is zero or past the double range
     at a block end is a rescaling fault at the block's last step.  Only a
     block of one step can fault (a matrix whose norm, or whose inverse's,
@@ -260,6 +294,13 @@ def _log_norms(mats, invs, idx, w, ks):
     exact.
     """
     drawn = ~np.isnan(invs[:, 0, 0])    # an undrawn matrix's inverse is nan
+    mats, invs, shifts = _balanced(mats, invs)
+    # the exponents the balancing took out of the steps up to each
+    # checkpoint: a gather and a cumsum over every step, about 10% of a
+    # 100-trial run, so skipped where no matrix was scaled
+    shift_sums = np.zeros((1, len(ks)), dtype=np.int64)
+    if shifts.any():
+        shift_sums = np.cumsum(shifts[np.asarray(idx)], axis=1)[:, np.asarray(ks) - 1]
     with np.errstate(over="ignore"):
         bound = max(float(np.abs(mats[drawn]).sum(axis=-1).max()),
                     float(np.abs(invs[drawn]).sum(axis=-1).max()), 2.0)
@@ -288,7 +329,7 @@ def _log_norms(mats, invs, idx, w, ks):
                 start = stop
             # math.log, not np.log: numpy's SIMD log can differ in the last bit
             logs[:, j] = [math.log(math.hypot(*row)) for row in w[:, :, 0].tolist()]
-            exps[:, j] = total
+            exps[:, j] = total + shift_sums[:, j]
     return logs, exps
 
 

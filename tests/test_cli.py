@@ -226,20 +226,27 @@ def test_run_accepts_scaled_identities_at_the_double_range(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_oseledets_refuses_a_middle_compound_past_the_double_range(tmp_path, capsys):
+@pytest.mark.parametrize("refused, message, runs", [
     # from dim 4 the spectrum's middle sums step by compounds: 2 x 2 minors
     # scaled by one power of two a matrix.  Beside the minor 1e400 of
     # [1, 1, 1e200, 1e200], the minor 1 falls below the double range; the
     # same entries with dim 2 or 3 run
-    cfg = {"experiment": "oseledets-spectrum", "seed": 1, "diag": [1.0, 1.0, 1e200, 1e200],
+    ([1.0, 1.0, 1e200, 1e200], "exterior power 2 of a step matrix leaves the double range",
+     [1.0, 2.0, 1e100, 1e-100]),
+    # past dim 4 the middle compound's C(d, d/2) rows a step cost more than
+    # a QR step of the frame, so the run is refused before it draws
+    ([1.0, 2.0, 3.0, 4.0, 5.0], "the spectrum runs up to dimension 4, not 5",
+     [1.0, 2.0, 3.0, 4.0]),
+])
+def test_oseledets_refuses_past_its_range(tmp_path, capsys, refused, message, runs):
+    cfg = {"experiment": "oseledets-spectrum", "seed": 1, "diag": refused,
            "output_dir": str(tmp_path)}
     assert run(cfg) == EXIT_CONFIG
-    assert capsys.readouterr().err == \
-        "config error: exterior power 2 of a step matrix leaves the double range\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert list(tmp_path.iterdir()) == []
-    rows = _run_table(tmp_path, "oseledets-spectrum", [1.0, 2.0, 1e100, 1e-100], n=2000)
+    rows = _run_table(tmp_path, "oseledets-spectrum", runs, n=2000)
     assert [row["exponent"] for row in rows] == pytest.approx(
-        [math.log(1e100), math.log(2.0), 0.0, math.log(1e-100)], rel=1e-9, abs=1e-15)
+        sorted(map(math.log, runs), reverse=True), rel=1e-9, abs=1e-15)
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,8 +10,8 @@ import pytest
 
 from horoflow.cocycle import _PRODUCT_BLOCK, ErgodicDriver, constant_driver, tail_checkpoints
 from horoflow.core import DegenerateInputError
-from horoflow.lyapunov import (_compound, _dd_det, _exponent_sums, _growth_rates,
-                               filtration_probe, qr_spectrum)
+from horoflow.lyapunov import (_balanced, _compound, _dd_det, _exponent_sums,
+                               _growth_rates, filtration_probe, qr_spectrum)
 from horoflow.operator_cone import _fold
 from horoflow.seeding import trial_rng
 
@@ -63,6 +63,10 @@ def test_spectrum_rejects_bad_input():
         qr_spectrum(constant_driver(np.eye(2)), 2, 5)
     with pytest.raises(DegenerateInputError, match="^step matrices must be 2 x 2$"):
         qr_spectrum(constant_driver(np.eye(3)), 2, 100)
+    # past dim 4 the middle compound costs more than a QR step
+    with pytest.raises(DegenerateInputError,
+                       match="^the spectrum runs up to dimension 4, not 5$"):
+        qr_spectrum(constant_driver(np.eye(5)), 5, 100)
 
 
 def test_vector_growth_rates_pick_filtration_layers():
@@ -147,11 +151,16 @@ def _assert_sums_equal_the_loop(drv, dim, n, trial):
     norm and exponent total on the j-th compound of the steps, started at
     the first basis vector; past dim/2 it is S_dim plus the loop on the
     (dim-j)-th compound of their inverse transposes, started at the last.
-    The compounds' power-of-two scales count once a step."""
+    The compounds' power-of-two scales count once a step.  The loop steps
+    by the stacks as they are: the kernel's balancing of them by powers
+    of two is exact.  qr_spectrum's exponents and resid, formed
+    from the loop's sums with the same Fraction arithmetic, agree bit for
+    bit."""
     maps, idx = drv.draw([trial], n)
     mats = np.asarray(maps, dtype=float)
     ks = tail_checkpoints(n)
     sums = _exponent_sums(mats, idx, ks)
+    want = [[Fraction(0)] * len(ks)] + [None] * (dim - 1) + [sums[dim]]
     for j in range(1, dim):
         dual = 2 * j > dim
         order = dim - j if dual else j
@@ -162,15 +171,23 @@ def _assert_sums_equal_the_loop(drv, dim, n, trial):
                          else _compound(steps, order))
         start = np.eye(stack.shape[-1])[-1 if dual else 0]
         pieces = loop_log_norms(FixedDraws(lambda trials, n: (stack, idx[:, :n])), start, ks)
-        for c, (k, (log_w, total)) in enumerate(zip(ks, pieces)):
-            want = Fraction(log_w) + (total + int(shifts[idx[0, :k]].sum())) * _LN2
-            assert sums[j][c] == want + (sums[dim][c] if dual else 0)
+        want[j] = [Fraction(log_w) + (total + int(shifts[idx[0, :k]].sum())) * _LN2
+                   + (sums[dim][c] if dual else 0)
+                   for c, (k, (log_w, total)) in enumerate(zip(ks, pieces))]
+        assert sums[j] == want[j]
+    rates = np.array([[float((s - r) / k) for s, r, k in zip(want[j + 1], want[j], ks)]
+                      for j in range(dim)])
+    resid = np.max(np.abs(rates - rates[:, -1:]), axis=1)
+    order = np.argsort(-rates[:, -1])
+    got = qr_spectrum(drv, dim, n, trial)
+    assert got.exponents.tolist() == rates[order, -1].tolist()
+    assert got.resid.tolist() == resid[order].tolist()
 
 
 @pytest.mark.parametrize("label", sorted(_COCYCLES))
 def test_qr_spectrum_equals_the_running_sum_loop(label):
     drv, dim = _COCYCLES[label]
-    for n, trial in ((10, 0), (2000, 3)):
+    for n, trial in ((10, 0), (2000, 0), (2000, 3), (20000, 1)):
         _assert_sums_equal_the_loop(drv, dim, n, trial)
 
 
@@ -243,6 +260,22 @@ def test_dd_determinant_is_the_exact_determinant():
             assert abs(got - exact) <= _term_moduli(m) * Fraction(2) ** -100
 
 
+def test_balanced_scaling_is_exact():
+    # a matrix and its inverse are scaled by a power of two and its
+    # reciprocal that bring their infinity norms together, unless an entry
+    # of the matrix would leave the normal doubles
+    a = np.array([[[1e-301, 0.0], [0.0, 1e-301]], [[4.0, 0.0], [0.0, 1.0]],
+                  [[2.0, 1.0], [1.0, 1.0]], [[1e301, 0.0], [0.0, 1e-301]],
+                  [[2.0 ** 600, 2.0 ** -422], [0.0, 2.0 ** 600]],
+                  [[2.0 ** 600, 2.0 ** -423], [0.0, 2.0 ** 600]]])
+    inv = np.linalg.inv(a)
+    M, N, s = _balanced(a, inv)
+    assert s.tolist() == [-1000, 1, 0, 0, 600, 0]
+    assert np.array_equal(np.ldexp(M, s[:, None, None]), a)
+    assert np.array_equal(np.ldexp(N, -s[:, None, None]), inv)
+    assert np.array_equal(M[[0, 1]], [np.eye(2) * 2.0 ** 1000 * 1e-301, np.diag([2.0, 0.5])])
+
+
 def test_compound_entries_are_the_minors():
     # each entry, times 2^s, is its exact minor rounded once, to within
     # 2^-100 of the minor's term moduli; the largest lies in [1/2, 1)
@@ -304,10 +337,16 @@ def test_singular_and_nan_draws_are_refused_up_front():
             _fold(driver, 50, [0], [50])
 
 
-@pytest.mark.parametrize("label", sorted(_COCYCLES))
+# steps near either end of the double range, which the kernel balances
+# against their inverses by powers of two near 2^-997 and 2^997
+_SCALED_PAIR = ErgodicDriver(seed=6, maps=(1e-300 * _SL2_PAIR.maps[0], 1e300 * _SL2_PAIR.maps[1]),
+                             weights=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("label", sorted(_COCYCLES) + ["scaled_pair"])
 def test_one_run_growth_rates_equal_separate_runs(label):
     # trials 0-5, two start vectors each, as the rows of one stacked run
-    drv, dim = _COCYCLES[label]
+    drv, dim = _COCYCLES[label] if label in _COCYCLES else (_SCALED_PAIR, 2)
     rng = trial_rng(30, 0)
     for ks in ([50, 100], [500], [1, 7, 600, 1000]):
         maps, idx = drv.draw(range(6), ks[-1])
