@@ -135,7 +135,7 @@ _OPEN_UNIT = _real(-1.0, 1.0, closed=False)
 def _run_metric_axioms(cfg):
     samples = cfg["samples"]
     spaces = registered_spaces(cfg["dim"])
-    basepoints = registered_basepoints(spaces)
+    basepoints = registered_basepoints(cfg["dim"])
     cols = ["metric", "samples", "max_identity_error", "max_triangle_violation",
             "max_lower_violation", "max_upper_violation", "max_continuity_violation"]
     rows = []

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from ._exact import _dd_matmul, _rescaled
 from .core import DegenerateInputError, WeakMetricSpace, _with_point
 from .seeding import trial_rng
 
@@ -68,11 +69,6 @@ class ErgodicDriver:
         idx = [trial_rng(self.seed, t).choice(len(self.maps), size=n, p=p)
                for t in trials]
         return self.maps, np.array(idx, dtype=np.intp).reshape(len(trials), n)
-
-    def elements(self, trial: int, n: int) -> list:
-        """The first n emitted maps g(omega), g(T omega), ..., deterministically."""
-        maps, [idx] = self.draw([trial], n)
-        return [maps[i] for i in idx]
 
 
 def constant_driver(element, seed: int = 0) -> ErgodicDriver:
@@ -281,68 +277,14 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
 # tree rounded to double at every node can lose to a one-step-at-a-time
 # loop, whose track meets one fresh factor at a time.  A product of real
 # matrices therefore carries each node as a double-double hi + lo (hi =
-# fl(hi + lo)) with error-free transformations (Dekker's product, Knuth's
-# sum; Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), to about
-# 2**-104.  A product of complex matrices has lo None and rounds hi at every
-# node: the disk walk still beats its step loop this way (see
+# fl(hi + lo)) with the error-free transformations of horoflow._exact, to
+# about 2**-104.  A product of complex matrices has lo None and rounds hi at
+# every node: the disk walk still beats its step loop this way (see
 # tests/test_cocycle.py), several times faster than in double-double.
 
 # (trial, step) matrices gathered at once; bounds the temporaries.  Also
 # the steps a lyapunov kernel runs between two rescaling-fault checks
 _PRODUCT_BLOCK = 1 << 12
-# Veltkamp's constant: splits a double into two halves of 26 bits
-_SPLIT = 2.0 ** 27 + 1.0
-
-
-def _two_sum(a, b):
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
-def _halves(a):
-    c = _SPLIT * a
-    big = c - (c - a)
-    return big, a - big
-
-
-def _two_prod(a, b):
-    """(p, q) with p + q == a * b exactly, for entries of modulus at most 1
-    whose product is not subnormal (Dekker's product)."""
-    a1, a2 = _halves(a)
-    b1, b2 = _halves(b)
-    p = a * b
-    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
-
-
-def _dd_matmul(ah, al, bh, bl):
-    """(hi, lo) of (ah + al) @ (bh + bl) for real stacks of one shape with
-    entries of modulus at most 1.
-
-    The stack axis is moved innermost, so every elementwise operation runs
-    over the whole stack rather than over rows of length d; each product is
-    still formed on its own, so the bits do not depend on the layout.  The
-    results are views in that layout, which the next call takes without a
-    copy when it chains them whole."""
-    shape, d = ah.shape, ah.shape[-1]
-    ah, al, bh, bl = (np.ascontiguousarray(x.reshape(-1, d, d).transpose(1, 2, 0))
-                      for x in (ah, al, bh, bl))
-    A, B = ah[:, :, None], bh[None]                 # (i, k, j, stack)
-    # the broadcast views are split before they broadcast, d^2 entries each
-    p, e = _two_prod(A, B)
-    e += al[:, :, None] * B + A * bl[None]
-    hi, lo = p[:, 0], e.sum(axis=1)
-    for k in range(1, d):
-        hi, q = _two_sum(hi, p[:, k])
-        lo = lo + q
-    s = hi + lo
-    return tuple(x.transpose(2, 0, 1).reshape(shape) for x in (s, lo - (s - hi)))
-
-
-def _rescaled(hi, lo, exps):
-    e = np.frexp(np.abs(hi).max(axis=(-2, -1)))[1]
-    scale = np.ldexp(1.0, -e)[..., None, None]
-    return hi * scale, None if lo is None else lo * scale, exps + e
 
 
 def _part(node, index):

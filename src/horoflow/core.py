@@ -17,8 +17,6 @@ import numpy as np
 
 from .seeding import trial_rng
 
-IDENTITY_TOL = 1e-12
-INEQUALITY_TOL = 1e-9
 # samples per batched evaluation in the property suites; bounds the points
 # and distance temporaries held at once.  Each block is one sample_points
 # draw, so it also fixes the draw order: changing it re-pins the
@@ -50,9 +48,6 @@ class WeakMetricSpace:
     dist_many: Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]
     sample_points: Optional[Callable[[np.random.Generator, int], Sequence]] = None
     in_domain: Optional[Callable[[Any], bool]] = None
-
-    def distance(self, x, y) -> float:
-        return float(self.distances((x, y), [0], [1])[0])
 
     def distances(self, points: Sequence, i, j) -> np.ndarray:
         """d(points[i[k]], points[j[k]]) for every k, as one float array."""

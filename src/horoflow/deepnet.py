@@ -111,10 +111,6 @@ class DriftReport:
     cross_input_gap: float
     per_coordinate_se: np.ndarray
 
-    @property
-    def mean_v_hat(self) -> np.ndarray:
-        return np.mean(self.v_hat, axis=0)
-
 
 def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftReport:
     """Normalized deep-chain outputs u(n)x0 / n across seeded trials.

@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
-from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, _halves, _two_prod, _two_sum,
-                      check_steps, screen_invertible, tail_checkpoints)
+from ._exact import _aligned, _balanced, _dd_det, _halves, _pow2_normalize
+from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, check_steps, screen_invertible,
+                      tail_checkpoints)
 from .core import DegenerateInputError
 
 _LOG2 = math.log(2.0)
@@ -27,8 +28,6 @@ _LOG2 = math.log(2.0)
 # step of the d x d frame (fresh Gaussian steps, n 5000: d 5 about 9x,
 # d 6 about 50x the old LAPACK loop's time, and 1 GB at d 6)
 _MAX_DIM = 4
-# the exponent _dd_det gives a zero: far below that of any nonzero product
-_ZERO_EXP = -(1 << 40)
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,6 @@ class SpectrumEstimate:
 
 @dataclass(frozen=True)
 class FiltrationProbeReport:
-    probes: list
     rates: np.ndarray
     clusters: list          # lists of probe indices, partitioning the probes
 
@@ -169,76 +167,6 @@ def _log_det_sums(mats, counts) -> list:
     return out
 
 
-def _dd_det(a):
-    """(hi, lo, e): the determinant of each matrix of the (..., k, k) stack
-    a is (hi + lo) 2^e, with |hi| in [1/2, 1) and lo within half an ulp of
-    hi, or hi = lo = 0 for a zero determinant.
-
-    Laplace expansion along the rows in turn, each minor of the leading
-    rows formed once from those of one row fewer, starting from the first
-    row's entries.  Entries are split by np.frexp into fractions and
-    exponents, and a minor is carried as a double-double fraction with an
-    integer exponent, so no product or sum leaves the double range: a
-    fraction times a minor is ``_two_prod`` plus the low part's product,
-    and the terms of a minor are aligned to the largest exponent and added
-    with ``_two_sum``.
-    """
-    frac, ex = np.frexp(a)
-    ex = np.where(frac == 0.0, _ZERO_EXP, ex.astype(np.int64))
-    k = a.shape[-1]
-    # the first row's minors are its entries, already normalized
-    minors = {(c,): (frac[..., 0, c], np.zeros(a.shape[:-2]), ex[..., 0, c])
-              for c in range(k)}
-    for r in range(1, k):
-        new = {}
-        for cols in itertools.combinations(range(k), r + 1):
-            terms = []
-            for pos, c in enumerate(cols):
-                hi, lo, e = minors[cols[:pos] + cols[pos + 1:]]
-                f = frac[..., r, c] if (r + pos) % 2 == 0 else -frac[..., r, c]
-                p, q = _two_prod(f, hi)
-                terms.append((p, q + f * lo, e + ex[..., r, c]))
-            new[cols] = _dd_normalized_sum(terms)
-        minors = new
-    return minors[tuple(range(k))]
-
-
-def _dd_normalized_sum(terms):
-    """(hi, lo, e) of the sum of the terms (p, q, e), each (p + q) 2^e: the
-    terms are scaled to the largest exponent (one 2^1100 below it
-    vanishes), added with ``_two_sum``, and the sum is scaled so that |hi|
-    lies in [1/2, 1); a zero sum gets exponent ``_ZERO_EXP``."""
-    top = np.max([e for _, _, e in terms], axis=0)
-    hi = lo = 0.0
-    for p, q, e in terms:
-        shift = np.maximum(e - top, -1100).astype(np.int32)
-        hi, err = _two_sum(hi, np.ldexp(p, shift))
-        lo = lo + (np.ldexp(q, shift) + err)
-    s = hi + lo
-    lo = lo - (s - hi)
-    g = np.frexp(s)[1]
-    return np.ldexp(s, -g), np.ldexp(lo, -g), np.where(s == 0.0, _ZERO_EXP, top + g)
-
-
-def _balanced(a, inv):
-    """(a 2^-s, inv 2^s, s): each matrix of the (m, d, d) stack a, and its
-    inverse in inv, scaled by the power of two that brings their infinity
-    norms together (s is half the difference of the norms' binary
-    exponents), where every nonzero entry of a 2^-s stays a finite normal
-    double, so that the scaling is exact; s = 0 otherwise.
-    :func:`_log_norms`'s blocks shorten with the larger of the two norms,
-    so a scaled identity runs in full-width blocks."""
-    frac, e = np.frexp(a)
-    nonzero = frac != 0.0
-    top = np.max(np.where(nonzero, e, -(1 << 20)), axis=(1, 2))
-    low = np.min(np.where(nonzero, e, 1 << 20), axis=(1, 2))
-    with np.errstate(over="ignore"):
-        ea, ei = (np.frexp(np.abs(x).sum(axis=-1).max(axis=-1))[1] for x in (a, inv))
-        s = (ea - ei) // 2
-        s = np.where((top - s <= 1024) & (low - s >= -1021), s, 0).astype(np.int64)
-        return np.ldexp(a, -s[:, None, None]), np.ldexp(inv, s[:, None, None]), s
-
-
 def _compound(a, j):
     """(M, s): the j-th compound of each matrix of the (m, d, d) stack a,
     its entries the j x j minors on the lexicographically ordered j-subsets
@@ -252,19 +180,7 @@ def _compound(a, j):
     parts = [_dd_det(a[i:i + chunk][:, rows, cols])[::2] for i in range(0, len(a), chunk)]
     hi, e = (np.concatenate(c) for c in zip(*parts))
     s = np.max(e, axis=(1, 2))
-    return np.ldexp(hi, np.maximum(e - s[:, None, None], -1100).astype(np.int32)), s
-
-
-def _rescale(w):
-    """Scale each row of the (rows, d, 1) stack w in place by the power of
-    two that puts its largest modulus in [0.5, 1).  Returns the (rows,)
-    largest moduli before the scaling and the exponents taken out; a row
-    whose largest modulus is zero or not finite keeps its entries, with
-    exponent 0."""
-    top = np.abs(w).max(axis=(1, 2))
-    exps = np.frexp(top)[1]
-    np.ldexp(w, -exps[:, None, None], out=w)
-    return top, exps
+    return np.ldexp(hi, _aligned(e, s[:, None, None])), s
 
 
 def _log_norms(mats, invs, idx, w, ks):
@@ -321,10 +237,12 @@ def _log_norms(mats, invs, idx, w, ks):
                 for a in mats[steps[start:stop]]:
                     np.matmul(a, w, out=u)
                     w, u = u, w
-                top, taken = _rescale(w)
-                # a Python comparison a block; check_steps only to name a fault
-                if not all(0.0 < t < math.inf for t in top.tolist()):
-                    check_steps(top[None], stop)
+                w, taken = _pow2_normalize(w, (1, 2), out=w)
+                # only a row that took out no exponent can be zero or not
+                # finite (a Python test a block, cheaper than numpy's on a
+                # few rows); check_steps then names the fault
+                if not all(taken.tolist()):
+                    check_steps(np.abs(w).max(axis=(1, 2))[None], stop)
                 total += taken
                 start = stop
             # math.log, not np.log: numpy's SIMD log can differ in the last bit
@@ -351,10 +269,9 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
         raise DegenerateInputError(f"probe vectors must have length {dim}") from e
     if V.ndim != 2 or V.shape[1] != dim:
         raise DegenerateInputError(f"probe vectors must have length {dim}")
-    w = V[:, :, None].copy()
-    top, _ = _rescale(w)
-    if not np.all(np.isfinite(top) & (top > 0.0)):
+    if not (np.isfinite(V).all() and (V != 0.0).any(axis=1).all()):
         raise DegenerateInputError("probe vectors must be finite and nonzero")
+    w, _ = _pow2_normalize(V[:, :, None], (1, 2))
     invs = screen_invertible(mats, idx)
     logs0 = np.array([math.log(math.hypot(*row)) for row in w[:, :, 0].tolist()])
     logs, exps = _log_norms(mats, invs, idx, w, ks)
@@ -384,11 +301,11 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
     order = np.argsort(rates)
     clusters = []
     current = [int(order[0])]
-    for prev, idx in zip(order, order[1:]):
-        if rates[idx] - rates[prev] < cluster_tol:
-            current.append(int(idx))
+    for prev, probe in zip(order, order[1:]):
+        if rates[probe] - rates[prev] < cluster_tol:
+            current.append(int(probe))
         else:
             clusters.append(current)
-            current = [int(idx)]
+            current = [int(probe)]
     clusters.append(current)
-    return FiltrationProbeReport(probes=list(probes), rates=rates, clusters=clusters)
+    return FiltrationProbeReport(rates=rates, clusters=clusters)

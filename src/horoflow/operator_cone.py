@@ -53,7 +53,6 @@ class ScaledProduct:
 class StateReport:
     xi: np.ndarray
     achieved: float
-    norm_y: float
 
 
 def _spec_norm(m: np.ndarray) -> float:
@@ -162,7 +161,7 @@ def extract_vector_state(y) -> StateReport:
     if nz.size and xi[nz[0]] < 0.0:
         xi = -xi
     achieved = abs(float(w[best]))
-    return StateReport(xi=xi, achieved=achieved, norm_y=float(np.max(np.abs(w))))
+    return StateReport(xi=xi, achieved=achieved)
 
 
 def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0):

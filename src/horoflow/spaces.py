@@ -1,14 +1,13 @@
 """Concrete weak metric spaces.
 
-Euclidean space, the Poincare disk (with its closed-form boundary
-functionals), the positive-definite cone with the symmetric Thompson
-metric and its asymmetric Funk-type half, the stretch metric on sampled
-distance functions, and the sup-log-Jacobian metric on circle
-diffeomorphisms.  The Funk and stretch metrics genuinely take negative
+Euclidean space, the Poincare disk, the positive-definite cone with the
+symmetric Thompson metric and its asymmetric Funk-type half, the stretch
+metric on sampled distance functions, and the sup-log-Jacobian metric on
+circle diffeomorphisms.  The Funk and stretch metrics genuinely take negative
 values and are asymmetric.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import cmath
@@ -16,7 +15,7 @@ import math
 
 import numpy as np
 
-from .cocycle import _halves, _two_sum
+from ._exact import _halves, _modulus, _pow2_normalize, _two_sum
 from .core import MetricDomainError, DegenerateInputError, WeakMetricSpace
 
 _TWO_PI = 2.0 * math.pi
@@ -47,25 +46,13 @@ def _point_rows(points) -> np.ndarray:
 
 
 def euclidean_dist_many(points, i, j) -> np.ndarray:
-    """euclidean_dist(points[i[k]], points[j[k]]) for every k."""
+    """||points[i[k]] - points[j[k]]|| for every k."""
     rows = _point_rows(points)
-    d = rows[i] - rows[j]
     # each row scaled by a power of two, as _modulus scales, so its squares
     # neither underflow nor overflow; its dot product sums as np.linalg.norm
     # sums one vector (norm(d, axis=1) sums in another order)
-    _, e = np.frexp(np.abs(d).max(axis=1, initial=0.0))
-    d = np.ldexp(d, -e[:, None])
+    d, e = _pow2_normalize(rows[i] - rows[j], 1)
     return np.ldexp(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]), e)
-
-
-def _one_pair(name: str, dist_many, x, y) -> float:
-    """dist_many's distance of the one pair (x, y); a non-finite one is
-    refused with MetricDomainError, as WeakMetricSpace.distances refuses it."""
-    return WeakMetricSpace(name=name, dist_many=dist_many).distance(x, y)
-
-
-def euclidean_dist(x, y) -> float:
-    return _one_pair("euclidean", euclidean_dist_many, x, y)
 
 
 def euclidean_space(dim: int = 3) -> WeakMetricSpace:
@@ -118,21 +105,8 @@ def _in_disk(z) -> bool:
     return bool(_rooms(np.array([complex(z)]))[0] > 0.0)
 
 
-def _modulus(d: np.ndarray) -> np.ndarray:
-    """|d| of each value of the complex array d, as sqrt(x^2 + y^2).
-
-    x and y are first scaled by the power of two that brings the larger
-    into [0.5, 1), so the squares neither underflow nor overflow.  The
-    scaling is exact: wherever the unscaled squares are in range, the bits
-    are those of the unscaled formula.
-    """
-    _, e = np.frexp(np.maximum(np.abs(d.real), np.abs(d.imag)))
-    x, y = np.ldexp(d.real, -e), np.ldexp(d.imag, -e)
-    return np.ldexp(np.sqrt(x * x + y * y), e)
-
-
 def poincare_dist_many(points, i, j) -> np.ndarray:
-    """poincare_dist(points[i[k]], points[j[k]]) for every k.
+    """The disk distance of (points[i[k]], points[j[k]]) for every k.
 
     2 asinh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2))) in real arithmetic:
     numpy's products, sums, quotients and square roots are correctly
@@ -142,24 +116,6 @@ def poincare_dist_many(points, i, j) -> np.ndarray:
     z, room = _disk_rooms(points)
     ratio = _modulus(z[i] - z[j]) / np.sqrt(room[i] * room[j])
     return 2.0 * np.fromiter(map(math.asinh, ratio.flat), dtype=float, count=ratio.size)
-
-
-def poincare_dist(z, w) -> float:
-    """The disk distance 2 asinh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2)))."""
-    return _one_pair("poincare", poincare_dist_many, z, w)
-
-
-def busemann_disk(xi, z) -> float:
-    """Boundary functional of the disk: log(|xi - z|^2 / (1 - |z|^2)).
-
-    Pointwise limit of h_x(z) for anchors x -> xi radially, normalized so
-    that the value at the origin is 0.
-    """
-    xi = complex(xi)
-    if abs(abs(xi) - 1.0) > 1e-12:
-        raise MetricDomainError(f"xi must be on the unit circle, got |xi|={abs(xi)}")
-    [z], [room] = _disk_rooms([z])
-    return math.log(abs(xi - complex(z)) ** 2 / room)
 
 
 def mobius_disk(a: complex) -> Callable[[complex], complex]:
@@ -255,30 +211,18 @@ def _cone_log_eigs(points, i, j) -> np.ndarray:
 
 
 def thompson_dist_many(points, i, j) -> np.ndarray:
-    """thompson_dist(points[i[k]], points[j[k]]) for every k."""
+    """The Thompson distance of (p, q) = (points[i[k]], points[j[k]]) for
+    every k: the spectral norm of log(p^{-1/2} q p^{-1/2}), which equals
+    sup over unit vectors v of |log (qv,v)/(pv,v)|."""
     return np.abs(_cone_log_eigs(points, i, j)).max(axis=1)
 
 
 def funk_dist_many(points, i, j) -> np.ndarray:
-    """funk_dist(points[i[k]], points[j[k]]) for every k."""
+    """The Funk distance of (p, q) = (points[i[k]], points[j[k]]) for every
+    k: log of the largest generalized eigenvalue of (q, p), which may be
+    negative.  The asymmetric half of the Thompson metric:
+    max(funk(p,q), funk(q,p)) = thompson(p,q)."""
     return _cone_log_eigs(points, i, j).max(axis=1)
-
-
-def thompson_dist(p, q) -> float:
-    """Spectral norm of log(p^{-1/2} q p^{-1/2}).
-
-    Equals sup over unit vectors v of |log (qv,v)/(pv,v)|.
-    """
-    return _one_pair("thompson", thompson_dist_many, p, q)
-
-
-def funk_dist(p, q) -> float:
-    """log of the largest generalized eigenvalue of (q, p); may be negative.
-
-    Asymmetric half of the Thompson metric:
-    max(funk(p,q), funk(q,p)) = thompson(p,q).
-    """
-    return _one_pair("funk", funk_dist_many, p, q)
 
 
 def _random_spd_stack(rng: np.random.Generator, dim: int, m: int) -> np.ndarray:
@@ -290,10 +234,6 @@ def _random_spd_stack(rng: np.random.Generator, dim: int, m: int) -> np.ndarray:
     a = rng.normal(size=(m, dim, dim))
     scales = np.fromiter(map(math.exp, rng.uniform(-1.0, 1.0, size=m)), dtype=float, count=m)
     return scales[:, None, None] * (a @ a.swapaxes(1, 2) + 0.05 * np.eye(dim))
-
-
-def random_spd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _random_spd_stack(rng, dim, 1)[0]
 
 
 def thompson_space(dim: int = 3) -> WeakMetricSpace:
@@ -309,52 +249,12 @@ def funk_space(dim: int = 3) -> WeakMetricSpace:
 # ---------------------------------------------------------------------------
 # Stretch metric on sampled distance functions
 
-@dataclass(frozen=True)
-class SampledDistanceFunction:
-    """A distance function evaluated on a fixed finite sample.
-
-    ``table_fn`` evaluates the whole pairwise table from a point list in one
-    vectorized call.
-    """
-
-    sample: tuple
-    table_fn: Callable
-    # sample and table_fn are fixed, so the table is computed at most once
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def matrix(self) -> np.ndarray:
-        if "matrix" in self._cache:
-            return self._cache["matrix"]
-        n = len(self.sample)
-        out = np.asarray(self.table_fn(list(self.sample)), dtype=float)
-        if out.shape != (n, n) or not np.isfinite(out).all():
-            raise MetricDomainError("table_fn produced an invalid table")
-        np.fill_diagonal(out, 0.0)
-        self._cache["matrix"] = out
-        return out
-
-
-def stretch_dist_many(points, i, j) -> np.ndarray:
-    """stretch_dist(points[i[k]], points[j[k]]) for every k; each point's
-    table is read once."""
-    if len({len(p.sample) for p in points}) > 1:
-        raise DegenerateInputError("distance functions sampled on different sets")
-    n = len(points[0].sample)
-    off = ~np.eye(n, dtype=bool)
-    return _stretch_ratios(np.stack([p.matrix()[off] for p in points]), i, j)
-
-
 def _stretch_ratios(tables: np.ndarray, i, j) -> np.ndarray:
     """log max(tables[j[k]] / tables[i[k]]) for every k; a row per point
     holds its off-diagonal table values."""
     if np.any(tables <= 0.0):
         raise DegenerateInputError("zero or negative off-diagonal distance value")
     return np.log(np.max(tables[j] / tables[i], axis=1))
-
-
-def stretch_dist(d1: SampledDistanceFunction, d2: SampledDistanceFunction) -> float:
-    """log of the max sampled ratio d2(x,y)/d1(x,y) over x != y; may be negative."""
-    return _one_pair("stretch", stretch_dist_many, d1, d2)
 
 
 def _param_rows(points, width: int, kind: str) -> np.ndarray:
@@ -488,18 +388,6 @@ def mobius_circle_map(a: float) -> CircleMap:
                      f_and_derivative=f_and_df)
 
 
-def jacobian_dist_many(points, i, j, grid: int = 256) -> np.ndarray:
-    """jacobian_dist(points[i[k]], points[j[k]], grid) for every k; each
-    map's derivative is evaluated on the grid once."""
-    if grid < 16:
-        raise DegenerateInputError("grid must be >= 16")
-    theta = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    derivs = np.empty((len(points), grid))
-    for k, f in enumerate(points):
-        derivs[k] = f.deriv(theta)
-    return _jacobian_ratios(derivs, i, j)
-
-
 def _jacobian_ratios(derivs: np.ndarray, i, j) -> np.ndarray:
     """max |log(derivs[j[k]] / derivs[i[k]])| for every k; a row per map
     holds its derivative on the grid."""
@@ -509,12 +397,6 @@ def _jacobian_ratios(derivs: np.ndarray, i, j) -> np.ndarray:
     ratio = derivs[j]
     ratio /= derivs[i]
     return np.abs(np.log(ratio, out=ratio), out=ratio).max(axis=1)
-
-
-def jacobian_dist(f: CircleMap, g: CircleMap, grid: int = 256) -> float:
-    """max over the grid of |log(g'(theta)/f'(theta))|; symmetric."""
-    return _one_pair("jacobian", lambda points, i, j: jacobian_dist_many(points, i, j, grid),
-                     f, g)
 
 
 def jacobian_space() -> WeakMetricSpace:
@@ -551,20 +433,13 @@ def registered_spaces(dim: int = 3) -> dict:
     }
 
 
-def registered_basepoints(spaces: dict) -> dict:
-    """Natural basepoints for the registered spaces, keyed like the spaces."""
-    out = {}
-    for name, sp in spaces.items():
-        if name == "euclidean":
-            dim = int(sp.name.removeprefix("euclidean"))
-            out[name] = np.zeros(dim)
-        elif name == "poincare":
-            out[name] = 0j
-        elif name in ("thompson", "funk"):
-            dim = int(sp.name.removeprefix(name))
-            out[name] = np.eye(dim)
-        elif name == "stretch":
-            out[name] = np.zeros(4)   # the ambient norm
-        elif name == "jacobian":
-            out[name] = np.zeros(3)   # the identity map
-    return out
+def registered_basepoints(dim: int = 3) -> dict:
+    """Natural basepoints of ``registered_spaces(dim)``, keyed like the spaces."""
+    return {
+        "euclidean": np.zeros(dim),
+        "poincare": 0j,
+        "thompson": np.eye(dim),
+        "funk": np.eye(dim),
+        "stretch": np.zeros(4),     # the ambient norm
+        "jacobian": np.zeros(3),    # the identity map
+    }

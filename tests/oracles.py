@@ -19,30 +19,42 @@ step-at-a-time sums for the growth rates, and 50-digit Gram-Schmidt for
 the QR spectrum (whose old LAPACK loop stays as the error baseline).  Two
 stand-in drivers, a fresh sampled map a step and a circle rotation's
 labels, give kernel tests inputs that the one finite driver does not.
+
+The pair-at-a-time references that only tests call live here, not in the
+package: the one-pair distance of each metric (``distance`` and the six
+``*_dist``, each one pair of its space's batched kernel, with the
+sampled-table stretch points ``SampledDistanceFunction`` and the kernels
+``stretch_dist_many`` and ``jacobian_dist_many`` over points built one at
+a time), the disk's closed-form boundary functional ``busemann_disk``,
+``random_spd``, a driver's one-trial ``elements`` list and a drift
+report's ``mean_v_hat``.
 """
 
 import cmath
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from horoflow.cocycle import (EstimationError, _dist_origin, _halves, _two_sum,
-                              geometric_checkpoints, summarize_trials)
+from horoflow._exact import _halves, _two_sum
+from horoflow.cocycle import (EstimationError, _dist_origin, geometric_checkpoints,
+                              summarize_trials)
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
-                           FunctionalBoundReport, WeakMetricSpace)
+                           FunctionalBoundReport, MetricDomainError, WeakMetricSpace)
 from horoflow.deepnet import ACTIVATIONS, StretchReport
 from horoflow.lyapunov import SpectrumEstimate
 from horoflow.operator_cone import ScaledProduct, SymmetryError
 from horoflow.seeding import trial_rng
-from horoflow.spaces import (SampledDistanceFunction, euclidean_dist, funk_dist,
-                             jacobian_dist, NotDiffeomorphismError,
-                             poincare_dist, sine_circle_map, stretch_dist,
-                             thompson_dist)
+from horoflow.spaces import (_TWO_PI, NotDiffeomorphismError, _disk_rooms, _jacobian_ratios,
+                             _random_spd_stack, _stretch_ratios, euclidean_dist_many,
+                             funk_dist_many, poincare_dist_many, sine_circle_map,
+                             thompson_dist_many)
 
 
 def radial_poincare_length(r: float) -> float:
@@ -250,7 +262,7 @@ def batch_first_dd_matmul(ah, al, bh, bl):
     """(hi, lo) of (ah + al) @ (bh + bl) with the stack axes leading and
     every elementwise operation broadcast over (..., d, d, d).
 
-    This is the double-double product :func:`horoflow.cocycle._dd_matmul`
+    This is the double-double product :func:`horoflow._exact._dd_matmul`
     ran before it moved the stack axis innermost; the two must agree bit
     for bit.
     """
@@ -397,7 +409,7 @@ def loop_max_stretch(driver, n, grid, trial=0):
     total = 0.0
     trace = []
     best_pair = None
-    for k, g in enumerate(driver.elements(trial, n), start=1):
+    for k, g in enumerate(elements(driver, trial, n), start=1):
         gx = g(x)
         gy = g(y)
         if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
@@ -420,7 +432,7 @@ def loop_jacobian_cocycle(driver, n, grid, trial=0):
     pos = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     cumlog = np.zeros(grid)
     rows = []
-    for k, g in enumerate(driver.elements(trial, n), start=1):
+    for k, g in enumerate(elements(driver, trial, n), start=1):
         d = g.deriv(pos)
         if np.any(d <= 0.0):
             raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")
@@ -460,6 +472,12 @@ def loop_resnet_drift(chains, x0):
     return v_hat, gap
 
 
+def mean_v_hat(report):
+    """The drift vector of a :class:`horoflow.deepnet.DriftReport`: its
+    trials' normalized outputs averaged per coordinate."""
+    return np.mean(report.v_hat, axis=0)
+
+
 def loop_lipschitz_profile(layers, pair_sampler, n_pairs, seed):
     """The Lipschitz profile with each point of each pair sent through the
     chain on its own; the batched
@@ -477,6 +495,126 @@ def loop_lipschitz_profile(layers, pair_sampler, n_pairs, seed):
         ratio = float(np.linalg.norm(_chain(layers, x) - _chain(layers, y))) / (n * base)
         best = max(best, ratio)
     return best
+
+# ---------------------------------------------------------------------------
+# One-pair distances: each is one pair of its space's batched kernel (or, for
+# stretch and Jacobian points built one at a time, of a kernel over such
+# points), the pair-at-a-time reference that pair_loop runs
+
+
+def distance(space, x, y):
+    """d(x, y) in the space, one pair of its batched kernel; a non-finite
+    distance is refused with MetricDomainError, as
+    :meth:`horoflow.core.WeakMetricSpace.distances` refuses it."""
+    return float(space.distances((x, y), [0], [1])[0])
+
+
+def _one_pair(name, dist_many, x, y):
+    return distance(WeakMetricSpace(name=name, dist_many=dist_many), x, y)
+
+
+def euclidean_dist(x, y):
+    return _one_pair("euclidean", euclidean_dist_many, x, y)
+
+
+def poincare_dist(z, w):
+    """The disk distance 2 asinh(|z - w| / sqrt((1 - |z|^2)(1 - |w|^2)))."""
+    return _one_pair("poincare", poincare_dist_many, z, w)
+
+
+def thompson_dist(p, q):
+    """Spectral norm of log(p^{-1/2} q p^{-1/2}).
+
+    Equals sup over unit vectors v of |log (qv,v)/(pv,v)|.
+    """
+    return _one_pair("thompson", thompson_dist_many, p, q)
+
+
+def funk_dist(p, q):
+    """log of the largest generalized eigenvalue of (q, p); may be negative.
+
+    Asymmetric half of the Thompson metric:
+    max(funk(p,q), funk(q,p)) = thompson(p,q).
+    """
+    return _one_pair("funk", funk_dist_many, p, q)
+
+
+@dataclass(frozen=True)
+class SampledDistanceFunction:
+    """A distance function evaluated on a fixed finite sample.
+
+    ``table_fn`` evaluates the whole pairwise table from a point list in one
+    vectorized call.
+    """
+
+    sample: tuple
+    table_fn: Callable
+    # sample and table_fn are fixed, so the table is computed at most once
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def matrix(self) -> np.ndarray:
+        if "matrix" in self._cache:
+            return self._cache["matrix"]
+        n = len(self.sample)
+        out = np.asarray(self.table_fn(list(self.sample)), dtype=float)
+        if out.shape != (n, n) or not np.isfinite(out).all():
+            raise MetricDomainError("table_fn produced an invalid table")
+        np.fill_diagonal(out, 0.0)
+        self._cache["matrix"] = out
+        return out
+
+
+def stretch_dist_many(points, i, j):
+    """stretch_dist(points[i[k]], points[j[k]]) for every k; each point's
+    table is read once."""
+    if len({len(p.sample) for p in points}) > 1:
+        raise DegenerateInputError("distance functions sampled on different sets")
+    n = len(points[0].sample)
+    off = ~np.eye(n, dtype=bool)
+    return _stretch_ratios(np.stack([p.matrix()[off] for p in points]), i, j)
+
+
+def stretch_dist(d1, d2):
+    """log of the max sampled ratio d2(x,y)/d1(x,y) over x != y; may be negative."""
+    return _one_pair("stretch", stretch_dist_many, d1, d2)
+
+
+def jacobian_dist_many(points, i, j, grid=256):
+    """jacobian_dist(points[i[k]], points[j[k]], grid) for every k; each
+    map's derivative is evaluated on the grid once."""
+    if grid < 16:
+        raise DegenerateInputError("grid must be >= 16")
+    theta = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
+    derivs = np.empty((len(points), grid))
+    for k, f in enumerate(points):
+        derivs[k] = f.deriv(theta)
+    return _jacobian_ratios(derivs, i, j)
+
+
+def jacobian_dist(f, g, grid=256):
+    """max over the grid of |log(g'(theta)/f'(theta))|; symmetric."""
+    return _one_pair("jacobian", lambda points, i, j: jacobian_dist_many(points, i, j, grid),
+                     f, g)
+
+
+def random_spd(rng, dim):
+    """One random SPD matrix, as the cone spaces sample a block of one."""
+    return _random_spd_stack(rng, dim, 1)[0]
+
+
+def busemann_disk(xi, z):
+    """Boundary functional of the disk: log(|xi - z|^2 / (1 - |z|^2)).
+
+    Pointwise limit of h_x(z) for anchors x -> xi radially, normalized so
+    that the value at the origin is 0: the disk's horofunction in closed
+    form, which :func:`busemann_radial_limit` approaches through the disk's
+    distance kernel.
+    """
+    xi = complex(xi)
+    if abs(abs(xi) - 1.0) > 1e-12:
+        raise MetricDomainError(f"xi must be on the unit circle, got |xi|={abs(xi)}")
+    [z], [room] = _disk_rooms([z])
+    return math.log(abs(xi - complex(z)) ** 2 / room)
 
 
 def pair_loop(dist):
@@ -595,19 +733,19 @@ def _sample_triples(space, n, seed):
 
 def loop_weak_metric_axioms(space, n_triples, seed=0):
     """The axiom suite one triple at a time, each distance through
-    ``space.distance``; :func:`horoflow.core.check_weak_metric_axioms` must
+    :func:`distance`; :func:`horoflow.core.check_weak_metric_axioms` must
     agree field for field."""
     max_id = 0.0
     max_tri = 0.0
     min_pair = math.inf
     for x, y, z in _sample_triples(space, n_triples, seed):
-        max_id = max(max_id, abs(space.distance(x, x)))
-        dxy = space.distance(x, y)
-        dxz = space.distance(x, z)
-        dzy = space.distance(z, y)
+        max_id = max(max_id, abs(distance(space, x, x)))
+        dxy = distance(space, x, y)
+        dxz = distance(space, x, z)
+        dzy = distance(space, z, y)
         scale = max(1.0, abs(dxy), abs(dxz), abs(dzy))
         max_tri = max(max_tri, (dxy - dxz - dzy) / scale)
-        min_pair = min(min_pair, dxy + space.distance(y, x))
+        min_pair = min(min_pair, dxy + distance(space, y, x))
     return AxiomReport(space=space.name, n_triples=n_triples,
                        max_identity_error=max_id,
                        max_triangle_violation=max_tri,
@@ -619,12 +757,12 @@ def loop_functional_bounds(space, x0, n_samples, seed=0):
     :func:`horoflow.core.check_functional_bounds` must agree field for field."""
     low = up = cont = 0.0
     for anchor, y, z in _sample_triples(space, n_samples, seed):
-        dxa = space.distance(x0, anchor)
-        hy = space.distance(y, anchor) - dxa
-        hz = space.distance(z, anchor) - dxa
-        low = max(low, -space.distance(x0, y) - hy)
-        up = max(up, hy - space.distance(y, x0))
-        sym = max(space.distance(y, z), space.distance(z, y))
+        dxa = distance(space, x0, anchor)
+        hy = distance(space, y, anchor) - dxa
+        hz = distance(space, z, anchor) - dxa
+        low = max(low, -distance(space, x0, y) - hy)
+        up = max(up, hy - distance(space, y, x0))
+        sym = max(distance(space, y, z), distance(space, z, y))
         cont = max(cont, abs(hy - hz) - sym)
     return FunctionalBoundReport(space=space.name, n_samples=n_samples,
                                  max_lower_violation=low,
@@ -632,18 +770,22 @@ def loop_functional_bounds(space, x0, n_samples, seed=0):
                                  max_continuity_violation=cont)
 
 
+def elements(driver, trial, n):
+    """The first n maps g(omega), g(T omega), ... that trial draws from the
+    driver (an :class:`horoflow.cocycle.ErgodicDriver` or a stand-in), in
+    step order, deterministically."""
+    maps, [idx] = driver.draw([trial], n)
+    return [maps[i] for i in idx]
+
+
 class FixedDraws:
     """A stand-in driver for kernel tests, which take their maps from
     ``draw`` alone: ``draw(trials, n)`` is ``rule(trials, n)``, a fixed
     ``(maps, idx)`` as :meth:`horoflow.cocycle.ErgodicDriver.draw` returns
-    them, and ``elements`` lists one trial's maps in step order."""
+    them."""
 
     def __init__(self, rule):
         self.draw = rule
-
-    def elements(self, trial, n):
-        maps, [idx] = self.draw([trial], n)
-        return [maps[i] for i in idx]
 
 
 def sampled_draws(seed, sampler):
@@ -687,7 +829,7 @@ def loop_orbit_at(driver, space, x0, ks, trial=0):
         return space is None or space.in_domain is None or space.in_domain(p)
 
     ks = sorted(set(int(k) for k in ks))
-    gs = driver.elements(trial, ks[-1])
+    gs = elements(driver, trial, ks[-1])
     out = {}
     for k in ks:
         y = x0
@@ -715,7 +857,7 @@ def loop_top_exponent(driver, space, x0, n, trials):
         if cut is not None:
             truncated += 1
             continue
-        ratios = np.array([space.distance(x0, pts[k]) / k for k in tail_ks])
+        ratios = np.array([distance(space, x0, pts[k]) / k for k in tail_ks])
         per_trial.append(ratios[-1])
         tail_sum += ratios
         tail_cnt += 1
@@ -732,7 +874,7 @@ def lapack_qr_spectrum(driver, dim, n, trial=0):
     running sum as it is factored.  The reference that ``mp_qr_spectrum``
     measures the kernel against.  A zero or non-finite R diagonal entry is
     a rescaling fault at its step."""
-    mats = [np.asarray(a, dtype=float) for a in driver.elements(trial, n)]
+    mats = [np.asarray(a, dtype=float) for a in elements(driver, trial, n)]
     q = np.eye(dim)
     sums = np.zeros(dim)
     checkpoints = set(geometric_checkpoints(n, count=8, start=max(1, n // 10)))
@@ -797,7 +939,7 @@ def loop_log_norms(driver, v, ks, trial=0):
     out = []
     for k in ks:
         w, total = np.asarray(v, dtype=float), 0
-        for step, a in enumerate(driver.elements(trial, k), start=1):
+        for step, a in enumerate(elements(driver, trial, k), start=1):
             w = np.asarray(a, dtype=float) @ w
             top = float(np.max(np.abs(w)))
             if not (math.isfinite(top) and top > 0.0):
@@ -827,7 +969,7 @@ def sqrt_loop_growth_rates(driver, v, ks, trial=0):
         w = np.asarray(v, dtype=float)
         w = w / np.linalg.norm(w)
         rate = 0.0
-        for a in driver.elements(trial, k):
+        for a in elements(driver, trial, k):
             w = np.asarray(a, dtype=float) @ w
             s = np.linalg.norm(w)
             rate += math.log(s)

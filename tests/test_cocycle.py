@@ -11,15 +11,16 @@ from horoflow.cocycle import (ErgodicDriver, EstimationError, apply_element,
                               check_steps, constant_driver,
                               estimate_top_exponent, geometric_checkpoints,
                               hyperbolic_walk_gap, mobius_matrix, screen_invertible,
-                              summarize_trials, _dd_matmul, _distances_from,
-                              _fold_orbits, _tail_slope)
+                              summarize_trials, _distances_from, _fold_orbits,
+                              _tail_slope)
+from horoflow._exact import _dd_matmul
 from horoflow.core import DegenerateInputError
 from horoflow.seeding import trial_rng
-from horoflow.spaces import (euclidean_dist, euclidean_space, mobius_disk, poincare_dist,
-                             poincare_space)
+from horoflow.spaces import euclidean_space, mobius_disk, poincare_space
 
-from oracles import (batch_first_dd_matmul, loop_orbit_at, loop_top_exponent,
-                     loop_walk_gaps, mp_walk_gaps, rotation_draws, sampled_draws)
+from oracles import (batch_first_dd_matmul, elements, euclidean_dist, loop_orbit_at,
+                     loop_top_exponent, loop_walk_gaps, mp_walk_gaps, poincare_dist,
+                     rotation_draws, sampled_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +39,9 @@ def test_driver_validation():
 
 def test_elements_deterministic_per_trial():
     drv = ErgodicDriver(seed=11, maps=("a", "b"), weights=(0.5, 0.5))
-    first = drv.elements(0, 50)
-    assert drv.elements(0, 50) == first
-    assert drv.elements(1, 50) != first  # overwhelmingly likely and fixed by seed
+    first = elements(drv, 0, 50)
+    assert elements(drv, 0, 50) == first
+    assert elements(drv, 1, 50) != first  # overwhelmingly likely and fixed by seed
 
 
 def test_elements_are_the_maps_at_indices():
@@ -52,7 +53,7 @@ def test_elements_are_the_maps_at_indices():
         one_maps, [one] = drv.draw([t], 200)
         # a trial's stream does not depend on the batch it is drawn in
         assert [maps[i] for i in idx[t]] == [one_maps[i] for i in one]
-        assert drv.elements(t, 200) == [one_maps[i] for i in one]
+        assert elements(drv, t, 200) == [one_maps[i] for i in one]
 
 
 def test_apply_element_matrices_and_callables():
@@ -78,7 +79,7 @@ def test_orbit_order_contract():
     f = lambda x: x + 1.0
     g = lambda x: 2.0 * x
     drv = ErgodicDriver(seed=5, maps=(f, g), weights=(0.5, 0.5))
-    gs = drv.elements(0, 3)
+    gs = elements(drv, 0, 3)
     right, _ = _orbit(drv, None, 1.0, [1, 2, 3])
     assert right[1] == gs[0](1.0)
     assert right[2] == gs[0](gs[1](1.0))
@@ -149,7 +150,7 @@ def test_subadditivity_along_shifted_seeds():
     drv = ErgodicDriver(seed=21,
                         maps=(lambda x: x + 1.0, lambda x: x - 1.0),
                         weights=(0.5, 0.5))
-    gs = drv.elements(0, 40)
+    gs = elements(drv, 0, 40)
     steps = np.array([g(0.0) for g in gs])  # +-1 increments
     prefix = np.concatenate([[0.0], np.cumsum(steps)])
     a = np.abs(prefix)  # d(0, u(n)0) for commuting translations
@@ -282,7 +283,7 @@ def test_walk_against_the_mpmath_product(name):
             ks = [1, 2, 9, n // 3, n - 1, n]
             trials = 4 if n == 2000 else 1
             t = trials - 1
-            mats = driver.elements(t, n)
+            mats = elements(driver, t, n)
             exact, a_n = mp_walk_gaps(mats, ks)
             old = loop_walk_gaps(mats, ks)
             new = hyperbolic_walk_gap(driver, n, trials, checkpoints=ks)[t].gaps

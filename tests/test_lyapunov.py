@@ -8,14 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horoflow._exact import _balanced, _dd_det
 from horoflow.cocycle import _PRODUCT_BLOCK, ErgodicDriver, constant_driver, tail_checkpoints
 from horoflow.core import DegenerateInputError
-from horoflow.lyapunov import (_balanced, _compound, _dd_det, _exponent_sums,
-                               _growth_rates, filtration_probe, qr_spectrum)
+from horoflow.lyapunov import (_compound, _exponent_sums, _growth_rates, filtration_probe,
+                               qr_spectrum)
 from horoflow.operator_cone import _fold
 from horoflow.seeding import trial_rng
 
-from oracles import (FixedDraws, fraction_det, lapack_qr_spectrum, loop_growth_rates,
+from oracles import (FixedDraws, elements, fraction_det, lapack_qr_spectrum, loop_growth_rates,
                      loop_log_norms, mp_growth_rates, mp_qr_spectrum, sampled_draws,
                      sqrt_loop_growth_rates)
 
@@ -44,7 +45,7 @@ def test_spectrum_sum_rule():
     b = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     drv = ErgodicDriver(seed=4, maps=(a, b), weights=(0.5, 0.5))
     est = qr_spectrum(drv, 3, 2000, trial=0)
-    gs = drv.elements(0, 2000)
+    gs = elements(drv, 0, 2000)
     mean_logdet = np.mean([math.log(abs(np.linalg.det(g))) for g in gs])
     assert float(np.sum(est.exponents)) == pytest.approx(mean_logdet, abs=1e-9)
 

@@ -11,14 +11,14 @@ from horoflow.core import (_BLOCK, DegenerateInputError, MetricDomainError,
 from horoflow.seeding import trial_rng
 from horoflow.spaces import euclidean_space, registered_basepoints, registered_spaces
 
-from oracles import (loop_functional_bounds, loop_weak_metric_axioms, pair_loop,
+from oracles import (distance, loop_functional_bounds, loop_weak_metric_axioms, pair_loop,
                      reference_basepoints, reference_spaces)
 
 
 def test_distance_rejects_nonfinite():
     sp = WeakMetricSpace(name="bad", dist_many=pair_loop(lambda x, y: float("inf")))
     with pytest.raises(MetricDomainError):
-        sp.distance(0.0, 1.0)
+        distance(sp, 0.0, 1.0)
     with pytest.raises(MetricDomainError):
         sp.distances([0.0, 1.0], [0], [1])
     batched = WeakMetricSpace(name="bad",
@@ -62,7 +62,7 @@ def test_functional_bounds_euclidean():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_suites_equal_the_sample_loop(dim, seed):
     spaces = registered_spaces(dim)
-    bps = registered_basepoints(spaces)
+    bps = registered_basepoints(dim)
     refs = reference_spaces(dim)
     ref_bps = reference_basepoints(dim)
     n = 2 * _BLOCK + 22   # three evaluation blocks, the last one partial
@@ -92,7 +92,7 @@ def _suite_pairs(m):
 def test_distances_equal_the_reference_element_for_element(dim, seed):
     # a suite keeps only maxima, which can stay put while most distances move
     spaces = registered_spaces(dim)
-    bps = registered_basepoints(spaces)
+    bps = registered_basepoints(dim)
     refs = reference_spaces(dim)
     ref_bps = reference_basepoints(dim)
     for name, sp in spaces.items():

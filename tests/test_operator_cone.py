@@ -20,7 +20,7 @@ from horoflow.operator_cone import (ConsistencyError, ScaledProduct,
 from horoflow.seeding import trial_rng
 from horoflow.spaces import sym_part
 
-from oracles import (exact_log_gram_norm, loop_accumulate, loop_expm_taylor,
+from oracles import (elements, exact_log_gram_norm, loop_accumulate, loop_expm_taylor,
                      loop_segal_sweep, mp_distance, mp_log_gram_norms, mp_segal,
                      mp_state_ratios, rotation_draws, sampled_draws,
                      scipy_segal_sweep, sweep_pair)
@@ -58,7 +58,7 @@ def test_lognorm_matches_direct_eigendecomposition():
     # keep the horizon short so v^T v stays representable for the direct
     # matrix path; the norm is checked against exact arithmetic instead
     drv = _random_driver(spread=0.3)
-    gs = drv.elements(0, 8)
+    gs = elements(drv, 0, 8)
     v = np.eye(3)
     for g in gs:
         v = np.asarray(g) @ v
@@ -76,7 +76,7 @@ def test_lognorm_is_thompson_distance_from_identity():
     drv = _random_driver(seed=8)
     [p] = _fold(drv, 8, [0], [8])[8]
     assert squared_positive_part_lognorm(p) == pytest.approx(
-        exact_log_gram_norm(drv.elements(0, 8)), abs=1e-9)
+        exact_log_gram_norm(elements(drv, 0, 8)), abs=1e-9)
 
 
 # the parameters operator-tau declares, at their defaults
@@ -115,7 +115,7 @@ def test_fold_against_the_mpmath_product(name):
             ks = _oracle_checkpoints(n)
             trials = 4 if n == 2000 else 1
             t = trials - 1
-            mats = driver.elements(t, n)
+            mats = elements(driver, t, n)
             exact = mp_log_gram_norms(mats, ks)
             _, old = loop_accumulate(mats, ks)
             snaps = _fold(driver, n, range(trials), ks)
@@ -201,7 +201,7 @@ def test_state_ratios_match_the_mpmath_product(N):
     for seed in range(1, 7):
         driver = _FOLD_DRIVERS["sl2_pair"](seed)
         ls = [1, 10, N // 3, N]
-        exact = mp_state_ratios(driver.elements(0, N), ls)
+        exact = mp_state_ratios(elements(driver, 0, N), ls)
         for l, ratio, _ in state_ratio_check(driver, N, ls):
             assert ratio == pytest.approx(float(exact[l]), rel=1e-14), (seed, l)
 

