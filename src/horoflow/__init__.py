@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .core import MetricDomainError, DegenerateInputError, WeakMetricSpace
 from .cocycle import (ErgodicDriver, constant_driver, estimate_top_exponent,
-                      hyperbolic_walk_gap, LyapunovEstimate)
+                      hyperbolic_walk_gap, walk_top_exponent, LyapunovEstimate)
 from .lyapunov import qr_spectrum, filtration_probe
 from .operator_cone import (squared_positive_part_lognorm, tau_estimate,
                             extract_vector_state, state_ratio_check, segal_check)

@@ -2,8 +2,9 @@
 
 Configs are single JSON documents; flags override document values.  Every
 run writes one data table (CSV or JSONL, byte-identical for identical
-config+seed) and one manifest recording the seed derivation.  Exit codes:
-0 success, 2 config error, 3 runtime truncation error.
+config+seed) and one manifest recording the seed derivation.  Each run
+draws only from streams keyed by its own master seed.  Exit codes: 0
+success, 2 config error.
 """
 
 import argparse
@@ -18,21 +19,19 @@ import numpy as np
 from . import __version__
 from .core import (DegenerateInputError, MetricDomainError,
                    check_functional_bounds, check_weak_metric_axioms)
-from .cocycle import (ErgodicDriver, EstimationError, constant_driver,
-                      estimate_top_exponent, hyperbolic_walk_gap,
-                      mobius_matrix)
+from .cocycle import (ErgodicDriver, constant_driver, estimate_top_exponent,
+                      hyperbolic_walk_gap, mobius_matrix, walk_top_exponent)
 from .deepnet import (ACTIVATIONS, jacobian_cocycle_dist, lipschitz_profile,
                       make_layer, max_stretch, resnet_drift)
 from .lyapunov import filtration_probe, qr_spectrum
 from .operator_cone import expm_taylor, segal_check, state_ratio_check, tau_estimate
 from .seeding import GENERATOR_NAME, trial_rng
-from .spaces import (NotDiffeomorphismError, euclidean_space, mobius_disk,
-                     mobius_circle_map, poincare_space, registered_basepoints,
-                     registered_spaces, rotation_circle_map, sine_circle_map)
+from .spaces import (NotDiffeomorphismError, euclidean_space, mobius_circle_map,
+                     registered_basepoints, registered_spaces,
+                     rotation_circle_map, sine_circle_map)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_TRUNCATION = 3
 
 
 def fmt(x) -> str:
@@ -129,8 +128,7 @@ _OPEN_UNIT = _real(-1.0, 1.0, closed=False)
 
 
 # ---------------------------------------------------------------------------
-# Runners: each takes the checked parameters and returns
-# (columns, rows, truncation_count)
+# Runners: each takes the checked parameters and returns (columns, rows)
 
 def _run_metric_axioms(cfg):
     samples = cfg["samples"]
@@ -141,12 +139,13 @@ def _run_metric_axioms(cfg):
     rows = []
     for name in sorted(spaces):
         sp = spaces[name]
-        ax = check_weak_metric_axioms(sp, samples, seed=cfg["seed"])
-        fb = check_functional_bounds(sp, basepoints[name], samples, seed=cfg["seed"] + 1)
+        ax = check_weak_metric_axioms(sp, samples, trial_rng(cfg["seed"], 0))
+        fb = check_functional_bounds(sp, basepoints[name], samples,
+                                     trial_rng(cfg["seed"], 1))
         rows.append((name, samples, ax.max_identity_error, ax.max_triangle_violation,
                      fb.max_lower_violation, fb.max_upper_violation,
                      fb.max_continuity_violation))
-    return cols, rows, 0
+    return cols, rows
 
 
 def _hyperbolic_driver(cfg) -> ErgodicDriver:
@@ -164,30 +163,26 @@ def _run_hyperbolic_walk(cfg):
                                  cfg["probe_budget"])
     rows = [(t, k, gap) for t, tr in enumerate(traces)
             for k, gap in zip(tr.ks, tr.gaps)]
-    return ["trial", "k", "gap"], rows, 0
+    return ["trial", "k", "gap"], rows
 
 
 def _run_top_exponent(cfg):
-    preset = cfg["preset"]
-    if preset == "translation":
-        space = euclidean_space(1)
-        driver = constant_driver(lambda x: x + 1.0, seed=cfg["seed"])
-        x0 = np.zeros(1)
-    elif preset == "pm1_walk":
-        space = euclidean_space(1)
-        driver = ErgodicDriver(seed=cfg["seed"],
-                               maps=(lambda x: x + 1.0, lambda x: x - 1.0),
-                               weights=(0.5, 0.5))
-        x0 = np.zeros(1)
-    else:  # preset == "disk_mobius"
-        space = poincare_space()
-        driver = constant_driver(mobius_disk(cfg["mobius_a"]), seed=cfg["seed"])
-        x0 = 0j
-    est = estimate_top_exponent(driver, space, x0, cfg["n"], cfg["trials"])
+    preset, n, trials = cfg["preset"], cfg["n"], cfg["trials"]
+    if preset == "disk_mobius":
+        # from x0 = 0, a(k) read from the walk's scaled products
+        driver = constant_driver(mobius_matrix(cfg["mobius_a"]), seed=cfg["seed"])
+        est = walk_top_exponent(driver, n, trials)
+    else:
+        if preset == "translation":
+            driver = constant_driver(lambda x: x + 1.0, seed=cfg["seed"])
+        else:  # preset == "pm1_walk"
+            driver = ErgodicDriver(seed=cfg["seed"],
+                                   maps=(lambda x: x + 1.0, lambda x: x - 1.0),
+                                   weights=(0.5, 0.5))
+        est = estimate_top_exponent(driver, euclidean_space(1), np.zeros(1), n, trials)
     rows = [(t, v, est.lambda_hat, est.std_error, est.tail_slope)
             for t, v in enumerate(est.per_trial)]
-    return (["trial", "per_trial", "lambda_hat", "std_error", "tail_slope"],
-            rows, est.truncated_trials)
+    return ["trial", "per_trial", "lambda_hat", "std_error", "tail_slope"], rows
 
 
 _SL2_PAIR = (np.array([[2.0, 1.0], [1.0, 1.0]]),
@@ -219,7 +214,7 @@ def _run_oseledets_spectrum(cfg):
     dim = np.asarray(driver.maps[0]).shape[0]
     est = qr_spectrum(driver, dim, cfg["n"], trial=cfg["trial"])
     rows = [(i, est.exponents[i], est.resid[i]) for i in range(dim)]
-    return ["index", "exponent", "resid"], rows, 0
+    return ["index", "exponent", "resid"], rows
 
 
 def _run_filtration_probe(cfg):
@@ -232,20 +227,20 @@ def _run_filtration_probe(cfg):
         for i in members:
             cluster_of[i] = c
     rows = [(i, rep.rates[i], cluster_of[i]) for i in range(len(probes))]
-    return ["probe_index", "rate", "cluster"], rows, 0
+    return ["probe_index", "rate", "cluster"], rows
 
 
 def _run_operator_tau(cfg):
     est = tau_estimate(_matrix_driver(cfg), cfg["n"], cfg["trials"])
     rows = [(t, v, est.lambda_hat, est.std_error)
             for t, v in enumerate(est.per_trial)]
-    return ["trial", "per_trial", "tau_hat", "std_error"], rows, 0
+    return ["trial", "per_trial", "tau_hat", "std_error"], rows
 
 
 def _run_state_ratio(cfg):
     rows = state_ratio_check(_matrix_driver(cfg), cfg["N"],
                              cfg["checkpoints"], trial=cfg["trial"])
-    return ["l", "ratio", "tau_hat"], rows, 0
+    return ["l", "ratio", "tau_hat"], rows
 
 
 # pairs per stacked segal-sweep call; bounds the (pairs, dim, dim) temporaries
@@ -274,7 +269,7 @@ def _run_segal_sweep(cfg):
                                  compute_uv=False).max(axis=-1)
         rows += [(i, a, b, b - a, g) for i, a, b, g in
                  zip(pairs, lhs.tolist(), rhs.tolist(), path_gap.tolist())]
-    return ["pair", "lhs", "rhs", "slack", "path_gap"], rows, 0
+    return ["pair", "lhs", "rhs", "slack", "path_gap"], rows
 
 
 def _run_resnet_drift(cfg):
@@ -290,7 +285,7 @@ def _run_resnet_drift(cfg):
     for t in range(trials):
         for c in range(d):
             rows.append((t, c, rep.v_hat[t, c], rep.per_coordinate_se[c]))
-    return ["trial", "coord", "v_hat", "se"], rows, 0
+    return ["trial", "coord", "v_hat", "se"], rows
 
 
 def _run_lipschitz_profile(cfg):
@@ -303,8 +298,8 @@ def _run_lipschitz_profile(cfg):
         return r.normal(size=d), r.normal(size=d)
 
     profile = lipschitz_profile(layers, pair_sampler, cfg["n_pairs"],
-                                seed=cfg["seed"] + 1)
-    return ["depth", "profile"], [(cfg["depth"], profile)], 0
+                                trial_rng(cfg["seed"], 1))
+    return ["depth", "profile"], [(cfg["depth"], profile)]
 
 
 def _stretch_driver(cfg) -> ErgodicDriver:
@@ -321,14 +316,13 @@ def _stretch_driver(cfg) -> ErgodicDriver:
 
 
 def _run_max_stretch(cfg):
-    rep = max_stretch(_stretch_driver(cfg), cfg["n"], cfg["grid"],
-                      trial=cfg["trial"])
+    rep = max_stretch(_stretch_driver(cfg), cfg["n"], cfg["grid"])
     rows = []
     for depth, (x, y) in rep.argmax_trace:
         rows.append((depth, x.real, x.imag, y.real, y.imag,
                      rep.lambda_hat, rep.z_hat.real, rep.z_hat.imag))
     return (["depth", "x_re", "x_im", "y_re", "y_im",
-             "lambda_hat", "z_re", "z_im"], rows, 0)
+             "lambda_hat", "z_re", "z_im"], rows)
 
 
 def _circle_driver(cfg) -> ErgodicDriver:
@@ -343,9 +337,8 @@ def _circle_driver(cfg) -> ErgodicDriver:
 
 
 def _run_jacobian_cocycle(cfg):
-    rows = jacobian_cocycle_dist(_circle_driver(cfg), cfg["n"], cfg["grid"],
-                                 trial=cfg["trial"])
-    return ["k", "a", "ratio"], rows, 0
+    rows = jacobian_cocycle_dist(_circle_driver(cfg), cfg["n"], cfg["grid"])
+    return ["k", "a", "ratio"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +411,13 @@ EXPERIMENTS = {e.name: e for e in [
                _run_max_stretch,
                {"preset": ("mobius", _choice("identity", "rotation", "mobius")),
                 "mobius_a": (0.5, _OPEN_UNIT), "n": (50, _COUNT),
-                "grid": (1024, _COUNT), "trial": _TRIAL}),
+                "grid": (1024, _COUNT)}),
     Experiment("jacobian-cocycle",
                "sup-log-Jacobian distance cocycle for circle maps",
                _run_jacobian_cocycle,
                {"preset": ("mobius", _choice("rotation", "sine", "mobius")),
                 "mobius_a": (0.5, _OPEN_UNIT), "amplitude": (0.5, _OPEN_UNIT),
-                "n": (200, _COUNT), "grid": (512, _integer(16)), "trial": _TRIAL}),
+                "n": (200, _COUNT), "grid": (512, _integer(16))}),
     Experiment("metric-axioms",
                "weak-metric axiom and functional-bound property suite",
                _run_metric_axioms,
@@ -495,10 +488,7 @@ def run(config: dict) -> int:
         return EXIT_CONFIG
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
-        columns, rows, truncations = exp.runner(params)
-    except EstimationError as e:
-        print(f"truncation error: {e}", file=sys.stderr)
-        return EXIT_TRUNCATION
+        columns, rows = exp.runner(params)
     except (DegenerateInputError, MetricDomainError, NotDiffeomorphismError,
             FloatingPointError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -512,7 +502,6 @@ def run(config: dict) -> int:
         "artifact_version": __version__,
         "started": started,
         "finished": finished,
-        "truncations": truncations,
         "data_file": os.path.basename(data_path),
     }
     try:

@@ -3,13 +3,13 @@
 Drivers emit seeded sequences of maps (or matrices); the engine folds
 orbits u(n)x0 = g1(g2(...gn(x0))) and estimates the top exponent
 lim a(n)/n of the subadditive distance cocycle a(n) = d(x0, u(n)x0).
-Long disk Mobius walks are carried as scaled matrix products, from which
-a convergence diagnostic compares -h(u(n)x0)/n against a(n)/n for the
-metric functional anchored at the final orbit point.
+Long disk Mobius walks are carried as scaled matrix products, which give
+their top exponent and a convergence diagnostic comparing -h(u(n)x0)/n
+against a(n)/n for the metric functional anchored at the final orbit
+point.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import bisect
 import math
@@ -19,10 +19,6 @@ import numpy as np
 from ._exact import _dd_matmul, _rescaled
 from .core import DegenerateInputError, WeakMetricSpace, _with_point
 from .seeding import trial_rng
-
-
-class EstimationError(RuntimeError):
-    """Too many trials were truncated for a trustworthy estimate."""
 
 
 @dataclass(frozen=True)
@@ -36,10 +32,7 @@ class ErgodicDriver:
     Orbits apply each map to a stack of points along one leading axis
     (the points of every trial and checkpoint that drew it), so a map
     must act on each point of a stack as it acts on that point alone;
-    ``x + 1.0`` does.  numpy's complex multiply and divide round
-    differently from Python's, so a map of scalar complex points that
-    must round as Python does loops over the stack, as
-    :func:`horoflow.spaces.mobius_disk` does.
+    ``x + 1.0`` does.
     """
 
     seed: int
@@ -113,20 +106,10 @@ def check_steps(values: np.ndarray, first: int = 1) -> None:
 # ---------------------------------------------------------------------------
 # Orbits
 
-def _point(x0, p):
-    """p as a point of x0's kind: a Python scalar when x0 is a scalar."""
-    return p.item() if np.ndim(x0) == 0 else p
-
-
-def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
-                 x0, ks: list, trials):
-    """Orbit points of every listed trial at the sorted checkpoints ks.
-
-    Returns (pts, cut): pts[j, t] is trial t's point u(ks[j])x0, in one
-    (len(ks), len(trials), *shape of x0) array, and cut[t] is the first
-    checkpoint whose point lies outside the space's domain, where trial
-    t's orbit is truncated, or None; the points from the cut on are not
-    orbit points.
+def _fold_orbits(driver: ErgodicDriver, x0, ks: list, trials) -> np.ndarray:
+    """Orbit points of every listed trial at the sorted checkpoints ks:
+    pts[j, t] is trial t's point u(ks[j])x0, in one
+    (len(ks), len(trials), *shape of x0) array.
 
     Each step applies each drawn map once, to the stack of points that
     drew it.  The fold walks the steps i = n-1 down to 0, and checkpoint
@@ -152,12 +135,7 @@ def _fold_orbits(driver: ErgodicDriver, space: Optional[WeakMetricSpace],
             block = pts[first:, sel]
             pts[first:, sel] = apply_element(
                 maps[drawn[a, i]], block.reshape((-1,) + x.shape)).reshape(block.shape)
-    cut = [None] * len(trials)
-    if space is not None and space.in_domain is not None:
-        for t in range(len(trials)):
-            cut[t] = next((k for j, k in enumerate(ks)
-                           if not space.in_domain(_point(x0, pts[j, t]))), None)
-    return pts, cut
+    return pts
 
 
 def geometric_checkpoints(n: int, count: int = 16, start: int = 1) -> list:
@@ -184,7 +162,6 @@ class LyapunovEstimate:
     per_trial: np.ndarray
     std_error: float
     tail_slope: float
-    truncated_trials: int = 0
 
 
 def _distances_from(space: WeakMetricSpace, x0, points) -> np.ndarray:
@@ -216,10 +193,9 @@ def tail_checkpoints(n: int) -> list:
     return geometric_checkpoints(n, count=8, start=max(1, n // 10))
 
 
-def summarize_trials(per_trial: np.ndarray, tail_ks, tail, n: int, trials: int,
-                     truncated_trials: int = 0) -> LyapunovEstimate:
-    """Mean and standard error of the kept trials' final values; tail holds
-    the mean value at each of the checkpoints tail_ks."""
+def summarize_trials(per_trial: np.ndarray, tail_ks, tail, n: int) -> LyapunovEstimate:
+    """Mean and standard error of the trials' final values; tail holds the
+    mean value at each of the checkpoints tail_ks."""
     m = len(per_trial)
     # deviations from the first value, summed exactly: equal values give
     # their value and a std error of exactly 0
@@ -227,8 +203,20 @@ def summarize_trials(per_trial: np.ndarray, tail_ks, tail, n: int, trials: int,
     mean_dev = math.fsum(dev) / m
     se = math.sqrt(math.fsum((d - mean_dev) ** 2 for d in dev) / (m - 1) / m) \
         if m > 1 else 0.0
-    return LyapunovEstimate(float(per_trial[0] + mean_dev), n, trials, per_trial, se,
-                            _tail_slope(tail_ks, tail), truncated_trials)
+    return LyapunovEstimate(float(per_trial[0] + mean_dev), n, m, per_trial, se,
+                            _tail_slope(tail_ks, tail))
+
+
+def _summarize_cocycle(a: np.ndarray, tail_ks, n: int) -> LyapunovEstimate:
+    """The estimate from the cocycle values a(k), one row per checkpoint of
+    tail_ks and one column per trial: each trial's a(n)/n, and the tail
+    slope of the mean ratio a(k)/k."""
+    ratios = a / np.array(tail_ks)[:, None]
+    # summed one trial at a time, in trial order
+    tail_sum = np.zeros(len(tail_ks))
+    for r in ratios.T:
+        tail_sum += r
+    return summarize_trials(ratios[-1], tail_ks, tail_sum / ratios.shape[1], n)
 
 
 def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
@@ -237,29 +225,17 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
 
     Every trial and every tail checkpoint fold together on one stack of
     points, so the driver's maps act on point stacks (see
-    :class:`ErgodicDriver`).  Truncated trials are excluded and counted;
-    more than 10% truncation is an estimation error.  tail_slope is the
-    drift of the mean ratio a(k)/k over checkpoints in [n/10, n], a
-    convergence diagnostic.
+    :class:`ErgodicDriver`).  An orbit point outside the space's domain
+    raises the distance's own error.  tail_slope is the drift of the mean
+    ratio a(k)/k over checkpoints in [n/10, n], a convergence diagnostic.
     """
     if trials < 1 or n < 10:
         raise DegenerateInputError("need trials >= 1 and n >= 10")
     tail_ks = tail_checkpoints(n)
-    pts, cut = _fold_orbits(driver, space, x0, tail_ks, range(trials))
-    kept = [t for t in range(trials) if cut[t] is None]
-    # checkpoint-major rows, one per kept trial
-    points = pts[:, kept].reshape((-1,) + np.shape(x0))
-    ratios = _distances_from(space, x0, points).reshape(len(tail_ks), len(kept)) \
-        / np.array(tail_ks)[:, None]
-    truncated = trials - len(kept)
-    if truncated > 0.1 * trials:
-        raise EstimationError(f"{truncated}/{trials} trials truncated")
-    per_trial = ratios[-1]
-    # summed one trial at a time, in trial order
-    tail_sum = np.zeros(len(tail_ks))
-    for r in ratios.T:
-        tail_sum += r
-    return summarize_trials(per_trial, tail_ks, tail_sum / len(kept), n, trials, truncated)
+    # checkpoint-major rows, one per trial
+    points = _fold_orbits(driver, x0, tail_ks, range(trials)).reshape((-1,) + np.shape(x0))
+    a = _distances_from(space, x0, points).reshape(len(tail_ks), trials)
+    return _summarize_cocycle(a, tail_ks, n)
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +369,15 @@ def checkpoint_list(checkpoints, n: int) -> list:
     return ks
 
 
-def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
-                        probe_budget: int = 16, checkpoints=None) -> list:
-    """gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| of a disk Mobius walk
-    from x0 = 0, for the metric functional h anchored at u(n)x0.
+def _walk_distances(driver: ErgodicDriver, n: int, trials: int, ks: list):
+    """(a, suffix) of the disk Mobius walks of trials 0 .. trials-1 from 0, at
+    the sorted checkpoints ks in [1, n]: a[k][t] = d(0, u(k)0) for each k of
+    ks and n, and suffix[k][t] = d(u(k)0, u(n)0) for each k of ks and n.
 
     Driver elements must be unit-determinant 2x2 complex matrices (see
-    :func:`mobius_matrix`).  Distances between orbit points are computed
-    from suffix products, so no disk coordinate ever reaches |z| = 1.
-    Returns one :class:`GapTrace` per trial 0 .. trials-1; all trials step
-    together on stacked arrays.  Note gap(n) vanishes by construction (the
-    functional is anchored at u(n)x0); pass explicit interior
-    ``checkpoints`` for a nondegenerate diagnostic.
+    :func:`mobius_matrix`).  Every distance comes from a scaled product,
+    so no disk coordinate ever reaches |z| = 1.
     """
-    if n < 10 or trials < 1:
-        raise DegenerateInputError("need n >= 10 and trials >= 1")
-    if checkpoints is None:
-        ks = geometric_checkpoints(n, count=probe_budget)
-    else:
-        ks = checkpoint_list(checkpoints, n)
     maps, idx = driver.draw(range(trials), n)
     mats = np.asarray(maps, dtype=complex)
     # the segment products M_{b+1} ... M_c between consecutive bounds b < c,
@@ -433,6 +399,38 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
     for b, seg in zip(bounds[-2:0:-1], segs[:0:-1]):
         suffix_prod = seg if suffix_prod is None else chain_product(seg, suffix_prod)
         suffix[b] = dist(suffix_prod)
+    return a, suffix
+
+
+def walk_top_exponent(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate:
+    """:func:`estimate_top_exponent` of a disk Mobius walk from 0 in the disk
+    distance, with each a(k) read from the walk's scaled prefix products
+    (see :func:`_walk_distances`), so n is not bounded by the circle."""
+    if trials < 1 or n < 10:
+        raise DegenerateInputError("need trials >= 1 and n >= 10")
+    tail_ks = tail_checkpoints(n)
+    a, _ = _walk_distances(driver, n, trials, tail_ks)
+    return _summarize_cocycle(np.array([a[k] for k in tail_ks]), tail_ks, n)
+
+
+def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
+                        probe_budget: int = 16, checkpoints=None) -> list:
+    """gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| of a disk Mobius walk
+    from x0 = 0, for the metric functional h anchored at u(n)x0.
+
+    Distances come from :func:`_walk_distances`.  Returns one
+    :class:`GapTrace` per trial 0 .. trials-1; all trials step together on
+    stacked arrays.  Note gap(n) vanishes by construction (the functional
+    is anchored at u(n)x0); pass explicit interior ``checkpoints`` for a
+    nondegenerate diagnostic.
+    """
+    if n < 10 or trials < 1:
+        raise DegenerateInputError("need n >= 10 and trials >= 1")
+    if checkpoints is None:
+        ks = geometric_checkpoints(n, count=probe_budget)
+    else:
+        ks = checkpoint_list(checkpoints, n)
+    a, suffix = _walk_distances(driver, n, trials, ks)
     return [GapTrace(ks=ks, gaps=[abs(-(suffix[k][t] - a[n][t]) / k - a[k][t] / k)
                                   for k in ks])
             for t in range(trials)]

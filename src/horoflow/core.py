@@ -9,13 +9,11 @@ h(y) = d(y, anchor) - d(x0, anchor).  Concrete spaces live in
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import math
 
 import numpy as np
-
-from .seeding import trial_rng
 
 # samples per batched evaluation in the property suites; bounds the points
 # and distance temporaries held at once.  Each block is one sample_points
@@ -40,14 +38,12 @@ class WeakMetricSpace:
     of d(points[i[k]], points[j[k]]) for every k, doing per-point work once
     per point.  ``sample_points(rng, m)`` draws m random points from the
     domain as one sequence (a stacked array where the points allow); it is
-    required by the sampled axiom and functional suites.  ``in_domain`` is
-    an optional membership predicate used for orbit truncation.
+    required by the sampled axiom and functional suites.
     """
 
     name: str
     dist_many: Callable[[Sequence, np.ndarray, np.ndarray], np.ndarray]
     sample_points: Optional[Callable[[np.random.Generator, int], Sequence]] = None
-    in_domain: Optional[Callable[[Any], bool]] = None
 
     def distances(self, points: Sequence, i, j) -> np.ndarray:
         """d(points[i[k]], points[j[k]]) for every k, as one float array."""
@@ -83,15 +79,14 @@ def _fold_min(start: float, values: np.ndarray) -> float:
     return min(start, float(values[np.argmin(values)]))
 
 
-def _point_blocks(space: WeakMetricSpace, n: int, seed: int):
+def _point_blocks(space: WeakMetricSpace, n: int, rng: np.random.Generator):
     """Blocks of sampled points, three per sample and at most ``_BLOCK``
-    samples each, drawn in order from one stream by one ``sample_points``
-    call a block."""
+    samples each, drawn in order from rng by one ``sample_points`` call a
+    block."""
     if space.sample_points is None:
         raise DegenerateInputError(f"{space.name}: no point sampler registered")
     if n < 1:
         raise DegenerateInputError("the sample count must be >= 1")
-    rng = trial_rng(seed, 0)
     return (space.sample_points(rng, 3 * min(_BLOCK, n - start))
             for start in range(0, n, _BLOCK))
 
@@ -105,19 +100,19 @@ def _with_point(points: Sequence, x) -> Sequence:
 
 
 def check_weak_metric_axioms(space: WeakMetricSpace, n_triples: int,
-                             seed: int = 0) -> AxiomReport:
+                             rng: np.random.Generator) -> AxiomReport:
     """Sample triples and measure the worst-case axiom defects.
 
     Triangle violations are reported relative to the magnitude of the
     distances involved, since transcendental distance formulas accumulate
-    rounding proportional to their size.  Triples are drawn in blocks, in
-    the order x, y, z of each triple; every distance of a block is one
-    batched evaluation.
+    rounding proportional to their size.  Triples are drawn from rng in
+    blocks, in the order x, y, z of each triple; every distance of a block
+    is one batched evaluation.
     """
     max_id = 0.0
     max_tri = 0.0
     min_pair = math.inf
-    for points in _point_blocks(space, n_triples, seed):
+    for points in _point_blocks(space, n_triples, rng):
         x = np.arange(0, len(points), 3)
         y = x + 1
         z = x + 2
@@ -145,14 +140,15 @@ class FunctionalBoundReport:
 
 
 def check_functional_bounds(space: WeakMetricSpace, x0, n_samples: int,
-                            seed: int = 0) -> FunctionalBoundReport:
+                            rng: np.random.Generator) -> FunctionalBoundReport:
     """Worst-case defects of the metric-functional bounds on random samples.
 
-    Samples are drawn in blocks, in the order anchor, y, z of each sample;
-    every distance of a block, x0 included, is one batched evaluation.
+    Samples are drawn from rng in blocks, in the order anchor, y, z of each
+    sample; every distance of a block, x0 included, is one batched
+    evaluation.
     """
     low = up = cont = 0.0
-    for points in _point_blocks(space, n_samples, seed):
+    for points in _point_blocks(space, n_samples, rng):
         a = np.arange(0, len(points), 3)
         y = a + 1
         z = a + 2

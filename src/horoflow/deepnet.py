@@ -17,7 +17,6 @@ import numpy as np
 
 from .cocycle import ErgodicDriver, geometric_checkpoints
 from .core import DegenerateInputError
-from .seeding import trial_rng
 from .spaces import _TWO_PI, NotDiffeomorphismError, _wrap_angle
 
 
@@ -160,19 +159,18 @@ def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftRe
 
 
 def lipschitz_profile(layers: Sequence[LayerMap], pair_sampler, n_pairs: int,
-                      seed: int = 0) -> float:
+                      rng: np.random.Generator) -> float:
     """max over sampled pairs of ||u(n)x - u(n)y|| / (n ||x - y||).
 
     For certified nonexpansive chains this is at most 1/n, quantifying how
     close the normalized composition is to a constant function.  Pairs are
-    drawn in order from one stream, and every point of every non-coincident
+    drawn in order from rng, and every point of every non-coincident
     pair goes through the chain in one (points, d, 1) stack.
     """
     if n_pairs < 1:
         raise DegenerateInputError("n_pairs must be >= 1")
     if not layers:
         raise DegenerateInputError("need at least one layer")
-    rng = trial_rng(seed, 0)
     xs, ys, bases = [], [], []
     for _ in range(n_pairs):
         x, y = pair_sampler(rng)

@@ -132,7 +132,7 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
     per_trial = np.array([squared_positive_part_lognorm(p) / n for p in snaps[n]])
     tail_vals = np.array([squared_positive_part_lognorm(snaps[k][0]) / k
                           for k in tail_ks])
-    return summarize_trials(per_trial, tail_ks, tail_vals, n, trials)
+    return summarize_trials(per_trial, tail_ks, tail_vals, n)
 
 
 def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:

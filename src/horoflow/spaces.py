@@ -99,12 +99,6 @@ def _disk_rooms(points):
     return z, room
 
 
-def _in_disk(z) -> bool:
-    """Whether the point z is strictly inside the disk, by the distance
-    kernel's own exact rule."""
-    return bool(_rooms(np.array([complex(z)]))[0] > 0.0)
-
-
 def poincare_dist_many(points, i, j) -> np.ndarray:
     """The disk distance of (points[i[k]], points[j[k]]) for every k.
 
@@ -116,25 +110,6 @@ def poincare_dist_many(points, i, j) -> np.ndarray:
     z, room = _disk_rooms(points)
     ratio = _modulus(z[i] - z[j]) / np.sqrt(room[i] * room[j])
     return 2.0 * np.fromiter(map(math.asinh, ratio.flat), dtype=float, count=ratio.size)
-
-
-def mobius_disk(a: complex) -> Callable[[complex], complex]:
-    """Disk automorphism z -> (z + a) / (1 + conj(a) z), of one point or of
-    each point of an array."""
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise MetricDomainError("Mobius parameter must lie inside the disk")
-
-    def f(z):
-        # a stack of points goes one point at a time through Python's
-        # complex arithmetic, which rounds differently from numpy's
-        if isinstance(z, np.ndarray):
-            return np.array([f(w) for w in z.ravel().tolist()],
-                            dtype=complex).reshape(z.shape)
-        z = complex(z)
-        return (z + a) / (1.0 + a.conjugate() * z)
-
-    return f
 
 
 def poincare_space() -> WeakMetricSpace:
@@ -149,8 +124,7 @@ def poincare_space() -> WeakMetricSpace:
         return out
 
     return WeakMetricSpace(name="poincare", dist_many=poincare_dist_many,
-                           sample_points=sample,
-                           in_domain=_in_disk)
+                           sample_points=sample)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ package: the one-pair distance of each metric (``distance`` and the six
 sampled-table stretch points ``SampledDistanceFunction`` and the kernels
 ``stretch_dist_many`` and ``jacobian_dist_many`` over points built one at
 a time), the disk's closed-form boundary functional ``busemann_disk``,
-``random_spd``, a driver's one-trial ``elements`` list and a drift
-report's ``mean_v_hat``.
+the disk automorphism ``mobius_disk`` on points, ``random_spd``, a
+driver's one-trial ``elements`` list and a drift report's ``mean_v_hat``.
 """
 
 import cmath
@@ -43,8 +43,7 @@ import scipy.integrate
 import scipy.linalg
 
 from horoflow._exact import _halves, _two_sum
-from horoflow.cocycle import (EstimationError, _dist_origin, geometric_checkpoints,
-                              summarize_trials)
+from horoflow.cocycle import _dist_origin, geometric_checkpoints, summarize_trials
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, MetricDomainError, WeakMetricSpace)
 from horoflow.deepnet import ACTIVATIONS, StretchReport
@@ -478,11 +477,10 @@ def mean_v_hat(report):
     return np.mean(report.v_hat, axis=0)
 
 
-def loop_lipschitz_profile(layers, pair_sampler, n_pairs, seed):
-    """The Lipschitz profile with each point of each pair sent through the
-    chain on its own; the batched
+def loop_lipschitz_profile(layers, pair_sampler, n_pairs, rng):
+    """The Lipschitz profile with each point of each pair, drawn from rng,
+    sent through the chain on its own; the batched
     :func:`horoflow.deepnet.lipschitz_profile` must agree bit for bit."""
-    rng = trial_rng(seed, 0)
     n = len(layers)
     best = 0.0
     for _ in range(n_pairs):
@@ -720,25 +718,24 @@ def reference_basepoints(dim=3):
             "jacobian": sine_circle_map(0.0)}
 
 
-def _sample_triples(space, n, seed):
+def _sample_triples(space, n, rng):
     """The n sampled triples of a property suite, one at a time, from blocks
-    drawn as :func:`horoflow.core.check_weak_metric_axioms` draws them: one
-    ``sample_points`` call of up to ``_BLOCK`` triples a block."""
-    rng = trial_rng(seed, 0)
+    drawn from rng as :func:`horoflow.core.check_weak_metric_axioms` draws
+    them: one ``sample_points`` call of up to ``_BLOCK`` triples a block."""
     for start in range(0, n, _BLOCK):
         block = space.sample_points(rng, 3 * min(_BLOCK, n - start))
         for t in range(0, len(block), 3):
             yield block[t:t + 3]
 
 
-def loop_weak_metric_axioms(space, n_triples, seed=0):
+def loop_weak_metric_axioms(space, n_triples, rng):
     """The axiom suite one triple at a time, each distance through
     :func:`distance`; :func:`horoflow.core.check_weak_metric_axioms` must
     agree field for field."""
     max_id = 0.0
     max_tri = 0.0
     min_pair = math.inf
-    for x, y, z in _sample_triples(space, n_triples, seed):
+    for x, y, z in _sample_triples(space, n_triples, rng):
         max_id = max(max_id, abs(distance(space, x, x)))
         dxy = distance(space, x, y)
         dxz = distance(space, x, z)
@@ -752,11 +749,11 @@ def loop_weak_metric_axioms(space, n_triples, seed=0):
                        min_pair_symmetrization=min_pair)
 
 
-def loop_functional_bounds(space, x0, n_samples, seed=0):
+def loop_functional_bounds(space, x0, n_samples, rng):
     """The functional-bound suite one sample at a time;
     :func:`horoflow.core.check_functional_bounds` must agree field for field."""
     low = up = cont = 0.0
-    for anchor, y, z in _sample_triples(space, n_samples, seed):
+    for anchor, y, z in _sample_triples(space, n_samples, rng):
         dxa = distance(space, x0, anchor)
         hy = distance(space, y, anchor) - dxa
         hz = distance(space, z, anchor) - dxa
@@ -817,16 +814,13 @@ def rotation_draws(seed, maps, breakpoints=None):
     return FixedDraws(rule)
 
 
-def loop_orbit_at(driver, space, x0, ks, trial=0):
+def loop_orbit_at(driver, x0, ks, trial=0):
     """Orbit points u(k)x0 of one trial, one point and one map at a time:
-    each checkpoint k folds g_1(...g_k(x0)) on its own.  Returns
-    (dict k -> point, truncated_at or None); the stacked fold in
-    :func:`horoflow.cocycle._fold_orbits` must agree bit for bit."""
+    each checkpoint k folds g_1(...g_k(x0)) on its own.  Returns a dict
+    k -> point; the stacked fold in :func:`horoflow.cocycle._fold_orbits`
+    must agree bit for bit."""
     def apply(g, x):
         return g(x) if callable(g) else np.asarray(g) @ x
-
-    def inside(p):
-        return space is None or space.in_domain is None or space.in_domain(p)
 
     ks = sorted(set(int(k) for k in ks))
     gs = elements(driver, trial, ks[-1])
@@ -835,10 +829,8 @@ def loop_orbit_at(driver, space, x0, ks, trial=0):
         y = x0
         for i in range(k - 1, -1, -1):
             y = apply(gs[i], y)
-        if not inside(y):
-            return out, k
         out[k] = y
-    return out, None
+    return out
 
 
 def loop_top_exponent(driver, space, x0, n, trials):
@@ -846,25 +838,36 @@ def loop_top_exponent(driver, space, x0, n, trials):
     :func:`loop_orbit_at`, its per-trial values and mean tail summarized by
     :func:`horoflow.cocycle.summarize_trials`;
     :func:`horoflow.cocycle.estimate_top_exponent` must agree field for
-    field, and raise the same EstimationError."""
+    field."""
     tail_ks = geometric_checkpoints(n, count=8, start=max(1, n // 10))
     per_trial = []
     tail_sum = np.zeros(len(tail_ks))
-    tail_cnt = 0
-    truncated = 0
     for t in range(trials):
-        pts, cut = loop_orbit_at(driver, space, x0, tail_ks, trial=t)
-        if cut is not None:
-            truncated += 1
-            continue
+        pts = loop_orbit_at(driver, x0, tail_ks, trial=t)
         ratios = np.array([distance(space, x0, pts[k]) / k for k in tail_ks])
         per_trial.append(ratios[-1])
         tail_sum += ratios
-        tail_cnt += 1
-    if truncated > 0.1 * trials:
-        raise EstimationError(f"{truncated}/{trials} trials truncated")
-    return summarize_trials(np.asarray(per_trial), tail_ks, tail_sum / tail_cnt,
-                            n, trials, truncated)
+    return summarize_trials(np.asarray(per_trial), tail_ks, tail_sum / trials, n)
+
+
+def mobius_disk(a: complex) -> Callable[[complex], complex]:
+    """Disk automorphism z -> (z + a) / (1 + conj(a) z), of one point or of
+    each point of an array."""
+    a = complex(a)
+    if abs(a) >= 1.0:
+        raise MetricDomainError("Mobius parameter must lie inside the disk")
+
+    def f(z):
+        # a stack of points goes one point at a time through Python's
+        # complex arithmetic, which rounds differently from numpy's, so the
+        # stacked orbit fold applies it as the one-point loop does
+        if isinstance(z, np.ndarray):
+            return np.array([f(w) for w in z.ravel().tolist()],
+                            dtype=complex).reshape(z.shape)
+        z = complex(z)
+        return (z + a) / (1.0 + a.conjugate() * z)
+
+    return f
 
 
 def lapack_qr_spectrum(driver, dim, n, trial=0):

@@ -35,7 +35,7 @@ def test_criterion_01_metric_axioms(capsys):
     t0 = time.perf_counter()
     worst_id = worst_tri = 0.0
     for name, sp in registered_spaces(3).items():
-        rep = check_weak_metric_axioms(sp, 10_000, seed=0)
+        rep = check_weak_metric_axioms(sp, 10_000, trial_rng(0, 0))
         worst_id = max(worst_id, rep.max_identity_error)
         worst_tri = max(worst_tri, rep.max_triangle_violation)
     el = time.perf_counter() - t0
@@ -51,7 +51,7 @@ def test_criterion_02_functional_bounds(capsys):
     bps = registered_basepoints(3)
     worst = 0.0
     for name, sp in spaces.items():
-        rep = check_functional_bounds(sp, bps[name], 10_000, seed=1)
+        rep = check_functional_bounds(sp, bps[name], 10_000, trial_rng(1, 0))
         worst = max(worst, rep.max_lower_violation, rep.max_upper_violation,
                     rep.max_continuity_violation)
     el = time.perf_counter() - t0

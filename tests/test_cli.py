@@ -1,17 +1,23 @@
 """Registry, config validation, output artifacts, and exit codes."""
 
+import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 
+import mpmath
+import numpy as np
 import pytest
 
 import horoflow
-from horoflow.cli import (EXIT_CONFIG, EXIT_OK, EXIT_TRUNCATION, EXPERIMENTS,
-                          fmt, list_experiments, main, run, validate)
-from horoflow.seeding import GENERATOR_NAME
+import horoflow.cli as cli
+from horoflow.cli import (EXIT_CONFIG, EXIT_OK, EXPERIMENTS, fmt,
+                          list_experiments, main, run, validate)
+from horoflow.seeding import GENERATOR_NAME, trial_rng
+from horoflow.spaces import registered_spaces
 
 from test_acceptance import _SMALL_CONFIGS
 
@@ -62,8 +68,9 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert lines[0] == "trial,per_trial,lambda_hat,std_error,tail_slope"
     assert len(lines) == 3
     manifest = json.loads((tmp_path / "top-exponent-1.manifest.json").read_text())
+    assert sorted(manifest) == ["artifact_version", "config", "data_file", "finished",
+                                "generator", "started"]
     assert manifest["generator"] == GENERATOR_NAME
-    assert manifest["truncations"] == 0
     assert manifest["data_file"] == "top-exponent-1.csv"
 
 
@@ -110,6 +117,9 @@ def test_run_rejects_bad_config(tmp_path, capsys):
                 {"experiment": "filtration-probe", "cluster_tol": -1.0},
                 {"experiment": "max-stretch", "mobius_a": 1.5},
                 {"experiment": "max-stretch", "grid": 2.5},
+                # one map, so no trial can change the table
+                {"experiment": "max-stretch", "trial": 0},
+                {"experiment": "jacobian-cocycle", "trial": 3},
                 {"experiment": "segal-sweep", "pairs": True},
                 {"experiment": "segal-sweep", "seed": True},
                 {"experiment": "segal-sweep", "n": 1},
@@ -278,11 +288,20 @@ def test_run_reports_unwritable_outputs(tmp_path, capsys):
         assert sorted(p.name for p in out.iterdir()) == [blocked]
 
 
-def test_run_truncation_exit_code(tmp_path):
-    # a constant hyperbolic map expels every disk orbit past the boundary
-    cfg = {"experiment": "top-exponent", "seed": 0, "preset": "disk_mobius",
-           "mobius_a": 0.5, "n": 200, "trials": 3, "output_dir": str(tmp_path)}
-    assert run(cfg) == EXIT_TRUNCATION
+@pytest.mark.parametrize("a", [0.5, "0.3+0.2j"])
+def test_disk_mobius_reads_the_translation_length(a, tmp_path):
+    # a constant walk's a(n)/n is 2 artanh|a|, log 3 at a 0.5, at any n:
+    # its orbit points, which reached the circle's float boundary past
+    # n of about 35, are never formed
+    with mpmath.workdps(50):
+        want = float(2 * mpmath.atanh(abs(mpmath.mpmathify(complex(a)))))
+    for n, trials in ((12, 10), (1000, 10), (100000, 2)):
+        cfg = {"experiment": "top-exponent", "seed": 3, "preset": "disk_mobius",
+               "mobius_a": a, "n": n, "trials": trials, "output_dir": str(tmp_path)}
+        assert run(cfg) == EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "top-exponent-3.csv").read_text().splitlines()))
+        assert len(rows) == trials
+        assert all(abs(float(r["per_trial"]) - want) <= 4 * math.ulp(want) for r in rows), n
 
 
 def test_run_is_deterministic(tmp_path):
@@ -292,6 +311,48 @@ def test_run_is_deterministic(tmp_path):
     assert run(_tiny_config(d2, seed=9)) == EXIT_OK
     assert (d1 / "top-exponent-9.csv").read_bytes() == \
         (d2 / "top-exponent-9.csv").read_bytes()
+
+
+def _streams(monkeypatch, name, seed, out):
+    """The (master seed, trial) keys of every stream a small run of the
+    experiment reads, and the blocks of points its property suites draw."""
+    keys, blocks = set(), set()
+
+    def recording_rng(master_seed, trial):
+        keys.add((master_seed, trial))
+        return trial_rng(master_seed, trial)
+
+    def recording_spaces(dim):
+        def record(sample):
+            def draw(rng, m):
+                block = sample(rng, m)
+                blocks.add(np.asarray(block).tobytes())
+                return block
+            return draw
+        return {k: dataclasses.replace(sp, sample_points=record(sp.sample_points))
+                for k, sp in registered_spaces(dim).items()}
+
+    with monkeypatch.context() as m:
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("horoflow") and \
+                    getattr(module, "trial_rng", None) is trial_rng:
+                m.setattr(module, "trial_rng", recording_rng)
+        m.setattr(cli, "registered_spaces", recording_spaces)
+        assert run({"experiment": name, "seed": seed, "output_dir": str(out),
+                    **_SMALL_CONFIGS[name]}) == EXIT_OK
+    return keys, blocks
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_adjacent_seeds_read_independent_streams(name, tmp_path, monkeypatch):
+    # a run reads only streams keyed by its own master seed, so runs at
+    # seeds 5 and 6 share no stream and no sampled point block
+    keys5, blocks5 = _streams(monkeypatch, name, 5, tmp_path)
+    keys6, blocks6 = _streams(monkeypatch, name, 6, tmp_path)
+    assert {s for s, _ in keys5} <= {5} and {s for s, _ in keys6} <= {6}
+    assert not blocks5 & blocks6
+    if name == "metric-axioms":
+        assert blocks5 and blocks6
 
 
 def test_main_list_and_validate(tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_resnet_drift_experiment_draws_a_bias_per_coordinate():
     # normalized output has two different coordinates
     cfg = {key: default for key, (default, _) in EXPERIMENTS["resnet-drift"].params.items()}
     cfg.update(seed=5, d=2, n=50, trials=3, activation="tanh")
-    _, rows, _ = _run_resnet_drift(cfg)
+    _, rows = _run_resnet_drift(cfg)
     v_hat = np.array([row[2] for row in rows]).reshape(3, 2)
     assert np.any(v_hat[:, 0] != v_hat[:, 1])
 
@@ -162,17 +162,17 @@ def test_lipschitz_profile_bound():
     def pairs(r):
         return r.normal(size=4), r.normal(size=4)
 
-    prof = lipschitz_profile(layers, pairs, 100, seed=2)
+    prof = lipschitz_profile(layers, pairs, 100, trial_rng(2, 0))
     assert 0.0 <= prof <= 1.0 / 60 + 1e-12
     with pytest.raises(DegenerateInputError):
-        lipschitz_profile(layers, pairs, 0)
+        lipschitz_profile(layers, pairs, 0, trial_rng(0, 0))
 
     def coincident(r):
         x = r.normal(size=4)
         return x, x
 
     with pytest.raises(DegenerateInputError):
-        lipschitz_profile(layers, coincident, 5)
+        lipschitz_profile(layers, coincident, 5, trial_rng(0, 0))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
@@ -191,9 +191,9 @@ def test_batched_profile_equals_the_pair_loop(activation, d):
         return (x, x) if r.random() < 0.3 else (x, y)
 
     for sampler in (pairs, some_coincident):
-        prof = lipschitz_profile(layers, sampler, 30, seed=3)
+        prof = lipschitz_profile(layers, sampler, 30, trial_rng(3, 0))
         assert prof > 0.0
-        assert prof == loop_lipschitz_profile(layers, sampler, 30, seed=3)
+        assert prof == loop_lipschitz_profile(layers, sampler, 30, trial_rng(3, 0))
 
 
 # ---------------------------------------------------------------------------

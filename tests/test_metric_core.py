@@ -28,7 +28,7 @@ def test_distance_rejects_nonfinite():
 
 
 def test_axiom_suite_euclidean_is_exact():
-    rep = check_weak_metric_axioms(euclidean_space(3), 500, seed=0)
+    rep = check_weak_metric_axioms(euclidean_space(3), 500, trial_rng(0, 0))
     assert rep.max_identity_error == 0.0
     assert rep.max_triangle_violation <= 0.0
     assert rep.min_pair_symmetrization >= 0.0
@@ -37,22 +37,22 @@ def test_axiom_suite_euclidean_is_exact():
 def test_axiom_suite_needs_sampler():
     sp = WeakMetricSpace(name="nosampler", dist_many=pair_loop(lambda x, y: 0.0))
     with pytest.raises(DegenerateInputError):
-        check_weak_metric_axioms(sp, 10)
+        check_weak_metric_axioms(sp, 10, trial_rng(0, 0))
     with pytest.raises(DegenerateInputError):
-        check_functional_bounds(sp, 0.0, 10)
+        check_functional_bounds(sp, 0.0, 10, trial_rng(0, 0))
 
 
 def test_suites_reject_sample_count_below_one():
     sp = euclidean_space(2)
     for n in (0, -1):
         with pytest.raises(DegenerateInputError):
-            check_weak_metric_axioms(sp, n)
+            check_weak_metric_axioms(sp, n, trial_rng(0, 0))
         with pytest.raises(DegenerateInputError):
-            check_functional_bounds(sp, np.zeros(2), n)
+            check_functional_bounds(sp, np.zeros(2), n, trial_rng(0, 0))
 
 
 def test_functional_bounds_euclidean():
-    rep = check_functional_bounds(euclidean_space(3), np.zeros(3), 500, seed=1)
+    rep = check_functional_bounds(euclidean_space(3), np.zeros(3), 500, trial_rng(1, 0))
     assert rep.max_lower_violation <= 1e-12
     assert rep.max_upper_violation <= 1e-12
     assert rep.max_continuity_violation <= 1e-12
@@ -68,10 +68,11 @@ def test_suites_equal_the_sample_loop(dim, seed):
     n = 2 * _BLOCK + 22   # three evaluation blocks, the last one partial
     for name, sp in spaces.items():
         ref = refs[name]
-        for rep, want in ((check_weak_metric_axioms(sp, n, seed=seed),
-                           loop_weak_metric_axioms(ref, n, seed=seed)),
-                          (check_functional_bounds(sp, bps[name], n, seed=seed + 1),
-                           loop_functional_bounds(ref, ref_bps[name], n, seed=seed + 1))):
+        for rep, want in ((check_weak_metric_axioms(sp, n, trial_rng(seed, 0)),
+                           loop_weak_metric_axioms(ref, n, trial_rng(seed, 0))),
+                          (check_functional_bounds(sp, bps[name], n, trial_rng(seed + 1, 0)),
+                           loop_functional_bounds(ref, ref_bps[name], n,
+                                                  trial_rng(seed + 1, 0)))):
             assert rep == want
             # repr tells -0.0 from 0.0, which == does not
             assert repr(rep) == repr(want)

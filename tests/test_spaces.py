@@ -12,16 +12,16 @@ import scipy.linalg
 from horoflow.core import MetricDomainError, DegenerateInputError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
-                             mobius_circle_map, mobius_disk, poincare_dist_many,
-                             poincare_space, registered_basepoints, registered_spaces,
+                             mobius_circle_map, poincare_dist_many,
+                             registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, sym_part,
                              _TWO_PI, _cone_log_eigs, _disk_rooms, _wrap_angle)
 
 from oracles import (SampledDistanceFunction, busemann_disk, busemann_radial_limit,
                      distance, euclidean_dist, funk_dist, jacobian_dist,
-                     jacobian_dist_many, mp_cone_log_eigs, mp_poincare_dist, poincare_dist,
-                     radial_poincare_length, random_spd, rayleigh_sup, stretch_dist,
-                     stretch_dist_many, thompson_dist)
+                     jacobian_dist_many, mobius_disk, mp_cone_log_eigs, mp_poincare_dist,
+                     poincare_dist, radial_poincare_length, random_spd, rayleigh_sup,
+                     stretch_dist, stretch_dist_many, thompson_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +110,6 @@ def test_disk_room_is_the_exact_room_rounded_once():
         if r <= 0:
             with pytest.raises(MetricDomainError):
                 _disk_rooms([0j, z])
-    # the orbit truncation test is the kernel's own rule
-    in_domain = poincare_space().in_domain
-    assert [in_domain(z) for z in pts] == [r > 0 for r in rooms]
 
 
 def test_poincare_against_the_mpmath_distance_on_random_pairs():
