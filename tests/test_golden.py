@@ -69,6 +69,13 @@ exponent as 2.5e-17, the rounding of log 0.75 (the loop's 0 came from an
 exact R diagonal), the sl2_pair exponents are exact negatives of each other, and
 every exponent errs no more than the loop's against 50-digit Gram-Schmidt
 QR (``mp_qr_spectrum``).  Both hold under OpenBLAS's Haswell kernels.
+Stochastic top-exponent-disk_mobius was re-pinned again when the disk
+preset stopped folding orbit points in disk coordinates, which reach the
+circle's float boundary after about 35 steps, and began to read a(k) from
+the walk's scaled SU(1,1) prefix products (``walk_top_exponent``, checked
+against 50-digit products): per_trial moved from 1.0986122886683793,
+2.7e-13 above log 3, to 1.09861228866811, one ulp above, and the tail
+slope from 6.5e-14 to -1.1e-16.
 """
 
 import hashlib
@@ -123,7 +130,7 @@ STOCHASTIC_SHA256 = {
         "b813e094fd8487766135a7de26a46abba9d32ac0f38a52383726b00f56379ec9"),
     "top-exponent-disk_mobius": (
         "top-exponent", {"preset": "disk_mobius", "n": 12, "trials": 2},
-        "55675bdd56b5b73fc4375e94dfbf885462b7e35c2fe8a489b09588ece48d7e7f"),
+        "5c8c6b516b4f1ed47760ec9e4b147ea052124afcd2d9cdbf32e3c5c2934648f6"),
     "oseledets-spectrum-sl2_pair": (
         "oseledets-spectrum", {"preset": "sl2_pair", "n": 2000},
         "85906177ddce1169332a6e3c9138fdc06da3fbc613876a15c2be4246cff0788b"),
