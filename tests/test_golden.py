@@ -75,7 +75,14 @@ circle's float boundary after about 35 steps, and began to read a(k) from
 the walk's scaled SU(1,1) prefix products (``walk_top_exponent``, checked
 against 50-digit products): per_trial moved from 1.0986122886683793,
 2.7e-13 above log 3, to 1.09861228866811, one ulp above, and the tail
-slope from 6.5e-14 to -1.1e-16.
+slope from 6.5e-14 to -1.1e-16.  Golden metric-axioms, stochastic
+metric-axioms-dim3 and stochastic lipschitz-profile-tanh were re-pinned
+when the functional-bound suite and the Lipschitz pairs began to draw
+from the run's own trial-1 stream instead of the trial-0 stream of the
+next master seed, which that seed's run also read: the axiom columns and
+the layers keep their bits, only the Jacobian and stretch rows move in
+their functional-bound columns, and the tanh profile moves.  Golden
+lipschitz-profile, a relu chain, did not move.
 """
 
 import hashlib
@@ -98,7 +105,7 @@ GOLDEN_SHA256 = {
     "max-stretch":
         "405e58c4c44cc0b77090b1de27a9fa662575ca0518c56e63307ec858850c1eb8",
     "metric-axioms":
-        "593d82927cb3be6af11ed73f7c822cefd842c63a16da24eb097d4ccd54669b0b",
+        "6090e4c4d8ce6b4bd5ee8d0ed69febb9bef4fb6c8c13332c412c8258fdf438d1",
     "operator-tau":
         "d00c427a5ae58491c10d74662c3119a193375a94d9f7ccddbd1f792af444f4fb",
     "oseledets-spectrum":
@@ -139,13 +146,13 @@ STOCHASTIC_SHA256 = {
         "826327a36db6300893bd35efd826c84af741aa97eb8ff6eb321ae090b86a897b"),
     "lipschitz-profile-tanh": (
         "lipschitz-profile", {"activation": "tanh", "depth": 5, "n_pairs": 20},
-        "2405e78d194b7fd35aa8b1540b4a71b00eae0f2ca22afc816a4bc470ff5edde3"),
+        "20b1dbaa717773787e088f041ede818d3668a6f4e887ffb18fa14a6ea19c8a5d"),
     "resnet-drift-tanh_d2": (
         "resnet-drift", {"d": 2, "activation": "tanh", "n": 50, "trials": 3},
         "047888ab3a6e65112d9e21393ae7aa9a9b8ba5d7553342c160cdb7d7f9e2282d"),
     "metric-axioms-dim3": (
         "metric-axioms", {"dim": 3, "samples": 200},
-        "8bd042032cebf92c343dd54fa87829c147d76f5cd6052f28241b318b21bb3a00"),
+        "3233a3d087a0f0257e9fa0e7cc4ac03ba7982edfae5ac0b32b4643f105ea04a2"),
 }
 
 
