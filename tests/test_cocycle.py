@@ -252,18 +252,6 @@ def test_hyperbolic_walk_interior_checkpoints():
             hyperbolic_walk_gap(drv, 100, checkpoints=bad)
 
 
-def test_walk_top_exponent_against_the_mpmath_product():
-    # a(n)/n of two-map walks within 4 ulp of 50-digit prefix products
-    for seed in range(1, 4):
-        driver = _two_map_walk(seed)
-        for n in (10, 50, 1000):
-            est = walk_top_exponent(driver, n, 2)
-            for t in range(2):
-                _, a_n = mp_walk_gaps(elements(driver, t, n), [n])
-                want = float(a_n / n)
-                assert abs(est.per_trial[t] - want) <= 4 * math.ulp(want), (seed, n, t)
-
-
 def _parametric_walk(seed):
     return sampled_draws(seed, lambda r: mobius_matrix(
         complex(r.uniform(-0.6, 0.6), r.uniform(-0.6, 0.6))))
@@ -278,7 +266,8 @@ def test_walk_against_the_mpmath_product(name):
     # gap(k) of the pairwise walk and of the old step loop against 50-digit
     # prefix and suffix products; a checkpoint at 1, two length-1 segments,
     # odd segment lengths, and at n = 2000 a walk of 4 trials, whose gather
-    # block (1024 steps) is shorter than its longest segment
+    # block (1024 steps) is shorter than its longest segment.  The top
+    # exponent's a(n)/n, from the same prefix products, within 4 ulp
     new_errs, old_errs = [], []
     for seed in range(1, 7):
         driver = _WALKS[name](seed)
@@ -290,6 +279,8 @@ def test_walk_against_the_mpmath_product(name):
             exact, a_n = mp_walk_gaps(mats, ks)
             old = loop_walk_gaps(mats, ks)
             new = hyperbolic_walk_gap(driver, n, trials, checkpoints=ks)[t].gaps
+            rate, want = walk_top_exponent(driver, n, trials).per_trial[t], float(a_n / n)
+            assert abs(rate - want) <= 4 * math.ulp(want), (seed, n)
             # gap(k) cancels terms of size a(n)
             floor = 8 * np.finfo(float).eps * max(1.0, float(a_n))
             for k, g_new, g_old, g in zip(ks, new, old, exact):
