@@ -159,10 +159,10 @@ def _hyperbolic_driver(cfg) -> ErgodicDriver:
 
 
 def _run_hyperbolic_walk(cfg):
-    traces = hyperbolic_walk_gap(_hyperbolic_driver(cfg), cfg["n"], cfg["trials"],
-                                 cfg["probe_budget"])
-    rows = [(t, k, gap) for t, tr in enumerate(traces)
-            for k, gap in zip(tr.ks, tr.gaps)]
+    ks, gaps = hyperbolic_walk_gap(_hyperbolic_driver(cfg), cfg["n"], cfg["trials"],
+                                   cfg["probe_budget"])
+    rows = [(t, k, gap) for t, row in enumerate(gaps.tolist())
+            for k, gap in zip(ks, row)]
     return ["trial", "k", "gap"], rows
 
 

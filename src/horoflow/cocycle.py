@@ -10,6 +10,8 @@ point.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 
 import bisect
 import math
@@ -324,6 +326,32 @@ def scaled_matrices(node):
     return np.ascontiguousarray(node[0]), node[2] * math.log(2.0)
 
 
+def _running_products(nodes, later_left: bool = False):
+    """(p, log_scale) stacks of the running products of the scaled products
+    ``nodes``, each chained after the last (on its left when
+    ``later_left``): row j reads nodes[0] ... nodes[j], with leading axes
+    (row, trial)."""
+    p, logs = zip(*map(scaled_matrices,
+                       accumulate(nodes, partial(chain_product, later_left=later_left))))
+    return np.stack(p), np.stack(logs)
+
+
+def _checkpoint_products(mats: np.ndarray, idx, ks: list, later_left: bool = False):
+    """(segs, p, log_scale) of the per-trial products of the steps idx draws
+    from mats, at the sorted distinct checkpoints ks.
+
+    segs[j] is the scaled product of steps ks[j-1]+1 .. ks[j] (from step 1
+    for j = 0), by :func:`pairwise_product`; p and log_scale are the stacks
+    of the running products at each checkpoint (see
+    :func:`_running_products`).  ``later_left`` orders both as in
+    :func:`pairwise_product`.
+    """
+    bounds = [0] + list(ks)
+    segs = [pairwise_product(mats, idx[:, b:c], later_left)
+            for b, c in zip(bounds, bounds[1:])]
+    return (segs, *_running_products(segs, later_left))
+
+
 # ---------------------------------------------------------------------------
 # Boundary-safe hyperbolic walks
 #
@@ -332,12 +360,6 @@ def scaled_matrices(node):
 # through scaled 2x2 matrix products instead of disk coordinates:
 # for a unit-determinant disk isometry g = [[alpha, beta], [conj beta,
 # conj alpha]], d(0, g.0) = 2 arccosh |alpha|.
-
-@dataclass(frozen=True)
-class GapTrace:
-    ks: list
-    gaps: list
-
 
 def mobius_matrix(a: complex) -> np.ndarray:
     """Unit-determinant matrix of the disk automorphism z -> (z+a)/(1+conj(a)z)."""
@@ -371,8 +393,9 @@ def checkpoint_list(checkpoints, n: int) -> list:
 
 def _walk_distances(driver: ErgodicDriver, n: int, trials: int, ks: list):
     """(a, suffix) of the disk Mobius walks of trials 0 .. trials-1 from 0, at
-    the sorted checkpoints ks in [1, n]: a[k][t] = d(0, u(k)0) for each k of
-    ks and n, and suffix[k][t] = d(u(k)0, u(n)0) for each k of ks and n.
+    the sorted checkpoints ks in [1, n] and at n: row j of the (rows, trials)
+    arrays is checkpoint j of sorted(set(ks) | {n}), a[j, t] = d(0, u(k)0)
+    and suffix[j, t] = d(u(k)0, u(n)0) for that checkpoint k.
 
     Driver elements must be unit-determinant 2x2 complex matrices (see
     :func:`mobius_matrix`).  Every distance comes from a scaled product,
@@ -383,23 +406,17 @@ def _walk_distances(driver: ErgodicDriver, n: int, trials: int, ks: list):
     # the segment products M_{b+1} ... M_c between consecutive bounds b < c,
     # chained forward into the prefix products P_k = M_1 ... M_k, which give
     # a(k) = d(0, u(k)0), and backward into the suffix products
-    # S_j = M_{j+1} ... M_n, which give d(u(j)0, u(n)0)
-    bounds = [0] + sorted(set(ks) | {n})
-    segs = [pairwise_product(mats, idx[:, b:c]) for b, c in zip(bounds, bounds[1:])]
+    # S_j = M_{j+1} ... M_n, which give d(u(j)0, u(n)0); the last backward
+    # row is S_0, which no distance reads
+    segs, p, logs = _checkpoint_products(mats, idx, sorted(set(ks) | {n}))
+    sp, slogs = _running_products(segs[::-1], later_left=True)
 
-    def dist(node):
-        p, logs = scaled_matrices(node)
-        return [_dist_origin(x) for x in (logs + np.log(np.abs(p[:, 0, 0]))).tolist()]
+    def dist(p, logs):
+        x = logs + np.log(np.abs(p[..., 0, 0]))
+        return np.reshape([_dist_origin(v) for v in x.ravel().tolist()], x.shape)
 
-    a, suffix = {}, {n: [0.0] * trials}
-    prefix = suffix_prod = None
-    for c, seg in zip(bounds[1:], segs):
-        prefix = seg if prefix is None else chain_product(prefix, seg)
-        a[c] = dist(prefix)
-    for b, seg in zip(bounds[-2:0:-1], segs[:0:-1]):
-        suffix_prod = seg if suffix_prod is None else chain_product(seg, suffix_prod)
-        suffix[b] = dist(suffix_prod)
-    return a, suffix
+    suffix = np.concatenate([dist(sp[-2::-1], slogs[-2::-1]), np.zeros((1, trials))])
+    return dist(p, logs), suffix
 
 
 def walk_top_exponent(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate:
@@ -410,19 +427,20 @@ def walk_top_exponent(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEst
         raise DegenerateInputError("need trials >= 1 and n >= 10")
     tail_ks = tail_checkpoints(n)
     a, _ = _walk_distances(driver, n, trials, tail_ks)
-    return _summarize_cocycle(np.array([a[k] for k in tail_ks]), tail_ks, n)
+    return _summarize_cocycle(a, tail_ks, n)
 
 
 def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
-                        probe_budget: int = 16, checkpoints=None) -> list:
-    """gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| of a disk Mobius walk
-    from x0 = 0, for the metric functional h anchored at u(n)x0.
+                        probe_budget: int = 16, checkpoints=None):
+    """(ks, gaps): gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| of a disk
+    Mobius walk from x0 = 0, for the metric functional h anchored at
+    u(n)x0, at each checkpoint k of the list ks.
 
-    Distances come from :func:`_walk_distances`.  Returns one
-    :class:`GapTrace` per trial 0 .. trials-1; all trials step together on
-    stacked arrays.  Note gap(n) vanishes by construction (the functional
-    is anchored at u(n)x0); pass explicit interior ``checkpoints`` for a
-    nondegenerate diagnostic.
+    Distances come from :func:`_walk_distances`, all trials together on
+    stacked arrays; gaps[t, j] is trial t's gap at ks[j], one row for each
+    trial 0 .. trials-1.  Note gap(n) vanishes by construction (the
+    functional is anchored at u(n)x0); pass explicit interior
+    ``checkpoints`` for a nondegenerate diagnostic.
     """
     if n < 10 or trials < 1:
         raise DegenerateInputError("need n >= 10 and trials >= 1")
@@ -431,6 +449,6 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
     else:
         ks = checkpoint_list(checkpoints, n)
     a, suffix = _walk_distances(driver, n, trials, ks)
-    return [GapTrace(ks=ks, gaps=[abs(-(suffix[k][t] - a[n][t]) / k - a[k][t] / k)
-                                  for k in ks])
-            for t in range(trials)]
+    # ks are the first len(ks) rows, as every checkpoint lies in [1, n]
+    k, m = np.array(ks)[:, None], len(ks)
+    return ks, np.abs(-(suffix[:m] - a[-1]) / k - a[:m] / k).T

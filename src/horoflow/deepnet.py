@@ -54,7 +54,8 @@ def _audit_norm(W) -> None:
 
 
 def spectral_normalize(W):
-    """Scale W so its operator norm is at most 1; returns (W, certified_norm).
+    """Scale W so its operator norm is at most 1; returns (W, norm), norm the
+    certified operator norm of the returned W.
 
     W is unchanged when its norm is already <= 1.
     """
@@ -72,7 +73,6 @@ class LayerMap:
     W: np.ndarray
     b: np.ndarray
     activation: str
-    certified_norm: float = 1.0
 
     def apply(self, x):
         """The layer at a point x of shape (d,), or at each column of x of
@@ -86,9 +86,8 @@ def make_layer(W, b, activation: str) -> LayerMap:
     by its norm when above 1."""
     if activation not in ACTIVATIONS:
         raise DegenerateInputError(f"unknown activation {activation!r}")
-    W, norm = spectral_normalize(W)
-    return LayerMap(W=W, b=np.asarray(b, dtype=float), activation=activation,
-                    certified_norm=norm)
+    W, _ = spectral_normalize(W)
+    return LayerMap(W=W, b=np.asarray(b, dtype=float), activation=activation)
 
 
 def apply_chain(layers: Sequence[LayerMap], x0):
@@ -200,9 +199,9 @@ class StretchReport:
     z_hat: complex
 
 
-def max_stretch(driver: ErgodicDriver, n: int, grid: int,
-                trial: int = 0) -> StretchReport:
-    """Maximal-stretch exponent of a cocycle of maps of the unit circle.
+def max_stretch(driver: ErgodicDriver, n: int, grid: int) -> StretchReport:
+    """Maximal-stretch exponent of a cocycle of maps of the unit circle,
+    along the driver's trial 0.
 
     Driver elements are complex maps z -> g(z) (vectorizable over numpy
     arrays) preserving the circle.  A fixed pair grid (near-diagonal pairs
@@ -226,7 +225,7 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int,
     y = np.concatenate(ys)
     base = np.abs(x - y)
     checkpoints = set(geometric_checkpoints(n, count=12))
-    maps, [idx] = driver.draw([trial], n)
+    maps, [idx] = driver.draw([0], n)
     steps = idx.tolist()
     # each distinct drawn map is evaluated once, in order of its first step,
     # so a map that leaves the chart is reported at its first drawn step
@@ -255,9 +254,9 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int,
     return StretchReport(lambda_hat=total / n, argmax_trace=trace, z_hat=z_hat)
 
 
-def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int,
-                          trial: int = 0):
-    """Distance-from-identity cocycle in the sup-log-Jacobian metric.
+def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int):
+    """Distance-from-identity cocycle in the sup-log-Jacobian metric, along
+    the driver's trial 0.
 
     Driver elements are :class:`horoflow.spaces.CircleMap` objects composed
     as left increments; derivatives along the composition accumulate by the
@@ -269,7 +268,7 @@ def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int,
     pos = theta.copy()
     cumlog = np.zeros(grid)
     rows = []
-    maps, [idx] = driver.draw([trial], n)
+    maps, [idx] = driver.draw([0], n)
     for k, i in enumerate(idx.tolist(), start=1):
         f, d = maps[i].f_and_deriv(pos)
         if not (d.min() > 0.0 and d.max() < math.inf):     # nan fails the first

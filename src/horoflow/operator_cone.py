@@ -10,16 +10,13 @@ vector states are extracted, and the exponential-map inequality
 matrix-exponential paths.
 """
 
-from dataclasses import dataclass
-
 import math
 
 import numpy as np
 
 from .cocycle import (DegenerateInputError, ErgodicDriver, LyapunovEstimate,
-                      chain_product, checkpoint_list, pairwise_product,
-                      scaled_matrices, screen_invertible, summarize_trials,
-                      tail_checkpoints)
+                      _checkpoint_products, checkpoint_list, screen_invertible,
+                      summarize_trials, tail_checkpoints)
 from .spaces import sym_part
 
 
@@ -31,78 +28,56 @@ class ConsistencyError(RuntimeError):
     """Forward and inverse tracks disagree beyond the reconstruction budget."""
 
 
-@dataclass(frozen=True)
-class ScaledProduct:
-    forward: np.ndarray     # largest entry modulus in [1/2, 1)
-    log_scale: float
-    inverse: np.ndarray     # largest entry modulus in [1/2, 1)
-    inv_log_scale: float
-    n: int
+def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> tuple:
+    """(forward, log_scale, inverse, inv_log_scale, k) of the first n
+    matrices of each listed trial, folded at once.
 
-    @property
-    def dim(self) -> int:
-        return self.forward.shape[0]
-
-    def reconstruction_defect(self) -> float:
-        """|| v(n) v(n)^{-1} - I ||, only meaningful while representable."""
-        scale = math.exp(self.log_scale + self.inv_log_scale)
-        return float(np.linalg.norm(scale * self.forward @ self.inverse - np.eye(self.dim)))
-
-
-@dataclass(frozen=True)
-class StateReport:
-    xi: np.ndarray
-    achieved: float
-
-
-def _spec_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
-def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> dict:
-    """Fold the first n matrices of each listed trial at once;
-    {k: [ScaledProduct of each trial]}.
-
-    The trials share the driver's drawn stack of matrices (see
-    :meth:`ErgodicDriver.draw`), so each distinct matrix is screened and
-    inverted once.  Each segment between consecutive sorted checkpoints is
-    formed by :func:`horoflow.cocycle.pairwise_product` in double-double
+    Each is a stack with leading axes (checkpoint, trial), checkpoints
+    sorted and distinct: forward and inverse are the scaled tracks of
+    v(k) and v(k)^{-1}, each with largest entry modulus in [1/2, 1),
+    log_scale and inv_log_scale their logs of scale, and k the checkpoint
+    of each row.  The trials share the driver's drawn stack of matrices
+    (see :meth:`ErgodicDriver.draw`), so each distinct matrix is screened
+    and inverted once.  Each track is one
+    :func:`horoflow.cocycle._checkpoint_products` pass in double-double
     arithmetic, the forward track with later factors on the left and the
-    inverse track with them on the right; the segments are then chained in
-    order.
+    inverse track with them on the right.
     """
     maps, idx = driver.draw(trials, n)
     mats = np.asarray(maps, dtype=float)
     invs = screen_invertible(mats, idx)
-    bounds = [0] + sorted(set(checkpoints))
-    snaps = {}
-    fwd = inv = None
-    for b, c in zip(bounds, bounds[1:]):
-        seg, iseg = (pairwise_product(mats, idx[:, b:c], later_left=True),
-                     pairwise_product(invs, idx[:, b:c]))
-        fwd = seg if fwd is None else chain_product(fwd, seg, later_left=True)
-        inv = iseg if inv is None else chain_product(inv, iseg)
-        (f, lf), (g, lg) = scaled_matrices(fwd), scaled_matrices(inv)
-        snaps[c] = [ScaledProduct(forward=f[t], log_scale=float(lf[t]),
-                                  inverse=g[t], inv_log_scale=float(lg[t]), n=c)
-                    for t in range(idx.shape[0])]
-    return snaps
+    ks = sorted(set(checkpoints))
+    _, f, lf = _checkpoint_products(mats, idx, ks, later_left=True)
+    _, g, lg = _checkpoint_products(invs, idx, ks)
+    return f, lf, g, lg, np.broadcast_to(np.array(ks)[:, None], lf.shape)
 
 
-def squared_positive_part_lognorm(p: ScaledProduct) -> float:
-    """||log(v^T v)|| computed as 2 max(log sigma_max(v), log sigma_max(v^{-1}))."""
-    if p.n <= 50 and p.log_scale + p.inv_log_scale < 300.0:
-        defect = p.reconstruction_defect()
-        if defect > 1e-6 * math.exp(min(p.log_scale + p.inv_log_scale, 300.0)):
-            raise ConsistencyError(f"track reconstruction defect {defect:.3e}")
-    lf = p.log_scale + math.log(_spec_norm(p.forward))
-    li = p.inv_log_scale + math.log(_spec_norm(p.inverse))
-    return 2.0 * max(lf, li)
+def squared_positive_part_lognorm(forward, log_scale, inverse, inv_log_scale, k):
+    """||log(v^T v)|| of each row of the track stacks (see :func:`_fold`),
+    computed as 2 max(log sigma_max(v), log sigma_max(v^{-1})).
+
+    A row with k <= 50 whose scale e^s, s = log_scale + inv_log_scale < 300,
+    keeps v v^{-1} representable is refused when that product is further
+    than 1e-6 e^s from I (Frobenius norm).
+    """
+    s = np.ravel(log_scale + inv_log_scale)
+    rows = np.flatnonzero((np.ravel(k) <= 50) & (s < 300.0))
+    d = np.shape(forward)[-1]
+    f, g = (np.reshape(x, (-1, d, d))[rows] for x in (forward, inverse))
+    scale = np.exp(s[rows])[:, None, None]
+    defect = np.linalg.norm(scale * f @ g - np.eye(d), axis=(-2, -1))
+    bad = np.flatnonzero(defect > 1e-6 * scale[:, 0, 0])
+    if bad.size:
+        raise ConsistencyError(f"track reconstruction defect {defect[bad[0]]:.3e}")
+    top = np.linalg.svd(np.stack([forward, inverse]), compute_uv=False)[..., 0]
+    logs = np.reshape([math.log(x) for x in top.ravel().tolist()], top.shape)
+    return 2.0 * np.maximum(log_scale + logs[0], inv_log_scale + logs[1])
 
 
-def log_squared_positive_part(p: ScaledProduct) -> np.ndarray:
-    """log(v^T v) as a symmetric matrix: sum of 2 log s_i r_i r_i^T over
-    the singular values s_i and right singular vectors r_i of v.
+def log_squared_positive_part(forward, log_scale, inverse, inv_log_scale, k) -> np.ndarray:
+    """log(v^T v) of each row of the track stacks (see :func:`_fold`), as a
+    symmetric matrix: sum of 2 log s_i r_i r_i^T over the singular values
+    s_i and right singular vectors r_i of v.
 
     Each pair is read from the track where it is largest relative to the
     track's top singular value: the forward track F = v e^{-log_scale}
@@ -110,17 +85,19 @@ def log_squared_positive_part(p: ScaledProduct) -> np.ndarray:
     whose left singular vectors are the r_i with singular values 1/s_i,
     holds the small ones, which a long product rounds away in F.  For
     d > 2 a long product can round the middle singular values away in both.
+    k is not read; it is taken so that both readers unpack the same stacks.
     """
-    _, sf, rf = np.linalg.svd(p.forward)
-    ri, si, _ = np.linalg.svd(p.inverse)
+    _, sf, rf = np.linalg.svd(forward)
+    ri, si, _ = np.linalg.svd(inverse)
     # both in the order of s_i, descending
-    si, ri = si[::-1], ri[:, ::-1].T
-    from_fwd = sf / sf[0] >= si / si[-1]
-    logs = np.empty_like(sf)
-    logs[from_fwd] = p.log_scale + np.log(sf[from_fwd])
-    logs[~from_fwd] = -(p.inv_log_scale + np.log(si[~from_fwd]))
-    r = np.where(from_fwd[:, None], rf, ri)
-    return sym_part((r.T * (2.0 * logs)) @ r)
+    si, ri = si[..., ::-1], ri[..., ::-1].swapaxes(-1, -2)
+    from_fwd = sf / sf[..., :1] >= si / si[..., -1:]
+    # the log of each chosen value only: the other may be 0
+    s = np.log(np.where(from_fwd, sf, si))
+    logs = np.where(from_fwd, np.expand_dims(log_scale, -1) + s,
+                    -(np.expand_dims(inv_log_scale, -1) + s))
+    r = np.where(from_fwd[..., None], rf, ri)
+    return sym_part((r.swapaxes(-1, -2) * (2.0 * logs)[..., None, :]) @ r)
 
 
 def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate:
@@ -128,11 +105,10 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
     if n < 10 or trials < 1:
         raise DegenerateInputError("need n >= 10 and trials >= 1")
     tail_ks = tail_checkpoints(n)
-    snaps = _fold(driver, n, range(trials), tail_ks)
-    per_trial = np.array([squared_positive_part_lognorm(p) / n for p in snaps[n]])
-    tail_vals = np.array([squared_positive_part_lognorm(snaps[k][0]) / k
-                          for k in tail_ks])
-    return summarize_trials(per_trial, tail_ks, tail_vals, n)
+    tracks = _fold(driver, n, range(trials), tail_ks)
+    per_trial = squared_positive_part_lognorm(*(x[-1] for x in tracks)) / n
+    tail = squared_positive_part_lognorm(*(x[:, 0] for x in tracks)) / tail_ks
+    return summarize_trials(per_trial, tail_ks, tail, n)
 
 
 def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:
@@ -145,8 +121,8 @@ def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:
     return sym_part(y)
 
 
-def extract_vector_state(y) -> StateReport:
-    """Unit eigenvector xi of a symmetric y with |(y xi, xi)| = ||y||.
+def extract_vector_state(y) -> np.ndarray:
+    """The unit eigenvector xi of a symmetric y with |(y xi, xi)| = ||y||.
 
     Tie-break among eigenvalues: modulus descending, then value descending,
     then index; the sign of xi is fixed by making its first nonzero
@@ -155,13 +131,11 @@ def extract_vector_state(y) -> StateReport:
     y = _check_symmetric(y)
     w, v = np.linalg.eigh(y)
     idx = sorted(range(len(w)), key=lambda i: (-abs(w[i]), -w[i], i))
-    best = idx[0]
-    xi = v[:, best].copy()
+    xi = v[:, idx[0]].copy()
     nz = np.flatnonzero(np.abs(xi) > 1e-12)
     if nz.size and xi[nz[0]] < 0.0:
         xi = -xi
-    achieved = abs(float(w[best]))
-    return StateReport(xi=xi, achieved=achieved)
+    return xi
 
 
 def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0):
@@ -172,16 +146,13 @@ def state_ratio_check(driver: ErgodicDriver, N: int, checkpoints, trial: int = 0
     tau_hat exactly at every l; in general the table is a report.
     """
     checkpoints = checkpoint_list(checkpoints, N)
-    ks = sorted(set(checkpoints + [N]))
-    snaps = {k: ps[0] for k, ps in _fold(driver, N, [trial], ks).items()}
-    y_N = log_squared_positive_part(snaps[N])
-    tau_hat = squared_positive_part_lognorm(snaps[N]) / N
-    xi = extract_vector_state(y_N).xi
-    rows = []
-    for l in checkpoints:
-        y_l = log_squared_positive_part(snaps[l])
-        rows.append((l, abs(float(xi @ y_l @ xi)) / l, tau_hat))
-    return rows
+    # checkpoint rows of the trial; N is the last, and the checkpoints the first
+    tracks = [x[:, 0] for x in _fold(driver, N, [trial], checkpoints + [N])]
+    y = log_squared_positive_part(*tracks)
+    tau_hat = float(squared_positive_part_lognorm(*(x[-1] for x in tracks))) / N
+    xi = extract_vector_state(y[-1])
+    ratios = np.abs(np.vecdot(xi @ y[:len(checkpoints)], xi)) / checkpoints
+    return list(zip(checkpoints, ratios.tolist(), [tau_hat] * len(checkpoints)))
 
 
 def _exp_eig(w, q) -> np.ndarray:

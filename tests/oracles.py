@@ -48,7 +48,7 @@ from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, MetricDomainError, WeakMetricSpace)
 from horoflow.deepnet import ACTIVATIONS, StretchReport
 from horoflow.lyapunov import SpectrumEstimate
-from horoflow.operator_cone import ScaledProduct, SymmetryError
+from horoflow.operator_cone import SymmetryError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (_TWO_PI, NotDiffeomorphismError, _disk_rooms, _jacobian_ratios,
                              _random_spd_stack, _stretch_ratios, euclidean_dist_many,
@@ -179,10 +179,12 @@ def fraction_det(m):
     return total
 
 
-def loop_accumulate(mats, checkpoints=()):
-    """Scaled forward and inverse tracks of v(n) = mats[-1] ... mats[0], one
+def loop_accumulate(mats, checkpoints):
+    """Scaled forward and inverse tracks of v(k) = mats[k-1] ... mats[0], one
     matrix at a time, each step inverting and dividing both tracks by their
-    spectral norms.  Returns (final, {k: snapshot}).  A non-finite matrix,
+    spectral norms.  Returns the track stacks (forward, log_scale, inverse,
+    inv_log_scale, k) of :func:`horoflow.operator_cone._fold`, one row per
+    checkpoint k, sorted, up to len(mats).  A non-finite matrix,
     or one without a finite inverse, is a singular step matrix, as in
     :func:`horoflow.cocycle.screen_invertible`.
 
@@ -196,7 +198,7 @@ def loop_accumulate(mats, checkpoints=()):
     inv = np.eye(dim)
     ils = 0.0
     want = set(checkpoints)
-    snaps = {}
+    snaps = []
     k = 0
     for a in mats:
         a = np.asarray(a, dtype=float)
@@ -216,11 +218,8 @@ def loop_accumulate(mats, checkpoints=()):
         ils += math.log(s2)
         k += 1
         if k in want:
-            snaps[k] = ScaledProduct(forward=fwd.copy(), log_scale=ls,
-                                     inverse=inv.copy(), inv_log_scale=ils, n=k)
-    final = ScaledProduct(forward=fwd, log_scale=ls, inverse=inv,
-                          inv_log_scale=ils, n=k)
-    return final, snaps
+            snaps.append((fwd.copy(), ls, inv.copy(), ils, k))
+    return tuple(np.array(x) for x in zip(*snaps))
 
 
 def loop_walk_gaps(mats, ks):
@@ -396,7 +395,7 @@ def mp_cone_log_eigs(p, q):
         return sorted(mpmath.log(w) for w in mpmath.eigsy((c + c.T) / 2, eigvals_only=True))
 
 
-def loop_max_stretch(driver, n, grid, trial=0):
+def loop_max_stretch(driver, n, grid):
     """The maximal-stretch report with every step's map evaluated on the
     whole pair grid, one step at a time; :func:`horoflow.deepnet.max_stretch`
     must agree field for field."""
@@ -408,7 +407,7 @@ def loop_max_stretch(driver, n, grid, trial=0):
     total = 0.0
     trace = []
     best_pair = None
-    for k, g in enumerate(elements(driver, trial, n), start=1):
+    for k, g in enumerate(elements(driver, 0, n), start=1):
         gx = g(x)
         gy = g(y)
         if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
@@ -423,7 +422,7 @@ def loop_max_stretch(driver, n, grid, trial=0):
     return StretchReport(lambda_hat=total / n, argmax_trace=trace, z_hat=z_hat)
 
 
-def loop_jacobian_cocycle(driver, n, grid, trial=0):
+def loop_jacobian_cocycle(driver, n, grid):
     """The distance-from-identity cocycle with each step's map and its
     derivative evaluated on the moving grid one step at a time, every
     position wrapped by a plain remainder;
@@ -431,7 +430,7 @@ def loop_jacobian_cocycle(driver, n, grid, trial=0):
     pos = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     cumlog = np.zeros(grid)
     rows = []
-    for k, g in enumerate(elements(driver, trial, n), start=1):
+    for k, g in enumerate(elements(driver, 0, n), start=1):
         d = g.deriv(pos)
         if np.any(d <= 0.0):
             raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")

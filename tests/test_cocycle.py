@@ -231,9 +231,10 @@ def test_mobius_matrix_properties():
 
 def test_hyperbolic_walk_gap_constant_driver():
     drv = constant_driver(mobius_matrix(0.5))
-    [tr] = hyperbolic_walk_gap(drv, 2000)
-    assert max(tr.gaps) <= 1e-9
-    assert tr.ks[-1] == 2000
+    ks, gaps = hyperbolic_walk_gap(drv, 2000)
+    assert gaps.shape == (1, len(ks))
+    assert max(gaps[0]) <= 1e-9
+    assert ks[-1] == 2000
 
 
 def _two_map_walk(seed=7):
@@ -244,9 +245,9 @@ def _two_map_walk(seed=7):
 
 def test_hyperbolic_walk_interior_checkpoints():
     drv = _two_map_walk()
-    [tr] = hyperbolic_walk_gap(drv, 4000, checkpoints=[2000])
-    assert tr.ks == [2000]
-    assert tr.gaps[0] < 0.05
+    ks, gaps = hyperbolic_walk_gap(drv, 4000, checkpoints=[2000])
+    assert ks == [2000]
+    assert gaps[0, 0] < 0.05
     for bad in ([500], [], 5, ["x"]):
         with pytest.raises(DegenerateInputError):
             hyperbolic_walk_gap(drv, 100, checkpoints=bad)
@@ -278,7 +279,7 @@ def test_walk_against_the_mpmath_product(name):
             mats = elements(driver, t, n)
             exact, a_n = mp_walk_gaps(mats, ks)
             old = loop_walk_gaps(mats, ks)
-            new = hyperbolic_walk_gap(driver, n, trials, checkpoints=ks)[t].gaps
+            new = hyperbolic_walk_gap(driver, n, trials, checkpoints=ks)[1][t]
             rate, want = walk_top_exponent(driver, n, trials).per_trial[t], float(a_n / n)
             assert abs(rate - want) <= 4 * math.ulp(want), (seed, n)
             # gap(k) cancels terms of size a(n)
@@ -299,13 +300,13 @@ def test_each_trial_of_a_batch_equals_its_one_trial_walk(name, checkpoints):
     # every rounding are the same
     driver, n = _WALKS[name](11), 300
     ks = checkpoints or geometric_checkpoints(n, count=16)
-    batch = hyperbolic_walk_gap(driver, n, 200, checkpoints=checkpoints)
-    few = hyperbolic_walk_gap(driver, n, 4, checkpoints=checkpoints)
-    [one] = hyperbolic_walk_gap(driver, n, 1, checkpoints=checkpoints)
-    assert len(batch) == 200
-    assert all(tr.ks == ks for tr in batch)
-    assert [tr.gaps for tr in batch[:4]] == [tr.gaps for tr in few]
-    assert batch[0].gaps == one.gaps
+    batch_ks, batch = hyperbolic_walk_gap(driver, n, 200, checkpoints=checkpoints)
+    _, few = hyperbolic_walk_gap(driver, n, 4, checkpoints=checkpoints)
+    _, one = hyperbolic_walk_gap(driver, n, 1, checkpoints=checkpoints)
+    assert batch_ks == ks
+    assert batch.shape == (200, len(ks))
+    assert batch[:4].tolist() == few.tolist()
+    assert batch[:1].tolist() == one.tolist()
 
 
 def _dd_stack(rng, shape, kinds):

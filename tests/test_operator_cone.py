@@ -8,10 +8,10 @@ import pytest
 import scipy.linalg
 
 from horoflow.cli import _SL2_PAIR, EXPERIMENTS, _matrix_driver, _run_segal_sweep
-from horoflow.cocycle import ErgodicDriver, constant_driver, geometric_checkpoints
+from horoflow.cocycle import ErgodicDriver, _tail_slope, constant_driver, tail_checkpoints
 from horoflow.core import DegenerateInputError
-from horoflow.operator_cone import (ConsistencyError, ScaledProduct,
-                                    SymmetryError, _check_symmetric, _fold,
+from horoflow.operator_cone import (ConsistencyError, SymmetryError,
+                                    _check_symmetric, _fold,
                                     expm_symmetric, expm_taylor,
                                     extract_vector_state,
                                     log_squared_positive_part, segal_check,
@@ -33,25 +33,37 @@ def _random_driver(seed=3, spread=0.5):
     return ErgodicDriver(seed=seed, maps=(a, b), weights=(0.5, 0.5))
 
 
+def _row(tracks, j, t=0):
+    """Checkpoint row j of trial t of the track stacks of _fold."""
+    return [x[j, t] for x in tracks]
+
+
 def test_scaled_product_tracks_are_consistent():
     drv = _random_driver()
-    [p] = _fold(drv, 20, [0], [20])[20]
-    assert p.n == 20
+    f, lf, g, lg, k = _fold(drv, 20, [0], [20])
+    assert f.shape == g.shape == (1, 1, 3, 3)
+    assert lf.shape == lg.shape == k.shape == (1, 1)
+    assert k.tolist() == [[20]]
     # each track is scaled by a power of two to largest entry modulus in [1/2, 1)
-    assert 0.5 <= np.abs(p.forward).max() < 1.0
-    assert 0.5 <= np.abs(p.inverse).max() < 1.0
-    assert p.reconstruction_defect() < 1e-8 * math.exp(p.log_scale + p.inv_log_scale)
+    assert 0.5 <= np.abs(f).max() < 1.0
+    assert 0.5 <= np.abs(g).max() < 1.0
+    scale = math.exp(lf[0, 0] + lg[0, 0])
+    assert np.linalg.norm(scale * f[0, 0] @ g[0, 0] - np.eye(3)) < 1e-8 * scale
 
 
 def test_lognorm_refuses_inconsistent_tracks():
-    # the tracks give v = 2 (I/2) = I and v^{-1} = 4 (I/2) = 2I, which are
-    # not inverses: v v^{-1} - I = I, whose defect sqrt(2) is far above
-    # the 8e-6 budget at scale 8
+    # row 0 gives v = 2 (I/2) = I and v^{-1} = 2 (I/2) = I; row 1 gives
+    # v = I and v^{-1} = 4 (I/2) = 2I, which are not inverses:
+    # v v^{-1} - I = I, whose defect sqrt(2) is far above the 8e-6 budget
+    # at scale 8
     half = 0.5 * np.eye(2)
-    p = ScaledProduct(forward=half, log_scale=math.log(2.0), inverse=half,
-                      inv_log_scale=math.log(4.0), n=1)
+    tracks = (np.stack([half, half]), np.log([2.0, 2.0]), np.stack([half, half]),
+              np.log([2.0, 4.0]), np.array([1, 1]))
+    assert squared_positive_part_lognorm(*(x[0] for x in tracks)) == 0.0
     with pytest.raises(ConsistencyError, match="defect 1.414e"):
-        squared_positive_part_lognorm(p)
+        squared_positive_part_lognorm(*tracks)
+    with pytest.raises(ConsistencyError, match="defect 1.414e"):
+        squared_positive_part_lognorm(*(x[1] for x in tracks))
 
 
 def test_lognorm_matches_direct_eigendecomposition():
@@ -62,11 +74,11 @@ def test_lognorm_matches_direct_eigendecomposition():
     v = np.eye(3)
     for g in gs:
         v = np.asarray(g) @ v
-    [p] = _fold(drv, 8, [0], [8])[8]
-    assert squared_positive_part_lognorm(p) == pytest.approx(
+    p = _row(_fold(drv, 8, [0], [8]), 0)
+    assert squared_positive_part_lognorm(*p) == pytest.approx(
         exact_log_gram_norm(gs), abs=1e-8)
     w, q = np.linalg.eigh(v.T @ v)
-    assert np.allclose(log_squared_positive_part(p), (q * np.log(w)) @ q.T, atol=1e-8)
+    assert np.allclose(log_squared_positive_part(*p), (q * np.log(w)) @ q.T, atol=1e-8)
 
 
 def test_lognorm_is_thompson_distance_from_identity():
@@ -74,8 +86,8 @@ def test_lognorm_is_thompson_distance_from_identity():
     # oracle evaluates it in exact arithmetic, since forming v^T v in
     # floating point squares the condition number of v
     drv = _random_driver(seed=8)
-    [p] = _fold(drv, 8, [0], [8])[8]
-    assert squared_positive_part_lognorm(p) == pytest.approx(
+    p = _row(_fold(drv, 8, [0], [8]), 0)
+    assert squared_positive_part_lognorm(*p) == pytest.approx(
         exact_log_gram_norm(elements(drv, 0, 8)), abs=1e-9)
 
 
@@ -117,11 +129,12 @@ def test_fold_against_the_mpmath_product(name):
             t = trials - 1
             mats = elements(driver, t, n)
             exact = mp_log_gram_norms(mats, ks)
-            _, old = loop_accumulate(mats, ks)
-            snaps = _fold(driver, n, range(trials), ks)
-            for k in ks:
-                new_err = float(abs(squared_positive_part_lognorm(snaps[k][t]) / k - exact[k]))
-                old_err = float(abs(squared_positive_part_lognorm(old[k]) / k - exact[k]))
+            old = squared_positive_part_lognorm(*loop_accumulate(mats, ks)) / ks
+            tracks = _fold(driver, n, range(trials), ks)
+            new = squared_positive_part_lognorm(*(x[:, t] for x in tracks)) / ks
+            for k, new_k, old_k in zip(ks, new.tolist(), old.tolist()):
+                new_err = float(abs(new_k - exact[k]))
+                old_err = float(abs(old_k - exact[k]))
                 floor = 4 * math.ulp(float(exact[k]))
                 assert new_err <= max(old_err, floor), (seed, n, k, new_err, old_err)
                 new_errs.append(new_err)
@@ -131,21 +144,26 @@ def test_fold_against_the_mpmath_product(name):
 
 @pytest.mark.parametrize("name", sorted(_FOLD_DRIVERS))
 def test_each_trial_of_a_batch_equals_its_one_trial_fold(name):
-    # 200 trials gather 16 steps a block, so a segment spans several full
-    # blocks, and one trial gathers the whole run: the tree and every
-    # rounding are the same
-    driver, n, trials = _FOLD_DRIVERS[name](3), 300, 200
-    ks = geometric_checkpoints(n, count=8, start=n // 10)
-    batch = _fold(driver, n, range(trials), ks)
-    for t in (0, 97, trials - 1):
-        [one] = _fold(driver, n, [t], ks)[n]
-        p = batch[n][t]
-        assert np.array_equal(p.forward, one.forward)
-        assert np.array_equal(p.inverse, one.inverse)
-        assert (p.log_scale, p.inv_log_scale, p.n) == (one.log_scale, one.inv_log_scale, one.n)
-    est = tau_estimate(driver, n, 5)
-    assert est.per_trial.tolist() == [squared_positive_part_lognorm(batch[n][t]) / n
-                                      for t in range(5)]
+    # 200 trials gather 16 steps a block, so at n 300 a segment spans
+    # several full blocks, and one trial gathers the whole run: the tree
+    # and every rounding are the same.  The tail checkpoints straddle the
+    # k <= 50 track check, at n 60 with most of them below it, and the
+    # stacked readings of tau_estimate equal a reading one row at a time
+    driver, trials = _FOLD_DRIVERS[name](3), 200
+    for n in (60, 300):
+        ks = tail_checkpoints(n)
+        assert ks[0] <= 50 < ks[-1]
+        batch = _fold(driver, n, range(trials), ks)
+        for t in (0, 97, trials - 1):
+            one = _fold(driver, n, [t], ks)
+            for x, y in zip(batch, one):
+                assert np.array_equal(x[:, t], y[:, 0])
+        est = tau_estimate(driver, n, 5)
+        assert est.per_trial.tolist() == [
+            squared_positive_part_lognorm(*_row(batch, -1, t)) / n for t in range(5)]
+        tail = [squared_positive_part_lognorm(*_row(batch, j)) / k for j, k in enumerate(ks)]
+        assert (squared_positive_part_lognorm(*(x[:, 0] for x in batch)) / ks).tolist() == tail
+        assert est.tail_slope == _tail_slope(ks, tail)
 
 
 def test_tau_constant_diagonal_is_exact():
@@ -164,17 +182,18 @@ def test_accumulate_rejects_singular_steps():
 
 
 def test_extract_vector_state_achieves_the_norm():
-    rep = extract_vector_state(np.diag([3.0, -1.0, 0.5]))
-    assert np.allclose(rep.xi, [1.0, 0.0, 0.0])
-    assert rep.achieved == pytest.approx(3.0)
+    y = np.diag([3.0, -1.0, 0.5])
+    xi = extract_vector_state(y)
+    assert np.allclose(xi, [1.0, 0.0, 0.0])
+    assert abs(float(xi @ y @ xi)) == pytest.approx(np.linalg.norm(y, 2))
     # modulus tie: the positive eigenvalue wins
-    rep = extract_vector_state(np.diag([4.0, -4.0]))
-    assert np.allclose(rep.xi, [1.0, 0.0])
+    xi = extract_vector_state(np.diag([4.0, -4.0]))
+    assert np.allclose(xi, [1.0, 0.0])
     # sign convention: first nonzero component positive
     y = np.array([[0.0, 1.0], [1.0, 0.0]])
-    rep = extract_vector_state(y)
-    assert rep.xi[0] > 0.0
-    assert abs(float(rep.xi @ y @ rep.xi)) == pytest.approx(1.0)
+    xi = extract_vector_state(y)
+    assert xi[0] > 0.0
+    assert abs(float(xi @ y @ xi)) == pytest.approx(np.linalg.norm(y, 2))
 
 
 def test_extract_vector_state_validation():
