@@ -24,6 +24,7 @@ that calls it depends on a declared libm, not on this list alone.
 import itertools
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 # Veltkamp's constant: splits a double into two halves of 26 bits
 _SPLIT = 2.0 ** 27 + 1.0
@@ -76,6 +77,27 @@ def _dd_matmul(ah, al, bh, bl):
     return tuple(x.transpose(2, 0, 1).reshape(shape) for x in (s, lo - (s - hi)))
 
 
+def _top_modulus(x, axis):
+    """The largest modulus of x over ``axis``, keeping its dimensions.
+
+    On a C-order stack of at least 16 slices per entry of a slice over the
+    trailing two axes, an elementwise maximum over the entries, each a
+    strided view, replaces numpy's reduction over short inner axes, which
+    costs several times more there (about 10x for 4096 2 x 2 slices, even
+    at 4 x 4); the maximum, and so every bit, is the same.  The moduli are
+    freed on return, so a caller's next array of their size reuses them.
+    """
+    mod = np.abs(x)
+    entries = x.shape[-2] * x.shape[-1] if x.ndim > 2 else 0
+    if not (entries and x.size >= 16 * entries ** 2 and x.flags.c_contiguous
+            and normalize_axis_tuple(axis, x.ndim) == (x.ndim - 2, x.ndim - 1)):
+        return mod.max(axis=axis, keepdims=True, initial=0.0)
+    top = mod[..., 0, 0].copy()
+    for i, j in itertools.product(range(x.shape[-2]), range(x.shape[-1])):
+        np.maximum(top, mod[..., i, j], out=top)
+    return top[..., None, None]
+
+
 def _pow2_normalize(x, axis, out=None):
     """(x 2^-e, e): x scaled by the power of two 2^-e that puts the largest
     modulus over ``axis`` (an int or a tuple) in [1/2, 1), and the integer
@@ -89,8 +111,7 @@ def _pow2_normalize(x, axis, out=None):
     values, but would make nan the zero part of an infinite entry, and
     overflow for a largest modulus below 2^-1024.
     """
-    top = np.abs(x).max(axis=axis, keepdims=True, initial=0.0)
-    e = np.frexp(top)[1]
+    e = np.frexp(_top_modulus(x, axis))[1]
     if np.iscomplexobj(x):
         y = np.empty_like(x) if out is None else out
         np.ldexp(x.real, -e, out=y.real)

@@ -391,11 +391,13 @@ def checkpoint_list(checkpoints, n: int) -> list:
     return ks
 
 
-def _walk_distances(driver: ErgodicDriver, n: int, trials: int, ks: list):
-    """(a, suffix) of the disk Mobius walks of trials 0 .. trials-1 from 0, at
-    the sorted checkpoints ks in [1, n] and at n: row j of the (rows, trials)
-    arrays is checkpoint j of sorted(set(ks) | {n}), a[j, t] = d(0, u(k)0)
-    and suffix[j, t] = d(u(k)0, u(n)0) for that checkpoint k.
+def _walk_distances(driver: ErgodicDriver, n: int, trials: int, ks: list,
+                    suffix: bool = False):
+    """The (rows, trials) array a of the disk Mobius walks of trials
+    0 .. trials-1 from 0, at the sorted checkpoints ks in [1, n] and at n:
+    row j is checkpoint j of sorted(set(ks) | {n}), a[j, t] = d(0, u(k)0)
+    for that checkpoint k.  With ``suffix``, (a, suffix), and
+    suffix[j, t] = d(u(k)0, u(n)0).
 
     Driver elements must be unit-determinant 2x2 complex matrices (see
     :func:`mobius_matrix`).  Every distance comes from a scaled product,
@@ -405,18 +407,23 @@ def _walk_distances(driver: ErgodicDriver, n: int, trials: int, ks: list):
     mats = np.asarray(maps, dtype=complex)
     # the segment products M_{b+1} ... M_c between consecutive bounds b < c,
     # chained forward into the prefix products P_k = M_1 ... M_k, which give
-    # a(k) = d(0, u(k)0), and backward into the suffix products
-    # S_j = M_{j+1} ... M_n, which give d(u(j)0, u(n)0); the last backward
-    # row is S_0, which no distance reads
+    # a(k) = d(0, u(k)0), and, for the suffix only, backward from the last
+    # segment into S_j = M_{j+1} ... M_n, which give d(u(j)0, u(n)0), down
+    # to the first checkpoint's S (S_0 is not formed)
     segs, p, logs = _checkpoint_products(mats, idx, sorted(set(ks) | {n}))
-    sp, slogs = _running_products(segs[::-1], later_left=True)
 
     def dist(p, logs):
         x = logs + np.log(np.abs(p[..., 0, 0]))
         return np.reshape([_dist_origin(v) for v in x.ravel().tolist()], x.shape)
 
-    suffix = np.concatenate([dist(sp[-2::-1], slogs[-2::-1]), np.zeros((1, trials))])
-    return dist(p, logs), suffix
+    a = dist(p, logs)
+    if not suffix:
+        return a
+    s = np.zeros_like(a)    # n's own suffix distance is 0
+    if len(segs) > 1:
+        sp, slogs = _running_products(segs[:0:-1], later_left=True)
+        s[:-1] = dist(sp[::-1], slogs[::-1])
+    return a, s
 
 
 def walk_top_exponent(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate:
@@ -426,8 +433,7 @@ def walk_top_exponent(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEst
     if trials < 1 or n < 10:
         raise DegenerateInputError("need trials >= 1 and n >= 10")
     tail_ks = tail_checkpoints(n)
-    a, _ = _walk_distances(driver, n, trials, tail_ks)
-    return _summarize_cocycle(a, tail_ks, n)
+    return _summarize_cocycle(_walk_distances(driver, n, trials, tail_ks), tail_ks, n)
 
 
 def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
@@ -448,7 +454,7 @@ def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
         ks = geometric_checkpoints(n, count=probe_budget)
     else:
         ks = checkpoint_list(checkpoints, n)
-    a, suffix = _walk_distances(driver, n, trials, ks)
+    a, suffix = _walk_distances(driver, n, trials, ks, suffix=True)
     # ks are the first len(ks) rows, as every checkpoint lies in [1, n]
     k, m = np.array(ks)[:, None], len(ks)
     return ks, np.abs(-(suffix[:m] - a[-1]) / k - a[:m] / k).T

@@ -54,16 +54,11 @@ def _audit_norm(W) -> None:
 
 
 def spectral_normalize(W):
-    """Scale W so its operator norm is at most 1; returns (W, norm), norm the
-    certified operator norm of the returned W.
-
-    W is unchanged when its norm is already <= 1.
-    """
+    """W scaled so its operator norm is at most 1: divided by its norm when
+    above 1, unchanged otherwise."""
     W = np.asarray(W, dtype=float)
     norm = _operator_norm(W)
-    if norm > 1.0:
-        return W / norm, 1.0
-    return W, norm
+    return W / norm if norm > 1.0 else W
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ def make_layer(W, b, activation: str) -> LayerMap:
     by its norm when above 1."""
     if activation not in ACTIVATIONS:
         raise DegenerateInputError(f"unknown activation {activation!r}")
-    W, _ = spectral_normalize(W)
+    W = spectral_normalize(W)
     return LayerMap(W=W, b=np.asarray(b, dtype=float), activation=activation)
 
 

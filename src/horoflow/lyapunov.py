@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from ._exact import _aligned, _balanced, _dd_det, _halves, _pow2_normalize
-from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, check_steps, screen_invertible,
-                      tail_checkpoints)
+from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, check_steps, pairwise_product,
+                      screen_invertible, tail_checkpoints)
 from .core import DegenerateInputError
 
 _LOG2 = math.log(2.0)
@@ -28,13 +28,17 @@ _LOG2 = math.log(2.0)
 # step of the d x d frame (fresh Gaussian steps, n 5000: d 5 about 9x,
 # d 6 about 50x the old LAPACK loop's time, and 1 GB at d 6)
 _MAX_DIM = 4
+# the steps of a growth-rate row's block product, a power of two: at 64 an
+# sl2_pair row of 20000 steps runs in 10 ms against 22 ms at one matmul a
+# step, and wider blocks gain little (9 ms at 128 and 256)
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    exponents: np.ndarray   # sorted descending, with multiplicity (length = dim)
+    exponents: np.ndarray   # (trials, dim): each row sorted descending, with multiplicity
     n: int
-    resid: np.ndarray       # per-exponent running-mean drift over the last decade
+    resid: np.ndarray       # (trials, dim): running-mean drift over the last decade
 
 
 @dataclass(frozen=True)
@@ -43,9 +47,9 @@ class FiltrationProbeReport:
     clusters: list          # lists of probe indices, partitioning the probes
 
 
-def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> SpectrumEstimate:
-    """All dim exponents of the cocycle, the time averages of log |r_ii|
-    of QR accumulation.
+def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trials=(0,)) -> SpectrumEstimate:
+    """All dim exponents of the cocycle along each listed trial, the time
+    averages of log |r_ii| of QR accumulation.
 
     The stream is consumed as left increments (new matrix outermost),
     matching the operator convention.  Exponent j after k steps is
@@ -53,33 +57,40 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trial: int = 0) -> Spec
     of the product on e_1 ^ ... ^ e_j (see :func:`_exponent_sums`); the
     sums are carried exactly and each exponent is rounded once.  ``resid``
     is an exponent's largest drift over the tail checkpoints from its value
-    at n.  A step that takes a growth-rate row out of the double range is
-    a rescaling fault at that step.  dim must be at most 4 (``_MAX_DIM``).
+    at n.  Row t of both is trial trials[t]; the trials run together, as
+    rows of one growth-rate run per compound order.  A step that takes a
+    growth-rate row out of the double range is a rescaling fault at that
+    step.  dim must be at most 4 (``_MAX_DIM``).
     """
     if n < 10:
         raise DegenerateInputError("n must be >= 10")
     if dim > _MAX_DIM:
         raise DegenerateInputError(f"the spectrum runs up to dimension {_MAX_DIM}, not {dim}")
-    maps, idx = driver.draw([trial], n)
+    trials = list(trials)
+    if not trials:
+        raise DegenerateInputError("trials must be nonempty")
+    maps, idx = driver.draw(trials, n)
     mats = np.asarray(maps, dtype=float)
     if mats.shape[1:] != (dim, dim):
         raise DegenerateInputError(f"step matrices must be {dim} x {dim}")
     ks = tail_checkpoints(n)
-    sums = _exponent_sums(mats, idx, ks)
-    rates = np.array([[float((s - r) / k) for s, r, k in zip(sums[j + 1], sums[j], ks)]
-                      for j in range(dim)])
-    final = rates[:, -1]
-    resid = np.max(np.abs(rates - final[:, None]), axis=1)
-    order = np.argsort(-final)
-    return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
+    exponents, resids = [], []
+    for sums in _exponent_sums(mats, idx, ks):
+        rates = np.array([[float((s - r) / k) for s, r, k in zip(sums[j + 1], sums[j], ks)]
+                          for j in range(dim)])
+        final = rates[:, -1]
+        order = np.argsort(-final)
+        exponents.append(final[order])
+        resids.append(np.max(np.abs(rates - final[:, None]), axis=1)[order])
+    return SpectrumEstimate(exponents=np.array(exponents), n=n, resid=np.array(resids))
 
 
 def _exponent_sums(mats, idx, ks) -> list:
-    """S[j][c], j = 0 .. d: log ||L^j A(k) (e_1 ^ ... ^ e_j)||, L^j the j-th
-    exterior power, at checkpoint k = ks[c] as an exact Fraction of its
-    rounded pieces, for the product A(k) = A_k ... A_1 of the steps the
-    (1, n) row idx draws from the (m, d, d) stack mats.  QR accumulation's
-    r_11 ... r_jj is this norm.
+    """S[t][j][c], j = 0 .. d: log ||L^j A(k) (e_1 ^ ... ^ e_j)||, L^j the
+    j-th exterior power, at checkpoint k = ks[c] as an exact Fraction of
+    its rounded pieces, for the product A(k) = A_k ... A_1 of the steps
+    row t of the (trials, n) array idx draws from the (m, d, d) stack mats.
+    QR accumulation's r_11 ... r_jj is this norm.
 
     - S_d is the sum of log |det| over the steps: each distinct matrix's
       determinant is formed once (:func:`_dd_det`) and weighted by its
@@ -92,11 +103,12 @@ def _exponent_sums(mats, idx, ks) -> list:
       started at the last basis vector, e_(j+1) ^ ... ^ e_d.
 
     Each row is run by :func:`_log_norms`, the compounds of one order in
-    one run.  Up to d = 3 the rows multiply only the steps and their
-    inverse transposes, both in range whenever the screen passes.  The
-    middle compound of d = 4 has its minors scaled by a power of two per
-    matrix, added back as an exact integer sum (:func:`_compound`); one
-    whose scaled minors leave the double range is refused.
+    one run, with a row per (level, trial).  Up to d = 3 the rows multiply
+    only the steps and their inverse transposes, both in range whenever
+    the screen passes.  The middle compound of d = 4 has its minors scaled
+    by a power of two per matrix, added back as an exact integer sum
+    (:func:`_compound`); one whose scaled minors leave the double range is
+    refused.
     """
     # at first use: no other kernel needs exact sums
     import decimal
@@ -104,13 +116,17 @@ def _exponent_sums(mats, idx, ks) -> list:
     # log 2 to 40 digits, rounded correctly by the decimal module in software
     ln2 = Fraction(decimal.Context(prec=40).ln(2))
     # the distinct drawn matrices, idx relabelled to count them
-    drawn = np.bincount(idx[0], minlength=len(mats)) > 0
+    drawn = np.bincount(idx.ravel(), minlength=len(mats)) > 0
     mats, idx = mats[drawn], (np.cumsum(drawn) - 1)[idx]
     invs = screen_invertible(mats, idx)
-    m, d = len(mats), mats.shape[-1]
-    counts = np.array([np.bincount(idx[0, :k], minlength=m) for k in ks])
-    sums = [[Fraction(0)] * len(ks) for _ in range(d + 1)]
-    sums[d] = [Fraction(s) + Fraction(r) + e * ln2 for s, r, e in _log_det_sums(mats, counts)]
+    m, d, trials, c = len(mats), mats.shape[-1], len(idx), len(ks)
+    # counts[t, c, i]: how often trial t draws matrix i in its first ks[c] steps
+    counts = np.array([[np.bincount(row[:k], minlength=m) for k in ks] for row in idx])
+    det_sums = _log_det_sums(mats, counts.reshape(-1, m))
+    sums = [[[Fraction(0)] * c for _ in range(d + 1)] for _ in range(trials)]
+    for t in range(trials):
+        sums[t][d] = [Fraction(s) + Fraction(r) + e * ln2
+                      for s, r, e in det_sums[t * c:(t + 1) * c]]
     # every stack is built, and screened, before the first step
     runs = []
     for j in range(1, d // 2 + 1):
@@ -128,16 +144,20 @@ def _exponent_sums(mats, idx, ks) -> list:
                     f"exterior power {j} of a step matrix leaves the double range") from None
         runs.append((levels, stacks, inverses, shifts))
     for levels, stacks, inverses, shifts in runs:
-        # level j starts at the first basis vector, its dual at the last
-        w = np.zeros((len(levels), stacks[0].shape[-1], 1))
-        w[0, 0] = w[1:, -1] = 1.0
-        logs, exps = _log_norms(np.concatenate(stacks), np.concatenate(inverses),
-                                idx + m * np.arange(len(levels))[:, None], w, ks)
+        # a row per (level, trial): level j starts at the first basis
+        # vector, its dual at the last
+        w = np.zeros((len(levels), trials, stacks[0].shape[-1], 1))
+        w[0, :, 0] = w[1:, :, -1] = 1.0
+        rows = (idx + m * np.arange(len(levels))[:, None, None]).reshape(-1, idx.shape[1])
+        logs, exps = (x.reshape(len(levels), trials, c) for x in _log_norms(
+            np.concatenate(stacks), np.concatenate(inverses), rows, w.reshape(rows.shape[0], -1, 1),
+            ks))
         for r, level in enumerate(levels):
             exps[r] += counts @ shifts[r]
-            base = sums[d] if level > d / 2 else sums[0]
-            sums[level] = [b + Fraction(lg) + int(e) * ln2
-                           for b, lg, e in zip(base, logs[r].tolist(), exps[r].tolist())]
+            for t in range(trials):
+                base = sums[t][d] if level > d / 2 else sums[t][0]
+                sums[t][level] = [b + Fraction(lg) + int(e) * ln2 for b, lg, e
+                                  in zip(base, logs[r, t].tolist(), exps[r, t].tolist())]
     return sums
 
 
@@ -193,62 +213,113 @@ def _log_norms(mats, invs, idx, w, ks):
     row, whose step i then applies to every row.  invs holds the inverses
     of mats (nan where nothing is drawn).  w is overwritten.
 
-    Each step is one stacked matmul.  The rows are rescaled only at the end
-    of a block of steps, by the power of two that puts a row's largest
-    modulus in [0.5, 1), and the exponents taken out are summed exactly as
-    integers; power-of-two scaling is exact, so where a block ends moves no
-    bit.  The matrices are first balanced against their inverses by exact
-    powers of two (:func:`_balanced`), whose exponents count once a step.
-    A block is short enough that no row can overflow or reach the
-    subnormals inside it: its width times log2 of the largest infinity
-    norm of a balanced drawn matrix or of its inverse is at most 960.
-    Blocks also end at every checkpoint.  A gather stays within ``_PRODUCT_BLOCK``
-    matrices.  A row whose largest modulus is zero or past the double range
-    at a block end is a rescaling fault at the block's last step.  Only a
-    block of one step can fault (a matrix whose norm, or whose inverse's,
-    is past 2^960 makes every block one step long), so the step named is
-    exact.
+    The matrices are first balanced against their inverses by exact powers
+    of two (:func:`_balanced`), whose exponents count once a step.  The
+    steps are then cut into blocks of ``width`` steps, aligned to absolute
+    step numbers, and every full block of every idx row is multiplied at
+    once in double-double (:func:`pairwise_product`, later steps on the
+    left); rows that share an idx row share its block products.  A row
+    steps a block at a time, by the block's hi part and then its lo part
+    (skipped where every lo part is zero), and is rescaled after each
+    block by the power of two that puts its largest modulus in [0.5, 1);
+    the exponents taken out are summed exactly as integers.  A checkpoint
+    inside a block is read from a copy of the row at the block's start,
+    stepped one matrix at a time: so every value depends only on k, and
+    one run read at many checkpoints equals separate runs bit for bit.
+
+    ``width`` is ``_ROW_BLOCK``, or the largest power of two below it
+    whose block product, normalized to a largest modulus in [0.5, 1), has
+    a condition number of at most 2^960: width times log2 of the largest
+    infinity norm of a balanced drawn matrix or of its inverse is at most
+    480.  No row can then leave the double range or reach the subnormals
+    in a block, so a block cannot fault.  Where that leaves width 1 (a
+    matrix whose norm, or whose inverse's, is past 2^480), the rows step
+    one matrix at a time (:func:`_steps`), rescaled once a span of steps
+    as the old range rule allows (span times that log2 at most 960), as a
+    checkpoint's copy is.  A row whose largest modulus is zero or past the
+    double range after a rescaling is a rescaling fault at the last step
+    it took.  Only a single step can fault (one whose matrix norm, or
+    whose inverse's, is past 2^960, as spans shorten to one step), so the
+    step named is exact.
     """
     drawn = ~np.isnan(invs[:, 0, 0])    # an undrawn matrix's inverse is nan
     mats, invs, shifts = _balanced(mats, invs)
+    idx = np.asarray(idx)
     # the exponents the balancing took out of the steps up to each
     # checkpoint: a gather and a cumsum over every step, about 10% of a
     # 100-trial run, so skipped where no matrix was scaled
     shift_sums = np.zeros((1, len(ks)), dtype=np.int64)
     if shifts.any():
-        shift_sums = np.cumsum(shifts[np.asarray(idx)], axis=1)[:, np.asarray(ks) - 1]
+        shift_sums = np.cumsum(shifts[idx], axis=1)[:, np.asarray(ks) - 1]
     with np.errstate(over="ignore"):
         bound = max(float(np.abs(mats[drawn]).sum(axis=-1).max()),
                     float(np.abs(invs[drawn]).sum(axis=-1).max()), 2.0)
-    steps = np.asarray(idx).T
-    width = min(max(int(960 // math.log2(bound)), 1),
-                max(_PRODUCT_BLOCK // steps.shape[1], 1))
-    rows = len(w)
+    width = 1 << max(min(int(480 // math.log2(bound)), _ROW_BLOCK), 1).bit_length() - 1
+    steps = idx.T
+    span = min(max(int(960 // math.log2(bound)), 1), max(_PRODUCT_BLOCK // steps.shape[1], 1))
+    rows, sets, d = len(w), len(idx), w.shape[1]
+    blocks = ks[-1] // width if width > 1 else 0
+    # per block, the (sets, d, d) hi and lo parts, and the running sums of
+    # the block products' exponents, a zero row first
+    hi = lo = None
+    e_sums = np.zeros((1, sets), dtype=np.int64)
+    if blocks:
+        hi, lo, e = pairwise_product(mats, idx[:, :blocks * width].reshape(-1, width),
+                                     later_left=True)
+        hi, lo = (np.ascontiguousarray(x.reshape(sets, blocks, d, d).swapaxes(0, 1))
+                  for x in (hi, lo))
+        lo = lo if lo.any() else None
+        e_sums = np.concatenate([e_sums, np.cumsum(e.reshape(sets, blocks).T, axis=0)])
     total = np.zeros(rows, dtype=np.int64)
     logs = np.empty((rows, len(ks)))
     exps = np.empty((rows, len(ks)), dtype=np.int64)
     # every step writes into the other buffer, then the two swap
-    u = np.empty_like(w)
-    start = 0
+    u, t = np.empty_like(w), np.empty_like(w)
+    pos = done = 0      # the steps, and the full blocks, the rows have taken
     with np.errstate(all="ignore"):
         for j, k in enumerate(ks):
-            while start < k:
-                stop = min(start + width, k)
-                for a in mats[steps[start:stop]]:
-                    np.matmul(a, w, out=u)
-                    w, u = u, w
-                w, taken = _pow2_normalize(w, (1, 2), out=w)
-                # only a row that took out no exponent can be zero or not
-                # finite (a Python test a block, cheaper than numpy's on a
-                # few rows); check_steps then names the fault
-                if not all(taken.tolist()):
-                    check_steps(np.abs(w).max(axis=(1, 2))[None], stop)
+            if width == 1:
+                w, u, taken = _steps(mats, steps[pos:k], w, u, span, pos)
                 total += taken
-                start = stop
+                pos = k
+            else:
+                for b in range(done, k // width):
+                    np.matmul(hi[b], w, out=u)
+                    if lo is not None:
+                        u += np.matmul(lo[b], w, out=t)
+                    w, u = u, w
+                    w, taken = _pow2_normalize(w, (1, 2), out=w)
+                    total += taken
+                done = k // width
+                pos = done * width
+            row, side = w, 0
+            if pos < k:     # the checkpoint lies inside a block
+                row, _, side = _steps(mats, steps[pos:k], w.copy(), np.empty_like(w), span, pos)
             # math.log, not np.log: numpy's SIMD log can differ in the last bit
-            logs[:, j] = [math.log(math.hypot(*row)) for row in w[:, :, 0].tolist()]
-            exps[:, j] = total + shift_sums[:, j]
+            logs[:, j] = [math.log(math.hypot(*r)) for r in row[:, :, 0].tolist()]
+            exps[:, j] = total + side + e_sums[done] + shift_sums[:, j]
     return logs, exps
+
+
+def _steps(mats, steps, w, u, span, done):
+    """(w, u, taken): the rows w stepped through each row of steps, one
+    stacked matmul a step into the spare buffer u, and rescaled by a power
+    of two once every span steps and at the end; taken is the exponents
+    taken out.  done is the steps taken before, for a fault's step number."""
+    total = 0
+    for start in range(0, len(steps), span):
+        stop = min(start + span, len(steps))
+        for a in mats[steps[start:stop]]:
+            np.matmul(a, w, out=u)
+            w, u = u, w
+        w, taken = _pow2_normalize(w, (1, 2), out=w)
+        # only a row that took out no exponent can be zero or not finite
+        # (a Python test a span, cheaper than numpy's on a few rows);
+        # check_steps then names the fault
+        if not all(taken.tolist()):
+            check_steps(np.abs(w).max(axis=(1, 2))[None], done + stop)
+        total = total + taken
+    return w, u, total
 
 
 def _growth_rates(mats, idx, V, ks) -> np.ndarray:

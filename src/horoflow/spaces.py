@@ -338,27 +338,26 @@ def mobius_circle_map(a: float) -> CircleMap:
     """Circle map induced by the disk automorphism z -> (z+a)/(1+az), real a.
 
     Derivative (1 - a^2) / |1 + a e^{i theta}|^2; multiplier (1+a)/(1-a) at
-    the repelling fixed point theta = pi.
+    the repelling fixed point theta = pi.  Both are taken in real
+    arithmetic: (z+a)/(1+az) at z = e^{i theta}, times |1 + az|^2, has real
+    part (1 + a^2) cos theta + 2a and imaginary part (1 - a^2) sin theta,
+    and |1 + az|^2 = 1 + a^2 + 2a cos theta.
     """
     a = float(a)
     if abs(a) >= 1.0:
         raise NotDiffeomorphismError("|a| must be < 1")
+    p, q, r = 1.0 - a * a, 1.0 + a * a, 2.0 * a
 
-    def z_and_w(t):     # z = e^{i theta} and w = 1 + a z, shared by f and df
-        z = np.exp(1j * np.asarray(t, dtype=float))
-        return z, 1.0 + a * z
+    def df_of(cos):
+        return p / (q + r * cos)
 
-    def f_of(z, w):
-        return _wrap_angle(np.angle((z + a) / w))
+    def f_and_df(t):    # one sin and one cos, shared by f and df
+        t = np.asarray(t, dtype=float)
+        cos = np.cos(t)
+        return _wrap_angle(np.arctan2(p * np.sin(t), q * cos + r)), df_of(cos)
 
-    def df_of(w):
-        return (1.0 - a * a) / np.abs(w) ** 2
-
-    def f_and_df(t):
-        z, w = z_and_w(t)
-        return f_of(z, w), df_of(w)
-
-    return CircleMap(f=lambda t: f_of(*z_and_w(t)), derivative=lambda t: df_of(z_and_w(t)[1]),
+    return CircleMap(f=lambda t: f_and_df(t)[0],
+                     derivative=lambda t: df_of(np.cos(np.asarray(t, dtype=float))),
                      f_and_derivative=f_and_df)
 
 

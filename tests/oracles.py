@@ -15,7 +15,8 @@ together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels, a per-step
 loop for the maximal stretch, one-sample-at-a-time loops for the metric
 property suites over the six metrics with each point built on its own,
-step-at-a-time sums for the growth rates, and 50-digit Gram-Schmidt for
+block-at-a-time sums for the growth rates (whose old step-at-a-time
+loop stays as the error baseline), and 50-digit Gram-Schmidt for
 the QR spectrum (whose old LAPACK loop stays as the error baseline).  Two
 stand-in drivers, a fresh sampled map a step and a circle rotation's
 labels, give kernel tests inputs that the one finite driver does not.
@@ -42,18 +43,18 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from horoflow._exact import _halves, _two_sum
+from horoflow._exact import _balanced, _halves, _two_sum
 from horoflow.cocycle import _dist_origin, geometric_checkpoints, summarize_trials
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, MetricDomainError, WeakMetricSpace)
 from horoflow.deepnet import ACTIVATIONS, StretchReport
-from horoflow.lyapunov import SpectrumEstimate
+from horoflow.lyapunov import _ROW_BLOCK, SpectrumEstimate
 from horoflow.operator_cone import SymmetryError
 from horoflow.seeding import trial_rng
-from horoflow.spaces import (_TWO_PI, NotDiffeomorphismError, _disk_rooms, _jacobian_ratios,
-                             _random_spd_stack, _stretch_ratios, euclidean_dist_many,
-                             funk_dist_many, poincare_dist_many, sine_circle_map,
-                             thompson_dist_many)
+from horoflow.spaces import (_TWO_PI, CircleMap, NotDiffeomorphismError, _disk_rooms,
+                             _jacobian_ratios, _random_spd_stack, _stretch_ratios, _wrap_angle,
+                             euclidean_dist_many, funk_dist_many, poincare_dist_many,
+                             sine_circle_map, thompson_dist_many)
 
 
 def radial_poincare_length(r: float) -> float:
@@ -439,6 +440,56 @@ def loop_jacobian_cocycle(driver, n, grid):
         a = float(np.max(np.abs(cumlog)))
         rows.append((k, a, a / k))
     return rows
+
+
+def complex_mobius_circle_map(a):
+    """The circle map of z -> (z + a) / (1 + az), real a, as
+    :func:`horoflow.spaces.mobius_circle_map` formed it before it moved to
+    real arithmetic: z = e^{i theta} by complex ``np.exp``, f the angle of
+    the complex quotient and f' = (1 - a^2) / |1 + az|^2.  The error
+    baseline of :func:`mp_mobius_cocycle`."""
+    a = float(a)
+
+    def z_and_w(t):
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        return z, 1.0 + a * z
+
+    def f_and_df(t):
+        z, w = z_and_w(t)
+        return _wrap_angle(np.angle((z + a) / w)), (1.0 - a * a) / np.abs(w) ** 2
+
+    return CircleMap(f=lambda t: f_and_df(t)[0], derivative=lambda t: f_and_df(t)[1],
+                     f_and_derivative=f_and_df)
+
+
+def mp_mobius_cocycle(a, n, grid):
+    """[a(1), ..., a(n)] of the Jacobian cocycle of the real Mobius circle
+    map (:func:`horoflow.spaces.mobius_circle_map`) on the grid of
+    :func:`horoflow.deepnet.jacobian_cocycle_dist`, as 50-digit numbers.
+
+    The k-th iterate of z -> (z + a) / (1 + az) is the same map with
+    parameter b_k = tanh(k artanh a), so with x = k artanh a its derivative
+    is (1 - b_k^2) / (1 + b_k^2 + 2 b_k cos theta) = 1 / D,
+    D = cosh 2x + sinh 2x cos theta, taken as e^-2x + 2 sinh 2x cos^2(theta/2)
+    for x >= 0 and e^2x - 2 sinh 2x sin^2(theta/2) for x < 0: sums of
+    positive terms, with no cancellation near the fixed points 0 and pi.
+    a(k) is the largest |log D| over the grid angles, each double exactly;
+    D grows with the squared term, so that is |log D| at its smallest or
+    largest value over the grid."""
+    halves = [mpmath.mpf(t) / 2 for t in np.linspace(0.0, _TWO_PI, grid, endpoint=False)]
+    with mpmath.workdps(_MP_DPS):
+        cos2 = [mpmath.cos(h) ** 2 for h in halves]
+        sin2 = [mpmath.sin(h) ** 2 for h in halves]
+        out = []
+        for k in range(1, n + 1):
+            x = k * mpmath.atanh(mpmath.mpf(a))
+            if x >= 0:
+                base, sq = mpmath.exp(-2 * x), [min(cos2), max(cos2)]
+            else:
+                base, sq = mpmath.exp(2 * x), [min(sin2), max(sin2)]
+            out.append(max(abs(mpmath.log(base + 2 * abs(mpmath.sinh(2 * x)) * c))
+                           for c in sq))
+        return out
 
 
 def _chain(layers, X):
@@ -873,9 +924,9 @@ def lapack_qr_spectrum(driver, dim, n, trial=0):
     """The QR accumulation :func:`horoflow.lyapunov.qr_spectrum` ran before
     it read exponent sums as exterior-power growth rates: LAPACK's
     ``geqrf``/``orgqr`` a step, the log of each step's R diagonal added to a
-    running sum as it is factored.  The reference that ``mp_qr_spectrum``
-    measures the kernel against.  A zero or non-finite R diagonal entry is
-    a rescaling fault at its step."""
+    running sum as it is factored, returned as one trial's row.  The
+    reference that ``mp_qr_spectrum`` measures the kernel against.  A zero
+    or non-finite R diagonal entry is a rescaling fault at its step."""
     mats = [np.asarray(a, dtype=float) for a in elements(driver, trial, n)]
     q = np.eye(dim)
     sums = np.zeros(dim)
@@ -895,7 +946,7 @@ def lapack_qr_spectrum(driver, dim, n, trial=0):
     final = sums / n
     resid = np.max(np.abs(np.asarray(snapshots) - final), axis=0)
     order = np.argsort(-final)
-    return SpectrumEstimate(exponents=final[order], n=n, resid=resid[order])
+    return SpectrumEstimate(exponents=final[order][None], n=n, resid=resid[order][None])
 
 
 def mp_qr_spectrum(driver, dim, n, trial=0):
@@ -931,18 +982,69 @@ def _pow2_rescale(w):
     return np.ldexp(w, -e), e
 
 
-def loop_log_norms(driver, v, ks, trial=0):
+def row_block_width(mats, invs=None):
+    """The block width :func:`horoflow.lyapunov._log_norms` gives a run
+    whose drawn matrices are the stack mats, with inverses invs (by
+    default ``np.linalg.inv``): the largest power of two w at most
+    ``_ROW_BLOCK`` with w log2(bound) <= 480, bound the largest infinity
+    norm of a matrix or of its inverse once the two are balanced by a
+    power of two (:func:`horoflow._exact._balanced`), and at least 2."""
+    mats = np.asarray(mats, dtype=float)
+    a, inv, _ = _balanced(mats, np.linalg.inv(mats) if invs is None else invs)
+    with np.errstate(over="ignore"):
+        bound = max(float(np.abs(a).sum(axis=-1).max()),
+                    float(np.abs(inv).sum(axis=-1).max()), 2.0)
+    width = 1
+    while 2 * width <= _ROW_BLOCK and 2 * width * math.log2(bound) <= 480:
+        width *= 2
+    return width
+
+
+def _block_product(mats):
+    """(hi, lo, e): the product M_L ... M_1 of the list mats, L a power of
+    two, as (hi + lo) 2^e, by recursive halving: each node is the later
+    half's product times the earlier half's in double-double
+    (:func:`batch_first_dd_matmul`), scaled by the power of two that puts
+    the largest modulus of hi in [0.5, 1), as a leaf is.  On a block of a
+    power-of-two width this is the tree of
+    :func:`horoflow.cocycle.pairwise_product` with ``later_left``."""
+    if len(mats) == 1:
+        hi, e = _pow2_rescale(np.asarray(mats[0], dtype=float))
+        return hi, np.zeros_like(hi), e
+    half = len(mats) // 2
+    (ah, al, ae), (bh, bl, be) = _block_product(mats[half:]), _block_product(mats[:half])
+    hi, lo = batch_first_dd_matmul(ah, al, bh, bl)
+    hi, e = _pow2_rescale(hi)
+    return hi, np.ldexp(lo, -e), ae + be + e
+
+
+def loop_log_norms(driver, v, ks, trial=0, width=1):
     """[(log ||w||, E)] for each k, each from its own run of k steps from
-    v that rescales w by a power of two after every step and sums the
+    v that rescales w by a power of two after every block and sums the
     exponents as an integer E, so that log ||A(k) v|| = log ||w|| + E log 2.
-    :func:`horoflow.lyapunov._log_norms`, which rescales once a block and
-    reads one run at every checkpoint, must agree bit for bit.  A zero or
-    non-finite largest modulus is a rescaling fault at its step."""
+
+    With width 1, the old per-step loop: every step is one matvec.  A
+    larger width runs the first k // width full blocks of width steps one
+    block at a time, each as hi @ w + lo @ w from its
+    :func:`_block_product`, and the rest of the k steps one at a time.
+    :func:`horoflow.lyapunov._log_norms`, which forms every block at once
+    and reads one run at every checkpoint, must agree bit for bit at its
+    run's width (:func:`row_block_width`).  A zero or non-finite largest
+    modulus after a step is a rescaling fault at that step."""
     out = []
+    products = {}       # block start -> its product, shared by the runs
     for k in ks:
+        gs = [np.asarray(a, dtype=float) for a in elements(driver, trial, k)]
         w, total = np.asarray(v, dtype=float), 0
-        for step, a in enumerate(elements(driver, trial, k), start=1):
-            w = np.asarray(a, dtype=float) @ w
+        full = k // width * width if width > 1 else 0
+        for b in range(0, full, width):
+            if b not in products:
+                products[b] = _block_product(gs[b:b + width])
+            hi, lo, e = products[b]
+            w, f = _pow2_rescale(hi @ w + lo @ w)
+            total += e + f
+        for step, a in enumerate(gs[full:], start=full + 1):
+            w = a @ w
             top = float(np.max(np.abs(w)))
             if not (math.isfinite(top) and top > 0.0):
                 raise FloatingPointError(f"rescaling fault at step {step}")
@@ -952,14 +1054,16 @@ def loop_log_norms(driver, v, ks, trial=0):
     return out
 
 
-def loop_growth_rates(driver, v, ks, trial=0):
-    """(1/k) log ||A(k) v|| for each k from :func:`loop_log_norms` started
-    at v rescaled to w_0: the rate is (log ||w|| - log ||w_0|| + E log 2) / k.
-    :func:`horoflow.lyapunov._growth_rates` must agree bit for bit."""
+def loop_growth_rates(driver, v, ks, trial=0, width=1):
+    """(1/k) log ||A(k) v|| for each k from :func:`loop_log_norms` at the
+    given width, started at v rescaled to w_0: the rate is
+    (log ||w|| - log ||w_0|| + E log 2) / k.
+    :func:`horoflow.lyapunov._growth_rates` must agree bit for bit at its
+    run's width; width 1 is the old per-step kernel."""
     w0, _ = _pow2_rescale(np.asarray(v, dtype=float))
     log0 = math.log(math.hypot(*w0.tolist()))
     return [(log_w - log0 + total * math.log(2.0)) / k
-            for (log_w, total), k in zip(loop_log_norms(driver, w0, ks, trial), ks)]
+            for (log_w, total), k in zip(loop_log_norms(driver, w0, ks, trial, width), ks)]
 
 
 def sqrt_loop_growth_rates(driver, v, ks, trial=0):

@@ -98,8 +98,7 @@ def test_criterion_05_two_estimator_agreement(capsys):
             np.array([[1.0, 1.0], [1.0, 2.0]]))
     drv = ErgodicDriver(seed=3, maps=pair, weights=(0.5, 0.5))
     n, trials = 10_000, 100
-    qr_top = np.array([qr_spectrum(drv, 2, n, trial=t).exponents[0]
-                       for t in range(trials)])
+    qr_top = qr_spectrum(drv, 2, n, range(trials)).exponents[:, 0]
     v0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     maps, idx = drv.draw(range(trials), n)
     mc = _growth_rates(maps, idx, np.tile(v0, (trials, 1)), [n])[:, 0]
@@ -157,7 +156,7 @@ def test_criterion_07_segal_sweep(capsys):
 
 def _relu_bias_drift(seed: int, n: int, trials: int):
     # trial t draws each layer's bias from {0.5, 1.5} on its own stream
-    w, _ = spectral_normalize(np.eye(1))
+    w = spectral_normalize(np.eye(1))
     support = np.array([0.5, 1.5])
     biases = np.array([support[trial_rng(seed, t).integers(2, size=n)]
                        for t in range(trials)])[:, :, None]
@@ -174,7 +173,7 @@ def test_criterion_08_resnet_drift(capsys):
     # tanh chains: ||v_hat|| <= sqrt(d)/n without any tolerance
     rng = trial_rng(1, 0)
     d, n, trials = 3, 100, 10
-    w, _ = spectral_normalize(rng.normal(size=(d, d)))
+    w = spectral_normalize(rng.normal(size=(d, d)))
     biases = np.array([trial_rng(1, t).normal(size=(n, d)) for t in range(trials)])
     tanh_rep = resnet_drift(w, "tanh", biases, rng.normal(size=d), n, trials)
     tanh_ok = bool(np.all(np.linalg.norm(tanh_rep.v_hat, axis=1) <= math.sqrt(d) / n))

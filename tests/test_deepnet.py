@@ -8,7 +8,7 @@ import pytest
 from horoflow.cli import EXPERIMENTS, _run_resnet_drift
 from horoflow.cocycle import ErgodicDriver, constant_driver
 from horoflow.core import DegenerateInputError
-from horoflow.deepnet import (LayerMap, NormConstraintError, apply_chain,
+from horoflow.deepnet import (LayerMap, NormConstraintError, _operator_norm, apply_chain,
                               jacobian_cocycle_dist, lipschitz_profile,
                               make_layer, max_stretch, resnet_drift,
                               spectral_normalize)
@@ -17,30 +17,30 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError,
                              mobius_circle_map, rotation_circle_map,
                              sine_circle_map)
 
-from oracles import (elements, loop_jacobian_cocycle, loop_lipschitz_profile,
-                     loop_max_stretch, loop_resnet_drift, mean_v_hat, operator_norm_svd,
-                     sampled_draws)
+from oracles import (complex_mobius_circle_map, elements, loop_jacobian_cocycle,
+                     loop_lipschitz_profile, loop_max_stretch, loop_resnet_drift, mean_v_hat,
+                     mp_mobius_cocycle, operator_norm_svd, sampled_draws)
 
 
 # ---------------------------------------------------------------------------
 # Spectral normalization and layers
 
 def test_spectral_normalize_matches_svd():
-    # the certified norm is the SVD norm to within a few ulps, so no
+    # the norm it divides by is the SVD norm to within a few ulps, so no
     # normalized weight expands by more than 8 eps
     eps = np.finfo(float).eps
     rng = trial_rng(31, 0)
     for _ in range(50):
         w = rng.normal(size=(5, 5))
-        w2, cert = spectral_normalize(w)
-        true = operator_norm_svd(w)
+        w2 = spectral_normalize(w)
+        norm, true = _operator_norm(w), operator_norm_svd(w)
+        assert abs(norm - true) <= 8 * eps * true
         assert operator_norm_svd(w2) <= 1.0 + 8 * eps
-        if true > 1.0:
-            assert cert == 1.0
+        if norm > 1.0:
+            assert np.array_equal(w2, w / norm)
             assert operator_norm_svd(w2) >= 1.0 - 8 * eps
         else:
             assert np.array_equal(w2, w)
-            assert abs(cert - true) <= 8 * eps * true
 
 
 def test_spectral_normalize_rejects_nonfinite():
@@ -66,7 +66,7 @@ def test_apply_chain_puts_first_layer_outermost():
 
 def test_layer_forms():
     # T(x) = W^T act(Wx + b) at a point, and at each column of a stack
-    w, _ = spectral_normalize(np.array([[0.6, 0.2], [0.1, 0.5]]))
+    w = spectral_normalize(np.array([[0.6, 0.2], [0.1, 0.5]]))
     b = np.array([0.3, -0.2])
     x = np.array([1.0, 2.0])
     layer = make_layer(w, b, "tanh")
@@ -86,7 +86,7 @@ def _relu_biases(seed, n, trials, d=1):
 
 
 def test_resnet_drift_matches_apply_chain():
-    w, _ = spectral_normalize(np.eye(1))
+    w = spectral_normalize(np.eye(1))
     biases = _relu_biases(2, 7, 3)
     rep = resnet_drift(w, "relu", biases, np.zeros(1), 7, 3)
     for t in range(3):
@@ -100,7 +100,7 @@ def test_batched_drift_equals_the_trial_loop(activation, d):
     # every trial stepped at once gives the one-trial loop's values exactly
     rng = trial_rng(12, d)
     n, trials = 40, 5
-    w, _ = spectral_normalize(rng.normal(size=(d, d)))
+    w = spectral_normalize(rng.normal(size=(d, d)))
     biases = rng.normal(size=(trials, n, d))
     x0 = rng.normal(size=d)
     rep = resnet_drift(w, activation, biases, x0, n, trials)
@@ -112,7 +112,7 @@ def test_batched_drift_equals_the_trial_loop(activation, d):
 
 
 def test_drift_mean_for_relu_bias_chain():
-    w, _ = spectral_normalize(np.eye(1))
+    w = spectral_normalize(np.eye(1))
     rep = resnet_drift(w, "relu", _relu_biases(5, 500, 20), np.zeros(1), 500, 20)
     # mean bias is 1 and relu(x + b) = x + b along the positive orbit
     assert mean_v_hat(rep)[0] == pytest.approx(1.0, abs=5 * rep.per_coordinate_se[0] + 1e-3)
@@ -122,7 +122,7 @@ def test_drift_mean_for_relu_bias_chain():
 def test_tanh_chain_drift_is_bounded_by_sqrt_d_over_n():
     rng = trial_rng(6, 0)
     d, n, trials = 3, 50, 5
-    w, _ = spectral_normalize(rng.normal(size=(d, d)))
+    w = spectral_normalize(rng.normal(size=(d, d)))
     biases = np.array([trial_rng(1, t).normal(size=(n, d)) for t in range(trials)])
     rep = resnet_drift(w, "tanh", biases, rng.normal(size=d), n, trials)
     assert np.all(np.linalg.norm(rep.v_hat, axis=1) <= math.sqrt(d) / n)
@@ -303,19 +303,39 @@ def test_jacobian_cocycle_equals_the_remainder_loop(label):
     assert got == loop_jacobian_cocycle(drv, 1000, 512)
 
 
+@pytest.mark.parametrize("a", [0.5, -0.3, 0.9])
+def test_mobius_cocycle_against_the_mpmath_iterate(a):
+    # a(k) of the real-arithmetic Mobius map against the 50-digit closed
+    # form of its k-th iterate errs no more than the old complex form's,
+    # over every k.  Only a(k) is gated: a grid point near the repelling
+    # fixed point leaves it threefold a step in any arithmetic, so its own
+    # sum is ill-conditioned
+    n, grid = 1000, 512
+    want = mp_mobius_cocycle(a, n, grid)
+
+    def error(g):
+        rows = jacobian_cocycle_dist(constant_driver(g), n, grid)
+        return max(abs(row[1] - w) for row, w in zip(rows, want))
+
+    assert error(mobius_circle_map(a)) <= error(complex_mobius_circle_map(a))
+
+
 def test_mobius_orbit_reaches_subnormal_angles():
     # the contracting Mobius orbit above takes grid angles below the
-    # smallest normal double, where a remainder is much slower than usual
+    # smallest normal double, where a remainder is much slower than usual,
+    # at some of its 1000 steps (they may reach 0 before the last)
     g = mobius_circle_map(0.5)
     pos = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    subnormal = False
     for _ in range(1000):
         pos = g.f(pos)
-    assert np.any((pos > 0.0) & (pos < np.finfo(float).tiny))
+        subnormal |= bool(np.any((pos > 0.0) & (pos < np.finfo(float).tiny)))
+    assert subnormal
 
 
 @pytest.mark.filterwarnings("error")
 def test_fused_step_equals_the_map_and_its_derivative():
-    # the Mobius map's one call shares e^{i theta} and 1 + a e^{i theta};
+    # the Mobius map's one call shares sin theta and cos theta;
     # the others take the default, deriv and then f.  Checked along the
     # contracting Mobius orbit, whose angles turn subnormal
     pos = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)

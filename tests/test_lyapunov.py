@@ -17,14 +17,14 @@ from horoflow.operator_cone import _fold
 from horoflow.seeding import trial_rng
 
 from oracles import (FixedDraws, elements, fraction_det, lapack_qr_spectrum, loop_growth_rates,
-                     loop_log_norms, mp_growth_rates, mp_qr_spectrum, sampled_draws,
-                     sqrt_loop_growth_rates)
+                     loop_log_norms, mp_growth_rates, mp_qr_spectrum, row_block_width,
+                     sampled_draws, sqrt_loop_growth_rates)
 
 
 def test_diagonal_spectrum_is_exact():
     drv = constant_driver(np.diag([3.0, 1.0, 0.5]))
     est = qr_spectrum(drv, 3, 100)
-    assert np.allclose(est.exponents,
+    assert np.allclose(est.exponents[0],
                        [math.log(3.0), 0.0, -math.log(2.0)], atol=1e-12)
     assert np.max(est.resid) <= 1e-12
 
@@ -34,7 +34,7 @@ def test_conjugated_spectrum_converges():
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     m = q @ np.diag([3.0, 1.0, 0.5]) @ q.T
     est = qr_spectrum(constant_driver(m), 3, 20000)
-    assert np.allclose(est.exponents,
+    assert np.allclose(est.exponents[0],
                        [math.log(3.0), 0.0, -math.log(2.0)], atol=1e-3)
 
 
@@ -44,7 +44,7 @@ def test_spectrum_sum_rule():
     a = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     b = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     drv = ErgodicDriver(seed=4, maps=(a, b), weights=(0.5, 0.5))
-    est = qr_spectrum(drv, 3, 2000, trial=0)
+    est = qr_spectrum(drv, 3, 2000, trials=[0])
     gs = elements(drv, 0, 2000)
     mean_logdet = np.mean([math.log(abs(np.linalg.det(g))) for g in gs])
     assert float(np.sum(est.exponents)) == pytest.approx(mean_logdet, abs=1e-9)
@@ -147,20 +147,35 @@ _COCYCLES = {
 _LN2 = Fraction(decimal.Context(prec=40).ln(2))
 
 
-def _assert_sums_equal_the_loop(drv, dim, n, trial):
-    """Each exponent sum S_j of qr_spectrum is the running-sum loop's log
-    norm and exponent total on the j-th compound of the steps, started at
-    the first basis vector; past dim/2 it is S_dim plus the loop on the
-    (dim-j)-th compound of their inverse transposes, started at the last.
-    The compounds' power-of-two scales count once a step.  The loop steps
-    by the stacks as they are: the kernel's balancing of them by powers
-    of two is exact.  qr_spectrum's exponents and resid, formed
-    from the loop's sums with the same Fraction arithmetic, agree bit for
-    bit."""
+def _run_width(mats, dim, order):
+    """The block width of qr_spectrum's run of the order-th compounds
+    whose drawn steps are mats: the first compounds run with their dual,
+    the inverse transposes, past dim 2, and the middle compound of dim 4
+    runs alone."""
+    if order > 1:
+        return row_block_width(_compound(mats, order)[0])
+    invs = np.linalg.inv(mats)
+    if dim == 2:
+        return row_block_width(mats, invs)
+    return row_block_width(np.concatenate([mats, invs.transpose(0, 2, 1)]),
+                           np.concatenate([invs, mats.transpose(0, 2, 1)]))
+
+
+def _loop_sums(drv, dim, n, trial, width=None):
+    """(ks, sums, want): qr_spectrum's exponent sums S_0 .. S_dim at the
+    tail checkpoints ks of n, and the same sums from the loop.  Each S_j of
+    the loop is its log norm and exponent total on the j-th compound of
+    the steps, started at the first basis vector; past dim/2 it is S_dim
+    plus the loop on the (dim-j)-th compound of their inverse transposes,
+    started at the last.  The compounds' power-of-two scales count once a
+    step.  The loop steps by the stacks as they are: the kernel's
+    balancing of them by powers of two is exact.  It runs at the width of
+    the kernel's run for that compound (:func:`_run_width`), or at the
+    given width; width 1 is the old per-step kernel."""
     maps, idx = drv.draw([trial], n)
     mats = np.asarray(maps, dtype=float)
     ks = tail_checkpoints(n)
-    sums = _exponent_sums(mats, idx, ks)
+    [sums] = _exponent_sums(mats, idx, ks)
     want = [[Fraction(0)] * len(ks)] + [None] * (dim - 1) + [sums[dim]]
     for j in range(1, dim):
         dual = 2 * j > dim
@@ -171,18 +186,35 @@ def _assert_sums_equal_the_loop(drv, dim, n, trial):
         stack, shifts = ((steps, np.zeros(len(steps), dtype=np.int64)) if order == 1
                          else _compound(steps, order))
         start = np.eye(stack.shape[-1])[-1 if dual else 0]
-        pieces = loop_log_norms(FixedDraws(lambda trials, n: (stack, idx[:, :n])), start, ks)
+        pieces = loop_log_norms(FixedDraws(lambda trials, n: (stack, idx[:, :n])), start, ks,
+                                width=width or _run_width(mats[np.unique(idx)], dim, order))
         want[j] = [Fraction(log_w) + (total + int(shifts[idx[0, :k]].sum())) * _LN2
                    + (sums[dim][c] if dual else 0)
                    for c, (k, (log_w, total)) in enumerate(zip(ks, pieces))]
-        assert sums[j] == want[j]
-    rates = np.array([[float((s - r) / k) for s, r, k in zip(want[j + 1], want[j], ks)]
-                      for j in range(dim)])
+    return ks, sums, want
+
+
+def _spectrum(sums, ks):
+    """(exponents, resid) from exponent sums, as qr_spectrum forms them."""
+    rates = np.array([[float((s - r) / k) for s, r, k in zip(sums[j + 1], sums[j], ks)]
+                      for j in range(len(sums) - 1)])
     resid = np.max(np.abs(rates - rates[:, -1:]), axis=1)
     order = np.argsort(-rates[:, -1])
-    got = qr_spectrum(drv, dim, n, trial)
-    assert got.exponents.tolist() == rates[order, -1].tolist()
-    assert got.resid.tolist() == resid[order].tolist()
+    return rates[order, -1], resid[order]
+
+
+def _assert_sums_equal_the_loop(drv, dim, n, trial):
+    """Each exponent sum S_j of qr_spectrum is the block loop's at the
+    kernel's width (:func:`_loop_sums`), and qr_spectrum's exponents and
+    resid, formed from the loop's sums with the same Fraction arithmetic,
+    agree bit for bit."""
+    ks, sums, want = _loop_sums(drv, dim, n, trial)
+    for j in range(1, dim):
+        assert sums[j] == want[j]
+    exponents, resid = _spectrum(want, ks)
+    got = qr_spectrum(drv, dim, n, [trial])
+    assert got.exponents.tolist() == [exponents.tolist()]
+    assert got.resid.tolist() == [resid.tolist()]
 
 
 @pytest.mark.parametrize("label", sorted(_COCYCLES))
@@ -190,6 +222,21 @@ def test_qr_spectrum_equals_the_running_sum_loop(label):
     drv, dim = _COCYCLES[label]
     for n, trial in ((10, 0), (2000, 0), (2000, 3), (20000, 1)):
         _assert_sums_equal_the_loop(drv, dim, n, trial)
+
+
+@pytest.mark.parametrize("label", ["diag", "random_pair_3", "rotation", "sl2_pair"])
+def test_each_trial_of_a_spectrum_batch_equals_its_one_trial_call(label):
+    # a driver with a finite set of maps: every trial's rows run at one
+    # block width, so a batch of trials gives each its own call's bits
+    drv, dim = _COCYCLES[label]
+    for n in (10, 2000):
+        batch = qr_spectrum(drv, dim, n, [3, 0, 1])
+        for row, trial in enumerate([3, 0, 1]):
+            one = qr_spectrum(drv, dim, n, [trial])
+            assert batch.exponents[row].tolist() == one.exponents[0].tolist()
+            assert batch.resid[row].tolist() == one.resid[0].tolist()
+    with pytest.raises(DegenerateInputError, match="^trials must be nonempty$"):
+        qr_spectrum(drv, dim, 100, [])
 
 
 @pytest.mark.parametrize("diag", [[1e-7, 1e-7], [1e-301, 1e-301], [1e-301, 1e301]])
@@ -201,16 +248,21 @@ def test_qr_spectrum_equals_the_loop_at_tiny_and_huge_scales(diag):
 @pytest.mark.parametrize("label", sorted(_COCYCLES) + ["diag_wide"])
 def test_qr_spectrum_error_is_at_most_the_lapack_loops(label):
     # against 50-digit Gram-Schmidt QR of the same factors, the exponents
-    # read from exact sums err no more than the LAPACK loop's running sums
+    # read from exact sums err no more than the LAPACK loop's running sums,
+    # nor than the same sums from rows stepped one matmul a step (the block
+    # loop at width 1, the kernel before it stepped by block products)
     drv, dim = ((constant_driver(np.diag([1e-301, 1e301])), 2) if label == "diag_wide"
                 else _COCYCLES[label])
     n = 2000
     want = mp_qr_spectrum(drv, dim, n)
 
-    def error(est):
-        return max(abs(g - w) for g, w in zip(est.exponents.tolist(), want))
+    def error(exponents):
+        return max(abs(g - w) for g, w in zip(exponents.tolist(), want))
 
-    assert error(qr_spectrum(drv, dim, n)) <= error(lapack_qr_spectrum(drv, dim, n))
+    new = error(qr_spectrum(drv, dim, n).exponents[0])
+    ks, _, per_step = _loop_sums(drv, dim, n, 0, width=1)
+    assert new <= error(lapack_qr_spectrum(drv, dim, n).exponents[0])
+    assert new <= error(_spectrum(per_step, ks)[0])
 
 
 def test_diagonal_exponents_are_the_logs_of_the_entries():
@@ -220,9 +272,9 @@ def test_diagonal_exponents_are_the_logs_of_the_entries():
     # at most 2.8e-17, and of the 3^k row's steps, about 1e-18
     for n in (10, 1000, 100000):
         assert qr_spectrum(constant_driver(np.diag([2.0])), 1, n).exponents.tolist() == \
-            [math.log(2.0)]
-        top, middle, low = qr_spectrum(constant_driver(np.diag([3.0, 1.0, 0.5])), 3,
-                                       n).exponents.tolist()
+            [[math.log(2.0)]]
+        [[top, middle, low]] = qr_spectrum(constant_driver(np.diag([3.0, 1.0, 0.5])), 3,
+                                           n).exponents.tolist()
         assert (top, low) == (math.log(3.0), math.log(0.5))
         assert abs(middle) <= math.ulp(math.log(3.0)) / 4
 
@@ -231,7 +283,7 @@ def test_sl2_pair_exponents_sum_to_zero():
     # both steps have determinant 1, whose log is exactly 0, so the second
     # exponent is the first negated
     for n, trial in ((10, 0), (2000, 1), (20000, 2)):
-        top, low = qr_spectrum(_SL2_PAIR, 2, n, trial).exponents.tolist()
+        [[top, low]] = qr_spectrum(_SL2_PAIR, 2, n, [trial]).exponents.tolist()
         assert top + low == 0.0
 
 
@@ -353,8 +405,10 @@ def test_one_run_growth_rates_equal_separate_runs(label):
         maps, idx = drv.draw(range(6), ks[-1])
         V = rng.normal(size=(12, dim))
         got = _growth_rates(maps, np.repeat(idx, 2, axis=0), V, ks)
+        # the run's block width, from every matrix it draws
+        width = row_block_width(np.asarray(maps, dtype=float)[np.unique(idx)])
         for r, v in enumerate(V):
-            assert got[r].tolist() == loop_growth_rates(drv, v, ks, trial=r // 2)
+            assert got[r].tolist() == loop_growth_rates(drv, v, ks, r // 2, width)
 
 
 def _loop_clusters(half, rates):
@@ -376,7 +430,8 @@ def test_filtration_probe_rates_equal_the_two_run_loop():
         dim = len(A)
         probes = [np.eye(dim)[i] for i in range(dim)] + [np.ones(dim)]
         rep = filtration_probe(A, probes, 1000)
-        half, rates = zip(*(loop_growth_rates(constant_driver(A), p, [500, 1000])
+        half, rates = zip(*(loop_growth_rates(constant_driver(A), p, [500, 1000],
+                                              width=row_block_width(A[None]))
                             for p in probes))
         assert rep.rates.tolist() == list(rates)
         assert rep.clusters == _loop_clusters(half, rates)
@@ -389,7 +444,9 @@ def _errors(got, want):
 @pytest.mark.parametrize("label", sorted(_COCYCLES) + ["diag_2_half"])
 def test_growth_rate_error_is_at_most_the_sqrt_loops(label):
     # against a 50-digit product, the power-of-two kernel errs no more than
-    # the older loop that divides by sqrt(w^T w) every step and sums logs
+    # the older loop that divides by sqrt(w^T w) every step and sums logs,
+    # nor than the per-step loop (one matvec a step, the kernel before it
+    # stepped by block products)
     if label == "diag_2_half":      # filtration-probe's benchmark call
         drv, dim, ks = constant_driver(np.diag([2.0, 0.5])), 2, [6250, 12500]
         V = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -398,12 +455,14 @@ def test_growth_rate_error_is_at_most_the_sqrt_loops(label):
         V = trial_rng(31, 0).normal(size=(2, dim)).tolist()
     maps, idx = drv.draw([0], ks[-1])
     got = _growth_rates(maps, idx, V, ks)
-    new = old = 0.0
+    new = old = step = 0.0
     for row, v in zip(got, V):
         want = mp_growth_rates(drv, v, ks)
         new = max(new, *_errors(row, want))
         old = max(old, *_errors(sqrt_loop_growth_rates(drv, v, ks), want))
+        step = max(step, *_errors(loop_growth_rates(drv, v, ks), want))
     assert new <= old
+    assert new <= step
 
 
 def test_growth_rates_do_not_see_a_power_of_two_on_the_start():
