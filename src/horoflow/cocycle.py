@@ -260,8 +260,7 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
 # every node: the disk walk still beats its step loop this way (see
 # tests/test_cocycle.py), several times faster than in double-double.
 
-# (trial, step) matrices gathered at once; bounds the temporaries.  Also
-# the steps a lyapunov kernel runs between two rescaling-fault checks
+# (trial, step) matrices gathered at once; bounds the temporaries
 _PRODUCT_BLOCK = 1 << 12
 
 

@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from ._exact import _aligned, _balanced, _dd_det, _halves, _pow2_normalize
-from .cocycle import (_PRODUCT_BLOCK, ErgodicDriver, check_steps, pairwise_product,
-                      screen_invertible, tail_checkpoints)
+from .cocycle import (ErgodicDriver, check_steps, pairwise_product, screen_invertible,
+                      tail_checkpoints)
 from .core import DegenerateInputError
 
 _LOG2 = math.log(2.0)
@@ -203,6 +203,22 @@ def _compound(a, j):
     return np.ldexp(hi, _aligned(e, s[:, None, None])), s
 
 
+def _block_widths(mats, invs):
+    """The block width each matrix of the balanced (m, d, d) stack mats,
+    with its inverse in invs, allows :func:`_log_norms`: the largest power
+    of two w at most ``_ROW_BLOCK`` with w log2(bound) <= 480, bound the
+    larger infinity norm of the matrix and of its inverse (at least 2), or
+    1 where w = 2 breaks that.  An undrawn matrix (nan inverse) allows
+    ``_ROW_BLOCK``.  Returns an (m,) integer array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.maximum(np.abs(mats).sum(axis=-1).max(axis=-1),
+                           np.abs(invs).sum(axis=-1).max(axis=-1))
+        reach = 480.0 // np.log2(np.maximum(bound, 2.0))
+    reach = np.clip(np.nan_to_num(reach, nan=_ROW_BLOCK), 1, _ROW_BLOCK)
+    # log2 of a power of two is exact, so the cast floors to its exponent
+    return np.left_shift(1, np.log2(reach).astype(np.int64))
+
+
 def _log_norms(mats, invs, idx, w, ks):
     """(logs, exps): run the rows of the (rows, d, 1) stack w to each
     ascending checkpoint k, and return, as (rows, len(ks)) arrays, the log
@@ -215,32 +231,37 @@ def _log_norms(mats, invs, idx, w, ks):
 
     The matrices are first balanced against their inverses by exact powers
     of two (:func:`_balanced`), whose exponents count once a step.  The
-    steps are then cut into blocks of ``width`` steps, aligned to absolute
-    step numbers, and every full block of every idx row is multiplied at
-    once in double-double (:func:`pairwise_product`, later steps on the
-    left); rows that share an idx row share its block products.  A row
-    steps a block at a time, by the block's hi part and then its lo part
-    (skipped where every lo part is zero), and is rescaled after each
-    block by the power of two that puts its largest modulus in [0.5, 1);
-    the exponents taken out are summed exactly as integers.  A checkpoint
-    inside a block is read from a copy of the row at the block's start,
-    stepped one matrix at a time: so every value depends only on k, and
-    one run read at many checkpoints equals separate runs bit for bit.
+    steps are then cut into blocks of ``_ROW_BLOCK`` steps, aligned to
+    absolute step numbers.  Each idx row's block is cut again into aligned
+    sub-blocks of the width its own matrices allow (the smallest
+    :func:`_block_widths` among them), and every sub-block of width 2 or
+    more of every idx row is multiplied at once in double-double
+    (:func:`pairwise_product`, later steps on the left); rows that share
+    an idx row share its products.  A block whose rows all have width 1 is
+    stepped one matrix at a time (:func:`_steps`).  Any other block steps
+    its rows one sub-block at a time, by the hi part and then the lo part
+    (skipped where every lo part is zero), a sub-block of width 1 by its
+    matrix; a row cut into fewer sub-blocks than another row of the run
+    steps by the identity once it has taken its own.  The row is rescaled
+    after each sub-block by the power of two that puts its largest
+    modulus in [0.5, 1), and the exponents taken out are summed exactly
+    as integers.
+    A checkpoint inside a block is read from a copy of the row at the
+    block's start, stepped one matrix at a time.  So every value at k
+    depends only on its own row's first k steps: one run read at many
+    checkpoints equals separate runs, and a row of a batch equals its run
+    alone, bit for bit.  (The rescalings are exact, so where they fall
+    changes no bit unless an entry of a row is subnormal.)
 
-    ``width`` is ``_ROW_BLOCK``, or the largest power of two below it
-    whose block product, normalized to a largest modulus in [0.5, 1), has
-    a condition number of at most 2^960: width times log2 of the largest
-    infinity norm of a balanced drawn matrix or of its inverse is at most
-    480.  No row can then leave the double range or reach the subnormals
-    in a block, so a block cannot fault.  Where that leaves width 1 (a
-    matrix whose norm, or whose inverse's, is past 2^480), the rows step
-    one matrix at a time (:func:`_steps`), rescaled once a span of steps
-    as the old range rule allows (span times that log2 at most 960), as a
-    checkpoint's copy is.  A row whose largest modulus is zero or past the
-    double range after a rescaling is a rescaling fault at the last step
-    it took.  Only a single step can fault (one whose matrix norm, or
-    whose inverse's, is past 2^960, as spans shorten to one step), so the
-    step named is exact.
+    The width rule bounds a normalized sub-block product's condition
+    number by 2^960, so no row can leave the double range or reach the
+    subnormals in a sub-block of width 2 or more.  A row stepped one
+    matrix at a time is rescaled once a span of steps as the width rule
+    allows (span times log2 of the bound at most 480).  A row whose
+    largest modulus is zero or past the double range after a rescaling is
+    a rescaling fault at the last step it took.  Only a single step can
+    fault (one whose matrix norm, or whose inverse's, is past 2^960, as
+    spans shorten to one step), so the step named is exact.
     """
     drawn = ~np.isnan(invs[:, 0, 0])    # an undrawn matrix's inverse is nan
     mats, invs, shifts = _balanced(mats, invs)
@@ -251,49 +272,70 @@ def _log_norms(mats, invs, idx, w, ks):
     shift_sums = np.zeros((1, len(ks)), dtype=np.int64)
     if shifts.any():
         shift_sums = np.cumsum(shifts[idx], axis=1)[:, np.asarray(ks) - 1]
-    with np.errstate(over="ignore"):
-        bound = max(float(np.abs(mats[drawn]).sum(axis=-1).max()),
-                    float(np.abs(invs[drawn]).sum(axis=-1).max()), 2.0)
-    width = 1 << max(min(int(480 // math.log2(bound)), _ROW_BLOCK), 1).bit_length() - 1
-    steps = idx.T
-    span = min(max(int(960 // math.log2(bound)), 1), max(_PRODUCT_BLOCK // steps.shape[1], 1))
+    widths = _block_widths(mats, invs)
     rows, sets, d = len(w), len(idx), w.shape[1]
-    blocks = ks[-1] // width if width > 1 else 0
-    # per block, the (sets, d, d) hi and lo parts, and the running sums of
-    # the block products' exponents, a zero row first
-    hi = lo = None
-    e_sums = np.zeros((1, sets), dtype=np.int64)
-    if blocks:
-        hi, lo, e = pairwise_product(mats, idx[:, :blocks * width].reshape(-1, width),
-                                     later_left=True)
-        hi, lo = (np.ascontiguousarray(x.reshape(sets, blocks, d, d).swapaxes(0, 1))
-                  for x in (hi, lo))
-        lo = lo if lo.any() else None
-        e_sums = np.concatenate([e_sums, np.cumsum(e.reshape(sets, blocks).T, axis=0)])
+    size, blocks = _ROW_BLOCK, ks[-1] // _ROW_BLOCK
+    # cut[s, b]: the sub-block width of idx row s in block b, from the
+    # block's own matrices (a gather skipped where every drawn matrix
+    # allows one width)
+    used = widths[drawn]
+    if used.min() == used.max():
+        cut = np.full((sets, blocks), used[0])
+    else:
+        cut = widths[idx[:, :blocks * size]].reshape(sets, blocks, size).min(axis=2)
+    single = cut.min(axis=0, initial=size) == 1     # a width-1 sub-block may fault
+    stepped = cut.max(axis=0, initial=0) == 1       # every row steps one matrix a step
+    # the sub-blocks of the blocks not stepped, from offsets[b] to offsets[b + 1]
+    offsets = np.concatenate([[0], np.cumsum(np.where(stepped, 0, size // cut.min(
+        axis=0, initial=size)))])
+    hi = np.empty((offsets[-1], sets, d, d))
+    hi[:] = np.eye(d)
+    lo = np.zeros_like(hi)
+    e_block = np.zeros((blocks, sets), dtype=np.int64)
+    for width in np.unique(cut[:, ~stepped]).tolist():
+        s, b = np.nonzero((cut == width) & ~stepped)
+        per = size // width
+        segs = idx[s[:, None], (b * size)[:, None] + np.arange(size)].reshape(-1, width)
+        at = (offsets[b][:, None] + np.arange(per), s[:, None])
+        if width == 1:
+            hi[at] = mats[segs].reshape(len(s), per, d, d)
+            continue
+        p_hi, p_lo, e = pairwise_product(mats, segs, later_left=True)
+        hi[at], lo[at] = (x.reshape(len(s), per, d, d) for x in (p_hi, p_lo))
+        e_block[b, s] = e.reshape(len(s), per).sum(axis=1)
+    lo = lo if lo.any() else None
+    offsets, single, stepped = offsets.tolist(), single.tolist(), stepped.tolist()
+    # e_sums[b]: the products' exponents over the first b blocks
+    e_sums = np.concatenate([np.zeros((1, sets), dtype=np.int64), np.cumsum(e_block, axis=0)])
+    steps = idx.T
     total = np.zeros(rows, dtype=np.int64)
     logs = np.empty((rows, len(ks)))
     exps = np.empty((rows, len(ks)), dtype=np.int64)
     # every step writes into the other buffer, then the two swap
     u, t = np.empty_like(w), np.empty_like(w)
-    pos = done = 0      # the steps, and the full blocks, the rows have taken
+    done = 0        # the full blocks the rows have taken
     with np.errstate(all="ignore"):
         for j, k in enumerate(ks):
-            if width == 1:
-                w, u, taken = _steps(mats, steps[pos:k], w, u, span, pos)
-                total += taken
-                pos = k
-            else:
-                for b in range(done, k // width):
-                    np.matmul(hi[b], w, out=u)
+            for b in range(done, k // size):
+                if stepped[b]:
+                    w, u, taken = _steps(mats, steps[b * size:(b + 1) * size], w, u, 1, b * size)
+                    total += taken
+                    continue
+                for i in range(offsets[b], offsets[b + 1]):
+                    np.matmul(hi[i], w, out=u)
                     if lo is not None:
-                        u += np.matmul(lo[b], w, out=t)
+                        u += np.matmul(lo[i], w, out=t)
                     w, u = u, w
                     w, taken = _pow2_normalize(w, (1, 2), out=w)
                     total += taken
-                done = k // width
-                pos = done * width
-            row, side = w, 0
+                    # a row of width-1 sub-blocks steps one matrix a sub-block
+                    if single[b] and not all(taken.tolist()):
+                        check_steps(np.abs(w).max(axis=(1, 2))[None],
+                                    b * size + i - offsets[b] + 1)
+            done = k // size
+            row, side, pos = w, 0, done * size
             if pos < k:     # the checkpoint lies inside a block
+                span = int(widths[steps[pos:k]].min())
                 row, _, side = _steps(mats, steps[pos:k], w.copy(), np.empty_like(w), span, pos)
             # math.log, not np.log: numpy's SIMD log can differ in the last bit
             logs[:, j] = [math.log(math.hypot(*r)) for r in row[:, :, 0].tolist()]

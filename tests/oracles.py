@@ -48,7 +48,7 @@ from horoflow.cocycle import _dist_origin, geometric_checkpoints, summarize_tria
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, MetricDomainError, WeakMetricSpace)
 from horoflow.deepnet import ACTIVATIONS, StretchReport
-from horoflow.lyapunov import _ROW_BLOCK, SpectrumEstimate
+from horoflow.lyapunov import _ROW_BLOCK, SpectrumEstimate, _block_widths
 from horoflow.operator_cone import SymmetryError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (_TWO_PI, CircleMap, NotDiffeomorphismError, _disk_rooms,
@@ -982,22 +982,14 @@ def _pow2_rescale(w):
     return np.ldexp(w, -e), e
 
 
-def row_block_width(mats, invs=None):
-    """The block width :func:`horoflow.lyapunov._log_norms` gives a run
-    whose drawn matrices are the stack mats, with inverses invs (by
-    default ``np.linalg.inv``): the largest power of two w at most
-    ``_ROW_BLOCK`` with w log2(bound) <= 480, bound the largest infinity
-    norm of a matrix or of its inverse once the two are balanced by a
-    power of two (:func:`horoflow._exact._balanced`), and at least 2."""
-    mats = np.asarray(mats, dtype=float)
+def kernel_widths(maps, invs=None):
+    """The block width :func:`horoflow.lyapunov._log_norms` gives each of
+    the maps, with inverses invs (by default ``np.linalg.inv``), once the
+    two are balanced by a power of two as the kernel balances them
+    (:func:`horoflow.lyapunov._block_widths`)."""
+    mats = np.asarray(maps, dtype=float)
     a, inv, _ = _balanced(mats, np.linalg.inv(mats) if invs is None else invs)
-    with np.errstate(over="ignore"):
-        bound = max(float(np.abs(a).sum(axis=-1).max()),
-                    float(np.abs(inv).sum(axis=-1).max()), 2.0)
-    width = 1
-    while 2 * width <= _ROW_BLOCK and 2 * width * math.log2(bound) <= 480:
-        width *= 2
-    return width
+    return _block_widths(a, inv)
 
 
 def _block_product(mats):
@@ -1018,52 +1010,69 @@ def _block_product(mats):
     return hi, np.ldexp(lo, -e), ae + be + e
 
 
-def loop_log_norms(driver, v, ks, trial=0, width=1):
+def loop_log_norms(driver, v, ks, trial=0, widths=None):
     """[(log ||w||, E)] for each k, each from its own run of k steps from
     v that rescales w by a power of two after every block and sums the
     exponents as an integer E, so that log ||A(k) v|| = log ||w|| + E log 2.
 
-    With width 1, the old per-step loop: every step is one matvec.  A
-    larger width runs the first k // width full blocks of width steps one
-    block at a time, each as hi @ w + lo @ w from its
-    :func:`_block_product`, and the rest of the k steps one at a time.
+    Without widths, the old per-step loop: every step is one matvec.  With
+    widths, a function from the maps the run draws to each one's block
+    width (:func:`kernel_widths`), the first k // ``_ROW_BLOCK`` aligned
+    blocks of ``_ROW_BLOCK`` steps run one at a time, each cut into
+    sub-blocks of the smallest width among its own steps.  A sub-block of
+    width 1 is one matvec, any other hi @ w + lo @ w from its
+    :func:`_block_product`; the rest of the k steps run one at a time.
     :func:`horoflow.lyapunov._log_norms`, which forms every block at once
-    and reads one run at every checkpoint, must agree bit for bit at its
-    run's width (:func:`row_block_width`).  A zero or non-finite largest
-    modulus after a step is a rescaling fault at that step."""
+    and reads one run, or a batch of runs, at every checkpoint, must agree
+    bit for bit.  A zero or non-finite largest modulus after a step is a
+    rescaling fault at that step."""
     out = []
-    products = {}       # block start -> its product, shared by the runs
+    products = {}       # (start, width) -> the sub-block's product, shared by the runs
     for k in ks:
-        gs = [np.asarray(a, dtype=float) for a in elements(driver, trial, k)]
-        w, total = np.asarray(v, dtype=float), 0
-        full = k // width * width if width > 1 else 0
-        for b in range(0, full, width):
-            if b not in products:
-                products[b] = _block_product(gs[b:b + width])
-            hi, lo, e = products[b]
-            w, f = _pow2_rescale(hi @ w + lo @ w)
-            total += e + f
-        for step, a in enumerate(gs[full:], start=full + 1):
+        maps, [idx] = driver.draw([trial], k)
+        gs = [np.asarray(maps[i], dtype=float) for i in idx]
+        w, total, step = np.asarray(v, dtype=float), 0, 0
+
+        def matvec(a):
+            nonlocal w, total
             w = a @ w
             top = float(np.max(np.abs(w)))
             if not (math.isfinite(top) and top > 0.0):
                 raise FloatingPointError(f"rescaling fault at step {step}")
             w, e = _pow2_rescale(w)
             total += e
+
+        if widths is not None:
+            ws = np.asarray(widths(maps))[idx].tolist()
+            for b in range(0, k // _ROW_BLOCK * _ROW_BLOCK, _ROW_BLOCK):
+                width = min(ws[b:b + _ROW_BLOCK])
+                for start in range(b, b + _ROW_BLOCK, width):
+                    step = start + width
+                    if width == 1:
+                        matvec(gs[start])
+                        continue
+                    if (start, width) not in products:
+                        products[start, width] = _block_product(gs[start:step])
+                    hi, lo, e = products[start, width]
+                    w, f = _pow2_rescale(hi @ w + lo @ w)
+                    total += e + f
+        for step, a in enumerate(gs[step:], start=step + 1):
+            matvec(a)
         out.append((math.log(math.hypot(*w.tolist())), total))
     return out
 
 
-def loop_growth_rates(driver, v, ks, trial=0, width=1):
-    """(1/k) log ||A(k) v|| for each k from :func:`loop_log_norms` at the
-    given width, started at v rescaled to w_0: the rate is
+def loop_growth_rates(driver, v, ks, trial=0, widths=None):
+    """(1/k) log ||A(k) v|| for each k from :func:`loop_log_norms` with the
+    given widths, started at v rescaled to w_0: the rate is
     (log ||w|| - log ||w_0|| + E log 2) / k.
-    :func:`horoflow.lyapunov._growth_rates` must agree bit for bit at its
-    run's width; width 1 is the old per-step kernel."""
+    :func:`horoflow.lyapunov._growth_rates` must agree bit for bit with the
+    kernel's widths (:func:`kernel_widths`); without widths this is the
+    old per-step kernel."""
     w0, _ = _pow2_rescale(np.asarray(v, dtype=float))
     log0 = math.log(math.hypot(*w0.tolist()))
     return [(log_w - log0 + total * math.log(2.0)) / k
-            for (log_w, total), k in zip(loop_log_norms(driver, w0, ks, trial, width), ks)]
+            for (log_w, total), k in zip(loop_log_norms(driver, w0, ks, trial, widths), ks)]
 
 
 def sqrt_loop_growth_rates(driver, v, ks, trial=0):

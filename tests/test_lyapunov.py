@@ -17,7 +17,7 @@ from horoflow.operator_cone import _fold
 from horoflow.seeding import trial_rng
 
 from oracles import (FixedDraws, elements, fraction_det, lapack_qr_spectrum, loop_growth_rates,
-                     loop_log_norms, mp_growth_rates, mp_qr_spectrum, row_block_width,
+                     kernel_widths, loop_log_norms, mp_growth_rates, mp_qr_spectrum,
                      sampled_draws, sqrt_loop_growth_rates)
 
 
@@ -147,21 +147,7 @@ _COCYCLES = {
 _LN2 = Fraction(decimal.Context(prec=40).ln(2))
 
 
-def _run_width(mats, dim, order):
-    """The block width of qr_spectrum's run of the order-th compounds
-    whose drawn steps are mats: the first compounds run with their dual,
-    the inverse transposes, past dim 2, and the middle compound of dim 4
-    runs alone."""
-    if order > 1:
-        return row_block_width(_compound(mats, order)[0])
-    invs = np.linalg.inv(mats)
-    if dim == 2:
-        return row_block_width(mats, invs)
-    return row_block_width(np.concatenate([mats, invs.transpose(0, 2, 1)]),
-                           np.concatenate([invs, mats.transpose(0, 2, 1)]))
-
-
-def _loop_sums(drv, dim, n, trial, width=None):
+def _loop_sums(drv, dim, n, trial, per_step=False):
     """(ks, sums, want): qr_spectrum's exponent sums S_0 .. S_dim at the
     tail checkpoints ks of n, and the same sums from the loop.  Each S_j of
     the loop is its log norm and exponent total on the j-th compound of
@@ -169,9 +155,10 @@ def _loop_sums(drv, dim, n, trial, width=None):
     plus the loop on the (dim-j)-th compound of their inverse transposes,
     started at the last.  The compounds' power-of-two scales count once a
     step.  The loop steps by the stacks as they are: the kernel's
-    balancing of them by powers of two is exact.  It runs at the width of
-    the kernel's run for that compound (:func:`_run_width`), or at the
-    given width; width 1 is the old per-step kernel."""
+    balancing of them by powers of two is exact.  It runs at the widths
+    the kernel gives the compound's steps against the inverses it pairs
+    them with (:func:`kernel_widths`), or, with per_step, as the old
+    per-step kernel."""
     maps, idx = drv.draw([trial], n)
     mats = np.asarray(maps, dtype=float)
     ks = tail_checkpoints(n)
@@ -186,8 +173,10 @@ def _loop_sums(drv, dim, n, trial, width=None):
         stack, shifts = ((steps, np.zeros(len(steps), dtype=np.int64)) if order == 1
                          else _compound(steps, order))
         start = np.eye(stack.shape[-1])[-1 if dual else 0]
+        # the kernel inverts the dual steps by transposing the steps
+        invs = mats.transpose(0, 2, 1) if dual else None
         pieces = loop_log_norms(FixedDraws(lambda trials, n: (stack, idx[:, :n])), start, ks,
-                                width=width or _run_width(mats[np.unique(idx)], dim, order))
+                                widths=None if per_step else lambda maps: kernel_widths(maps, invs))
         want[j] = [Fraction(log_w) + (total + int(shifts[idx[0, :k]].sum())) * _LN2
                    + (sums[dim][c] if dual else 0)
                    for c, (k, (log_w, total)) in enumerate(zip(ks, pieces))]
@@ -205,7 +194,7 @@ def _spectrum(sums, ks):
 
 def _assert_sums_equal_the_loop(drv, dim, n, trial):
     """Each exponent sum S_j of qr_spectrum is the block loop's at the
-    kernel's width (:func:`_loop_sums`), and qr_spectrum's exponents and
+    kernel's widths (:func:`_loop_sums`), and qr_spectrum's exponents and
     resid, formed from the loop's sums with the same Fraction arithmetic,
     agree bit for bit."""
     ks, sums, want = _loop_sums(drv, dim, n, trial)
@@ -224,14 +213,17 @@ def test_qr_spectrum_equals_the_running_sum_loop(label):
         _assert_sums_equal_the_loop(drv, dim, n, trial)
 
 
-@pytest.mark.parametrize("label", ["diag", "random_pair_3", "rotation", "sl2_pair"])
+@pytest.mark.parametrize("label", sorted(_COCYCLES))
 def test_each_trial_of_a_spectrum_batch_equals_its_one_trial_call(label):
-    # a driver with a finite set of maps: every trial's rows run at one
-    # block width, so a batch of trials gives each its own call's bits
+    # a block's width comes from its own steps, so a batch of trials gives
+    # each its own call's bits, for a fresh matrix a step too; parametric
+    # at n 20000 is a case where trial 1 draws steps that narrow its own
+    # blocks (to 32 steps) and no other trial's
     drv, dim = _COCYCLES[label]
-    for n in (10, 2000):
-        batch = qr_spectrum(drv, dim, n, [3, 0, 1])
-        for row, trial in enumerate([3, 0, 1]):
+    for n, trials in ((10, [3, 0, 1]), (2000, [3, 0, 1]))[:None if label != "parametric" else 2] \
+            + (((20000, [0, 1, 2]),) if label == "parametric" else ()):
+        batch = qr_spectrum(drv, dim, n, trials)
+        for row, trial in enumerate(trials):
             one = qr_spectrum(drv, dim, n, [trial])
             assert batch.exponents[row].tolist() == one.exponents[0].tolist()
             assert batch.resid[row].tolist() == one.resid[0].tolist()
@@ -260,7 +252,7 @@ def test_qr_spectrum_error_is_at_most_the_lapack_loops(label):
         return max(abs(g - w) for g, w in zip(exponents.tolist(), want))
 
     new = error(qr_spectrum(drv, dim, n).exponents[0])
-    ks, _, per_step = _loop_sums(drv, dim, n, 0, width=1)
+    ks, _, per_step = _loop_sums(drv, dim, n, 0, per_step=True)
     assert new <= error(lapack_qr_spectrum(drv, dim, n).exponents[0])
     assert new <= error(_spectrum(per_step, ks)[0])
 
@@ -351,8 +343,8 @@ def test_compound_entries_are_the_minors():
                                   _PRODUCT_BLOCK + 1000])
 def test_a_rescaling_fault_ends_the_run_at_its_block(step):
     # the first entry of [[1e308, 1e308], [0, 1]] (0.99, 0.99) overflows at
-    # the fault's step; a matrix of norm past 2^960 makes every block one
-    # step long, so the fault names its own step
+    # the fault's step; a matrix of norm past 2^960 cuts its own block into
+    # single steps, so the fault names its own step
     end = -(-step // _PRODUCT_BLOCK) * _PRODUCT_BLOCK
     idx = np.zeros((1, end + _PRODUCT_BLOCK), dtype=np.intp)
     idx[0, step - 1] = 1
@@ -405,10 +397,29 @@ def test_one_run_growth_rates_equal_separate_runs(label):
         maps, idx = drv.draw(range(6), ks[-1])
         V = rng.normal(size=(12, dim))
         got = _growth_rates(maps, np.repeat(idx, 2, axis=0), V, ks)
-        # the run's block width, from every matrix it draws
-        width = row_block_width(np.asarray(maps, dtype=float)[np.unique(idx)])
         for r, v in enumerate(V):
-            assert got[r].tolist() == loop_growth_rates(drv, v, ks, r // 2, width)
+            assert got[r].tolist() == loop_growth_rates(drv, v, ks, r // 2, kernel_widths)
+
+
+def test_a_row_cut_to_single_steps_shares_its_block_with_wider_rows():
+    # a matrix of norm 2^400 cuts its own row's block into single steps,
+    # while the other rows of the run take their 64-step products and then
+    # the identity: each row keeps the bits of its own loop, at checkpoints
+    # inside such blocks too, and a fault in one names its step
+    mats = [*_SL2_PAIR.maps, np.diag([2.0 ** 400, 2.0 ** -400])]
+    idx = trial_rng(31, 0).integers(0, 2, size=(3, 1000))
+    idx[1, 70] = idx[2, 500:520] = 2
+    V = np.array([[1.0, 0.5], [0.3, -1.0], [1.0, 1.0]])
+    ks = [100, 517, 1000]
+    got = _growth_rates(mats, idx, V, ks)
+    for r, v in enumerate(V):
+        drv = FixedDraws(lambda trials, n, r=r: (mats, idx[r:r + 1, :n]))
+        assert got[r].tolist() == loop_growth_rates(drv, v, ks, widths=kernel_widths)
+    idx = np.zeros((2, 256), dtype=np.intp)
+    idx[1, 99] = 1
+    with pytest.raises(FloatingPointError, match="^rescaling fault at step 100$"):
+        _growth_rates([np.eye(2), np.array([[1e308, 1e308], [0.0, 1.0]])], idx,
+                      [[0.99, 0.99]] * 2, [256])
 
 
 def _loop_clusters(half, rates):
@@ -431,7 +442,7 @@ def test_filtration_probe_rates_equal_the_two_run_loop():
         probes = [np.eye(dim)[i] for i in range(dim)] + [np.ones(dim)]
         rep = filtration_probe(A, probes, 1000)
         half, rates = zip(*(loop_growth_rates(constant_driver(A), p, [500, 1000],
-                                              width=row_block_width(A[None]))
+                                              widths=kernel_widths)
                             for p in probes))
         assert rep.rates.tolist() == list(rates)
         assert rep.clusters == _loop_clusters(half, rates)
