@@ -210,10 +210,8 @@ def _matrix_driver(cfg) -> ErgodicDriver:
 
 
 def _run_oseledets_spectrum(cfg):
-    driver = _matrix_driver(cfg)
-    dim = np.asarray(driver.maps[0]).shape[0]
-    est = qr_spectrum(driver, dim, cfg["n"], trials=[cfg["trial"]])
-    rows = [(i, est.exponents[0, i], est.resid[0, i]) for i in range(dim)]
+    est = qr_spectrum(_matrix_driver(cfg), cfg["n"], trials=[cfg["trial"]])
+    rows = [(i, e, r) for i, (e, r) in enumerate(zip(est.exponents[0], est.resid[0]))]
     return ["index", "exponent", "resid"], rows
 
 

@@ -159,8 +159,6 @@ def geometric_checkpoints(n: int, count: int = 16, start: int = 1) -> list:
 @dataclass(frozen=True)
 class LyapunovEstimate:
     lambda_hat: float
-    n: int
-    trials: int
     per_trial: np.ndarray
     std_error: float
     tail_slope: float
@@ -195,7 +193,7 @@ def tail_checkpoints(n: int) -> list:
     return geometric_checkpoints(n, count=8, start=max(1, n // 10))
 
 
-def summarize_trials(per_trial: np.ndarray, tail_ks, tail, n: int) -> LyapunovEstimate:
+def summarize_trials(per_trial: np.ndarray, tail_ks, tail) -> LyapunovEstimate:
     """Mean and standard error of the trials' final values; tail holds the
     mean value at each of the checkpoints tail_ks."""
     m = len(per_trial)
@@ -205,11 +203,11 @@ def summarize_trials(per_trial: np.ndarray, tail_ks, tail, n: int) -> LyapunovEs
     mean_dev = math.fsum(dev) / m
     se = math.sqrt(math.fsum((d - mean_dev) ** 2 for d in dev) / (m - 1) / m) \
         if m > 1 else 0.0
-    return LyapunovEstimate(float(per_trial[0] + mean_dev), n, m, per_trial, se,
+    return LyapunovEstimate(float(per_trial[0] + mean_dev), per_trial, se,
                             _tail_slope(tail_ks, tail))
 
 
-def _summarize_cocycle(a: np.ndarray, tail_ks, n: int) -> LyapunovEstimate:
+def _summarize_cocycle(a: np.ndarray, tail_ks) -> LyapunovEstimate:
     """The estimate from the cocycle values a(k), one row per checkpoint of
     tail_ks and one column per trial: each trial's a(n)/n, and the tail
     slope of the mean ratio a(k)/k."""
@@ -218,7 +216,7 @@ def _summarize_cocycle(a: np.ndarray, tail_ks, n: int) -> LyapunovEstimate:
     tail_sum = np.zeros(len(tail_ks))
     for r in ratios.T:
         tail_sum += r
-    return summarize_trials(ratios[-1], tail_ks, tail_sum / ratios.shape[1], n)
+    return summarize_trials(ratios[-1], tail_ks, tail_sum / ratios.shape[1])
 
 
 def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
@@ -237,7 +235,7 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
     # checkpoint-major rows, one per trial
     points = _fold_orbits(driver, x0, tail_ks, range(trials)).reshape((-1,) + np.shape(x0))
     a = _distances_from(space, x0, points).reshape(len(tail_ks), trials)
-    return _summarize_cocycle(a, tail_ks, n)
+    return _summarize_cocycle(a, tail_ks)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +430,7 @@ def walk_top_exponent(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEst
     if trials < 1 or n < 10:
         raise DegenerateInputError("need trials >= 1 and n >= 10")
     tail_ks = tail_checkpoints(n)
-    return _summarize_cocycle(_walk_distances(driver, n, trials, tail_ks), tail_ks, n)
+    return _summarize_cocycle(_walk_distances(driver, n, trials, tail_ks), tail_ks)
 
 
 def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,

@@ -61,8 +61,6 @@ class WeakMetricSpace:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    space: str
-    n_triples: int
     max_identity_error: float
     max_triangle_violation: float  # relative slack
     min_pair_symmetrization: float
@@ -124,16 +122,13 @@ def check_weak_metric_axioms(space: WeakMetricSpace, n_triples: int,
         max_id = _fold_max(max_id, np.abs(dxx))
         max_tri = _fold_max(max_tri, (dxy - dxz - dzy) / scale)
         min_pair = _fold_min(min_pair, dxy + dyx)
-    return AxiomReport(space=space.name, n_triples=n_triples,
-                       max_identity_error=max_id,
+    return AxiomReport(max_identity_error=max_id,
                        max_triangle_violation=max_tri,
                        min_pair_symmetrization=min_pair)
 
 
 @dataclass(frozen=True)
 class FunctionalBoundReport:
-    space: str
-    n_samples: int
     max_lower_violation: float   # of -d(x0,y) <= h(y)
     max_upper_violation: float   # of h(y) <= d(y,x0)
     max_continuity_violation: float  # of |h(y)-h(z)| <= max{d(y,z), d(z,y)}
@@ -164,7 +159,6 @@ def check_functional_bounds(space: WeakMetricSpace, x0, n_samples: int,
         low = _fold_max(low, -dxy - hy)
         up = _fold_max(up, hy - dyx)
         cont = _fold_max(cont, np.abs(hy - hz) - sym)
-    return FunctionalBoundReport(space=space.name, n_samples=n_samples,
-                                 max_lower_violation=low,
+    return FunctionalBoundReport(max_lower_violation=low,
                                  max_upper_violation=up,
                                  max_continuity_violation=cont)

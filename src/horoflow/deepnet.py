@@ -100,7 +100,6 @@ def apply_chain(layers: Sequence[LayerMap], x0):
 @dataclass(frozen=True)
 class DriftReport:
     v_hat: np.ndarray            # (trials, d)
-    n: int
     cross_input_gap: float
     per_coordinate_se: np.ndarray
 
@@ -149,7 +148,7 @@ def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftRe
     if not (np.all(np.isfinite(v_hat)) and math.isfinite(gap) and np.all(np.isfinite(se))):
         raise DegenerateInputError(
             "resnet drift leaves the double range: the biases are too large")
-    return DriftReport(v_hat=v_hat, n=n, cross_input_gap=gap, per_coordinate_se=se)
+    return DriftReport(v_hat=v_hat, cross_input_gap=gap, per_coordinate_se=se)
 
 
 def lipschitz_profile(layers: Sequence[LayerMap], pair_sampler, n_pairs: int,

@@ -36,9 +36,8 @@ _ROW_BLOCK = 64
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    exponents: np.ndarray   # (trials, dim): each row sorted descending, with multiplicity
-    n: int
-    resid: np.ndarray       # (trials, dim): running-mean drift over the last decade
+    exponents: np.ndarray   # (trials, d): each row sorted descending, with multiplicity
+    resid: np.ndarray       # (trials, d): running-mean drift over the last decade
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,9 @@ class FiltrationProbeReport:
     clusters: list          # lists of probe indices, partitioning the probes
 
 
-def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trials=(0,)) -> SpectrumEstimate:
-    """All dim exponents of the cocycle along each listed trial, the time
-    averages of log |r_ii| of QR accumulation.
+def qr_spectrum(driver: ErgodicDriver, n: int, trials=(0,)) -> SpectrumEstimate:
+    """All d exponents of the cocycle of d x d matrices along each listed
+    trial, the time averages of log |r_ii| of QR accumulation.
 
     The stream is consumed as left increments (new matrix outermost),
     matching the operator convention.  Exponent j after k steps is
@@ -60,29 +59,44 @@ def qr_spectrum(driver: ErgodicDriver, dim: int, n: int, trials=(0,)) -> Spectru
     at n.  Row t of both is trial trials[t]; the trials run together, as
     rows of one growth-rate run per compound order.  A step that takes a
     growth-rate row out of the double range is a rescaling fault at that
-    step.  dim must be at most 4 (``_MAX_DIM``).
+    step.  d is read from the drawn matrices and must be at most 4
+    (``_MAX_DIM``).
     """
     if n < 10:
         raise DegenerateInputError("n must be >= 10")
-    if dim > _MAX_DIM:
-        raise DegenerateInputError(f"the spectrum runs up to dimension {_MAX_DIM}, not {dim}")
     trials = list(trials)
     if not trials:
         raise DegenerateInputError("trials must be nonempty")
     maps, idx = driver.draw(trials, n)
-    mats = np.asarray(maps, dtype=float)
-    if mats.shape[1:] != (dim, dim):
-        raise DegenerateInputError(f"step matrices must be {dim} x {dim}")
+    try:
+        mats = np.asarray(maps, dtype=float)
+    except ValueError:      # matrices of unequal shapes
+        mats = np.empty(0)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise DegenerateInputError("step matrices must be square, of one size")
+    d = mats.shape[-1]
+    if d > _MAX_DIM:
+        raise DegenerateInputError(f"the spectrum runs up to dimension {_MAX_DIM}, not {d}")
     ks = tail_checkpoints(n)
     exponents, resids = [], []
     for sums in _exponent_sums(mats, idx, ks):
         rates = np.array([[float((s - r) / k) for s, r, k in zip(sums[j + 1], sums[j], ks)]
-                          for j in range(dim)])
+                          for j in range(d)])
         final = rates[:, -1]
         order = np.argsort(-final)
         exponents.append(final[order])
         resids.append(np.max(np.abs(rates - final[:, None]), axis=1)[order])
-    return SpectrumEstimate(exponents=np.array(exponents), n=n, resid=np.array(resids))
+    return SpectrumEstimate(exponents=np.array(exponents), resid=np.array(resids))
+
+
+def _drawn(mats, idx):
+    """(mats, invs, idx): the matrices of the (m, d, d) stack mats that idx
+    draws, in stack order, their inverses, screened
+    (:func:`screen_invertible`), and idx relabelled to them."""
+    drawn = np.bincount(np.ravel(idx), minlength=len(mats)) > 0
+    if not drawn.all():
+        mats, idx = mats[drawn], (np.cumsum(drawn) - 1)[idx]
+    return mats, screen_invertible(mats, idx), idx
 
 
 def _exponent_sums(mats, idx, ks) -> list:
@@ -93,8 +107,8 @@ def _exponent_sums(mats, idx, ks) -> list:
     QR accumulation's r_11 ... r_jj is this norm.
 
     - S_d is the sum of log |det| over the steps: each distinct matrix's
-      determinant is formed once (:func:`_dd_det`) and weighted by its
-      count.
+      determinant is formed once (:func:`_dd_det`) and weighted by how
+      often each trial draws it.
     - For j <= d/2, S_j is a growth-rate row of the j-th compound of the
       steps (for j = 1 the step matrices) started at the first basis
       vector, e_1 ^ ... ^ e_j.
@@ -115,18 +129,22 @@ def _exponent_sums(mats, idx, ks) -> list:
     from fractions import Fraction
     # log 2 to 40 digits, rounded correctly by the decimal module in software
     ln2 = Fraction(decimal.Context(prec=40).ln(2))
-    # the distinct drawn matrices, idx relabelled to count them
-    drawn = np.bincount(idx.ravel(), minlength=len(mats)) > 0
-    mats, idx = mats[drawn], (np.cumsum(drawn) - 1)[idx]
-    invs = screen_invertible(mats, idx)
+    mats, invs, idx = _drawn(mats, idx)
     m, d, trials, c = len(mats), mats.shape[-1], len(idx), len(ks)
-    # counts[t, c, i]: how often trial t draws matrix i in its first ks[c] steps
-    counts = np.array([[np.bincount(row[:k], minlength=m) for k in ks] for row in idx])
-    det_sums = _log_det_sums(mats, counts.reshape(-1, m))
+    # each trial's own distinct matrices, and counts[c, i]: how often the
+    # trial draws its matrix i in its first ks[c] steps.  Counted over its
+    # own matrices only: a fresh matrix a step gives m = trials * n, and
+    # counts over all m would grow with trials^2
+    own = []
+    for row in idx:
+        seen = np.bincount(row, minlength=m) > 0
+        used = np.flatnonzero(seen)
+        local = row if len(used) == m else (np.cumsum(seen) - 1)[row]
+        segs = [np.bincount(local[a:b], minlength=len(used)) for a, b in zip([0] + ks, ks)]
+        own.append((used, np.cumsum(segs, axis=0)))
     sums = [[[Fraction(0)] * c for _ in range(d + 1)] for _ in range(trials)]
-    for t in range(trials):
-        sums[t][d] = [Fraction(s) + Fraction(r) + e * ln2
-                      for s, r, e in det_sums[t * c:(t + 1) * c]]
+    for t, det_sums in enumerate(_log_det_sums(mats, own)):
+        sums[t][d] = [Fraction(s) + Fraction(r) + e * ln2 for s, r, e in det_sums]
     # every stack is built, and screened, before the first step
     runs = []
     for j in range(1, d // 2 + 1):
@@ -153,17 +171,18 @@ def _exponent_sums(mats, idx, ks) -> list:
             np.concatenate(stacks), np.concatenate(inverses), rows, w.reshape(rows.shape[0], -1, 1),
             ks))
         for r, level in enumerate(levels):
-            exps[r] += counts @ shifts[r]
-            for t in range(trials):
+            for t, (used, counts) in enumerate(own):
                 base = sums[t][d] if level > d / 2 else sums[t][0]
                 sums[t][level] = [b + Fraction(lg) + int(e) * ln2 for b, lg, e
-                                  in zip(base, logs[r, t].tolist(), exps[r, t].tolist())]
+                                  in zip(base, logs[r, t].tolist(),
+                                         (exps[r, t] + counts @ shifts[r][used]).tolist())]
     return sums
 
 
-def _log_det_sums(mats, counts) -> list:
-    """sum_m counts[c, m] log |det mats[m]| for each row c of counts, as
-    (s, r, e): the sum is s + r + e log 2 to about 2^-106 of its size.
+def _log_det_sums(mats, own) -> list:
+    """For each trial's (used, counts) of own, a list over the rows c of
+    counts of sum_i counts[c, i] log |det mats[used[i]]|, as (s, r, e):
+    the sum is s + r + e log 2 to about 2^-106 of its size.
 
     log |det| is log f + lo/hi + e log 2 from :func:`_dd_det`'s (hi, lo, e),
     with f = |hi| or 2|hi|, whichever lies in [sqrt(1/2), sqrt(2)): a
@@ -178,12 +197,15 @@ def _log_det_sums(mats, counts) -> list:
     small = np.abs(hi) < math.sqrt(0.5)
     f = np.where(small, 2.0, 1.0) * np.abs(hi)
     big, little = _halves(np.array([math.log(x) for x in f.tolist()]))
-    rel, e = lo / hi, e - small
+    pieces, e = np.stack([big, little, lo / hi]), e - small
     out = []
-    for c in counts:
-        terms = np.concatenate([c * big, c * little, c * rel]).tolist()
-        s = math.fsum(terms)
-        out.append((s, math.fsum(terms + [-s]), int(c @ e)))
+    for used, counts in own:
+        sums = []
+        for c in counts:
+            terms = (c * pieces[:, used]).ravel().tolist()
+            s = math.fsum(terms)
+            sums.append((s, math.fsum(terms + [-s]), int(c @ e[used])))
+        out.append(sums)
     return out
 
 
@@ -208,13 +230,11 @@ def _block_widths(mats, invs):
     with its inverse in invs, allows :func:`_log_norms`: the largest power
     of two w at most ``_ROW_BLOCK`` with w log2(bound) <= 480, bound the
     larger infinity norm of the matrix and of its inverse (at least 2), or
-    1 where w = 2 breaks that.  An undrawn matrix (nan inverse) allows
-    ``_ROW_BLOCK``.  Returns an (m,) integer array."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    1 where w = 2 breaks that.  Returns an (m,) integer array."""
+    with np.errstate(over="ignore"):    # a norm past the double range is inf
         bound = np.maximum(np.abs(mats).sum(axis=-1).max(axis=-1),
                            np.abs(invs).sum(axis=-1).max(axis=-1))
-        reach = 480.0 // np.log2(np.maximum(bound, 2.0))
-    reach = np.clip(np.nan_to_num(reach, nan=_ROW_BLOCK), 1, _ROW_BLOCK)
+    reach = np.clip(480.0 // np.log2(np.maximum(bound, 2.0)), 1, _ROW_BLOCK)
     # log2 of a power of two is exact, so the cast floors to its exponent
     return np.left_shift(1, np.log2(reach).astype(np.int64))
 
@@ -227,7 +247,8 @@ def _log_norms(mats, invs, idx, w, ks):
 
     Row r's step i applies mats[idx[r, i]]; idx may instead be a single
     row, whose step i then applies to every row.  invs holds the inverses
-    of mats (nan where nothing is drawn).  w is overwritten.
+    of mats, every one of which idx draws (:func:`_drawn`).  w is
+    overwritten.
 
     The matrices are first balanced against their inverses by exact powers
     of two (:func:`_balanced`), whose exponents count once a step.  The
@@ -238,16 +259,16 @@ def _log_norms(mats, invs, idx, w, ks):
     more of every idx row is multiplied at once in double-double
     (:func:`pairwise_product`, later steps on the left); rows that share
     an idx row share its products.  A block whose rows all have width 1 is
-    stepped one matrix at a time (:func:`_steps`).  Any other block steps
-    its rows one sub-block at a time, by the hi part and then the lo part
-    (skipped where every lo part is zero), a sub-block of width 1 by its
-    matrix; a row cut into fewer sub-blocks than another row of the run
-    steps by the identity once it has taken its own.  The row is rescaled
+    stepped one matrix at a time, by its matrices with no lo part.  Any
+    other block steps its rows one sub-block at a time, by the hi part and
+    then the lo part (skipped where every lo part is zero), a sub-block of
+    width 1 by its matrix; a row cut into fewer sub-blocks than another
+    row of the run steps by the identity once it has taken its own.  The row is rescaled
     after each sub-block by the power of two that puts its largest
     modulus in [0.5, 1), and the exponents taken out are summed exactly
     as integers.
     A checkpoint inside a block is read from a copy of the row at the
-    block's start, stepped one matrix at a time.  So every value at k
+    block's start, stepped one matrix at a time (:func:`_steps`).  So every value at k
     depends only on its own row's first k steps: one run read at many
     checkpoints equals separate runs, and a row of a batch equals its run
     alone, bit for bit.  (The rescalings are exact, so where they fall
@@ -263,7 +284,6 @@ def _log_norms(mats, invs, idx, w, ks):
     fault (one whose matrix norm, or whose inverse's, is past 2^960, as
     spans shorten to one step), so the step named is exact.
     """
-    drawn = ~np.isnan(invs[:, 0, 0])    # an undrawn matrix's inverse is nan
     mats, invs, shifts = _balanced(mats, invs)
     idx = np.asarray(idx)
     # the exponents the balancing took out of the steps up to each
@@ -276,11 +296,10 @@ def _log_norms(mats, invs, idx, w, ks):
     rows, sets, d = len(w), len(idx), w.shape[1]
     size, blocks = _ROW_BLOCK, ks[-1] // _ROW_BLOCK
     # cut[s, b]: the sub-block width of idx row s in block b, from the
-    # block's own matrices (a gather skipped where every drawn matrix
-    # allows one width)
-    used = widths[drawn]
-    if used.min() == used.max():
-        cut = np.full((sets, blocks), used[0])
+    # block's own matrices (a gather skipped where every matrix allows one
+    # width)
+    if widths.min() == widths.max():
+        cut = np.full((sets, blocks), widths[0])
     else:
         cut = widths[idx[:, :blocks * size]].reshape(sets, blocks, size).min(axis=2)
     single = cut.min(axis=0, initial=size) == 1     # a width-1 sub-block may fault
@@ -317,38 +336,42 @@ def _log_norms(mats, invs, idx, w, ks):
     with np.errstate(all="ignore"):
         for j, k in enumerate(ks):
             for b in range(done, k // size):
+                # a single-step block reads its matrices from the stack by
+                # one gather: gathered into hi with the product blocks, such
+                # blocks raised peak RSS from 40 to 71 MB on diag
+                # [1e-301, 1, 1e301] at n 100000
                 if stepped[b]:
-                    w, u, taken = _steps(mats, steps[b * size:(b + 1) * size], w, u, 1, b * size)
-                    total += taken
-                    continue
-                for i in range(offsets[b], offsets[b + 1]):
-                    np.matmul(hi[i], w, out=u)
-                    if lo is not None:
-                        u += np.matmul(lo[i], w, out=t)
+                    b_hi, b_lo = mats[steps[b * size:(b + 1) * size]], None
+                else:
+                    b_hi = hi[offsets[b]:offsets[b + 1]]
+                    b_lo = None if lo is None else lo[offsets[b]:offsets[b + 1]]
+                for i, a in enumerate(b_hi):
+                    np.matmul(a, w, out=u)
+                    if b_lo is not None:
+                        u += np.matmul(b_lo[i], w, out=t)
                     w, u = u, w
                     w, taken = _pow2_normalize(w, (1, 2), out=w)
                     total += taken
                     # a row of width-1 sub-blocks steps one matrix a sub-block
                     if single[b] and not all(taken.tolist()):
-                        check_steps(np.abs(w).max(axis=(1, 2))[None],
-                                    b * size + i - offsets[b] + 1)
+                        check_steps(np.abs(w).max(axis=(1, 2))[None], b * size + i + 1)
             done = k // size
             row, side, pos = w, 0, done * size
             if pos < k:     # the checkpoint lies inside a block
                 span = int(widths[steps[pos:k]].min())
-                row, _, side = _steps(mats, steps[pos:k], w.copy(), np.empty_like(w), span, pos)
+                row, side = _steps(mats, steps[pos:k], w, span, pos)
             # math.log, not np.log: numpy's SIMD log can differ in the last bit
             logs[:, j] = [math.log(math.hypot(*r)) for r in row[:, :, 0].tolist()]
             exps[:, j] = total + side + e_sums[done] + shift_sums[:, j]
     return logs, exps
 
 
-def _steps(mats, steps, w, u, span, done):
-    """(w, u, taken): the rows w stepped through each row of steps, one
-    stacked matmul a step into the spare buffer u, and rescaled by a power
-    of two once every span steps and at the end; taken is the exponents
-    taken out.  done is the steps taken before, for a fault's step number."""
-    total = 0
+def _steps(mats, steps, w, span, done):
+    """(w, taken): a copy of the rows w stepped through each row of steps,
+    one stacked matmul a step, and rescaled by a power of two once every
+    span steps and at the end; taken is the exponents taken out.  done is
+    the steps taken before, for a fault's step number."""
+    w, u, total = w.copy(), np.empty_like(w), 0
     for start in range(0, len(steps), span):
         stop = min(start + span, len(steps))
         for a in mats[steps[start:stop]]:
@@ -361,12 +384,13 @@ def _steps(mats, steps, w, u, span, done):
         if not all(taken.tolist()):
             check_steps(np.abs(w).max(axis=(1, 2))[None], done + stop)
         total = total + taken
-    return w, u, total
+    return w, total
 
 
 def _growth_rates(mats, idx, V, ks) -> np.ndarray:
     """(1/k) log ||A(k) v|| for each row at each ascending checkpoint k, all
-    read off one run of ks[-1] steps per row (:func:`_log_norms`).
+    read off one run of ks[-1] steps per row (:func:`_log_norms`) on the
+    matrices idx draws (:func:`_drawn`).
 
     Row r starts at V[r], and its step i applies mats[idx[r, i]]; the rows
     run together on a leading axis.  idx may instead be a single row, whose
@@ -385,7 +409,7 @@ def _growth_rates(mats, idx, V, ks) -> np.ndarray:
     if not (np.isfinite(V).all() and (V != 0.0).any(axis=1).all()):
         raise DegenerateInputError("probe vectors must be finite and nonzero")
     w, _ = _pow2_normalize(V[:, :, None], (1, 2))
-    invs = screen_invertible(mats, idx)
+    mats, invs, idx = _drawn(mats, idx)
     logs0 = np.array([math.log(math.hypot(*row)) for row in w[:, :, 0].tolist()])
     logs, exps = _log_norms(mats, invs, idx, w, ks)
     return (logs - logs0[:, None] + exps * _LOG2) / np.asarray(ks)

@@ -108,7 +108,7 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
     tracks = _fold(driver, n, range(trials), tail_ks)
     per_trial = squared_positive_part_lognorm(*(x[-1] for x in tracks)) / n
     tail = squared_positive_part_lognorm(*(x[:, 0] for x in tracks)) / tail_ks
-    return summarize_trials(per_trial, tail_ks, tail, n)
+    return summarize_trials(per_trial, tail_ks, tail)
 
 
 def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:

@@ -8,7 +8,7 @@ values and are asymmetric.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import cmath
 import math
@@ -282,25 +282,12 @@ def stretch_space() -> WeakMetricSpace:
 class CircleMap:
     """Orientation-preserving circle map with an explicit derivative.
 
-    ``f`` and ``derivative`` must accept numpy arrays of angles.
-    ``f_and_derivative``, if supplied, returns ``(f(theta), derivative(theta))``
-    from one call that shares their common work, bit for bit the same.
+    ``f_and_deriv`` takes a numpy array of angles and returns the float
+    arrays ``(f(theta), f'(theta))`` from one call, which shares the work
+    the two have in common.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    f_and_derivative: Optional[Callable[[np.ndarray], tuple]] = None
-
-    def deriv(self, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(self.derivative(theta), dtype=float)
-
-    def f_and_deriv(self, theta: np.ndarray) -> tuple:
-        """(f(theta), deriv(theta)) in one call; by default deriv, then f."""
-        if self.f_and_derivative is not None:
-            f, d = self.f_and_derivative(theta)
-            return f, np.asarray(d, dtype=float)
-        d = self.deriv(theta)
-        return self.f(theta), d
+    f_and_deriv: Callable[[np.ndarray], tuple]
 
 
 def _wrap_angle(t: np.ndarray) -> np.ndarray:
@@ -314,8 +301,11 @@ def _wrap_angle(t: np.ndarray) -> np.ndarray:
 
 
 def rotation_circle_map(angle: float) -> CircleMap:
-    return CircleMap(f=lambda t, _a=angle: np.asarray(t, dtype=float) + _a,
-                     derivative=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    def f_and_df(t, _a=angle):
+        t = np.asarray(t, dtype=float)
+        return t + _a, np.ones_like(t)
+
+    return CircleMap(f_and_df)
 
 
 def sine_circle_map(amplitude: float, phase: float = 0.0, shift: float = 0.0) -> CircleMap:
@@ -323,15 +313,11 @@ def sine_circle_map(amplitude: float, phase: float = 0.0, shift: float = 0.0) ->
     if abs(amplitude) >= 1.0:
         raise NotDiffeomorphismError("|amplitude| must be < 1 for a diffeomorphism")
 
-    def f(t, _a=amplitude, _p=phase, _s=shift):
+    def f_and_df(t, _a=amplitude, _p=phase, _s=shift):
         t = np.asarray(t, dtype=float)
-        return t + _s + _a * np.sin(t + _p)
+        return t + _s + _a * np.sin(t + _p), 1.0 + _a * np.cos(t + _p)
 
-    def df(t, _a=amplitude, _p=phase):
-        t = np.asarray(t, dtype=float)
-        return 1.0 + _a * np.cos(t + _p)
-
-    return CircleMap(f=f, derivative=df)
+    return CircleMap(f_and_df)
 
 
 def mobius_circle_map(a: float) -> CircleMap:
@@ -348,17 +334,12 @@ def mobius_circle_map(a: float) -> CircleMap:
         raise NotDiffeomorphismError("|a| must be < 1")
     p, q, r = 1.0 - a * a, 1.0 + a * a, 2.0 * a
 
-    def df_of(cos):
-        return p / (q + r * cos)
-
     def f_and_df(t):    # one sin and one cos, shared by f and df
         t = np.asarray(t, dtype=float)
         cos = np.cos(t)
-        return _wrap_angle(np.arctan2(p * np.sin(t), q * cos + r)), df_of(cos)
+        return _wrap_angle(np.arctan2(p * np.sin(t), q * cos + r)), p / (q + r * cos)
 
-    return CircleMap(f=lambda t: f_and_df(t)[0],
-                     derivative=lambda t: df_of(np.cos(np.asarray(t, dtype=float))),
-                     f_and_derivative=f_and_df)
+    return CircleMap(f_and_df)
 
 
 def _jacobian_ratios(derivs: np.ndarray, i, j) -> np.ndarray:

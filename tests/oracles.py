@@ -432,11 +432,11 @@ def loop_jacobian_cocycle(driver, n, grid):
     cumlog = np.zeros(grid)
     rows = []
     for k, g in enumerate(elements(driver, 0, n), start=1):
-        d = g.deriv(pos)
+        f, d = g.f_and_deriv(pos)
         if np.any(d <= 0.0):
             raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")
         cumlog += np.log(d)
-        pos = np.asarray(g.f(pos), dtype=float) % (2.0 * math.pi)
+        pos = f % (2.0 * math.pi)
         a = float(np.max(np.abs(cumlog)))
         rows.append((k, a, a / k))
     return rows
@@ -458,8 +458,7 @@ def complex_mobius_circle_map(a):
         z, w = z_and_w(t)
         return _wrap_angle(np.angle((z + a) / w)), (1.0 - a * a) / np.abs(w) ** 2
 
-    return CircleMap(f=lambda t: f_and_df(t)[0], derivative=lambda t: f_and_df(t)[1],
-                     f_and_derivative=f_and_df)
+    return CircleMap(f_and_df)
 
 
 def mp_mobius_cocycle(a, n, grid):
@@ -635,7 +634,7 @@ def jacobian_dist_many(points, i, j, grid=256):
     theta = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
     derivs = np.empty((len(points), grid))
     for k, f in enumerate(points):
-        derivs[k] = f.deriv(theta)
+        derivs[k] = f.f_and_deriv(theta)[1]
     return _jacobian_ratios(derivs, i, j)
 
 
@@ -793,8 +792,7 @@ def loop_weak_metric_axioms(space, n_triples, rng):
         scale = max(1.0, abs(dxy), abs(dxz), abs(dzy))
         max_tri = max(max_tri, (dxy - dxz - dzy) / scale)
         min_pair = min(min_pair, dxy + distance(space, y, x))
-    return AxiomReport(space=space.name, n_triples=n_triples,
-                       max_identity_error=max_id,
+    return AxiomReport(max_identity_error=max_id,
                        max_triangle_violation=max_tri,
                        min_pair_symmetrization=min_pair)
 
@@ -811,8 +809,7 @@ def loop_functional_bounds(space, x0, n_samples, rng):
         up = max(up, hy - distance(space, y, x0))
         sym = max(distance(space, y, z), distance(space, z, y))
         cont = max(cont, abs(hy - hz) - sym)
-    return FunctionalBoundReport(space=space.name, n_samples=n_samples,
-                                 max_lower_violation=low,
+    return FunctionalBoundReport(max_lower_violation=low,
                                  max_upper_violation=up,
                                  max_continuity_violation=cont)
 
@@ -897,7 +894,7 @@ def loop_top_exponent(driver, space, x0, n, trials):
         ratios = np.array([distance(space, x0, pts[k]) / k for k in tail_ks])
         per_trial.append(ratios[-1])
         tail_sum += ratios
-    return summarize_trials(np.asarray(per_trial), tail_ks, tail_sum / trials, n)
+    return summarize_trials(np.asarray(per_trial), tail_ks, tail_sum / trials)
 
 
 def mobius_disk(a: complex) -> Callable[[complex], complex]:
@@ -946,7 +943,7 @@ def lapack_qr_spectrum(driver, dim, n, trial=0):
     final = sums / n
     resid = np.max(np.abs(np.asarray(snapshots) - final), axis=0)
     order = np.argsort(-final)
-    return SpectrumEstimate(exponents=final[order][None], n=n, resid=resid[order][None])
+    return SpectrumEstimate(exponents=final[order][None], resid=resid[order][None])
 
 
 def mp_qr_spectrum(driver, dim, n, trial=0):

@@ -82,7 +82,7 @@ def test_criterion_04_oseledets_constant_matrix(capsys):
     rng = trial_rng(0, 0)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     m = q @ np.diag([3.0, 1.0, 0.5]) @ q.T
-    est = qr_spectrum(constant_driver(m), 3, 100_000)
+    est = qr_spectrum(constant_driver(m), 100_000)
     target = np.array([math.log(3.0), 0.0, -math.log(2.0)])
     err = float(np.max(np.abs(est.exponents - target)))
     el = time.perf_counter() - t0
@@ -98,7 +98,7 @@ def test_criterion_05_two_estimator_agreement(capsys):
             np.array([[1.0, 1.0], [1.0, 2.0]]))
     drv = ErgodicDriver(seed=3, maps=pair, weights=(0.5, 0.5))
     n, trials = 10_000, 100
-    qr_top = qr_spectrum(drv, 2, n, range(trials)).exponents[:, 0]
+    qr_top = qr_spectrum(drv, n, range(trials)).exponents[:, 0]
     v0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     maps, idx = drv.draw(range(trials), n)
     mc = _growth_rates(maps, idx, np.tile(v0, (trials, 1)), [n])[:, 0]

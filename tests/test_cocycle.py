@@ -122,7 +122,7 @@ def test_summary_is_the_sample_mean_and_standard_error():
     rng = trial_rng(18, 0)
     for m in (2, 3, 10):
         values = rng.normal(1.0, 0.1, size=m)
-        est = summarize_trials(values, [1, 2], np.zeros(2), 50)
+        est = summarize_trials(values, [1, 2], np.zeros(2))
         assert est.lambda_hat == pytest.approx(statistics.fmean(values), rel=1e-15)
         assert est.std_error == pytest.approx(
             statistics.stdev(values) / math.sqrt(m), rel=1e-12)
@@ -130,7 +130,7 @@ def test_summary_is_the_sample_mean_and_standard_error():
     # this one, operator-tau's per-trial value, np.mean is 1 ulp lower and
     # np.std gives a std error of 1.6e-16
     for m in (1, 3, 7):
-        est = summarize_trials(np.full(m, 1.3862943611198904), [1, 2], np.zeros(2), 50)
+        est = summarize_trials(np.full(m, 1.3862943611198904), [1, 2], np.zeros(2))
         assert (est.lambda_hat, est.std_error) == (1.3862943611198904, 0.0)
 
 

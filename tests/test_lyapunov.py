@@ -3,6 +3,7 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from oracles import (FixedDraws, elements, fraction_det, lapack_qr_spectrum, loo
 
 def test_diagonal_spectrum_is_exact():
     drv = constant_driver(np.diag([3.0, 1.0, 0.5]))
-    est = qr_spectrum(drv, 3, 100)
+    est = qr_spectrum(drv, 100)
     assert np.allclose(est.exponents[0],
                        [math.log(3.0), 0.0, -math.log(2.0)], atol=1e-12)
     assert np.max(est.resid) <= 1e-12
@@ -33,7 +34,7 @@ def test_conjugated_spectrum_converges():
     rng = trial_rng(17, 0)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     m = q @ np.diag([3.0, 1.0, 0.5]) @ q.T
-    est = qr_spectrum(constant_driver(m), 3, 20000)
+    est = qr_spectrum(constant_driver(m), 20000)
     assert np.allclose(est.exponents[0],
                        [math.log(3.0), 0.0, -math.log(2.0)], atol=1e-3)
 
@@ -44,7 +45,7 @@ def test_spectrum_sum_rule():
     a = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     b = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     drv = ErgodicDriver(seed=4, maps=(a, b), weights=(0.5, 0.5))
-    est = qr_spectrum(drv, 3, 2000, trials=[0])
+    est = qr_spectrum(drv, 2000, trials=[0])
     gs = elements(drv, 0, 2000)
     mean_logdet = np.mean([math.log(abs(np.linalg.det(g))) for g in gs])
     assert float(np.sum(est.exponents)) == pytest.approx(mean_logdet, abs=1e-9)
@@ -53,21 +54,25 @@ def test_spectrum_sum_rule():
 def test_rotation_spectrum_is_null():
     th = 0.9
     m = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    est = qr_spectrum(constant_driver(m), 2, 1000)
+    est = qr_spectrum(constant_driver(m), 1000)
     assert np.max(np.abs(est.exponents)) <= 1e-12
 
 
 def test_spectrum_rejects_bad_input():
     with pytest.raises(DegenerateInputError):
-        qr_spectrum(constant_driver(np.diag([1.0, 0.0])), 2, 100)
+        qr_spectrum(constant_driver(np.diag([1.0, 0.0])), 100)
     with pytest.raises(DegenerateInputError):
-        qr_spectrum(constant_driver(np.eye(2)), 2, 5)
-    with pytest.raises(DegenerateInputError, match="^step matrices must be 2 x 2$"):
-        qr_spectrum(constant_driver(np.eye(3)), 2, 100)
+        qr_spectrum(constant_driver(np.eye(2)), 5)
+    # the dimension is read from the drawn matrices, which must be square
+    # and of one size
+    for maps in ((np.ones((2, 3)),), (np.eye(2), np.eye(3))):
+        with pytest.raises(DegenerateInputError,
+                           match="^step matrices must be square, of one size$"):
+            qr_spectrum(ErgodicDriver(seed=1, maps=maps), 100)
     # past dim 4 the middle compound costs more than a QR step
     with pytest.raises(DegenerateInputError,
                        match="^the spectrum runs up to dimension 4, not 5$"):
-        qr_spectrum(constant_driver(np.eye(5)), 5, 100)
+        qr_spectrum(constant_driver(np.eye(5)), 100)
 
 
 def test_vector_growth_rates_pick_filtration_layers():
@@ -201,7 +206,7 @@ def _assert_sums_equal_the_loop(drv, dim, n, trial):
     for j in range(1, dim):
         assert sums[j] == want[j]
     exponents, resid = _spectrum(want, ks)
-    got = qr_spectrum(drv, dim, n, [trial])
+    got = qr_spectrum(drv, n, [trial])
     assert got.exponents.tolist() == [exponents.tolist()]
     assert got.resid.tolist() == [resid.tolist()]
 
@@ -222,13 +227,26 @@ def test_each_trial_of_a_spectrum_batch_equals_its_one_trial_call(label):
     drv, dim = _COCYCLES[label]
     for n, trials in ((10, [3, 0, 1]), (2000, [3, 0, 1]))[:None if label != "parametric" else 2] \
             + (((20000, [0, 1, 2]),) if label == "parametric" else ()):
-        batch = qr_spectrum(drv, dim, n, trials)
+        batch = qr_spectrum(drv, n, trials)
         for row, trial in enumerate(trials):
-            one = qr_spectrum(drv, dim, n, [trial])
+            one = qr_spectrum(drv, n, [trial])
             assert batch.exponents[row].tolist() == one.exponents[0].tolist()
             assert batch.resid[row].tolist() == one.resid[0].tolist()
     with pytest.raises(DegenerateInputError, match="^trials must be nonempty$"):
-        qr_spectrum(drv, dim, 100, [])
+        qr_spectrum(drv, 100, [])
+
+
+def test_a_fresh_matrix_spectrum_counts_each_trial_over_its_own_matrices():
+    # 16 trials of the parametric cocycle at n 2000 draw 32000 distinct
+    # matrices; counted over all of them for every trial, the step counts
+    # and determinant sums grew with trials^2 and peaked at 71 MiB
+    tracemalloc.start()
+    try:
+        qr_spectrum(_PARAMETRIC, 2000, range(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("diag", [[1e-7, 1e-7], [1e-301, 1e-301], [1e-301, 1e301]])
@@ -251,7 +269,7 @@ def test_qr_spectrum_error_is_at_most_the_lapack_loops(label):
     def error(exponents):
         return max(abs(g - w) for g, w in zip(exponents.tolist(), want))
 
-    new = error(qr_spectrum(drv, dim, n).exponents[0])
+    new = error(qr_spectrum(drv, n).exponents[0])
     ks, _, per_step = _loop_sums(drv, dim, n, 0, per_step=True)
     assert new <= error(lapack_qr_spectrum(drv, dim, n).exponents[0])
     assert new <= error(_spectrum(per_step, ks)[0])
@@ -263,9 +281,9 @@ def test_diagonal_exponents_are_the_logs_of_the_entries():
     # of [3, 1, 0.5] carries the rounding of log 0.75 (det 1.5 is 0.75 * 2),
     # at most 2.8e-17, and of the 3^k row's steps, about 1e-18
     for n in (10, 1000, 100000):
-        assert qr_spectrum(constant_driver(np.diag([2.0])), 1, n).exponents.tolist() == \
+        assert qr_spectrum(constant_driver(np.diag([2.0])), n).exponents.tolist() == \
             [[math.log(2.0)]]
-        [[top, middle, low]] = qr_spectrum(constant_driver(np.diag([3.0, 1.0, 0.5])), 3,
+        [[top, middle, low]] = qr_spectrum(constant_driver(np.diag([3.0, 1.0, 0.5])),
                                            n).exponents.tolist()
         assert (top, low) == (math.log(3.0), math.log(0.5))
         assert abs(middle) <= math.ulp(math.log(3.0)) / 4
@@ -275,7 +293,7 @@ def test_sl2_pair_exponents_sum_to_zero():
     # both steps have determinant 1, whose log is exactly 0, so the second
     # exponent is the first negated
     for n, trial in ((10, 0), (2000, 1), (20000, 2)):
-        [[top, low]] = qr_spectrum(_SL2_PAIR, 2, n, [trial]).exponents.tolist()
+        [[top, low]] = qr_spectrum(_SL2_PAIR, n, [trial]).exponents.tolist()
         assert top + low == 0.0
 
 
@@ -362,10 +380,10 @@ def test_a_rescaling_fault_ends_the_run_at_its_block(step):
                       for k in range(1, end + 1)])
         drv = sampled_draws(0, lambda r: next(draws))
         if bad is big or step == 1:
-            assert np.all(np.isfinite(qr_spectrum(drv, 2, end).exponents))
+            assert np.all(np.isfinite(qr_spectrum(drv, end).exponents))
         else:
             with pytest.raises(FloatingPointError, match=f"^rescaling fault at step {step}$"):
-                qr_spectrum(drv, 2, end)
+                qr_spectrum(drv, end)
 
 
 @pytest.mark.filterwarnings("error")
@@ -377,7 +395,7 @@ def test_singular_and_nan_draws_are_refused_up_front():
                                                   if r.random() < 0.2 else 1.0]))
     for driver in (singular, with_nan):
         with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
-            qr_spectrum(driver, 2, 50)
+            qr_spectrum(driver, 50)
         with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
             _fold(driver, 50, [0], [50])
 
@@ -415,6 +433,15 @@ def test_a_row_cut_to_single_steps_shares_its_block_with_wider_rows():
     for r, v in enumerate(V):
         drv = FixedDraws(lambda trials, n, r=r: (mats, idx[r:r + 1, :n]))
         assert got[r].tolist() == loop_growth_rates(drv, v, ks, widths=kernel_widths)
+    # one row whose block 1 is cut to single steps, in a run whose other
+    # blocks are sl2_pair products with nonzero lo parts: the single steps
+    # take no lo part, at checkpoints inside and after that block
+    idx = trial_rng(31, 1).integers(0, 2, size=(1, 1000))
+    idx[0, 90] = 2
+    ks = [100, 128, 517, 1000]
+    got = _growth_rates(mats, idx, [[1.0, 0.5]], ks)
+    drv = FixedDraws(lambda trials, n: (mats, idx[:, :n]))
+    assert got[0].tolist() == loop_growth_rates(drv, [1.0, 0.5], ks, widths=kernel_widths)
     idx = np.zeros((2, 256), dtype=np.intp)
     idx[1, 99] = 1
     with pytest.raises(FloatingPointError, match="^rescaling fault at step 100$"):

@@ -352,7 +352,7 @@ def test_jacobian_known_values():
 def test_mobius_circle_map_derivative():
     g = mobius_circle_map(0.5)
     # multiplier (1+a)/(1-a) = 3 at the repelling fixed point theta = pi
-    assert g.deriv(np.array([math.pi]))[0] == pytest.approx(3.0)
+    assert g.f_and_deriv(np.array([math.pi]))[1][0] == pytest.approx(3.0)
 
 
 def test_wrap_angle_is_the_remainder_bit_for_bit():
@@ -371,7 +371,7 @@ def test_wrap_angle_is_the_remainder_bit_for_bit():
 def test_jacobian_rejects_bad_maps():
     with pytest.raises(NotDiffeomorphismError):
         sine_circle_map(1.5)
-    folding = CircleMap(f=np.cos, derivative=lambda t: -np.sin(t))
+    folding = CircleMap(lambda t: (np.cos(t), -np.sin(t)))
     with pytest.raises(NotDiffeomorphismError):
         jacobian_dist(sine_circle_map(0.0), folding, grid=64)
     with pytest.raises(DegenerateInputError):
@@ -383,8 +383,7 @@ def test_jacobian_rejects_bad_maps():
 def test_jacobian_refuses_a_non_finite_derivative(bad):
     # a derivative that is nan or inf past theta = 3 once ended in a nan
     # distance (MetricDomainError) or an invalid-value warning from inf / inf
-    g = CircleMap(f=lambda t: np.asarray(t, dtype=float) + 0.5,
-                  derivative=lambda t: np.where(np.asarray(t) > 3.0, bad, 1.0))
+    g = CircleMap(lambda t: (t + 0.5, np.where(t > 3.0, bad, 1.0)))
     sine = sine_circle_map(0.5)
     with pytest.raises(NotDiffeomorphismError, match="non-finite derivative"):
         jacobian_dist_many([g, g, sine], [0, 2], [1, 0])
@@ -440,7 +439,7 @@ def test_batched_distances_keep_the_error_types():
         with pytest.raises(NotDiffeomorphismError):
             spaces["jacobian"].distances([np.zeros(3), [amplitude, 0.0, 0.0]], [0], [1])
     # the kernels of user-built points
-    folding = CircleMap(f=np.cos, derivative=lambda t: -np.sin(t))
+    folding = CircleMap(lambda t: (np.cos(t), -np.sin(t)))
     with pytest.raises(NotDiffeomorphismError):
         jacobian_dist_many([sine_circle_map(0.0), folding], [0], [1])
     base = _norm_sdf(_square_sample())
