@@ -107,26 +107,16 @@ def _top_modulus(x, axis):
 
 
 def _pow2_normalize(x, axis, out=None):
-    """(x 2^-e, e): x scaled by the power of two 2^-e that puts the largest
-    modulus over ``axis`` (an int or a tuple) in [1/2, 1), and the integer
-    exponents e, shaped like x without ``axis``.  A slice whose largest
+    """(x 2^-e, e): the real array x scaled by the power of two 2^-e that
+    puts its largest modulus over ``axis`` (an int or a tuple) in [1/2, 1),
+    and the integer exponents e, shaped like x without ``axis``.  A slice whose largest
     modulus is zero or not finite keeps its entries, with e = 0.  The
     result is written to ``out`` when given (x itself scales in place).
 
     The scaling is np.ldexp, exact wherever the result is not subnormal.
-    np.ldexp has no complex loop, so complex x is scaled through its real
-    and imaginary parts: a product with 2^-e would give the same finite
-    values, but would make nan the zero part of an infinite entry, and
-    overflow for a largest modulus below 2^-1024.
     """
     e = np.frexp(_top_modulus(x, axis))[1]
-    if np.iscomplexobj(x):
-        y = np.empty_like(x) if out is None else out
-        np.ldexp(x.real, -e, out=y.real)
-        np.ldexp(x.imag, -e, out=y.imag)
-    else:
-        y = np.ldexp(x, -e, out=out)
-    return y, e.squeeze(axis)
+    return np.ldexp(x, -e, out=out), e.squeeze(axis)
 
 
 def _rescaled(hi, lo, exps):
@@ -134,7 +124,7 @@ def _rescaled(hi, lo, exps):
     :func:`_pow2_normalize`, lo scaled by the same power of two and its
     exponent added to exps."""
     hi, e = _pow2_normalize(hi, (-2, -1))
-    return hi, None if lo is None else np.ldexp(lo, -e[..., None, None]), exps + e
+    return hi, np.ldexp(lo, -e[..., None, None]), exps + e
 
 
 def _modulus(d: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 Drivers emit seeded sequences of maps (or matrices); the engine folds
 orbits u(n)x0 = g1(g2(...gn(x0))) and estimates the top exponent
 lim a(n)/n of the subadditive distance cocycle a(n) = d(x0, u(n)x0).
-Long disk Mobius walks are carried as scaled matrix products, which give
-their top exponent and a convergence diagnostic comparing -h(u(n)x0)/n
+Long disk Mobius walks are carried as scaled real matrix products, which
+give their top exponent and a convergence diagnostic comparing -h(u(n)x0)/n
 against a(n)/n for the metric functional anchored at the final orbit
 point.
 """
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._exact import _dd_matmul, _rescaled
+from ._exact import _dd_matmul, _rescaled, _two_sum
 from .core import DegenerateInputError, WeakMetricSpace, _with_point
 from .seeding import trial_rng
 
@@ -78,23 +78,30 @@ def apply_element(g, x):
     return (np.asarray(g) @ np.asarray(x)[..., None])[..., 0]
 
 
-def screen_invertible(mats: np.ndarray, idx) -> np.ndarray:
-    """The inverses of the matrices idx draws from the (m, d, d) stack mats,
-    stacked like mats (nan where nothing is drawn).  A drawn matrix that is
-    non-finite or has no finite inverse for the inverse track is a singular
-    step matrix; any other runs, however badly conditioned, and a product
-    that leaves the double range faults at its step."""
-    # the drawn indices in order, by a count rather than np.unique's sort
-    used = np.flatnonzero(np.bincount(np.ravel(idx), minlength=len(mats)))
-    invs = np.full(np.shape(mats), np.nan)
+def screen_invertible(mats: np.ndarray) -> np.ndarray:
+    """The inverses of the (m, d, d) stack mats, every matrix of which a
+    step draws (:func:`_drawn`).  A matrix that is non-finite or has no
+    finite inverse for the inverse track is a singular step matrix; any
+    other runs, however badly conditioned, and a product that leaves the
+    double range faults at its step."""
     try:
-        invs[used] = np.linalg.inv(mats[used])
+        invs = np.linalg.inv(mats)
+        # an infinite entry can still have a finite inverse
+        if np.all(np.isfinite(mats)) and np.all(np.isfinite(invs)):
+            return invs
     except np.linalg.LinAlgError:       # an exactly singular matrix
         pass
-    # an infinite entry can still have a finite inverse
-    if np.all(np.isfinite(mats[used])) and np.all(np.isfinite(invs[used])):
-        return invs
     raise DegenerateInputError("singular step matrix")
+
+
+def _drawn(mats, idx):
+    """(mats, invs, idx): the matrices of the (m, d, d) stack mats that idx
+    draws, in stack order, their inverses, screened
+    (:func:`screen_invertible`), and idx relabelled to them."""
+    drawn = np.bincount(np.ravel(idx), minlength=len(mats)) > 0
+    if not drawn.all():
+        mats, idx = mats[drawn], (np.cumsum(drawn) - 1)[idx]
+    return mats, screen_invertible(mats), idx
 
 
 def check_steps(values: np.ndarray, first: int = 1) -> None:
@@ -251,37 +258,35 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
 # Subproducts of a long product are close to rank one.  A node whose two
 # factors are far from aligned amplifies the rounding of its product, so a
 # tree rounded to double at every node can lose to a one-step-at-a-time
-# loop, whose track meets one fresh factor at a time.  A product of real
-# matrices therefore carries each node as a double-double hi + lo (hi =
-# fl(hi + lo)) with the error-free transformations of horoflow._exact, to
-# about 2**-104.  A product of complex matrices has lo None and rounds hi at
-# every node: the disk walk still beats its step loop this way (see
-# tests/test_cocycle.py), several times faster than in double-double.
+# loop, whose track meets one fresh factor at a time.  Each node is
+# therefore carried as a double-double hi + lo (hi = fl(hi + lo)) with the
+# error-free transformations of horoflow._exact, to about 2**-104, from
+# leaves given as such pairs: a tree rounded to double misses the disk
+# walk's rate by up to 10 ulp of 50-digit products (tests/test_cocycle.py).
 
 # (trial, step) matrices gathered at once; bounds the temporaries
 _PRODUCT_BLOCK = 1 << 12
 
 
 def _part(node, index):
-    return [None if a is None else a[index] for a in node]
+    return [a[index] for a in node]
 
 
 def chain_product(first, then, later_left: bool = False):
     """The scaled product of two scaled products: ``then`` after ``first``,
     on the right of it, or on the left when ``later_left``."""
     (xh, xl, xe), (yh, yl, ye) = (then, first) if later_left else (first, then)
-    if xl is None:
-        return _rescaled(xh @ yh, None, xe + ye)
     return _rescaled(*_dd_matmul(xh, xl, yh, yl), xe + ye)
 
 
-def pairwise_product(mats: np.ndarray, idx, later_left: bool = False):
-    """Scaled per-trial products of ``mats[idx[t, 0]], mats[idx[t, 1]], ...``.
+def pairwise_product(leaves, idx, later_left: bool = False):
+    """Scaled per-trial products of ``M[idx[t, 0]], M[idx[t, 1]], ...``, in
+    double-double arithmetic, for the real (m, d, d) stacks
+    ``leaves = (hi, lo)`` of the matrices M = hi + lo.
 
     Later factors go on the right (M_1 M_2 ... M_L), or on the left when
     ``later_left`` (M_L ... M_2 M_1).  idx is a (trials, L) integer array,
-    L >= 1.  Real factors are multiplied in double-double arithmetic.  Read
-    the result with :func:`scaled_matrices`.
+    L >= 1.  Read the result with :func:`scaled_matrices`.
 
     The steps are gathered in aligned blocks of a power-of-two width that
     keeps each gather within ``_PRODUCT_BLOCK`` matrices, and full blocks
@@ -289,22 +294,21 @@ def pairwise_product(mats: np.ndarray, idx, later_left: bool = False):
     the same whatever the width: each trial of a batch equals its one-trial
     call bit for bit.
     """
+    hi, lo = leaves
     trials, steps = idx.shape
     width = 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1
     stack = []      # (steps covered, scaled product), aligned and decreasing
     for start in range(0, steps, width):
-        x = mats[idx[:, start:start + width]]
-        node = _rescaled(x, None if np.iscomplexobj(x) else np.zeros_like(x),
-                         np.zeros(x.shape[:2], dtype=np.int64))
+        block = idx[:, start:start + width]
+        node = _rescaled(hi[block], lo[block], np.zeros(block.shape, dtype=np.int64))
         while node[0].shape[1] > 1:
             m = node[0].shape[1] // 2 * 2
             pair = chain_product(_part(node, np.s_[:, 0:m:2]),
                                  _part(node, np.s_[:, 1:m:2]), later_left)
             if m < node[0].shape[1]:    # an odd node carries to the next level
-                pair = [None if a is None else np.concatenate([a, b[:, m:]], axis=1)
-                        for a, b in zip(pair, node)]
+                pair = [np.concatenate([a, b[:, m:]], axis=1) for a, b in zip(pair, node)]
             node = pair
-        size, node = x.shape[1], _part(node, np.s_[:, 0])
+        size, node = block.shape[1], _part(node, np.s_[:, 0])
         while stack and stack[-1][0] == size:
             node = chain_product(stack.pop()[1], node, later_left)
             size *= 2
@@ -333,9 +337,10 @@ def _running_products(nodes, later_left: bool = False):
     return np.stack(p), np.stack(logs)
 
 
-def _checkpoint_products(mats: np.ndarray, idx, ks: list, later_left: bool = False):
+def _checkpoint_products(leaves, idx, ks: list, later_left: bool = False):
     """(segs, p, log_scale) of the per-trial products of the steps idx draws
-    from mats, at the sorted distinct checkpoints ks.
+    from the double-double matrices ``leaves = (hi, lo)``, at the sorted
+    distinct checkpoints ks.
 
     segs[j] is the scaled product of steps ks[j-1]+1 .. ks[j] (from step 1
     for j = 0), by :func:`pairwise_product`; p and log_scale are the stacks
@@ -344,7 +349,7 @@ def _checkpoint_products(mats: np.ndarray, idx, ks: list, later_left: bool = Fal
     :func:`pairwise_product`.
     """
     bounds = [0] + list(ks)
-    segs = [pairwise_product(mats, idx[:, b:c], later_left)
+    segs = [pairwise_product(leaves, idx[:, b:c], later_left)
             for b, c in zip(bounds, bounds[1:])]
     return (segs, *_running_products(segs, later_left))
 
@@ -356,7 +361,11 @@ def _checkpoint_products(mats: np.ndarray, idx, ks: list, later_left: bool = Fal
 # after ~38 units of hyperbolic distance, so long walks are evaluated
 # through scaled 2x2 matrix products instead of disk coordinates:
 # for a unit-determinant disk isometry g = [[alpha, beta], [conj beta,
-# conj alpha]], d(0, g.0) = 2 arccosh |alpha|.
+# conj alpha]], d(0, g.0) = 2 arccosh |alpha|.  The Cayley transform of
+# the disk to the half-plane (Beardon, The Geometry of Discrete Groups,
+# 1983) conjugates g to the real [[Re alpha + Re beta, Im alpha - Im beta],
+# [-(Im alpha + Im beta), Re alpha - Re beta]], so products are real and
+# 2 alpha = (h11 + h22) + i (h12 - h21) of the product h.
 
 def mobius_matrix(a: complex) -> np.ndarray:
     """Unit-determinant matrix of the disk automorphism z -> (z+a)/(1+conj(a)z)."""
@@ -396,22 +405,29 @@ def _walk_distances(driver: ErgodicDriver, n: int, trials: int, ks: list,
     for that checkpoint k.  With ``suffix``, (a, suffix), and
     suffix[j, t] = d(u(k)0, u(n)0).
 
-    Driver elements must be unit-determinant 2x2 complex matrices (see
-    :func:`mobius_matrix`).  Every distance comes from a scaled product,
-    so no disk coordinate ever reaches |z| = 1.
+    Driver elements must be SU(1,1) matrices (see :func:`mobius_matrix`).
+    The leaves are their Cayley forms, each entry a sum of two doubles kept
+    exactly as a ``_two_sum`` hi + lo.  Every distance comes from a scaled
+    product, so no disk coordinate ever reaches |z| = 1.
     """
     maps, idx = driver.draw(range(trials), n)
-    mats = np.asarray(maps, dtype=complex)
+    g = np.asarray(maps, dtype=complex)
+    alpha, beta = g[:, 0, 0], g[:, 0, 1]
+    entries = (_two_sum(alpha.real, beta.real), _two_sum(alpha.imag, -beta.imag),
+               _two_sum(-alpha.imag, -beta.imag), _two_sum(alpha.real, -beta.real))
+    leaves = [np.stack(part, axis=-1).reshape(-1, 2, 2) for part in zip(*entries)]
     # the segment products M_{b+1} ... M_c between consecutive bounds b < c,
     # chained forward into the prefix products P_k = M_1 ... M_k, which give
     # a(k) = d(0, u(k)0), and, for the suffix only, backward from the last
     # segment into S_j = M_{j+1} ... M_n, which give d(u(j)0, u(n)0), down
     # to the first checkpoint's S (S_0 is not formed)
-    segs, p, logs = _checkpoint_products(mats, idx, sorted(set(ks) | {n}))
+    segs, p, logs = _checkpoint_products(leaves, idx, sorted(set(ks) | {n}))
 
-    def dist(p, logs):
-        x = logs + np.log(np.abs(p[..., 0, 0]))
-        return np.reshape([_dist_origin(v) for v in x.ravel().tolist()], x.shape)
+    def dist(p, logs):     # math.log per value: np.log rounds by SIMD dispatch
+        re = (p[..., 0, 0] + p[..., 1, 1]).ravel().tolist()
+        im = (p[..., 0, 1] - p[..., 1, 0]).ravel().tolist()
+        return np.reshape([_dist_origin(s + math.log(0.5 * math.hypot(x, y)))
+                           for s, x, y in zip(logs.ravel().tolist(), re, im)], logs.shape)
 
     a = dist(p, logs)
     if not suffix:

@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from ._exact import _aligned, _balanced, _dd_det, _halves, _pow2_normalize
-from .cocycle import (ErgodicDriver, check_steps, pairwise_product, screen_invertible,
-                      tail_checkpoints)
+from .cocycle import (ErgodicDriver, _drawn, check_steps, pairwise_product,
+                      screen_invertible, tail_checkpoints)
 from .core import DegenerateInputError
 
 _LOG2 = math.log(2.0)
@@ -89,16 +89,6 @@ def qr_spectrum(driver: ErgodicDriver, n: int, trials=(0,)) -> SpectrumEstimate:
     return SpectrumEstimate(exponents=np.array(exponents), resid=np.array(resids))
 
 
-def _drawn(mats, idx):
-    """(mats, invs, idx): the matrices of the (m, d, d) stack mats that idx
-    draws, in stack order, their inverses, screened
-    (:func:`screen_invertible`), and idx relabelled to them."""
-    drawn = np.bincount(np.ravel(idx), minlength=len(mats)) > 0
-    if not drawn.all():
-        mats, idx = mats[drawn], (np.cumsum(drawn) - 1)[idx]
-    return mats, screen_invertible(mats, idx), idx
-
-
 def _exponent_sums(mats, idx, ks) -> list:
     """S[t][j][c], j = 0 .. d: log ||L^j A(k) (e_1 ^ ... ^ e_j)||, L^j the
     j-th exterior power, at checkpoint k = ks[c] as an exact Fraction of
@@ -156,7 +146,7 @@ def _exponent_sums(mats, idx, ks) -> list:
         else:
             stacks, shifts = zip(*(_compound(a, j) for a in stacks))
             try:
-                inverses = [screen_invertible(a, idx) for a in stacks]
+                inverses = [screen_invertible(a) for a in stacks]
             except DegenerateInputError:
                 raise DegenerateInputError(
                     f"exterior power {j} of a step matrix leaves the double range") from None
@@ -319,7 +309,7 @@ def _log_norms(mats, invs, idx, w, ks):
         if width == 1:
             hi[at] = mats[segs].reshape(len(s), per, d, d)
             continue
-        p_hi, p_lo, e = pairwise_product(mats, segs, later_left=True)
+        p_hi, p_lo, e = pairwise_product((mats, np.zeros(mats.shape)), segs, later_left=True)
         hi[at], lo[at] = (x.reshape(len(s), per, d, d) for x in (p_hi, p_lo))
         e_block[b, s] = e.reshape(len(s), per).sum(axis=1)
     lo = lo if lo.any() else None

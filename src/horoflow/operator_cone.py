@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from .cocycle import (DegenerateInputError, ErgodicDriver, LyapunovEstimate,
-                      _checkpoint_products, checkpoint_list, screen_invertible,
-                      summarize_trials, tail_checkpoints)
+                      _checkpoint_products, _drawn, checkpoint_list, summarize_trials,
+                      tail_checkpoints)
 from .spaces import sym_part
 
 
@@ -37,18 +37,18 @@ def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> tuple:
     v(k) and v(k)^{-1}, each with largest entry modulus in [1/2, 1),
     log_scale and inv_log_scale their logs of scale, and k the checkpoint
     of each row.  The trials share the driver's drawn stack of matrices
-    (see :meth:`ErgodicDriver.draw`), so each distinct matrix is screened
-    and inverted once.  Each track is one
-    :func:`horoflow.cocycle._checkpoint_products` pass in double-double
-    arithmetic, the forward track with later factors on the left and the
-    inverse track with them on the right.
+    (see :meth:`ErgodicDriver.draw`), so each distinct drawn matrix is
+    screened and inverted once (:func:`horoflow.cocycle._drawn`).  Each
+    track is one :func:`horoflow.cocycle._checkpoint_products` pass from
+    exact leaves (lo zero), later factors on the left for the forward
+    track and on the right for the inverse track.
     """
     maps, idx = driver.draw(trials, n)
-    mats = np.asarray(maps, dtype=float)
-    invs = screen_invertible(mats, idx)
+    mats, invs, idx = _drawn(np.asarray(maps, dtype=float), idx)
     ks = sorted(set(checkpoints))
-    _, f, lf = _checkpoint_products(mats, idx, ks, later_left=True)
-    _, g, lg = _checkpoint_products(invs, idx, ks)
+    zeros = np.zeros(mats.shape)
+    _, f, lf = _checkpoint_products((mats, zeros), idx, ks, later_left=True)
+    _, g, lg = _checkpoint_products((invs, zeros), idx, ks)
     return f, lf, g, lg, np.broadcast_to(np.array(ks)[:, None], lf.shape)
 
 

@@ -10,8 +10,8 @@ from horoflow.cocycle import (ErgodicDriver, apply_element, check_steps,
                               constant_driver, estimate_top_exponent,
                               geometric_checkpoints, hyperbolic_walk_gap,
                               mobius_matrix, screen_invertible, summarize_trials,
-                              walk_top_exponent, _distances_from, _fold_orbits,
-                              _tail_slope)
+                              walk_top_exponent, _distances_from, _drawn,
+                              _fold_orbits, _tail_slope)
 from horoflow._exact import _dd_matmul
 from horoflow.core import DegenerateInputError, MetricDomainError
 from horoflow.seeding import trial_rng
@@ -193,17 +193,21 @@ def test_screen_invertible_refuses_only_matrices_without_a_finite_inverse():
     # any scale and any condition number whose inverse is representable
     for scale in (1e-301, 1e-7, 1.0, 1e308):
         mats = scale * np.stack([np.eye(2), rot])
-        assert np.array_equal(screen_invertible(mats, [[1, 0, 1]]), np.linalg.inv(mats))
+        assert np.array_equal(screen_invertible(mats), np.linalg.inv(mats))
     eps = np.finfo(float).eps
     for good in (np.diag([1e-301, 1e301]), np.diag([1e8, 1e-8]), np.diag([1.0, eps])):
-        assert np.array_equal(screen_invertible(good[None], [0]), np.linalg.inv(good[None]))
+        assert np.array_equal(screen_invertible(good[None]), np.linalg.inv(good[None]))
     for bad in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
                 np.diag([1e-310, 1.0]), np.diag([1.0, np.nan]), np.diag([np.inf, 1.0])):
         with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
-            screen_invertible(np.stack([np.eye(2), bad]), [0, 1])
-        # a matrix that is never drawn is not screened, and its inverse is nan
-        invs = screen_invertible(np.stack([2.0 * np.eye(2), bad]), [0, 0])
-        assert invs[0].tolist() == [[0.5, 0.0], [0.0, 0.5]] and np.all(np.isnan(invs[1]))
+            screen_invertible(np.stack([np.eye(2), bad]))
+        with pytest.raises(DegenerateInputError, match="^singular step matrix$"):
+            _drawn(np.stack([np.eye(2), bad]), np.array([[1, 0, 1]]))
+        # a matrix that is never drawn is dropped before the screen, and the
+        # steps are relabelled to the drawn ones
+        mats, invs, idx = _drawn(np.stack([bad, 2.0 * np.eye(2)]), np.array([[1, 1]]))
+        assert mats.tolist() == [[[2.0, 0.0], [0.0, 2.0]]]
+        assert invs.tolist() == [[[0.5, 0.0], [0.0, 0.5]]] and idx.tolist() == [[0, 0]]
 
 
 def test_check_steps_names_the_first_fault():

@@ -93,7 +93,13 @@ norm of its first row (1000 log 3) now errs 8.1e-17 instead of 1.1e-15,
 and no longer happens to offset the rounding of log 0.75 in the
 determinant sum (2.607e-17 an exponent).  Golden filtration-probe and stochastic
 oseledets-spectrum-sl2_pair kept their bits.  The new digest holds under
-OpenBLAS's Haswell kernels and numpy's AVX2 dispatch.
+OpenBLAS's Haswell kernels and numpy's AVX2 dispatch.  Golden
+hyperbolic-walk and stochastic hyperbolic-walk-two_maps and
+top-exponent-disk_mobius were re-pinned when the walk's products moved
+from complex SU(1,1) matrices rounded at each node to the real
+double-double products of their Cayley forms, with |alpha| read from the
+trace and the logs taken by ``math.log`` per value: all three now hold
+under OpenBLAS's Haswell kernels and numpy's AVX2 dispatch.
 """
 
 import hashlib
@@ -108,7 +114,7 @@ GOLDEN_SHA256 = {
     "filtration-probe":
         "f059ed65073fc2d8075080532da76e1da87c191f996bb8e92c22ef27f14258aa",
     "hyperbolic-walk":
-        "ad24732ab4d030801735f1f8f1218d4fad2128521cc171a6d8dfb73b2e0199f2",
+        "9e1205d681abb33dc06cb2b2cd60790c4cab1ddb2fbcc3356445435faf89195b",
     "jacobian-cocycle":
         "1d44500b07e1202af6de70def54a84d2206644ee058ad8b44a306d2969b2eb80",
     "lipschitz-profile":
@@ -148,13 +154,13 @@ STOCHASTIC_SHA256 = {
         "b813e094fd8487766135a7de26a46abba9d32ac0f38a52383726b00f56379ec9"),
     "top-exponent-disk_mobius": (
         "top-exponent", {"preset": "disk_mobius", "n": 12, "trials": 2},
-        "5c8c6b516b4f1ed47760ec9e4b147ea052124afcd2d9cdbf32e3c5c2934648f6"),
+        "5d779d7e9430658aa642fde46a5a211df578f16f92d043ccc0b0bb9d62ddc103"),
     "oseledets-spectrum-sl2_pair": (
         "oseledets-spectrum", {"preset": "sl2_pair", "n": 2000},
         "85906177ddce1169332a6e3c9138fdc06da3fbc613876a15c2be4246cff0788b"),
     "hyperbolic-walk-two_maps": (
         "hyperbolic-walk", {"n": 200, "trials": 2, "mobius_a2": "0.3+0.2j"},
-        "826327a36db6300893bd35efd826c84af741aa97eb8ff6eb321ae090b86a897b"),
+        "f28f5682c57807ea2d2a9df9b208c793457eb6e3f898086f21089895096d8c20"),
     "lipschitz-profile-tanh": (
         "lipschitz-profile", {"activation": "tanh", "depth": 5, "n_pairs": 20},
         "20b1dbaa717773787e088f041ede818d3668a6f4e887ffb18fa14a6ea19c8a5d"),
