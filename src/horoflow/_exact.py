@@ -109,9 +109,10 @@ def _top_modulus(x, axis):
 def _pow2_normalize(x, axis, out=None):
     """(x 2^-e, e): the real array x scaled by the power of two 2^-e that
     puts its largest modulus over ``axis`` (an int or a tuple) in [1/2, 1),
-    and the integer exponents e, shaped like x without ``axis``.  A slice whose largest
-    modulus is zero or not finite keeps its entries, with e = 0.  The
-    result is written to ``out`` when given (x itself scales in place).
+    and the integer exponents e, shaped like x without ``axis``.  A slice
+    whose largest modulus is zero or not finite keeps its entries, with
+    e = 0.  The result is written to ``out`` when given (x itself scales
+    in place).
 
     The scaling is np.ldexp, exact wherever the result is not subnormal.
     """
