@@ -251,15 +251,15 @@ def _run_segal_sweep(cfg):
         # the draw range itself overflows, and every exponential would
         raise DegenerateInputError(
             "matrix exponential overflows: the scale of u and v is too large")
+    # one stream for the sweep, u drawn before v within each pair: blocks
+    # drawn in turn read it as one whole draw would, so a shorter sweep's
+    # pairs are a prefix of a longer one's
+    rng = trial_rng(cfg["seed"], 0)
     rows = []
     for start in range(0, cfg["pairs"], _SEGAL_BLOCK):
         pairs = range(start, min(start + _SEGAL_BLOCK, cfg["pairs"]))
-        # one stream per pair, u drawn before v
-        uv = np.empty((2, len(pairs), dim, dim))
-        for j, i in enumerate(pairs):
-            uv[:, j] = trial_rng(cfg["seed"], i).uniform(-scale, scale,
-                                                         size=(2, dim, dim))
-        u, v = 0.5 * (uv + uv.swapaxes(-1, -2))
+        uv = rng.uniform(-scale, scale, size=(len(pairs), 2, dim, dim))
+        u, v = (0.5 * (uv + uv.swapaxes(-1, -2))).swapaxes(0, 1)
         # path_gap: exp(u+v) from the eigendecomposition behind lhs against
         # the Taylor path, which shares no step with it
         lhs, rhs, e_sum = segal_check(u, v)

@@ -1114,13 +1114,13 @@ def _symmetric(y, tol=1e-9):
     return 0.5 * (y + y.T)
 
 
-def sweep_pair(seed, i, dim, scale):
-    """segal-sweep's pair i: u, then v, drawn from the pair's own stream
-    and symmetrized."""
-    rng = trial_rng(seed, i)
-    u = rng.uniform(-scale, scale, size=(dim, dim))
-    v = rng.uniform(-scale, scale, size=(dim, dim))
-    return _symmetric(0.5 * (u + u.T)), _symmetric(0.5 * (v + v.T))
+def sweep_pairs(seed, pairs, dim, scale):
+    """segal-sweep's first ``pairs`` pairs from the sweep's one stream: pair
+    i is its i-th (2, dim, dim) draw, u then v, each symmetrized."""
+    rng = trial_rng(seed, 0)
+    for _ in range(pairs):
+        u, v = rng.uniform(-scale, scale, size=(2, dim, dim))
+        yield _symmetric(0.5 * (u + u.T)), _symmetric(0.5 * (v + v.T))
 
 
 def _spec(m):
@@ -1156,8 +1156,7 @@ def loop_segal_sweep(seed, pairs, dim, scale):
     eigendecomposition, and path_gap between exp(u+v) from that of u+v and
     :func:`loop_expm_taylor`.  The stacked sweep must agree bit for bit."""
     rows = []
-    for i in range(pairs):
-        u, v = sweep_pair(seed, i, dim, scale)
+    for i, (u, v) in enumerate(sweep_pairs(seed, pairs, dim, scale)):
         w, e_sum = _eig_expm(u + v)
         eu2, ev = _eig_expm(0.5 * u)[1], _eig_expm(v)[1]
         lhs = float(np.exp(w[-1]))
@@ -1173,8 +1172,7 @@ def scipy_segal_sweep(seed, pairs, dim, scale):
     ``scipy.linalg.expm`` results, and path_gap between ``expm(u+v)`` and
     the eigendecomposition path.  The error baseline of :func:`mp_segal`."""
     rows = []
-    for i in range(pairs):
-        u, v = sweep_pair(seed, i, dim, scale)
+    for i, (u, v) in enumerate(sweep_pairs(seed, pairs, dim, scale)):
         lhs = _spec(scipy.linalg.expm(u + v))
         eu2 = scipy.linalg.expm(0.5 * u)
         rhs = _spec(eu2 @ scipy.linalg.expm(v) @ eu2)

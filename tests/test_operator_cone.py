@@ -23,7 +23,7 @@ from horoflow.spaces import sym_part
 from oracles import (elements, exact_log_gram_norm, loop_accumulate, loop_expm_taylor,
                      loop_segal_sweep, mp_distance, mp_log_gram_norms, mp_segal,
                      mp_state_ratios, rotation_draws, sampled_draws,
-                     scipy_segal_sweep, sweep_pair)
+                     scipy_segal_sweep, sweep_pairs)
 
 
 def _random_driver(seed=3, spread=0.5):
@@ -316,6 +316,14 @@ def test_stacked_segal_sweep_equals_the_pair_loop(seed):
     assert _run_segal_sweep(cfg)[1] == loop_segal_sweep(seed, 1100, 3, 2.0)
 
 
+def test_a_shorter_segal_sweep_is_a_prefix_of_a_longer_one():
+    # the sweep reads one stream, so its first 500 pairs are the same
+    # whether the sweep stops there or runs past a stacked block (1024)
+    cfg = {"seed": 3, "dim": 3, "scale": 2.0}
+    short = _run_segal_sweep({**cfg, "pairs": 500})[1]
+    assert _run_segal_sweep({**cfg, "pairs": 1100})[1][:500] == short
+
+
 def test_segal_sweep_against_the_mpmath_oracle():
     # sweep pairs at the default scale, against 50-digit exponentials: the
     # eigendecomposition sides and the Taylor path are each no worse, at
@@ -324,10 +332,11 @@ def test_segal_sweep_against_the_mpmath_oracle():
     for dim in (2, 3, 4):
         rows = _run_segal_sweep({"seed": seed, "pairs": pairs, "dim": dim, "scale": scale})[1]
         old_rows = scipy_segal_sweep(seed, pairs, dim, scale)
+        uv = list(sweep_pairs(seed, pairs, dim, scale))
         err = {key: [] for key in ("lhs", "rhs", "path", "gap")}
         old = {key: [] for key in err}
         for (i, lhs, rhs, _, gap), (_, old_lhs, old_rhs, _, old_gap) in zip(rows, old_rows):
-            u, v = sweep_pair(seed, i, dim, scale)
+            u, v = uv[i]
             exact_lhs, exact_rhs, exact_sum = mp_segal(u, v)
             err["lhs"].append(float(abs(lhs - exact_lhs) / exact_lhs))
             old["lhs"].append(float(abs(old_lhs - exact_lhs) / exact_lhs))
