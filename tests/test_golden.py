@@ -99,7 +99,11 @@ top-exponent-disk_mobius were re-pinned when the walk's products moved
 from complex SU(1,1) matrices rounded at each node to the real
 double-double products of their Cayley forms, with |alpha| read from the
 trace and the logs taken by ``math.log`` per value: all three now hold
-under OpenBLAS's Haswell kernels and numpy's AVX2 dispatch.
+under OpenBLAS's Haswell kernels and numpy's AVX2 dispatch.  Golden
+segal-sweep was re-pinned again when the sweep stopped drawing each pair
+from its own stream and began to draw all its pairs from one stream, u
+before v within each pair, so that it checks other pairs
+(``loop_segal_sweep`` draws them the same way).
 """
 
 import hashlib
@@ -130,7 +134,7 @@ GOLDEN_SHA256 = {
     "resnet-drift":
         "d2aada1a55a1b6567865f265e7bd89d8881e5ec12dec74a061105cd2bc6736a7",
     "segal-sweep":
-        "4365be6b5d05bc26cbd1ea437a54bf9b93f99c55d7ed6e7f18fe7bd8e0df6ed8",
+        "91e058ab789df1d1c133c7b88849bed73b6af55198c2b42519bf137013561ec8",
     "state-ratio":
         "d7ec07b5ba0c40d72376477cea6d2d48c9a55a1e6e6a7cd31f5a76e651adb8aa",
     "top-exponent":
