@@ -277,8 +277,7 @@ def _run_resnet_drift(cfg):
     # coordinate, so at d = 1 the stream is one value per layer
     picks = np.array([trial_rng(cfg["seed"], t).integers(support.size, size=(n, d))
                       for t in range(trials)])
-    rep = resnet_drift(np.eye(d), cfg["activation"], support[picks], np.zeros(d),
-                       n, trials)
+    rep = resnet_drift(np.eye(d), cfg["activation"], support[picks], np.zeros(d))
     rows = []
     for t in range(trials):
         for c in range(d):
@@ -291,12 +290,9 @@ def _run_lipschitz_profile(cfg):
     rng = trial_rng(cfg["seed"], 0)
     layers = [make_layer(rng.normal(size=(d, d)), rng.normal(size=d),
                          cfg["activation"]) for _ in range(cfg["depth"])]
-
-    def pair_sampler(r):
-        return r.normal(size=d), r.normal(size=d)
-
-    profile = lipschitz_profile(layers, pair_sampler, cfg["n_pairs"],
-                                trial_rng(cfg["seed"], 1))
+    # every pair in one draw, x before y within each pair
+    xy = trial_rng(cfg["seed"], 1).normal(size=(cfg["n_pairs"], 2, d))
+    profile = lipschitz_profile(layers, xy[:, 0], xy[:, 1])
     return ["depth", "profile"], [(cfg["depth"], profile)]
 
 

@@ -104,20 +104,19 @@ class DriftReport:
     per_coordinate_se: np.ndarray
 
 
-def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftReport:
+def resnet_drift(W, activation: str, biases, x0) -> DriftReport:
     """Normalized deep-chain outputs u(n)x0 / n across seeded trials.
 
     Every layer is T(x) = W^T act(Wx + b) with the shared weight W, whose
-    operator norm must be at most 1; ``biases`` has shape (trials, n, d) and
-    trial t's chain is T_1(T_2(... T_n(x0))) with T_k using biases[t, k-1].
+    operator norm must be at most 1; ``biases`` is a (trials, n, d) stack,
+    d = len(x0), and trial t's chain is T_1(T_2(... T_n(x0))) with T_k using
+    biases[t, k-1].
     All trials step together.  The cross-input gap compares against the
     shifted input x0 + e1; by nonexpansiveness it is bounded by
     ||x0 - x0'|| / n, the assertable form of input independence of the
     drift vector.  An output, the gap or a standard error that leaves the
     double range raises DegenerateInputError.
     """
-    if n < 1 or trials < 1:
-        raise DegenerateInputError("need n >= 1 and trials >= 1")
     if activation not in ACTIVATIONS:
         raise DegenerateInputError(f"unknown activation {activation!r}")
     act = ACTIVATIONS[activation]
@@ -126,9 +125,10 @@ def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftRe
     x0 = np.asarray(x0, dtype=float)
     d = x0.shape[0]
     biases = np.asarray(biases, dtype=float)
-    if biases.shape != (trials, n, d):
-        raise DegenerateInputError(
-            f"biases have shape {biases.shape}, expected {(trials, n, d)}")
+    if biases.ndim != 3 or biases.shape[2] != d or 0 in biases.shape[:2]:
+        raise DegenerateInputError(f"biases have shape {biases.shape}, expected a "
+                                   f"(trials, n, {d}) stack with trials, n >= 1")
+    trials, n, _ = biases.shape
     # both inputs ride through every trial's chain together (first layer
     # outermost): X[t] holds trial t's images of x0 and x0 + e1 as columns
     X = np.empty((trials, d, 2))
@@ -151,36 +151,32 @@ def resnet_drift(W, activation: str, biases, x0, n: int, trials: int) -> DriftRe
     return DriftReport(v_hat=v_hat, cross_input_gap=gap, per_coordinate_se=se)
 
 
-def lipschitz_profile(layers: Sequence[LayerMap], pair_sampler, n_pairs: int,
-                      rng: np.random.Generator) -> float:
-    """max over sampled pairs of ||u(n)x - u(n)y|| / (n ||x - y||).
+def lipschitz_profile(layers: Sequence[LayerMap], x, y) -> float:
+    """max over the pairs (x[i], y[i]) of ||u(n)x - u(n)y|| / (n ||x - y||).
 
     For certified nonexpansive chains this is at most 1/n, quantifying how
-    close the normalized composition is to a constant function.  Pairs are
-    drawn in order from rng, and every point of every non-coincident
-    pair goes through the chain in one (points, d, 1) stack.
+    close the normalized composition is to a constant function.  x and y
+    are (pairs, d) stacks; coincident pairs are skipped, and every point of
+    every other pair goes through the chain in one (points, d, 1) stack.
     """
-    if n_pairs < 1:
-        raise DegenerateInputError("n_pairs must be >= 1")
     if not layers:
         raise DegenerateInputError("need at least one layer")
-    xs, ys, bases = [], [], []
-    for _ in range(n_pairs):
-        x, y = pair_sampler(rng)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        base = float(np.linalg.norm(x - y))
-        if base != 0.0:
-            xs.append(x)
-            ys.append(y)
-            bases.append(base)
-    if not bases:
-        raise DegenerateInputError("all sampled pairs were coincident")
-    out = apply_chain(layers, np.stack(xs + ys)[:, :, None])
-    diff = out[:len(xs)] - out[len(xs):]
-    n = len(layers)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape or len(x) < 1:
+        raise DegenerateInputError(f"x and y have shapes {x.shape} and {y.shape}, "
+                                   "expected one (pairs, d) shape with pairs >= 1")
     # one norm per difference vector, as a 1-D dot product
-    return max(float(np.linalg.norm(r)) / (n * base) for r, base in zip(diff, bases))
+    bases = np.array([float(np.linalg.norm(r)) for r in x - y])
+    keep = bases != 0.0
+    if not keep.any():
+        raise DegenerateInputError("all sampled pairs were coincident")
+    x, y, bases = x[keep], y[keep], bases[keep]
+    out = apply_chain(layers, np.concatenate([x, y])[:, :, None])
+    diff = out[:len(x)] - out[len(x):]
+    n = len(layers)
+    return max(float(np.linalg.norm(r)) / (n * base)
+               for r, base in zip(diff, bases.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -218,32 +214,25 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int) -> StretchReport:
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     base = np.abs(x - y)
-    checkpoints = set(geometric_checkpoints(n, count=12))
     maps, [idx] = driver.draw([0], n)
-    steps = idx.tolist()
     # each distinct drawn map is evaluated once, in order of its first step,
     # so a map that leaves the chart is reported at its first drawn step
-    first = {}
-    for k, m in enumerate(steps, start=1):
-        first.setdefault(m, k)
-    log_best, best = {}, {}
-    for m, k in first.items():
+    drawn, first = np.unique(idx, return_index=True)
+    log_best, best = np.empty(len(maps)), {}
+    for k, m in sorted(zip(first.tolist(), drawn.tolist())):
         g = maps[m]
         gx = g(x)
         gy = g(y)
         if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
-            raise DegenerateInputError(f"map left the sampled chart at depth {k}")
+            raise DegenerateInputError(f"map left the sampled chart at depth {k + 1}")
         ratios = np.abs(gx - gy) / base
         i = int(np.argmax(ratios))
         log_best[m] = math.log(float(ratios[i]))
         best[m] = (complex(x[i]), complex(y[i]))
-    total = 0.0
-    trace = []
-    for k, m in enumerate(steps, start=1):
-        total += log_best[m]
-        if k in checkpoints:
-            trace.append((k, best[m]))
-    best_pair = best[steps[-1]]
+    # the steps' logs summed in step order
+    total = float(np.cumsum(log_best[idx])[-1])
+    trace = [(k, best[idx[k - 1]]) for k in geometric_checkpoints(n, count=12)]
+    best_pair = best[idx[-1]]
     z_hat = 0.5 * (best_pair[0] + best_pair[1])
     return StretchReport(lambda_hat=total / n, argmax_trace=trace, z_hat=z_hat)
 

@@ -160,7 +160,7 @@ def _relu_bias_drift(seed: int, n: int, trials: int):
     support = np.array([0.5, 1.5])
     biases = np.array([support[trial_rng(seed, t).integers(2, size=n)]
                        for t in range(trials)])[:, :, None]
-    return resnet_drift(w, "relu", biases, np.zeros(1), n, trials)
+    return resnet_drift(w, "relu", biases, np.zeros(1))
 
 
 def test_criterion_08_resnet_drift(capsys):
@@ -175,7 +175,7 @@ def test_criterion_08_resnet_drift(capsys):
     d, n, trials = 3, 100, 10
     w = spectral_normalize(rng.normal(size=(d, d)))
     biases = np.array([trial_rng(1, t).normal(size=(n, d)) for t in range(trials)])
-    tanh_rep = resnet_drift(w, "tanh", biases, rng.normal(size=d), n, trials)
+    tanh_rep = resnet_drift(w, "tanh", biases, rng.normal(size=d))
     tanh_ok = bool(np.all(np.linalg.norm(tanh_rep.v_hat, axis=1) <= math.sqrt(d) / n))
     el = time.perf_counter() - t0
     ok = mean_err <= 3.0 * se and gap_ok and tanh_ok and el < budget

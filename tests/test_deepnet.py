@@ -88,7 +88,7 @@ def _relu_biases(seed, n, trials, d=1):
 def test_resnet_drift_matches_apply_chain():
     w = spectral_normalize(np.eye(1))
     biases = _relu_biases(2, 7, 3)
-    rep = resnet_drift(w, "relu", biases, np.zeros(1), 7, 3)
+    rep = resnet_drift(w, "relu", biases, np.zeros(1))
     for t in range(3):
         layers = [LayerMap(W=w, b=b, activation="relu") for b in biases[t]]
         assert np.allclose(rep.v_hat[t], apply_chain(layers, np.zeros(1)) / 7)
@@ -103,7 +103,7 @@ def test_batched_drift_equals_the_trial_loop(activation, d):
     w = spectral_normalize(rng.normal(size=(d, d)))
     biases = rng.normal(size=(trials, n, d))
     x0 = rng.normal(size=d)
-    rep = resnet_drift(w, activation, biases, x0, n, trials)
+    rep = resnet_drift(w, activation, biases, x0)
     chains = [[LayerMap(W=w, b=b, activation=activation) for b in biases[t]]
               for t in range(trials)]
     v_hat, gap = loop_resnet_drift(chains, x0)
@@ -113,7 +113,7 @@ def test_batched_drift_equals_the_trial_loop(activation, d):
 
 def test_drift_mean_for_relu_bias_chain():
     w = spectral_normalize(np.eye(1))
-    rep = resnet_drift(w, "relu", _relu_biases(5, 500, 20), np.zeros(1), 500, 20)
+    rep = resnet_drift(w, "relu", _relu_biases(5, 500, 20), np.zeros(1))
     # mean bias is 1 and relu(x + b) = x + b along the positive orbit
     assert mean_v_hat(rep)[0] == pytest.approx(1.0, abs=5 * rep.per_coordinate_se[0] + 1e-3)
     assert rep.cross_input_gap <= 1.0 / 500 + 1e-15
@@ -124,7 +124,7 @@ def test_tanh_chain_drift_is_bounded_by_sqrt_d_over_n():
     d, n, trials = 3, 50, 5
     w = spectral_normalize(rng.normal(size=(d, d)))
     biases = np.array([trial_rng(1, t).normal(size=(n, d)) for t in range(trials)])
-    rep = resnet_drift(w, "tanh", biases, rng.normal(size=d), n, trials)
+    rep = resnet_drift(w, "tanh", biases, rng.normal(size=d))
     assert np.all(np.linalg.norm(rep.v_hat, axis=1) <= math.sqrt(d) / n)
 
 
@@ -140,38 +140,38 @@ def test_resnet_drift_experiment_draws_a_bias_per_coordinate():
 
 def test_resnet_drift_rejects_uncertified_layers():
     with pytest.raises(NormConstraintError):
-        resnet_drift(2.0 * np.eye(1), "relu", np.zeros((1, 5, 1)), np.zeros(1), 5, 1)
+        resnet_drift(2.0 * np.eye(1), "relu", np.zeros((1, 5, 1)), np.zeros(1))
 
 
 def test_resnet_drift_rejects_bad_inputs():
     w = np.eye(2)
     with pytest.raises(DegenerateInputError):
-        resnet_drift(w, "softplus", np.zeros((1, 5, 2)), np.zeros(2), 5, 1)
-    with pytest.raises(DegenerateInputError):
-        resnet_drift(w, "relu", np.zeros((1, 4, 2)), np.zeros(2), 5, 1)
-    with pytest.raises(DegenerateInputError):
-        resnet_drift(w, "relu", np.zeros((0, 5, 2)), np.zeros(2), 5, 0)
+        resnet_drift(w, "softplus", np.zeros((1, 5, 2)), np.zeros(2))
+    # the biases must be a (trials, n, len(x0)) stack with trials, n >= 1
+    for shape in ((1, 4, 3), (5, 2), (0, 5, 2), (1, 0, 2)):
+        with pytest.raises(DegenerateInputError, match="trials, n"):
+            resnet_drift(w, "relu", np.zeros(shape), np.zeros(2))
+
+
+def _stacked_pairs(pair_sampler, n_pairs, rng):
+    """(x, y): n_pairs pairs drawn in order from rng, stacked."""
+    x, y = zip(*(pair_sampler(rng) for _ in range(n_pairs)))
+    return np.array(x), np.array(y)
 
 
 def test_lipschitz_profile_bound():
     rng = trial_rng(8, 0)
     layers = [make_layer(rng.normal(size=(4, 4)), rng.normal(size=4), "relu")
               for _ in range(60)]
-
-    def pairs(r):
-        return r.normal(size=4), r.normal(size=4)
-
-    prof = lipschitz_profile(layers, pairs, 100, trial_rng(2, 0))
+    x, y = trial_rng(2, 0).normal(size=(2, 100, 4))
+    prof = lipschitz_profile(layers, x, y)
     assert 0.0 <= prof <= 1.0 / 60 + 1e-12
-    with pytest.raises(DegenerateInputError):
-        lipschitz_profile(layers, pairs, 0, trial_rng(0, 0))
-
-    def coincident(r):
-        x = r.normal(size=4)
-        return x, x
-
-    with pytest.raises(DegenerateInputError):
-        lipschitz_profile(layers, coincident, 5, trial_rng(0, 0))
+    with pytest.raises(DegenerateInputError, match="coincident"):
+        lipschitz_profile(layers, x[:5], x[:5])
+    # x and y must be one (pairs, d) shape with at least one pair
+    for bad_x, bad_y in ((x[:0], y[:0]), (x, y[:5]), (x[0], y[0]), (x[:, :3], y)):
+        with pytest.raises(DegenerateInputError, match="pairs, d"):
+            lipschitz_profile(layers, bad_x, bad_y)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
@@ -190,7 +190,7 @@ def test_batched_profile_equals_the_pair_loop(activation, d):
         return (x, x) if r.random() < 0.3 else (x, y)
 
     for sampler in (pairs, some_coincident):
-        prof = lipschitz_profile(layers, sampler, 30, trial_rng(3, 0))
+        prof = lipschitz_profile(layers, *_stacked_pairs(sampler, 30, trial_rng(3, 0)))
         assert prof > 0.0
         assert prof == loop_lipschitz_profile(layers, sampler, 30, trial_rng(3, 0))
 
