@@ -20,7 +20,8 @@ from . import __version__
 from .core import (DegenerateInputError, MetricDomainError,
                    check_functional_bounds, check_weak_metric_axioms)
 from .cocycle import (ErgodicDriver, constant_driver, estimate_top_exponent,
-                      hyperbolic_walk_gap, mobius_matrix, walk_top_exponent)
+                      geometric_checkpoints, hyperbolic_walk_gap, mobius_matrix,
+                      walk_top_exponent)
 from .deepnet import (ACTIVATIONS, jacobian_cocycle_dist, lipschitz_profile,
                       make_layer, max_stretch, resnet_drift)
 from .lyapunov import filtration_probe, qr_spectrum
@@ -159,8 +160,8 @@ def _hyperbolic_driver(cfg) -> ErgodicDriver:
 
 
 def _run_hyperbolic_walk(cfg):
-    ks, gaps = hyperbolic_walk_gap(_hyperbolic_driver(cfg), cfg["n"], cfg["trials"],
-                                   cfg["probe_budget"])
+    ks = geometric_checkpoints(cfg["n"], count=cfg["probe_budget"])
+    ks, gaps = hyperbolic_walk_gap(_hyperbolic_driver(cfg), cfg["n"], cfg["trials"], ks)
     rows = [(t, k, gap) for t, row in enumerate(gaps.tolist())
             for k, gap in zip(ks, row)]
     return ["trial", "k", "gap"], rows

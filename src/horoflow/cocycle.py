@@ -449,24 +449,20 @@ def walk_top_exponent(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEst
     return _summarize_cocycle(_walk_distances(driver, n, trials, tail_ks), tail_ks)
 
 
-def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int = 1,
-                        probe_budget: int = 16, checkpoints=None):
+def hyperbolic_walk_gap(driver: ErgodicDriver, n: int, trials: int, checkpoints):
     """(ks, gaps): gap(k) = |(-1/k) h(u(k)x0) - (1/k) d(x0, u(k)x0)| of a disk
     Mobius walk from x0 = 0, for the metric functional h anchored at
     u(n)x0, at each checkpoint k of the list ks.
 
     Distances come from :func:`_walk_distances`, all trials together on
     stacked arrays; gaps[t, j] is trial t's gap at ks[j], one row for each
-    trial 0 .. trials-1.  Note gap(n) vanishes by construction (the
-    functional is anchored at u(n)x0); pass explicit interior
-    ``checkpoints`` for a nondegenerate diagnostic.
+    trial 0 .. trials-1, and ks the checkpoints sorted and distinct.  Note
+    gap(n) vanishes by construction (the functional is anchored at u(n)x0);
+    interior checkpoints give a nondegenerate diagnostic.
     """
     if n < 10 or trials < 1:
         raise DegenerateInputError("need n >= 10 and trials >= 1")
-    if checkpoints is None:
-        ks = geometric_checkpoints(n, count=probe_budget)
-    else:
-        ks = checkpoint_list(checkpoints, n)
+    ks = checkpoint_list(checkpoints, n)
     a, suffix = _walk_distances(driver, n, trials, ks, suffix=True)
     # ks are the first len(ks) rows, as every checkpoint lies in [1, n]
     k, m = np.array(ks)[:, None], len(ks)

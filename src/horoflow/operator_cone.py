@@ -111,12 +111,17 @@ def tau_estimate(driver: ErgodicDriver, n: int, trials: int) -> LyapunovEstimate
     return summarize_trials(per_trial, tail_ks, tail)
 
 
-def _check_symmetric(y, tol: float = 1e-9) -> np.ndarray:
+# largest skew entry of a symmetric input, relative to max(1, its largest entry)
+_SYMMETRY_TOL = 1e-9
+
+
+def _check_symmetric(y) -> np.ndarray:
     """y symmetrized, after checking each matrix of a (..., d, d) stack
     against its own tolerance."""
     y = np.asarray(y, dtype=float)
     skew = np.max(np.abs(y - y.swapaxes(-1, -2)), axis=(-2, -1))
-    if np.any(skew > tol * np.maximum(1.0, np.max(np.abs(y), axis=(-2, -1)))):
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=(-2, -1)))
+    if np.any(skew > _SYMMETRY_TOL * scale):
         raise SymmetryError("input matrix is not symmetric")
     return sym_part(y)
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from horoflow.cli import EXIT_OK, run as cli_run
-from horoflow.cocycle import (ErgodicDriver, constant_driver,
+from horoflow.cocycle import (ErgodicDriver, constant_driver, geometric_checkpoints,
                               hyperbolic_walk_gap, mobius_matrix)
 from horoflow.core import check_functional_bounds, check_weak_metric_axioms
 from horoflow.deepnet import max_stretch, resnet_drift, spectral_normalize
@@ -188,12 +188,13 @@ def test_criterion_09_functional_convergence_gap(capsys):
     budget = 60.0
     t0 = time.perf_counter()
     const = constant_driver(mobius_matrix(0.5))
-    const_gap = max(hyperbolic_walk_gap(const, 2000)[1][0])
+    _, const_gaps = hyperbolic_walk_gap(const, 2000, 1, geometric_checkpoints(2000))
+    const_gap = max(const_gaps[0])
     drv = ErgodicDriver(seed=7,
                         maps=(mobius_matrix(0.5), mobius_matrix(0.3 + 0.2j)),
                         weights=(0.5, 0.5))
     # gap(2000) against the anchor at u(4000)0, averaged over 20 trials
-    _, gaps = hyperbolic_walk_gap(drv, 4000, 20, checkpoints=[2000])
+    _, gaps = hyperbolic_walk_gap(drv, 4000, 20, [2000])
     mean_gap = float(np.mean(gaps[:, 0]))
     el = time.perf_counter() - t0
     ok = const_gap <= 1e-9 and mean_gap < 0.05 and el < budget

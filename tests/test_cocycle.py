@@ -235,7 +235,7 @@ def test_mobius_matrix_properties():
 
 def test_hyperbolic_walk_gap_constant_driver():
     drv = constant_driver(mobius_matrix(0.5))
-    ks, gaps = hyperbolic_walk_gap(drv, 2000)
+    ks, gaps = hyperbolic_walk_gap(drv, 2000, 1, geometric_checkpoints(2000))
     assert gaps.shape == (1, len(ks))
     assert max(gaps[0]) <= 1e-9
     assert ks[-1] == 2000
@@ -249,12 +249,12 @@ def _two_map_walk(seed=7):
 
 def test_hyperbolic_walk_interior_checkpoints():
     drv = _two_map_walk()
-    ks, gaps = hyperbolic_walk_gap(drv, 4000, checkpoints=[2000])
+    ks, gaps = hyperbolic_walk_gap(drv, 4000, 1, [2000])
     assert ks == [2000]
     assert gaps[0, 0] < 0.05
     for bad in ([500], [], 5, ["x"]):
         with pytest.raises(DegenerateInputError):
-            hyperbolic_walk_gap(drv, 100, checkpoints=bad)
+            hyperbolic_walk_gap(drv, 100, 1, bad)
 
 
 def _parametric_walk(seed):
@@ -304,9 +304,9 @@ def test_each_trial_of_a_batch_equals_its_one_trial_walk(name, checkpoints):
     # every rounding are the same
     driver, n = _WALKS[name](11), 300
     ks = checkpoints or geometric_checkpoints(n, count=16)
-    batch_ks, batch = hyperbolic_walk_gap(driver, n, 200, checkpoints=checkpoints)
-    _, few = hyperbolic_walk_gap(driver, n, 4, checkpoints=checkpoints)
-    _, one = hyperbolic_walk_gap(driver, n, 1, checkpoints=checkpoints)
+    batch_ks, batch = hyperbolic_walk_gap(driver, n, 200, ks)
+    _, few = hyperbolic_walk_gap(driver, n, 4, ks)
+    _, one = hyperbolic_walk_gap(driver, n, 1, ks)
     assert batch_ks == ks
     assert batch.shape == (200, len(ks))
     assert batch[:4].tolist() == few.tolist()
