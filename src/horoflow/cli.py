@@ -221,11 +221,7 @@ def _run_filtration_probe(cfg):
     dim = A.shape[0]
     probes = [np.eye(dim)[i] for i in range(dim)] + [np.ones(dim)]
     rep = filtration_probe(A, probes, cfg["n"], cfg["cluster_tol"])
-    cluster_of = {}
-    for c, members in enumerate(rep.clusters):
-        for i in members:
-            cluster_of[i] = c
-    rows = [(i, rep.rates[i], cluster_of[i]) for i in range(len(probes))]
+    rows = list(zip(range(len(probes)), rep.rates, rep.clusters.tolist()))
     return ["probe_index", "rate", "cluster"], rows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cocycle import ErgodicDriver, geometric_checkpoints
 from .core import DegenerateInputError
-from .spaces import _TWO_PI, NotDiffeomorphismError, _wrap_angle
+from .spaces import _TWO_PI, NotDiffeomorphismError, _row_norms, _wrap_angle
 
 
 class NormConstraintError(ValueError):
@@ -141,8 +141,7 @@ def resnet_drift(W, activation: str, biases, x0) -> DriftReport:
         for k in range(n - 1, -1, -1):
             X = W.T @ act(W @ X + biases[:, k, :, None])
         v_hat = X[:, :, 0] / n
-        # one norm per difference vector, as a 1-D dot product
-        gap = max(float(np.linalg.norm(r)) / n for r in X[:, :, 0] - X[:, :, 1])
+        gap = float(np.max(_row_norms(X[:, :, 0] - X[:, :, 1]))) / n
         se = np.std(v_hat, axis=0, ddof=1) / math.sqrt(trials) if trials > 1 \
             else np.zeros(d)
     if not (np.all(np.isfinite(v_hat)) and math.isfinite(gap) and np.all(np.isfinite(se))):
@@ -166,17 +165,14 @@ def lipschitz_profile(layers: Sequence[LayerMap], x, y) -> float:
     if x.ndim != 2 or x.shape != y.shape or len(x) < 1:
         raise DegenerateInputError(f"x and y have shapes {x.shape} and {y.shape}, "
                                    "expected one (pairs, d) shape with pairs >= 1")
-    # one norm per difference vector, as a 1-D dot product
-    bases = np.array([float(np.linalg.norm(r)) for r in x - y])
+    bases = _row_norms(x - y)
     keep = bases != 0.0
     if not keep.any():
         raise DegenerateInputError("all sampled pairs were coincident")
     x, y, bases = x[keep], y[keep], bases[keep]
-    out = apply_chain(layers, np.concatenate([x, y])[:, :, None])
-    diff = out[:len(x)] - out[len(x):]
-    n = len(layers)
-    return max(float(np.linalg.norm(r)) / (n * base)
-               for r, base in zip(diff, bases.tolist()))
+    out = apply_chain(layers, np.concatenate([x, y])[:, :, None])[:, :, 0]
+    diffs = _row_norms(out[:len(x)] - out[len(x):])
+    return float(np.max(diffs / (len(layers) * bases)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +202,10 @@ def max_stretch(driver: ErgodicDriver, n: int, grid: int) -> StretchReport:
     """
     if n < 1 or grid < 1:
         raise DegenerateInputError("n and grid must be >= 1")
-    mids = _TWO_PI * np.arange(grid) / grid
-    xs, ys = [], []
-    for s in (1e-2, 1e-4):
-        xs.append(np.exp(1j * (mids - 0.5 * s)))
-        ys.append(np.exp(1j * (mids + 0.5 * s)))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    mids = np.tile(_TWO_PI * np.arange(grid) / grid, 2)
+    half = np.repeat([0.5e-2, 0.5e-4], grid)
+    x = np.exp(1j * (mids - half))
+    y = np.exp(1j * (mids + half))
     base = np.abs(x - y)
     maps, [idx] = driver.draw([0], n)
     # each distinct drawn map is evaluated once, in order of its first step,

@@ -43,7 +43,7 @@ class SpectrumEstimate:
 @dataclass(frozen=True)
 class FiltrationProbeReport:
     rates: np.ndarray
-    clusters: list          # lists of probe indices, partitioning the probes
+    clusters: np.ndarray    # one label a probe, numbered by ascending rate
 
 
 def qr_spectrum(driver: ErgodicDriver, n: int, trials=(0,)) -> SpectrumEstimate:
@@ -425,14 +425,8 @@ def filtration_probe(A, probes, n: int, cluster_tol: float = None) -> Filtration
     if cluster_tol is None:
         spread = float(np.max(np.abs(rates - half)))
         cluster_tol = max(10.0 * spread, 1e-9)
+    # in rate order, a gap of at least cluster_tol starts the next cluster
     order = np.argsort(rates)
-    clusters = []
-    current = [int(order[0])]
-    for prev, probe in zip(order, order[1:]):
-        if rates[probe] - rates[prev] < cluster_tol:
-            current.append(int(probe))
-        else:
-            clusters.append(current)
-            current = [int(probe)]
-    clusters.append(current)
+    clusters = np.empty(len(rates), dtype=np.intp)
+    clusters[order] = np.concatenate([[0], np.cumsum(np.diff(rates[order]) >= cluster_tol)])
     return FiltrationProbeReport(rates=rates, clusters=clusters)

@@ -10,7 +10,6 @@ values and are asymmetric.
 from dataclasses import dataclass
 from typing import Callable
 
-import cmath
 import math
 
 import numpy as np
@@ -37,22 +36,29 @@ def _point_rows(points) -> np.ndarray:
 
     Raises MetricDomainError when their shapes differ.
     """
-    if not isinstance(points, np.ndarray):
-        shapes = {np.shape(p) for p in points}
-        if len(shapes) > 1:
-            raise MetricDomainError(f"dimension mismatch: {sorted(shapes)}")
-    rows = np.asarray(points, dtype=float)
+    try:
+        rows = np.asarray(points, dtype=float)
+    except ValueError as e:     # points of unequal shapes
+        raise MetricDomainError(f"dimension mismatch ({e})") from None
     return rows.reshape(len(rows), -1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of the real (m, d) array x.
+
+    Each row is scaled by a power of two, as _modulus scales, so its
+    squares neither underflow nor overflow; its dot product sums as
+    np.linalg.norm sums one vector (norm(x, axis=1) sums in another order),
+    so inside the double range each norm is np.linalg.norm's, bit for bit.
+    """
+    d, e = _pow2_normalize(x, 1)
+    return np.ldexp(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]), e)
 
 
 def euclidean_dist_many(points, i, j) -> np.ndarray:
     """||points[i[k]] - points[j[k]]|| for every k."""
     rows = _point_rows(points)
-    # each row scaled by a power of two, as _modulus scales, so its squares
-    # neither underflow nor overflow; its dot product sums as np.linalg.norm
-    # sums one vector (norm(d, axis=1) sums in another order)
-    d, e = _pow2_normalize(rows[i] - rows[j], 1)
-    return np.ldexp(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]), e)
+    return _row_norms(rows[i] - rows[j])
 
 
 def euclidean_space(dim: int = 3) -> WeakMetricSpace:
@@ -114,14 +120,11 @@ def poincare_dist_many(points, i, j) -> np.ndarray:
 
 def poincare_space() -> WeakMetricSpace:
     def sample(rng, m):
-        # one (r, theta) draw pair a point; each point through Python's
-        # complex arithmetic
-        out = []
-        for u, v in rng.random(size=(m, 2)).tolist():
-            r = 0.95 * math.sqrt(u)
-            theta = _TWO_PI * v
-            out.append(r * cmath.exp(1j * theta))
-        return out
+        # one (r, theta) draw pair a point
+        u, v = rng.random(size=(m, 2)).T
+        r = 0.95 * np.sqrt(u)
+        theta = _TWO_PI * v
+        return r * np.cos(theta) + 1j * (r * np.sin(theta))
 
     return WeakMetricSpace(name="poincare", dist_many=poincare_dist_many,
                            sample_points=sample)
@@ -145,18 +148,12 @@ def _spd_stack(points):
     rounding) positive-definite matrix, and MetricDomainError when their
     sizes differ.
     """
-    if isinstance(points, np.ndarray) and points.ndim == 3:   # a stacked block
-        s = points.astype(float, copy=False)
-        if s.shape[1] != s.shape[2]:
-            raise NotSpdError("point 0 is not symmetric positive definite")
-    else:
-        mats = [np.asarray(p, dtype=float) for p in points]
-        for k, m in enumerate(mats):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise NotSpdError(f"point {k} is not symmetric positive definite")
-        if len({m.shape for m in mats}) > 1:
-            raise MetricDomainError(f"dimension mismatch: {sorted({m.shape for m in mats})}")
-        s = np.stack(mats)
+    try:
+        s = np.asarray(points, dtype=float)
+    except ValueError as e:     # points of unequal shapes
+        raise MetricDomainError(f"dimension mismatch ({e})") from None
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise NotSpdError(f"points of shape {s.shape[1:]} are not square matrices")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or far-off point
         asym = np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
         bad = ~np.isfinite(s).all(axis=(1, 2)) \
@@ -284,7 +281,8 @@ class CircleMap:
 
     ``f_and_deriv`` takes a numpy array of angles and returns the float
     arrays ``(f(theta), f'(theta))`` from one call, which shares the work
-    the two have in common.
+    the two have in common.  f(theta) is any angle of the image, a lift or
+    an atan2 angle, not wrapped into [0, 2pi): the caller wraps it.
     """
 
     f_and_deriv: Callable[[np.ndarray], tuple]
@@ -327,7 +325,8 @@ def mobius_circle_map(a: float) -> CircleMap:
     the repelling fixed point theta = pi.  Both are taken in real
     arithmetic: (z+a)/(1+az) at z = e^{i theta}, times |1 + az|^2, has real
     part (1 + a^2) cos theta + 2a and imaginary part (1 - a^2) sin theta,
-    and |1 + az|^2 = 1 + a^2 + 2a cos theta.
+    and |1 + az|^2 = 1 + a^2 + 2a cos theta.  The image is atan2's angle,
+    in [-pi, pi].
     """
     a = float(a)
     if abs(a) >= 1.0:
@@ -337,7 +336,7 @@ def mobius_circle_map(a: float) -> CircleMap:
     def f_and_df(t):    # one sin and one cos, shared by f and df
         t = np.asarray(t, dtype=float)
         cos = np.cos(t)
-        return _wrap_angle(np.arctan2(p * np.sin(t), q * cos + r)), p / (q + r * cos)
+        return np.arctan2(p * np.sin(t), q * cos + r), p / (q + r * cos)
 
     return CircleMap(f_and_df)
 

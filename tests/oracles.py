@@ -13,8 +13,9 @@ distance, 40-digit generalized eigenvalues of the cone's pencils,
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
 loops over scalar distances for the batched distance kernels, a per-step
-loop for the maximal stretch, one-sample-at-a-time loops for the metric
-property suites over the six metrics with each point built on its own,
+loop for the maximal stretch, the disk sampler's old per-point loop,
+one-sample-at-a-time loops for the metric property suites over the six
+metrics with each point built on its own,
 block-at-a-time sums for the growth rates (whose old step-at-a-time
 loop stays as the error baseline), and 50-digit Gram-Schmidt for
 the QR spectrum (whose old LAPACK loop stays as the error baseline).  Two
@@ -675,6 +676,18 @@ def pair_loop(dist):
 def _one_at_a_time(sample):
     """A ``sample_points`` that draws m points by m calls of sample(rng)."""
     return lambda rng, m: [sample(rng) for _ in range(m)]
+
+
+def loop_disk_points(rng, m):
+    """m disk points as the Poincare sampler drew them before it was
+    stacked: one (r, theta) draw pair a point from one block draw, each
+    point through Python's complex arithmetic."""
+    out = []
+    for u, v in rng.random(size=(m, 2)).tolist():
+        r = 0.95 * math.sqrt(u)
+        theta = 2.0 * math.pi * v
+        out.append(r * cmath.exp(1j * theta))
+    return out
 
 
 def _reference_stretch_sample():

@@ -93,9 +93,8 @@ def test_filtration_probe_clusters_rates():
     A = np.diag([2.0, 0.5])
     probes = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
     rep = filtration_probe(A, probes, 400)
-    assert len(rep.clusters) == 2
-    slow = [c for c in rep.clusters if 1 in c][0]
-    assert slow == [1]  # only e2 lives in the slow layer
+    # one label a probe, by ascending rate: only e2 lives in the slow layer
+    assert rep.clusters.tolist() == [1, 0, 1]
     assert rep.rates[1] == pytest.approx(-math.log(2.0))
     # the probes may come as the rows of one array
     assert filtration_probe(A, np.array(probes), 400).rates.tolist() == rep.rates.tolist()
@@ -104,7 +103,17 @@ def test_filtration_probe_clusters_rates():
 def test_filtration_probe_single_cluster_for_conformal():
     rep = filtration_probe(2.0 * np.eye(3),
                            [np.eye(3)[i] for i in range(3)], 200)
-    assert len(rep.clusters) == 1
+    assert rep.clusters.tolist() == [0, 0, 0]
+
+
+def test_filtration_probe_at_tolerance_zero_splits_tied_rates():
+    # at cluster_tol 0 every probe is its own cluster, tied rates too: the
+    # labels are 0..p-1 in rate order
+    rep = filtration_probe(np.diag([2.0, 2.0, 0.5]), list(np.eye(3)), 400, cluster_tol=0.0)
+    assert rep.rates[0] == rep.rates[1]
+    assert sorted(rep.clusters.tolist()) == [0, 1, 2]
+    assert rep.clusters[2] == 0
+    assert np.all(np.diff(rep.rates[np.argsort(rep.clusters)]) >= 0.0)
 
 
 def test_filtration_probe_validation():
@@ -450,16 +459,14 @@ def test_a_row_cut_to_single_steps_shares_its_block_with_wider_rows():
 
 
 def _loop_clusters(half, rates):
-    """filtration_probe's grouping at its default tolerance, in plain Python."""
+    """filtration_probe's labels at its default tolerance, in plain Python:
+    a probe's label counts the gaps of at least tol below it in rate order."""
     tol = max(10.0 * max(abs(r - h) for r, h in zip(rates, half)), 1e-9)
     order = sorted(range(len(rates)), key=rates.__getitem__)
-    clusters = [[order[0]]]
+    labels = [0] * len(rates)
     for prev, i in zip(order, order[1:]):
-        if rates[i] - rates[prev] < tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+        labels[i] = labels[prev] + (not rates[i] - rates[prev] < tol)
+    return labels
 
 
 def test_filtration_probe_rates_equal_the_two_run_loop():
@@ -472,7 +479,7 @@ def test_filtration_probe_rates_equal_the_two_run_loop():
                                               widths=kernel_widths)
                             for p in probes))
         assert rep.rates.tolist() == list(rates)
-        assert rep.clusters == _loop_clusters(half, rates)
+        assert rep.clusters.tolist() == _loop_clusters(half, rates)
 
 
 def _errors(got, want):

@@ -15,13 +15,13 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              mobius_circle_map, poincare_dist_many,
                              registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, sym_part,
-                             _TWO_PI, _cone_log_eigs, _disk_rooms, _wrap_angle)
+                             _TWO_PI, _cone_log_eigs, _disk_rooms, _row_norms, _wrap_angle)
 
 from oracles import (SampledDistanceFunction, busemann_disk, busemann_radial_limit,
                      distance, euclidean_dist, funk_dist, jacobian_dist,
-                     jacobian_dist_many, mobius_disk, mp_cone_log_eigs, mp_poincare_dist,
-                     poincare_dist, radial_poincare_length, random_spd, rayleigh_sup,
-                     stretch_dist, stretch_dist_many, thompson_dist)
+                     jacobian_dist_many, loop_disk_points, mobius_disk, mp_cone_log_eigs,
+                     mp_poincare_dist, poincare_dist, radial_poincare_length, random_spd,
+                     rayleigh_sup, stretch_dist, stretch_dist_many, thompson_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +37,31 @@ def test_euclidean_keeps_the_double_range():
     assert euclidean_dist([1e200, 0.0], [-2e200, 4e200]) == pytest.approx(5e200, rel=4e-16)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_row_norms_equal_the_vector_norm(d):
+    # bit for bit np.linalg.norm of each row inside the double range
+    x = trial_rng(43, d).normal(size=(200, d)) * np.exp2(np.arange(-100, 100))[:, None]
+    assert _row_norms(x).tolist() == [float(np.linalg.norm(row)) for row in x]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, k", [(1e200, -600), (1e-200, 600)])
+def test_row_norms_scale_by_a_power_of_two(scale, k):
+    # rows whose unscaled squares overflow or underflow keep their norms:
+    # brought into range by 2^k, each norm scales by exactly 2^k
+    x = trial_rng(44, 0).normal(size=(100, 5)) * scale
+    assert _row_norms(x * 2.0 ** k).tolist() == (2.0 ** k * _row_norms(x)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Poincare disk
+
+@pytest.mark.parametrize("m", [1, 192, 1000])
+def test_disk_sampler_equals_the_point_loop(m):
+    got = registered_spaces()["poincare"].sample_points(trial_rng(45, 0), m)
+    want = np.array(loop_disk_points(trial_rng(45, 0), m))
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.99])
 def test_poincare_radial_matches_quadrature(r):
@@ -421,8 +444,18 @@ def test_batched_distances_keep_the_error_types():
         # L_p^-1 L_q = 1e160 * 1e154 overflows, and its SVD is nan
         with pytest.raises(MetricDomainError), np.errstate(over="ignore"):
             spaces[name].distances([1e-320 * np.eye(2), 1e308 * np.eye(2)], [0], [1])
-    with pytest.raises(MetricDomainError):
-        spaces["euclidean"].distances([np.zeros(2), np.zeros(3)], [0], [1])
+        # a list of points refuses unequal shapes and non-square matrices as
+        # a stack does
+        for ragged in ([np.eye(2), np.ones((2, 3))], [np.eye(2), np.eye(2)[0]]):
+            with pytest.raises(MetricDomainError, match="dimension mismatch"):
+                spaces[name].distances(ragged, [0], [1])
+        for points in ([np.ones((2, 3))] * 2, [np.ones(2)] * 2, np.ones((2, 2, 3))):
+            with pytest.raises(NotSpdError, match="not square"):
+                spaces[name].distances(points, [0], [1])
+    # a ragged list of parameter rows is a dimension mismatch
+    for name, width in (("euclidean", 2), ("stretch", 4), ("jacobian", 3)):
+        with pytest.raises(MetricDomainError, match="dimension mismatch"):
+            spaces[name].distances([np.zeros(width), np.zeros(width + 1)], [0], [1])
     # stretch rows (a, k1, k2, phase): a table that overflows, one that
     # underflows to 0, a short row and a non-finite one
     zero = np.zeros(4)
