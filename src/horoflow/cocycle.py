@@ -263,6 +263,17 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
 # error-free transformations of horoflow._exact, to about 2**-104, from
 # leaves given as such pairs: a tree rounded to double misses the disk
 # walk's rate by up to 10 ulp of 50-digit products (tests/test_cocycle.py).
+#
+# A driver that draws few matrices repeats the tree's subproducts: a
+# constant one's aligned pairs are all one product, and a two-map one has
+# at most 4, 16 and 256 distinct windows at the first three levels.  So a
+# node is a pair (table, codes): the scaled products of its (trials, ...)
+# nodes are the rows of the stack ``table`` that the integer array
+# ``codes`` names, or, where codes is None (a plain node), ``table``
+# itself, laid out as the nodes.  Each distinct pair of codes is multiplied
+# once (common-subexpression elimination on the tree: Ershov, Comm. ACM
+# 1(8), 1958).  Its operands and their operations are the plain tree's, so
+# every bit is too.
 
 # (trial, step) matrices gathered at once; bounds the temporaries
 _PRODUCT_BLOCK = 1 << 12
@@ -279,6 +290,57 @@ def chain_product(first, then, later_left: bool = False):
     return _rescaled(*_dd_matmul(xh, xl, yh, yl), xe + ye)
 
 
+def _distinct(keys, size):
+    """(kept, codes): the distinct values of the integer array keys, each in
+    [0, size), ascending, and each key's position among them; marked in a
+    dense boolean array of that size, with no sort."""
+    mark = np.zeros(size, dtype=bool)
+    mark[keys] = True
+    return np.flatnonzero(mark), (np.cumsum(mark) - 1)[keys]
+
+
+def _split(node, index):
+    """The nodes ``index`` of a node."""
+    table, codes = node
+    return (_part(table, index), None) if codes is None else (table, codes[index])
+
+
+def _products(node):
+    """The scaled products of a node's nodes, laid out as the nodes."""
+    table, codes = node
+    return table if codes is None else _part(table, codes)
+
+
+def _pair_nodes(first, then, later_left):
+    """The node of the products of two nodes of one shape, pair by pair, by
+    :func:`chain_product`.
+
+    Where both are coded and their tables allow fewer (left, right) code
+    pairs than there are pairs, each distinct pair is multiplied once, at
+    a cost of O(pairs + table sizes multiplied) and no sort, and the codes
+    number the distinct pairs.  Otherwise every pair is, into a plain node;
+    a plain operand has as many products as nodes, so its pairs cannot
+    repeat."""
+    (t1, c1), (t2, c2) = first, then
+    u1, u2 = len(t1[0]), len(t2[0])
+    if c1 is None or c2 is None or u1 * u2 >= c1.size:
+        return chain_product(_products(first), _products(then), later_left), None
+    kept, codes = _distinct(c1 * u2 + c2, u1 * u2)
+    i, j = np.divmod(kept, u2)
+    return chain_product(_part(t1, i), _part(t2, j), later_left), codes
+
+
+def _with_odd(node, odd):
+    """A level's node of pairs with the (trials, 1) carried node odd after
+    them; a coded odd node's distinct products join the table."""
+    (table, codes), (odd_table, odd_codes) = node, odd
+    if codes is None:
+        return [np.concatenate([a, b], axis=1) for a, b in zip(table, _products(odd))], None
+    kept, odd_codes = _distinct(odd_codes, len(odd_table[0]))
+    return ([np.concatenate([a, b[kept]]) for a, b in zip(table, odd_table)],
+            np.concatenate([codes, len(table[0]) + odd_codes], axis=1))
+
+
 def pairwise_product(leaves, idx, later_left: bool = False):
     """Scaled per-trial products of ``M[idx[t, 0]], M[idx[t, 1]], ...``, in
     double-double arithmetic, for the real (m, d, d) stacks
@@ -293,30 +355,48 @@ def pairwise_product(leaves, idx, later_left: bool = False):
     merge as a binary counter, so the tree, and with it every rounding, is
     the same whatever the width: each trial of a batch equals its one-trial
     call bit for bit.
+
+    Each distinct product is formed once: a node carries an integer code
+    per trial naming its product in a table, and at every level and every
+    merge each distinct (left, right) pair of codes is multiplied once,
+    wherever the two tables allow fewer such pairs than there are pairs
+    (:func:`_pair_nodes`).  The rule reads only the counts of codes and of
+    nodes.  A product multiplies the same operands by the same operations
+    either way, so every bit is that of the plain tree.  Where the first
+    level can repeat a pair, the leaves are normalized once and idx is
+    their codes; otherwise, as for a fresh matrix a step, each block
+    gathers and normalizes its own steps, and the tree is the plain one.
     """
     hi, lo = leaves
     trials, steps = idx.shape
     width = 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1
-    stack = []      # (steps covered, scaled product), aligned and decreasing
+    # the pairs of the first level: within a block, or in the first merge
+    # where a block is one step wide
+    pairs = trials * (min(width, steps) // 2 if width > 1 else min(steps - 1, 1))
+    shared = (_rescaled(hi, lo, np.zeros(len(hi), dtype=np.int64))
+              if len(hi) ** 2 < pairs else None)
+    stack = []      # (steps covered, node), aligned and decreasing
     for start in range(0, steps, width):
         block = idx[:, start:start + width]
-        node = _rescaled(hi[block], lo[block], np.zeros(block.shape, dtype=np.int64))
-        while node[0].shape[1] > 1:
-            m = node[0].shape[1] // 2 * 2
-            pair = chain_product(_part(node, np.s_[:, 0:m:2]),
-                                 _part(node, np.s_[:, 1:m:2]), later_left)
-            if m < node[0].shape[1]:    # an odd node carries to the next level
-                pair = [np.concatenate([a, b[:, m:]], axis=1) for a, b in zip(pair, node)]
-            node = pair
-        size, node = block.shape[1], _part(node, np.s_[:, 0])
+        node = (shared, block) if shared is not None else (
+            _rescaled(hi[block], lo[block], np.zeros(block.shape, dtype=np.int64)), None)
+        count = block.shape[1]      # nodes a trial
+        while count > 1:
+            m = count // 2 * 2
+            pair = _pair_nodes(_split(node, np.s_[:, 0:m:2]),
+                               _split(node, np.s_[:, 1:m:2]), later_left)
+            if m < count:           # an odd node carries to the next level
+                pair = _with_odd(pair, _split(node, np.s_[:, m:]))
+            node, count = pair, count - m // 2
+        size, node = block.shape[1], _split(node, np.s_[:, 0])
         while stack and stack[-1][0] == size:
-            node = chain_product(stack.pop()[1], node, later_left)
+            node = _pair_nodes(stack.pop()[1], node, later_left)
             size *= 2
         stack.append((size, node))
     node = stack.pop()[1]
     while stack:
-        node = chain_product(stack.pop()[1], node, later_left)
-    return node
+        node = _pair_nodes(stack.pop()[1], node, later_left)
+    return _products(node)
 
 
 def scaled_matrices(node):

@@ -29,8 +29,8 @@ _LOG2 = math.log(2.0)
 # d 6 about 50x the old LAPACK loop's time, and 1 GB at d 6)
 _MAX_DIM = 4
 # the steps of a growth-rate row's block product, a power of two: at 64 an
-# sl2_pair row of 20000 steps runs in 10 ms against 22 ms at one matmul a
-# step, and wider blocks gain little (9 ms at 128 and 256)
+# sl2_pair spectrum of 20000 steps runs in 9 ms against 230 ms at one
+# matmul a step, and wider blocks gain little (8.5 ms at 128 and 256)
 _ROW_BLOCK = 64
 
 

@@ -7,8 +7,9 @@ for operator norms, exact rational arithmetic for matrix products and
 determinants, 50-digit products for the pairwise-reduced operator fold
 and disk walk (whose old one-step-at-a-time loops stay as the error
 baseline), the batch-first double-double product that the
-stack-innermost one replaced, the 50-digit Mobius form of the disk
-distance, 40-digit generalized eigenvalues of the cone's pencils,
+stack-innermost one replaced, the plain product tree that forms every
+node (the package's tree forms each distinct product once), the
+50-digit Mobius form of the disk distance, 40-digit generalized eigenvalues of the cone's pencils,
 50-digit exponentials for the Segal check (whose old ``scipy.linalg.expm`` loop stays as the error baseline),
 one-trial, one-step-at-a-time loops for the kernels that step all trials
 together (layer chains, orbit folds, Segal pairs), one-pair-at-a-time
@@ -44,8 +45,9 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from horoflow._exact import _balanced, _halves, _two_sum
-from horoflow.cocycle import _dist_origin, geometric_checkpoints, summarize_trials
+from horoflow._exact import _balanced, _halves, _rescaled, _two_sum
+from horoflow.cocycle import (_PRODUCT_BLOCK, _dist_origin, _part, chain_product,
+                              geometric_checkpoints, summarize_trials)
 from horoflow.core import (_BLOCK, AxiomReport, DegenerateInputError,
                            FunctionalBoundReport, MetricDomainError, WeakMetricSpace)
 from horoflow.deepnet import ACTIVATIONS, StretchReport
@@ -278,6 +280,51 @@ def batch_first_dd_matmul(ah, al, bh, bl):
         lo = lo + q
     s = hi + lo
     return s, lo - (s - hi)
+
+
+def plain_pairwise_product(leaves, idx, later_left: bool = False):
+    """:func:`horoflow.cocycle.pairwise_product` as it ran before it formed
+    each distinct product once: every node of every trial is multiplied,
+    each block gathered and normalized on its own.  The two must agree bit
+    for bit.
+
+    Scaled per-trial products of ``M[idx[t, 0]], M[idx[t, 1]], ...``, in
+    double-double arithmetic, for the real (m, d, d) stacks
+    ``leaves = (hi, lo)`` of the matrices M = hi + lo.
+
+    Later factors go on the right (M_1 M_2 ... M_L), or on the left when
+    ``later_left`` (M_L ... M_2 M_1).  idx is a (trials, L) integer array,
+    L >= 1.  Read the result with :func:`scaled_matrices`.
+
+    The steps are gathered in aligned blocks of a power-of-two width that
+    keeps each gather within ``_PRODUCT_BLOCK`` matrices, and full blocks
+    merge as a binary counter, so the tree, and with it every rounding, is
+    the same whatever the width: each trial of a batch equals its one-trial
+    call bit for bit.
+    """
+    hi, lo = leaves
+    trials, steps = idx.shape
+    width = 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1
+    stack = []      # (steps covered, scaled product), aligned and decreasing
+    for start in range(0, steps, width):
+        block = idx[:, start:start + width]
+        node = _rescaled(hi[block], lo[block], np.zeros(block.shape, dtype=np.int64))
+        while node[0].shape[1] > 1:
+            m = node[0].shape[1] // 2 * 2
+            pair = chain_product(_part(node, np.s_[:, 0:m:2]),
+                                 _part(node, np.s_[:, 1:m:2]), later_left)
+            if m < node[0].shape[1]:    # an odd node carries to the next level
+                pair = [np.concatenate([a, b[:, m:]], axis=1) for a, b in zip(pair, node)]
+            node = pair
+        size, node = block.shape[1], _part(node, np.s_[:, 0])
+        while stack and stack[-1][0] == size:
+            node = chain_product(stack.pop()[1], node, later_left)
+            size *= 2
+        stack.append((size, node))
+    node = stack.pop()[1]
+    while stack:
+        node = chain_product(stack.pop()[1], node, later_left)
+    return node
 
 
 # digits of the product oracles: a product of a few thousand factors keeps

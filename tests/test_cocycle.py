@@ -6,12 +6,13 @@ import statistics
 import numpy as np
 import pytest
 
-from horoflow.cocycle import (ErgodicDriver, apply_element, check_steps,
+from horoflow import cocycle
+from horoflow.cocycle import (ErgodicDriver, apply_element, chain_product, check_steps,
                               constant_driver, estimate_top_exponent,
                               geometric_checkpoints, hyperbolic_walk_gap,
-                              mobius_matrix, screen_invertible, summarize_trials,
-                              walk_top_exponent, _distances_from, _drawn,
-                              _fold_orbits, _tail_slope)
+                              mobius_matrix, pairwise_product, screen_invertible,
+                              summarize_trials, walk_top_exponent, _distances_from,
+                              _drawn, _fold_orbits, _tail_slope)
 from horoflow._exact import _dd_matmul
 from horoflow.core import DegenerateInputError, MetricDomainError
 from horoflow.seeding import trial_rng
@@ -19,7 +20,7 @@ from horoflow.spaces import euclidean_space, poincare_space
 
 from oracles import (batch_first_dd_matmul, elements, euclidean_dist, loop_orbit_at,
                      loop_top_exponent, loop_walk_gaps, mobius_disk, mp_walk_gaps,
-                     poincare_dist, rotation_draws, sampled_draws)
+                     plain_pairwise_product, poincare_dist, rotation_draws, sampled_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +341,77 @@ def test_dd_matmul_equals_the_batch_first_product(d):
             for got, want in zip(_dd_matmul(*args), batch_first_dd_matmul(*args)):
                 assert got.shape == shape
                 assert got.tobytes() == want.tobytes(), (trials, steps, kinds)
+
+
+# ---------------------------------------------------------------------------
+# The memoized product tree against the plain one
+
+def _step_draws(rng, maps, d, trials, steps, lo_zero):
+    """((hi, lo), idx): ``maps`` Gaussian d x d leaves drawn uniformly at
+    random, or a fresh leaf a step for maps None; lo is zero or below hi's
+    last bit."""
+    m = trials * steps if maps is None else maps
+    hi = rng.standard_normal((m, d, d))
+    lo = np.zeros_like(hi) if lo_zero else hi * rng.uniform(-1.0, 1.0, hi.shape) * 2.0 ** -53
+    idx = (np.arange(m).reshape(trials, steps) if maps is None
+           else rng.integers(0, maps, (trials, steps)))
+    return (hi, lo), idx
+
+
+@pytest.mark.parametrize("maps, d", [(1, 3), (2, 2), (3, 3), (None, 4)],
+                         ids=["constant", "two_maps", "three_maps", "fresh"])
+def test_pairwise_product_equals_the_plain_tree(maps, d):
+    # every product multiplies the same operands by the same operations as
+    # the plain tree, so hi, lo and the exponents are equal, for every gather
+    # width: 2000 trials gather 2 steps a block, so the binary counter's
+    # merges do the work, and 3000 trials gather one step a block, so the
+    # first pairs are formed in a merge.  Each row of a batch equals its
+    # one-row call
+    rng = np.random.default_rng(2 if maps is None else 10 + maps)
+    for trials in (1, 3, 30, 200, 2000, 3000):
+        for steps in (1, 2, 5, 63, 64, 65, 1000, 4097):
+            if trials * steps * d ** 3 > 1 << 20:     # the plain tree's work
+                continue
+            for lo_zero in (True, False):
+                leaves, idx = _step_draws(rng, maps, d, trials, steps, lo_zero)
+                for later_left in (False, True):
+                    got = pairwise_product(leaves, idx, later_left)
+                    want = plain_pairwise_product(leaves, idx, later_left)
+                    case = (trials, steps, lo_zero, later_left)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape, case
+                        assert (g == w).all(), case
+                    for t in sorted({0, trials // 2, trials - 1}):
+                        row = pairwise_product(leaves, idx[t:t + 1], later_left)
+                        for g, r in zip(got, row):
+                            assert (g[t] == r[0]).all(), case + (t,)
+
+
+def _counted_rows(monkeypatch, leaves, idx):
+    """The rows :func:`pairwise_product` multiplies for idx."""
+    rows = []
+
+    def counting(first, then, later_left=False):
+        rows.append(first[2].size)
+        return chain_product(first, then, later_left)
+    monkeypatch.setattr(cocycle, "chain_product", counting)
+    pairwise_product(leaves, idx)
+    monkeypatch.undo()
+    return sum(rows)
+
+
+def test_pairwise_product_forms_each_distinct_product_once(monkeypatch):
+    # exact counts, no timing: one constant step forms one product a level
+    # (12 levels for 4096 steps); a two-map walk has at most 4, 16 and 256
+    # distinct windows at its first three levels; fresh steps repeat no pair
+    rng = np.random.default_rng(3)
+    leaves, idx = _step_draws(rng, 1, 2, 1, 4096, True)
+    assert _counted_rows(monkeypatch, leaves, idx) <= 12
+    leaves, idx = _step_draws(rng, 2, 2, 1, 4096, True)
+    assert _counted_rows(monkeypatch, leaves, idx) < 4095 / 4
+    for trials, steps in [(1, 4096), (3, 1000), (200, 65), (3000, 5)]:
+        leaves, idx = _step_draws(rng, None, 2, trials, steps, True)
+        assert _counted_rows(monkeypatch, leaves, idx) == trials * (steps - 1)
 
 
 # ---------------------------------------------------------------------------
