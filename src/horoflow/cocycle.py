@@ -316,9 +316,9 @@ def _pair_nodes(first, then, later_left):
     :func:`chain_product`.
 
     Where both are coded and their tables allow fewer (left, right) code
-    pairs than there are pairs, each distinct pair is multiplied once, at
-    a cost of O(pairs + table sizes multiplied) and no sort, and the codes
-    number the distinct pairs.  Otherwise every pair is, into a plain node;
+    pairs than there are pairs, each distinct pair is multiplied once and
+    the codes number the distinct pairs, in O(pairs + u1 u2) work for
+    tables of u1 and u2 products, with no sort.  Otherwise every pair is, into a plain node;
     a plain operand has as many products as nodes, so its pairs cannot
     repeat."""
     (t1, c1), (t2, c2) = first, then
