@@ -264,18 +264,27 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
 # leaves given as such pairs: a tree rounded to double misses the disk
 # walk's rate by up to 10 ulp of 50-digit products (tests/test_cocycle.py).
 #
+# Each level pairs its nodes from the left, and an odd node at the end
+# carries to the next level, so node j of level h is the product of steps
+# j 2**h ... (j + 1) 2**h - 1, the last one cut short at the end.  The
+# segments between checkpoints share the levels: their nodes sit side by
+# side on one node axis, and one call a level pairs the nodes of every
+# segment, each within its own segment, an odd node carrying at each
+# segment's end.
+#
 # A driver that draws few matrices repeats the tree's subproducts: a
 # constant one's aligned pairs are all one product, and a two-map one has
 # at most 4, 16 and 256 distinct windows at the first three levels.  So a
-# node is a pair (table, codes): the scaled products of its (trials, ...)
+# node is a pair (table, codes): the scaled products of its (trials, nodes)
 # nodes are the rows of the stack ``table`` that the integer array
 # ``codes`` names, or, where codes is None (a plain node), ``table``
 # itself, laid out as the nodes.  Each distinct pair of codes is multiplied
 # once (common-subexpression elimination on the tree: Ershov, Comm. ACM
-# 1(8), 1958).  Its operands and their operations are the plain tree's, so
-# every bit is too.
+# 1(8), 1958), and the segments of a level share one table.  Its operands
+# and their operations are the plain tree's, so every bit is too.
 
-# (trial, step) matrices gathered at once; bounds the temporaries
+# (trial, step) matrices gathered at once, and four times the products a
+# plain level forms at once; bounds the temporaries
 _PRODUCT_BLOCK = 1 << 12
 
 
@@ -312,33 +321,128 @@ def _products(node):
 
 
 def _pair_nodes(first, then, later_left):
-    """The node of the products of two nodes of one shape, pair by pair, by
-    :func:`chain_product`.
+    """The node of the products of two nodes of one (trials, nodes) shape,
+    pair by pair, by :func:`chain_product`.
 
     Where both are coded and their tables allow fewer (left, right) code
     pairs than there are pairs, each distinct pair is multiplied once and
     the codes number the distinct pairs, in O(pairs + u1 u2) work for
-    tables of u1 and u2 products, with no sort.  Otherwise every pair is, into a plain node;
-    a plain operand has as many products as nodes, so its pairs cannot
-    repeat."""
+    tables of u1 and u2 products, with no sort.  Otherwise every pair is
+    multiplied into a plain node, in equal parts of at most a quarter of
+    ``_PRODUCT_BLOCK`` pairs (or of one node a trial): a level that turns
+    plain in a pass over all segments would otherwise form all its
+    products in one call, with temporaries of about 700 bytes a 2 x 2
+    product.  A plain operand has as many products as nodes, so its
+    pairs cannot repeat."""
     (t1, c1), (t2, c2) = first, then
     u1, u2 = len(t1[0]), len(t2[0])
     if c1 is None or c2 is None or u1 * u2 >= c1.size:
-        return chain_product(_products(first), _products(then), later_left), None
+        trials, nodes = t1[2].shape if c1 is None else c1.shape
+        calls = -(-trials * nodes // (_PRODUCT_BLOCK // 4))     # rounded up
+        chunk = -(-nodes // calls)
+        parts = [chain_product(_products(_split(first, np.s_[:, a:a + chunk])),
+                               _products(_split(then, np.s_[:, a:a + chunk])), later_left)
+                 for a in range(0, nodes, chunk)]
+        return (parts[0] if len(parts) == 1
+                else [np.concatenate(a, axis=1) for a in zip(*parts)]), None
     kept, codes = _distinct(c1 * u2 + c2, u1 * u2)
     i, j = np.divmod(kept, u2)
     return chain_product(_part(t1, i), _part(t2, j), later_left), codes
 
 
-def _with_odd(node, odd):
-    """A level's node of pairs with the (trials, 1) carried node odd after
-    them; a coded odd node's distinct products join the table."""
+def _placed(pairs, odd, carried):
+    """The (trials, nodes, ...) array of pairs with odd after them, or, for
+    a boolean mask ``carried`` over the nodes, with odd where it is set
+    and pairs elsewhere, each in order."""
+    if carried is None:
+        return np.concatenate([pairs, odd], axis=1)
+    out = np.empty(pairs.shape[:1] + carried.shape + pairs.shape[2:], dtype=pairs.dtype)
+    out[:, ~carried], out[:, carried] = pairs, odd
+    return out
+
+
+def _with_odd(node, odd, carried):
+    """A level's node of pairs with the carried node odd placed as
+    :func:`_placed` places it; a coded odd node's distinct products join
+    the table."""
     (table, codes), (odd_table, odd_codes) = node, odd
     if codes is None:
-        return [np.concatenate([a, b], axis=1) for a, b in zip(table, _products(odd))], None
+        return [_placed(a, b, carried) for a, b in zip(table, _products(odd))], None
     kept, odd_codes = _distinct(odd_codes, len(odd_table[0]))
     return ([np.concatenate([a, b[kept]]) for a, b in zip(table, odd_table)],
-            np.concatenate([codes, len(table[0]) + odd_codes], axis=1))
+            _placed(codes, len(table[0]) + odd_codes, carried))
+
+
+def _levels(node, counts, later_left):
+    """The node of one product a run: the (trials, nodes) nodes of ``node``
+    lie in runs of ``counts`` nodes, in order, and every level pairs the
+    nodes of all runs in one :func:`_pair_nodes` call, each run's from the
+    left, an odd node at a run's end carrying to the next level."""
+    counts = list(counts)
+    while max(counts) > 1:
+        m = 2 * sum(c // 2 for c in counts)
+        last = max(r for r, c in enumerate(counts) if c > 1)
+        if not any(c % 2 for c in counts[:last]):
+            # no odd run before the last pair, as in one run: the pairs are
+            # strided views and the carried nodes follow them
+            left, right, rest, carried = np.s_[:, 0:m:2], np.s_[:, 1:m:2], np.s_[:, m:], None
+        else:
+            sizes = np.array(counts)
+            halves, odd, ends = sizes // 2, sizes % 2 == 1, np.cumsum(sizes)
+            # run r's pairs start at its first node, two nodes apart; its
+            # odd node ends it, before the level and after
+            first = (np.repeat(ends - sizes - 2 * (np.cumsum(halves) - halves), halves)
+                     + 2 * np.arange(m // 2))
+            left, right, rest = np.s_[:, first], np.s_[:, first + 1], np.s_[:, (ends - 1)[odd]]
+            carried = np.zeros(len(first) + odd.sum(), dtype=bool)
+            carried[(np.cumsum(sizes - halves) - 1)[odd]] = True
+        pairs = _pair_nodes(_split(node, left), _split(node, right), later_left)
+        node = _with_odd(pairs, _split(node, rest), carried) if m < sum(counts) else pairs
+        counts = [c - c // 2 for c in counts]
+    return node
+
+
+def _gathered_products(hi, lo, idx, lengths, later_left):
+    """The plain node of :func:`_segment_products`, for leaves gathered and
+    normalized at most ``_PRODUCT_BLOCK`` (trial, step) matrices at once.
+
+    Steps within a power-of-two gather width are one pass of
+    :func:`_levels`.  Otherwise the segments split into two halves, or a
+    lone segment cuts at the largest power of two below its length and its
+    two parts' products are paired, which is the node its levels would
+    form.  Above the gather the tree is so built depth first: a trial
+    holds O(log n) products besides its segments', not one a gather."""
+    trials, steps = idx.shape
+    if steps <= 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1:
+        # passed on unnamed, so that each level frees the last
+        return _levels((_rescaled(hi[idx], lo[idx], np.zeros(idx.shape, dtype=np.int64)), None),
+                       lengths, later_left)
+    if len(lengths) == 1:
+        half = 1 << (steps - 1).bit_length() - 1
+        return _pair_nodes(_gathered_products(hi, lo, idx[:, :half], [half], later_left),
+                           _gathered_products(hi, lo, idx[:, half:], [steps - half], later_left),
+                           later_left)
+    k = len(lengths) // 2
+    cut = sum(lengths[:k])
+    parts = (_gathered_products(hi, lo, idx[:, :cut], lengths[:k], later_left)[0],
+             _gathered_products(hi, lo, idx[:, cut:], lengths[k:], later_left)[0])
+    return [np.concatenate(a, axis=1) for a in zip(*parts)], None
+
+
+def _segment_products(leaves, idx, lengths, later_left):
+    """The node of the per-trial products of the consecutive segments of
+    ``lengths`` steps (together all of idx's) that idx draws from the
+    double-double matrices ``leaves = (hi, lo)``, one node a segment, in
+    order; see :func:`pairwise_product`."""
+    hi, lo = leaves
+    trials, steps = idx.shape
+    if len(hi) ** 2 < trials * steps // 2:
+        # the first level can repeat a pair: the leaves are normalized once
+        # and idx is their codes, all steps in one pass, as codes are
+        # integers
+        table = _rescaled(hi, lo, np.zeros(len(hi), dtype=np.int64))
+        return _levels((table, idx), lengths, later_left)
+    return _gathered_products(hi, lo, idx, lengths, later_left)
 
 
 def pairwise_product(leaves, idx, later_left: bool = False):
@@ -350,53 +454,26 @@ def pairwise_product(leaves, idx, later_left: bool = False):
     ``later_left`` (M_L ... M_2 M_1).  idx is a (trials, L) integer array,
     L >= 1.  Read the result with :func:`scaled_matrices`.
 
-    The steps are gathered in aligned blocks of a power-of-two width that
-    keeps each gather within ``_PRODUCT_BLOCK`` matrices, and full blocks
-    merge as a binary counter, so the tree, and with it every rounding, is
-    the same whatever the width: each trial of a batch equals its one-trial
-    call bit for bit.
+    This is the one-segment call of :func:`_checkpoint_products`' tree.
+    Each level pairs its nodes from the left, an odd node at the end
+    carrying to the next level, so the tree, and with it every rounding,
+    depends on L alone: each trial of a batch equals its one-trial call
+    bit for bit.
 
     Each distinct product is formed once: a node carries an integer code
-    per trial naming its product in a table, and at every level and every
-    merge each distinct (left, right) pair of codes is multiplied once,
-    wherever the two tables allow fewer such pairs than there are pairs
+    per trial naming its product in a table, and at every level each
+    distinct (left, right) pair of codes is multiplied once, wherever the
+    two tables allow fewer such pairs than there are pairs
     (:func:`_pair_nodes`).  The rule reads only the counts of codes and of
     nodes.  A product multiplies the same operands by the same operations
     either way, so every bit is that of the plain tree.  Where the first
     level can repeat a pair, the leaves are normalized once and idx is
-    their codes; otherwise, as for a fresh matrix a step, each block
-    gathers and normalizes its own steps, and the tree is the plain one.
+    their codes; otherwise, as for a fresh matrix a step, the steps are
+    gathered and normalized at most ``_PRODUCT_BLOCK`` matrices at once
+    (:func:`_gathered_products`), and the tree is the plain one.
     """
-    hi, lo = leaves
-    trials, steps = idx.shape
-    width = 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1
-    # the pairs of the first level: within a block, or in the first merge
-    # where a block is one step wide
-    pairs = trials * (min(width, steps) // 2 if width > 1 else min(steps - 1, 1))
-    shared = (_rescaled(hi, lo, np.zeros(len(hi), dtype=np.int64))
-              if len(hi) ** 2 < pairs else None)
-    stack = []      # (steps covered, node), aligned and decreasing
-    for start in range(0, steps, width):
-        block = idx[:, start:start + width]
-        node = (shared, block) if shared is not None else (
-            _rescaled(hi[block], lo[block], np.zeros(block.shape, dtype=np.int64)), None)
-        count = block.shape[1]      # nodes a trial
-        while count > 1:
-            m = count // 2 * 2
-            pair = _pair_nodes(_split(node, np.s_[:, 0:m:2]),
-                               _split(node, np.s_[:, 1:m:2]), later_left)
-            if m < count:           # an odd node carries to the next level
-                pair = _with_odd(pair, _split(node, np.s_[:, m:]))
-            node, count = pair, count - m // 2
-        size, node = block.shape[1], _split(node, np.s_[:, 0])
-        while stack and stack[-1][0] == size:
-            node = _pair_nodes(stack.pop()[1], node, later_left)
-            size *= 2
-        stack.append((size, node))
-    node = stack.pop()[1]
-    while stack:
-        node = _pair_nodes(stack.pop()[1], node, later_left)
-    return _products(node)
+    return _part(_products(_segment_products(leaves, idx, [idx.shape[1]], later_left)),
+                 np.s_[:, 0])
 
 
 def scaled_matrices(node):
@@ -423,14 +500,20 @@ def _checkpoint_products(leaves, idx, ks: list, later_left: bool = False):
     distinct checkpoints ks.
 
     segs[j] is the scaled product of steps ks[j-1]+1 .. ks[j] (from step 1
-    for j = 0), by :func:`pairwise_product`; p and log_scale are the stacks
-    of the running products at each checkpoint (see
-    :func:`_running_products`).  ``later_left`` orders both as in
-    :func:`pairwise_product`.
+    for j = 0); p and log_scale are the stacks of the running products at
+    each checkpoint (see :func:`_running_products`).  ``later_left`` orders
+    both as in :func:`pairwise_product`.
+
+    The segments are formed together (:func:`_segment_products`): each
+    level of the tree pairs the nodes of every segment in one call, and
+    the segments share one table of distinct products; fresh leaves are
+    gathered as many segments at once as a gather holds.  Each segment's
+    tree is its :func:`pairwise_product` tree, so segs[j] equals that call
+    bit for bit.
     """
-    bounds = [0] + list(ks)
-    segs = [pairwise_product(leaves, idx[:, b:c], later_left)
-            for b, c in zip(bounds, bounds[1:])]
+    lengths = [c - b for b, c in zip([0] + ks[:-1], ks)]
+    node = _products(_segment_products(leaves, idx, lengths, later_left))
+    segs = [_part(node, np.s_[:, j]) for j in range(len(ks))]
     return (segs, *_running_products(segs, later_left))
 
 

@@ -1,7 +1,9 @@
 """Drivers, orbits, the top exponent, and the hyperbolic walk's gap."""
 
+import itertools
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from horoflow.cocycle import (ErgodicDriver, apply_element, chain_product, check
                               constant_driver, estimate_top_exponent,
                               geometric_checkpoints, hyperbolic_walk_gap,
                               mobius_matrix, pairwise_product, screen_invertible,
-                              summarize_trials, walk_top_exponent, _distances_from,
-                              _drawn, _fold_orbits, _tail_slope)
+                              summarize_trials, tail_checkpoints, walk_top_exponent,
+                              _checkpoint_products, _distances_from, _drawn,
+                              _fold_orbits, _running_products, _tail_slope)
 from horoflow._exact import _dd_matmul
 from horoflow.core import DegenerateInputError, MetricDomainError
 from horoflow.seeding import trial_rng
@@ -412,6 +415,92 @@ def test_pairwise_product_forms_each_distinct_product_once(monkeypatch):
     for trials, steps in [(1, 4096), (3, 1000), (200, 65), (3000, 5)]:
         leaves, idx = _step_draws(rng, None, 2, trials, steps, True)
         assert _counted_rows(monkeypatch, leaves, idx) == trials * (steps - 1)
+
+
+def _per_segment_products(leaves, idx, ks, later_left):
+    """:func:`cocycle._checkpoint_products` one plain tree a segment."""
+    bounds = [0] + ks
+    segs = [plain_pairwise_product(leaves, idx[:, b:c], later_left)
+            for b, c in zip(bounds, bounds[1:])]
+    return (segs, *_running_products(segs, later_left))
+
+
+@pytest.mark.parametrize("maps, d", [(1, 3), (2, 2), (3, 3), (None, 4)],
+                         ids=["constant", "two_maps", "three_maps", "fresh"])
+def test_checkpoint_products_equal_the_per_segment_trees(maps, d):
+    # the segments share each level and one table of distinct products, and
+    # each segment's tree is the plain one, so every segment's hi, lo and
+    # exponents, and every running product, are equal.  Each size's lone
+    # segment [n] is longer than its gather width (4096 steps for 1 trial,
+    # 1024 for 3, 128 for 30, 16 for 200); the last list has segments of
+    # one step
+    rng = np.random.default_rng(20 if maps is None else 20 + maps)
+    for trials, n in [(1, 5000), (3, 1500), (30, 300), (200, 40)]:
+        lists = [[n], tail_checkpoints(n), geometric_checkpoints(n, 16),
+                 geometric_checkpoints(n, 64), [1, 2, 3, n // 2, n // 2 + 1, n - 1, n]]
+        for lo_zero in (True, False):
+            leaves, idx = _step_draws(rng, maps, d, trials, n, lo_zero)
+            for ks, later_left in itertools.product(lists, (False, True)):
+                got = _checkpoint_products(leaves, idx, ks, later_left)
+                want = _per_segment_products(leaves, idx, ks, later_left)
+                case = (trials, n, len(ks), lo_zero, later_left)
+                assert len(got[0]) == len(want[0]) == len(ks), case
+                for g_seg, w_seg in zip(got[0], want[0]):
+                    for g, w in zip(g_seg, w_seg):
+                        assert g.shape == w.shape and (g == w).all(), case
+                for g, w in zip(got[1:], want[1:]):
+                    assert g.shape == w.shape and (g == w).all(), case
+
+
+def test_checkpoint_products_pair_each_level_once(monkeypatch):
+    # exact counts, no timing: a two-map pass forms each level of every
+    # segment in one call, ceil(log2 10000) = 14 for a longest segment of
+    # 10000 steps (at most one more, where a level's plain products take
+    # two calls), however many checkpoints cut the other 10000, besides the
+    # len(ks) - 1 running products
+    rng = np.random.default_rng(4)
+    leaves, idx = _step_draws(rng, 2, 2, 1, 20000, True)
+    calls = []
+
+    def counting(first, then, later_left=False):
+        calls.append(later_left)
+        return chain_product(first, then, later_left)
+    monkeypatch.setattr(cocycle, "chain_product", counting)
+    counts = []
+    for count in (8, 16, 64):
+        ks = geometric_checkpoints(10000, count) + [20000]
+        calls.clear()
+        _checkpoint_products(leaves, idx, ks)
+        counts.append(len(calls) - (len(ks) - 1))
+    assert counts[0] <= math.ceil(math.log2(10000)) + 1
+    assert counts == [counts[0]] * 3
+    ks = tail_checkpoints(20000)
+    calls.clear()
+    _checkpoint_products(leaves, idx, ks)
+    longest = max(c - b for b, c in zip([0] + ks, ks))
+    assert len(calls) - (len(ks) - 1) <= math.ceil(math.log2(longest)) + 1
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("trials, n, d", [(16, 2000, 4), (200, 250, 3), (1, 20000, 2)])
+def test_checkpoint_products_keep_the_gather_bound(trials, n, d):
+    # fresh leaves are gathered at most _PRODUCT_BLOCK matrices at once and
+    # the tree above a gather is built depth first, so a pass at the tail
+    # checkpoints allocates at its peak no more than one tree a segment
+    # (tracemalloc counts numpy's buffers, deterministically)
+    leaves, idx = _step_draws(np.random.default_rng(6), None, d, trials, n, True)
+    ks = tail_checkpoints(n)
+    one_pass = _traced_peak(_checkpoint_products, leaves, idx, ks, True)
+    per_segment = _traced_peak(_per_segment_products, leaves, idx, ks, True)
+    assert one_pass <= 1.1 * per_segment, (one_pass, per_segment)
 
 
 # ---------------------------------------------------------------------------
