@@ -281,11 +281,29 @@ def estimate_top_exponent(driver: ErgodicDriver, space: WeakMetricSpace,
 # itself, laid out as the nodes.  Each distinct pair of codes is multiplied
 # once (common-subexpression elimination on the tree: Ershov, Comm. ACM
 # 1(8), 1958), and the segments of a level share one table.  Its operands
-# and their operations are the plain tree's, so every bit is too.
+# and their operations are the plain tree's, so every bit is too.  Codes
+# are integers, so a coded level takes all steps at once, and so does a
+# plain level of no more nodes than a gather takes.  A plain level past a
+# gather, and those above it, are formed from blocks of products gathered
+# by their codes, as fresh leaves are, with the tree above a gather built
+# depth first.
 
-# (trial, step) matrices gathered at once, and four times the products a
-# plain level forms at once; bounds the temporaries
+# (trial, step) matrices gathered at once, and twice the products a call
+# forms at most (or one a trial, where a gather is one step); bounds the
+# temporaries
 _PRODUCT_BLOCK = 1 << 12
+# products a call forms at most, in equal parts, of pairs taken from
+# tables by their codes (or one a trial): a plain level of a coded pass
+# spans every segment, and formed in one call its temporaries, about 700
+# bytes a 2 x 2 product, raised perfbench long-orbit's peak RSS by about
+# 0.35 MB
+_CODED_CALL = _PRODUCT_BLOCK // 4
+
+
+def _gather_width(trials):
+    """The steps a trial of ``trials`` gathers at once: a power of two,
+    within ``_PRODUCT_BLOCK`` matrices for all trials, or 1."""
+    return 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1
 
 
 def _part(node, index):
@@ -308,6 +326,16 @@ def _distinct(keys, size):
     return np.flatnonzero(mark), (np.cumsum(mark) - 1)[keys]
 
 
+def _coded(node, pairs):
+    """Whether a level of the coded node ``node`` that pairs ``pairs`` nodes
+    a trial multiplies its distinct code pairs: where the u**2 code pairs
+    that a table of u products allows are fewer than the pairs, and than
+    the products a gather's first level forms."""
+    table, codes = node
+    trials = len(codes)
+    return len(table[0]) ** 2 < min(trials * pairs, max(_PRODUCT_BLOCK // 2, trials))
+
+
 def _split(node, index):
     """The nodes ``index`` of a node."""
     table, codes = node
@@ -321,33 +349,32 @@ def _products(node):
 
 
 def _pair_nodes(first, then, later_left):
-    """The node of the products of two nodes of one (trials, nodes) shape,
-    pair by pair, by :func:`chain_product`.
+    """The node of the products of two nodes of one (trials, nodes) shape
+    and one kind, pair by pair, by :func:`chain_product`.
 
-    Where both are coded and their tables allow fewer (left, right) code
-    pairs than there are pairs, each distinct pair is multiplied once and
-    the codes number the distinct pairs, in O(pairs + u1 u2) work for
-    tables of u1 and u2 products, with no sort.  Otherwise every pair is
-    multiplied into a plain node, in equal parts of at most a quarter of
-    ``_PRODUCT_BLOCK`` pairs (or of one node a trial): a level that turns
-    plain in a pass over all segments would otherwise form all its
-    products in one call, with temporaries of about 700 bytes a 2 x 2
-    product.  A plain operand has as many products as nodes, so its
-    pairs cannot repeat."""
+    Two plain nodes multiply every pair into a plain node.  Two coded
+    nodes multiply each distinct (left, right) pair of codes once where
+    :func:`_coded` holds, and the codes number the distinct pairs, in
+    O(pairs + u1 u2) work for tables of u1 and u2 products, with no sort.
+    Otherwise they multiply every pair into a plain node, taken from
+    their tables at most ``_CODED_CALL`` products a call, in equal parts,
+    into one level."""
     (t1, c1), (t2, c2) = first, then
-    u1, u2 = len(t1[0]), len(t2[0])
-    if c1 is None or c2 is None or u1 * u2 >= c1.size:
-        trials, nodes = t1[2].shape if c1 is None else c1.shape
-        calls = -(-trials * nodes // (_PRODUCT_BLOCK // 4))     # rounded up
-        chunk = -(-nodes // calls)
-        parts = [chain_product(_products(_split(first, np.s_[:, a:a + chunk])),
-                               _products(_split(then, np.s_[:, a:a + chunk])), later_left)
-                 for a in range(0, nodes, chunk)]
-        return (parts[0] if len(parts) == 1
-                else [np.concatenate(a, axis=1) for a in zip(*parts)]), None
-    kept, codes = _distinct(c1 * u2 + c2, u1 * u2)
-    i, j = np.divmod(kept, u2)
-    return chain_product(_part(t1, i), _part(t2, j), later_left), codes
+    if c1 is None:
+        return chain_product(t1, t2, later_left), None
+    if _coded(first, c1.shape[1]):
+        u2 = len(t2[0])
+        kept, codes = _distinct(c1 * u2 + c2, len(t1[0]) * u2)
+        i, j = np.divmod(kept, u2)
+        return chain_product(_part(t1, i), _part(t2, j), later_left), codes
+    trials, nodes = c1.shape
+    step = -(-nodes // -(-trials * nodes // _CODED_CALL))   # equal parts, rounded up
+    out = [np.empty(c1.shape + a.shape[1:], dtype=a.dtype) for a in t1]
+    for a in range(0, nodes, step):
+        pairs = _part(t1, c1[:, a:a + step]), _part(t2, c2[:, a:a + step])
+        for o, x in zip(out, chain_product(*pairs, later_left)):
+            o[:, a:a + step] = x
+    return out, None
 
 
 def _placed(pairs, odd, carried):
@@ -374,17 +401,30 @@ def _with_odd(node, odd, carried):
 
 
 def _levels(node, counts, later_left):
-    """The node of one product a run: the (trials, nodes) nodes of ``node``
-    lie in runs of ``counts`` nodes, in order, and every level pairs the
-    nodes of all runs in one :func:`_pair_nodes` call, each run's from the
-    left, an odd node at a run's end carrying to the next level."""
+    """(node, counts) after the levels of ``node``, whose (trials, nodes)
+    nodes lie in runs of ``counts`` nodes, in order.  Every level pairs
+    the nodes of all runs in one :func:`_pair_nodes` call, each run's from
+    the left, an odd node at a run's end carrying to the next level.
+
+    The levels go on to one node a run, but a coded node stops before a
+    plain level of more nodes than a gather takes, for
+    :func:`_gathered_products` to form within the gather bound.
+
+    Where no run before the last one with a pair is odd, as in one run,
+    the pairs are strided views and the carried nodes follow them.
+    Gathering them by index instead, as other levels do, copies a level
+    of 2048 2 x 2 pairs in three to six times as long, and made a fresh
+    d = 2 pass of 20000 steps about 40% slower (one core of a 2-vCPU
+    x86-64 host, numpy 2.4)."""
     counts = list(counts)
     while max(counts) > 1:
         m = 2 * sum(c // 2 for c in counts)
+        codes = node[1]
+        if (codes is not None and sum(counts) > _gather_width(len(codes))
+                and not _coded(node, m // 2)):
+            break
         last = max(r for r, c in enumerate(counts) if c > 1)
         if not any(c % 2 for c in counts[:last]):
-            # no odd run before the last pair, as in one run: the pairs are
-            # strided views and the carried nodes follow them
             left, right, rest, carried = np.s_[:, 0:m:2], np.s_[:, 1:m:2], np.s_[:, m:], None
         else:
             sizes = np.array(counts)
@@ -396,53 +436,76 @@ def _levels(node, counts, later_left):
             left, right, rest = np.s_[:, first], np.s_[:, first + 1], np.s_[:, (ends - 1)[odd]]
             carried = np.zeros(len(first) + odd.sum(), dtype=bool)
             carried[(np.cumsum(sizes - halves) - 1)[odd]] = True
-        pairs = _pair_nodes(_split(node, left), _split(node, right), later_left)
-        node = _with_odd(pairs, _split(node, rest), carried) if m < sum(counts) else pairs
+        pairs, carry = (_split(node, left), _split(node, right)), _split(node, rest)
+        # gathered pairs are copies: the level is let go before they multiply
+        del node, codes
+        node = _pair_nodes(*pairs, later_left)
+        if m < sum(counts):
+            node = _with_odd(node, carry, carried)
         counts = [c - c // 2 for c in counts]
-    return node
+    return node, counts
 
 
-def _gathered_products(hi, lo, idx, lengths, later_left):
-    """The plain node of :func:`_segment_products`, for leaves gathered and
-    normalized at most ``_PRODUCT_BLOCK`` (trial, step) matrices at once.
+def _gathered_products(leaf, idx, lengths, later_left):
+    """The per-trial scaled products, one a run, of the (trials, nodes)
+    node ``leaf(idx)``, whose nodes lie in runs of ``lengths`` nodes,
+    formed from the nodes ``leaf`` takes for blocks of idx of at most
+    ``_PRODUCT_BLOCK`` (trial, node) entries.
 
-    Steps within a power-of-two gather width are one pass of
-    :func:`_levels`.  Otherwise the segments split into two halves, or a
-    lone segment cuts at the largest power of two below its length and its
-    two parts' products are paired, which is the node its levels would
-    form.  Above the gather the tree is so built depth first: a trial
-    holds O(log n) products besides its segments', not one a gather."""
-    trials, steps = idx.shape
-    if steps <= 1 << max(_PRODUCT_BLOCK // trials, 1).bit_length() - 1:
-        # passed on unnamed, so that each level frees the last
-        return _levels((_rescaled(hi[idx], lo[idx], np.zeros(idx.shape, dtype=np.int64)), None),
-                       lengths, later_left)
-    if len(lengths) == 1:
-        half = 1 << (steps - 1).bit_length() - 1
-        return _pair_nodes(_gathered_products(hi, lo, idx[:, :half], [half], later_left),
-                           _gathered_products(hi, lo, idx[:, half:], [steps - half], later_left),
-                           later_left)
-    k = len(lengths) // 2
-    cut = sum(lengths[:k])
-    parts = (_gathered_products(hi, lo, idx[:, :cut], lengths[:k], later_left)[0],
-             _gathered_products(hi, lo, idx[:, cut:], lengths[k:], later_left)[0])
-    return [np.concatenate(a, axis=1) for a in zip(*parts)], None
+    Consecutive runs that fit a gather's width together are one pass of
+    :func:`_levels`.  A run longer than the width cuts at the largest
+    power of two below its length and its two parts' products are
+    paired, which is the product its levels would form.  Above the gather
+    the tree is so built depth first: a trial holds O(log n) products
+    besides its runs', not one a gather."""
+    width = _gather_width(len(idx))
+    groups = []         # the runs of each block, in order
+    for c in lengths:
+        if groups and sum(groups[-1]) + c <= width:
+            groups[-1].append(c)
+        else:
+            groups.append([c])
+    parts, start = [], 0
+    for runs in groups:
+        block = idx[:, start:start + sum(runs)]
+        steps = block.shape[1]
+        start += steps
+        if steps <= width:
+            # passed on unnamed, so that each level frees the last
+            parts.append(_products(_levels(leaf(block), runs, later_left)[0]))
+        else:
+            half = 1 << (steps - 1).bit_length() - 1
+            parts.append(chain_product(
+                _gathered_products(leaf, block[:, :half], [half], later_left),
+                _gathered_products(leaf, block[:, half:], [steps - half], later_left),
+                later_left))
+    return parts[0] if len(parts) == 1 else [np.concatenate(a, axis=1) for a in zip(*parts)]
 
 
 def _segment_products(leaves, idx, lengths, later_left):
-    """The node of the per-trial products of the consecutive segments of
+    """The per-trial scaled products of the consecutive segments of
     ``lengths`` steps (together all of idx's) that idx draws from the
-    double-double matrices ``leaves = (hi, lo)``, one node a segment, in
+    double-double matrices ``leaves = (hi, lo)``, one a segment, in
     order; see :func:`pairwise_product`."""
     hi, lo = leaves
-    trials, steps = idx.shape
-    if len(hi) ** 2 < trials * steps // 2:
+    if _coded((leaves, idx), idx.shape[1] // 2):
         # the first level can repeat a pair: the leaves are normalized once
-        # and idx is their codes, all steps in one pass, as codes are
-        # integers
-        table = _rescaled(hi, lo, np.zeros(len(hi), dtype=np.int64))
-        return _levels((table, idx), lengths, later_left)
-    return _gathered_products(hi, lo, idx, lengths, later_left)
+        # and idx is their codes.  The levels take all steps at once, as
+        # codes are integers, up to a plain level past a gather; that one
+        # and those above it take the products of the last table by their
+        # codes, a block at a time
+        node, lengths = _levels((_rescaled(hi, lo, np.zeros(len(hi), dtype=np.int64)), idx),
+                                lengths, later_left)
+        if max(lengths) == 1:
+            return _products(node)
+        table, idx = node
+
+        def leaf(block):
+            return table, block
+    else:
+        def leaf(block):
+            return _rescaled(hi[block], lo[block], np.zeros(block.shape, dtype=np.int64)), None
+    return _gathered_products(leaf, idx, lengths, later_left)
 
 
 def pairwise_product(leaves, idx, later_left: bool = False):
@@ -461,19 +524,21 @@ def pairwise_product(leaves, idx, later_left: bool = False):
     bit for bit.
 
     Each distinct product is formed once: a node carries an integer code
-    per trial naming its product in a table, and at every level each
-    distinct (left, right) pair of codes is multiplied once, wherever the
-    two tables allow fewer such pairs than there are pairs
-    (:func:`_pair_nodes`).  The rule reads only the counts of codes and of
-    nodes.  A product multiplies the same operands by the same operations
-    either way, so every bit is that of the plain tree.  Where the first
-    level can repeat a pair, the leaves are normalized once and idx is
-    their codes; otherwise, as for a fresh matrix a step, the steps are
-    gathered and normalized at most ``_PRODUCT_BLOCK`` matrices at once
-    (:func:`_gathered_products`), and the tree is the plain one.
+    per trial naming its product in a table, and each level multiplies
+    each distinct (left, right) pair of codes once, wherever the table
+    allows fewer such pairs than there are pairs and than a gather's
+    first level forms (:func:`_coded`).  The rule reads only the counts of
+    codes and of nodes.  A product multiplies the same operands by the
+    same operations either way, so every bit is that of the plain tree.
+    Where the first level can repeat a pair, the leaves are normalized
+    once and idx is their codes, and the levels take all steps at once up
+    to a plain level of more nodes than a gather takes.  That level and
+    those above it, and all levels of a fresh matrix a step, are formed
+    from at most ``_PRODUCT_BLOCK`` products gathered at once
+    (:func:`_gathered_products`), so no call forms more than half as
+    many products (or one a trial, where a gather is one step).
     """
-    return _part(_products(_segment_products(leaves, idx, [idx.shape[1]], later_left)),
-                 np.s_[:, 0])
+    return _part(_segment_products(leaves, idx, [idx.shape[1]], later_left), np.s_[:, 0])
 
 
 def scaled_matrices(node):
@@ -506,14 +571,16 @@ def _checkpoint_products(leaves, idx, ks: list, later_left: bool = False):
 
     The segments are formed together (:func:`_segment_products`): each
     level of the tree pairs the nodes of every segment in one call, and
-    the segments share one table of distinct products; fresh leaves are
-    gathered as many segments at once as a gather holds.  Each segment's
-    tree is its :func:`pairwise_product` tree, so segs[j] equals that call
-    bit for bit.
+    the segments share one table of distinct products, up to a plain
+    level of more nodes than a gather takes; that level and those above
+    it gather as many segments' nodes at once as a gather holds.  Each
+    segment's tree is its :func:`pairwise_product` tree, so segs[j] equals
+    that call bit for bit.  Steps past ks[-1] are not read.
     """
-    lengths = [c - b for b, c in zip([0] + ks[:-1], ks)]
-    node = _products(_segment_products(leaves, idx, lengths, later_left))
-    segs = [_part(node, np.s_[:, j]) for j in range(len(ks))]
+    bounds = [0] + list(ks)
+    lengths = [c - b for b, c in zip(bounds, bounds[1:])]
+    products = _segment_products(leaves, idx[:, :ks[-1]], lengths, later_left)
+    segs = [_part(products, np.s_[:, j]) for j in range(len(ks))]
     return (segs, *_running_products(segs, later_left))
 
 

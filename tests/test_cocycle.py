@@ -425,15 +425,17 @@ def _per_segment_products(leaves, idx, ks, later_left):
     return (segs, *_running_products(segs, later_left))
 
 
-@pytest.mark.parametrize("maps, d", [(1, 3), (2, 2), (3, 3), (None, 4)],
-                         ids=["constant", "two_maps", "three_maps", "fresh"])
+@pytest.mark.parametrize("maps, d", [(1, 3), (2, 2), (3, 3), (32, 2), (None, 4)],
+                         ids=["constant", "two_maps", "three_maps", "many_maps", "fresh"])
 def test_checkpoint_products_equal_the_per_segment_trees(maps, d):
     # the segments share each level and one table of distinct products, and
     # each segment's tree is the plain one, so every segment's hi, lo and
     # exponents, and every running product, are equal.  Each size's lone
     # segment [n] is longer than its gather width (4096 steps for 1 trial,
     # 1024 for 3, 128 for 30, 16 for 200); the last list has segments of
-    # one step
+    # one step.  32 maps code one level, and at 30 and 200 trials their
+    # first plain level is past a gather, so it and those above it gather
+    # the table's products by their codes
     rng = np.random.default_rng(20 if maps is None else 20 + maps)
     for trials, n in [(1, 5000), (3, 1500), (30, 300), (200, 40)]:
         lists = [[n], tail_checkpoints(n), geometric_checkpoints(n, 16),
@@ -453,10 +455,11 @@ def test_checkpoint_products_equal_the_per_segment_trees(maps, d):
 
 
 def test_checkpoint_products_pair_each_level_once(monkeypatch):
-    # exact counts, no timing: a two-map pass forms each level of every
-    # segment in one call, ceil(log2 10000) = 14 for a longest segment of
-    # 10000 steps (at most one more, where a level's plain products take
-    # two calls), however many checkpoints cut the other 10000, besides the
+    # exact counts, no timing: a two-map pass of one trial forms each level
+    # of every segment in one call, ceil(log2 10000) = 14 for a longest
+    # segment of 10000 steps (one more, as its first plain level, 1250
+    # products taken from a table by their codes, takes two calls),
+    # however many checkpoints cut the other 10000, besides the
     # len(ks) - 1 running products
     rng = np.random.default_rng(4)
     leaves, idx = _step_draws(rng, 2, 2, 1, 20000, True)
@@ -501,6 +504,23 @@ def test_checkpoint_products_keep_the_gather_bound(trials, n, d):
     one_pass = _traced_peak(_checkpoint_products, leaves, idx, ks, True)
     per_segment = _traced_peak(_per_segment_products, leaves, idx, ks, True)
     assert one_pass <= 1.1 * per_segment, (one_pass, per_segment)
+
+
+@pytest.mark.parametrize("maps, d, trials, n", [(64, 4, 16, 2000), (32, 4, 16, 2000),
+                                                (32, 4, 16, 8000), (2, 2, 3, 20000)])
+def test_coded_checkpoint_products_keep_the_gather_bound(maps, d, trials, n):
+    # a coded pass takes all steps at once only while its levels are coded,
+    # each forming at most _PRODUCT_BLOCK / 2 distinct products (64 maps
+    # allow 4096 first pairs, so their first level is plain); its first
+    # plain level past a gather, and those above it, take the last table's
+    # products by their codes a gather at once.  So besides one tree a
+    # segment's products it holds its integer codes, within idx's own size,
+    # and not one product a pair of its first plain level
+    leaves, idx = _step_draws(np.random.default_rng(7), maps, d, trials, n, True)
+    ks = tail_checkpoints(n)
+    one_pass = _traced_peak(_checkpoint_products, leaves, idx, ks, True)
+    per_segment = _traced_peak(_per_segment_products, leaves, idx, ks, True)
+    assert one_pass <= 1.1 * per_segment + idx.nbytes, (one_pass, per_segment, idx.nbytes)
 
 
 # ---------------------------------------------------------------------------
