@@ -17,7 +17,7 @@ import numpy as np
 
 from .cocycle import ErgodicDriver, geometric_checkpoints
 from .core import DegenerateInputError
-from .spaces import _TWO_PI, NotDiffeomorphismError, _row_norms, _wrap_angle
+from .spaces import _TWO_PI, NotDiffeomorphismError, _row_norms
 
 
 class NormConstraintError(ValueError):
@@ -236,22 +236,31 @@ def jacobian_cocycle_dist(driver: ErgodicDriver, n: int, grid: int):
 
     Driver elements are :class:`horoflow.spaces.CircleMap` objects composed
     as left increments; derivatives along the composition accumulate by the
-    chain rule on the grid.  Returns rows (k, a(k), a(k)/k).
+    chain rule on the grid.  The grid is carried as points (c, s) of the
+    circle, the cos and sin of its angles taken once, and every step's
+    image is divided by its norm: one place for every map, without which
+    the point nearest a repelling fixed point drifts off the circle and
+    overflows.  A step whose derivative is somewhere zero, negative, nan
+    or inf makes a(k) inf or nan (a sum of at most n logs of finite
+    positive derivatives stays finite), and is refused.  Returns rows
+    (k, a(k), a(k)/k).
     """
     if grid < 16:
         raise DegenerateInputError("grid must be >= 16")
     theta = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    pos = theta.copy()
+    c, s = np.cos(theta), np.sin(theta)
     cumlog = np.zeros(grid)
     rows = []
     maps, [idx] = driver.draw([0], n)
     for k, i in enumerate(idx.tolist(), start=1):
-        f, d = maps[i].f_and_deriv(pos)
-        if not (d.min() > 0.0 and d.max() < math.inf):     # nan fails the first
+        c, s, d = maps[i].f_and_deriv(c, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cumlog += np.log(d)
+        a_k = float(np.abs(cumlog).max())
+        if not a_k < math.inf:                              # nan fails too
             raise NotDiffeomorphismError(
                 f"nonpositive or non-finite composed derivative at step {k}")
-        cumlog += np.log(d)
-        pos = _wrap_angle(f)
-        a_k = float(np.max(np.abs(cumlog)))
+        norm = np.sqrt(c * c + s * s)
+        c, s = c / norm, s / norm
         rows.append((k, a_k, a_k / k))
     return rows

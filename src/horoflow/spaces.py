@@ -279,41 +279,43 @@ def stretch_space() -> WeakMetricSpace:
 class CircleMap:
     """Orientation-preserving circle map with an explicit derivative.
 
-    ``f_and_deriv`` takes a numpy array of angles and returns the float
-    arrays ``(f(theta), f'(theta))`` from one call, which shares the work
-    the two have in common.  f(theta) is any angle of the image, a lift or
-    an atan2 angle, not wrapped into [0, 2pi): the caller wraps it.
+    ``f_and_deriv`` takes a point of the unit circle as two numpy arrays,
+    c = cos theta and s = sin theta, and returns the float arrays
+    ``(c', s', f'(theta))`` from one call: the image point and the
+    derivative there, sharing the work the two have in common.  The image
+    point need only be near the circle: the caller divides it by its norm.
     """
 
-    f_and_deriv: Callable[[np.ndarray], tuple]
-
-
-def _wrap_angle(t: np.ndarray) -> np.ndarray:
-    """t % 2pi, bit for bit, taking the remainder only of the entries it
-    can change: those with the sign bit set (-0 too), at or past 2pi, or
-    nan.  np.remainder is about 6x slower on a subnormal angle, which an
-    orbit contracting onto theta = 0 reaches and keeps."""
-    t = np.asarray(t, dtype=float)
-    wrap = np.signbit(t) | ~(t < _TWO_PI)
-    return np.remainder(t, _TWO_PI, out=t.copy(), where=wrap)
+    f_and_deriv: Callable[[np.ndarray, np.ndarray], tuple]
 
 
 def rotation_circle_map(angle: float) -> CircleMap:
-    def f_and_df(t, _a=angle):
-        t = np.asarray(t, dtype=float)
-        return t + _a, np.ones_like(t)
+    """theta -> theta + angle: a fixed 2 x 2 rotation of (c, s), whose cos
+    and sin are taken once; derivative 1."""
+    ca, sa = math.cos(angle), math.sin(angle)
+
+    def f_and_df(c, s):
+        return ca * c - sa * s, sa * c + ca * s, np.ones_like(c)
 
     return CircleMap(f_and_df)
 
 
 def sine_circle_map(amplitude: float, phase: float = 0.0, shift: float = 0.0) -> CircleMap:
-    """theta -> theta + shift + amplitude*sin(theta + phase); needs |amplitude| < 1."""
+    """theta -> theta + shift + amplitude*sin(theta + phase); needs |amplitude| < 1.
+
+    The step delta = shift + amplitude*sin(theta + phase) and the derivative
+    1 + amplitude*cos(theta + phase) are read off (c, s) by the angle-sum
+    formulas with the phase's cos and sin taken once, and (c, s) is
+    rotated by delta: one cos and one sin a call, no atan2.
+    """
     if abs(amplitude) >= 1.0:
         raise NotDiffeomorphismError("|amplitude| must be < 1 for a diffeomorphism")
+    cp, sp = math.cos(phase), math.sin(phase)
 
-    def f_and_df(t, _a=amplitude, _p=phase, _s=shift):
-        t = np.asarray(t, dtype=float)
-        return t + _s + _a * np.sin(t + _p), 1.0 + _a * np.cos(t + _p)
+    def f_and_df(c, s):
+        delta = shift + amplitude * (s * cp + c * sp)
+        cd, sd = np.cos(delta), np.sin(delta)
+        return c * cd - s * sd, s * cd + c * sd, 1.0 + amplitude * (c * cp - s * sp)
 
     return CircleMap(f_and_df)
 
@@ -321,22 +323,21 @@ def sine_circle_map(amplitude: float, phase: float = 0.0, shift: float = 0.0) ->
 def mobius_circle_map(a: float) -> CircleMap:
     """Circle map induced by the disk automorphism z -> (z+a)/(1+az), real a.
 
-    Derivative (1 - a^2) / |1 + a e^{i theta}|^2; multiplier (1+a)/(1-a) at
-    the repelling fixed point theta = pi.  Both are taken in real
-    arithmetic: (z+a)/(1+az) at z = e^{i theta}, times |1 + az|^2, has real
-    part (1 + a^2) cos theta + 2a and imaginary part (1 - a^2) sin theta,
-    and |1 + az|^2 = 1 + a^2 + 2a cos theta.  The image is atan2's angle,
-    in [-pi, pi].
+    At z = c + is on the circle, |1 + az|^2 = den = 1 + a^2 + 2ac, the
+    derivative is (1 - a^2) / den, and the image (z+a)(1+a conj z) / den
+    is ((1 + a^2) c + 2a) / den + i (1 - a^2) s / den: rational in (c, s),
+    with no transcendental call (Katok, Fuchsian Groups, 1992).  The
+    multiplier is (1+a)/(1-a) at the repelling fixed point (-1, 0).
     """
     a = float(a)
     if abs(a) >= 1.0:
         raise NotDiffeomorphismError("|a| must be < 1")
     p, q, r = 1.0 - a * a, 1.0 + a * a, 2.0 * a
 
-    def f_and_df(t):    # one sin and one cos, shared by f and df
-        t = np.asarray(t, dtype=float)
-        cos = np.cos(t)
-        return np.arctan2(p * np.sin(t), q * cos + r), p / (q + r * cos)
+    def f_and_df(c, s):
+        den = q + r * c
+        df = p / den
+        return (q * c + r) / den, s * df, df
 
     return CircleMap(f_and_df)
 

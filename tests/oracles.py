@@ -55,9 +55,9 @@ from horoflow.lyapunov import _ROW_BLOCK, SpectrumEstimate, _block_widths
 from horoflow.operator_cone import SymmetryError
 from horoflow.seeding import trial_rng
 from horoflow.spaces import (_TWO_PI, CircleMap, NotDiffeomorphismError, _disk_rooms,
-                             _jacobian_ratios, _random_spd_stack, _stretch_ratios, _wrap_angle,
+                             _jacobian_ratios, _random_spd_stack, _stretch_ratios,
                              euclidean_dist_many, funk_dist_many, poincare_dist_many,
-                             sine_circle_map, thompson_dist_many)
+                             thompson_dist_many)
 
 
 def radial_poincare_length(r: float) -> float:
@@ -473,38 +473,40 @@ def loop_max_stretch(driver, n, grid):
 
 def loop_jacobian_cocycle(driver, n, grid):
     """The distance-from-identity cocycle with each step's map and its
-    derivative evaluated on the moving grid one step at a time, every
-    position wrapped by a plain remainder;
+    derivative evaluated on the moving grid points one step at a time,
+    each step refused by its own derivative's smallest and largest value
+    and its image divided by its norm;
     :func:`horoflow.deepnet.jacobian_cocycle_dist` must agree row for row."""
-    pos = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    c, s = np.cos(theta), np.sin(theta)
     cumlog = np.zeros(grid)
     rows = []
     for k, g in enumerate(elements(driver, 0, n), start=1):
-        f, d = g.f_and_deriv(pos)
-        if np.any(d <= 0.0):
-            raise NotDiffeomorphismError(f"nonpositive composed derivative at step {k}")
+        c, s, d = g.f_and_deriv(c, s)
+        if not (d.min() > 0.0 and d.max() < math.inf):     # nan fails the first
+            raise NotDiffeomorphismError(
+                f"nonpositive or non-finite composed derivative at step {k}")
         cumlog += np.log(d)
-        pos = f % (2.0 * math.pi)
+        norm = np.sqrt(c * c + s * s)
+        c, s = c / norm, s / norm
         a = float(np.max(np.abs(cumlog)))
         rows.append((k, a, a / k))
     return rows
 
 
 def complex_mobius_circle_map(a):
-    """The circle map of z -> (z + a) / (1 + az), real a, as
-    :func:`horoflow.spaces.mobius_circle_map` formed it before it moved to
-    real arithmetic: z = e^{i theta} by complex ``np.exp``, f the angle of
-    the complex quotient and f' = (1 - a^2) / |1 + az|^2.  The error
-    baseline of :func:`mp_mobius_cocycle`."""
+    """The circle map of z -> (z + a) / (1 + az), real a, in complex
+    arithmetic: the image is (Re, Im) of the complex quotient at
+    z = c + is, divided by its modulus, and f' = (1 - a^2) / |1 + az|^2.
+    The error baseline of :func:`mp_mobius_cocycle`."""
     a = float(a)
 
-    def z_and_w(t):
-        z = np.exp(1j * np.asarray(t, dtype=float))
-        return z, 1.0 + a * z
-
-    def f_and_df(t):
-        z, w = z_and_w(t)
-        return _wrap_angle(np.angle((z + a) / w)), (1.0 - a * a) / np.abs(w) ** 2
+    def f_and_df(c, s):
+        z = c + 1j * s
+        w = 1.0 + a * z
+        image = (z + a) / w
+        image /= np.abs(image)
+        return image.real, image.imag, (1.0 - a * a) / np.abs(w) ** 2
 
     return CircleMap(f_and_df)
 
@@ -674,15 +676,26 @@ def stretch_dist(d1, d2):
     return _one_pair("stretch", stretch_dist_many, d1, d2)
 
 
+def sine_derivative(amplitude, phase):
+    """theta -> 1 + amplitude cos(theta + phase): the sine circle map's
+    derivative in angle form, as :func:`horoflow.spaces.jacobian_space`
+    reads a parameter row (:func:`horoflow.spaces.sine_circle_map` reads it
+    off the points of the circle, which rounds differently)."""
+    return lambda t: 1.0 + amplitude * np.cos(t + phase)
+
+
 def jacobian_dist_many(points, i, j, grid=256):
     """jacobian_dist(points[i[k]], points[j[k]], grid) for every k; each
-    map's derivative is evaluated on the grid once."""
+    point's derivative is evaluated on the grid once: a ``CircleMap``'s at
+    the grid's points (cos theta, sin theta), an angle-form derivative's
+    (:func:`sine_derivative`) at the grid's angles."""
     if grid < 16:
         raise DegenerateInputError("grid must be >= 16")
     theta = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
+    c, s = np.cos(theta), np.sin(theta)
     derivs = np.empty((len(points), grid))
     for k, f in enumerate(points):
-        derivs[k] = f.f_and_deriv(theta)[1]
+        derivs[k] = f.f_and_deriv(c, s)[2] if isinstance(f, CircleMap) else f(theta)
     return _jacobian_ratios(derivs, i, j)
 
 
@@ -760,7 +773,9 @@ def reference_spaces(dim=3):
     the cone and stretch samplers draw a block's parameters as the
     registered ones do and then build each point from its own; stretch
     points are ``SampledDistanceFunction`` tables built by closures,
-    Jacobian points ``CircleMap`` closures, and every distance a loop over
+    Jacobian points angle-form derivative closures (``sine_derivative``:
+    a ``CircleMap`` reads the derivative off the circle's points, which
+    rounds differently from the parameter rows), and every distance a loop over
     a scalar distance.  Keyed like
     :func:`horoflow.spaces.registered_spaces`, whose suites, points and
     distances must equal these bit for bit.  ``euclidean_dist`` and
@@ -790,10 +805,11 @@ def reference_spaces(dim=3):
         return [_reference_distance_function(base_sample, *row)
                 for row in zip(amplitudes, ks, phases)]
 
-    def circle_map(rng):
-        return sine_circle_map(amplitude=rng.uniform(-0.8, 0.8),
-                               phase=rng.uniform(0.0, 2.0 * math.pi),
-                               shift=rng.uniform(0.0, 2.0 * math.pi))
+    def sine_point(rng):
+        amplitude = rng.uniform(-0.8, 0.8)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        rng.uniform(0.0, 2.0 * math.pi)     # the shift, which no derivative reads
+        return sine_derivative(amplitude, phase)
 
     grid = 128
     return {
@@ -811,7 +827,7 @@ def reference_spaces(dim=3):
                                    sample_points=distance_functions),
         "jacobian": WeakMetricSpace(
             name="jacobian", dist_many=pair_loop(lambda f, g: jacobian_dist(f, g, grid)),
-            sample_points=_one_at_a_time(circle_map)),
+            sample_points=_one_at_a_time(sine_point)),
     }
 
 
@@ -824,7 +840,7 @@ def reference_basepoints(dim=3):
             "thompson": np.eye(dim), "funk": np.eye(dim),
             "stretch": _reference_distance_function(_reference_stretch_sample(),
                                                     0.0, np.zeros(2), 0.0),
-            "jacobian": sine_circle_map(0.0)}
+            "jacobian": sine_derivative(0.0, 0.0)}
 
 
 def _sample_triples(space, n, rng):

@@ -1,5 +1,6 @@
 """Nonexpansive layer chains, drift, and diffeomorphism stretch experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -297,7 +298,7 @@ _CIRCLE_DRIVERS = {
 
 
 @pytest.mark.parametrize("label", sorted(_CIRCLE_DRIVERS))
-def test_jacobian_cocycle_equals_the_remainder_loop(label):
+def test_jacobian_cocycle_equals_the_step_loop(label):
     drv = _CIRCLE_DRIVERS[label]
     got = jacobian_cocycle_dist(drv, 1000, 512)
     assert got == loop_jacobian_cocycle(drv, 1000, 512)
@@ -320,33 +321,63 @@ def test_mobius_cocycle_against_the_mpmath_iterate(a):
     assert error(mobius_circle_map(a)) <= error(complex_mobius_circle_map(a))
 
 
-def test_mobius_orbit_reaches_subnormal_angles():
-    # the contracting Mobius orbit above takes grid angles below the
-    # smallest normal double, where a remainder is much slower than usual,
-    # at some of its 1000 steps (they may reach 0 before the last)
-    g = mobius_circle_map(0.5)
-    pos = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    subnormal = False
-    for _ in range(1000):
-        pos, _ = g.f_and_deriv(pos)
-        subnormal |= bool(np.any((pos > 0.0) & (pos < np.finfo(float).tiny)))
-    assert subnormal
+_STEEP_MOBIUS = {f"mobius_{a}": constant_driver(mobius_circle_map(a)) for a in (0.9, -0.99)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label", sorted(_CIRCLE_DRIVERS) + sorted(_STEEP_MOBIUS))
+def test_circle_points_stay_on_the_circle(label):
+    # without the division by the norm, the point nearest the repelling
+    # fixed point drifts off the circle and overflows; with it, every point
+    # the kernel hands a step is within 4 ulp of the circle, and no step warns
+    drv = {**_CIRCLE_DRIVERS, **_STEEP_MOBIUS}[label]
+    radii = []
+
+    def recorded(g):
+        def f_and_df(c, s):
+            radii.append(np.hypot(c, s))
+            return g.f_and_deriv(c, s)
+
+        return CircleMap(f_and_df)
+
+    drv = dataclasses.replace(drv, maps=tuple(map(recorded, drv.maps)))
+    jacobian_cocycle_dist(drv, 1000, 512)
+    assert len(radii) == 1000
+    assert np.abs(np.array(radii) - 1.0).max() <= 4.0 * np.finfo(float).eps
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_jacobian_cocycle_refuses_a_non_finite_derivative(bad):
-    # a map whose derivative is nan or inf past theta = 3 once gave rows of
-    # nan or inf; the first step already meets such angles
-    g = CircleMap(lambda t: (t + 0.5, np.where(t > 3.0, bad, 1.0)))
+    # a map whose derivative is nan or inf near theta = pi once gave rows of
+    # nan or inf; the first step already meets such points
+    g = CircleMap(lambda c, s: (c, s, np.where(c < -0.99, bad, 1.0)))
     with pytest.raises(NotDiffeomorphismError, match="at step 1$"):
         jacobian_cocycle_dist(constant_driver(g), 10, 64)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_jacobian_cocycle_refuses_a_bad_derivative_at_its_step(bad):
+    # the rotation by 1 takes the grid point (1, 0) to its third image at
+    # angle 2 at step 3: the only step whose derivative is bad there, and the
+    # one refused, with no warning from its log
+    turn = rotation_circle_map(1.0)
+
+    def f_and_df(c, s):
+        c2, s2, d = turn.f_and_deriv(c, s)
+        return c2, s2, np.where(np.abs(c - math.cos(2.0)) + np.abs(s - math.sin(2.0)) < 1e-9,
+                                bad, d)
+
+    for kernel in (jacobian_cocycle_dist, loop_jacobian_cocycle):
+        with pytest.raises(NotDiffeomorphismError, match="at step 3$"):
+            kernel(constant_driver(CircleMap(f_and_df)), 10, 64)
 
 
 def test_jacobian_cocycle_validation():
     drv = constant_driver(rotation_circle_map(1.0))
     with pytest.raises(DegenerateInputError):
         jacobian_cocycle_dist(drv, 10, 8)
-    folding = CircleMap(lambda t: (np.cos(t), -np.sin(t)))
+    folding = CircleMap(lambda c, s: (c, -s, -np.ones_like(c)))
     with pytest.raises(NotDiffeomorphismError):
         jacobian_cocycle_dist(constant_driver(folding), 5, 64)

@@ -15,7 +15,7 @@ from horoflow.spaces import (CircleMap, NotDiffeomorphismError, NotSpdError,
                              mobius_circle_map, poincare_dist_many,
                              registered_basepoints, registered_spaces,
                              rotation_circle_map, sine_circle_map, sym_part,
-                             _TWO_PI, _cone_log_eigs, _disk_rooms, _row_norms, _wrap_angle)
+                             _TWO_PI, _cone_log_eigs, _disk_rooms, _row_norms)
 
 from oracles import (SampledDistanceFunction, busemann_disk, busemann_radial_limit,
                      distance, euclidean_dist, funk_dist, jacobian_dist,
@@ -374,27 +374,17 @@ def test_jacobian_known_values():
 
 def test_mobius_circle_map_derivative():
     g = mobius_circle_map(0.5)
-    # multiplier (1+a)/(1-a) = 3 at the repelling fixed point theta = pi
-    assert g.f_and_deriv(np.array([math.pi]))[1][0] == pytest.approx(3.0)
-
-
-def test_wrap_angle_is_the_remainder_bit_for_bit():
-    edges = [-0.0, 5e-324, -5e-324, -1e-300, _TWO_PI, np.nextafter(_TWO_PI, 0.0),
-             math.pi, -math.pi, 7.0, -7.0, 1e300, math.inf, -math.inf]
-    draws = trial_rng(41, 0).uniform(-4.0 * math.pi, 4.0 * math.pi, 10000)
-    t = np.concatenate([edges, draws])
-    with np.errstate(invalid="ignore"):     # inf % 2pi is nan, as a remainder
-        got, want = _wrap_angle(t), t % _TWO_PI
-        nan_got, nan_want = _wrap_angle(np.array([math.nan])), np.array([math.nan]) % _TWO_PI
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert math.isnan(nan_got[0]) and math.isnan(nan_want[0])
-    assert t[0] == 0.0 and math.copysign(1.0, t[0]) == -1.0   # the input is kept
+    # multiplier (1+a)/(1-a) = 3 at the repelling fixed point (-1, 0),
+    # which it keeps
+    c, s, df = g.f_and_deriv(np.array([-1.0]), np.array([0.0]))
+    assert (c[0], s[0]) == (-1.0, 0.0)
+    assert df[0] == pytest.approx(3.0)
 
 
 def test_jacobian_rejects_bad_maps():
     with pytest.raises(NotDiffeomorphismError):
         sine_circle_map(1.5)
-    folding = CircleMap(lambda t: (np.cos(t), -np.sin(t)))
+    folding = CircleMap(lambda c, s: (c, -s, -np.ones_like(c)))
     with pytest.raises(NotDiffeomorphismError):
         jacobian_dist(sine_circle_map(0.0), folding, grid=64)
     with pytest.raises(DegenerateInputError):
@@ -404,9 +394,9 @@ def test_jacobian_rejects_bad_maps():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_jacobian_refuses_a_non_finite_derivative(bad):
-    # a derivative that is nan or inf past theta = 3 once ended in a nan
+    # a derivative that is nan or inf near theta = pi once ended in a nan
     # distance (MetricDomainError) or an invalid-value warning from inf / inf
-    g = CircleMap(lambda t: (t + 0.5, np.where(t > 3.0, bad, 1.0)))
+    g = CircleMap(lambda c, s: (c, s, np.where(c < -0.99, bad, 1.0)))
     sine = sine_circle_map(0.5)
     with pytest.raises(NotDiffeomorphismError, match="non-finite derivative"):
         jacobian_dist_many([g, g, sine], [0, 2], [1, 0])
@@ -472,7 +462,7 @@ def test_batched_distances_keep_the_error_types():
         with pytest.raises(NotDiffeomorphismError):
             spaces["jacobian"].distances([np.zeros(3), [amplitude, 0.0, 0.0]], [0], [1])
     # the kernels of user-built points
-    folding = CircleMap(lambda t: (np.cos(t), -np.sin(t)))
+    folding = CircleMap(lambda c, s: (c, -s, -np.ones_like(c)))
     with pytest.raises(NotDiffeomorphismError):
         jacobian_dist_many([sine_circle_map(0.0), folding], [0], [1])
     base = _norm_sdf(_square_sample())
