@@ -45,6 +45,16 @@ def fmt(x) -> str:
     return str(x)
 
 
+# fmt's result for a value of exactly one of these types, looked up by
+# type(x) with no isinstance chain: about half the time of fmt on a table
+# of floats.  Every other type, bool and numpy's included, takes fmt
+_FORMATS = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__, int: str}
+
+
+def _csv_line(row) -> str:
+    return ",".join([_FORMATS.get(type(x), fmt)(x) for x in row]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Parameter domains: each takes a config value and returns it checked and
 # typed for the runner, or raises ValueError with the diagnostic.  A JSON
@@ -499,8 +509,7 @@ def run(config: dict) -> int:
         with open(data_path, "w", newline="") as fh:
             if out_format == "csv":
                 fh.write(",".join(columns) + "\n")
-                for row in rows:
-                    fh.write(",".join(fmt(x) for x in row) + "\n")
+                fh.writelines(map(_csv_line, rows))
             else:
                 for row in rows:
                     fh.write(json.dumps({c: (fmt(x) if isinstance(x, (float, np.floating))

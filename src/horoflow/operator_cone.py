@@ -38,18 +38,32 @@ def _fold(driver: ErgodicDriver, n: int, trials, checkpoints) -> tuple:
     log_scale and inv_log_scale their logs of scale, and k the checkpoint
     of each row.  The trials share the driver's drawn stack of matrices
     (see :meth:`ErgodicDriver.draw`), so each distinct drawn matrix is
-    screened and inverted once (:func:`horoflow.cocycle._drawn`).  Each
-    track is one :func:`horoflow.cocycle._checkpoint_products` pass from
-    exact leaves (lo zero), later factors on the left for the forward
-    track and on the right for the inverse track.
+    screened and inverted once (:func:`horoflow.cocycle._drawn`).
+
+    Both tracks are one :func:`horoflow.cocycle._checkpoint_products`
+    pass from exact leaves (lo zero), later factors on the right: the
+    inverse track is M_1^{-1} ... M_k^{-1}, and the forward track is read
+    as the transpose of M_1^T ... M_k^T = (M_k ... M_1)^T.  The leaves
+    are the stack [M^T; M^{-1}] and the inverse track's trials follow the
+    forward track's, their codes offset by the m drawn matrices.  The
+    transpose keeps every bit: each entry of a product of transposes is
+    the entry of the product in the other order, the same products in the
+    same order of summation with the factors of each product swapped.
+    The two lo products of a pair commute, and Dekker's product is
+    symmetric in its factors wherever its error term is exact, that is,
+    where no product of the factors' halves is subnormal (where one is,
+    tests/test_operator_cone.py finds the tracks equal too).  Scaling by
+    the largest entry modulus does not see the transpose.
     """
     maps, idx = driver.draw(trials, n)
     mats, invs, idx = _drawn(np.asarray(maps, dtype=float), idx)
     ks = sorted(set(checkpoints))
-    zeros = np.zeros(mats.shape)
-    _, f, lf = _checkpoint_products((mats, zeros), idx, ks, later_left=True)
-    _, g, lg = _checkpoint_products((invs, zeros), idx, ks)
-    return f, lf, g, lg, np.broadcast_to(np.array(ks)[:, None], lf.shape)
+    leaves = np.concatenate([mats.swapaxes(-1, -2), invs])
+    _, p, logs = _checkpoint_products((leaves, np.zeros(leaves.shape)),
+                                      np.concatenate([idx, idx + len(mats)]), ks)
+    t = len(idx)
+    f, lf = np.ascontiguousarray(p[:, :t].swapaxes(-1, -2)), logs[:, :t]
+    return f, lf, p[:, t:], logs[:, t:], np.broadcast_to(np.array(ks)[:, None], lf.shape)
 
 
 def squared_positive_part_lognorm(forward, log_scale, inverse, inv_log_scale, k):

@@ -40,6 +40,27 @@ def test_fmt_canonical_forms():
     assert fmt("x") == "x"
 
 
+class _Float(float):
+    pass
+
+
+def test_csv_writer_formats_as_fmt(tmp_path, monkeypatch):
+    # the writer formats float, numpy float64 and int by exact type and the
+    # rest by fmt; every value's bytes are fmt's
+    values = [True, False, np.bool_(True), 7, -3, np.int64(-5), 0.1, np.float64(2.5),
+              math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(-0.0), "x",
+              _Float(0.3), 2 ** 70]
+    rows = [tuple(values), tuple(reversed(values))]
+    columns = [f"c{i}" for i in range(len(values))]
+    exp = EXPERIMENTS["top-exponent"]
+    monkeypatch.setitem(EXPERIMENTS, "top-exponent",
+                        cli.Experiment(exp.name, exp.description,
+                                       lambda params: (columns, rows), exp.params))
+    assert run(_tiny_config(tmp_path)) == EXIT_OK
+    want = "".join(",".join(fmt(x) for x in row) + "\n" for row in [columns] + rows)
+    assert (tmp_path / "top-exponent-1.csv").read_bytes() == want.encode()
+
+
 def test_validate_diagnostics():
     assert validate({}) == ["experiment: missing"]
     assert validate({"experiment": "nope"}) == ["experiment: unknown name 'nope'"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from horoflow.cli import EXPERIMENTS, _run_resnet_drift
 from horoflow.cocycle import ErgodicDriver, constant_driver
 from horoflow.core import DegenerateInputError
-from horoflow.deepnet import (LayerMap, NormConstraintError, _operator_norm, apply_chain,
+from horoflow.deepnet import (_BLOCK_VALUES, LayerMap, NormConstraintError, _operator_norm,
+                              apply_chain,
                               jacobian_cocycle_dist, lipschitz_profile,
                               make_layer, max_stretch, resnet_drift,
                               spectral_normalize)
@@ -302,6 +304,82 @@ def test_jacobian_cocycle_equals_the_step_loop(label):
     drv = _CIRCLE_DRIVERS[label]
     got = jacobian_cocycle_dist(drv, 1000, 512)
     assert got == loop_jacobian_cocycle(drv, 1000, 512)
+
+
+# steps the kernel reduces at once on a grid of 512 points
+_BLOCK = _BLOCK_VALUES // 512
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000])
+@pytest.mark.parametrize("label", sorted(_CIRCLE_DRIVERS))
+def test_jacobian_cocycle_equals_the_step_loop_at_block_boundaries(label, n):
+    drv = _CIRCLE_DRIVERS[label]
+    assert jacobian_cocycle_dist(drv, n, 512) == loop_jacobian_cocycle(drv, n, 512)
+
+
+def _bad_at_step(k, bad, image=None):
+    """The rotation by 1 with derivative ``bad`` at the grid point (1, 0)'s
+    image after k - 1 steps, so only at step k; there its image is
+    ``image`` too, when given."""
+    turn = rotation_circle_map(1.0)
+    at = (math.cos(k - 1.0), math.sin(k - 1.0))
+
+    def f_and_df(c, s):
+        c2, s2, d = turn.f_and_deriv(c, s)
+        hit = np.abs(c - at[0]) + np.abs(s - at[1]) < 1e-9
+        if image is not None:
+            c2 = np.where(hit, image, c2)
+        return c2, s2, np.where(hit, bad, d)
+
+    return constant_driver(CircleMap(f_and_df))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("k, image", [(_BLOCK + 1, None), (2 * _BLOCK, None),
+                                      (_BLOCK + 5, math.inf)],
+                         ids=["after-a-block", "last-of-a-block", "non-finite-image"])
+def test_jacobian_cocycle_refuses_a_bad_step_in_a_block(k, image, bad):
+    # the block is reduced at its end, but the refusal names the step, and
+    # neither it nor the steps after it in the block warn, with warnings
+    # as errors or shown: the division of a non-finite image by its norm
+    # (inf / inf) is left to a step at a time, which refuses the step first
+    drv = _bad_at_step(k, bad, image)
+    for kernel in (jacobian_cocycle_dist, loop_jacobian_cocycle):
+        for action in ("error", "always"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(NotDiffeomorphismError, match=f"at step {k}$"):
+                    kernel(drv, 3 * _BLOCK, 512)
+            assert caught == []
+    with np.errstate(all="ignore"):
+        with pytest.raises(NotDiffeomorphismError, match=f"at step {k}$"):
+            jacobian_cocycle_dist(drv, 3 * _BLOCK, 512)
+
+
+def test_jacobian_cocycle_warns_as_the_step_loop():
+    # a finite derivative at an image that overflows (at step block + 3):
+    # the step loop warns at the overflow and at the division of inf by its
+    # norm, then runs on nan points with derivative 1; the kernel's block
+    # with the overflow runs again a step at a time, so its warnings and
+    # rows are the same
+    turn = rotation_circle_map(1.0)
+    at = (math.cos(_BLOCK + 2.0), math.sin(_BLOCK + 2.0))
+
+    def f_and_df(c, s):
+        c2, s2, d = turn.f_and_deriv(c, s)
+        scale = np.where(np.abs(c - at[0]) + np.abs(s - at[1]) < 1e-9, 1e308, 1.0)
+        return c2 * scale * 10.0, s2 * scale * 10.0, d
+
+    drv = constant_driver(CircleMap(f_and_df))
+    runs = []
+    for kernel in (jacobian_cocycle_dist, loop_jacobian_cocycle):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = kernel(drv, 3 * _BLOCK, 512)
+        runs.append((rows, [(w.category, str(w.message)) for w in caught]))
+    assert runs[0] == runs[1]
+    assert {m for _, m in runs[0][1]} == {"overflow encountered in multiply",
+                                          "invalid value encountered in divide"}
 
 
 @pytest.mark.parametrize("a", [0.5, -0.3, 0.9])

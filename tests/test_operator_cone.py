@@ -2,13 +2,16 @@
 exponential-map inequality."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from horoflow.cli import _SL2_PAIR, EXPERIMENTS, _matrix_driver, _run_segal_sweep
-from horoflow.cocycle import ErgodicDriver, _tail_slope, constant_driver, tail_checkpoints
+from horoflow._exact import _rescaled, _two_prod
+from horoflow.cocycle import (ErgodicDriver, _checkpoint_products, _drawn, _tail_slope,
+                              constant_driver, tail_checkpoints)
 from horoflow.core import DegenerateInputError
 from horoflow.operator_cone import (ConsistencyError, SymmetryError,
                                     _check_symmetric, _fold,
@@ -164,6 +167,53 @@ def test_each_trial_of_a_batch_equals_its_one_trial_fold(name):
         tail = [squared_positive_part_lognorm(*_row(batch, j)) / k for j, k in enumerate(ks)]
         assert (squared_positive_part_lognorm(*(x[:, 0] for x in batch)) / ks).tolist() == tail
         assert est.tail_slope == _tail_slope(ks, tail)
+
+
+def _two_pass_fold(driver, n, trials, ks):
+    """_fold's four tracks from one checkpoint pass each: the forward
+    track's later factors on the left, the inverse track's on the right."""
+    maps, idx = driver.draw(trials, n)
+    mats, invs, idx = _drawn(np.asarray(maps, dtype=float), idx)
+    zeros = np.zeros(mats.shape)
+    _, f, lf = _checkpoint_products((mats, zeros), idx, ks, later_left=True)
+    _, g, lg = _checkpoint_products((invs, zeros), idx, ks)
+    return f, lf, g, lg
+
+
+# off-diagonal entries whose products are subnormal, so that Dekker's
+# product of two of them has no exact error term
+_TINY = (np.array([[1.0, 3.3e-160], [7.1e-160, 0.9]]),
+         np.array([[0.8, 1.7e-160], [2.9e-160, 1.1]]))
+
+_ONE_PASS_DRIVERS = {
+    "constant": lambda: constant_driver(np.array([[2.0, 1.0], [1.0, 1.0]])),
+    "two_maps": lambda: _FOLD_DRIVERS["sl2_pair"](3),
+    "fresh": lambda: _FOLD_DRIVERS["parametric"](3),
+    "subnormal": lambda: ErgodicDriver(seed=3, maps=_TINY),
+}
+
+
+def test_the_subnormal_stack_has_an_inexact_error_term():
+    hi, _, _ = _rescaled(np.stack(_TINY), np.zeros((2, 2, 2)), np.zeros(2, dtype=np.int64))
+    x, y = hi[1, 0, 1], hi[0, 1, 0]
+    p, e = _two_prod(x, y)
+    assert 0.0 < abs(p) < np.finfo(float).tiny
+    assert Fraction(p) + Fraction(e) != Fraction(x) * Fraction(y)
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_PASS_DRIVERS))
+def test_fold_equals_two_passes(name):
+    # the forward track read as the transpose of the later-right product of
+    # the transposes, in one pass with the inverse track, is the later-left
+    # pass bit for bit, also where Dekker's error term is not exact
+    driver = _ONE_PASS_DRIVERS[name]()
+    for n, trials in ((1, 1), (300, 3), (2000, 2)):
+        ks = sorted({1, max(n // 3, 1), n - 1 or 1, n})
+        got = _fold(driver, n, range(trials), ks)
+        want = _two_pass_fold(driver, n, range(trials), ks)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+        assert got[-1].tolist() == [[k] * trials for k in ks]
 
 
 def test_tau_constant_diagonal_is_exact():
